@@ -30,11 +30,8 @@ class RunConfig:
 
     n: int = 100
     dt: float = 1e-3
-    T: float = 1.0
-    metric: str = "M3"
     tol: float = 1e-4
     outdir: str = "out"
-    seed: int = 0
 
     def __post_init__(self):
         if self.n < 8:
@@ -157,7 +154,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_demo(args) -> int:
-    cfg = _merge_config(args)
+    cfg = args.run_config
     n = cfg.n
     os.makedirs(cfg.outdir, exist_ok=True)
     if args.figure == "fig2":
@@ -248,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.set_defaults(func=cmd_distance)
 
     cv = sub.add_parser("curvature", help="sectional curvature / scal tables")
-    cv.add_argument("--metric", default="M2")
+    cv.add_argument("--metric", default="M2", choices=["M2"])
     cv.add_argument("--curve")
     cv.add_argument("--h")
     cv.add_argument("--k")
@@ -265,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     dm.add_argument("--n", type=int)
     dm.add_argument("--dt", type=float)
     dm.add_argument("--tol", type=float)
-    dm.add_argument("--seed", type=int)
     dm.add_argument("--snapshots", type=int, default=17)
     dm.add_argument("--modes", type=int, default=8)
     dm.add_argument("--bvp-dt", type=float, default=2e-2)
@@ -280,6 +276,11 @@ def main(argv=None) -> int:
     if args.command == "curvature" and not args.scal2 and not (
             args.curve and args.h and args.k):
         parser.error("curvature needs either --scal2 or --curve/--h/--k")
+    if args.command == "demo":
+        try:
+            args.run_config = _merge_config(args)
+        except ValueError as exc:
+            parser.error(str(exc))
     try:
         return args.func(args)
     except CurveflowError as exc:

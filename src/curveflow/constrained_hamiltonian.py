@@ -42,6 +42,7 @@ from .rtransform import (
     m3_diff_apply_transpose,
     m3_diff_gram,
     m3_diff_value,
+    m4_diff_value,
 )
 
 TOL_CONSTRAINT = 1e-9
@@ -93,22 +94,14 @@ class ConstraintSystem:
         self.winding = winding
         self.n_constraints = (n + 2) if self.metric_id is MetricId.M3 else (2 * n + 2)
 
-    def _wrap_diff(self, f: np.ndarray, wrap: float = 0.0) -> np.ndarray:
-        nxt = np.roll(f, -1)
-        nxt[-1] += wrap
-        return (nxt - f) / self.dtheta
-
     def value(self, q: np.ndarray) -> np.ndarray:
         dth = self.dtheta
         q1, q2 = q[:, 0], q[:, 1]
         wrap = 2.0 * np.pi * self.winding
         cl = np.array([np.sum(q1 ** 2 * np.cos(q2)) * dth,
                        np.sum(q1 ** 2 * np.sin(q2)) * dth])
-        if self.metric_id is MetricId.M3:
-            return np.concatenate([m3_diff_value(q, dth, True, wrap), cl])
-        hd1 = q[:, 2] - 2.0 * q1 ** -1 * self._wrap_diff(q1)
-        hd2 = q[:, 3] - q1 ** 2 * self._wrap_diff(q2, wrap)
-        return np.concatenate([hd1, hd2, cl])
+        diff = m3_diff_value if self.metric_id is MetricId.M3 else m4_diff_value
+        return np.concatenate([diff(q, dth, True, wrap), cl])
 
     def jacobian(self, q: np.ndarray) -> np.ndarray:
         n, d, dth = self.n, self.d, self.dtheta
@@ -127,8 +120,8 @@ class ConstraintSystem:
             jac[rows, nxt, 1] -= 1.0 / dth
             base = n
         else:
-            d1 = self._wrap_diff(q1)
-            d2 = self._wrap_diff(q2, 2.0 * np.pi * self.winding)
+            d1 = _forward_diff(q1, dth, True)
+            d2 = _forward_diff(q2, dth, True, 2.0 * np.pi * self.winding)
             rows = idx
             jac[rows, idx, 0] = 2.0 * q1 ** -2 * d1 + 2.0 * q1 ** -1 / dth
             jac[rows, nxt, 0] += -2.0 * q1 ** -1 / dth
@@ -139,10 +132,7 @@ class ConstraintSystem:
             jac[rows, nxt, 1] -= q1 ** 2 / dth
             jac[rows, idx, 3] = 1.0
             base = 2 * n
-        jac[base, :, 0] = 2.0 * q1 * np.cos(q2) * dth
-        jac[base, :, 1] = -q1 ** 2 * np.sin(q2) * dth
-        jac[base + 1, :, 0] = 2.0 * q1 * np.sin(q2) * dth
-        jac[base + 1, :, 1] = q1 ** 2 * np.cos(q2) * dth
+        jac[base:, :, :2] = self._closure_coeffs(q).transpose(0, 2, 1)
         return jac.reshape(self.n_constraints, n * d)
 
     # structured products for the M3 system: the derivative rows touch only
@@ -293,19 +283,15 @@ def project_to_manifold(rpoint: RPoint, tol: float = 1e-13,
         if mid is MetricId.M3:
             _reset_m3_rate(q, dth, wrap)
         else:
-            q[:, 2] = 2.0 * q[:, 0] ** -1 * system._wrap_diff(q[:, 0])
-            q[:, 3] = q[:, 0] ** 2 * system._wrap_diff(q[:, 1], wrap)
+            q[:, 2] = 2.0 * q[:, 0] ** -1 * _forward_diff(q[:, 0], dth, True)
+            q[:, 3] = q[:, 0] ** 2 * _forward_diff(q[:, 1], dth, True, wrap)
         cl = system.value(q)[-2:]
         if np.max(np.abs(cl)) < tol:
             return RPoint(mid, q, True, system.winding)
         # Newton on the closedness pair along its Euclidean gradient span
-        q1, q2 = q[:, 0], q[:, 1]
         e = np.zeros((2,) + q.shape)
-        e[0, :, 0] = 2.0 * q1 * np.cos(q2)
-        e[0, :, 1] = -q1 ** 2 * np.sin(q2)
-        e[1, :, 0] = 2.0 * q1 * np.sin(q2)
-        e[1, :, 1] = q1 ** 2 * np.cos(q2)
-        E = e.reshape(2, -1).T * dth
+        e[:, :, :2] = system._closure_coeffs(q).transpose(0, 2, 1)
+        E = e.reshape(2, -1).T
         mu = np.linalg.solve(E.T @ E, cl)
         q = (q.reshape(-1) - E @ mu).reshape(q.shape)
     raise NewtonDivergence("manifold projection did not converge")

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +38,7 @@ from .curve_core import (
 )
 from .errors import CurveflowError, DomainExit, ShootingStall, SingularVerticalOperator
 from .metric_suite import MetricId, apply_L
-from .pointwise_geometry import bvp2, fiber_distance, g_apply, integrate_spray2, tables
+from .pointwise_geometry import _solve_fibers, g_apply, integrate_spray2, tables
 from .rtransform import (
     RPoint,
     dr,
@@ -49,13 +48,6 @@ from .rtransform import (
     tangent_from_free,
     weighted_inner,
 )
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("CURVEFLOW_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass
@@ -198,35 +190,18 @@ def path_energy_rspace(path: GeodesicPath) -> float:
     return e
 
 
-def _fiber_bvp_batch(p0s, p1s, K):
-    """Solve the half-plane boundary problem for every theta fiber."""
-    nthreads = _threads()
-    idx = range(p0s.shape[0])
-
-    def one(k):
-        return bvp2(p0s[k], p1s[k], samples=K)
-
-    if nthreads > 1:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            return list(pool.map(one, idx))
-    return [one(k) for k in idx]
-
-
 def _bvp_fiberwise(c0, c1, K, T) -> GeodesicPath:
     c0, c1 = _prep(MetricId.M2, c0), _prep(MetricId.M2, c1)
     q0 = r_forward(MetricId.M2, c0)
     q1 = r_forward(MetricId.M2, c1)
-    geos = _fiber_bvp_batch(q0.q, q1.q, K)
+    geo = _solve_fibers(q0.q, q1.q, full=True, samples=K)
     times = np.linspace(0.0, T, K)
-    n = q0.n_samples
-    qs = np.empty((K, n, 2))
-    for k, geo in enumerate(geos):
-        qs[:, k, :] = geo.points
+    qs = np.ascontiguousarray(geo.points.transpose(1, 0, 2))
     curves = [r_inverse(RPoint(MetricId.M2, qs[j], False)) for j in range(K)]
-    lengths = np.array([geo.length for geo in geos])
-    tau = trapezoid_weights(n, False)
+    lengths = geo.length
+    tau = trapezoid_weights(q0.n_samples, False)
     dist = float(np.sqrt(np.sum(tau * lengths ** 2) * q0.theta_step))
-    vel0 = np.stack([geo.velocities[0] / T for geo in geos])
+    vel0 = geo.velocities[:, 0] / T
     return GeodesicPath(MetricId.M2, times, curves,
                         {"rspace": qs, "fiber_lengths": lengths,
                          "distance": dist, "initial_velocity_rspace": vel0})
@@ -486,8 +461,7 @@ def distance(metric_id, c0: DiscreteCurve, c1: DiscreteCurve,
         a, b = _prep(metric_id, c0), _prep(metric_id, c1)
         qa = r_forward(MetricId.M2, a)
         qb = r_forward(MetricId.M2, b)
-        lengths = np.array([fiber_distance(qa.q[k], qb.q[k])
-                            for k in range(qa.n_samples)])
+        lengths = _solve_fibers(qa.q, qb.q, full=False)
         tau = trapezoid_weights(qa.n_samples, a.closed)
         val = float(np.sqrt(np.sum(tau * lengths ** 2) * qa.theta_step))
         bounds = {"sqrt_length": _sqrt_length_bound(a, b, 2.0),

@@ -12,6 +12,12 @@ geodesic spray, exact trajectories via the incomplete integral
 F(u) = int_0^u z^6 / sqrt(1 - z^6) dz, the two-case boundary value solver,
 Gauss curvature -3/x^2, a geodesic-distance lower bound, and the sectional
 curvature of metric M2 on curve space.
+
+The boundary value solver works on whole arrays of fibers: an M2 geodesic
+or distance between two curves is one half-plane problem per theta, and
+`_solve_fibers` normalizes, classifies (point, ray, arc1, arc2), root-solves
+and samples all of them with array operations.  `bvp2` and
+`fiber_distance` are its one-fiber calls.
 """
 
 from __future__ import annotations
@@ -360,7 +366,10 @@ def trajectory2(p0, v0) -> Trajectory2:
 
 @dataclass(frozen=True)
 class FiberGeodesic:
-    """Solved point-to-point geodesic in the half plane, unit time."""
+    """Solved point-to-point geodesic in the half plane, unit time.
+
+    The batch solver `_solve_fibers` returns one of these with a leading
+    fiber axis on every field except `times`."""
 
     length: float
     case: str                      # 'point' | 'ray' | 'arc1' | 'arc2'
@@ -371,215 +380,173 @@ class FiberGeodesic:
     xbar: float = np.nan
 
 
-def _solve_case1(x0, x1, dy, tol=1e-12, max_iter=200):
-    """Find C in (0, 1/x1] with (2/C^4)(F(C x1) - F(C x0)) = dy."""
+def _find_roots(equation, lo, hi, tol):
+    """Root of equation(z, i) -> (value, dvalue/dz) for each fiber i, where
+    the value rises through zero on [lo_i, hi_i]: bisection to a relative
+    bracket of 1e-3, then Newton steps that fall back to bisection when they
+    leave the bracket.  A fiber's root is frozen once |value| < tol_i or its
+    bracket closes to 1e-16 relative; the rest stop after 60 Newton steps."""
+    lo, hi = lo.copy(), hi.copy()
+    for _ in range(200):
+        i = np.flatnonzero((hi - lo) > 1e-3 * hi)
+        if i.size == 0:
+            break
+        mid = 0.5 * (lo[i] + hi[i])
+        below = equation(mid, i)[0] < 0.0
+        lo[i] = np.where(below, mid, lo[i])
+        hi[i] = np.where(below, hi[i], mid)
+    else:
+        raise NoConvergence("root bisection stalled")
+    z = 0.5 * (lo + hi)
+    live = np.arange(z.size)
+    for _ in range(60):
+        val, der = equation(z[live], live)
+        open_ = ~(np.abs(val) < tol[live])
+        live, val, der = live[open_], val[open_], der[open_]
+        if live.size == 0:
+            break
+        zl, lol, hil = z[live], lo[live], hi[live]
+        step = np.divide(val, der, out=np.zeros_like(val), where=der != 0.0)
+        new = zl - step
+        bisect = ~((lol <= new) & (new <= hil)) | (step == 0.0)
+        below = val < 0.0
+        lol = np.where(below, zl, lol)
+        hil = np.where(below, hil, zl)
+        lo[live], hi[live] = lol, hil
+        z[live] = np.where(bisect, 0.5 * (lol + hil), new)
+        live = live[~(hil - lol < 1e-16 * hil)]
+    return z
+
+
+def _case1(x0, x1, dy):
+    """C in (0, 1/x1] with (2/C^4)(F(C x1) - F(C x0)) = dy, per fiber."""
     tab = tables()
 
-    def f(C):
-        return (2.0 / C ** 4) * (tab.F(C * x1) - tab.F(C * x0)) - dy
+    def equation(C, i):
+        gap = tab.F(C * x1[i]) - tab.F(C * x0[i])
+        dF1 = tab.dF(np.minimum(C * x1[i], 1.0 - 1e-15))
+        dF0 = tab.dF(C * x0[i])
+        return ((2.0 / C ** 4) * gap - dy[i],
+                (-8.0 / C ** 5) * gap + (2.0 / C ** 4) * (dF1 * x1[i] - dF0 * x0[i]))
 
     lo, hi = 1e-9 / x1, 1.0 / x1
-    if f(hi) < 0.0:       # guard: numerically at the case boundary
-        return hi
-    # bisect to a relative bracket of 1e-3, then Newton
-    it = 0
-    while (hi - lo) > 1e-3 * hi:
-        mid = 0.5 * (lo + hi)
-        if f(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        it += 1
-        if it > max_iter:
-            raise NoConvergence("case-1 bisection stalled")
-    C = 0.5 * (lo + hi)
-    for _ in range(60):
-        val = f(C)
-        if abs(val) < tol * max(1.0, abs(dy)):
-            return C
-        dF1 = tab.dF(min(C * x1, 1.0 - 1e-15))
-        dF0 = tab.dF(C * x0)
-        der = (-8.0 / C ** 5) * (tab.F(C * x1) - tab.F(C * x0)) \
-            + (2.0 / C ** 4) * (dF1 * x1 - dF0 * x0)
-        step = val / der if der != 0 else 0.0
-        newC = C - step
-        if not (lo <= newC <= hi) or step == 0.0:
-            if val < 0.0:
-                lo = C
-            else:
-                hi = C
-            newC = 0.5 * (lo + hi)
-        else:
-            if val < 0.0:
-                lo = C
-            else:
-                hi = C
-        C = newC
-        if hi - lo < 1e-16 * hi:
-            return C
-    return C
+    # numerically at the case boundary: an empty bracket returns hi itself
+    lo = np.where(equation(hi, np.arange(hi.size))[0] < 0.0, hi, lo)
+    return _find_roots(equation, lo, hi, 1e-12 * np.maximum(1.0, np.abs(dy)))
 
 
-def _solve_case2(x0, x1, dy, tol=1e-12, max_iter=200):
-    """Find the apex abscissa xbar >= x1 with
-    2 xbar^4 (2A - F(x0/xbar) - F(x1/xbar)) = dy."""
+def _case2(x0, x1, dy):
+    """The apex abscissa xbar >= x1 with
+    2 xbar^4 (2A - F(x0/xbar) - F(x1/xbar)) = dy, per fiber."""
     tab = tables()
 
-    def f(xb):
-        return 2.0 * xb ** 4 * (2.0 * tab.A - tab.F(x0 / xb) - tab.F(x1 / xb)) - dy
+    def equation(xb, i):
+        rest = 2.0 * tab.A - tab.F(x0[i] / xb) - tab.F(x1[i] / xb)
+        slope = tab.dF(x0[i] / xb) * x0[i] + tab.dF(x1[i] / xb) * x1[i]
+        return (2.0 * xb ** 4 * rest - dy[i],
+                8.0 * xb ** 3 * rest + 2.0 * xb ** 2 * slope)
 
-    lo = x1
-    hi = x1 * 2.0
-    it = 0
-    while f(hi) < 0.0:
-        lo, hi = hi, hi * 2.0
-        it += 1
-        if it > 200:
-            raise NoConvergence("case-2 bracket expansion failed")
-    while (hi - lo) > 1e-3 * hi:
-        mid = 0.5 * (lo + hi)
-        if f(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    xb = 0.5 * (lo + hi)
-    for _ in range(60):
-        val = f(xb)
-        if abs(val) < tol * max(1.0, abs(dy)):
-            return xb
-        der = 8.0 * xb ** 3 * (2.0 * tab.A - tab.F(x0 / xb) - tab.F(x1 / xb)) \
-            + 2.0 * xb ** 2 * (tab.dF(x0 / xb) * x0 + tab.dF(x1 / xb) * x1)
-        step = val / der if der != 0 else 0.0
-        new = xb - step
-        if not (lo <= new <= hi) or step == 0.0:
-            if val < 0.0:
-                lo = xb
-            else:
-                hi = xb
-            new = 0.5 * (lo + hi)
-        else:
-            if val < 0.0:
-                lo = xb
-            else:
-                hi = xb
-        xb = new
-        if hi - lo < 1e-16 * hi:
-            return xb
-    return xb
+    lo, hi = x1.copy(), x1 * 2.0
+    grow = np.arange(x1.size)
+    for _ in range(201):       # double the bracket until it holds the root
+        grow = grow[equation(hi[grow], grow)[0] < 0.0]
+        if grow.size == 0:
+            break
+        lo[grow], hi[grow] = hi[grow], hi[grow] * 2.0
+    else:
+        raise NoConvergence("case-2 bracket expansion failed")
+    return _find_roots(equation, lo, hi, 1e-12 * np.maximum(1.0, np.abs(dy)))
 
 
 def fiber_distance(p0, p1) -> float:
     """Geodesic distance in the half plane (no path construction)."""
-    return _solve_fiber(p0, p1, full=False)
+    return float(_solve_fibers([p0], [p1], full=False)[0])
 
 
 def bvp2(p0, p1, samples: int = 33) -> FiberGeodesic:
     """Unique geodesic between two points of the half plane, returned as
     `samples` uniform time samples on [0, 1] with constant g-speed."""
-    return _solve_fiber(p0, p1, full=True, samples=samples)
+    geo = _solve_fibers([p0], [p1], full=True, samples=samples)
+    return FiberGeodesic(length=float(geo.length[0]), case=str(geo.case[0]),
+                         times=geo.times, points=geo.points[0],
+                         velocities=geo.velocities[0], C=float(geo.C[0]),
+                         xbar=float(geo.xbar[0]))
 
 
-def _solve_fiber(p0, p1, full: bool, samples: int = 33):
-    x0, y0 = float(p0[0]), float(p0[1])
-    x1, y1 = float(p1[0]), float(p1[1])
-    if x0 <= 0.0 or x1 <= 0.0:
+def _solve_fibers(p0s, p1s, full: bool, samples: int = 33):
+    """Half-plane geodesics between the rows of the (n, 2) arrays p0s and
+    p1s, all fibers at once.  Returns the (n,) lengths, or with `full` a
+    FiberGeodesic whose fields carry a leading fiber axis."""
+    p0s = np.asarray(p0s, dtype=float)
+    p1s = np.asarray(p1s, dtype=float)
+    if np.any(p0s[:, 0] <= 0.0) or np.any(p1s[:, 0] <= 0.0):
         raise NonPositive("fiber points need x > 0")
     tab = tables()
-    K = int(samples)
-
-    if x0 == x1 and y0 == y1:
-        if not full:
-            return 0.0
-        times = np.linspace(0.0, 1.0, K)
-        pts = np.tile([x0, y0], (K, 1))
-        return FiberGeodesic(length=0.0, case="point", times=times,
-                             points=pts, velocities=np.zeros((K, 2)))
 
     # symmetry normalization: swap endpoints so x0 <= x1 (time reversal),
     # then reflect y so dy >= 0; order matters, the swap re-labels y too
-    swap = x0 > x1
-    if swap:
-        x0, x1, y0, y1 = x1, x0, y1, y0
-    flip = y1 < y0
-    if flip:
-        y0, y1 = -y0, -y1
+    swap = p0s[:, 0] > p1s[:, 0]
+    a = np.where(swap[:, None], p1s, p0s)
+    b = np.where(swap[:, None], p0s, p1s)
+    flip = b[:, 1] < a[:, 1]
+    sign = np.where(flip, -1.0, 1.0)
+    x0, x1 = a[:, 0], b[:, 0]
+    y0, y1 = sign * a[:, 1], sign * b[:, 1]
     dy = y1 - y0
 
-    if dy == 0.0:
-        length = 2.0 * (x1 - x0)
-        if not full:
-            return length
-        times = np.linspace(0.0, 1.0, K)
-        xs = x0 + (x1 - x0) * times
-        pts = np.stack([xs, np.full(K, y0)], axis=1)
-        vel = np.tile([x1 - x0, 0.0], (K, 1))
-        return _denormalize(FiberGeodesic(length=length, case="ray",
-                                          times=times, points=pts,
-                                          velocities=vel), flip, swap)
-
     thresh = 2.0 * x1 ** 4 * (tab.A - tab.F(x0 / x1))
-    if dy <= thresh * (1.0 + 1e-12):
-        C = _solve_case1(x0, x1, dy)
-        case = "arc1"
-        xbar = 1.0 / C
-    else:
-        xbar = _solve_case2(x0, x1, dy)
-        C = 1.0 / xbar
-        case = "arc2"
+    case = np.select([np.all(p0s == p1s, axis=1), dy == 0.0,
+                      dy <= thresh * (1.0 + 1e-12)], ["point", "ray", "arc1"], "arc2")
+    C = np.full(x0.shape, np.nan)
+    k1 = np.flatnonzero(case == "arc1")
+    k2 = np.flatnonzero(case == "arc2")
+    C[k1] = _case1(x0[k1], x1[k1], dy[k1])
+    C[k2] = 1.0 / _case2(x0[k2], x1[k2], dy[k2])
 
-    phi0 = tab.phi(min(C * x0, 1.0))
-    phi1 = tab.phi(min(C * x1, 1.0))
-    if case == "arc1":
-        length = (2.0 / C) * (phi1 - phi0)
-    else:
-        length = (2.0 / C) * (2.0 * tab.phi1 - phi0 - phi1)
+    length = 2.0 * (x1 - x0)              # rays; a point is a ray of length 0
+    arc = np.flatnonzero(np.isin(case, ("arc1", "arc2")))
+    c, ascending = C[arc], case[arc] == "arc1"
+    phi0 = tab.phi(np.minimum(c * x0[arc], 1.0))
+    phi1 = tab.phi(np.minimum(c * x1[arc], 1.0))
+    length[arc] = np.where(ascending, (2.0 / c) * (phi1 - phi0),
+                           (2.0 / c) * (2.0 * tab.phi1 - phi0 - phi1))
     if not full:
         return length
 
+    K = int(samples)
     times = np.linspace(0.0, 1.0, K)
-    ell = length * times
-    F0 = tab.F(C * x0)
-    if case == "arc1":
-        u = tab.phi_inverse(phi0 + 0.5 * C * ell)
-        xs = u / C
-        ys = y0 + (2.0 / C ** 4) * (tab.F(u) - F0)
-        branch_desc = np.zeros(K, dtype=bool)
-    else:
-        ell_apex = (2.0 / C) * (tab.phi1 - phi0)
-        branch_desc = ell > ell_apex
-        target = np.where(branch_desc,
-                          2.0 * tab.phi1 - (phi0 + 0.5 * C * ell),
-                          phi0 + 0.5 * C * ell)
-        u = tab.phi_inverse(target)
-        xs = u / C
-        ybar = y0 + (2.0 / C ** 4) * (tab.A - F0)
-        ys = np.where(branch_desc,
-                      ybar + (2.0 / C ** 4) * (tab.A - tab.F(u)),
-                      y0 + (2.0 / C ** 4) * (tab.F(u) - F0))
+    xs = x0[:, None] + (x1 - x0)[:, None] * times
+    ys = np.repeat(y0[:, None], K, axis=1)
+    c = c[:, None]
+    phi0 = phi0[:, None]
+    xa = x0[arc, None]
+    ya = y0[arc, None]
+    ell = length[arc, None] * times
+    walked = phi0 + 0.5 * c * ell
+    # past the apex (case 2 only) the path descends its mirrored branch
+    desc = ~ascending[:, None] & (ell > (2.0 / c) * (tab.phi1 - phi0))
+    u = tab.phi_inverse(np.where(desc, 2.0 * tab.phi1 - walked, walked))
+    F0 = tab.F(c * xa)
+    ybar = ya + (2.0 / c ** 4) * (tab.A - F0)
+    xs[arc] = u / c
+    ys[arc] = np.where(desc, ybar + (2.0 / c ** 4) * (tab.A - tab.F(u)),
+                       ya + (2.0 / c ** 4) * (tab.F(u) - F0))
     # exact endpoints (the root solve already matches them to tolerance)
-    xs[0], ys[0] = x0, y0
-    xs[-1], ys[-1] = x1, y1
+    xs[:, 0], ys[:, 0] = x0, y0
+    xs[:, -1], ys[:, -1] = x1, y1
+    vel = np.zeros(xs.shape + (2,))
+    vel[:, :, 0] = (x1 - x0)[:, None]
     root = np.sqrt(np.maximum(1.0 - u ** 6, 0.0))
-    dxdl = np.where(branch_desc, -0.5 * root, 0.5 * root)
-    dydl = C ** 3 * xs ** 6
-    vel = length * np.stack([dxdl, dydl], axis=1)
-    geo = FiberGeodesic(length=length, case=case, times=times,
-                        points=np.stack([xs, ys], axis=1),
-                        velocities=vel, C=C, xbar=1.0 / C)
-    return _denormalize(geo, flip, swap)
+    vel[arc] = length[arc, None, None] * np.stack(
+        [np.where(desc, -0.5 * root, 0.5 * root), c ** 3 * xs[arc] ** 6], axis=2)
 
-
-def _denormalize(geo: FiberGeodesic, flip: bool, swap: bool) -> FiberGeodesic:
-    pts = geo.points.copy()
-    vel = geo.velocities.copy()
-    if swap:
-        pts = pts[::-1].copy()
-        vel = -vel[::-1].copy()
-    if flip:
-        pts[:, 1] = -pts[:, 1]
-        vel[:, 1] = -vel[:, 1]
-    return FiberGeodesic(length=geo.length, case=geo.case, times=geo.times,
-                         points=pts, velocities=vel, C=geo.C, xbar=geo.xbar)
+    pts = np.stack([xs, ys], axis=2)
+    pts[swap] = pts[swap, ::-1]
+    vel[swap] = -vel[swap, ::-1]
+    pts[flip, :, 1] *= -1.0
+    vel[flip, :, 1] *= -1.0
+    return FiberGeodesic(length=length, case=case, times=times, points=pts,
+                         velocities=vel, C=C, xbar=1.0 / C)
 
 
 # -- curvature --------------------------------------------------------------

@@ -247,6 +247,17 @@ def m3_diff_gram(q: np.ndarray, gi_diag: np.ndarray, dth: float):
     return diag, upper
 
 
+def m4_diff_value(q: np.ndarray, dth: float, closed: bool = True,
+                  wrap: float = 0.0) -> np.ndarray:
+    """The stacked M4 derivative-constraint rows (q3 - 2 q1^-1 D+q1,
+    q4 - q1^2 D+q2), 2N on closed grids and 2(N-1) open."""
+    d1 = _forward_diff(q[:, 0], dth, closed)
+    d2 = _forward_diff(q[:, 1], dth, closed, wrap)
+    head = q if closed else q[:-1]
+    return np.concatenate([head[:, 2] - 2.0 * head[:, 0] ** -1 * d1,
+                           head[:, 3] - head[:, 0] ** 2 * d2])
+
+
 def _winding_of(rpoint: RPoint) -> int:
     if rpoint.winding is not None:
         return rpoint.winding
@@ -292,12 +303,8 @@ def constraints(metric_id, rpoint: RPoint | None = None) -> ConstraintValue:
         h_diff = m3_diff_value(q, dth, rpoint.closed,
                                2.0 * np.pi * _winding_of(rpoint))
     elif mid is MetricId.M4:
-        wrap = 2.0 * np.pi * _winding_of(rpoint)
-        d1 = _forward_diff(q[:, 0], dth, rpoint.closed)
-        d2 = _forward_diff(q[:, 1], dth, rpoint.closed, wrap)
-        head = q if rpoint.closed else q[:-1]
-        h_diff = np.concatenate([head[:, 2] - 2.0 * head[:, 0] ** -1 * d1,
-                                 head[:, 3] - head[:, 0] ** 2 * d2])
+        h_diff = m4_diff_value(q, dth, rpoint.closed,
+                               2.0 * np.pi * _winding_of(rpoint))
     return ConstraintValue(h_diff=h_diff, h_cl=h_cl)
 
 

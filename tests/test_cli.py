@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -96,6 +97,28 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.main(["curvature"])
     assert exc.value.code == 2
+
+
+def test_run_config_has_only_read_fields():
+    assert [f.name for f in dataclasses.fields(cli.RunConfig)] == ["n", "dt", "tol", "outdir"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["demo", "fig2", "--seed", "3"])
+    assert exc.value.code == 2
+
+
+def test_curvature_metric_must_be_m2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["curvature", "--metric", "M9", "--scal2", "1"])
+    assert exc.value.code == 2
+    assert cli.main(["curvature", "--metric", "M2", "--scal2", "1"]) == 0
+
+
+def test_demo_bad_run_config_is_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["demo", "fig2", "--n", "4", "-o", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "N must be at least 8" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_demo_fig2_writes_snapshots(tmp_path, capsys):

@@ -223,14 +223,6 @@ def test_grid_mismatch_rejected():
         ga.distance("M1", open_circle(64), open_circle(96))
 
 
-def test_m2_fiber_threads_env(monkeypatch):
-    c0, c1 = open_circle(48, 1.0), open_circle(48, 1.5)
-    ref = ga.geodesic_bvp("M2", c0, c1, K=5)
-    monkeypatch.setenv("CURVEFLOW_THREADS", "4")
-    par = ga.geodesic_bvp("M2", c0, c1, K=5)
-    assert np.abs(par.diagnostics["rspace"] - ref.diagnostics["rspace"]).max() == 0.0
-
-
 def test_m2_distance_matches_time_quadrature():
     c0, c1 = open_circle(96, 1.0), open_circle(96, 2.2)
     d = ga.distance("M2", c0, c1)

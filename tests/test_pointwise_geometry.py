@@ -180,6 +180,40 @@ def test_bvp2_random_pairs_quality():
         assert np.abs(scaled.points - geo.points * [r, r ** 4]).max() < 1e-8
 
 
+def test_fiber_batch_matches_rows():
+    """One batch mixing all four cases, both swap directions and both flip
+    signs gives the row-by-row bvp2/fiber_distance answers."""
+    base = [((0.8, 0.1), (1.1, 0.2)), ((1.0, 0.0), (1.3, 3.0)),
+            ((0.7, -0.3), (1.9, 0.4)), ((1.2, 0.0), (1.25, 0.9)),
+            ((1.0, 0.5), (2.0, 0.5)), ((1.3, -0.4), (1.3, -0.4))]
+    pairs = []
+    for (x0, y0), (x1, y1) in base:
+        for s in (1.0, -1.0):
+            pairs += [((x0, s * y0), (x1, s * y1)), ((x1, s * y1), (x0, s * y0))]
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        pairs.append(((float(np.exp(rng.uniform(-1, 1))), float(rng.uniform(-2, 2))),
+                      (float(np.exp(rng.uniform(-1, 1))), float(rng.uniform(-2, 2)))))
+    pairs = [pairs[k] for k in rng.permutation(len(pairs))]
+    p0s = np.array([a for a, _ in pairs])
+    p1s = np.array([b for _, b in pairs])
+    assert np.any(p0s[:, 0] > p1s[:, 0]) and np.any(p0s[:, 0] < p1s[:, 0])
+    batch = pg._solve_fibers(p0s, p1s, full=True, samples=9)
+    lengths = pg._solve_fibers(p0s, p1s, full=False)
+    assert set(batch.case) == {"point", "ray", "arc1", "arc2"}
+    flips = set()
+    for k, (a, b) in enumerate(pairs):
+        row = pg.bvp2(a, b, samples=9)
+        assert batch.case[k] == row.case
+        assert abs(batch.length[k] - row.length) <= 1e-12 * max(1.0, row.length)
+        assert abs(lengths[k] - pg.fiber_distance(a, b)) <= 1e-12 * max(1.0, row.length)
+        assert np.abs(batch.points[k] - row.points).max() <= 1e-12
+        assert np.abs(batch.velocities[k] - row.velocities).max() <= 1e-12
+        if row.case.startswith("arc"):
+            flips.add((a[0] > b[0], (b[1] < a[1]) != (a[0] > b[0])))
+    assert flips == {(False, False), (False, True), (True, False), (True, True)}
+
+
 def test_lower_bound_examples():
     assert pg.dist2_lower_bound((1.0, 2.0), (1.0, 2.0)) == 0.0
     assert abs(pg.dist2_lower_bound((1.0, 0.0), (2.0, 0.0)) - 2.0) < 1e-14
