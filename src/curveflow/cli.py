@@ -41,16 +41,23 @@ class RunConfig:
 
 
 def _merge_config(args) -> RunConfig:
+    names = [f.name for f in fields(RunConfig)]
     data = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
-            data.update(json.load(fh))
-    for f in fields(RunConfig):
-        v = getattr(args, f.name, None)
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(f"config file {args.config} must hold a JSON object "
+                             f"with keys from: {', '.join(names)}")
+        unknown = sorted(set(data) - set(names))
+        if unknown:
+            raise ValueError(f"config file {args.config} has unknown keys "
+                             f"{', '.join(unknown)} (known: {', '.join(names)})")
+    for name in names:
+        v = getattr(args, name, None)
         if v is not None:
-            data[f.name] = v
-    return RunConfig(**{k: v for k, v in data.items()
-                        if k in {f.name for f in RunConfig.__dataclass_fields__.values()}})
+            data[name] = v
+    return RunConfig(**data)
 
 
 def _load_field(path) -> np.ndarray:

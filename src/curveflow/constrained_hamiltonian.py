@@ -18,10 +18,12 @@ One RATTLE step solves the five update equations: an implicit momentum
 half-step with DH^T(q^j) lambda_1, an implicit-midpoint position step,
 H(q^{j+1}) = 0 closing the nonlinear system for (p^{1/2}, q^{j+1},
 lambda_1) by Newton with the analytic Jacobian, an explicit momentum
-half-step, and a linear solve for lambda_2 enforcing the hidden
-constraint DH(q).dE/dp = 0.  Note the potential gradient is evaluated at
-(q^j, p^{j+1/2}) in the first half-step exactly as printed (implicit in p
-only), not at classical RATTLE's arguments.
+half-step, and the hidden constraint DH(q).dE/dp = 0, enforced through
+lambda_2 by the L2(g) projection p -> g P(g^-1 p) onto the constraint
+tangent space (rtransform._project_op_m3 for M3, shared with
+project_consistent; a dense Gram solve for M4).  Note the potential
+gradient is evaluated at (q^j, p^{j+1/2}) in the first half-step exactly
+as printed (implicit in p only), not at classical RATTLE's arguments.
 """
 
 from __future__ import annotations
@@ -30,17 +32,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NewtonDivergence, RankDeficiency, StepLeftDomain
+from .errors import NewtonDivergence, RankDeficiency, SingularSystem, StepLeftDomain
 from .metric_suite import MetricId
 from .pointwise_geometry import g_grad, g_inv_matrix, g_inv_quad
 from .rtransform import (
     RPoint,
+    _closure_coeffs,
     _forward_diff,
     _m3_rate,
     _m3_rate_partials,
+    _project_op_m3,
     m3_diff_apply,
-    m3_diff_apply_transpose,
-    m3_diff_gram,
     m3_diff_value,
     m4_diff_value,
 )
@@ -132,75 +134,31 @@ class ConstraintSystem:
             jac[rows, nxt, 1] -= q1 ** 2 / dth
             jac[rows, idx, 3] = 1.0
             base = 2 * n
-        jac[base:, :, :2] = self._closure_coeffs(q).transpose(0, 2, 1)
+        jac[base:, :, :2] = _closure_coeffs(q, dth).transpose(0, 2, 1)
         return jac.reshape(self.n_constraints, n * d)
 
-    # structured products for the M3 system: the derivative rows touch only
-    # samples k, k+1 and the two closedness rows are dense, so DH-products
-    # cost O(n) instead of dense matrix work.
-
-    def _closure_coeffs(self, q: np.ndarray) -> np.ndarray:
-        """gc[i, j]: d(closedness row i)/d q_{j+1}, per sample."""
-        q1, q2 = q[:, 0], q[:, 1]
-        gc = np.empty((2, 2, self.n))
-        gc[0, 0] = 2.0 * q1 * np.cos(q2) * self.dtheta
-        gc[0, 1] = -q1 ** 2 * np.sin(q2) * self.dtheta
-        gc[1, 0] = 2.0 * q1 * np.sin(q2) * self.dtheta
-        gc[1, 1] = q1 ** 2 * np.cos(q2) * self.dtheta
-        return gc
+    # the M3 product DH . X is structured: the derivative rows touch only
+    # samples k, k+1 and the two closedness rows are dense, so it is O(n).
 
     def apply(self, q: np.ndarray, X: np.ndarray) -> np.ndarray:
         """DH(q) . X for X of shape (n, d) or (n, d, r)."""
         if self.metric_id is not MetricId.M3:
             return self.jacobian(q) @ X.reshape(self.n * self.d, -1) \
                 if X.ndim == 3 else self.jacobian(q) @ X.reshape(-1)
-        gc = self._closure_coeffs(q)
-        x1, x2 = X[:, 0], X[:, 1]
-        diff = m3_diff_apply(q, X, self.dtheta)
-        cl0 = np.tensordot(gc[0, 0], x1, axes=(0, 0)) \
-            + np.tensordot(gc[0, 1], x2, axes=(0, 0))
-        cl1 = np.tensordot(gc[1, 0], x1, axes=(0, 0)) \
-            + np.tensordot(gc[1, 1], x2, axes=(0, 0))
-        return np.concatenate([diff, np.stack([cl0, cl1])], axis=0)
+        cl = np.tensordot(_closure_coeffs(q, self.dtheta), X[:, :2],
+                          axes=([2, 1], [0, 1]))
+        return np.concatenate([m3_diff_apply(q, X, self.dtheta), cl], axis=0)
 
     def apply_transpose(self, q: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        """DH(q)^T . lam, shaped (n, d)."""
-        if self.metric_id is not MetricId.M3:
-            return (self.jacobian(q).T @ lam).reshape(self.n, self.d)
-        gc = self._closure_coeffs(q)
-        lcl = lam[self.n:]
-        out = m3_diff_apply_transpose(q, lam[: self.n], self.dtheta)
-        out[:, 0] += gc[0, 0] * lcl[0] + gc[1, 0] * lcl[1]
-        out[:, 1] += gc[0, 1] * lcl[0] + gc[1, 1] * lcl[1]
-        return out
+        """DH(q)^T . lam, shaped (n, d), from the dense Jacobian."""
+        return (self.jacobian(q).T @ lam).reshape(self.n, self.d)
 
     def gram(self, q: np.ndarray, gi: np.ndarray) -> np.ndarray:
-        """S = DH g^{-1} DH^T from the band structure; gi is (n, d, d)."""
-        if self.metric_id is not MetricId.M3:
-            jac = self.jacobian(q)
-            jt = jac.reshape(-1, self.n, self.d).transpose(1, 0, 2)
-            jg = np.matmul(jt, gi).transpose(1, 0, 2).reshape(-1, self.n * self.d)
-            return jg @ jac.T
-        gidiag = np.einsum("kii->ki", gi)
-        n, dth = self.n, self.dtheta
-        gc = self._closure_coeffs(q)
-        g1, g2 = gidiag[:, 0], gidiag[:, 1]
-        S = np.zeros((n + 2, n + 2))
-        diag, upper = m3_diff_gram(q, gidiag, dth)
-        idx = np.arange(n)
-        S[idx, idx] = diag
-        S[idx, (idx + 1) % n] = upper
-        S[(idx + 1) % n, idx] = upper
-        for i in range(2):
-            ginv_grad = np.zeros((n, 3))     # g^-1 applied to closedness row i
-            ginv_grad[:, :2] = gidiag[:, :2] * gc[i].T
-            cross = m3_diff_apply(q, ginv_grad, dth)
-            S[idx, n + i] = cross
-            S[n + i, idx] = cross
-            for j in range(2):
-                S[n + i, n + j] = np.sum(gc[i, 0] * gc[j, 0] * g1
-                                         + gc[i, 1] * gc[j, 1] * g2)
-        return S
+        """Dense S = DH g^{-1} DH^T; gi is (n, d, d)."""
+        jac = self.jacobian(q)
+        jt = jac.reshape(-1, self.n, self.d).transpose(1, 0, 2)
+        jg = np.matmul(jt, gi).transpose(1, 0, 2).reshape(-1, self.n * self.d)
+        return jg @ jac.T
 
 
 # -- energy ------------------------------------------------------------------
@@ -289,12 +247,28 @@ def project_to_manifold(rpoint: RPoint, tol: float = 1e-13,
         if np.max(np.abs(cl)) < tol:
             return RPoint(mid, q, True, system.winding)
         # Newton on the closedness pair along its Euclidean gradient span
-        e = np.zeros((2,) + q.shape)
-        e[:, :, :2] = system._closure_coeffs(q).transpose(0, 2, 1)
-        E = e.reshape(2, -1).T
-        mu = np.linalg.solve(E.T @ E, cl)
-        q = (q.reshape(-1) - E @ mu).reshape(q.shape)
+        gc = _closure_coeffs(q, dth)
+        mu = np.linalg.solve(np.einsum("ijk,ljk->il", gc, gc), cl)
+        q[:, :2] -= np.einsum("ijk,i->kj", gc, mu)
     raise NewtonDivergence("manifold projection did not converge")
+
+
+def _tangent_momentum(system: ConstraintSystem, q: np.ndarray, p: np.ndarray,
+                      gi: np.ndarray) -> np.ndarray:
+    """p - DH^T mu with DH g^{-1} (p - DH^T mu) = 0, i.e. g P(g^{-1} p):
+    _project_op_m3 for M3, a dense Gram solve for M4.  Raises
+    SingularSystem or LinAlgError."""
+    if system.metric_id is MetricId.M3:
+        gi_diag = np.einsum("kii->ki", gi)
+        return _project_op_m3(q, gi_diag * p, system.dtheta, closure=True,
+                              gi_diag=gi_diag) / gi_diag
+    S = system.gram(q, gi)
+    rhs = system.apply(q, np.matmul(gi, p[:, :, None])[:, :, 0])
+    mu = np.linalg.solve(S, rhs)
+    if not np.all(np.isfinite(mu)) or np.linalg.norm(S @ mu - rhs) > 1e-8 * (
+            1.0 + np.linalg.norm(rhs)):
+        raise SingularSystem("constraint Gram solve failed")
+    return p - system.apply_transpose(q, mu)
 
 
 def project_consistent(rpoint: RPoint, p_raw: np.ndarray) -> HamiltonianState:
@@ -304,18 +278,11 @@ def project_consistent(rpoint: RPoint, p_raw: np.ndarray) -> HamiltonianState:
     mid = rpoint.metric_id
     system = ConstraintSystem(mid, rpoint.n_samples, rpoint.winding or 0)
     q = np.asarray(rpoint.q, dtype=float)
-    p_raw = np.asarray(p_raw, dtype=float)
-    gi = g_inv_matrix(mid, q)
-    S = system.gram(q, gi)
-    rhs = system.apply(q, np.matmul(gi, p_raw[:, :, None])[:, :, 0])
     try:
-        mu = np.linalg.solve(S, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise RankDeficiency("constraint Gram matrix is singular") from exc
-    if not np.all(np.isfinite(mu)) or np.linalg.norm(S @ mu - rhs) > 1e-8 * (
-            1.0 + np.linalg.norm(rhs)):
-        raise RankDeficiency("constraint Gram solve failed")
-    p = p_raw - system.apply_transpose(q, mu)
+        p = _tangent_momentum(system, q, np.asarray(p_raw, dtype=float),
+                              g_inv_matrix(mid, q))
+    except (np.linalg.LinAlgError, SingularSystem) as exc:
+        raise RankDeficiency(f"constraint Gram system is singular: {exc}") from exc
     return HamiltonianState(mid, q, p, 0.0, system.winding)
 
 
@@ -466,20 +433,14 @@ def rattle_step(state: HamiltonianState, dt: float,
             f"RATTLE Newton did not reach tol={tol:g} in {max_iter} iterations",
             history)
 
-    # explicit momentum half-step + hidden-constraint multiplier
-    p_pre = ph - 0.5 * dt * ops.grad_q(q1, ph)
+    # explicit momentum half-step + hidden-constraint projection
+    p1 = ph - 0.5 * dt * ops.grad_q(q1, ph)
     if m:
-        gi1 = ops.ginv(q1)
-        S = system.gram(q1, gi1)
-        rhs = system.apply(q1, np.matmul(gi1, p_pre[:, :, None])[:, :, 0])
         try:
-            lam2 = np.linalg.solve(S, -(2.0 / dt) * rhs)
-        except np.linalg.LinAlgError as exc:
+            p1 = _tangent_momentum(system, q1, p1, ops.ginv(q1))
+        except (np.linalg.LinAlgError, SingularSystem) as exc:
             raise NewtonDivergence("hidden-constraint system is singular",
                                    history) from exc
-        p1 = p_pre + 0.5 * dt * system.apply_transpose(q1, lam2)
-    else:
-        p1 = p_pre
     new_state = HamiltonianState(mid, q1, p1, state.t + dt, state.winding)
     return new_state, lam
 

@@ -532,17 +532,20 @@ def horizontal_project(curve: DiscreteCurve, h, metric_id=MetricId.M3) -> np.nda
     return h - zeta[:, None] * (frame.speed[:, None] * frame.v)
 
 
+def _horizontality(curve: DiscreteCurve, u, metric_id=MetricId.M3):
+    """(sup |<L_c u, v>|, the same relative to sup |L_c u|)."""
+    frame = build_frame(curve)
+    lu = apply_L(metric_id, curve, np.asarray(u, float), frame)
+    resid = float(np.max(np.abs(np.einsum("ki,ki->k", lu, frame.v))))
+    scale = float(np.max(np.abs(lu)))
+    return resid, (resid / scale if scale > 0.0 else 0.0)
+
+
 def horizontality_residual(curve: DiscreteCurve, u,
                            metric_id=MetricId.M3, relative: bool = False) -> float:
     """sup |<L_c u, v>|, optionally relative to sup |L_c u| (the
     normalization used by the projection contract)."""
-    frame = build_frame(curve)
-    lu = apply_L(metric_id, curve, np.asarray(u, float), frame)
-    resid = float(np.max(np.abs(np.einsum("ki,ki->k", lu, frame.v))))
-    if relative:
-        scale = float(np.max(np.abs(lu)))
-        return resid / scale if scale > 0.0 else 0.0
-    return resid
+    return _horizontality(curve, u, metric_id)[1 if relative else 0]
 
 
 def shape_geodesic(c0: DiscreteCurve, h, T: float, steps: int = 200,
@@ -565,11 +568,7 @@ def shape_geodesic(c0: DiscreteCurve, h, T: float, steps: int = 200,
             ct = (stack[-1] - stack[-2]) / (times[-1] - times[-2])
         else:
             ct = (stack[j + 1] - stack[j - 1]) / (times[j + 1] - times[j - 1])
-        frame = build_frame(c)
-        lu = apply_L(MetricId.M3, c, ct, frame)
-        resid[j] = float(np.max(np.abs(np.einsum("ki,ki->k", lu, frame.v))))
-        scale = float(np.max(np.abs(lu)))
-        resid_rel[j] = resid[j] / scale if scale > 0.0 else 0.0
+        resid[j], resid_rel[j] = _horizontality(c, ct)
     path.diagnostics["horizontality"] = resid
     path.diagnostics["horizontality_rel"] = resid_rel
     return path

@@ -16,13 +16,15 @@ differences are single-valued.
 Discretization conventions: the M3 derivative constraint is the trapezoid
 (box-scheme) row (w_k + w_{k+1})/2 - (q2_{k+1} - q2_k)/dtheta with
 w = q1^-2 q3, centred at the half node and so second-order consistent; its
-value, linearization, transpose and Gram bands are defined once here and
-used by the Hamiltonian module.  The M4 derivative rows use forward
-differences.  The closedness constraint uses the quadrature of the grid
-(periodic trapezoid = left Riemann sum on closed grids), and all
-constraint gradients are the exact adjoints of those discrete
-functionals, so they satisfy finite-difference identities to solver
-precision.
+value, linearization, transpose and Gram bands are defined once here, as
+is the L2(g) projection P onto the tangent space of these and the
+closedness rows (_project_op_m3).  project_image uses P; the consistent
+momentum and the RATTLE lambda_2 step use p -> g P(g^-1 p).  The M4
+derivative rows use forward differences.  The closedness constraint uses
+the quadrature of the grid (periodic trapezoid = left Riemann sum on
+closed grids), and all constraint gradients are the exact adjoints of
+those discrete functionals, so they satisfy finite-difference identities
+to solver precision.
 """
 
 from __future__ import annotations
@@ -228,11 +230,12 @@ def m3_diff_apply(q: np.ndarray, X: np.ndarray, dth: float) -> np.ndarray:
 
 def m3_diff_apply_transpose(q: np.ndarray, lam: np.ndarray,
                             dth: float) -> np.ndarray:
-    """J(q)^T . lam, shaped (n, 3)."""
+    """J(q)^T . lam, shaped (n, 3) for lam (n,) and (n, 3, r) for (n, r)."""
     gw1, gw3 = _m3_rate_partials(q)
-    prev = np.roll(lam, 1)
+    sl = (slice(None),) + (None,) * (lam.ndim - 1)
+    prev = np.roll(lam, 1, axis=0)
     avg = 0.5 * (lam + prev)
-    return np.stack([gw1 * avg, (lam - prev) / dth, gw3 * avg], axis=1)
+    return np.stack([gw1[sl] * avg, (lam - prev) / dth, gw3[sl] * avg], axis=1)
 
 
 def m3_diff_gram(q: np.ndarray, gi_diag: np.ndarray, dth: float):
@@ -256,6 +259,18 @@ def m4_diff_value(q: np.ndarray, dth: float, closed: bool = True,
     head = q if closed else q[:-1]
     return np.concatenate([head[:, 2] - 2.0 * head[:, 0] ** -1 * d1,
                            head[:, 3] - head[:, 0] ** 2 * d2])
+
+
+def _closure_coeffs(q: np.ndarray, dth: float) -> np.ndarray:
+    """gc[i, j, k]: d(closedness row i)/d q_{j+1} at sample k, for the rows
+    sum_k q1^2 (cos q2, sin q2) dtheta of a closed M3/M4 grid."""
+    q1, q2 = q[:, 0], q[:, 1]
+    gc = np.empty((2, 2, q.shape[0]))
+    gc[0, 0] = 2.0 * q1 * np.cos(q2) * dth
+    gc[0, 1] = -q1 ** 2 * np.sin(q2) * dth
+    gc[1, 0] = 2.0 * q1 * np.sin(q2) * dth
+    gc[1, 1] = q1 ** 2 * np.cos(q2) * dth
+    return gc
 
 
 def _winding_of(rpoint: RPoint) -> int:
@@ -392,11 +407,13 @@ def cyclic_tridiagonal_solve(diag, upper, f) -> np.ndarray:
     """Solve the symmetric cyclic tridiagonal system S u = f with
     S[k, k] = diag[k] and S[k, k+1] = S[k+1, k] = upper[k] (indices mod n)
     via a banded factorization and a Sherman-Morrison correction for the
-    corners."""
+    corners.  f is (n,) or (n, r); the r columns share one factorization
+    and each must pass the residual check."""
     diag = np.asarray(diag, dtype=float)
     upper = np.asarray(upper, dtype=float)
     f = np.asarray(f, dtype=float)
-    n = f.shape[0]
+    cols = f.reshape(f.shape[0], -1)
+    n = cols.shape[0]
     corner = upper[-1]                   # coupling (n-1, 0) and (0, n-1)
     gamma = -diag[0]
     d = diag.copy()
@@ -407,24 +424,24 @@ def cyclic_tridiagonal_solve(diag, upper, f) -> np.ndarray:
     ab[0, 1:] = upper[:-1]
     ab[1, :] = d
     ab[2, :-1] = upper[:-1]
-    rhs = np.stack([f, np.zeros(n)], axis=1)
-    rhs[0, 1] = gamma
-    rhs[-1, 1] = corner
+    rhs = np.column_stack([cols, np.zeros(n)])
+    rhs[0, -1], rhs[-1, -1] = gamma, corner
     try:
         sol = solve_banded((1, 1), ab, rhs)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise SingularSystem(str(exc)) from exc
-    y, z = sol[:, 0], sol[:, 1]
+    y, z = sol[:, :-1], sol[:, -1]
     denom = 1.0 + z[0] + (corner / gamma) * z[-1]
     if denom == 0.0 or not np.all(np.isfinite(sol)):
         raise SingularSystem("cyclic correction is singular")
     factor = (y[0] + (corner / gamma) * y[-1]) / denom
-    u = y - factor * z
-    resid = diag * u + upper * np.roll(u, -1) + np.roll(upper * u, 1) - f
-    if not np.all(np.isfinite(u)) or np.max(np.abs(resid)) > 1e-8 * max(
-            1.0, np.max(np.abs(f))):
+    u = y - z[:, None] * factor
+    resid = np.abs(diag[:, None] * u + upper[:, None] * np.roll(u, -1, axis=0)
+                   + np.roll(upper[:, None] * u, 1, axis=0) - cols)
+    if not np.all(np.isfinite(u)) or np.any(resid.max(axis=0) > 1e-8 * np.maximum(
+            1.0, np.abs(cols).max(axis=0))):
         raise SingularSystem("cyclic banded solve failed to converge")
-    return u
+    return u.reshape(f.shape)
 
 
 def elliptic_solve(a, b, f, dtheta: float) -> np.ndarray:
@@ -448,14 +465,31 @@ def elliptic_solve(a, b, f, dtheta: float) -> np.ndarray:
 
 # -- orthogonal projection onto the image tangent space ----------------------
 
-def _project_op_m3(q: np.ndarray, h: np.ndarray, dth: float) -> np.ndarray:
-    """Exact discrete L2(g)-orthogonal projection onto the tangent space
-    {J k = 0} of the M3 derivative constraint: k = h - g^-1 J^T mu with
-    (J g^-1 J^T) mu = J h, a cyclic tridiagonal solve."""
-    gi_diag = g_inv(MetricId.M3, q, np.ones_like(q))
+def _project_op_m3(q: np.ndarray, h: np.ndarray, dth: float,
+                   closure: bool = False,
+                   gi_diag: np.ndarray | None = None) -> np.ndarray:
+    """Exact discrete L2(g)-orthogonal projection onto {A k = 0}: k = h -
+    g^-1 A^T mu with (A g^-1 A^T) mu = A h, where A is the trapezoid
+    derivative rows J, bordered by the closedness rows C if closure is set.
+    g^-1 is diagonal: gi_diag (n, 3), by default the M3 metric's.  One
+    cyclic tridiagonal solve with J g^-1 J^T gives P_J on h and on the
+    border columns c_i = g^-1 C_i^T; then k = P_J h - P_J c nu with the
+    2x2 Schur complement (C P_J c) nu = C P_J h."""
+    if gi_diag is None:
+        gi_diag = g_inv(MetricId.M3, q, np.ones_like(q))
     diag, upper = m3_diff_gram(q, gi_diag, dth)
-    mu = cyclic_tridiagonal_solve(diag, upper, m3_diff_apply(q, h, dth))
-    return h - gi_diag * m3_diff_apply_transpose(q, mu, dth)
+    cols = h[:, :, None]
+    if closure:
+        gc = _closure_coeffs(q, dth)
+        border = np.zeros(q.shape + (2,))
+        border[:, :2] = gi_diag[:, :2, None] * gc.transpose(2, 1, 0)
+        cols = np.concatenate([cols, border], axis=2)
+    mu = cyclic_tridiagonal_solve(diag, upper, m3_diff_apply(q, cols, dth))
+    k = cols - gi_diag[:, :, None] * m3_diff_apply_transpose(q, mu, dth)
+    if not closure:
+        return k[:, :, 0]
+    ck = np.einsum("ijk,kjr->ir", gc, k[:, :2])
+    return k[:, :, 0] - k[:, :, 1:] @ np.linalg.solve(ck[:, 1:], ck[:, 0])
 
 
 def _remove_span(metric_id, q, closed, h, basis):
@@ -480,11 +514,10 @@ def project_image(metric_id, rpoint: RPoint | None = None, h=None,
     """L2(g)-orthogonal projection of an ambient tangent h onto the tangent
     space of the image of the transform (closed curves).
 
-    M1/M2: subtract the span of the two closedness gradients.  M3: project
-    onto the tangent space of the trapezoid derivative rows by a cyclic
-    tridiagonal Gram solve, then subtract the span of the projected
-    closedness gradients.  M4 is not supported.  Raises OffImage when the
-    constraints at q exceed image_tol relative to the closure scale.
+    M1/M2: subtract the span of the two closedness gradients.  M3: one
+    bordered cyclic tridiagonal solve for the derivative and closedness
+    rows (_project_op_m3).  M4 is not supported.  Raises OffImage when
+    the constraints at q exceed image_tol relative to the closure scale.
     """
     if h is None:
         rpoint, h = metric_id, rpoint
@@ -503,13 +536,10 @@ def project_image(metric_id, rpoint: RPoint | None = None, h=None,
             1.0, float(np.max(np.abs(rpoint.q[:, 2])))):
         raise OffImage("derivative constraint residual too large")
     h = np.asarray(h, dtype=float)
-    q = rpoint.q
-    grads = constraint_gradients(rpoint)
-    if metric_id in (MetricId.M1, MetricId.M2):
-        return _remove_span(metric_id, q, rpoint.closed, h, grads)
-    p_h = _project_op_m3(q, h, rpoint.theta_step)
-    basis = [_project_op_m3(q, g, rpoint.theta_step) for g in grads]
-    return _remove_span(metric_id, q, rpoint.closed, p_h, basis)
+    if metric_id is MetricId.M3:
+        return _project_op_m3(rpoint.q, h, rpoint.theta_step, closure=True)
+    return _remove_span(metric_id, rpoint.q, rpoint.closed, h,
+                        constraint_gradients(rpoint))
 
 
 # -- tangent lift helper ------------------------------------------------------
@@ -518,7 +548,8 @@ def tangent_from_free(rpoint: RPoint, k1: np.ndarray, k2: np.ndarray) -> np.ndar
     """An M3 derivative-constraint tangent built from two free components:
     the field (k1, k2, 2 q1^-1 q3 k1 + q1^2 D+ k2), which solves the
     linearized rate relation sample by sample, projected onto the tangent
-    space of the trapezoid rows by the same Gram solve as project_image."""
+    space of the trapezoid rows by project_image's solve without the
+    closedness border."""
     q = rpoint.q
     dth = rpoint.theta_step
     k3 = 2.0 * q[:, 2] / q[:, 0] * k1 + q[:, 0] ** 2 * (np.roll(k2, -1) - k2) / dth

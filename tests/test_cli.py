@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 
@@ -152,9 +153,32 @@ def test_config_file_precedence(tmp_path):
     assert loaded.n_samples == 48
 
 
+def test_config_file_unknown_keys_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 48, "dt": 0.02, "seed": 5, "T": 9}))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["demo", "fig2", "--config", str(cfg), "-o", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "unknown keys T, seed" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_file_must_be_an_object(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1, 2]")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["demo", "fig2", "--config", str(cfg), "-o", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "JSON object with keys from: n, dt, tol, outdir" in capsys.readouterr().err
+
+
 def test_console_entry_point():
+    # the child interpreter imports curveflow from where this process did
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     proc = subprocess.run([sys.executable, "-m", "curveflow.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "transform" in proc.stdout
 

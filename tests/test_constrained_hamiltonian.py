@@ -6,7 +6,7 @@ from curveflow import constrained_hamiltonian as ch
 from curveflow import curve_core as cc
 from curveflow import pointwise_geometry as pg
 from curveflow import rtransform as rt
-from curveflow.errors import NewtonDivergence, StepLeftDomain
+from curveflow.errors import NewtonDivergence, RankDeficiency, SingularSystem, StepLeftDomain
 
 
 def circle_state(n=64, amp=1.0, velocity="sin"):
@@ -76,14 +76,32 @@ def test_structured_products_match_dense():
     X = rng.standard_normal((n, 3, 5))
     dense = system.jacobian(q) @ X.reshape(3 * n, 5)
     assert np.abs(system.apply(q, X) - dense).max() < 1e-12
-    lam = rng.standard_normal(n + 2)
-    dense_t = (system.jacobian(q).T @ lam).reshape(n, 3)
-    assert np.abs(system.apply_transpose(q, lam) - dense_t).max() < 1e-12
-    gi = pg.g_inv_matrix("M3", q)
-    jt = system.jacobian(q).reshape(n + 2, n, 3).transpose(1, 0, 2)
-    dense_S = (np.matmul(jt, gi).transpose(1, 0, 2).reshape(n + 2, -1)
-               @ system.jacobian(q).T)
-    assert np.abs(system.gram(q, gi) - dense_S).max() < 1e-11
+
+
+def test_m3_projection_matches_dense():
+    # the one M3 tangent projection (derivative rows bordered by the two
+    # closedness rows) against k = h - g^-1 A^T mu, (A g^-1 A^T) mu = A h,
+    # with the dense Jacobian A and a dense solve
+    rng = np.random.default_rng(17)
+    for n in (64, 65, 400):
+        rp = ch.project_to_manifold(rt.r_forward("M3", wavy_curve(n, seed=2)))
+        A = ch.ConstraintSystem("M3", n, rp.winding).jacobian(rp.q)
+        gi = pg.g_inv("M3", rp.q, np.ones_like(rp.q)).ravel()
+        S = (A * gi) @ A.T
+        h = rng.standard_normal((n, 3))
+        ref = h - (gi * (A.T @ np.linalg.solve(S, A @ h.ravel()))).reshape(n, 3)
+        k = rt.project_image(rp, h)
+        assert np.abs(k - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.abs(rt.project_image(rp, k) - k).max() <= 1e-12 * np.abs(k).max()
+        # the consistent momentum is the same projection: p = g P(g^-1 p_raw)
+        p_raw = rng.standard_normal((n, 3))
+        mu = np.linalg.solve(S, A @ (gi * p_raw.ravel()))
+        p_ref = p_raw - (A.T @ mu).reshape(n, 3)
+        p = ch.project_consistent(rp, p_raw).p
+        assert np.abs(p - p_ref).max() <= 1e-12 * np.abs(p_ref).max()
+    # and so is the RATTLE hidden-constraint step
+    new, _ = ch.rattle_step(circle_state(65), 1e-2)
+    assert ch.hidden_residual(new) <= 1e-11
 
 
 def test_project_to_manifold():
@@ -228,6 +246,20 @@ def test_newton_divergence_reports_history():
     with pytest.raises(NewtonDivergence) as exc:
         ch.rattle_step(st, 1e-3, max_iter=1)
     assert len(exc.value.residual_history) == 1
+
+
+@pytest.mark.parametrize("error", [SingularSystem, np.linalg.LinAlgError])
+def test_projection_failures_keep_named_errors(monkeypatch, error):
+    st = circle_state(32)
+
+    def singular(*args, **kwargs):
+        raise error("singular")
+    monkeypatch.setattr(ch, "_project_op_m3", singular)
+    with pytest.raises(RankDeficiency):
+        ch.project_consistent(st.rpoint(), st.p)
+    with pytest.raises(NewtonDivergence) as exc:
+        ch.rattle_step(st, 1e-2)
+    assert exc.value.residual_history[-1] < 1e-12
 
 
 def test_csv_exports(tmp_path):

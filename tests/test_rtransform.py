@@ -288,6 +288,25 @@ def test_project_image_off_image_raises():
         rt.project_image(bad, np.ones((64, 3)))
 
 
+def test_cyclic_tridiagonal_solve_columns():
+    # (n, 3) right-hand sides share one factorization; each column equals
+    # its single-column solve and the dense solution
+    rng = np.random.default_rng(4)
+    for n in (64, 65):
+        diag = 4.0 + rng.uniform(0.0, 1.0, n)
+        upper = rng.uniform(-1.0, 1.0, n)
+        f = rng.standard_normal((n, 3))
+        u = rt.cyclic_tridiagonal_solve(diag, upper, f)
+        assert u.shape == (n, 3)
+        S = np.diag(diag)
+        idx = np.arange(n)
+        S[idx, (idx + 1) % n] = S[(idx + 1) % n, idx] = upper
+        assert np.abs(u - np.linalg.solve(S, f)).max() < 1e-13
+        for j in range(3):
+            single = rt.cyclic_tridiagonal_solve(diag, upper, f[:, j])
+            assert np.abs(u[:, j] - single).max() <= 1e-15 * np.abs(single).max()
+
+
 def test_elliptic_solve():
     n = 256
     th = (2 * np.pi / n) * np.arange(n)
