@@ -34,6 +34,12 @@ class RunConfig:
     outdir: str = "out"
 
     def __post_init__(self):
+        for f in fields(self):
+            value, kind = getattr(self, f.name), type(f.default)
+            if isinstance(value, bool) or not isinstance(
+                    value, (int, float) if kind is float else kind):
+                raise ValueError(f"{f.name} must be of type {kind.__name__}, "
+                                 f"got {value!r}")
         if self.n < 8:
             raise ValueError("N must be at least 8")
         if self.dt <= 0 or self.tol <= 0:
@@ -44,8 +50,12 @@ def _merge_config(args) -> RunConfig:
     names = [f.name for f in fields(RunConfig)]
     data = {}
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            data = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                data = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ValueError(f"cannot read config file {args.config}: "
+                             f"{getattr(exc, 'strerror', None) or exc}") from exc
         if not isinstance(data, dict):
             raise ValueError(f"config file {args.config} must hold a JSON object "
                              f"with keys from: {', '.join(names)}")

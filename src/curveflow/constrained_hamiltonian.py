@@ -24,6 +24,12 @@ tangent space (rtransform._project_op_m3 for M3, shared with
 project_consistent; a dense Gram solve for M4).  Note the potential
 gradient is evaluated at (q^j, p^{j+1/2}) in the first half-step exactly
 as printed (implicit in p only), not at classical RATTLE's arguments.
+
+Each Newton iteration eliminates the momentum and position corrections
+sample by sample and solves the reduced system for the multipliers.  For
+M3 it is cyclic tridiagonal (not symmetric), bordered by the two
+closedness rows and columns: one rtransform.bordered_cyclic_solve, O(N),
+no dense Jacobian (_m3_newton).  M4 keeps a dense solve (_dense_newton).
 """
 
 from __future__ import annotations
@@ -42,7 +48,10 @@ from .rtransform import (
     _m3_rate,
     _m3_rate_partials,
     _project_op_m3,
+    _shift,
+    bordered_cyclic_solve,
     m3_diff_apply,
+    m3_diff_apply_transpose,
     m3_diff_value,
     m4_diff_value,
 )
@@ -153,13 +162,6 @@ class ConstraintSystem:
         """DH(q)^T . lam, shaped (n, d), from the dense Jacobian."""
         return (self.jacobian(q).T @ lam).reshape(self.n, self.d)
 
-    def gram(self, q: np.ndarray, gi: np.ndarray) -> np.ndarray:
-        """Dense S = DH g^{-1} DH^T; gi is (n, d, d)."""
-        jac = self.jacobian(q)
-        jt = jac.reshape(-1, self.n, self.d).transpose(1, 0, 2)
-        jg = np.matmul(jt, gi).transpose(1, 0, 2).reshape(-1, self.n * self.d)
-        return jg @ jac.T
-
 
 # -- energy ------------------------------------------------------------------
 
@@ -256,19 +258,22 @@ def project_to_manifold(rpoint: RPoint, tol: float = 1e-13,
 def _tangent_momentum(system: ConstraintSystem, q: np.ndarray, p: np.ndarray,
                       gi: np.ndarray) -> np.ndarray:
     """p - DH^T mu with DH g^{-1} (p - DH^T mu) = 0, i.e. g P(g^{-1} p):
-    _project_op_m3 for M3, a dense Gram solve for M4.  Raises
-    SingularSystem or LinAlgError."""
+    _project_op_m3 for M3; for M4 a dense Gram solve with the Jacobian
+    built once.  Raises SingularSystem or LinAlgError."""
     if system.metric_id is MetricId.M3:
         gi_diag = np.einsum("kii->ki", gi)
         return _project_op_m3(q, gi_diag * p, system.dtheta, closure=True,
                               gi_diag=gi_diag) / gi_diag
-    S = system.gram(q, gi)
-    rhs = system.apply(q, np.matmul(gi, p[:, :, None])[:, :, 0])
+    jac = system.jacobian(q)
+    jg = np.einsum("mkd,kde->mke", jac.reshape(-1, system.n, system.d),
+                   gi).reshape(jac.shape)                     # DH g^-1
+    S = jg @ jac.T
+    rhs = jg @ p.ravel()
     mu = np.linalg.solve(S, rhs)
     if not np.all(np.isfinite(mu)) or np.linalg.norm(S @ mu - rhs) > 1e-8 * (
             1.0 + np.linalg.norm(rhs)):
         raise SingularSystem("constraint Gram solve failed")
-    return p - system.apply_transpose(q, mu)
+    return p - (jac.T @ mu).reshape(p.shape)
 
 
 def project_consistent(rpoint: RPoint, p_raw: np.ndarray) -> HamiltonianState:
@@ -319,6 +324,7 @@ class MetricOps:
 class NullConstraints:
     """Empty constraint set (free Hamiltonian system)."""
 
+    metric_id = None
     n_constraints = 0
 
     def value(self, q):
@@ -328,42 +334,147 @@ class NullConstraints:
         return np.zeros((0, q.size))
 
 
+def _m3_newton(system: ConstraintSystem, q0: np.ndarray, dt: float):
+    """The O(N) reduced Newton solve of an M3 RATTLE step.  For the M3
+    metric A = I + half dginvp_dq(q0, ph) is unit upper triangular, D =
+    I - half dginvp_dq(q1, ph)^T unit lower triangular and C diagonal, so
+    the pointwise elimination is M = D^-1 C A^-1 = diag(0, c1, c2) +
+    c0 (1, t1, t2)^T (1, -a1, -a2).  GW = J(q1) M (-dt/2) J(q0)^T has a
+    cyclic tridiagonal derivative block (x^T M y for the trapezoid row
+    vectors x of J(q1), y of J(q0) at samples k and k+1), the closedness
+    columns J(q1) M C(q0)^T, rows J(q0) M^T C(q1)^T and a 2x2 corner.
+    Returns solve(q1, ph, f1, f2, f3) -> (dq, dph, dlam) and
+    lam -> DH(q0)^T lam."""
+    n = q0.shape[0]
+    dth = system.dtheta
+    half = 0.5 * dt * dth
+    beta = -0.5 * dt
+    e = 1.0 / dth
+    x0 = q0[:, 0]
+    gi0_1, gi0_2 = x0 ** -2, x0 ** 6
+    alpha1, alpha2 = -2.0 * half * x0 ** -3, 6.0 * half * x0 ** 5
+    gw1, gw3 = _m3_rate_partials(q0)
+    g1, g3 = 0.5 * gw1, 0.5 * gw3
+    c0 = -0.5 * half                  # -half (1/4 + 1/4)
+    gc0 = _closure_coeffs(q0, dth)
+
+    def jt0(lam):
+        out = m3_diff_apply_transpose(q0, lam[:n], dth)
+        out[:, :2] += np.einsum("ijk,i->kj", gc0, lam[n:])
+        return out
+
+    def solve(q1, ph, f1, f2, f3):
+        x1 = q1[:, 0]
+        a1, a2 = alpha1 * ph[:, 1], alpha2 * ph[:, 2]
+        t1, t2 = -2.0 * half * x1 ** -3 * ph[:, 1], 6.0 * half * x1 ** 5 * ph[:, 2]
+        c1, c2 = -half * (gi0_1 + x1 ** -2), -half * (gi0_2 + x1 ** 6)
+
+        def eliminate(z):
+            """(A^-1 z, D^-1 (C A^-1 z - f2)) sample by sample."""
+            du = z.copy()
+            du[:, 0] -= a1 * z[:, 1] + a2 * z[:, 2]
+            v = np.empty_like(z)
+            v[:, 0] = c0 * du[:, 0] - f2[:, 0]
+            v[:, 1] = c1 * du[:, 1] - f2[:, 1] + t1 * v[:, 0]
+            v[:, 2] = c2 * du[:, 2] - f2[:, 2] + t2 * v[:, 0]
+            return du, v
+
+        u1, wq = eliminate(f1)
+        # x^T M y at each sample for the row vectors x = (h1, +-e, h3) of
+        # J(q1) and y = (g1, +-e, g3) of J(q0): + for row k at sample k,
+        # - for row k-1 at sample k
+        h1, h3 = _m3_rate_partials(q1)
+        h1, h3 = 0.5 * h1, 0.5 * h3
+        xs, xd = h1 + t2 * h3, e * t1
+        ry, rd = g1 - a2 * g3, e * a1
+        xp, xm, rp, rm = xs + xd, xs - xd, ry + rd, ry - rd
+        same = c2 * h3 * g3 + c1 * e * e
+        cross = c2 * h3 * g3 - c1 * e * e
+        f_pp, f_mm = same + c0 * xp * rm, same + c0 * xm * rp
+        f_pm, f_mp = cross + c0 * xp * rp, cross + c0 * xm * rm
+        bands = beta * np.stack([f_pm, f_pp + _shift(f_mm, 1), _shift(f_mp, 1)])
+        # J(q1) and C(q1) on wq and on the columns M C(q0)^T (-dt/2)
+        gc1 = _closure_coeffs(q1, dth)
+        rho = beta * c0 * (gc0[:, 0] - a1 * gc0[:, 1])
+        X = np.empty((3, 3, n))
+        X[:, 0] = wq.T
+        X[0, 1:], X[1, 1:], X[2, 1:] = rho, beta * c1 * gc0[:, 1] + t1 * rho, t2 * rho
+        X = X.transpose(2, 0, 1)
+        jx = m3_diff_apply(q1, X, dth)
+        cx = np.einsum("ijk,kjl->il", gc1, X[:, :2])
+        sig = c0 * (gc1[:, 0] + t1 * gc1[:, 1])              # M^T C(q1)^T
+        rows = m3_diff_apply(q0, np.stack(
+            [sig, c1 * gc1[:, 1] - a1 * sig, -a2 * sig]).transpose(2, 0, 1), dth)
+        dl, dc = bordered_cyclic_solve(bands, jx[:, 1:], beta * rows.T, cx[:, 1:],
+                                       -f3[:n] - jx[:, 0], -f3[n:] - cx[:, 0])
+        dlam = np.concatenate([dl, dc])
+        du, dq = eliminate(f1 + beta * jt0(dlam))
+        return dq, du, dlam
+
+    return solve, jt0
+
+
+def _dense_newton(system, ops, q0: np.ndarray, dt: float, dth: float):
+    """The reduced Newton solve with dense per-sample d x d blocks and the
+    dense constraint Jacobian (M4 and the unconstrained system): A^-1 and
+    D^-1 by batched solves, GW = G(q1) D^-1 C A^-1 (-dt/2) G(q0)^T.
+    Returns the same pair as _m3_newton."""
+    m = system.n_constraints
+    n, d = q0.shape
+    half = 0.5 * dt * dth
+    gi0 = ops.ginv(q0)
+    jac0_t = system.jacobian(q0).reshape(m, n, d).transpose(1, 2, 0)
+    B = -0.5 * dt * jac0_t
+    eye = np.eye(d)
+
+    def solve(q1, ph, f1, f2, f3):
+        A = eye + half * ops.dginvp_dq(q0, ph)
+        C = -half * (gi0 + ops.ginv(q1))
+        D = eye - half * np.transpose(ops.dginvp_dq(q1, ph), (0, 2, 1))
+        sol1 = np.linalg.solve(A, np.concatenate([f1[:, :, None], B], axis=2))
+        rhs2 = np.matmul(C, sol1)
+        rhs2[:, :, 0] -= f2
+        sol2 = np.linalg.solve(D, rhs2)
+        dlam = np.zeros(m)
+        if m:
+            G = system.jacobian(q1)
+            dlam = np.linalg.solve(G @ sol2[:, :, 1:].reshape(n * d, m),
+                                   -f3 - G @ sol2[:, :, 0].ravel())
+        return (sol2[:, :, 0] + sol2[:, :, 1:] @ dlam,
+                sol1[:, :, 0] + sol1[:, :, 1:] @ dlam, dlam)
+
+    return solve, lambda lam: jac0_t @ lam
+
+
 def rattle_step(state: HamiltonianState, dt: float,
                 system=None, tol: float = 1e-12, max_iter: int = 50,
                 lam_guess: np.ndarray | None = None, ops=None):
     """One RATTLE step.  Returns (new_state, lambda_1) so callers can warm
-    start the next step's multiplier."""
+    start the next step's multiplier.  The Newton matrix of the M3
+    constraints is the M3 metric's (_m3_newton); ops enters the residuals."""
     mid = state.metric_id
     if system is None:
         system = ConstraintSystem(mid, state.n_samples, state.winding)
-    n, d = state.q.shape
     dth = state.theta_step
     if ops is None:
         ops = MetricOps(mid, dth)
     m = system.n_constraints
     q0, p0 = state.q, state.p
-    fast_m3 = state.metric_id is MetricId.M3 and type(ops) is MetricOps \
-        and type(system) is ConstraintSystem and system.metric_id is MetricId.M3
 
     ph = p0.copy()
     q1 = q0 + dt * ops.grad_p(q0, p0)  # explicit predictor
     lam = np.zeros(m) if lam_guess is None else lam_guess.copy()
-
-    gi0 = ops.ginv(q0)
-    if m:
-        jac0_t = system.jacobian(q0).reshape(m, n, d).transpose(1, 2, 0)
-        B = -0.5 * dt * jac0_t                                   # (n, d, m)
+    if system.metric_id is MetricId.M3:
+        newton, jt0 = _m3_newton(system, q0, dt)
+    else:
+        newton, jt0 = _dense_newton(system, ops, q0, dt, dth)
     history = []
-    eye = np.eye(d)
-    gi0_diag = np.einsum("kii->ki", gi0).copy() if fast_m3 else None
-    half = 0.5 * dt * dth
     for it in range(max_iter):
         if np.any(q1[:, 0] <= 0.0):
             raise StepLeftDomain(
                 "position update reached q1 <= 0; use a smaller time step",
                 exit_time=state.t)
-        f1 = (ph - p0 + 0.5 * dt * ops.grad_q(q0, ph)
-              - 0.5 * dt * (jac0_t @ lam if m else 0.0))
+        f1 = ph - p0 + 0.5 * dt * ops.grad_q(q0, ph) - 0.5 * dt * jt0(lam)
         f2 = (q1 - q0 - 0.5 * dt * (ops.grad_p(q0, ph) + ops.grad_p(q1, ph)))
         f3 = system.value(q1)
         res = max(np.max(np.abs(f1)), np.max(np.abs(f2)),
@@ -371,63 +482,14 @@ def rattle_step(state: HamiltonianState, dt: float,
         history.append(res)
         if res < tol:
             break
-        if fast_m3:
-            # A = I + e0 (x) a is unit upper triangular, D = I - t (x) e0
-            # unit lower triangular, C diagonal: eliminate by row operations.
-            a1 = half * (-2.0 * q0[:, 0] ** -3 * ph[:, 1])
-            a2 = half * (6.0 * q0[:, 0] ** 5 * ph[:, 2])
-            gi1_diag = np.stack([np.full(n, 0.25), q1[:, 0] ** -2,
-                                 q1[:, 0] ** 6], axis=1)
-            cdiag = -half * (gi0_diag + gi1_diag)
-            t1 = half * (-2.0 * q1[:, 0] ** -3 * ph[:, 1])
-            t2 = half * (6.0 * q1[:, 0] ** 5 * ph[:, 2])
-
-            u1 = f1.copy()
-            u1[:, 0] -= a1 * f1[:, 1] + a2 * f1[:, 2]
-            AB = B.copy()
-            AB[:, 0, :] -= a1[:, None] * B[:, 1, :] + a2[:, None] * B[:, 2, :]
-            wq = -f2 + cdiag * u1
-            wq[:, 1] += t1 * wq[:, 0]
-            wq[:, 2] += t2 * wq[:, 0]
-            Wq = cdiag[:, :, None] * AB
-            Wq[:, 1, :] += t1[:, None] * Wq[:, 0, :]
-            Wq[:, 2, :] += t2[:, None] * Wq[:, 0, :]
-            GW = system.apply(q1, Wq)
-            rhs3 = -f3 - system.apply(q1, wq)
-        else:
-            gi1 = ops.ginv(q1)
-            A = eye + half * ops.dginvp_dq(q0, ph)
-            C = -half * (gi0 + gi1)
-            D = eye - half * np.transpose(ops.dginvp_dq(q1, ph), (0, 2, 1))
-            if m:
-                sol1 = np.linalg.solve(
-                    A, np.concatenate([f1[:, :, None], B], axis=2))
-                u1, AB = sol1[:, :, 0], sol1[:, :, 1:]
-                rhs2 = np.concatenate(
-                    [-f2[:, :, None] + np.matmul(C, u1[:, :, None]),
-                     np.matmul(C, AB)], axis=2)
-                sol2 = np.linalg.solve(D, rhs2)
-                wq, Wq = sol2[:, :, 0], sol2[:, :, 1:]
-                G = system.jacobian(q1)
-                GW = G @ Wq.reshape(n * d, m)
-                rhs3 = -f3 - G @ wq.reshape(-1)
-            else:
-                u1 = np.linalg.solve(A, f1[:, :, None])[:, :, 0]
-                wq = np.linalg.solve(
-                    D, (-f2 + np.matmul(C, u1[:, :, None])[:, :, 0])[:, :, None]
-                )[:, :, 0]
-        if m:
-            try:
-                dlam = np.linalg.solve(GW, rhs3)
-            except np.linalg.LinAlgError as exc:
-                raise NewtonDivergence("reduced Newton system is singular",
-                                       history) from exc
-            q1 = q1 + wq + Wq @ dlam
-            ph = ph - u1 - AB @ dlam
-            lam = lam + dlam
-        else:
-            q1 = q1 + wq
-            ph = ph - u1
+        try:
+            dq, dph, dlam = newton(q1, ph, f1, f2, f3)
+        except (np.linalg.LinAlgError, SingularSystem) as exc:
+            raise NewtonDivergence("reduced Newton system is singular",
+                                   history) from exc
+        q1 = q1 + dq
+        ph = ph - dph
+        lam = lam + dlam
     else:
         raise NewtonDivergence(
             f"RATTLE Newton did not reach tol={tol:g} in {max_iter} iterations",

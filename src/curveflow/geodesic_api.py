@@ -298,6 +298,9 @@ def _bvp_shooting(c0, c1, K, T, dt: float = 1e-2, modes: int = 10,
         improved = False
         for _ in range(12):
             step = np.linalg.solve(jtj + lam * diag, -jtr)
+            # a model decrease at rounding level cannot buy a real one
+            if rn ** 2 - np.linalg.norm(r + J @ step) ** 2 <= 1e-6 * rn ** 2:
+                break
             rc, simc = residual(xi + step, basis)
             if np.linalg.norm(rc) < rn:
                 xi = xi + step

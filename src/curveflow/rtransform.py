@@ -19,7 +19,12 @@ w = q1^-2 q3, centred at the half node and so second-order consistent; its
 value, linearization, transpose and Gram bands are defined once here, as
 is the L2(g) projection P onto the tangent space of these and the
 closedness rows (_project_op_m3).  project_image uses P; the consistent
-momentum and the RATTLE lambda_2 step use p -> g P(g^-1 p).  The M4
+momentum and the RATTLE lambda_2 step use p -> g P(g^-1 p).  The one
+cyclic banded solver (cyclic_banded_solve: nonsymmetric bands of
+half-width b, LAPACK banded factorization plus a Woodbury correction for
+the wrap corners) and its bordered form for the two closedness rows
+(bordered_cyclic_solve) serve P, the RATTLE Newton step and the periodic
+elliptic solve.  The M4
 derivative rows use forward differences.  The closedness constraint uses
 the quadrature of the grid (periodic trapezoid = left Riemann sum on
 closed grids), and all constraint gradients are the exact adjoints of
@@ -183,12 +188,17 @@ def dr(metric_id, curve: DiscreteCurve, h,
 
 # -- constraints ------------------------------------------------------------
 
+def _shift(v: np.ndarray, j: int) -> np.ndarray:
+    """v_{k+j} along axis 0 on a closed grid (np.roll(v, -j, 0), cheaper)."""
+    return np.concatenate((v[j:], v[:j]))
+
+
 def _forward_diff(f: np.ndarray, dth: float, closed: bool,
                   wrap_offset: float = 0.0) -> np.ndarray:
     """(f_{k+1} - f_k)/dth; closed grids wrap, adding wrap_offset at the
     seam (2 pi winding for angle lifts).  Open grids return N-1 values."""
     if closed:
-        nxt = np.roll(f, -1)
+        nxt = _shift(f, 1)
         nxt[-1] += wrap_offset
         return (nxt - f) / dth
     return (f[1:] - f[:-1]) / dth
@@ -213,7 +223,7 @@ def m3_diff_value(q: np.ndarray, dth: float, closed: bool = True,
                   wrap: float = 0.0) -> np.ndarray:
     """The M3 derivative-constraint rows (N on closed grids, N-1 open)."""
     w = _m3_rate(q)
-    mean = 0.5 * (w + np.roll(w, -1)) if closed else 0.5 * (w[:-1] + w[1:])
+    mean = 0.5 * (w + _shift(w, 1)) if closed else 0.5 * (w[:-1] + w[1:])
     return mean - _forward_diff(q[:, 1], dth, closed, wrap)
 
 
@@ -225,7 +235,7 @@ def m3_diff_apply(q: np.ndarray, X: np.ndarray, dth: float) -> np.ndarray:
     half_y = 0.5 * (gw1[sl] * X[:, 0] + gw3[sl] * X[:, 2])
     d2 = X[:, 1] / dth
     # row k = (half_y + d2)_k + (half_y - d2)_{k+1}: one cyclic shift
-    return half_y + d2 + np.roll(half_y - d2, -1, axis=0)
+    return half_y + d2 + _shift(half_y - d2, 1)
 
 
 def m3_diff_apply_transpose(q: np.ndarray, lam: np.ndarray,
@@ -233,21 +243,22 @@ def m3_diff_apply_transpose(q: np.ndarray, lam: np.ndarray,
     """J(q)^T . lam, shaped (n, 3) for lam (n,) and (n, 3, r) for (n, r)."""
     gw1, gw3 = _m3_rate_partials(q)
     sl = (slice(None),) + (None,) * (lam.ndim - 1)
-    prev = np.roll(lam, 1, axis=0)
+    prev = _shift(lam, -1)
     avg = 0.5 * (lam + prev)
     return np.stack([gw1[sl] * avg, (lam - prev) / dth, gw3[sl] * avg], axis=1)
 
 
-def m3_diff_gram(q: np.ndarray, gi_diag: np.ndarray, dth: float):
-    """Cyclic bands of S = J g^-1 J^T for a diagonal g^-1 given as (n, 3):
-    S[k, k] = diag[k] and S[k, k+1] = S[k+1, k] = upper[k]."""
+def m3_diff_gram(q: np.ndarray, gi_diag: np.ndarray, dth: float) -> np.ndarray:
+    """The (3, n) cyclic bands of S = J g^-1 J^T (cyclic_banded_solve's
+    layout) for a diagonal g^-1 given as (n, 3): S[k, k] and S[k, k+1] =
+    S[k+1, k]."""
     gw1, gw3 = _m3_rate_partials(q)
     s = gw1 ** 2 * gi_diag[:, 0] + gw3 ** 2 * gi_diag[:, 2]
     g2 = gi_diag[:, 1]
-    s_next, g2_next = np.roll(s, -1), np.roll(g2, -1)
-    diag = 0.25 * (s + s_next) + (g2 + g2_next) / dth ** 2
+    s_next, g2_next = _shift(s, 1), _shift(g2, 1)
     upper = 0.25 * s_next - g2_next / dth ** 2
-    return diag, upper
+    return np.stack([_shift(upper, -1),
+                     0.25 * (s + s_next) + (g2 + g2_next) / dth ** 2, upper])
 
 
 def m4_diff_value(q: np.ndarray, dth: float, closed: bool = True,
@@ -401,47 +412,67 @@ def constraint_gradients(metric_id, rpoint: RPoint | None = None) -> list[np.nda
     return grads
 
 
-# -- cyclic tridiagonal solves -----------------------------------------------
+# -- cyclic banded solves -------------------------------------------------------
 
-def cyclic_tridiagonal_solve(diag, upper, f) -> np.ndarray:
-    """Solve the symmetric cyclic tridiagonal system S u = f with
-    S[k, k] = diag[k] and S[k, k+1] = S[k+1, k] = upper[k] (indices mod n)
-    via a banded factorization and a Sherman-Morrison correction for the
-    corners.  f is (n,) or (n, r); the r columns share one factorization
-    and each must pass the residual check."""
-    diag = np.asarray(diag, dtype=float)
-    upper = np.asarray(upper, dtype=float)
+def cyclic_banded_solve(bands, f) -> np.ndarray:
+    """Solve the cyclic banded system A u = f with A[i, (i + j) % n] =
+    bands[b + j, i] for |j| <= b; bands is (2b+1, n) with n > 2b, and A
+    need not be symmetric.  The band part A' is factored once by
+    solve_banded; the wrap corners R = A[:b, n-b:] and L = A[n-b:, :b]
+    enter by the Woodbury identity for A = A' + E W E^T, E the first and
+    last b unit columns.  f is (n,) or (n, r); the columns share the
+    factorization and each must pass a residual check, else
+    SingularSystem is raised."""
+    bands = np.asarray(bands, dtype=float)
     f = np.asarray(f, dtype=float)
     cols = f.reshape(f.shape[0], -1)
-    n = cols.shape[0]
-    corner = upper[-1]                   # coupling (n-1, 0) and (0, n-1)
-    gamma = -diag[0]
-    d = diag.copy()
-    d[0] -= gamma
-    d[-1] -= corner * corner / gamma
-
-    ab = np.zeros((3, n))
-    ab[0, 1:] = upper[:-1]
-    ab[1, :] = d
-    ab[2, :-1] = upper[:-1]
-    rhs = np.column_stack([cols, np.zeros(n)])
-    rhs[0, -1], rhs[-1, -1] = gamma, corner
+    w, n = bands.shape
+    b = w // 2
+    if w != 2 * b + 1 or n <= 2 * b:
+        raise ValueError("bands must be (2b+1, n) with n > 2b")
+    r = cols.shape[1]
+    ends = np.arange(2 * b)             # rows of E: the first and last b
+    ends[b:] += n - 2 * b
+    ab = np.zeros((w, n))               # LAPACK layout ab[b + i - k, k] = A'[i, k]
+    ab[b] = bands[b]
+    W = np.zeros((2 * b, 2 * b))        # [[0, R], [L, 0]]
+    for j in range(1, b + 1):
+        ab[b - j, j:] = bands[b + j, :n - j]
+        ab[b + j, :n - j] = bands[b - j, j:]
+        i = np.arange(j)
+        W[i, 2 * b - j + i] = bands[b - j, :j]
+        W[2 * b - j + i, i] = bands[b + j, n - j:]
+    rhs = np.zeros((n, r + 2 * b))      # [f, E]
+    rhs[:, :r] = cols
+    rhs[ends, r + np.arange(2 * b)] = 1.0
     try:
-        sol = solve_banded((1, 1), ab, rhs)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise SingularSystem(str(exc)) from exc
-    y, z = sol[:, :-1], sol[:, -1]
-    denom = 1.0 + z[0] + (corner / gamma) * z[-1]
-    if denom == 0.0 or not np.all(np.isfinite(sol)):
-        raise SingularSystem("cyclic correction is singular")
-    factor = (y[0] + (corner / gamma) * y[-1]) / denom
-    u = y - z[:, None] * factor
-    resid = np.abs(diag[:, None] * u + upper[:, None] * np.roll(u, -1, axis=0)
-                   + np.roll(upper[:, None] * u, 1, axis=0) - cols)
-    if not np.all(np.isfinite(u)) or np.any(resid.max(axis=0) > 1e-8 * np.maximum(
-            1.0, np.abs(cols).max(axis=0))):
+        sol = solve_banded((b, b), ab, rhs, check_finite=False)
+        y, z = sol[:, :r], sol[:, r:]
+        u = y - z @ np.linalg.solve(np.eye(2 * b) + W @ z[ends], W @ y[ends])
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(f"cyclic banded solve: {exc}") from exc
+    au = bands[b][:, None] * u - cols
+    for j in range(1, b + 1):
+        au += bands[b + j][:, None] * _shift(u, j)
+        au += bands[b - j][:, None] * _shift(u, -j)
+    if not np.all(np.abs(au).max(axis=0)
+                  <= 1e-8 * np.maximum(1.0, np.abs(cols).max(axis=0))):
         raise SingularSystem("cyclic banded solve failed to converge")
     return u.reshape(f.shape)
+
+
+def bordered_cyclic_solve(bands, cols, rows, corner, f, g):
+    """Solve [[A, cols], [rows, corner]] [x; y] = [f; g] for the cyclic
+    banded A of cyclic_banded_solve, an (n, k) column border, a (k, n) row
+    border and a (k, k) corner: one banded solve for f and the border
+    columns, then the Schur complement (corner - rows A^-1 cols) y =
+    g - rows A^-1 f.  Returns (x, y); raises SingularSystem."""
+    sol = cyclic_banded_solve(bands, np.column_stack([f, cols]))
+    try:
+        y = np.linalg.solve(corner - rows @ sol[:, 1:], g - rows @ sol[:, 0])
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem("border Schur complement is singular") from exc
+    return sol[:, 0] - sol[:, 1:] @ y, y
 
 
 def elliptic_solve(a, b, f, dtheta: float) -> np.ndarray:
@@ -450,17 +481,16 @@ def elliptic_solve(a, b, f, dtheta: float) -> np.ndarray:
 
         -(a_{k+1/2}(u_{k+1}-u_k) - a_{k-1/2}(u_k-u_{k-1}))/dtheta^2 + b_k u_k = f_k
 
-    by cyclic_tridiagonal_solve; edge values a_{k+1/2} are arithmetic
-    means of node values.
+    by cyclic_banded_solve; edge values a_{k+1/2} are arithmetic means
+    of node values.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if np.any(a <= 0.0) or np.any(b < 0.0):
         raise ValueError("need a > 0 and b >= 0")
-    ae = 0.5 * (a + np.roll(a, -1))      # ae[k] = a_{k+1/2}
-    inv = 1.0 / dtheta ** 2
-    return cyclic_tridiagonal_solve((ae + np.roll(ae, 1)) * inv + b,
-                                    -ae * inv, f)
+    ae = 0.5 * (a + _shift(a, 1)) / dtheta ** 2     # a_{k+1/2} / dtheta^2
+    aw = _shift(ae, -1)                             # a_{k-1/2} / dtheta^2
+    return cyclic_banded_solve(np.stack([-aw, ae + aw + b, -ae]), f)
 
 
 # -- orthogonal projection onto the image tangent space ----------------------
@@ -471,25 +501,24 @@ def _project_op_m3(q: np.ndarray, h: np.ndarray, dth: float,
     """Exact discrete L2(g)-orthogonal projection onto {A k = 0}: k = h -
     g^-1 A^T mu with (A g^-1 A^T) mu = A h, where A is the trapezoid
     derivative rows J, bordered by the closedness rows C if closure is set.
-    g^-1 is diagonal: gi_diag (n, 3), by default the M3 metric's.  One
-    cyclic tridiagonal solve with J g^-1 J^T gives P_J on h and on the
-    border columns c_i = g^-1 C_i^T; then k = P_J h - P_J c nu with the
-    2x2 Schur complement (C P_J c) nu = C P_J h."""
+    g^-1 is diagonal: gi_diag (n, 3), by default the M3 metric's.  A g^-1
+    A^T is the cyclic tridiagonal J g^-1 J^T (m3_diff_gram) bordered by
+    J g^-1 C^T, its transpose and C g^-1 C^T: one bordered_cyclic_solve."""
     if gi_diag is None:
         gi_diag = g_inv(MetricId.M3, q, np.ones_like(q))
-    diag, upper = m3_diff_gram(q, gi_diag, dth)
-    cols = h[:, :, None]
-    if closure:
-        gc = _closure_coeffs(q, dth)
-        border = np.zeros(q.shape + (2,))
-        border[:, :2] = gi_diag[:, :2, None] * gc.transpose(2, 1, 0)
-        cols = np.concatenate([cols, border], axis=2)
-    mu = cyclic_tridiagonal_solve(diag, upper, m3_diff_apply(q, cols, dth))
-    k = cols - gi_diag[:, :, None] * m3_diff_apply_transpose(q, mu, dth)
+    bands = m3_diff_gram(q, gi_diag, dth)
+    rhs = m3_diff_apply(q, h, dth)
     if not closure:
-        return k[:, :, 0]
-    ck = np.einsum("ijk,kjr->ir", gc, k[:, :2])
-    return k[:, :, 0] - k[:, :, 1:] @ np.linalg.solve(ck[:, 1:], ck[:, 0])
+        return h - gi_diag * m3_diff_apply_transpose(
+            q, cyclic_banded_solve(bands, rhs), dth)
+    gc = _closure_coeffs(q, dth)
+    border = np.zeros(q.shape + (2,))                      # g^-1 C^T
+    border[:, :2] = gi_diag[:, :2, None] * gc.transpose(2, 1, 0)
+    cols = m3_diff_apply(q, border, dth)
+    corner = np.einsum("ijk,kjl->il", gc, border[:, :2])
+    mu, nu = bordered_cyclic_solve(bands, cols, cols.T, corner, rhs,
+                                   np.einsum("ijk,kj->i", gc, h[:, :2]))
+    return h - gi_diag * m3_diff_apply_transpose(q, mu, dth) - border @ nu
 
 
 def _remove_span(metric_id, q, closed, h, basis):
@@ -515,8 +544,8 @@ def project_image(metric_id, rpoint: RPoint | None = None, h=None,
     space of the image of the transform (closed curves).
 
     M1/M2: subtract the span of the two closedness gradients.  M3: one
-    bordered cyclic tridiagonal solve for the derivative and closedness
-    rows (_project_op_m3).  M4 is not supported.  Raises OffImage when
+    bordered cyclic banded solve for the derivative and closedness rows
+    (_project_op_m3).  M4 is not supported.  Raises OffImage when
     the constraints at q exceed image_tol relative to the closure scale.
     """
     if h is None:
@@ -552,7 +581,7 @@ def tangent_from_free(rpoint: RPoint, k1: np.ndarray, k2: np.ndarray) -> np.ndar
     closedness border."""
     q = rpoint.q
     dth = rpoint.theta_step
-    k3 = 2.0 * q[:, 2] / q[:, 0] * k1 + q[:, 0] ** 2 * (np.roll(k2, -1) - k2) / dth
+    k3 = 2.0 * q[:, 2] / q[:, 0] * k1 + q[:, 0] ** 2 * _forward_diff(k2, dth, True)
     return _project_op_m3(q, np.stack([k1, k2, k3], axis=1), dth)
 
 

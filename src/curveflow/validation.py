@@ -287,6 +287,21 @@ def check_elliptic():
     return err < 1e-3, f"analytic err {err:.2e}"
 
 
+def check_cyclic_banded():
+    n, b = 63, 2
+    rng = np.random.default_rng(8)
+    bands = rng.uniform(-1.0, 1.0, (2 * b + 1, n))
+    bands[b] += 2.0 * b + 2.0
+    dense = np.zeros((n, n))
+    idx = np.arange(n)
+    for j in range(-b, b + 1):
+        dense[idx, (idx + j) % n] = bands[b + j]
+    f = rng.standard_normal((n, 3))
+    ref = np.linalg.solve(dense, f)
+    err = np.abs(rt.cyclic_banded_solve(bands, f) - ref).max() / np.abs(ref).max()
+    return err < 1e-12, f"vs dense solve {err:.1e}"
+
+
 def check_spray_conservation():
     t, ps, vs = pg.integrate_spray2([1.0, 0.0], [1.0, 1.0], 1.0, 1000)
     ps, vs = ps[:, 0], vs[:, 0]
@@ -488,6 +503,7 @@ CHECKS = [
     ("closedness gradient finite differences", check_constraint_gradients),
     ("image projection oracles", check_projection),
     ("cyclic elliptic solver", check_elliptic),
+    ("cyclic banded solver (nonsymmetric, b = 2)", check_cyclic_banded),
     ("plane spray first integrals", check_spray_conservation),
     ("F(1) constant", check_F_constant),
     ("trajectory formula vs RK4", check_trajectory_vs_rk4),

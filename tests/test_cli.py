@@ -172,6 +172,33 @@ def test_config_file_must_be_an_object(tmp_path, capsys):
     assert "JSON object with keys from: n, dt, tol, outdir" in capsys.readouterr().err
 
 
+def test_config_file_missing_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "absent.json"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["demo", "fig2", "--config", str(cfg), "-o", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"cannot read config file {cfg}" in err
+    assert "No such file" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"n": "abc"}, "n must be of type int, got 'abc'"),
+    ({"n": 48.0}, "n must be of type int, got 48.0"),
+    ({"dt": "2e-2"}, "dt must be of type float, got '2e-2'"),
+    ({"tol": [1e-3]}, "tol must be of type float, got [0.001]"),
+])
+def test_config_file_wrong_type_is_usage_error(tmp_path, capsys, data, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["demo", "fig2", "--config", str(cfg), "-o", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_console_entry_point():
     # the child interpreter imports curveflow from where this process did
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))

@@ -104,6 +104,90 @@ def test_m3_projection_matches_dense():
     assert ch.hidden_residual(new) <= 1e-11
 
 
+class _DenseM3:
+    """The M3 constraints without their metric id, so that rattle_step
+    takes the dense Newton path: GW from ConstraintSystem.jacobian and a
+    dense Gram solve for the hidden constraint."""
+
+    metric_id = None
+
+    def __init__(self, n, winding):
+        self.system = ch.ConstraintSystem("M3", n, winding)
+        self.n, self.d = n, 3
+        self.n_constraints = self.system.n_constraints
+
+    def value(self, q):
+        return self.system.value(q)
+
+    def jacobian(self, q):
+        return self.system.jacobian(q)
+
+
+def test_m3_rattle_step_matches_dense():
+    # the banded, bordered Newton step against the dense reduced system.
+    # The closedness multipliers vanish on the circle by symmetry, so they
+    # are compared through the force DH(q0)^T lambda they exert.
+    rng = np.random.default_rng(19)
+    for n in (64, 65, 400):
+        st = circle_state(n)
+        rp = ch.project_to_manifold(rt.r_forward("M3", wavy_curve(n, seed=2)))
+        wavy = ch.project_consistent(rp, 0.3 * rng.standard_normal((n, 3)))
+        for state in (st, wavy):
+            dense = _DenseM3(n, state.winding)
+            new, lam = ch.rattle_step(state, 1e-2)
+            ref, lam_ref = ch.rattle_step(state, 1e-2, system=dense)
+            jac = dense.jacobian(state.q)
+            for a, b in ((new.q, ref.q), (new.p, ref.p), (lam[:n], lam_ref[:n]),
+                         (jac.T @ lam, jac.T @ lam_ref)):
+                assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+        # the same Newton matrix: equal residuals after one iteration
+        after_one = []
+        for system in (None, _DenseM3(n, st.winding)):
+            with pytest.raises(NewtonDivergence) as exc:
+                ch.rattle_step(st, 1e-2, system=system, max_iter=2)
+            after_one.append(exc.value.residual_history[1])
+        assert after_one[0] == pytest.approx(after_one[1], rel=1e-8)
+
+
+def test_m3_simulate_builds_no_dense_jacobian(monkeypatch):
+    st = circle_state(32)
+
+    def dense(*args, **kwargs):
+        raise AssertionError("dense constraint Jacobian built")
+    monkeypatch.setattr(ch.ConstraintSystem, "jacobian", dense)
+    res = ch.simulate(st, 0.05, 1e-2)
+    assert res.constraint_norm.max() < 1e-9
+    assert res.hidden_norm.max() < 1e-9
+
+
+def test_singular_reduced_system_reports_history(monkeypatch):
+    # a zero band block makes the reduced Newton system singular
+    st = circle_state(32)
+    solve = ch.bordered_cyclic_solve
+    monkeypatch.setattr(ch, "bordered_cyclic_solve",
+                        lambda bands, *args: solve(0.0 * bands, *args))
+    with pytest.raises(NewtonDivergence) as exc:
+        ch.rattle_step(st, 1e-2)
+    assert len(exc.value.residual_history) == 1
+    assert isinstance(exc.value.__cause__, SingularSystem)
+
+
+def test_m4_jacobian_built_once_per_projection(monkeypatch):
+    n = 48
+    q0 = ch.project_to_manifold(rt.r_forward("M4", wavy_curve(n, seed=3)))
+    p_raw = np.random.default_rng(2).standard_normal((n, 4))
+    calls = []
+    jacobian = ch.ConstraintSystem.jacobian
+
+    def counted(self, q):
+        calls.append(1)
+        return jacobian(self, q)
+    monkeypatch.setattr(ch.ConstraintSystem, "jacobian", counted)
+    st = ch.project_consistent(q0, p_raw)
+    assert len(calls) == 1
+    assert ch.hidden_residual(ch.HamiltonianState("M4", st.q, st.p, 0.0, 1)) < 1e-10
+
+
 def test_project_to_manifold():
     c = wavy_curve(80, seed=4)
     raw = rt.r_forward("M3", c)

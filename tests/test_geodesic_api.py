@@ -142,6 +142,34 @@ def test_m3_shooting_bvp_small():
     assert d.details["endpoint_mismatch"] <= 5e-3 * path.diagnostics["mismatch_scale"]
 
 
+def test_m3_shooting_cost_is_rotation_invariant(monkeypatch):
+    # the metric is rotation invariant; so must the solve's path be, not
+    # only its answer: no Levenberg-Marquardt step is bought for a model
+    # decrease at rounding level
+    n = 32
+    th = (2 * np.pi / n) * np.arange(n)
+    calls = []
+    simulate = ga.simulate
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return simulate(*args, **kwargs)
+    monkeypatch.setattr(ga, "simulate", counted)
+    counts, lengths = [], []
+    for angle in (0.0, 1.0):
+        rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+        c0 = cc.DiscreteCurve(np.stack([np.cos(th), np.sin(th)], 1) @ rot.T, True)
+        c1 = cc.DiscreteCurve(np.stack([1.15 * np.cos(th), 0.87 * np.sin(th)], 1)
+                              @ rot.T, True)
+        calls.clear()
+        path = ga.geodesic_bvp("M3", c0, c1, K=5, T=1.0, dt=0.05, modes=4,
+                               tol=5e-3, max_iter=25)
+        counts.append(len(calls))
+        lengths.append(ga._rspace_path_length(path))
+    assert counts[0] == counts[1]
+    assert lengths[0] == pytest.approx(lengths[1], rel=1e-6)
+
+
 def test_m3_winding_mismatch_rejected():
     n = 64
     th = (2 * np.pi / n) * np.arange(n)

@@ -14,7 +14,7 @@ from curveflow import curve_core as cc
 from curveflow import metric_suite as ms
 from curveflow import rtransform as rt
 from curveflow.constrained_hamiltonian import project_to_manifold
-from curveflow.errors import NonPositive, NotConvex, OffImage
+from curveflow.errors import NonPositive, NotConvex, OffImage, SingularSystem
 
 ALL = ("M1", "M2", "M3", "M4")
 
@@ -288,23 +288,60 @@ def test_project_image_off_image_raises():
         rt.project_image(bad, np.ones((64, 3)))
 
 
-def test_cyclic_tridiagonal_solve_columns():
-    # (n, 3) right-hand sides share one factorization; each column equals
-    # its single-column solve and the dense solution
+def _cyclic_dense(bands):
+    w, n = bands.shape
+    A = np.zeros((n, n))
+    idx = np.arange(n)
+    for j in range(-(w // 2), w // 2 + 1):
+        A[idx, (idx + j) % n] += bands[w // 2 + j]
+    return A
+
+
+def test_cyclic_banded_solve_columns():
+    # nonsymmetric bands of half-width 1 and 2 against a dense solve; the
+    # (n, 3) right-hand sides share one factorization and each column
+    # equals its single-column solve
     rng = np.random.default_rng(4)
-    for n in (64, 65):
-        diag = 4.0 + rng.uniform(0.0, 1.0, n)
-        upper = rng.uniform(-1.0, 1.0, n)
-        f = rng.standard_normal((n, 3))
-        u = rt.cyclic_tridiagonal_solve(diag, upper, f)
-        assert u.shape == (n, 3)
-        S = np.diag(diag)
-        idx = np.arange(n)
-        S[idx, (idx + 1) % n] = S[(idx + 1) % n, idx] = upper
-        assert np.abs(u - np.linalg.solve(S, f)).max() < 1e-13
-        for j in range(3):
-            single = rt.cyclic_tridiagonal_solve(diag, upper, f[:, j])
-            assert np.abs(u[:, j] - single).max() <= 1e-15 * np.abs(single).max()
+    for b in (1, 2):
+        for n in (64, 65):
+            bands = rng.uniform(-1.0, 1.0, (2 * b + 1, n))
+            bands[b] += 2.0 * b + 2.0
+            f = rng.standard_normal((n, 3))
+            u = rt.cyclic_banded_solve(bands, f)
+            assert u.shape == (n, 3)
+            ref = np.linalg.solve(_cyclic_dense(bands), f)
+            assert np.abs(u - ref).max() < 1e-13 * np.abs(ref).max()
+            for j in range(3):
+                single = rt.cyclic_banded_solve(bands, f[:, j])
+                assert np.abs(u[:, j] - single).max() <= 1e-15 * np.abs(single).max()
+
+
+@pytest.mark.parametrize("stencil", [(-1.0, 2.0, -1.0), (1.0, -4.0, 6.0, -4.0, 1.0)])
+def test_cyclic_banded_solve_singular(stencil):
+    # periodic difference operators annihilate constants: no solution for
+    # a right-hand side with nonzero mean
+    n = 65
+    bands = np.repeat(np.array(stencil)[:, None], n, axis=1)
+    with pytest.raises(SingularSystem):
+        rt.cyclic_banded_solve(bands, np.ones(n))
+    with pytest.raises(SingularSystem):
+        rt.bordered_cyclic_solve(bands, np.zeros((n, 2)), np.zeros((2, n)),
+                                 np.eye(2), np.ones(n), np.ones(2))
+
+
+def test_bordered_cyclic_solve():
+    rng = np.random.default_rng(6)
+    n = 65
+    bands = rng.uniform(-1.0, 1.0, (3, n))
+    bands[1] += 4.0
+    cols = rng.standard_normal((n, 2))
+    rows = rng.standard_normal((2, n))
+    corner = rng.standard_normal((2, 2))
+    f, g = rng.standard_normal(n), rng.standard_normal(2)
+    x, y = rt.bordered_cyclic_solve(bands, cols, rows, corner, f, g)
+    full = np.block([[_cyclic_dense(bands), cols], [rows, corner]])
+    ref = np.linalg.solve(full, np.concatenate([f, g]))
+    assert np.abs(np.concatenate([x, y]) - ref).max() < 1e-13 * np.abs(ref).max()
 
 
 def test_elliptic_solve():
