@@ -101,21 +101,18 @@ def _write_snapshot_csv(path, outfile) -> None:
 
 
 def cmd_transform(args) -> int:
-    mid = MetricId.parse(args.metric)
     if args.inverse:
-        rp = load_rpoint(args.input)
-        save_curve(r_inverse(rp), args.output)
+        save_curve(r_inverse(args.metric, load_rpoint(args.input)), args.output)
     else:
-        save_rpoint(r_forward(mid, load_curve(args.input)), args.output)
+        save_rpoint(r_forward(args.metric, load_curve(args.input)), args.output)
     print(f"wrote {args.output}")
     return 0
 
 
 def cmd_ivp(args) -> int:
-    mid = MetricId.parse(args.metric)
     c0 = load_curve(args.curve)
     u0 = _load_field(args.velocity)
-    path = ga.geodesic_ivp(mid, c0, u0, args.T, steps=args.steps,
+    path = ga.geodesic_ivp(args.metric, c0, u0, args.T, steps=args.steps,
                            snapshots=args.snapshots)
     path.export(args.outdir)
     print(f"wrote {path.n_snapshots} snapshots to {args.outdir}")
@@ -123,13 +120,12 @@ def cmd_ivp(args) -> int:
 
 
 def cmd_bvp(args) -> int:
-    mid = MetricId.parse(args.metric)
     c0 = load_curve(args.source)
     c1 = load_curve(args.target)
     options = {}
-    if mid is MetricId.M3:
+    if args.metric is MetricId.M3:
         options = {"dt": args.dt, "modes": args.modes, "tol": args.tol}
-    path = ga.geodesic_bvp(mid, c0, c1, K=args.snapshots, T=args.T, **options)
+    path = ga.geodesic_bvp(args.metric, c0, c1, K=args.snapshots, T=args.T, **options)
     path.export(args.outdir)
     extra = ""
     if "endpoint_mismatch" in path.diagnostics:
@@ -139,11 +135,10 @@ def cmd_bvp(args) -> int:
 
 
 def cmd_distance(args) -> int:
-    mid = MetricId.parse(args.metric)
     c0 = load_curve(args.source)
     c1 = load_curve(args.target)
-    res = ga.distance(mid, c0, c1)
-    print(f"distance[{mid.value}] = {res.value:.12g}")
+    res = ga.distance(args.metric, c0, c1)
+    print(f"distance[{args.metric.value}] = {res.value:.12g}")
     for name, val in res.lower_bounds.items():
         print(f"  lower bound ({name}): {float(val):.12g}")
     return 0
@@ -226,14 +221,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     t = sub.add_parser("transform", help="map curve file <-> transform file")
-    t.add_argument("--metric", required=True)
+    t.add_argument("--metric", required=True, type=MetricId.parse)
     t.add_argument("--inverse", action="store_true")
     t.add_argument("input")
     t.add_argument("-o", "--output", required=True)
     t.set_defaults(func=cmd_transform)
 
     iv = sub.add_parser("ivp", help="geodesic initial value problem")
-    iv.add_argument("--metric", required=True)
+    iv.add_argument("--metric", required=True, type=MetricId.parse)
     iv.add_argument("--curve", required=True)
     iv.add_argument("--velocity", required=True,
                     help='JSON {"values": [[vx, vy], ...]}')
@@ -244,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     iv.set_defaults(func=cmd_ivp)
 
     bv = sub.add_parser("bvp", help="geodesic boundary value problem")
-    bv.add_argument("--metric", required=True)
+    bv.add_argument("--metric", required=True, type=MetricId.parse)
     bv.add_argument("source")
     bv.add_argument("target")
     bv.add_argument("-T", type=float, default=1.0)
@@ -256,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     bv.set_defaults(func=cmd_bvp)
 
     d = sub.add_parser("distance", help="geodesic distance + lower bounds")
-    d.add_argument("--metric", required=True)
+    d.add_argument("--metric", required=True, type=MetricId.parse)
     d.add_argument("source")
     d.add_argument("target")
     d.set_defaults(func=cmd_distance)

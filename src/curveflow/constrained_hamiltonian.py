@@ -25,11 +25,15 @@ project_consistent; a dense Gram solve for M4).  Note the potential
 gradient is evaluated at (q^j, p^{j+1/2}) in the first half-step exactly
 as printed (implicit in p only), not at classical RATTLE's arguments.
 
-Each Newton iteration eliminates the momentum and position corrections
-sample by sample and solves the reduced system for the multipliers.  For
-M3 it is cyclic tridiagonal (not symmetric), bordered by the two
-closedness rows and columns: one rtransform.bordered_cyclic_solve, O(N),
-no dense Jacobian (_m3_newton).  M4 keeps a dense solve (_dense_newton).
+rattle_step dispatches on the state's metric id and calls the energy
+functions of this module directly.  Each Newton iteration eliminates the
+momentum and position corrections sample by sample and solves the reduced
+system for the multipliers.  For M3 it is cyclic tridiagonal (not
+symmetric), bordered by the two closedness rows and columns: one
+rtransform.bordered_cyclic_solve, O(N), no dense Jacobian (_m3_newton),
+and g^-1 is only ever read as its diagonal.  M4 is the one dense path:
+dense per-sample blocks, the dense constraint Jacobian and a dense Gram
+solve (_dense_newton, _tangent_momentum).
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ import numpy as np
 
 from .errors import NewtonDivergence, RankDeficiency, SingularSystem, StepLeftDomain
 from .metric_suite import MetricId
-from .pointwise_geometry import g_grad, g_inv_matrix, g_inv_quad
+from .pointwise_geometry import g_grad, g_inv, g_inv_matrix, g_inv_quad
 from .rtransform import (
     RPoint,
     _closure_coeffs,
@@ -150,17 +154,12 @@ class ConstraintSystem:
     # samples k, k+1 and the two closedness rows are dense, so it is O(n).
 
     def apply(self, q: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """DH(q) . X for X of shape (n, d) or (n, d, r)."""
+        """DH(q) . X for X of shape (n, d), or (n, d, r) for M3."""
         if self.metric_id is not MetricId.M3:
-            return self.jacobian(q) @ X.reshape(self.n * self.d, -1) \
-                if X.ndim == 3 else self.jacobian(q) @ X.reshape(-1)
+            return self.jacobian(q) @ X.ravel()
         cl = np.tensordot(_closure_coeffs(q, self.dtheta), X[:, :2],
                           axes=([2, 1], [0, 1]))
         return np.concatenate([m3_diff_apply(q, X, self.dtheta), cl], axis=0)
-
-    def apply_transpose(self, q: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        """DH(q)^T . lam, shaped (n, d), from the dense Jacobian."""
-        return (self.jacobian(q).T @ lam).reshape(self.n, self.d)
 
 
 # -- energy ------------------------------------------------------------------
@@ -172,8 +171,7 @@ def discrete_energy(state: HamiltonianState) -> float:
 
 
 def energy_grad_p(metric_id, q, p, dtheta) -> np.ndarray:
-    gi = g_inv_matrix(metric_id, q)
-    return np.einsum("kij,kj->ki", gi, p) * dtheta
+    return g_inv(metric_id, q, p) * dtheta
 
 
 def energy_grad_q(metric_id, q, p, dtheta) -> np.ndarray:
@@ -181,8 +179,8 @@ def energy_grad_q(metric_id, q, p, dtheta) -> np.ndarray:
 
 
 def _d_ginvp_dq(metric_id, q, p) -> np.ndarray:
-    """T[k, a, j] = d (g^{-1}_q p)_j / d q_a, the only nonzero rows being
-    q1 (all metrics) and q4 (M4)."""
+    """T[k, a, j] = d (g^{-1}_q p)_j / d q_a for M3 and M4, the only
+    nonzero rows being q1 and (M4) q4."""
     metric_id = MetricId.parse(metric_id)
     n, d = q.shape
     T = np.zeros((n, d, d))
@@ -190,7 +188,7 @@ def _d_ginvp_dq(metric_id, q, p) -> np.ndarray:
     if metric_id is MetricId.M3:
         T[:, 0, 1] = -2.0 * q1 ** -3 * p[:, 1]
         T[:, 0, 2] = 6.0 * q1 ** 5 * p[:, 2]
-    elif metric_id is MetricId.M4:
+    else:
         q4 = q[:, 3]
         p2, p3, p4 = p[:, 1], p[:, 2], p[:, 3]
         T[:, 0, 1] = -2.0 * q1 ** -3 * p2 - 4.0 * q4 * q1 ** -5 * p3
@@ -198,8 +196,6 @@ def _d_ginvp_dq(metric_id, q, p) -> np.ndarray:
         T[:, 0, 3] = 6.0 * q1 ** 5 * p4
         T[:, 3, 1] = q1 ** -4 * p3
         T[:, 3, 2] = q1 ** -4 * p2 + 2.0 * q4 * q1 ** -6 * p3
-    elif metric_id is MetricId.M2:
-        T[:, 0, 1] = 6.0 * q1 ** 5 * p[:, 1]
     return T
 
 
@@ -255,15 +251,16 @@ def project_to_manifold(rpoint: RPoint, tol: float = 1e-13,
     raise NewtonDivergence("manifold projection did not converge")
 
 
-def _tangent_momentum(system: ConstraintSystem, q: np.ndarray, p: np.ndarray,
-                      gi: np.ndarray) -> np.ndarray:
+def _tangent_momentum(system: ConstraintSystem, q: np.ndarray,
+                      p: np.ndarray) -> np.ndarray:
     """p - DH^T mu with DH g^{-1} (p - DH^T mu) = 0, i.e. g P(g^{-1} p):
-    _project_op_m3 for M3; for M4 a dense Gram solve with the Jacobian
-    built once.  Raises SingularSystem or LinAlgError."""
+    _project_op_m3 with the diagonal M3 g^-1; for M4 a dense Gram solve
+    with the Jacobian built once.  Raises SingularSystem or LinAlgError."""
     if system.metric_id is MetricId.M3:
-        gi_diag = np.einsum("kii->ki", gi)
+        gi_diag = g_inv(MetricId.M3, q, np.ones_like(q))
         return _project_op_m3(q, gi_diag * p, system.dtheta, closure=True,
                               gi_diag=gi_diag) / gi_diag
+    gi = g_inv_matrix(system.metric_id, q)
     jac = system.jacobian(q)
     jg = np.einsum("mkd,kde->mke", jac.reshape(-1, system.n, system.d),
                    gi).reshape(jac.shape)                     # DH g^-1
@@ -284,8 +281,7 @@ def project_consistent(rpoint: RPoint, p_raw: np.ndarray) -> HamiltonianState:
     system = ConstraintSystem(mid, rpoint.n_samples, rpoint.winding or 0)
     q = np.asarray(rpoint.q, dtype=float)
     try:
-        p = _tangent_momentum(system, q, np.asarray(p_raw, dtype=float),
-                              g_inv_matrix(mid, q))
+        p = _tangent_momentum(system, q, np.asarray(p_raw, dtype=float))
     except (np.linalg.LinAlgError, SingularSystem) as exc:
         raise RankDeficiency(f"constraint Gram system is singular: {exc}") from exc
     return HamiltonianState(mid, q, p, 0.0, system.winding)
@@ -300,39 +296,6 @@ def hidden_residual(state: HamiltonianState,
 
 
 # -- RATTLE -------------------------------------------------------------------
-
-class MetricOps:
-    """Energy callables of the metric-id system (the default)."""
-
-    def __init__(self, metric_id, dtheta: float):
-        self.metric_id = MetricId.parse(metric_id)
-        self.dtheta = dtheta
-
-    def grad_p(self, q, p):
-        return energy_grad_p(self.metric_id, q, p, self.dtheta)
-
-    def grad_q(self, q, p):
-        return energy_grad_q(self.metric_id, q, p, self.dtheta)
-
-    def ginv(self, q):
-        return g_inv_matrix(self.metric_id, q)
-
-    def dginvp_dq(self, q, p):
-        return _d_ginvp_dq(self.metric_id, q, p)
-
-
-class NullConstraints:
-    """Empty constraint set (free Hamiltonian system)."""
-
-    metric_id = None
-    n_constraints = 0
-
-    def value(self, q):
-        return np.zeros(0)
-
-    def jacobian(self, q):
-        return np.zeros((0, q.size))
-
 
 def _m3_newton(system: ConstraintSystem, q0: np.ndarray, dt: float):
     """The O(N) reduced Newton solve of an M3 RATTLE step.  For the M3
@@ -414,71 +377,63 @@ def _m3_newton(system: ConstraintSystem, q0: np.ndarray, dt: float):
     return solve, jt0
 
 
-def _dense_newton(system, ops, q0: np.ndarray, dt: float, dth: float):
+def _dense_newton(system: ConstraintSystem, q0: np.ndarray, dt: float):
     """The reduced Newton solve with dense per-sample d x d blocks and the
-    dense constraint Jacobian (M4 and the unconstrained system): A^-1 and
-    D^-1 by batched solves, GW = G(q1) D^-1 C A^-1 (-dt/2) G(q0)^T.
-    Returns the same pair as _m3_newton."""
+    dense constraint Jacobian (M4): A^-1 and D^-1 by batched solves, GW =
+    G(q1) D^-1 C A^-1 (-dt/2) G(q0)^T.  Returns the same pair as
+    _m3_newton."""
+    mid = system.metric_id
     m = system.n_constraints
     n, d = q0.shape
-    half = 0.5 * dt * dth
-    gi0 = ops.ginv(q0)
+    half = 0.5 * dt * system.dtheta
+    gi0 = g_inv_matrix(mid, q0)
     jac0_t = system.jacobian(q0).reshape(m, n, d).transpose(1, 2, 0)
     B = -0.5 * dt * jac0_t
     eye = np.eye(d)
 
     def solve(q1, ph, f1, f2, f3):
-        A = eye + half * ops.dginvp_dq(q0, ph)
-        C = -half * (gi0 + ops.ginv(q1))
-        D = eye - half * np.transpose(ops.dginvp_dq(q1, ph), (0, 2, 1))
+        A = eye + half * _d_ginvp_dq(mid, q0, ph)
+        C = -half * (gi0 + g_inv_matrix(mid, q1))
+        D = eye - half * np.transpose(_d_ginvp_dq(mid, q1, ph), (0, 2, 1))
         sol1 = np.linalg.solve(A, np.concatenate([f1[:, :, None], B], axis=2))
         rhs2 = np.matmul(C, sol1)
         rhs2[:, :, 0] -= f2
         sol2 = np.linalg.solve(D, rhs2)
-        dlam = np.zeros(m)
-        if m:
-            G = system.jacobian(q1)
-            dlam = np.linalg.solve(G @ sol2[:, :, 1:].reshape(n * d, m),
-                                   -f3 - G @ sol2[:, :, 0].ravel())
+        G = system.jacobian(q1)
+        dlam = np.linalg.solve(G @ sol2[:, :, 1:].reshape(n * d, m),
+                               -f3 - G @ sol2[:, :, 0].ravel())
         return (sol2[:, :, 0] + sol2[:, :, 1:] @ dlam,
                 sol1[:, :, 0] + sol1[:, :, 1:] @ dlam, dlam)
 
     return solve, lambda lam: jac0_t @ lam
 
 
-def rattle_step(state: HamiltonianState, dt: float,
-                system=None, tol: float = 1e-12, max_iter: int = 50,
-                lam_guess: np.ndarray | None = None, ops=None):
+def rattle_step(state: HamiltonianState, dt: float, tol: float = 1e-12,
+                max_iter: int = 50, lam_guess: np.ndarray | None = None):
     """One RATTLE step.  Returns (new_state, lambda_1) so callers can warm
-    start the next step's multiplier.  The Newton matrix of the M3
-    constraints is the M3 metric's (_m3_newton); ops enters the residuals."""
+    start the next step's multiplier.  The Newton matrix is the M3
+    structured one (_m3_newton) or the dense M4 one (_dense_newton)."""
     mid = state.metric_id
-    if system is None:
-        system = ConstraintSystem(mid, state.n_samples, state.winding)
+    system = ConstraintSystem(mid, state.n_samples, state.winding)
     dth = state.theta_step
-    if ops is None:
-        ops = MetricOps(mid, dth)
-    m = system.n_constraints
     q0, p0 = state.q, state.p
 
     ph = p0.copy()
-    q1 = q0 + dt * ops.grad_p(q0, p0)  # explicit predictor
-    lam = np.zeros(m) if lam_guess is None else lam_guess.copy()
-    if system.metric_id is MetricId.M3:
-        newton, jt0 = _m3_newton(system, q0, dt)
-    else:
-        newton, jt0 = _dense_newton(system, ops, q0, dt, dth)
+    q1 = q0 + dt * energy_grad_p(mid, q0, p0, dth)  # explicit predictor
+    lam = np.zeros(system.n_constraints) if lam_guess is None else lam_guess.copy()
+    newton_for = _m3_newton if mid is MetricId.M3 else _dense_newton
+    newton, jt0 = newton_for(system, q0, dt)
     history = []
     for it in range(max_iter):
         if np.any(q1[:, 0] <= 0.0):
             raise StepLeftDomain(
                 "position update reached q1 <= 0; use a smaller time step",
                 exit_time=state.t)
-        f1 = ph - p0 + 0.5 * dt * ops.grad_q(q0, ph) - 0.5 * dt * jt0(lam)
-        f2 = (q1 - q0 - 0.5 * dt * (ops.grad_p(q0, ph) + ops.grad_p(q1, ph)))
+        f1 = ph - p0 + 0.5 * dt * energy_grad_q(mid, q0, ph, dth) - 0.5 * dt * jt0(lam)
+        f2 = q1 - q0 - 0.5 * dt * (energy_grad_p(mid, q0, ph, dth)
+                                   + energy_grad_p(mid, q1, ph, dth))
         f3 = system.value(q1)
-        res = max(np.max(np.abs(f1)), np.max(np.abs(f2)),
-                  np.max(np.abs(f3)) if m else 0.0)
+        res = max(np.max(np.abs(f1)), np.max(np.abs(f2)), np.max(np.abs(f3)))
         history.append(res)
         if res < tol:
             break
@@ -496,13 +451,12 @@ def rattle_step(state: HamiltonianState, dt: float,
             history)
 
     # explicit momentum half-step + hidden-constraint projection
-    p1 = ph - 0.5 * dt * ops.grad_q(q1, ph)
-    if m:
-        try:
-            p1 = _tangent_momentum(system, q1, p1, ops.ginv(q1))
-        except (np.linalg.LinAlgError, SingularSystem) as exc:
-            raise NewtonDivergence("hidden-constraint system is singular",
-                                   history) from exc
+    p1 = ph - 0.5 * dt * energy_grad_q(mid, q1, ph, dth)
+    try:
+        p1 = _tangent_momentum(system, q1, p1)
+    except (np.linalg.LinAlgError, SingularSystem) as exc:
+        raise NewtonDivergence("hidden-constraint system is singular",
+                               history) from exc
     new_state = HamiltonianState(mid, q1, p1, state.t + dt, state.winding)
     return new_state, lam
 
@@ -564,8 +518,8 @@ def simulate(state: HamiltonianState, T: float, dt: float,
     cur = state
     for j in range(steps):
         try:
-            cur, lam = rattle_step(cur, dt, system, tol=tol,
-                                   max_iter=max_iter, lam_guess=lam)
+            cur, lam = rattle_step(cur, dt, tol=tol, max_iter=max_iter,
+                                   lam_guess=lam)
         except StepLeftDomain as exc:
             raise StepLeftDomain(
                 f"simulation left the domain at t={times[j]:.6g}",

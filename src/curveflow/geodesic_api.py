@@ -130,6 +130,12 @@ def _require(cond, message):
         raise CurveflowError(message)
 
 
+def _require_sizes(T, snapshots, steps=1):
+    _require(steps >= 1, f"steps must be at least 1, got {steps}")
+    _require(snapshots >= 2, f"need at least 2 snapshots, got {snapshots}")
+    _require(np.isfinite(T) and T > 0, f"T must be finite and positive, got {T}")
+
+
 def _sqrt_length_bound(c0, c1, factor: float) -> float:
     return factor * abs(np.sqrt(curve_length(c1)) - np.sqrt(curve_length(c0)))
 
@@ -140,6 +146,7 @@ def geodesic_bvp(metric_id, c0: DiscreteCurve, c1: DiscreteCurve, K: int = 17,
                  T: float = 1.0, **options) -> GeodesicPath:
     """Geodesic connecting c0 to c1, returned as K snapshots on [0, T]."""
     metric_id = MetricId.parse(metric_id)
+    _require_sizes(T, K)
     _require(c0.n_samples == c1.n_samples and c0.closed == c1.closed,
              "endpoint curves must share the sampling grid")
     if metric_id is MetricId.M1:
@@ -367,6 +374,7 @@ def geodesic_ivp(metric_id, c0: DiscreteCurve, u0, T: float,
                  rk4_substeps: int = 10) -> GeodesicPath:
     """Geodesic from c0 with initial velocity field u0, integrated to time T."""
     metric_id = MetricId.parse(metric_id)
+    _require_sizes(T, snapshots, steps)
     u0 = np.asarray(u0, dtype=float)
     _require(u0.shape == c0.points.shape, "u0 must match the curve grid")
     if metric_id is MetricId.M1:
@@ -557,6 +565,7 @@ def shape_geodesic(c0: DiscreteCurve, h, T: float, steps: int = 200,
     horizontal space first, and the reparameterization momentum
     <L_c c_t, v> is monitored (not enforced) along the path, both in
     absolute terms and relative to sup |L_c c_t|."""
+    _require_sizes(T, snapshots, steps)
     h_hor = horizontal_project(c0, h)
     path = geodesic_ivp(MetricId.M3, c0, h_hor, T, steps=steps,
                         snapshots=snapshots)

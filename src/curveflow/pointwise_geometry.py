@@ -85,6 +85,19 @@ def g_matrix(metric_id, q) -> np.ndarray:
     return g[0] if squeeze else g
 
 
+def _g_inv_diag(metric_id, q) -> np.ndarray:
+    """Diagonal of the inverse fiber metric of M1-M3, (n, d)."""
+    if metric_id is MetricId.M1:
+        return np.ones_like(q)
+    q1 = q[:, 0]
+    diag = np.empty_like(q)
+    diag[:, 0] = 0.25
+    diag[:, -1] = q1 ** 6
+    if metric_id is MetricId.M3:
+        diag[:, 1] = q1 ** -2
+    return diag
+
+
 def g_inv_matrix(metric_id, q) -> np.ndarray:
     """Closed-form inverse of the fiber metric, (..., d, d)."""
     metric_id = MetricId.parse(metric_id)
@@ -93,20 +106,11 @@ def g_inv_matrix(metric_id, q) -> np.ndarray:
     _check_pattern(metric_id, q[:, 0])
     n = q.shape[0]
     gi = np.zeros((n, d, d))
-    q1 = q[:, 0]
-    if metric_id is MetricId.M1:
-        gi[:, 0, 0] = 1.0
-        gi[:, 1, 1] = 1.0
-    elif metric_id is MetricId.M2:
-        gi[:, 0, 0] = 0.25
-        gi[:, 1, 1] = q1 ** 6
-    elif metric_id is MetricId.M3:
-        gi[:, 0, 0] = 0.25
-        gi[:, 1, 1] = q1 ** -2
-        gi[:, 2, 2] = q1 ** 6
+    if metric_id is not MetricId.M4:
+        gi[:, np.arange(d), np.arange(d)] = _g_inv_diag(metric_id, q)
     else:
         # (q2, q3) block has determinant exactly 1
-        q4 = q[:, 3]
+        q1, q4 = q[:, 0], q[:, 3]
         gi[:, 0, 0] = 0.25
         gi[:, 1, 1] = q1 ** -2
         gi[:, 1, 2] = gi[:, 2, 1] = q4 * q1 ** -4
@@ -134,12 +138,17 @@ def g_eval(metric_id, q, h, k):
 
 
 def g_inv(metric_id, q, p) -> np.ndarray:
-    """Raise an index: g_q^{-1}(p, .)."""
-    gi = g_inv_matrix(metric_id, q)
+    """Raise an index: g_q^{-1}(p, .).  M1-M3 multiply by the diagonal;
+    only M4 contracts the dense matrix."""
+    metric_id = MetricId.parse(metric_id)
     p = np.asarray(p, dtype=float)
-    if gi.ndim == 2:
-        return gi @ p
-    return np.einsum("kij,kj->ki", gi, p)
+    if metric_id is MetricId.M4:
+        gi = g_inv_matrix(metric_id, q)
+        return gi @ p if gi.ndim == 2 else np.einsum("kij,kj->ki", gi, p)
+    q, squeeze = _as2d(q, metric_id.fiber_dim)
+    _check_pattern(metric_id, q[:, 0])
+    out = _g_inv_diag(metric_id, q) * p
+    return out[0] if squeeze else out
 
 
 def g_inv_quad(metric_id, q, p):

@@ -42,7 +42,7 @@ from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import solve_banded
 
 from .curve_core import CurveFrame, DiscreteCurve, build_frame, ds_derivative, trapezoid_weights
-from .errors import NonPositive, OffImage, SingularSystem
+from .errors import CurveflowError, NonPositive, OffImage, SingularSystem
 from .metric_suite import EPS_CONVEX, MetricId, _require_convex
 from .pointwise_geometry import g_eval, g_inv
 
@@ -149,7 +149,8 @@ def r_inverse(metric_id, rpoint: RPoint | None = None) -> DiscreteCurve:
     if rpoint is None:
         rpoint = metric_id
     elif MetricId.parse(metric_id) is not rpoint.metric_id:
-        raise ValueError("metric id does not match the RPoint")
+        raise CurveflowError(f"metric {MetricId.parse(metric_id).value} does not "
+                             f"match the {rpoint.metric_id.value} transform")
     check_pattern(rpoint)
     speed = _speed_of(rpoint)
     alpha = _alpha_of(rpoint)

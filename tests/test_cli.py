@@ -225,3 +225,44 @@ def test_ivp_command_files(tmp_path):
     assert rc == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert len(manifest["curves"]) == 5
+
+
+@pytest.mark.parametrize("argv, code, words", [
+    (["transform", "--metric", "M5", "{circle}", "-o", "{out}"], 2, ["--metric", "M5"]),
+    (["distance", "--metric", "M9", "{circle}", "{circle}"], 2, ["--metric", "M9"]),
+    (["transform", "--metric", "M1", "--inverse", "{q3}", "-o", "{out}"], 1, ["M1", "M3"]),
+    (["ivp", "--metric", "M3", "--curve", "{circle}", "--velocity", "{u0}",
+      "-T", "0.2", "--steps", "0"], 1, ["steps"]),
+    (["ivp", "--metric", "M3", "--curve", "{circle}", "--velocity", "{u0}",
+      "-T", "0.2", "--steps", "-3"], 1, ["steps"]),
+    (["ivp", "--metric", "M3", "--curve", "{circle}", "--velocity", "{u0}",
+      "-T", "0"], 1, ["T must be"]),
+    (["ivp", "--metric", "M3", "--curve", "{circle}", "--velocity", "{u0}",
+      "-T", "0.2", "--snapshots", "-2"], 1, ["snapshots"]),
+    (["bvp", "--metric", "M2", "{line}", "{line}", "--snapshots", "0"], 1, ["snapshots"]),
+    (["demo", "fig2", "--n", "16", "--dt", "5", "-o", "{out}"], 1, ["steps"]),
+], ids=["transform-M5", "distance-M9", "inverse-mismatch", "ivp-steps-0",
+        "ivp-steps-neg", "ivp-T-0", "ivp-snapshots-neg", "bvp-snapshots-0",
+        "demo-fig2-dt-5"])
+def test_bad_input_is_named_error(tmp_path, capsys, argv, code, words):
+    # bad metric names are usage errors; a --metric that contradicts the
+    # transform file and unusable solver sizes are named errors
+    n = 32
+    th = (2 * np.pi / n) * np.arange(n)
+    files = {name: str(tmp_path / f"{name}.json")
+             for name in ("circle", "line", "u0", "q3", "out")}
+    write_curve(files["circle"], np.stack([np.cos(th), np.sin(th)], 1), True)
+    write_curve(files["line"], line_curve(n), False)
+    with open(files["u0"], "w") as fh:
+        json.dump({"values": np.stack([np.zeros(n), np.sin(th)], 1).tolist()}, fh)
+    assert cli.main(["transform", "--metric", "M3", files["circle"],
+                     "-o", files["q3"]]) == 0
+    capsys.readouterr()
+    try:
+        rc = cli.main([a.format(**files) for a in argv])
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == code
+    err = capsys.readouterr().err
+    for word in words:
+        assert word in err

@@ -202,6 +202,22 @@ def test_m4_has_no_solvers():
         ga.geodesic_bvp("M4", c, c, K=3)
 
 
+def test_solver_sizes_are_checked():
+    n = 32
+    c, line = circle(n), open_circle(n)
+    u0 = np.zeros((n, 2))
+    for bad in ({"steps": 0}, {"steps": -3}, {"snapshots": 1}, {"snapshots": -2},
+                {"T": 0.0}, {"T": -1.0}, {"T": np.inf}, {"T": np.nan}):
+        sizes = {"T": 0.2, "steps": 20, "snapshots": 5} | bad
+        with pytest.raises(CurveflowError):
+            ga.geodesic_ivp("M3", c, u0, **sizes)
+        with pytest.raises(CurveflowError):
+            ga.shape_geodesic(c, u0, **sizes)
+    for K, T in ((1, 1.0), (0, 1.0), (5, 0.0), (5, np.inf), (5, np.nan)):
+        with pytest.raises(CurveflowError):
+            ga.geodesic_bvp("M2", line, line, K=K, T=T)
+
+
 def test_horizontal_project_examples():
     n = 128
     th = (2 * np.pi / n) * np.arange(n)
