@@ -70,6 +70,15 @@ def _merge_config(args) -> RunConfig:
     return RunConfig(**data)
 
 
+def _metric(name) -> MetricId:
+    try:
+        return MetricId.parse(name)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"unknown metric {name!r}; choose one of "
+            f"{', '.join(m.value for m in MetricId)}") from None
+
+
 def _load_field(path) -> np.ndarray:
     with open(path) as fh:
         data = json.load(fh)
@@ -122,9 +131,8 @@ def cmd_ivp(args) -> int:
 def cmd_bvp(args) -> int:
     c0 = load_curve(args.source)
     c1 = load_curve(args.target)
-    options = {}
-    if args.metric is MetricId.M3:
-        options = {"dt": args.dt, "modes": args.modes, "tol": args.tol}
+    options = {k: getattr(args, k) for k in ("dt", "modes", "tol")
+               if getattr(args, k) is not None}
     path = ga.geodesic_bvp(args.metric, c0, c1, K=args.snapshots, T=args.T, **options)
     path.export(args.outdir)
     extra = ""
@@ -221,14 +229,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     t = sub.add_parser("transform", help="map curve file <-> transform file")
-    t.add_argument("--metric", required=True, type=MetricId.parse)
+    t.add_argument("--metric", required=True, type=_metric)
     t.add_argument("--inverse", action="store_true")
     t.add_argument("input")
     t.add_argument("-o", "--output", required=True)
     t.set_defaults(func=cmd_transform)
 
     iv = sub.add_parser("ivp", help="geodesic initial value problem")
-    iv.add_argument("--metric", required=True, type=MetricId.parse)
+    iv.add_argument("--metric", required=True, type=_metric)
     iv.add_argument("--curve", required=True)
     iv.add_argument("--velocity", required=True,
                     help='JSON {"values": [[vx, vy], ...]}')
@@ -239,19 +247,19 @@ def build_parser() -> argparse.ArgumentParser:
     iv.set_defaults(func=cmd_ivp)
 
     bv = sub.add_parser("bvp", help="geodesic boundary value problem")
-    bv.add_argument("--metric", required=True, type=MetricId.parse)
+    bv.add_argument("--metric", required=True, type=_metric)
     bv.add_argument("source")
     bv.add_argument("target")
     bv.add_argument("-T", type=float, default=1.0)
-    bv.add_argument("--dt", type=float, default=1e-2)
-    bv.add_argument("--modes", type=int, default=10)
-    bv.add_argument("--tol", type=float, default=1e-4)
+    bv.add_argument("--dt", type=float, help="M3 shooting time step")
+    bv.add_argument("--modes", type=int, help="M3 initial Fourier modes")
+    bv.add_argument("--tol", type=float, help="M3 endpoint tolerance")
     bv.add_argument("--snapshots", type=int, default=17)
     bv.add_argument("-o", "--outdir", default="out")
     bv.set_defaults(func=cmd_bvp)
 
     d = sub.add_parser("distance", help="geodesic distance + lower bounds")
-    d.add_argument("--metric", required=True, type=MetricId.parse)
+    d.add_argument("--metric", required=True, type=_metric)
     d.add_argument("source")
     d.add_argument("target")
     d.set_defaults(func=cmd_distance)

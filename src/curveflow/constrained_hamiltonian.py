@@ -60,9 +60,6 @@ from .rtransform import (
     m4_diff_value,
 )
 
-TOL_CONSTRAINT = 1e-9
-
-
 @dataclass(frozen=True)
 class HamiltonianState:
     """Paired position/momentum arrays for the transform-space system."""
@@ -222,8 +219,7 @@ def _reset_m3_rate(q: np.ndarray, dth: float, wrap: float) -> None:
     q[:, 2] = q[:, 0] ** 2 * w
 
 
-def project_to_manifold(rpoint: RPoint, tol: float = 1e-13,
-                        max_iter: int = 30) -> RPoint:
+def project_to_manifold(rpoint: RPoint) -> RPoint:
     """Move an RPoint (e.g. a raw transform of a closed curve) onto the
     discrete constraint manifold: the derivative components are reset (for
     M3 only q3, by _reset_m3_rate; for M4 q3 and q4 from the forward
@@ -235,14 +231,14 @@ def project_to_manifold(rpoint: RPoint, tol: float = 1e-13,
     q = rpoint.q.copy()
     dth = system.dtheta
     wrap = 2.0 * np.pi * system.winding
-    for _ in range(max_iter):
+    for _ in range(30):
         if mid is MetricId.M3:
             _reset_m3_rate(q, dth, wrap)
         else:
             q[:, 2] = 2.0 * q[:, 0] ** -1 * _forward_diff(q[:, 0], dth, True)
             q[:, 3] = q[:, 0] ** 2 * _forward_diff(q[:, 1], dth, True, wrap)
         cl = system.value(q)[-2:]
-        if np.max(np.abs(cl)) < tol:
+        if np.max(np.abs(cl)) < 1e-13:
             return RPoint(mid, q, True, system.winding)
         # Newton on the closedness pair along its Euclidean gradient span
         gc = _closure_coeffs(q, dth)
@@ -257,9 +253,8 @@ def _tangent_momentum(system: ConstraintSystem, q: np.ndarray,
     _project_op_m3 with the diagonal M3 g^-1; for M4 a dense Gram solve
     with the Jacobian built once.  Raises SingularSystem or LinAlgError."""
     if system.metric_id is MetricId.M3:
-        gi_diag = g_inv(MetricId.M3, q, np.ones_like(q))
-        return _project_op_m3(q, gi_diag * p, system.dtheta, closure=True,
-                              gi_diag=gi_diag) / gi_diag
+        ginv = g_inv(MetricId.M3, q, np.ones_like(q))
+        return _project_op_m3(q, ginv * p, system.dtheta, closure=True) / ginv
     gi = g_inv_matrix(system.metric_id, q)
     jac = system.jacobian(q)
     jg = np.einsum("mkd,kde->mke", jac.reshape(-1, system.n, system.d),
@@ -472,10 +467,6 @@ class SimulationResult:
     metric_id: MetricId
     winding: int
 
-    def state(self, j: int) -> HamiltonianState:
-        return HamiltonianState(self.metric_id, self.qs[j], self.ps[j],
-                                float(self.times[j]), self.winding)
-
     def write_trajectory_csv(self, path) -> None:
         d = self.qs.shape[2]
         header = "t,k," + ",".join(f"q{i+1}" for i in range(d)) \
@@ -494,8 +485,7 @@ class SimulationResult:
                    header="t,E,Hinf,hiddenNorm", comments="")
 
 
-def simulate(state: HamiltonianState, T: float, dt: float,
-             tol: float = 1e-12, max_iter: int = 50) -> SimulationResult:
+def simulate(state: HamiltonianState, T: float, dt: float) -> SimulationResult:
     """Integrate for round(T/dt) RATTLE steps with per-step diagnostics."""
     system = ConstraintSystem(state.metric_id, state.n_samples, state.winding)
     steps = int(round(T / dt))
@@ -518,8 +508,7 @@ def simulate(state: HamiltonianState, T: float, dt: float,
     cur = state
     for j in range(steps):
         try:
-            cur, lam = rattle_step(cur, dt, tol=tol, max_iter=max_iter,
-                                   lam_guess=lam)
+            cur, lam = rattle_step(cur, dt, lam_guess=lam)
         except StepLeftDomain as exc:
             raise StepLeftDomain(
                 f"simulation left the domain at t={times[j]:.6g}",

@@ -19,11 +19,11 @@ import numpy as np
 
 from .errors import DegenerateCurve, TurningTooFast
 
-J = np.array([[0.0, -1.0], [1.0, 0.0]])  # rotation by +pi/2
+EPS_REG = 1e-10  # smallest admissible discrete speed |c'|
 
 
 def rotate90(w):
-    """Apply J (rotation by pi/2) to an (N,2) array of vectors."""
+    """Rotate an (N,2) array of vectors by +pi/2."""
     return np.stack([-w[:, 1], w[:, 0]], axis=1)
 
 
@@ -104,17 +104,17 @@ def theta_derivative(values: np.ndarray, closed: bool, dtheta: float) -> np.ndar
     return out
 
 
-def build_frame(curve: DiscreteCurve, eps_reg: float = 1e-10) -> CurveFrame:
+def build_frame(curve: DiscreteCurve) -> CurveFrame:
     """Compute the discrete frame of a curve.
 
-    Raises DegenerateCurve if any sample has |c'| <= eps_reg and
+    Raises DegenerateCurve if any sample has |c'| <= EPS_REG and
     TurningTooFast if the tangent turns by >= pi between samples.
     """
     cp = theta_derivative(curve.points, curve.closed, curve.theta_step)
     speed = np.hypot(cp[:, 0], cp[:, 1])
-    if np.any(speed <= eps_reg):
+    if np.any(speed <= EPS_REG):
         raise DegenerateCurve(
-            f"discrete speed has min {speed.min():.3e} <= eps_reg={eps_reg:.1e}"
+            f"discrete speed has min {speed.min():.3e} <= EPS_REG={EPS_REG:.1e}"
         )
     v = cp / speed[:, None]
     n = rotate90(v)
@@ -237,14 +237,6 @@ def normalize_rotation(curve: DiscreteCurve) -> DiscreteCurve:
     rot = np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
     mid = centroid(curve, frame)
     return curve.with_points((curve.points - mid) @ rot.T + mid)
-
-
-def resample_shift(curve: DiscreteCurve, shift: int) -> DiscreteCurve:
-    """Cyclically shift the parameterization of a closed curve (a discrete
-    rotation of S^1, the simplest exact reparameterization)."""
-    if not curve.closed:
-        raise ValueError("resample_shift needs a closed curve")
-    return curve.with_points(np.roll(curve.points, -shift, axis=0))
 
 
 # -- file format ------------------------------------------------------------

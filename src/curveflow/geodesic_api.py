@@ -136,6 +136,11 @@ def _require_sizes(T, snapshots, steps=1):
     _require(np.isfinite(T) and T > 0, f"T must be finite and positive, got {T}")
 
 
+def _require_known(metric_id, options, known=()):
+    unknown = ", ".join(sorted(set(options).difference(known)))
+    _require(not unknown, f"unknown {metric_id.value} option(s): {unknown}")
+
+
 def _sqrt_length_bound(c0, c1, factor: float) -> float:
     return factor * abs(np.sqrt(curve_length(c1)) - np.sqrt(curve_length(c0)))
 
@@ -144,9 +149,12 @@ def _sqrt_length_bound(c0, c1, factor: float) -> float:
 
 def geodesic_bvp(metric_id, c0: DiscreteCurve, c1: DiscreteCurve, K: int = 17,
                  T: float = 1.0, **options) -> GeodesicPath:
-    """Geodesic connecting c0 to c1, returned as K snapshots on [0, T]."""
+    """Geodesic connecting c0 to c1, returned as K snapshots on [0, T];
+    options are the M3 shooting settings (dt, modes, tol, max_iter)."""
     metric_id = MetricId.parse(metric_id)
     _require_sizes(T, K)
+    _require_known(metric_id, options,
+                   _SHOOTING_DEFAULTS if metric_id is MetricId.M3 else ())
     _require(c0.n_samples == c1.n_samples and c0.closed == c1.closed,
              "endpoint curves must share the sampling grid")
     if metric_id is MetricId.M1:
@@ -157,7 +165,7 @@ def geodesic_bvp(metric_id, c0: DiscreteCurve, c1: DiscreteCurve, K: int = 17,
         return _bvp_fiberwise(c0, c1, K, T)
     if metric_id is MetricId.M3:
         _require(c0.closed, "M3 works on closed curves")
-        return _bvp_shooting(c0, c1, K, T, **options)
+        return _bvp_shooting(c0, c1, K, T, **(_SHOOTING_DEFAULTS | options))
     raise CurveflowError("no boundary solver for the full H2 transform (M4)")
 
 
@@ -223,25 +231,31 @@ def _fourier_basis(n: int, modes: int) -> np.ndarray:
     return np.stack(cols, axis=1)          # (n, 2*modes+1)
 
 
-def _shooting_state(q0: RPoint, xi: np.ndarray, basis: np.ndarray,
-                    T: float) -> HamiltonianState:
+def _shooting_state(q0: RPoint, xi: np.ndarray, basis: np.ndarray) -> HamiltonianState:
     nb = basis.shape[1]
     v = tangent_from_free(q0, basis @ xi[:nb], basis @ xi[nb:])
     p_raw = g_apply(MetricId.M3, q0.q, v) / q0.theta_step
     return project_consistent(q0, p_raw)
 
 
-def _bvp_shooting(c0, c1, K, T, dt: float = 1e-2, modes: int = 10,
-                  max_modes: int = 24, tol: float = 1e-4,
-                  max_iter: int = 40) -> GeodesicPath:
+# tol is relative to the transform-space distance of the endpoints
+_SHOOTING_DEFAULTS = {"dt": 1e-2, "modes": 10, "tol": 1e-4, "max_iter": 40}
+
+
+def _bvp_shooting(c0, c1, K, T, dt, modes, tol, max_iter) -> GeodesicPath:
     """Momentum shooting for the constrained transform-space system.
 
     The unknown initial momentum is parameterized by the first Fourier
     modes of the two free tangent components at q0; the residual is the
     endpoint gap projected to the image tangent space at the target,
     minimized by damped Gauss-Newton with a forward-difference Jacobian.
-    On a stall the mode count is enlarged and the solve continues.
+    On a stall the mode count grows by 4, up to 24, and the solve goes on.
     """
+    for name, value in (("dt", dt), ("tol", tol)):
+        _require(np.isfinite(value) and value > 0,
+                 f"{name} must be finite and positive, got {value}")
+    _require(modes >= 1, f"modes must be at least 1, got {modes}")
+    _require(max_iter >= 1, f"max_iter must be at least 1, got {max_iter}")
     c0, c1 = center(c0), center(c1)
     q0 = project_to_manifold(r_forward(MetricId.M3, c0))
     q1 = project_to_manifold(r_forward(MetricId.M3, c1))
@@ -263,7 +277,7 @@ def _bvp_shooting(c0, c1, K, T, dt: float = 1e-2, modes: int = 10,
     steps = max(2, int(round(T / dt)))
 
     def residual(xi, basis):
-        state = _shooting_state(q0, xi, basis, T)
+        state = _shooting_state(q0, xi, basis)
         sim = simulate(state, T, T / steps)
         gap = sim.qs[-1] - target.q
         proj = project_image(target, gap)
@@ -322,9 +336,9 @@ def _bvp_shooting(c0, c1, K, T, dt: float = 1e-2, modes: int = 10,
         if rn < best[0]:
             best = (rn, xi.copy(), basis, sim)
         if not improved:
-            if basis.shape[1] < 2 * max_modes + 1:
+            if modes < 24:
                 old_nb = basis.shape[1]
-                modes = min(max_modes, (old_nb - 1) // 2 + 4)
+                modes = min(24, modes + 4)
                 basis = _fourier_basis(q0.n_samples, modes)
                 pad = basis.shape[1] - old_nb
                 xi = np.concatenate([xi[:old_nb], np.zeros(pad),
@@ -333,13 +347,13 @@ def _bvp_shooting(c0, c1, K, T, dt: float = 1e-2, modes: int = 10,
                 rn = np.linalg.norm(r)
                 lam = 1e-3
             else:
-                path = _path_from_simulation(sim, K, T)
+                path = _path_from_simulation(sim, K)
                 path.diagnostics["endpoint_mismatch"] = rn
                 path.diagnostics["mismatch_scale"] = scale
                 raise ShootingStall("shooting stalled before reaching tolerance",
                                     best_path=path, residual=rn)
     rn, xi, basis, sim = best
-    path = _path_from_simulation(sim, K, T)
+    path = _path_from_simulation(sim, K)
     path.diagnostics["endpoint_mismatch"] = rn
     path.diagnostics["mismatch_scale"] = scale
     path.diagnostics["modes"] = (basis.shape[1] - 1) // 2
@@ -349,15 +363,12 @@ def _bvp_shooting(c0, c1, K, T, dt: float = 1e-2, modes: int = 10,
     return path
 
 
-def _path_from_simulation(sim: SimulationResult, K: int, T: float,
-                          recenter: bool = True) -> GeodesicPath:
+def _path_from_simulation(sim: SimulationResult, K: int) -> GeodesicPath:
     total = sim.qs.shape[0] - 1
     idx = np.unique(np.round(np.linspace(0, total, K)).astype(int))
     times = sim.times[idx]
-    curves = []
-    for j in idx:
-        c = r_inverse(RPoint(MetricId.M3, sim.qs[j], True, sim.winding))
-        curves.append(center(c) if recenter else c)
+    curves = [center(r_inverse(RPoint(MetricId.M3, sim.qs[j], True, sim.winding)))
+              for j in idx]
     return GeodesicPath(MetricId.M3, times, curves,
                         {"rspace": sim.qs[idx], "energy": sim.energy[idx],
                          "constraint_norm": sim.constraint_norm[idx],
@@ -370,8 +381,7 @@ def _path_from_simulation(sim: SimulationResult, K: int, T: float,
 # -- initial value problems ----------------------------------------------------
 
 def geodesic_ivp(metric_id, c0: DiscreteCurve, u0, T: float,
-                 steps: int = 200, snapshots: int = 33,
-                 rk4_substeps: int = 10) -> GeodesicPath:
+                 steps: int = 200, snapshots: int = 33) -> GeodesicPath:
     """Geodesic from c0 with initial velocity field u0, integrated to time T."""
     metric_id = MetricId.parse(metric_id)
     _require_sizes(T, snapshots, steps)
@@ -382,7 +392,7 @@ def geodesic_ivp(metric_id, c0: DiscreteCurve, u0, T: float,
         return _ivp_flat(c0, u0, T, snapshots)
     if metric_id is MetricId.M2:
         _require(not c0.closed, "M2 initial value solver works on open curves")
-        return _ivp_fiberwise(c0, u0, T, snapshots, rk4_substeps)
+        return _ivp_fiberwise(c0, u0, T, snapshots)
     if metric_id is MetricId.M3:
         _require(c0.closed, "M3 works on closed curves")
         return _ivp_rattle(c0, u0, T, steps, snapshots)
@@ -413,7 +423,8 @@ def _ivp_flat(c0, u0, T, K) -> GeodesicPath:
                         {"rspace": qs, "exit_time": exit_time})
 
 
-def _ivp_fiberwise(c0, u0, T, K, substeps) -> GeodesicPath:
+def _ivp_fiberwise(c0, u0, T, K) -> GeodesicPath:
+    substeps = 10  # RK4 steps per snapshot interval
     c0, u0 = _prep_pair(MetricId.M2, c0, u0)
     q0 = r_forward(MetricId.M2, c0)
     v0 = dr(MetricId.M2, c0, u0)
@@ -450,16 +461,18 @@ def _ivp_rattle(c0, u0, T, steps, K) -> GeodesicPath:
     p_raw = g_apply(MetricId.M3, q0.q, qdot) / q0.theta_step
     state = project_consistent(q0, p_raw)
     sim = simulate(state, T, T / steps)
-    return _path_from_simulation(sim, K, T)
+    return _path_from_simulation(sim, K)
 
 
 # -- distances ------------------------------------------------------------------
 
 def distance(metric_id, c0: DiscreteCurve, c1: DiscreteCurve,
              **options) -> DistanceResult:
-    """Geodesic distance (exact for M1/M2; solver-based for M3) together
-    with the provable square-root-of-length lower bounds."""
+    """Geodesic distance (exact for M1/M2; for M3 by geodesic_bvp, which
+    takes the options) with the provable square-root-of-length bounds."""
     metric_id = MetricId.parse(metric_id)
+    _require_known(metric_id, options,
+                   ("T", *_SHOOTING_DEFAULTS) if metric_id is MetricId.M3 else ())
     _require(c0.n_samples == c1.n_samples and c0.closed == c1.closed,
              "curves must share the sampling grid")
     if metric_id is MetricId.M1:
@@ -511,8 +524,8 @@ def _rspace_path_length(path: GeodesicPath) -> float:
 
 # -- horizontality ---------------------------------------------------------------
 
-def vertical_operator_matrix(curve: DiscreteCurve, metric_id=MetricId.M3) -> np.ndarray:
-    """Dense matrix of zeta -> <L_c(zeta c'), v> on scalar samples."""
+def vertical_operator_matrix(curve: DiscreteCurve) -> np.ndarray:
+    """Dense matrix of zeta -> <L_c(zeta c'), v> on scalar samples (M3)."""
     frame = build_frame(curve)
     cp = frame.speed[:, None] * frame.v
     n = curve.n_samples
@@ -520,20 +533,19 @@ def vertical_operator_matrix(curve: DiscreteCurve, metric_id=MetricId.M3) -> np.
     for k in range(n):
         zeta = np.zeros(n)
         zeta[k] = 1.0
-        lw = apply_L(metric_id, curve, zeta[:, None] * cp, frame)
+        lw = apply_L(MetricId.M3, curve, zeta[:, None] * cp, frame)
         mat[:, k] = np.einsum("ki,ki->k", lw, frame.v)
     return mat
 
 
-def horizontal_project(curve: DiscreteCurve, h, metric_id=MetricId.M3) -> np.ndarray:
-    """Remove the reparameterization (vertical) part: h - zeta c' with
-    <L_c(h - zeta c'), v> = 0."""
-    metric_id = MetricId.parse(metric_id)
+def horizontal_project(curve: DiscreteCurve, h) -> np.ndarray:
+    """Remove the reparameterization (vertical) part of h for M3: h -
+    zeta c' with <L_c(h - zeta c'), v> = 0."""
     frame = build_frame(curve)
     h = np.asarray(h, dtype=float)
-    lh = apply_L(metric_id, curve, h, frame)
+    lh = apply_L(MetricId.M3, curve, h, frame)
     rhs = np.einsum("ki,ki->k", lh, frame.v)
-    mat = vertical_operator_matrix(curve, metric_id)
+    mat = vertical_operator_matrix(curve)
     try:
         zeta = np.linalg.solve(mat, rhs)
     except np.linalg.LinAlgError as exc:
@@ -543,20 +555,18 @@ def horizontal_project(curve: DiscreteCurve, h, metric_id=MetricId.M3) -> np.nda
     return h - zeta[:, None] * (frame.speed[:, None] * frame.v)
 
 
-def _horizontality(curve: DiscreteCurve, u, metric_id=MetricId.M3):
-    """(sup |<L_c u, v>|, the same relative to sup |L_c u|)."""
+def _horizontality(curve: DiscreteCurve, u):
+    """(sup |<L_c u, v>|, the same relative to sup |L_c u|) for M3."""
     frame = build_frame(curve)
-    lu = apply_L(metric_id, curve, np.asarray(u, float), frame)
+    lu = apply_L(MetricId.M3, curve, np.asarray(u, float), frame)
     resid = float(np.max(np.abs(np.einsum("ki,ki->k", lu, frame.v))))
     scale = float(np.max(np.abs(lu)))
     return resid, (resid / scale if scale > 0.0 else 0.0)
 
 
-def horizontality_residual(curve: DiscreteCurve, u,
-                           metric_id=MetricId.M3, relative: bool = False) -> float:
-    """sup |<L_c u, v>|, optionally relative to sup |L_c u| (the
-    normalization used by the projection contract)."""
-    return _horizontality(curve, u, metric_id)[1 if relative else 0]
+def horizontality_residual(curve: DiscreteCurve, u) -> float:
+    """sup |<L_c u, v>| for M3."""
+    return _horizontality(curve, u)[0]
 
 
 def shape_geodesic(c0: DiscreteCurve, h, T: float, steps: int = 200,

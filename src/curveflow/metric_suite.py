@@ -66,10 +66,10 @@ class MomentumDensity:
                      * self.theta_step)
 
 
-def _require_convex(frame: CurveFrame, eps_convex: float) -> None:
+def _require_convex(frame: CurveFrame) -> None:
     kmin = frame.kappa.min()
-    if kmin <= eps_convex:
-        raise NotConvex(f"min kappa = {kmin:.3e} <= eps_convex = {eps_convex:.1e}")
+    if kmin <= EPS_CONVEX:
+        raise NotConvex(f"min kappa = {kmin:.3e} <= EPS_CONVEX = {EPS_CONVEX:.1e}")
 
 
 def _diffs(curve, field, frame):
@@ -79,8 +79,7 @@ def _diffs(curve, field, frame):
 
 
 def metric_eval(metric_id, curve: DiscreteCurve, h, k,
-                frame: CurveFrame | None = None,
-                eps_convex: float = EPS_CONVEX) -> float:
+                frame: CurveFrame | None = None) -> float:
     """G_c(h, k) for the requested metric, by trapezoid quadrature."""
     metric_id = MetricId.parse(metric_id)
     if frame is None:
@@ -94,7 +93,7 @@ def metric_eval(metric_id, curve: DiscreteCurve, h, k,
     b2h = np.einsum("ki,ki->k", ds2h, frame.n)
     b2k = np.einsum("ki,ki->k", ds2k, frame.n)
     if metric_id is MetricId.M1:
-        _require_convex(frame, eps_convex)
+        _require_convex(frame)
         # grouping (b2h*b2k) keeps the evaluation exactly symmetric in (h, k)
         integrand = frame.kappa ** (-1.5) * (b2h * b2k) + a1h * a1k
     elif metric_id is MetricId.M2:
@@ -108,8 +107,7 @@ def metric_eval(metric_id, curve: DiscreteCurve, h, k,
 
 
 def apply_L(metric_id, curve: DiscreteCurve, h,
-            frame: CurveFrame | None = None,
-            eps_convex: float = EPS_CONVEX) -> np.ndarray:
+            frame: CurveFrame | None = None) -> np.ndarray:
     """The operator field L_c h with integrate_ds(<L_c h, k>) = G_c(h, k).
 
     Built from the same difference stencils as metric_eval, which makes the
@@ -131,7 +129,7 @@ def apply_L(metric_id, curve: DiscreteCurve, h,
         return ds_derivative(curve, f, frame)
 
     if metric_id is MetricId.M1:
-        _require_convex(frame, eps_convex)
+        _require_convex(frame)
         w = frame.kappa ** (-1.5) * b2
         return ds(ds(w[:, None] * frame.n)) - ds(a1[:, None] * frame.v)
     if metric_id is MetricId.M2:
@@ -142,8 +140,7 @@ def apply_L(metric_id, curve: DiscreteCurve, h,
 
 
 def hc_quadratic(metric_id, curve: DiscreteCurve, h,
-                 frame: CurveFrame | None = None,
-                 eps_convex: float = EPS_CONVEX) -> MomentumDensity:
+                 frame: CurveFrame | None = None) -> MomentumDensity:
     """(1/2) H_c(h, h): the right-hand side of the momentum form p_t of the
     geodesic equation, returned as a momentum density.
 
@@ -168,7 +165,7 @@ def hc_quadratic(metric_id, curve: DiscreteCurve, h,
         return ds_derivative(curve, f, frame)
 
     if metric_id is MetricId.M1:
-        _require_convex(frame, eps_convex)
+        _require_convex(frame)
         km32 = frame.kappa ** (-1.5)
         km52 = frame.kappa ** (-2.5)
         X = (a1 ** 2)[:, None] * v - 2.0 * (b1 * a1)[:, None] * n \

@@ -222,8 +222,8 @@ class _Tables:
     Phi(u) = int_0^u dz / sqrt(1 - z^6), parameterized by s = sqrt(1 - u)
     so the endpoint is resolved.  Built lazily once per process."""
 
-    def __init__(self, m: int = 4001):
-        s = np.linspace(0.0, 1.0, m)
+    def __init__(self):
+        s = np.linspace(0.0, 1.0, 4001)
         z = 1.0 - s * s
         root = np.sqrt(_psi(z))
         f_int = 2.0 * z ** 6 / root          # dF in -s direction
@@ -595,8 +595,7 @@ def dist2_lower_bound(p0, p1) -> float:
     return 2.0 * np.sqrt((x0 - x1) ** 2 + dy ** 2 / (np.sqrt(2.0) * X ** 1.5))
 
 
-def sectional_curvature_m2(curve: DiscreteCurve, h, k,
-                           gram_tol: float = 1e-12) -> float:
+def sectional_curvature_m2(curve: DiscreteCurve, h, k) -> float:
     """Sectional curvature of metric M2 for the plane spanned by (h, k):
 
         -3 int ( <D_s h, v><D_s^2 k, n> - <D_s k, v><D_s^2 h, n> )^2 ds
@@ -613,7 +612,7 @@ def sectional_curvature_m2(curve: DiscreteCurve, h, k,
     gkk = metric_eval(MetricId.M2, curve, k, k, frame)
     ghk = metric_eval(MetricId.M2, curve, h, k, frame)
     gram = ghh * gkk - ghk ** 2
-    if gram <= gram_tol * max(ghh * gkk, 1e-300):
+    if gram <= 1e-12 * max(ghh * gkk, 1e-300):
         raise DegeneratePlane("plane spanned by (h, k) is degenerate")
     dsh = ds_derivative(curve, h, frame)
     dsk = ds_derivative(curve, k, frame)

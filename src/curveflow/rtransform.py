@@ -43,7 +43,7 @@ from scipy.linalg import solve_banded
 
 from .curve_core import CurveFrame, DiscreteCurve, build_frame, ds_derivative, trapezoid_weights
 from .errors import CurveflowError, NonPositive, OffImage, SingularSystem
-from .metric_suite import EPS_CONVEX, MetricId, _require_convex
+from .metric_suite import MetricId, _require_convex
 from .pointwise_geometry import g_eval, g_inv
 
 
@@ -99,14 +99,13 @@ def check_pattern(rpoint: RPoint) -> None:
 # -- forward / inverse / differential ---------------------------------------
 
 def r_forward(metric_id, curve: DiscreteCurve,
-              frame: CurveFrame | None = None,
-              eps_convex: float = EPS_CONVEX) -> RPoint:
+              frame: CurveFrame | None = None) -> RPoint:
     metric_id = MetricId.parse(metric_id)
     if frame is None:
         frame = build_frame(curve)
     root = np.sqrt(frame.speed)
     if metric_id is MetricId.M1:
-        _require_convex(frame, eps_convex)
+        _require_convex(frame)
         q = np.stack([2.0 * root, 4.0 * frame.kappa ** 0.25 * root], axis=1)
     elif metric_id is MetricId.M2:
         q = np.stack([root, frame.kappa * frame.speed ** 2], axis=1)
@@ -161,8 +160,7 @@ def r_inverse(metric_id, rpoint: RPoint | None = None) -> DiscreteCurve:
 
 
 def dr(metric_id, curve: DiscreteCurve, h,
-       frame: CurveFrame | None = None,
-       eps_convex: float = EPS_CONVEX) -> np.ndarray:
+       frame: CurveFrame | None = None) -> np.ndarray:
     """Differential of the transform at c applied to the field h."""
     metric_id = MetricId.parse(metric_id)
     if frame is None:
@@ -176,7 +174,7 @@ def dr(metric_id, curve: DiscreteCurve, h,
     b2 = np.einsum("ki,ki->k", ds2h, frame.n)
     root = np.sqrt(frame.speed)
     if metric_id is MetricId.M1:
-        _require_convex(frame, eps_convex)
+        _require_convex(frame)
         return np.stack([a1 * root, frame.kappa ** -0.75 * b2 * root], axis=1)
     if metric_id is MetricId.M2:
         return np.stack([0.5 * a1 * root, b2 * frame.speed ** 2], axis=1)
@@ -249,13 +247,13 @@ def m3_diff_apply_transpose(q: np.ndarray, lam: np.ndarray,
     return np.stack([gw1[sl] * avg, (lam - prev) / dth, gw3[sl] * avg], axis=1)
 
 
-def m3_diff_gram(q: np.ndarray, gi_diag: np.ndarray, dth: float) -> np.ndarray:
+def m3_diff_gram(q: np.ndarray, ginv: np.ndarray, dth: float) -> np.ndarray:
     """The (3, n) cyclic bands of S = J g^-1 J^T (cyclic_banded_solve's
     layout) for a diagonal g^-1 given as (n, 3): S[k, k] and S[k, k+1] =
     S[k+1, k]."""
     gw1, gw3 = _m3_rate_partials(q)
-    s = gw1 ** 2 * gi_diag[:, 0] + gw3 ** 2 * gi_diag[:, 2]
-    g2 = gi_diag[:, 1]
+    s = gw1 ** 2 * ginv[:, 0] + gw3 ** 2 * ginv[:, 2]
+    g2 = ginv[:, 1]
     s_next, g2_next = _shift(s, 1), _shift(g2, 1)
     upper = 0.25 * s_next - g2_next / dth ** 2
     return np.stack([_shift(upper, -1),
@@ -301,7 +299,7 @@ def _winding_of(rpoint: RPoint) -> int:
     return int(round((pred - q[0, 1]) / (2.0 * np.pi)))
 
 
-def constraints(metric_id, rpoint: RPoint | None = None) -> ConstraintValue:
+def constraints(rpoint: RPoint) -> ConstraintValue:
     """Evaluate the image constraints at an RPoint.
 
     h_cl equals the endpoint gap c(2pi) - c(0) of r_inverse(q) under the
@@ -311,8 +309,6 @@ def constraints(metric_id, rpoint: RPoint | None = None) -> ConstraintValue:
     (q2^{k+1} - q2^k)/dtheta with w = q1^-2 q3; for M4 it is the stacked
     forward-difference pair (q3 - 2 q1^-1 q1', q4 - q1^2 q2').
     """
-    if rpoint is None:
-        rpoint = metric_id
     check_pattern(rpoint)
     q = rpoint.q
     dth = rpoint.theta_step
@@ -341,15 +337,6 @@ def closure_scale(rpoint: RPoint) -> float:
     return float(np.sum(tau * rpoint.q[:, 0] ** 2) * rpoint.theta_step)
 
 
-def is_on_image(rpoint: RPoint, tol: float = 1e-8) -> bool:
-    val = constraints(rpoint)
-    ok = np.linalg.norm(val.h_cl) <= tol * closure_scale(rpoint)
-    if val.h_diff is not None:
-        ok = ok and np.max(np.abs(val.h_diff)) <= tol * max(
-            1.0, np.max(np.abs(rpoint.q[:, 2])))
-    return bool(ok)
-
-
 # -- exact discrete constraint gradients ------------------------------------
 
 def _adjoint_cumtrapz(u: np.ndarray, dth: float) -> np.ndarray:
@@ -373,7 +360,7 @@ def weighted_inner(metric_id, q_array, a, b, closed: bool) -> float:
     return float(np.sum(tau * vals) * dth)
 
 
-def constraint_gradients(metric_id, rpoint: RPoint | None = None) -> list[np.ndarray]:
+def constraint_gradients(rpoint: RPoint) -> list[np.ndarray]:
     """L2(g)-gradients of the two closedness constraint components.
 
     These are the exact adjoints of the discrete constraints() functional
@@ -382,8 +369,6 @@ def constraint_gradients(metric_id, rpoint: RPoint | None = None) -> list[np.nda
     grids they agree with the continuum formulas to quadrature order, and
     for M3 exactly.
     """
-    if rpoint is None:
-        rpoint = metric_id
     check_pattern(rpoint)
     q = rpoint.q
     mid = rpoint.metric_id
@@ -497,29 +482,27 @@ def elliptic_solve(a, b, f, dtheta: float) -> np.ndarray:
 # -- orthogonal projection onto the image tangent space ----------------------
 
 def _project_op_m3(q: np.ndarray, h: np.ndarray, dth: float,
-                   closure: bool = False,
-                   gi_diag: np.ndarray | None = None) -> np.ndarray:
+                   closure: bool = False) -> np.ndarray:
     """Exact discrete L2(g)-orthogonal projection onto {A k = 0}: k = h -
     g^-1 A^T mu with (A g^-1 A^T) mu = A h, where A is the trapezoid
     derivative rows J, bordered by the closedness rows C if closure is set.
-    g^-1 is diagonal: gi_diag (n, 3), by default the M3 metric's.  A g^-1
-    A^T is the cyclic tridiagonal J g^-1 J^T (m3_diff_gram) bordered by
-    J g^-1 C^T, its transpose and C g^-1 C^T: one bordered_cyclic_solve."""
-    if gi_diag is None:
-        gi_diag = g_inv(MetricId.M3, q, np.ones_like(q))
-    bands = m3_diff_gram(q, gi_diag, dth)
+    g^-1 is the M3 metric's diagonal ginv (n, 3).  A g^-1 A^T is the
+    cyclic tridiagonal J g^-1 J^T (m3_diff_gram) bordered by J g^-1 C^T,
+    its transpose and C g^-1 C^T: one bordered_cyclic_solve."""
+    ginv = g_inv(MetricId.M3, q, np.ones_like(q))
+    bands = m3_diff_gram(q, ginv, dth)
     rhs = m3_diff_apply(q, h, dth)
     if not closure:
-        return h - gi_diag * m3_diff_apply_transpose(
+        return h - ginv * m3_diff_apply_transpose(
             q, cyclic_banded_solve(bands, rhs), dth)
     gc = _closure_coeffs(q, dth)
     border = np.zeros(q.shape + (2,))                      # g^-1 C^T
-    border[:, :2] = gi_diag[:, :2, None] * gc.transpose(2, 1, 0)
+    border[:, :2] = ginv[:, :2, None] * gc.transpose(2, 1, 0)
     cols = m3_diff_apply(q, border, dth)
     corner = np.einsum("ijk,kjl->il", gc, border[:, :2])
     mu, nu = bordered_cyclic_solve(bands, cols, cols.T, corner, rhs,
                                    np.einsum("ijk,kj->i", gc, h[:, :2]))
-    return h - gi_diag * m3_diff_apply_transpose(q, mu, dth) - border @ nu
+    return h - ginv * m3_diff_apply_transpose(q, mu, dth) - border @ nu
 
 
 def _remove_span(metric_id, q, closed, h, basis):
@@ -539,8 +522,7 @@ def _remove_span(metric_id, q, closed, h, basis):
     return out
 
 
-def project_image(metric_id, rpoint: RPoint | None = None, h=None,
-                  image_tol: float = 1e-3) -> np.ndarray:
+def project_image(rpoint: RPoint, h, image_tol: float = 1e-3) -> np.ndarray:
     """L2(g)-orthogonal projection of an ambient tangent h onto the tangent
     space of the image of the transform (closed curves).
 
@@ -549,12 +531,7 @@ def project_image(metric_id, rpoint: RPoint | None = None, h=None,
     (_project_op_m3).  M4 is not supported.  Raises OffImage when
     the constraints at q exceed image_tol relative to the closure scale.
     """
-    if h is None:
-        rpoint, h = metric_id, rpoint
-        metric_id = rpoint.metric_id
-    metric_id = MetricId.parse(metric_id)
-    if metric_id is not rpoint.metric_id:
-        raise ValueError("metric id does not match the RPoint")
+    metric_id = rpoint.metric_id
     if metric_id is MetricId.M4:
         raise NotImplementedError("M4 image projection is not provided")
     if not rpoint.closed:

@@ -229,7 +229,8 @@ def test_ivp_command_files(tmp_path):
 
 @pytest.mark.parametrize("argv, code, words", [
     (["transform", "--metric", "M5", "{circle}", "-o", "{out}"], 2, ["--metric", "M5"]),
-    (["distance", "--metric", "M9", "{circle}", "{circle}"], 2, ["--metric", "M9"]),
+    (["distance", "--metric", "M9", "{circle}", "{circle}"], 2,
+     ["--metric", "M9", "M1", "M4"]),
     (["transform", "--metric", "M1", "--inverse", "{q3}", "-o", "{out}"], 1, ["M1", "M3"]),
     (["ivp", "--metric", "M3", "--curve", "{circle}", "--velocity", "{u0}",
       "-T", "0.2", "--steps", "0"], 1, ["steps"]),
@@ -241,12 +242,18 @@ def test_ivp_command_files(tmp_path):
       "-T", "0.2", "--snapshots", "-2"], 1, ["snapshots"]),
     (["bvp", "--metric", "M2", "{line}", "{line}", "--snapshots", "0"], 1, ["snapshots"]),
     (["demo", "fig2", "--n", "16", "--dt", "5", "-o", "{out}"], 1, ["steps"]),
+    (["bvp", "--metric", "M1", "{line}", "{line}", "--modes", "3"], 1, ["modes"]),
+    (["bvp", "--metric", "M3", "{circle}", "{circle}", "--dt", "0"], 1, ["dt"]),
+    (["bvp", "--metric", "M3", "{circle}", "{circle}", "--dt", "-0.1"], 1, ["dt"]),
+    (["demo", "fig1", "--n", "16", "--bvp-dt", "0", "-o", "{out}"], 1, ["dt"]),
 ], ids=["transform-M5", "distance-M9", "inverse-mismatch", "ivp-steps-0",
         "ivp-steps-neg", "ivp-T-0", "ivp-snapshots-neg", "bvp-snapshots-0",
-        "demo-fig2-dt-5"])
+        "demo-fig2-dt-5", "bvp-M1-modes", "bvp-dt-0", "bvp-dt-neg",
+        "demo-fig1-bvp-dt-0"])
 def test_bad_input_is_named_error(tmp_path, capsys, argv, code, words):
     # bad metric names are usage errors; a --metric that contradicts the
-    # transform file and unusable solver sizes are named errors
+    # transform file, unusable solver sizes and shooting settings, and
+    # shooting flags on a metric without shooting are named errors
     n = 32
     th = (2 * np.pi / n) * np.arange(n)
     files = {name: str(tmp_path / f"{name}.json")

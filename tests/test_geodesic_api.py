@@ -202,7 +202,7 @@ def test_m4_has_no_solvers():
         ga.geodesic_bvp("M4", c, c, K=3)
 
 
-def test_solver_sizes_are_checked():
+def test_solver_sizes_are_checked(monkeypatch):
     n = 32
     c, line = circle(n), open_circle(n)
     u0 = np.zeros((n, 2))
@@ -216,6 +216,25 @@ def test_solver_sizes_are_checked():
     for K, T in ((1, 1.0), (0, 1.0), (5, 0.0), (5, np.inf), (5, np.nan)):
         with pytest.raises(CurveflowError):
             ga.geodesic_bvp("M2", line, line, K=K, T=T)
+    # options are checked before any shooting; a ShootingStall would also
+    # be a CurveflowError, so simulate must not run at all
+    monkeypatch.setattr(ga, "simulate", lambda *a, **k: pytest.fail("simulate ran"))
+    for mid in ("M1", "M2"):
+        for solve in (ga.geodesic_bvp, ga.distance):
+            with pytest.raises(CurveflowError, match="bogus"):
+                solve(mid, line, line, bogus=1)
+        with pytest.raises(CurveflowError, match="dt"):
+            ga.geodesic_bvp(mid, line, line, dt=0.5)
+    for solve in (ga.geodesic_bvp, ga.distance):
+        with pytest.raises(CurveflowError, match="bogus"):
+            solve("M3", c, c, bogus=1)
+    with pytest.raises(CurveflowError, match="K"):
+        ga.distance("M3", c, c, K=3)
+    for bad in ({"dt": 0.0}, {"dt": -0.1}, {"dt": np.inf}, {"dt": np.nan},
+                {"tol": 0.0}, {"tol": -1.0}, {"tol": np.nan},
+                {"modes": 0}, {"max_iter": 0}):
+        with pytest.raises(CurveflowError, match=next(iter(bad))):
+            ga.geodesic_bvp("M3", c, c, K=5, **bad)
 
 
 def test_horizontal_project_examples():
