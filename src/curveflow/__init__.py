@@ -41,7 +41,6 @@ from .pointwise_geometry import (
     trajectory2,
 )
 from .constrained_hamiltonian import (
-    ConstraintSystem,
     HamiltonianState,
     discrete_energy,
     project_consistent,

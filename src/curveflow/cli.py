@@ -17,7 +17,7 @@ import numpy as np
 
 from . import geodesic_api as ga
 from . import validation
-from .curve_core import DiscreteCurve, load_curve, save_curve
+from .curve_core import DiscreteCurve, load_curve, load_json, save_curve
 from .errors import CurveflowError
 from .metric_suite import MetricId
 from .pointwise_geometry import scal2, sectional_curvature_m2
@@ -80,9 +80,8 @@ def _metric(name) -> MetricId:
 
 
 def _load_field(path) -> np.ndarray:
-    with open(path) as fh:
-        data = json.load(fh)
-    return np.array(data["values"], dtype=float)
+    return load_json(path, lambda data: np.array(data["values"], dtype=float),
+                     "field")
 
 
 def _circle(n: int, r: float = 1.0) -> DiscreteCurve:

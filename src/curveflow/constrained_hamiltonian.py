@@ -11,8 +11,9 @@ N uniformly sampled points.  The constraints are position-only:
 pair q3 - 2 q1^{-1} q1', q4 - q1^2 q2', giving 2N+2 constraints; it is
 available behind the metric id but has no built-in experiments).  The M3
 derivative rows are the trapezoid (box-scheme) form centred at the half
-nodes, second-order consistent; their value, linearization, transpose and
-Gram bands are defined once in rtransform (m3_diff_*) and used here.
+nodes, second-order consistent.  H(q), the M3 products with DH and the
+dense DH are rtransform's constraint_rows, M3Jacobian and
+constraint_jacobian, called with the metric id, q and the winding number.
 
 One RATTLE step solves the five update equations: an implicit momentum
 half-step with DH^T(q^j) lambda_1, an implicit-midpoint position step,
@@ -42,23 +43,34 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NewtonDivergence, RankDeficiency, SingularSystem, StepLeftDomain
+from .errors import (
+    CurveflowError,
+    NewtonDivergence,
+    RankDeficiency,
+    SingularSystem,
+    StepLeftDomain,
+)
 from .metric_suite import MetricId
 from .pointwise_geometry import g_grad, g_inv, g_inv_matrix, g_inv_quad
 from .rtransform import (
+    M3Jacobian,
     RPoint,
-    _closure_coeffs,
+    _closedness_newton,
     _forward_diff,
     _m3_rate,
-    _m3_rate_partials,
     _project_op_m3,
     _shift,
     bordered_cyclic_solve,
-    m3_diff_apply,
-    m3_diff_apply_transpose,
-    m3_diff_value,
-    m4_diff_value,
+    constraint_jacobian,
+    constraint_rows,
 )
+
+
+def _constrained(metric_id: MetricId) -> MetricId:
+    if metric_id not in (MetricId.M3, MetricId.M4):
+        raise ValueError("the constrained system exists for the M3/M4 transforms")
+    return metric_id
+
 
 @dataclass(frozen=True)
 class HamiltonianState:
@@ -71,7 +83,7 @@ class HamiltonianState:
     winding: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "metric_id", MetricId.parse(self.metric_id))
+        object.__setattr__(self, "metric_id", _constrained(MetricId.parse(self.metric_id)))
         q = np.asarray(self.q, dtype=float)
         p = np.asarray(self.p, dtype=float)
         if q.shape != p.shape or q.ndim != 2 or q.shape[1] != self.metric_id.fiber_dim:
@@ -89,74 +101,6 @@ class HamiltonianState:
 
     def rpoint(self) -> RPoint:
         return RPoint(self.metric_id, self.q, True, self.winding)
-
-
-class ConstraintSystem:
-    """Discrete constraints H(q) = 0 and their dense Jacobian for the
-    closed-curve image of one transform.  The q2 lift wraps by
-    2 pi * winding across the seam."""
-
-    def __init__(self, metric_id, n: int, winding: int = 0):
-        self.metric_id = MetricId.parse(metric_id)
-        if self.metric_id not in (MetricId.M3, MetricId.M4):
-            raise ValueError("constraint system exists for the M3/M4 transforms")
-        self.n = n
-        self.d = self.metric_id.fiber_dim
-        self.dtheta = 2.0 * np.pi / n
-        self.winding = winding
-        self.n_constraints = (n + 2) if self.metric_id is MetricId.M3 else (2 * n + 2)
-
-    def value(self, q: np.ndarray) -> np.ndarray:
-        dth = self.dtheta
-        q1, q2 = q[:, 0], q[:, 1]
-        wrap = 2.0 * np.pi * self.winding
-        cl = np.array([np.sum(q1 ** 2 * np.cos(q2)) * dth,
-                       np.sum(q1 ** 2 * np.sin(q2)) * dth])
-        diff = m3_diff_value if self.metric_id is MetricId.M3 else m4_diff_value
-        return np.concatenate([diff(q, dth, True, wrap), cl])
-
-    def jacobian(self, q: np.ndarray) -> np.ndarray:
-        n, d, dth = self.n, self.d, self.dtheta
-        q1, q2 = q[:, 0], q[:, 1]
-        jac = np.zeros((self.n_constraints, n, d))
-        idx = np.arange(n)
-        nxt = (idx + 1) % n
-        if self.metric_id is MetricId.M3:
-            rows = idx
-            gw1, gw3 = _m3_rate_partials(q)
-            jac[rows, idx, 0] += 0.5 * gw1
-            jac[rows, nxt, 0] += 0.5 * gw1[nxt]
-            jac[rows, idx, 2] += 0.5 * gw3
-            jac[rows, nxt, 2] += 0.5 * gw3[nxt]
-            jac[rows, idx, 1] += 1.0 / dth
-            jac[rows, nxt, 1] -= 1.0 / dth
-            base = n
-        else:
-            d1 = _forward_diff(q1, dth, True)
-            d2 = _forward_diff(q2, dth, True, 2.0 * np.pi * self.winding)
-            rows = idx
-            jac[rows, idx, 0] = 2.0 * q1 ** -2 * d1 + 2.0 * q1 ** -1 / dth
-            jac[rows, nxt, 0] += -2.0 * q1 ** -1 / dth
-            jac[rows, idx, 2] = 1.0
-            rows = n + idx
-            jac[rows, idx, 0] = -2.0 * q1 * d2
-            jac[rows, idx, 1] += q1 ** 2 / dth
-            jac[rows, nxt, 1] -= q1 ** 2 / dth
-            jac[rows, idx, 3] = 1.0
-            base = 2 * n
-        jac[base:, :, :2] = _closure_coeffs(q, dth).transpose(0, 2, 1)
-        return jac.reshape(self.n_constraints, n * d)
-
-    # the M3 product DH . X is structured: the derivative rows touch only
-    # samples k, k+1 and the two closedness rows are dense, so it is O(n).
-
-    def apply(self, q: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """DH(q) . X for X of shape (n, d), or (n, d, r) for M3."""
-        if self.metric_id is not MetricId.M3:
-            return self.jacobian(q) @ X.ravel()
-        cl = np.tensordot(_closure_coeffs(q, self.dtheta), X[:, :2],
-                          axes=([2, 1], [0, 1]))
-        return np.concatenate([m3_diff_apply(q, X, self.dtheta), cl], axis=0)
 
 
 # -- energy ------------------------------------------------------------------
@@ -226,38 +170,36 @@ def project_to_manifold(rpoint: RPoint) -> RPoint:
     differences), then a small Newton iteration on (q1, q2) zeroes the
     closedness rows.  For M3 the move is O(dtheta^2) for transforms of
     genuinely closed curves."""
-    mid = rpoint.metric_id
-    system = ConstraintSystem(mid, rpoint.n_samples, rpoint.winding or 0)
+    mid = _constrained(rpoint.metric_id)
+    winding = rpoint.winding or 0
     q = rpoint.q.copy()
-    dth = system.dtheta
-    wrap = 2.0 * np.pi * system.winding
+    dth = 2.0 * np.pi / rpoint.n_samples
+    wrap = 2.0 * np.pi * winding
     for _ in range(30):
         if mid is MetricId.M3:
             _reset_m3_rate(q, dth, wrap)
         else:
             q[:, 2] = 2.0 * q[:, 0] ** -1 * _forward_diff(q[:, 0], dth, True)
             q[:, 3] = q[:, 0] ** 2 * _forward_diff(q[:, 1], dth, True, wrap)
-        cl = system.value(q)[-2:]
+        cl = constraint_rows(mid, q, winding)[-2:]
         if np.max(np.abs(cl)) < 1e-13:
-            return RPoint(mid, q, True, system.winding)
-        # Newton on the closedness pair along its Euclidean gradient span
-        gc = _closure_coeffs(q, dth)
-        mu = np.linalg.solve(np.einsum("ijk,ljk->il", gc, gc), cl)
-        q[:, :2] -= np.einsum("ijk,i->kj", gc, mu)
+            return RPoint(mid, q, True, winding)
+        q[:, :2] -= _closedness_newton(q, dth, cl)
     raise NewtonDivergence("manifold projection did not converge")
 
 
-def _tangent_momentum(system: ConstraintSystem, q: np.ndarray,
+def _tangent_momentum(metric_id: MetricId, q: np.ndarray, winding: int,
                       p: np.ndarray) -> np.ndarray:
     """p - DH^T mu with DH g^{-1} (p - DH^T mu) = 0, i.e. g P(g^{-1} p):
     _project_op_m3 with the diagonal M3 g^-1; for M4 a dense Gram solve
     with the Jacobian built once.  Raises SingularSystem or LinAlgError."""
-    if system.metric_id is MetricId.M3:
+    n, d = q.shape
+    if metric_id is MetricId.M3:
         ginv = g_inv(MetricId.M3, q, np.ones_like(q))
-        return _project_op_m3(q, ginv * p, system.dtheta, closure=True) / ginv
-    gi = g_inv_matrix(system.metric_id, q)
-    jac = system.jacobian(q)
-    jg = np.einsum("mkd,kde->mke", jac.reshape(-1, system.n, system.d),
+        return _project_op_m3(q, ginv * p, 2.0 * np.pi / n, closure=True) / ginv
+    gi = g_inv_matrix(metric_id, q)
+    jac = constraint_jacobian(metric_id, q, winding)
+    jg = np.einsum("mkd,kde->mke", jac.reshape(-1, n, d),
                    gi).reshape(jac.shape)                     # DH g^-1
     S = jg @ jac.T
     rhs = jg @ p.ravel()
@@ -272,27 +214,30 @@ def project_consistent(rpoint: RPoint, p_raw: np.ndarray) -> HamiltonianState:
     """Remove the constraint-normal part of a raw momentum: p = p_raw -
     DH^T mu with DH g^{-1} (p_raw - DH^T mu) = 0, so the hidden constraint
     holds at (q, p)."""
-    mid = rpoint.metric_id
-    system = ConstraintSystem(mid, rpoint.n_samples, rpoint.winding or 0)
+    mid = _constrained(rpoint.metric_id)
+    winding = rpoint.winding or 0
     q = np.asarray(rpoint.q, dtype=float)
     try:
-        p = _tangent_momentum(system, q, np.asarray(p_raw, dtype=float))
+        p = _tangent_momentum(mid, q, winding, np.asarray(p_raw, dtype=float))
     except (np.linalg.LinAlgError, SingularSystem) as exc:
         raise RankDeficiency(f"constraint Gram system is singular: {exc}") from exc
-    return HamiltonianState(mid, q, p, 0.0, system.winding)
+    return HamiltonianState(mid, q, p, 0.0, winding)
 
 
-def hidden_residual(state: HamiltonianState,
-                    system: ConstraintSystem | None = None) -> float:
-    if system is None:
-        system = ConstraintSystem(state.metric_id, state.n_samples, state.winding)
-    dp = energy_grad_p(state.metric_id, state.q, state.p, state.theta_step)
-    return float(np.max(np.abs(system.apply(state.q, dp))))
+def hidden_residual(state: HamiltonianState) -> float:
+    """sup |DH(q) . dE/dp|, the hidden-constraint residual."""
+    mid, q = state.metric_id, state.q
+    dp = energy_grad_p(mid, q, state.p, state.theta_step)
+    if mid is MetricId.M3:
+        res = M3Jacobian(q, state.theta_step).apply(dp)
+    else:
+        res = constraint_jacobian(mid, q, state.winding) @ dp.ravel()
+    return float(np.max(np.abs(res)))
 
 
 # -- RATTLE -------------------------------------------------------------------
 
-def _m3_newton(system: ConstraintSystem, q0: np.ndarray, dt: float):
+def _m3_newton(metric_id: MetricId, q0: np.ndarray, winding: int, dt: float):
     """The O(N) reduced Newton solve of an M3 RATTLE step.  For the M3
     metric A = I + half dginvp_dq(q0, ph) is unit upper triangular, D =
     I - half dginvp_dq(q1, ph)^T unit lower triangular and C diagonal, so
@@ -301,25 +246,21 @@ def _m3_newton(system: ConstraintSystem, q0: np.ndarray, dt: float):
     cyclic tridiagonal derivative block (x^T M y for the trapezoid row
     vectors x of J(q1), y of J(q0) at samples k and k+1), the closedness
     columns J(q1) M C(q0)^T, rows J(q0) M^T C(q1)^T and a 2x2 corner.
-    Returns solve(q1, ph, f1, f2, f3) -> (dq, dph, dlam) and
-    lam -> DH(q0)^T lam."""
+    Products with DH are M3Jacobian's; metric_id and winding (unused)
+    match _dense_newton.  Returns solve(q1, ph, f1, f2, f3) -> (dq, dph,
+    dlam) and lam -> DH(q0)^T lam."""
     n = q0.shape[0]
-    dth = system.dtheta
+    dth = 2.0 * np.pi / n
     half = 0.5 * dt * dth
     beta = -0.5 * dt
     e = 1.0 / dth
     x0 = q0[:, 0]
     gi0_1, gi0_2 = x0 ** -2, x0 ** 6
     alpha1, alpha2 = -2.0 * half * x0 ** -3, 6.0 * half * x0 ** 5
-    gw1, gw3 = _m3_rate_partials(q0)
-    g1, g3 = 0.5 * gw1, 0.5 * gw3
+    jac0 = M3Jacobian(q0, dth)
+    g1, g3 = 0.5 * jac0.gw1, 0.5 * jac0.gw3
     c0 = -0.5 * half                  # -half (1/4 + 1/4)
-    gc0 = _closure_coeffs(q0, dth)
-
-    def jt0(lam):
-        out = m3_diff_apply_transpose(q0, lam[:n], dth)
-        out[:, :2] += np.einsum("ijk,i->kj", gc0, lam[n:])
-        return out
+    gc0 = jac0.gc
 
     def solve(q1, ph, f1, f2, f3):
         x1 = q1[:, 0]
@@ -341,8 +282,8 @@ def _m3_newton(system: ConstraintSystem, q0: np.ndarray, dt: float):
         # x^T M y at each sample for the row vectors x = (h1, +-e, h3) of
         # J(q1) and y = (g1, +-e, g3) of J(q0): + for row k at sample k,
         # - for row k-1 at sample k
-        h1, h3 = _m3_rate_partials(q1)
-        h1, h3 = 0.5 * h1, 0.5 * h3
+        jac1 = M3Jacobian(q1, dth)
+        h1, h3 = 0.5 * jac1.gw1, 0.5 * jac1.gw3
         xs, xd = h1 + t2 * h3, e * t1
         ry, rd = g1 - a2 * g3, e * a1
         xp, xm, rp, rm = xs + xd, xs - xd, ry + rd, ry - rd
@@ -351,50 +292,49 @@ def _m3_newton(system: ConstraintSystem, q0: np.ndarray, dt: float):
         f_pp, f_mm = same + c0 * xp * rm, same + c0 * xm * rp
         f_pm, f_mp = cross + c0 * xp * rp, cross + c0 * xm * rm
         bands = beta * np.stack([f_pm, f_pp + _shift(f_mm, 1), _shift(f_mp, 1)])
-        # J(q1) and C(q1) on wq and on the columns M C(q0)^T (-dt/2)
-        gc1 = _closure_coeffs(q1, dth)
+        # DH(q1) on wq and on the columns M C(q0)^T (-dt/2)
+        gc1 = jac1.gc
         rho = beta * c0 * (gc0[:, 0] - a1 * gc0[:, 1])
         X = np.empty((3, 3, n))
         X[:, 0] = wq.T
         X[0, 1:], X[1, 1:], X[2, 1:] = rho, beta * c1 * gc0[:, 1] + t1 * rho, t2 * rho
-        X = X.transpose(2, 0, 1)
-        jx = m3_diff_apply(q1, X, dth)
-        cx = np.einsum("ijk,kjl->il", gc1, X[:, :2])
+        jx = jac1.apply(X.transpose(2, 0, 1))
         sig = c0 * (gc1[:, 0] + t1 * gc1[:, 1])              # M^T C(q1)^T
-        rows = m3_diff_apply(q0, np.stack(
-            [sig, c1 * gc1[:, 1] - a1 * sig, -a2 * sig]).transpose(2, 0, 1), dth)
-        dl, dc = bordered_cyclic_solve(bands, jx[:, 1:], beta * rows.T, cx[:, 1:],
-                                       -f3[:n] - jx[:, 0], -f3[n:] - cx[:, 0])
+        rows = jac0.apply(np.stack(
+            [sig, c1 * gc1[:, 1] - a1 * sig, -a2 * sig]).transpose(2, 0, 1))[:n]
+        dl, dc = bordered_cyclic_solve(bands, jx[:n, 1:], beta * rows.T, jx[n:, 1:],
+                                       -f3[:n] - jx[:n, 0], -f3[n:] - jx[n:, 0])
         dlam = np.concatenate([dl, dc])
-        du, dq = eliminate(f1 + beta * jt0(dlam))
+        du, dq = eliminate(f1 + beta * jac0.apply_t(dlam))
         return dq, du, dlam
 
-    return solve, jt0
+    return solve, jac0.apply_t
 
 
-def _dense_newton(system: ConstraintSystem, q0: np.ndarray, dt: float):
+def _dense_newton(metric_id: MetricId, q0: np.ndarray, winding: int, dt: float):
     """The reduced Newton solve with dense per-sample d x d blocks and the
     dense constraint Jacobian (M4): A^-1 and D^-1 by batched solves, GW =
     G(q1) D^-1 C A^-1 (-dt/2) G(q0)^T.  Returns the same pair as
     _m3_newton."""
-    mid = system.metric_id
-    m = system.n_constraints
     n, d = q0.shape
-    half = 0.5 * dt * system.dtheta
-    gi0 = g_inv_matrix(mid, q0)
-    jac0_t = system.jacobian(q0).reshape(m, n, d).transpose(1, 2, 0)
+    dth = 2.0 * np.pi / n
+    half = 0.5 * dt * dth
+    gi0 = g_inv_matrix(metric_id, q0)
+    jac0 = constraint_jacobian(metric_id, q0, winding)
+    m = jac0.shape[0]
+    jac0_t = jac0.reshape(m, n, d).transpose(1, 2, 0)
     B = -0.5 * dt * jac0_t
     eye = np.eye(d)
 
     def solve(q1, ph, f1, f2, f3):
-        A = eye + half * _d_ginvp_dq(mid, q0, ph)
-        C = -half * (gi0 + g_inv_matrix(mid, q1))
-        D = eye - half * np.transpose(_d_ginvp_dq(mid, q1, ph), (0, 2, 1))
+        A = eye + half * _d_ginvp_dq(metric_id, q0, ph)
+        C = -half * (gi0 + g_inv_matrix(metric_id, q1))
+        D = eye - half * np.transpose(_d_ginvp_dq(metric_id, q1, ph), (0, 2, 1))
         sol1 = np.linalg.solve(A, np.concatenate([f1[:, :, None], B], axis=2))
         rhs2 = np.matmul(C, sol1)
         rhs2[:, :, 0] -= f2
         sol2 = np.linalg.solve(D, rhs2)
-        G = system.jacobian(q1)
+        G = constraint_jacobian(metric_id, q1, winding)
         dlam = np.linalg.solve(G @ sol2[:, :, 1:].reshape(n * d, m),
                                -f3 - G @ sol2[:, :, 0].ravel())
         return (sol2[:, :, 0] + sol2[:, :, 1:] @ dlam,
@@ -408,16 +348,17 @@ def rattle_step(state: HamiltonianState, dt: float, tol: float = 1e-12,
     """One RATTLE step.  Returns (new_state, lambda_1) so callers can warm
     start the next step's multiplier.  The Newton matrix is the M3
     structured one (_m3_newton) or the dense M4 one (_dense_newton)."""
-    mid = state.metric_id
-    system = ConstraintSystem(mid, state.n_samples, state.winding)
+    mid, winding = state.metric_id, state.winding
     dth = state.theta_step
     q0, p0 = state.q, state.p
+    n = q0.shape[0]
 
     ph = p0.copy()
     q1 = q0 + dt * energy_grad_p(mid, q0, p0, dth)  # explicit predictor
-    lam = np.zeros(system.n_constraints) if lam_guess is None else lam_guess.copy()
+    lam = (np.zeros((n if mid is MetricId.M3 else 2 * n) + 2) if lam_guess is None
+           else lam_guess.copy())
     newton_for = _m3_newton if mid is MetricId.M3 else _dense_newton
-    newton, jt0 = newton_for(system, q0, dt)
+    newton, jt0 = newton_for(mid, q0, winding, dt)
     history = []
     for it in range(max_iter):
         if np.any(q1[:, 0] <= 0.0):
@@ -427,7 +368,7 @@ def rattle_step(state: HamiltonianState, dt: float, tol: float = 1e-12,
         f1 = ph - p0 + 0.5 * dt * energy_grad_q(mid, q0, ph, dth) - 0.5 * dt * jt0(lam)
         f2 = q1 - q0 - 0.5 * dt * (energy_grad_p(mid, q0, ph, dth)
                                    + energy_grad_p(mid, q1, ph, dth))
-        f3 = system.value(q1)
+        f3 = constraint_rows(mid, q1, winding)
         res = max(np.max(np.abs(f1)), np.max(np.abs(f2)), np.max(np.abs(f3)))
         history.append(res)
         if res < tol:
@@ -448,11 +389,11 @@ def rattle_step(state: HamiltonianState, dt: float, tol: float = 1e-12,
     # explicit momentum half-step + hidden-constraint projection
     p1 = ph - 0.5 * dt * energy_grad_q(mid, q1, ph, dth)
     try:
-        p1 = _tangent_momentum(system, q1, p1)
+        p1 = _tangent_momentum(mid, q1, winding, p1)
     except (np.linalg.LinAlgError, SingularSystem) as exc:
         raise NewtonDivergence("hidden-constraint system is singular",
                                history) from exc
-    new_state = HamiltonianState(mid, q1, p1, state.t + dt, state.winding)
+    new_state = HamiltonianState(mid, q1, p1, state.t + dt, winding)
     return new_state, lam
 
 
@@ -486,8 +427,11 @@ class SimulationResult:
 
 
 def simulate(state: HamiltonianState, T: float, dt: float) -> SimulationResult:
-    """Integrate for round(T/dt) RATTLE steps with per-step diagnostics."""
-    system = ConstraintSystem(state.metric_id, state.n_samples, state.winding)
+    """Integrate for round(T/dt) RATTLE steps with per-step diagnostics;
+    dt must be positive and round(T/dt) at least 1."""
+    if not (dt > 0 and np.isfinite(T / dt) and round(T / dt) >= 1):
+        raise CurveflowError(f"simulate needs dt > 0 and at least one step, "
+                             f"got T={T}, dt={dt}")
     steps = int(round(T / dt))
     n, d = state.q.shape
     qs = np.empty((steps + 1, n, d))
@@ -500,8 +444,8 @@ def simulate(state: HamiltonianState, T: float, dt: float) -> SimulationResult:
     def record(j, st):
         qs[j], ps[j] = st.q, st.p
         energy[j] = discrete_energy(st)
-        cnorm[j] = float(np.max(np.abs(system.value(st.q))))
-        hnorm[j] = hidden_residual(st, system)
+        cnorm[j] = float(np.max(np.abs(constraint_rows(st.metric_id, st.q, st.winding))))
+        hnorm[j] = hidden_residual(st)
 
     record(0, state)
     lam = None

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateCurve, TurningTooFast
+from .errors import CurveflowError, DegenerateCurve, TurningTooFast
 
 EPS_REG = 1e-10  # smallest admissible discrete speed |c'|
 
@@ -172,10 +172,14 @@ def curve_length(curve: DiscreteCurve, frame: CurveFrame | None = None) -> float
     return integrate_ds(curve, np.ones(curve.n_samples), frame)
 
 
-def _check_field(curve: DiscreteCurve, h) -> np.ndarray:
+def _check_field(curve: DiscreteCurve, h, name: str) -> np.ndarray:
+    """h as an (N, 2) float array; a CurveflowError naming it if not."""
     h = np.asarray(h, dtype=float)
-    if h.shape != (curve.n_samples, 2):
-        raise ValueError(f"vector field must have shape ({curve.n_samples}, 2)")
+    if h.shape != curve.points.shape:
+        raise CurveflowError(f"{name} must be an {curve.points.shape} array on the "
+                             f"curve grid, got shape {h.shape}")
+    if not np.all(np.isfinite(h)):
+        raise CurveflowError(f"{name} must be finite")
     return h
 
 
@@ -194,7 +198,7 @@ def first_variation(curve: DiscreteCurve, h, quantity: str,
     """
     if frame is None:
         frame = build_frame(curve)
-    h = _check_field(curve, h)
+    h = _check_field(curve, h, "h")
     dsh = ds_derivative(curve, h, frame)
     dsh_n = np.einsum("ki,ki->k", dsh, frame.n)
     dsh_v = np.einsum("ki,ki->k", dsh, frame.v)
@@ -257,6 +261,14 @@ def save_curve(curve: DiscreteCurve, path) -> None:
         fh.write("\n")
 
 
-def load_curve(path) -> DiscreteCurve:
+def load_json(path, build, kind: str):
+    """build(the JSON in path); a malformed file is a CurveflowError."""
     with open(path) as fh:
-        return curve_from_dict(json.load(fh))
+        try:
+            return build(json.load(fh))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise CurveflowError(f"{path} is not a valid {kind} file: {exc!r}") from exc
+
+
+def load_curve(path) -> DiscreteCurve:
+    return load_json(path, curve_from_dict, "curve")

@@ -28,6 +28,7 @@ from .constrained_hamiltonian import (
 )
 from .curve_core import (
     DiscreteCurve,
+    _check_field,
     build_frame,
     center,
     curve_length,
@@ -130,9 +131,15 @@ def _require(cond, message):
         raise CurveflowError(message)
 
 
+def _require_count(name, value, least):
+    _require(isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+             and value >= least,
+             f"{name} must be an integer of at least {least}, got {value!r}")
+
+
 def _require_sizes(T, snapshots, steps=1):
-    _require(steps >= 1, f"steps must be at least 1, got {steps}")
-    _require(snapshots >= 2, f"need at least 2 snapshots, got {snapshots}")
+    _require_count("steps", steps, 1)
+    _require_count("snapshots", snapshots, 2)
     _require(np.isfinite(T) and T > 0, f"T must be finite and positive, got {T}")
 
 
@@ -254,8 +261,8 @@ def _bvp_shooting(c0, c1, K, T, dt, modes, tol, max_iter) -> GeodesicPath:
     for name, value in (("dt", dt), ("tol", tol)):
         _require(np.isfinite(value) and value > 0,
                  f"{name} must be finite and positive, got {value}")
-    _require(modes >= 1, f"modes must be at least 1, got {modes}")
-    _require(max_iter >= 1, f"max_iter must be at least 1, got {max_iter}")
+    _require_count("modes", modes, 1)
+    _require_count("max_iter", max_iter, 1)
     c0, c1 = center(c0), center(c1)
     q0 = project_to_manifold(r_forward(MetricId.M3, c0))
     q1 = project_to_manifold(r_forward(MetricId.M3, c1))
@@ -385,8 +392,7 @@ def geodesic_ivp(metric_id, c0: DiscreteCurve, u0, T: float,
     """Geodesic from c0 with initial velocity field u0, integrated to time T."""
     metric_id = MetricId.parse(metric_id)
     _require_sizes(T, snapshots, steps)
-    u0 = np.asarray(u0, dtype=float)
-    _require(u0.shape == c0.points.shape, "u0 must match the curve grid")
+    u0 = _check_field(c0, u0, "u0")
     if metric_id is MetricId.M1:
         _require(not c0.closed, "M1 initial value solver works on open curves")
         return _ivp_flat(c0, u0, T, snapshots)
@@ -541,8 +547,8 @@ def vertical_operator_matrix(curve: DiscreteCurve) -> np.ndarray:
 def horizontal_project(curve: DiscreteCurve, h) -> np.ndarray:
     """Remove the reparameterization (vertical) part of h for M3: h -
     zeta c' with <L_c(h - zeta c'), v> = 0."""
+    h = _check_field(curve, h, "h")
     frame = build_frame(curve)
-    h = np.asarray(h, dtype=float)
     lh = apply_L(MetricId.M3, curve, h, frame)
     rhs = np.einsum("ki,ki->k", lh, frame.v)
     mat = vertical_operator_matrix(curve)

@@ -15,21 +15,22 @@ differences are single-valued.
 
 Discretization conventions: the M3 derivative constraint is the trapezoid
 (box-scheme) row (w_k + w_{k+1})/2 - (q2_{k+1} - q2_k)/dtheta with
-w = q1^-2 q3, centred at the half node and so second-order consistent; its
-value, linearization, transpose and Gram bands are defined once here, as
-is the L2(g) projection P onto the tangent space of these and the
-closedness rows (_project_op_m3).  project_image uses P; the consistent
+w = q1^-2 q3, centred at the half node and so second-order consistent; the
+M4 rows use forward differences.  The closedness constraint uses the grid
+quadrature (periodic trapezoid = left Riemann sum on closed grids), and
+the constraint gradients are the exact adjoints of these discrete
+functionals.  This module is the one definition of the constraints: rows
+(constraints, and constraint_rows for the H(q) of closed M3/M4 grids),
+the closedness derivative (_closure_coeffs), the M3 products DH.X,
+DH^T.lam and Gram bands with coefficients cached per q (M3Jacobian), the
+dense DH (constraint_jacobian) and the L2(g) projection P onto the M3
+tangent space (_project_op_m3).  project_image uses P; the consistent
 momentum and the RATTLE lambda_2 step use p -> g P(g^-1 p).  The one
 cyclic banded solver (cyclic_banded_solve: nonsymmetric bands of
 half-width b, LAPACK banded factorization plus a Woodbury correction for
 the wrap corners) and its bordered form for the two closedness rows
 (bordered_cyclic_solve) serve P, the RATTLE Newton step and the periodic
-elliptic solve.  The M4
-derivative rows use forward differences.  The closedness constraint uses
-the quadrature of the grid (periodic trapezoid = left Riemann sum on
-closed grids), and all constraint gradients are the exact adjoints of
-those discrete functionals, so they satisfy finite-difference identities
-to solver precision.
+elliptic solve.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import solve_banded
 
-from .curve_core import CurveFrame, DiscreteCurve, build_frame, ds_derivative, trapezoid_weights
+from .curve_core import (CurveFrame, DiscreteCurve, build_frame, ds_derivative, load_json,
+                         trapezoid_weights)
 from .errors import CurveflowError, NonPositive, OffImage, SingularSystem
 from .metric_suite import MetricId, _require_convex
 from .pointwise_geometry import g_eval, g_inv
@@ -203,19 +205,9 @@ def _forward_diff(f: np.ndarray, dth: float, closed: bool,
     return (f[1:] - f[:-1]) / dth
 
 
-# The M3 derivative constraint, row k:
-#     (w_k + w_{k+1})/2 - (q2_{k+1} - q2_k)/dtheta,   w = q1^-2 q3,
-# centred at theta_{k+1/2}.  Each row touches samples k and k+1 only.
-
 def _m3_rate(q: np.ndarray) -> np.ndarray:
     """w = q1^-2 q3, the turning rate alpha' the constraint predicts."""
     return q[:, 2] * q[:, 0] ** -2
-
-
-def _m3_rate_partials(q: np.ndarray):
-    """(dw/dq1, dw/dq3) per sample."""
-    q1 = q[:, 0]
-    return -2.0 * q[:, 2] * q1 ** -3, q1 ** -2
 
 
 def m3_diff_value(q: np.ndarray, dth: float, closed: bool = True,
@@ -224,40 +216,6 @@ def m3_diff_value(q: np.ndarray, dth: float, closed: bool = True,
     w = _m3_rate(q)
     mean = 0.5 * (w + _shift(w, 1)) if closed else 0.5 * (w[:-1] + w[1:])
     return mean - _forward_diff(q[:, 1], dth, closed, wrap)
-
-
-def m3_diff_apply(q: np.ndarray, X: np.ndarray, dth: float) -> np.ndarray:
-    """Closed-grid linearized rows J(q) . X for X of shape (n, 3) or
-    (n, 3, r)."""
-    gw1, gw3 = _m3_rate_partials(q)
-    sl = (slice(None),) + (None,) * (X.ndim - 2)
-    half_y = 0.5 * (gw1[sl] * X[:, 0] + gw3[sl] * X[:, 2])
-    d2 = X[:, 1] / dth
-    # row k = (half_y + d2)_k + (half_y - d2)_{k+1}: one cyclic shift
-    return half_y + d2 + _shift(half_y - d2, 1)
-
-
-def m3_diff_apply_transpose(q: np.ndarray, lam: np.ndarray,
-                            dth: float) -> np.ndarray:
-    """J(q)^T . lam, shaped (n, 3) for lam (n,) and (n, 3, r) for (n, r)."""
-    gw1, gw3 = _m3_rate_partials(q)
-    sl = (slice(None),) + (None,) * (lam.ndim - 1)
-    prev = _shift(lam, -1)
-    avg = 0.5 * (lam + prev)
-    return np.stack([gw1[sl] * avg, (lam - prev) / dth, gw3[sl] * avg], axis=1)
-
-
-def m3_diff_gram(q: np.ndarray, ginv: np.ndarray, dth: float) -> np.ndarray:
-    """The (3, n) cyclic bands of S = J g^-1 J^T (cyclic_banded_solve's
-    layout) for a diagonal g^-1 given as (n, 3): S[k, k] and S[k, k+1] =
-    S[k+1, k]."""
-    gw1, gw3 = _m3_rate_partials(q)
-    s = gw1 ** 2 * ginv[:, 0] + gw3 ** 2 * ginv[:, 2]
-    g2 = ginv[:, 1]
-    s_next, g2_next = _shift(s, 1), _shift(g2, 1)
-    upper = 0.25 * s_next - g2_next / dth ** 2
-    return np.stack([_shift(upper, -1),
-                     0.25 * (s + s_next) + (g2 + g2_next) / dth ** 2, upper])
 
 
 def m4_diff_value(q: np.ndarray, dth: float, closed: bool = True,
@@ -271,32 +229,124 @@ def m4_diff_value(q: np.ndarray, dth: float, closed: bool = True,
                            head[:, 3] - head[:, 0] ** 2 * d2])
 
 
-def _closure_coeffs(q: np.ndarray, dth: float) -> np.ndarray:
-    """gc[i, j, k]: d(closedness row i)/d q_{j+1} at sample k, for the rows
-    sum_k q1^2 (cos q2, sin q2) dtheta of a closed M3/M4 grid."""
-    q1, q2 = q[:, 0], q[:, 1]
-    gc = np.empty((2, 2, q.shape[0]))
-    gc[0, 0] = 2.0 * q1 * np.cos(q2) * dth
-    gc[0, 1] = -q1 ** 2 * np.sin(q2) * dth
-    gc[1, 0] = 2.0 * q1 * np.sin(q2) * dth
-    gc[1, 1] = q1 ** 2 * np.cos(q2) * dth
+_DIFF_ROWS = {MetricId.M3: m3_diff_value, MetricId.M4: m4_diff_value}
+
+
+def _closedness(weight: np.ndarray, angle: np.ndarray, dth: float) -> np.ndarray:
+    """The two closedness rows sum_k weight_k (cos, sin)(angle_k) dtheta;
+    weight is tau q1^2 and angle the turning angle (q2 for M3/M4)."""
+    return np.array([np.sum(weight * np.cos(angle)) * dth,
+                     np.sum(weight * np.sin(angle)) * dth])
+
+
+def _closure_coeffs(q1: np.ndarray, angle: np.ndarray, dth: float) -> np.ndarray:
+    """gc[i, j, k]: d(closedness row i)/d(q1, angle)_j at sample k, for the
+    rows sum_k q1^2 (cos angle, sin angle) dtheta."""
+    gc = np.empty((2, 2, q1.shape[0]))
+    gc[0, 0] = 2.0 * q1 * np.cos(angle) * dth
+    gc[0, 1] = -q1 ** 2 * np.sin(angle) * dth
+    gc[1, 0] = 2.0 * q1 * np.sin(angle) * dth
+    gc[1, 1] = q1 ** 2 * np.cos(angle) * dth
     return gc
+
+
+def _closedness_newton(q: np.ndarray, dth: float, cl: np.ndarray) -> np.ndarray:
+    """The (n, 2) Newton correction of (q1, q2) for the closedness rows cl
+    of a closed M3/M4 grid, along their Euclidean gradient span."""
+    gc = _closure_coeffs(q[:, 0], q[:, 1], dth)
+    mu = np.linalg.solve(np.einsum("ijk,ljk->il", gc, gc), cl)
+    return np.einsum("ijk,i->kj", gc, mu)
+
+
+def constraint_rows(metric_id: MetricId, q: np.ndarray, winding: int) -> np.ndarray:
+    """H(q) of a closed M3/M4 grid, q2 wrapping by 2 pi winding: the
+    derivative rows, then the two closedness rows, of constraints()."""
+    dth = 2.0 * np.pi / q.shape[0]
+    diff = _DIFF_ROWS[MetricId.parse(metric_id)](q, dth, True, 2.0 * np.pi * winding)
+    return np.concatenate([diff, _closedness(q[:, 0] ** 2, q[:, 1], dth)])
+
+
+class M3Jacobian:
+    """DH(q) of a closed M3 grid (N trapezoid rows J, then the closedness
+    rows C) as O(n) products: apply(X) = DH . X for X (n, 3) or (n, 3, r),
+    apply_t(lam) = DH^T . lam for lam (n+2,) or (n+2, r).  The coefficients
+    are computed once per q: gw1, gw3 = dw/dq1, dw/dq3 for w = q1^-2 q3
+    (row k of J is (gw1/2, 1/dth, gw3/2) at sample k and (gw1/2, -1/dth,
+    gw3/2) at k+1) and gc = _closure_coeffs."""
+
+    def __init__(self, q: np.ndarray, dth: float):
+        q1 = q[:, 0]
+        self.n, self.dth = q.shape[0], dth
+        self.gw1, self.gw3 = -2.0 * q[:, 2] * q1 ** -3, q1 ** -2
+        self.gc = _closure_coeffs(q1, q[:, 1], dth)
+
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        sl = (slice(None),) + (None,) * (X.ndim - 2)
+        half_y = 0.5 * (self.gw1[sl] * X[:, 0] + self.gw3[sl] * X[:, 2])
+        d2 = X[:, 1] / self.dth
+        # row k = (half_y + d2)_k + (half_y - d2)_{k+1}: one cyclic shift
+        return np.concatenate([half_y + d2 + _shift(half_y - d2, 1),
+                               np.einsum("ijk,kj...->i...", self.gc, X[:, :2])])
+
+    def apply_t(self, lam: np.ndarray) -> np.ndarray:
+        mu = lam[:self.n]
+        sl = (slice(None),) + (None,) * (lam.ndim - 1)
+        prev = _shift(mu, -1)
+        avg = 0.5 * (mu + prev)
+        out = np.stack([self.gw1[sl] * avg, (mu - prev) / self.dth,
+                        self.gw3[sl] * avg], axis=1)
+        out[:, :2] += np.einsum("ijk,i...->kj...", self.gc, lam[self.n:])
+        return out
+
+    def gram_bands(self, ginv: np.ndarray) -> np.ndarray:
+        """The (3, n) cyclic bands of S = J g^-1 J^T (cyclic_banded_solve's
+        layout) for a diagonal g^-1 given as (n, 3): S[k, k] and S[k, k+1]
+        = S[k+1, k]."""
+        s = self.gw1 ** 2 * ginv[:, 0] + self.gw3 ** 2 * ginv[:, 2]
+        g2 = ginv[:, 1]
+        s_next, g2_next = _shift(s, 1), _shift(g2, 1)
+        upper = 0.25 * s_next - g2_next / self.dth ** 2
+        return np.stack([_shift(upper, -1),
+                         0.25 * (s + s_next) + (g2 + g2_next) / self.dth ** 2, upper])
+
+
+def constraint_jacobian(metric_id: MetricId, q: np.ndarray, winding: int) -> np.ndarray:
+    """The dense DH(q) of constraint_rows, shaped (rows, n d).  For M3 it
+    is M3Jacobian applied to the unit vectors; for M4 the forward-difference
+    rows are written out, then the closedness rows from _closure_coeffs."""
+    n, d = q.shape
+    dth = 2.0 * np.pi / n
+    if MetricId.parse(metric_id) is MetricId.M3:
+        return M3Jacobian(q, dth).apply(np.eye(n * d).reshape(n, d, n * d))
+    q1, q2 = q[:, 0], q[:, 1]
+    d1 = _forward_diff(q1, dth, True)
+    d2 = _forward_diff(q2, dth, True, 2.0 * np.pi * winding)
+    jac = np.zeros((2 * n + 2, n, d))
+    idx = np.arange(n)
+    nxt = (idx + 1) % n
+    jac[idx, idx, 0] = 2.0 * q1 ** -2 * d1 + 2.0 * q1 ** -1 / dth
+    jac[idx, nxt, 0] += -2.0 * q1 ** -1 / dth
+    jac[idx, idx, 2] = 1.0
+    rows = n + idx
+    jac[rows, idx, 0] = -2.0 * q1 * d2
+    jac[rows, idx, 1] += q1 ** 2 / dth
+    jac[rows, nxt, 1] -= q1 ** 2 / dth
+    jac[rows, idx, 3] = 1.0
+    jac[2 * n:, :, :2] = _closure_coeffs(q1, q2, dth).transpose(0, 2, 1)
+    return jac.reshape(2 * n + 2, n * d)
 
 
 def _winding_of(rpoint: RPoint) -> int:
     if rpoint.winding is not None:
         return rpoint.winding
-    if not rpoint.closed or rpoint.metric_id in (MetricId.M1, MetricId.M2):
+    diff = _DIFF_ROWS.get(rpoint.metric_id)
+    if not rpoint.closed or diff is None:
         return 0
-    # infer from the derivative constraint, whose seam row predicts q2_0
-    q = rpoint.q
-    dth = rpoint.theta_step
-    if rpoint.metric_id is MetricId.M3:
-        w = _m3_rate(q)
-        pred = q[-1, 1] + dth * 0.5 * (w[-1] + w[0])
-    else:
-        pred = q[-1, 1] + dth * q[-1, 3] / q[-1, 0] ** 2
-    return int(round((pred - q[0, 1]) / (2.0 * np.pi)))
+    # the wrap that zeroes the seam derivative row: dtheta times that row
+    # without it (divided by q1^2 in the M4 q4 row)
+    q, dth = rpoint.q, rpoint.theta_step
+    seam = diff(q, dth)[-1] / (q[-1, 0] ** 2 if rpoint.metric_id is MetricId.M4 else 1.0)
+    return int(round(dth * seam / (2.0 * np.pi)))
 
 
 def constraints(rpoint: RPoint) -> ConstraintValue:
@@ -313,21 +363,12 @@ def constraints(rpoint: RPoint) -> ConstraintValue:
     q = rpoint.q
     dth = rpoint.theta_step
     mid = rpoint.metric_id
-    n = rpoint.n_samples
-    tau = trapezoid_weights(n, rpoint.closed)
-    alpha = _alpha_of(rpoint)
+    tau = trapezoid_weights(rpoint.n_samples, rpoint.closed)
     scale = 2.0 ** -2 if mid is MetricId.M1 else 1.0
-    h_cl = scale * np.array([
-        np.sum(tau * q[:, 0] ** 2 * np.cos(alpha)) * dth,
-        np.sum(tau * q[:, 0] ** 2 * np.sin(alpha)) * dth,
-    ])
-    h_diff = None
-    if mid is MetricId.M3:
-        h_diff = m3_diff_value(q, dth, rpoint.closed,
-                               2.0 * np.pi * _winding_of(rpoint))
-    elif mid is MetricId.M4:
-        h_diff = m4_diff_value(q, dth, rpoint.closed,
-                               2.0 * np.pi * _winding_of(rpoint))
+    h_cl = scale * _closedness(tau * q[:, 0] ** 2, _alpha_of(rpoint), dth)
+    diff = _DIFF_ROWS.get(mid)
+    h_diff = None if diff is None else diff(q, dth, rpoint.closed,
+                                            2.0 * np.pi * _winding_of(rpoint))
     return ConstraintValue(h_diff=h_diff, h_cl=h_cl)
 
 
@@ -372,22 +413,20 @@ def constraint_gradients(rpoint: RPoint) -> list[np.ndarray]:
     check_pattern(rpoint)
     q = rpoint.q
     mid = rpoint.metric_id
-    n = rpoint.n_samples
     dth = rpoint.theta_step
-    tau = trapezoid_weights(n, rpoint.closed)
-    alpha = _alpha_of(rpoint)
+    tau = trapezoid_weights(rpoint.n_samples, rpoint.closed)
     scale = 2.0 ** -2 if mid is MetricId.M1 else 1.0
     q1 = q[:, 0]
+    # d(closedness row i)/d(q1, alpha) per sample
+    gc = scale * tau * _closure_coeffs(q1, _alpha_of(rpoint), dth)
     grads = []
-    for trig, dtrig in ((np.cos, lambda a: -np.sin(a)),
-                        (np.sin, np.cos)):
+    for dq1, dalpha in gc:
         e = np.zeros_like(q)
-        e[:, 0] = scale * 2.0 * q1 * trig(alpha) * tau * dth
-        m = scale * q1 ** 2 * dtrig(alpha) * tau * dth  # multiplier of d(alpha)
+        e[:, 0] = dq1
         if mid in (MetricId.M3, MetricId.M4):
-            e[:, 1] = m
+            e[:, 1] = dalpha
         else:
-            t = _adjoint_cumtrapz(m, dth)  # multiplier of d(alpha'-density)
+            t = _adjoint_cumtrapz(dalpha, dth)  # multiplier of d(alpha'-density)
             if mid is MetricId.M1:
                 e[:, 0] += t * (-2.0) * 2.0 ** -6 * q1 ** -3 * q[:, 1] ** 4
                 e[:, 1] = t * 4.0 * 2.0 ** -6 * q1 ** -2 * q[:, 1] ** 3
@@ -485,24 +524,24 @@ def _project_op_m3(q: np.ndarray, h: np.ndarray, dth: float,
                    closure: bool = False) -> np.ndarray:
     """Exact discrete L2(g)-orthogonal projection onto {A k = 0}: k = h -
     g^-1 A^T mu with (A g^-1 A^T) mu = A h, where A is the trapezoid
-    derivative rows J, bordered by the closedness rows C if closure is set.
-    g^-1 is the M3 metric's diagonal ginv (n, 3).  A g^-1 A^T is the
-    cyclic tridiagonal J g^-1 J^T (m3_diff_gram) bordered by J g^-1 C^T,
-    its transpose and C g^-1 C^T: one bordered_cyclic_solve."""
+    derivative rows J of M3Jacobian, bordered by its closedness rows C if
+    closure is set.  g^-1 is the M3 metric's diagonal ginv (n, 3).
+    A g^-1 A^T is the cyclic tridiagonal J g^-1 J^T (gram_bands) bordered
+    by J g^-1 C^T, its transpose and C g^-1 C^T: one bordered_cyclic_solve."""
+    n = q.shape[0]
     ginv = g_inv(MetricId.M3, q, np.ones_like(q))
-    bands = m3_diff_gram(q, ginv, dth)
-    rhs = m3_diff_apply(q, h, dth)
-    if not closure:
-        return h - ginv * m3_diff_apply_transpose(
-            q, cyclic_banded_solve(bands, rhs), dth)
-    gc = _closure_coeffs(q, dth)
-    border = np.zeros(q.shape + (2,))                      # g^-1 C^T
-    border[:, :2] = ginv[:, :2, None] * gc.transpose(2, 1, 0)
-    cols = m3_diff_apply(q, border, dth)
-    corner = np.einsum("ijk,kjl->il", gc, border[:, :2])
-    mu, nu = bordered_cyclic_solve(bands, cols, cols.T, corner, rhs,
-                                   np.einsum("ijk,kj->i", gc, h[:, :2]))
-    return h - ginv * m3_diff_apply_transpose(q, mu, dth) - border @ nu
+    jac = M3Jacobian(q, dth)
+    bands = jac.gram_bands(ginv)
+    ah = jac.apply(h)
+    if closure:
+        border = np.zeros(q.shape + (2,))                      # g^-1 C^T
+        border[:, :2] = ginv[:, :2, None] * jac.gc.transpose(2, 1, 0)
+        ab = jac.apply(border)
+        lam = np.concatenate(bordered_cyclic_solve(bands, ab[:n], ab[:n].T, ab[n:],
+                                                   ah[:n], ah[n:]))
+    else:
+        lam = np.concatenate([cyclic_banded_solve(bands, ah[:n]), np.zeros(2)])
+    return h - ginv * jac.apply_t(lam)
 
 
 def _remove_span(metric_id, q, closed, h, basis):
@@ -587,5 +626,4 @@ def save_rpoint(rpoint: RPoint, path) -> None:
 
 
 def load_rpoint(path) -> RPoint:
-    with open(path) as fh:
-        return rpoint_from_dict(json.load(fh))
+    return load_json(path, rpoint_from_dict, "transform")

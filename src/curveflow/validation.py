@@ -414,10 +414,11 @@ def check_energy_gradients():
         fd = (ch.discrete_energy(ch.HamiltonianState("M3", q, p + eps * d, 0, 1))
               - ch.discrete_energy(ch.HamiltonianState("M3", q, p - eps * d, 0, 1))) / (2 * eps)
         worst = max(worst, abs(fd - np.sum(gp_ * d)) / abs(fd))
-    sysm = ch.ConstraintSystem("M3", q.shape[0], 1)
     d = rng.standard_normal(q.shape)
-    fdj = (sysm.value(q + eps * d) - sysm.value(q - eps * d)) / (2 * eps)
-    jerr = np.abs(sysm.jacobian(q) @ d.ravel() - fdj).max() / np.abs(fdj).max()
+    fdj = (rt.constraint_rows("M3", q + eps * d, 1)
+           - rt.constraint_rows("M3", q - eps * d, 1)) / (2 * eps)
+    jac = rt.constraint_jacobian("M3", q, 1)
+    jerr = np.abs(jac @ d.ravel() - fdj).max() / np.abs(fdj).max()
     ok = worst < 1e-6 and jerr < 1e-6
     return ok, f"energy grads {worst:.1e}, jacobian {jerr:.1e}"
 

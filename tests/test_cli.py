@@ -246,22 +246,46 @@ def test_ivp_command_files(tmp_path):
     (["bvp", "--metric", "M3", "{circle}", "{circle}", "--dt", "0"], 1, ["dt"]),
     (["bvp", "--metric", "M3", "{circle}", "{circle}", "--dt", "-0.1"], 1, ["dt"]),
     (["demo", "fig1", "--n", "16", "--bvp-dt", "0", "-o", "{out}"], 1, ["dt"]),
+    (["distance", "--metric", "M2", "{short}", "{short}"], 1, ["short.json", "8 samples"]),
+    (["distance", "--metric", "M2", "{garbage}", "{line}"], 1, ["garbage.json"]),
+    (["transform", "--metric", "M3", "--inverse", "{garbage}", "-o", "{out}"], 1,
+     ["garbage.json", "transform"]),
+    (["transform", "--metric", "M3", "{noclosed}", "-o", "{out}"], 1,
+     ["noclosed.json", "closed"]),
+    (["ivp", "--metric", "M3", "--curve", "{circle}", "--velocity", "{novalues}",
+      "-T", "0.2"], 1, ["novalues.json", "values"]),
+    (["ivp", "--metric", "M2", "--curve", "{line}", "--velocity", "{u0nan}",
+      "-T", "0.2"], 1, ["u0", "finite"]),
 ], ids=["transform-M5", "distance-M9", "inverse-mismatch", "ivp-steps-0",
         "ivp-steps-neg", "ivp-T-0", "ivp-snapshots-neg", "bvp-snapshots-0",
         "demo-fig2-dt-5", "bvp-M1-modes", "bvp-dt-0", "bvp-dt-neg",
-        "demo-fig1-bvp-dt-0"])
+        "demo-fig1-bvp-dt-0", "distance-5-points", "curve-not-json",
+        "transform-not-json", "curve-no-closed", "velocity-no-values",
+        "velocity-nan"])
 def test_bad_input_is_named_error(tmp_path, capsys, argv, code, words):
     # bad metric names are usage errors; a --metric that contradicts the
-    # transform file, unusable solver sizes and shooting settings, and
-    # shooting flags on a metric without shooting are named errors
+    # transform file, unusable solver sizes and shooting settings, shooting
+    # flags on a metric without shooting, and malformed input files are
+    # named errors
     n = 32
     th = (2 * np.pi / n) * np.arange(n)
-    files = {name: str(tmp_path / f"{name}.json")
-             for name in ("circle", "line", "u0", "q3", "out")}
+    names = ("circle", "line", "u0", "q3", "out", "short", "garbage", "noclosed",
+             "novalues", "u0nan")
+    files = {name: str(tmp_path / f"{name}.json") for name in names}
     write_curve(files["circle"], np.stack([np.cos(th), np.sin(th)], 1), True)
     write_curve(files["line"], line_curve(n), False)
-    with open(files["u0"], "w") as fh:
-        json.dump({"values": np.stack([np.zeros(n), np.sin(th)], 1).tolist()}, fh)
+    u0 = np.stack([np.zeros(n), np.sin(th)], 1)
+    contents = {
+        "u0": json.dumps({"values": u0.tolist()}),
+        "short": json.dumps({"points": line_curve(5).tolist(), "closed": False}),
+        "garbage": "not json {",
+        "noclosed": json.dumps({"points": line_curve(n).tolist()}),
+        "novalues": json.dumps({"vals": u0.tolist()}),
+        "u0nan": json.dumps({"values": np.where(th[:, None] > 1, np.nan, u0).tolist()}),
+    }
+    for name, text in contents.items():
+        with open(files[name], "w") as fh:
+            fh.write(text)
     assert cli.main(["transform", "--metric", "M3", files["circle"],
                      "-o", files["q3"]]) == 0
     capsys.readouterr()
@@ -273,3 +297,8 @@ def test_bad_input_is_named_error(tmp_path, capsys, argv, code, words):
     err = capsys.readouterr().err
     for word in words:
         assert word in err
+
+
+def test_validate_command(capsys):
+    assert cli.main(["validate"]) == 0
+    assert "26/26 checks passed" in capsys.readouterr().out

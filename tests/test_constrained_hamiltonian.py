@@ -22,6 +22,30 @@ def circle_state(n=64, amp=1.0, velocity="sin"):
     return ch.project_consistent(q0, p_raw)
 
 
+def m3_jacobian_rows(q):
+    """The dense M3 DH(q), (n+2, 3n), written entry by entry: the N
+    trapezoid derivative rows, then the two closedness rows.  The
+    independent reference for rtransform.M3Jacobian."""
+    n = q.shape[0]
+    dth = 2 * np.pi / n
+    q1, q2, q3 = q.T
+    gw1, gw3 = -2.0 * q3 * q1 ** -3, q1 ** -2
+    jac = np.zeros((n + 2, n, 3))
+    idx = np.arange(n)
+    nxt = (idx + 1) % n
+    jac[idx, idx, 0] += 0.5 * gw1
+    jac[idx, nxt, 0] += 0.5 * gw1[nxt]
+    jac[idx, idx, 2] += 0.5 * gw3
+    jac[idx, nxt, 2] += 0.5 * gw3[nxt]
+    jac[idx, idx, 1] += 1.0 / dth
+    jac[idx, nxt, 1] -= 1.0 / dth
+    jac[n, :, 0] = 2.0 * q1 * np.cos(q2) * dth
+    jac[n, :, 1] = -q1 ** 2 * np.sin(q2) * dth
+    jac[n + 1, :, 0] = 2.0 * q1 * np.sin(q2) * dth
+    jac[n + 1, :, 1] = q1 ** 2 * np.cos(q2) * dth
+    return jac.reshape(n + 2, 3 * n)
+
+
 def test_discrete_energy_values():
     n = 50
     q = np.stack([np.ones(n), np.linspace(0, 2 * np.pi, n), np.zeros(n)], 1)
@@ -60,22 +84,32 @@ def test_constraint_jacobian_fd():
     for mid in ("M3", "M4"):
         c = wavy_curve(48, seed=2)
         q = rt.r_forward(mid, c).q.copy()
-        system = ch.ConstraintSystem(mid, 48, 1)
-        jac = system.jacobian(q)
         d = rng.standard_normal(q.shape)
         eps = 1e-7
-        fd = (system.value(q + eps * d) - system.value(q - eps * d)) / (2 * eps)
-        assert np.abs(jac @ d.ravel() - fd).max() < 1e-6 * max(1.0, np.abs(fd).max())
+        fd = (rt.constraint_rows(mid, q + eps * d, 1)
+              - rt.constraint_rows(mid, q - eps * d, 1)) / (2 * eps)
+        jacs = [rt.constraint_jacobian(mid, q, 1)]
+        if mid == "M3":
+            jacs.append(m3_jacobian_rows(q))
+        for jac in jacs:
+            assert np.abs(jac @ d.ravel() - fd).max() < 1e-6 * max(1.0, np.abs(fd).max())
 
 
 def test_structured_products_match_dense():
+    # DH . X and DH^T . lam of M3Jacobian, and the dense Jacobian built
+    # from them, against the row-by-row reference on an even and an odd grid
     rng = np.random.default_rng(7)
-    n = 48
-    system = ch.ConstraintSystem("M3", n, 1)
-    q = rt.r_forward("M3", wavy_curve(n, seed=2)).q
-    X = rng.standard_normal((n, 3, 5))
-    dense = system.jacobian(q) @ X.reshape(3 * n, 5)
-    assert np.abs(system.apply(q, X) - dense).max() < 1e-12
+    for n in (48, 49):
+        q = rt.r_forward("M3", wavy_curve(n, seed=2)).q
+        ref = m3_jacobian_rows(q)
+        jac = rt.M3Jacobian(q, 2 * np.pi / n)
+        X = rng.standard_normal((n, 3, 5))
+        lam = rng.standard_normal((n + 2, 5))
+        assert np.abs(jac.apply(X) - ref @ X.reshape(3 * n, 5)).max() < 1e-12
+        assert np.abs(jac.apply(X[:, :, 0]) - ref @ X[:, :, 0].ravel()).max() < 1e-12
+        assert np.abs(jac.apply_t(lam) - (ref.T @ lam).reshape(n, 3, 5)).max() < 1e-12
+        assert np.abs(jac.apply_t(lam[:, 0]) - (ref.T @ lam[:, 0]).reshape(n, 3)).max() < 1e-12
+        assert np.abs(rt.constraint_jacobian("M3", q, 1) - ref).max() < 1e-12
 
 
 def test_m3_projection_matches_dense():
@@ -85,7 +119,7 @@ def test_m3_projection_matches_dense():
     rng = np.random.default_rng(17)
     for n in (64, 65, 400):
         rp = ch.project_to_manifold(rt.r_forward("M3", wavy_curve(n, seed=2)))
-        A = ch.ConstraintSystem("M3", n, rp.winding).jacobian(rp.q)
+        A = m3_jacobian_rows(rp.q)
         gi = pg.g_inv("M3", rp.q, np.ones_like(rp.q)).ravel()
         S = (A * gi) @ A.T
         h = rng.standard_normal((n, 3))
@@ -123,7 +157,7 @@ def test_m3_rattle_step_matches_dense():
         for state in (st, wavy):
             new, lam = ch.rattle_step(state, 1e-2)
             ref, lam_ref = step_with(ch._dense_newton, state)
-            jac = ch.ConstraintSystem("M3", n, state.winding).jacobian(state.q)
+            jac = m3_jacobian_rows(state.q)
             for a, b in ((new.q, ref.q), (new.p, ref.p), (lam[:n], lam_ref[:n]),
                          (jac.T @ lam, jac.T @ lam_ref)):
                 assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
@@ -141,7 +175,7 @@ def test_m3_simulate_builds_no_dense_jacobian(monkeypatch):
 
     def dense(*args, **kwargs):
         raise AssertionError("dense constraint Jacobian built")
-    monkeypatch.setattr(ch.ConstraintSystem, "jacobian", dense)
+    monkeypatch.setattr(ch, "constraint_jacobian", dense)
     res = ch.simulate(st, 0.05, 1e-2)
     assert res.constraint_norm.max() < 1e-9
     assert res.hidden_norm.max() < 1e-9
@@ -164,12 +198,12 @@ def test_m4_jacobian_built_once_per_projection(monkeypatch):
     q0 = ch.project_to_manifold(rt.r_forward("M4", wavy_curve(n, seed=3)))
     p_raw = np.random.default_rng(2).standard_normal((n, 4))
     calls = []
-    jacobian = ch.ConstraintSystem.jacobian
+    jacobian = ch.constraint_jacobian
 
-    def counted(self, q):
+    def counted(*args):
         calls.append(1)
-        return jacobian(self, q)
-    monkeypatch.setattr(ch.ConstraintSystem, "jacobian", counted)
+        return jacobian(*args)
+    monkeypatch.setattr(ch, "constraint_jacobian", counted)
     st = ch.project_consistent(q0, p_raw)
     assert len(calls) == 1
     assert ch.hidden_residual(ch.HamiltonianState("M4", st.q, st.p, 0.0, 1)) < 1e-10
@@ -179,8 +213,7 @@ def test_project_to_manifold():
     c = wavy_curve(80, seed=4)
     raw = rt.r_forward("M3", c)
     onm = ch.project_to_manifold(raw)
-    system = ch.ConstraintSystem("M3", 80, 1)
-    assert np.abs(system.value(onm.q)).max() < 1e-13
+    assert np.abs(rt.constraint_rows("M3", onm.q, 1)).max() < 1e-13
     # the move is discretization-small
     assert np.abs(onm.q - raw.q).max() < 10 * raw.theta_step ** 2 * 10
 
@@ -204,20 +237,19 @@ def test_consistency_projections_are_second_order():
     assert shifts[0] / shifts[1] >= 3.5
     # odd grids have no alternating null mode in the cyclic average
     onm = ch.project_to_manifold(rt.r_forward("M3", wavy_curve(81, seed=4)))
-    assert np.abs(ch.ConstraintSystem("M3", 81, 1).value(onm.q)).max() < 1e-13
+    assert np.abs(rt.constraint_rows("M3", onm.q, 1)).max() < 1e-13
 
 
 def test_project_consistent():
     st = circle_state(48)
-    system = ch.ConstraintSystem("M3", 48, 1)
-    assert ch.hidden_residual(st, system) < 1e-11
+    assert ch.hidden_residual(st) < 1e-11
     # consistent momentum is a fixed point
     again = ch.project_consistent(st.rpoint(), st.p)
     assert np.abs(again.p - st.p).max() < 1e-12
     # pure constraint-normal momentum projects to zero
     rng = np.random.default_rng(9)
     mu = rng.standard_normal(50)
-    p_raw = (system.jacobian(st.q).T @ mu).reshape(st.q.shape)
+    p_raw = (m3_jacobian_rows(st.q).T @ mu).reshape(st.q.shape)
     out = ch.project_consistent(st.rpoint(), p_raw)
     assert np.abs(out.p).max() < 1e-9 * np.abs(p_raw).max()
 
@@ -314,8 +346,7 @@ def test_m4_system_runs_and_reverses():
     n = 48
     c = wavy_curve(n, seed=3)
     q0 = ch.project_to_manifold(rt.r_forward("M4", c))
-    system = ch.ConstraintSystem("M4", n, 1)
-    assert np.abs(system.value(q0.q)).max() < 1e-12
+    assert np.abs(rt.constraint_rows("M4", q0.q, 1)).max() < 1e-12
     th = (2 * np.pi / n) * np.arange(n)
     u0 = 0.3 * np.stack([np.zeros(n), np.sin(th)], 1)
     u0 = u0 - cc.integrate_ds(c, u0) / cc.curve_length(c)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import circle, convex_arc, smooth_field, wavy_curve
+from curveflow import constrained_hamiltonian as ch
 from curveflow import curve_core as cc
 from curveflow import geodesic_api as ga
 from curveflow import metric_suite as ms
@@ -207,15 +208,21 @@ def test_solver_sizes_are_checked(monkeypatch):
     c, line = circle(n), open_circle(n)
     u0 = np.zeros((n, 2))
     for bad in ({"steps": 0}, {"steps": -3}, {"snapshots": 1}, {"snapshots": -2},
-                {"T": 0.0}, {"T": -1.0}, {"T": np.inf}, {"T": np.nan}):
+                {"T": 0.0}, {"T": -1.0}, {"T": np.inf}, {"T": np.nan},
+                {"steps": 2.5}, {"steps": True}, {"snapshots": 3.7}):
         sizes = {"T": 0.2, "steps": 20, "snapshots": 5} | bad
         with pytest.raises(CurveflowError):
             ga.geodesic_ivp("M3", c, u0, **sizes)
         with pytest.raises(CurveflowError):
             ga.shape_geodesic(c, u0, **sizes)
-    for K, T in ((1, 1.0), (0, 1.0), (5, 0.0), (5, np.inf), (5, np.nan)):
+    for K, T in ((1, 1.0), (0, 1.0), (5, 0.0), (5, np.inf), (5, np.nan), (2.5, 1.0)):
         with pytest.raises(CurveflowError):
             ga.geodesic_bvp("M2", line, line, K=K, T=T)
+    # simulate takes a step size directly: it must be positive and give a step
+    st = ch.HamiltonianState("M3", np.ones((n, 3)), np.zeros((n, 3)))
+    for T, dt in ((0.1, -0.01), (0.1, 0.0), (0.1, np.nan), (0.004, 0.01), (np.inf, 0.01)):
+        with pytest.raises(CurveflowError, match="simulate"):
+            ch.simulate(st, T, dt)
     # options are checked before any shooting; a ShootingStall would also
     # be a CurveflowError, so simulate must not run at all
     monkeypatch.setattr(ga, "simulate", lambda *a, **k: pytest.fail("simulate ran"))
@@ -232,9 +239,26 @@ def test_solver_sizes_are_checked(monkeypatch):
         ga.distance("M3", c, c, K=3)
     for bad in ({"dt": 0.0}, {"dt": -0.1}, {"dt": np.inf}, {"dt": np.nan},
                 {"tol": 0.0}, {"tol": -1.0}, {"tol": np.nan},
-                {"modes": 0}, {"max_iter": 0}):
+                {"modes": 0}, {"max_iter": 0}, {"modes": 2.5}, {"max_iter": 1.5},
+                {"max_iter": True}):
         with pytest.raises(CurveflowError, match=next(iter(bad))):
             ga.geodesic_bvp("M3", c, c, K=5, **bad)
+
+
+def test_fields_are_checked():
+    # a velocity or field off the curve grid, or with a NaN, is a named error
+    n = 32
+    c, arc = circle(n), convex_arc(n)
+    nan = np.zeros((n, 2))
+    nan[3, 1] = np.nan
+    for field, words in ((np.zeros((n + 1, 2)), "shape"), (nan, "finite")):
+        for mid, curve in (("M1", arc), ("M2", arc), ("M3", c)):
+            with pytest.raises(CurveflowError, match=f"u0 must .*{words}"):
+                ga.geodesic_ivp(mid, curve, field, T=0.2, steps=20, snapshots=5)
+        with pytest.raises(CurveflowError, match=f"h must .*{words}"):
+            ga.horizontal_project(c, field)
+        with pytest.raises(CurveflowError, match=f"h must .*{words}"):
+            ga.shape_geodesic(c, field, T=0.2, steps=20, snapshots=5)
 
 
 def test_horizontal_project_examples():

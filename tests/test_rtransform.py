@@ -234,10 +234,7 @@ def test_project_image_m3_oracles():
     num = (rt.constraints(rp.with_q(rp.q + eps * k)).h_diff
            - rt.constraints(rp.with_q(rp.q - eps * k)).h_diff) / (2 * eps)
     assert np.abs(num).max() < 1e-6        # finite-difference noise level
-    sysm = __import__("curveflow.constrained_hamiltonian",
-                      fromlist=["ConstraintSystem"]).ConstraintSystem(
-        "M3", rp.n_samples, rp.winding)
-    exact = sysm.jacobian(rp.q)[: rp.n_samples] @ k.ravel()
+    exact = rt.M3Jacobian(rp.q, rp.theta_step).apply(k)[: rp.n_samples]
     assert np.abs(exact).max() < 1e-9
     # (b) closedness gradients pair to zero
     for g in rt.constraint_gradients(rp):
