@@ -240,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     iv.add_argument("--velocity", required=True,
                     help='JSON {"values": [[vx, vy], ...]}')
     iv.add_argument("-T", type=float, required=True)
-    iv.add_argument("--steps", type=int, default=200)
+    iv.add_argument("--steps", type=int,
+                    help="M2 RK4 or M3 RATTLE steps (default 200; M1 is exact)")
     iv.add_argument("--snapshots", type=int, default=33)
     iv.add_argument("-o", "--outdir", default="out")
     iv.set_defaults(func=cmd_ivp)

@@ -230,17 +230,23 @@ def center(curve: DiscreteCurve) -> DiscreteCurve:
     return curve.with_points(curve.points - centroid(curve))
 
 
+def section_rotation(curve: DiscreteCurve, frame: CurveFrame | None = None) -> np.ndarray:
+    """The rotation matrix after which the ds-average of alpha vanishes."""
+    if frame is None:
+        frame = build_frame(curve)
+    phi = -integrate_ds(curve, frame.alpha, frame) / curve_length(curve, frame)
+    return np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
+
+
 def normalize_rotation(curve: DiscreteCurve) -> DiscreteCurve:
-    """Rotate (about the centroid) so that the ds-average of alpha vanishes.
+    """Rotate (about the centroid) by section_rotation.
 
     Combined with center() this realizes the reparameterization-invariant
     section of curves modulo Euclidean motions.
     """
     frame = build_frame(curve)
-    phi = -integrate_ds(curve, frame.alpha, frame) / curve_length(curve, frame)
-    rot = np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
     mid = centroid(curve, frame)
-    return curve.with_points((curve.points - mid) @ rot.T + mid)
+    return curve.with_points((curve.points - mid) @ section_rotation(curve, frame).T + mid)
 
 
 # -- file format ------------------------------------------------------------

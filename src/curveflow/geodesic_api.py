@@ -8,7 +8,11 @@ Dispatch:
     M4  transforms only (no boundary solver).
 
 Inputs are centered (the metrics ignore translations); M1/M2 inputs are
-additionally rotation-normalized to the ds-mean-zero turning angle section.
+additionally rotated onto the ds-mean-zero turning angle section.  Each
+step of these pipelines has one definition here: the move onto the section
+(`_on_section`), the reconstruction of snapshots (`_curves`), the L2 norm
+on the theta grid (`_l2`), the consistent M3 initial state
+(`_consistent_state`) and the M3 vertical pairing (`_vertical_pairing`).
 """
 
 from __future__ import annotations
@@ -33,13 +37,13 @@ from .curve_core import (
     center,
     curve_length,
     integrate_ds,
-    normalize_rotation,
     save_curve,
+    section_rotation,
     trapezoid_weights,
 )
 from .errors import CurveflowError, DomainExit, ShootingStall, SingularVerticalOperator
 from .metric_suite import MetricId, apply_L
-from .pointwise_geometry import _solve_fibers, g_apply, integrate_spray2, tables
+from .pointwise_geometry import _solve_fibers, dist2_lower_bound, g_apply, integrate_spray2
 from .rtransform import (
     RPoint,
     dr,
@@ -102,28 +106,36 @@ class DistanceResult:
         return float(self.value)
 
 
-def _prep(metric_id, curve: DiscreteCurve) -> DiscreteCurve:
-    metric_id = MetricId.parse(metric_id)
-    out = center(curve)
-    if metric_id in (MetricId.M1, MetricId.M2):
-        out = normalize_rotation(out)
-    return out
+def _on_section(metric_id: MetricId, c0: DiscreteCurve, u0=None):
+    """The M1/M2 transform of c0 centred and rotated onto the section; with
+    u0 also dr of u0 rotated alike (centering shifts only the curve)."""
+    c0 = center(c0)
+    rot = section_rotation(c0)
+    c0 = c0.with_points(c0.points @ rot.T)
+    q0 = r_forward(metric_id, c0)
+    if u0 is None:
+        return q0
+    return q0, dr(metric_id, c0, u0 @ rot.T)
 
 
-def _prep_pair(metric_id, curve: DiscreteCurve, velocity):
-    """Normalize a (curve, velocity) pair by the same Euclidean motion:
-    centering shifts only the curve; the section rotation acts on both."""
-    metric_id = MetricId.parse(metric_id)
-    out = center(curve)
-    u = np.asarray(velocity, dtype=float)
-    if metric_id in (MetricId.M1, MetricId.M2):
-        frame = build_frame(out)
-        phi = -integrate_ds(out, frame.alpha, frame) / curve_length(out, frame)
-        rot = np.array([[np.cos(phi), -np.sin(phi)],
-                        [np.sin(phi), np.cos(phi)]])
-        out = out.with_points(out.points @ rot.T)
-        u = u @ rot.T
-    return out, u
+def _curves(metric_id: MetricId, qs, closed: bool, winding=None) -> list:
+    """The curves reconstructed from the transform snapshots qs."""
+    return [r_inverse(RPoint(metric_id, q, closed, winding)) for q in qs]
+
+
+def _l2(values, closed: bool) -> float:
+    """sqrt(sum_k tau_k |x_k|^2 dtheta): the L2 norm of samples x_k on the
+    theta grid (the L2(g) norm of the flat M1 target)."""
+    n = values.shape[0]
+    tau = trapezoid_weights(n, closed).reshape((n,) + (1,) * (values.ndim - 1))
+    dth = 2.0 * np.pi / (n if closed else n - 1)
+    return float(np.sqrt(np.sum(tau * values ** 2) * dth))
+
+
+def _snapshots(total: int, K: int) -> np.ndarray:
+    """Indices of K snapshots spread evenly over steps 0..total (fewer if
+    K > total + 1)."""
+    return np.unique(np.round(np.linspace(0, total, K)).astype(int))
 
 
 def _require(cond, message):
@@ -146,10 +158,6 @@ def _require_sizes(T, snapshots, steps=1):
 def _require_known(metric_id, options, known=()):
     unknown = ", ".join(sorted(set(options).difference(known)))
     _require(not unknown, f"unknown {metric_id.value} option(s): {unknown}")
-
-
-def _sqrt_length_bound(c0, c1, factor: float) -> float:
-    return factor * abs(np.sqrt(curve_length(c1)) - np.sqrt(curve_length(c0)))
 
 
 # -- boundary value problems --------------------------------------------------
@@ -177,56 +185,33 @@ def geodesic_bvp(metric_id, c0: DiscreteCurve, c1: DiscreteCurve, K: int = 17,
 
 
 def _bvp_flat(c0, c1, K, T) -> GeodesicPath:
-    c0, c1 = _prep(MetricId.M1, c0), _prep(MetricId.M1, c1)
-    q0 = r_forward(MetricId.M1, c0)
-    q1 = r_forward(MetricId.M1, c1)
+    q0, q1 = _on_section(MetricId.M1, c0), _on_section(MetricId.M1, c1)
     times = np.linspace(0.0, T, K)
-    qs = np.empty((K,) + q0.q.shape)
-    curves = []
-    for j, t in enumerate(times):
-        s = t / T
-        qs[j] = (1.0 - s) * q0.q + s * q1.q
-        curves.append(r_inverse(RPoint(MetricId.M1, qs[j], False)))
-    dist = _flat_distance(q0.q, q1.q, q0.theta_step, closed=False)
-    return GeodesicPath(MetricId.M1, times, curves,
+    s = (times / T)[:, None, None]
+    qs = (1.0 - s) * q0.q + s * q1.q
+    dist = _l2(q1.q - q0.q, False)
+    return GeodesicPath(MetricId.M1, times, _curves(MetricId.M1, qs, False),
                         {"rspace": qs, "distance": dist,
                          "energy": dist ** 2 / T})
-
-
-def _flat_distance(qa, qb, dth, closed) -> float:
-    tau = trapezoid_weights(qa.shape[0], closed)
-    return float(np.sqrt(np.sum(tau[:, None] * (qb - qa) ** 2) * dth))
 
 
 def path_energy_rspace(path: GeodesicPath) -> float:
     """Time quadrature of the squared transform-space speed (M1 paths)."""
     qs = path.diagnostics["rspace"]
-    times = np.asarray(path.times)
-    dth = 2.0 * np.pi / (qs.shape[1] - (0 if path.curves[0].closed else 1))
-    tau = trapezoid_weights(qs.shape[1], path.curves[0].closed)
-    e = 0.0
-    for j in range(len(times) - 1):
-        dt = times[j + 1] - times[j]
-        dq = (qs[j + 1] - qs[j]) / dt
-        e += float(np.sum(tau[:, None] * dq ** 2) * dth) * dt
-    return e
+    closed = path.curves[0].closed
+    return float(sum(_l2((qs[j + 1] - qs[j]) / dt, closed) ** 2 * dt
+                     for j, dt in enumerate(np.diff(path.times))))
 
 
 def _bvp_fiberwise(c0, c1, K, T) -> GeodesicPath:
-    c0, c1 = _prep(MetricId.M2, c0), _prep(MetricId.M2, c1)
-    q0 = r_forward(MetricId.M2, c0)
-    q1 = r_forward(MetricId.M2, c1)
+    q0, q1 = _on_section(MetricId.M2, c0), _on_section(MetricId.M2, c1)
     geo = _solve_fibers(q0.q, q1.q, full=True, samples=K)
-    times = np.linspace(0.0, T, K)
     qs = np.ascontiguousarray(geo.points.transpose(1, 0, 2))
-    curves = [r_inverse(RPoint(MetricId.M2, qs[j], False)) for j in range(K)]
-    lengths = geo.length
-    tau = trapezoid_weights(q0.n_samples, False)
-    dist = float(np.sqrt(np.sum(tau * lengths ** 2) * q0.theta_step))
-    vel0 = geo.velocities[:, 0] / T
-    return GeodesicPath(MetricId.M2, times, curves,
-                        {"rspace": qs, "fiber_lengths": lengths,
-                         "distance": dist, "initial_velocity_rspace": vel0})
+    return GeodesicPath(MetricId.M2, np.linspace(0.0, T, K),
+                        _curves(MetricId.M2, qs, False),
+                        {"rspace": qs, "fiber_lengths": geo.length,
+                         "distance": _l2(geo.length, False),
+                         "initial_velocity_rspace": geo.velocities[:, 0] / T})
 
 
 def _fourier_basis(n: int, modes: int) -> np.ndarray:
@@ -238,11 +223,14 @@ def _fourier_basis(n: int, modes: int) -> np.ndarray:
     return np.stack(cols, axis=1)          # (n, 2*modes+1)
 
 
+def _consistent_state(q0: RPoint, qdot) -> HamiltonianState:
+    """The consistent M3 state at q0 nearest the transform velocity qdot."""
+    return project_consistent(q0, g_apply(MetricId.M3, q0.q, qdot) / q0.theta_step)
+
+
 def _shooting_state(q0: RPoint, xi: np.ndarray, basis: np.ndarray) -> HamiltonianState:
     nb = basis.shape[1]
-    v = tangent_from_free(q0, basis @ xi[:nb], basis @ xi[nb:])
-    p_raw = g_apply(MetricId.M3, q0.q, v) / q0.theta_step
-    return project_consistent(q0, p_raw)
+    return _consistent_state(q0, tangent_from_free(q0, basis @ xi[:nb], basis @ xi[nb:]))
 
 
 # tol is relative to the transform-space distance of the endpoints
@@ -256,7 +244,9 @@ def _bvp_shooting(c0, c1, K, T, dt, modes, tol, max_iter) -> GeodesicPath:
     modes of the two free tangent components at q0; the residual is the
     endpoint gap projected to the image tangent space at the target,
     minimized by damped Gauss-Newton with a forward-difference Jacobian.
-    On a stall the mode count grows by 4, up to 24, and the solve goes on.
+    On a stall the mode count grows by 4, up to 24, and the solve goes on;
+    a stall at 24 modes, like running out of iterations, ends the solve, and
+    a best path that misses the tolerance is raised in a ShootingStall.
     """
     for name, value in (("dt", dt), ("tol", tol)):
         _require(np.isfinite(value) and value > 0,
@@ -343,27 +333,21 @@ def _bvp_shooting(c0, c1, K, T, dt, modes, tol, max_iter) -> GeodesicPath:
         if rn < best[0]:
             best = (rn, xi.copy(), basis, sim)
         if not improved:
-            if modes < 24:
-                old_nb = basis.shape[1]
-                modes = min(24, modes + 4)
-                basis = _fourier_basis(q0.n_samples, modes)
-                pad = basis.shape[1] - old_nb
-                xi = np.concatenate([xi[:old_nb], np.zeros(pad),
-                                     xi[old_nb:], np.zeros(pad)])
-                r, sim = residual(xi, basis)
-                rn = np.linalg.norm(r)
-                lam = 1e-3
-            else:
-                path = _path_from_simulation(sim, K)
-                path.diagnostics["endpoint_mismatch"] = rn
-                path.diagnostics["mismatch_scale"] = scale
-                raise ShootingStall("shooting stalled before reaching tolerance",
-                                    best_path=path, residual=rn)
+            if modes >= 24:
+                break
+            old_nb = basis.shape[1]
+            modes = min(24, modes + 4)
+            basis = _fourier_basis(q0.n_samples, modes)
+            pad = basis.shape[1] - old_nb
+            xi = np.concatenate([xi[:old_nb], np.zeros(pad),
+                                 xi[old_nb:], np.zeros(pad)])
+            r, sim = residual(xi, basis)
+            rn = np.linalg.norm(r)
+            lam = 1e-3
     rn, xi, basis, sim = best
     path = _path_from_simulation(sim, K)
-    path.diagnostics["endpoint_mismatch"] = rn
-    path.diagnostics["mismatch_scale"] = scale
-    path.diagnostics["modes"] = (basis.shape[1] - 1) // 2
+    path.diagnostics.update(endpoint_mismatch=rn, mismatch_scale=scale,
+                            modes=(basis.shape[1] - 1) // 2)
     if rn > tol * scale:
         raise ShootingStall("shooting did not reach tolerance",
                             best_path=path, residual=rn)
@@ -371,12 +355,9 @@ def _bvp_shooting(c0, c1, K, T, dt, modes, tol, max_iter) -> GeodesicPath:
 
 
 def _path_from_simulation(sim: SimulationResult, K: int) -> GeodesicPath:
-    total = sim.qs.shape[0] - 1
-    idx = np.unique(np.round(np.linspace(0, total, K)).astype(int))
-    times = sim.times[idx]
-    curves = [center(r_inverse(RPoint(MetricId.M3, sim.qs[j], True, sim.winding)))
-              for j in idx]
-    return GeodesicPath(MetricId.M3, times, curves,
+    idx = _snapshots(sim.qs.shape[0] - 1, K)
+    curves = [center(c) for c in _curves(MetricId.M3, sim.qs[idx], True, sim.winding)]
+    return GeodesicPath(MetricId.M3, sim.times[idx], curves,
                         {"rspace": sim.qs[idx], "energy": sim.energy[idx],
                          "constraint_norm": sim.constraint_norm[idx],
                          "hidden_norm": sim.hidden_norm[idx],
@@ -388,17 +369,27 @@ def _path_from_simulation(sim: SimulationResult, K: int) -> GeodesicPath:
 # -- initial value problems ----------------------------------------------------
 
 def geodesic_ivp(metric_id, c0: DiscreteCurve, u0, T: float,
-                 steps: int = 200, snapshots: int = 33) -> GeodesicPath:
-    """Geodesic from c0 with initial velocity field u0, integrated to time T."""
+                 steps: int | None = None, snapshots: int = 33) -> GeodesicPath:
+    """Geodesic from c0 with initial velocity field u0 on [0, T], returned
+    as `snapshots` curves (fewer if steps + 1 is smaller).
+
+    M1 is exact (straight rays in the flat target) and takes no steps; M2
+    integrates the fiber sprays with `steps` RK4 steps and M3 takes `steps`
+    RATTLE steps, 200 if steps is None.  A path that leaves the transform
+    domain raises DomainExit with the snapshots reached.
+    """
     metric_id = MetricId.parse(metric_id)
-    _require_sizes(T, snapshots, steps)
     u0 = _check_field(c0, u0, "u0")
+    _require(metric_id is not MetricId.M1 or steps is None,
+             f"M1 geodesics are exact; steps={steps!r} would be ignored")
+    steps = 200 if steps is None else steps
+    _require_sizes(T, snapshots, steps)
     if metric_id is MetricId.M1:
         _require(not c0.closed, "M1 initial value solver works on open curves")
         return _ivp_flat(c0, u0, T, snapshots)
     if metric_id is MetricId.M2:
         _require(not c0.closed, "M2 initial value solver works on open curves")
-        return _ivp_fiberwise(c0, u0, T, snapshots)
+        return _ivp_fiberwise(c0, u0, T, steps, snapshots)
     if metric_id is MetricId.M3:
         _require(c0.closed, "M3 works on closed curves")
         return _ivp_rattle(c0, u0, T, steps, snapshots)
@@ -406,47 +397,36 @@ def geodesic_ivp(metric_id, c0: DiscreteCurve, u0, T: float,
 
 
 def _ivp_flat(c0, u0, T, K) -> GeodesicPath:
-    c0, u0 = _prep_pair(MetricId.M1, c0, u0)
-    q0 = r_forward(MetricId.M1, c0)
-    d = dr(MetricId.M1, c0, u0)
+    q0, d = _on_section(MetricId.M1, c0, u0)
     neg = d < -1e-300
-    exit_time = np.inf
-    if np.any(neg):
-        exit_time = float(np.min(q0.q[neg] / -d[neg]))
+    exit_time = float(np.min(q0.q[neg] / -d[neg])) if np.any(neg) else np.inf
     times = np.linspace(0.0, T, K)
     live = times[times < exit_time]
-    curves = []
-    qs = np.empty((live.size,) + q0.q.shape)
-    for j, t in enumerate(live):
-        qs[j] = q0.q + t * d
-        curves.append(r_inverse(RPoint(MetricId.M1, qs[j], False)))
+    qs = q0.q + live[:, None, None] * d
+    path = GeodesicPath(MetricId.M1, live, _curves(MetricId.M1, qs, False), {"rspace": qs})
     if exit_time <= T:
         raise DomainExit(
             f"geodesic leaves the space (component reaches 0) at t = {exit_time:.6g}",
-            exit_time=exit_time,
-            partial=GeodesicPath(MetricId.M1, live, curves, {"rspace": qs}))
-    return GeodesicPath(MetricId.M1, times, curves,
-                        {"rspace": qs, "exit_time": exit_time})
+            exit_time=exit_time, partial=path)
+    path.diagnostics["exit_time"] = exit_time
+    return path
 
 
-def _ivp_fiberwise(c0, u0, T, K) -> GeodesicPath:
-    substeps = 10  # RK4 steps per snapshot interval
-    c0, u0 = _prep_pair(MetricId.M2, c0, u0)
-    q0 = r_forward(MetricId.M2, c0)
-    v0 = dr(MetricId.M2, c0, u0)
-    steps = max(1, (K - 1) * substeps)
+def _ivp_fiberwise(c0, u0, T, steps, K) -> GeodesicPath:
+    q0, v0 = _on_section(MetricId.M2, c0, u0)
+    left = None
     try:
-        t_all, ps, _vs = integrate_spray2(q0.q, v0, T, steps)
+        times, ps, _ = integrate_spray2(q0.q, v0, T, steps)
     except DomainExit as exc:
-        t_part, ps, _ = exc.partial
-        idx = np.arange(0, ps.shape[0], substeps)
-        curves = [r_inverse(RPoint(MetricId.M2, ps[j], False)) for j in idx]
-        raise DomainExit(str(exc), exit_time=exc.exit_time,
-                         partial=GeodesicPath(MetricId.M2, t_part[idx], curves,
-                                              {"rspace": ps[idx]})) from exc
-    idx = np.arange(0, steps + 1, substeps)
-    curves = [r_inverse(RPoint(MetricId.M2, ps[j], False)) for j in idx]
-    return GeodesicPath(MetricId.M2, t_all[idx], curves, {"rspace": ps[idx]})
+        left = exc
+        times, ps, _ = exc.partial
+    idx = _snapshots(steps, K)
+    idx = idx[idx < ps.shape[0]]
+    path = GeodesicPath(MetricId.M2, times[idx], _curves(MetricId.M2, ps[idx], False),
+                        {"rspace": ps[idx]})
+    if left is not None:
+        raise DomainExit(str(left), exit_time=left.exit_time, partial=path) from left
+    return path
 
 
 def remove_translation_component(c0: DiscreteCurve, u0) -> np.ndarray:
@@ -463,11 +443,8 @@ def _ivp_rattle(c0, u0, T, steps, K) -> GeodesicPath:
     u0 = remove_translation_component(c0, u0)
     frame = build_frame(c0)
     q0 = project_to_manifold(r_forward(MetricId.M3, c0, frame))
-    qdot = dr(MetricId.M3, c0, u0, frame)
-    p_raw = g_apply(MetricId.M3, q0.q, qdot) / q0.theta_step
-    state = project_consistent(q0, p_raw)
-    sim = simulate(state, T, T / steps)
-    return _path_from_simulation(sim, K)
+    state = _consistent_state(q0, dr(MetricId.M3, c0, u0, frame))
+    return _path_from_simulation(simulate(state, T, T / steps), K)
 
 
 # -- distances ------------------------------------------------------------------
@@ -481,40 +458,22 @@ def distance(metric_id, c0: DiscreteCurve, c1: DiscreteCurve,
                    ("T", *_SHOOTING_DEFAULTS) if metric_id is MetricId.M3 else ())
     _require(c0.n_samples == c1.n_samples and c0.closed == c1.closed,
              "curves must share the sampling grid")
-    if metric_id is MetricId.M1:
-        a, b = _prep(metric_id, c0), _prep(metric_id, c1)
-        qa = r_forward(MetricId.M1, a)
-        qb = r_forward(MetricId.M1, b)
-        val = _flat_distance(qa.q, qb.q, qa.theta_step, a.closed)
-        return DistanceResult(val, {"sqrt_length": _sqrt_length_bound(a, b, 2.0)})
-    if metric_id is MetricId.M2:
-        a, b = _prep(metric_id, c0), _prep(metric_id, c1)
-        qa = r_forward(MetricId.M2, a)
-        qb = r_forward(MetricId.M2, b)
+    if metric_id in (MetricId.M1, MetricId.M2):
+        qa, qb = _on_section(metric_id, c0), _on_section(metric_id, c1)
+        bounds = {"sqrt_length": 2.0 * abs(np.sqrt(curve_length(c1))
+                                           - np.sqrt(curve_length(c0)))}
+        if metric_id is MetricId.M1:
+            return DistanceResult(_l2(qb.q - qa.q, c0.closed), bounds)
         lengths = _solve_fibers(qa.q, qb.q, full=False)
-        tau = trapezoid_weights(qa.n_samples, a.closed)
-        val = float(np.sqrt(np.sum(tau * lengths ** 2) * qa.theta_step))
-        bounds = {"sqrt_length": _sqrt_length_bound(a, b, 2.0),
-                  "pointwise_integral": _m2_integral_bound(qa.q, qb.q,
-                                                           qa.theta_step, tau)}
-        return DistanceResult(val, bounds, {"fiber_lengths": lengths})
+        # the squared pointwise half-plane bound, integrated over theta
+        bounds["pointwise_integral"] = _l2(dist2_lower_bound(qa.q, qb.q), c0.closed)
+        return DistanceResult(_l2(lengths, c0.closed), bounds, {"fiber_lengths": lengths})
     if metric_id is MetricId.M3:
         path = geodesic_bvp(MetricId.M3, c0, c1, K=5, **options)
         val = _rspace_path_length(path)
         return DistanceResult(val, {}, {"endpoint_mismatch":
                                         path.diagnostics["endpoint_mismatch"]})
     raise CurveflowError("no distance solver for the full H2 transform (M4)")
-
-
-def _m2_integral_bound(qa, qb, dth, tau) -> float:
-    """Integral of the squared pointwise half-plane lower bound (with the
-    corrected rescaling constant sqrt(2))."""
-    A = tables().A
-    dy = np.abs(qb[:, 1] - qa[:, 1])
-    X = qa[:, 0] ** 4 + qb[:, 0] ** 4 + dy / (2.0 * A)
-    integrand = 4.0 * ((qa[:, 0] - qb[:, 0]) ** 2
-                       + dy ** 2 / (np.sqrt(2.0) * X ** 1.5))
-    return float(np.sqrt(np.sum(tau * integrand) * dth))
 
 
 def _rspace_path_length(path: GeodesicPath) -> float:
@@ -530,17 +489,19 @@ def _rspace_path_length(path: GeodesicPath) -> float:
 
 # -- horizontality ---------------------------------------------------------------
 
+def _vertical_pairing(curve: DiscreteCurve, u, frame):
+    """(<L_c u, v> per sample, L_c u) for M3."""
+    lu = apply_L(MetricId.M3, curve, u, frame)
+    return np.einsum("ki,ki->k", lu, frame.v), lu
+
+
 def vertical_operator_matrix(curve: DiscreteCurve) -> np.ndarray:
     """Dense matrix of zeta -> <L_c(zeta c'), v> on scalar samples (M3)."""
     frame = build_frame(curve)
     cp = frame.speed[:, None] * frame.v
-    n = curve.n_samples
-    mat = np.empty((n, n))
-    for k in range(n):
-        zeta = np.zeros(n)
-        zeta[k] = 1.0
-        lw = apply_L(MetricId.M3, curve, zeta[:, None] * cp, frame)
-        mat[:, k] = np.einsum("ki,ki->k", lw, frame.v)
+    mat = np.empty((curve.n_samples, curve.n_samples))
+    for k, zeta in enumerate(np.eye(curve.n_samples)):
+        mat[:, k] = _vertical_pairing(curve, zeta[:, None] * cp, frame)[0]
     return mat
 
 
@@ -549,8 +510,7 @@ def horizontal_project(curve: DiscreteCurve, h) -> np.ndarray:
     zeta c' with <L_c(h - zeta c'), v> = 0."""
     h = _check_field(curve, h, "h")
     frame = build_frame(curve)
-    lh = apply_L(MetricId.M3, curve, h, frame)
-    rhs = np.einsum("ki,ki->k", lh, frame.v)
+    rhs = _vertical_pairing(curve, h, frame)[0]
     mat = vertical_operator_matrix(curve)
     try:
         zeta = np.linalg.solve(mat, rhs)
@@ -563,9 +523,8 @@ def horizontal_project(curve: DiscreteCurve, h) -> np.ndarray:
 
 def _horizontality(curve: DiscreteCurve, u):
     """(sup |<L_c u, v>|, the same relative to sup |L_c u|) for M3."""
-    frame = build_frame(curve)
-    lu = apply_L(MetricId.M3, curve, np.asarray(u, float), frame)
-    resid = float(np.max(np.abs(np.einsum("ki,ki->k", lu, frame.v))))
+    pairing, lu = _vertical_pairing(curve, np.asarray(u, float), build_frame(curve))
+    resid = float(np.max(np.abs(pairing)))
     scale = float(np.max(np.abs(lu)))
     return resid, (resid / scale if scale > 0.0 else 0.0)
 

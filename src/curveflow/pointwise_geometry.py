@@ -297,16 +297,12 @@ def integrate_spray2(p0, v0, T: float, steps: int):
     ps = np.empty((steps + 1,) + p.shape)
     vs = np.empty_like(ps)
     ps[0], vs[0] = p, v
-
-    def acc(pp, vv):
-        return spray2(pp, vv)
-
     for j in range(steps):
         try:
-            k1p, k1v = v, acc(p, v)
-            k2p, k2v = v + 0.5 * dt * k1v, acc(p + 0.5 * dt * k1p, v + 0.5 * dt * k1v)
-            k3p, k3v = v + 0.5 * dt * k2v, acc(p + 0.5 * dt * k2p, v + 0.5 * dt * k2v)
-            k4p, k4v = v + dt * k3v, acc(p + dt * k3p, v + dt * k3v)
+            k1p, k1v = v, spray2(p, v)
+            k2p, k2v = v + 0.5 * dt * k1v, spray2(p + 0.5 * dt * k1p, v + 0.5 * dt * k1v)
+            k3p, k3v = v + 0.5 * dt * k2v, spray2(p + 0.5 * dt * k2p, v + 0.5 * dt * k2v)
+            k4p, k4v = v + dt * k3v, spray2(p + dt * k3p, v + dt * k3v)
         except DomainExit as exc:
             raise DomainExit("geodesic left x > 0", exit_time=times[j],
                              partial=(times[: j + 1], ps[: j + 1], vs[: j + 1])) from exc
@@ -577,8 +573,9 @@ def curvature_quadratic(q1, h, k):
     return -12.0 / q1 ** 8 * det ** 2
 
 
-def dist2_lower_bound(p0, p1) -> float:
-    """Lower bound for the half-plane geodesic distance:
+def dist2_lower_bound(p0, p1):
+    """Lower bound for the half-plane geodesic distance, per point of
+    (..., 2) arrays:
 
         2 sqrt( dx^2 + dy^2 / ( sqrt(2) (x0^4 + x1^4 + |dy|/(2A))^{3/2} ) )
 
@@ -586,11 +583,11 @@ def dist2_lower_bound(p0, p1) -> float:
     limit.  (The rescaling constant is sqrt(2) = 2^{1/2}: with
     r = 2^{-1/12} X^{-1/4} one has r^6 = 2^{-1/2} X^{-3/2}.)
     """
-    x0, y0 = float(p0[0]), float(p0[1])
-    x1, y1 = float(p1[0]), float(p1[1])
-    if x0 <= 0.0 or x1 <= 0.0:
+    p0, p1 = np.asarray(p0, dtype=float), np.asarray(p1, dtype=float)
+    x0, x1 = p0[..., 0], p1[..., 0]
+    if np.any(x0 <= 0.0) or np.any(x1 <= 0.0):
         raise NonPositive("lower bound needs x > 0")
-    dy = abs(y1 - y0)
+    dy = np.abs(p1[..., 1] - p0[..., 1])
     X = x0 ** 4 + x1 ** 4 + dy / (2.0 * tables().A)
     return 2.0 * np.sqrt((x0 - x1) ** 2 + dy ** 2 / (np.sqrt(2.0) * X ** 1.5))
 

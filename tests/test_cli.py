@@ -302,3 +302,16 @@ def test_bad_input_is_named_error(tmp_path, capsys, argv, code, words):
 def test_validate_command(capsys):
     assert cli.main(["validate"]) == 0
     assert "26/26 checks passed" in capsys.readouterr().out
+
+
+def test_readme_cli_examples_parse():
+    # every line of the README's CLI block is a valid command line
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        block = fh.read().split("## CLI", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0].split() for line in block.strip().splitlines()]
+    assert len(lines) == 11
+    parser = cli.build_parser()
+    for words in lines:
+        assert words[0] == "curveflow"
+        parser.parse_args(words[1:])

@@ -10,7 +10,8 @@ from curveflow import geodesic_api as ga
 from curveflow import metric_suite as ms
 from curveflow import pointwise_geometry as pg
 from curveflow import rtransform as rt
-from curveflow.errors import CurveflowError, DomainExit
+from curveflow.errors import (CurveflowError, DomainExit, ShootingStall,
+                              SingularVerticalOperator)
 
 
 def open_circle(n, r=1.0):
@@ -69,12 +70,10 @@ def test_m1_circle_family_bvp():
 def test_m1_ivp_exit_time():
     c = open_circle(96)
     u0 = -0.25 * c.points  # shrinking field: transform components decay
-    cp, up = ga._prep_pair(ms.MetricId.M1, c, u0)
-    q0 = rt.r_forward("M1", cp)
-    d = rt.dr("M1", cp, up)
+    q0, d = ga._on_section(ms.MetricId.M1, c, u0)
     expected_exit = np.min(np.where(d < 0, q0.q / -d, np.inf))
     with pytest.raises(DomainExit) as exc:
-        ga.geodesic_ivp("M1", c, u0, T=2 * expected_exit, steps=64, snapshots=65)
+        ga.geodesic_ivp("M1", c, u0, T=2 * expected_exit, snapshots=65)
     assert abs(exc.value.exit_time - expected_exit) < 1e-9
     assert exc.value.partial.n_snapshots >= 1
     # zero velocity: constant path
@@ -110,6 +109,20 @@ def test_m2_ivp_runs_and_exits():
     assert exc.value.exit_time is not None
 
 
+def test_ivp_steps_are_used_or_refused():
+    # M1 is exact: a step count would be ignored, so it is refused
+    c = open_circle(64)
+    u0 = smooth_field(64, seed=3, closed=False) * 0.1
+    with pytest.raises(CurveflowError, match="steps"):
+        ga.geodesic_ivp("M1", c, u0, T=0.5, steps=64)
+    # M2 takes exactly `steps` RK4 steps and samples the snapshots among them
+    path = ga.geodesic_ivp("M2", c, u0, T=0.5, steps=6, snapshots=4)
+    q0, v0 = ga._on_section(ms.MetricId.M2, c, u0)
+    times, ps, _ = pg.integrate_spray2(q0.q, v0, 0.5, 6)
+    assert np.array_equal(path.times, times[::2])
+    assert np.array_equal(path.diagnostics["rspace"], ps[::2])
+
+
 def test_m3_ivp_second_initial_velocity():
     n = 64
     th = (2 * np.pi / n) * np.arange(n)
@@ -141,6 +154,23 @@ def test_m3_shooting_bvp_small():
                     max_iter=25)
     assert d.value > 0.0
     assert d.details["endpoint_mismatch"] <= 5e-3 * path.diagnostics["mismatch_scale"]
+
+
+def test_shooting_stall_carries_best_path():
+    # one iteration at 2 modes cannot reach 1e-12: the solve ends in its one
+    # exit, which raises with the best path and its diagnostics
+    n = 32
+    th = (2 * np.pi / n) * np.arange(n)
+    c0 = circle(n)
+    c1 = cc.DiscreteCurve(np.stack([1.15 * np.cos(th), 0.87 * np.sin(th)], 1), True)
+    with pytest.raises(ShootingStall) as exc:
+        ga.geodesic_bvp("M3", c0, c1, K=5, T=1.0, dt=0.05, modes=2, tol=1e-12,
+                        max_iter=1)
+    path = exc.value.best_path
+    assert exc.value.residual == path.diagnostics["endpoint_mismatch"]
+    assert path.diagnostics["mismatch_scale"] > 0.0
+    assert path.diagnostics["modes"] == 2
+    assert np.abs(path.curves[0].points - cc.center(c0).points).max() < 1e-2
 
 
 def test_m3_shooting_cost_is_rotation_invariant(monkeypatch):
@@ -279,6 +309,16 @@ def test_horizontal_project_examples():
     cp = f.speed[:, None] * f.v
     out = ga.horizontal_project(c, cp)
     assert np.abs(out).max() < 1e-8
+
+
+def test_singular_vertical_operator(monkeypatch):
+    n = 32
+    c, h = circle(n), smooth_field(n, seed=1, closed=True)
+    for fill, words in ((0.0, "singular"), (np.nan, "non-finite")):
+        monkeypatch.setattr(ga, "vertical_operator_matrix",
+                            lambda curve, fill=fill: np.full((n, n), fill))
+        with pytest.raises(SingularVerticalOperator, match=words):
+            ga.horizontal_project(c, h)
 
 
 def test_shape_geodesic_monitoring():

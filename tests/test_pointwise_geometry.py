@@ -228,6 +228,24 @@ def test_lower_bound_examples():
         assert pg.fiber_distance(p0, p1) >= pg.dist2_lower_bound(p0, p1) - 1e-11
 
 
+def test_lower_bound_arrays():
+    # (..., 2) arrays give the bound per point, as the scalar calls do
+    rng = np.random.default_rng(5)
+    p0 = np.stack([np.exp(rng.uniform(-1, 1, 40)), rng.uniform(-2, 2, 40)], 1)
+    p1 = np.stack([np.exp(rng.uniform(-1, 1, 40)), rng.uniform(-2, 2, 40)], 1)
+    rows = np.array([pg.dist2_lower_bound(tuple(a), tuple(b)) for a, b in zip(p0, p1)])
+    bound = pg.dist2_lower_bound(p0, p1)
+    assert bound.shape == (40,)
+    assert np.abs(bound - rows).max() <= 1e-15 * rows.max()
+    x0_zero, x1_negative = p0.copy(), p1.copy()
+    x0_zero[7, 0] = 0.0
+    x1_negative[31, 0] = -0.5
+    with pytest.raises(NonPositive):
+        pg.dist2_lower_bound(x0_zero, p1)
+    with pytest.raises(NonPositive):
+        pg.dist2_lower_bound(p0, x1_negative)
+
+
 def test_scal2_and_curvature_tensor():
     assert pg.scal2((1.0, 3.0)) == -3.0
     assert abs(fd_gauss_curvature(2.0) + 0.75) < 1e-4
