@@ -1,19 +1,15 @@
-"""Spatially discretized constrained Hamiltonian system in transform space
-and its RATTLE time stepper.
+"""Spatially discretized constrained Hamiltonian system of the M3
+transform and its RATTLE time stepper.
 
 The Hamiltonian is E(q, p) = (1/2) sum_k g^{-1}_{q^k}(p^k, p^k) dtheta on
-N uniformly sampled points.  The constraints are position-only:
+N uniformly sampled points.  The N + 2 constraints are position-only:
 
     H_diff^k = (w^k + w^{k+1})/2 - (q2^{k+1} - q2^k)/dtheta,  w = q1^{-2} q3
     H_cl     = sum_k (q1^k)^2 exp(i q2^k) dtheta             (2 rows)
 
-(for the 4-component system the derivative rows are the forward-difference
-pair q3 - 2 q1^{-1} q1', q4 - q1^2 q2', giving 2N+2 constraints; it is
-available behind the metric id but has no built-in experiments).  The M3
-derivative rows are the trapezoid (box-scheme) form centred at the half
-nodes, second-order consistent.  H(q), the M3 products with DH and the
-dense DH are rtransform's constraint_rows, M3Jacobian and
-constraint_jacobian, called with the metric id, q and the winding number.
+The derivative rows are the trapezoid (box-scheme) form centred at the
+half nodes, second-order consistent.  H(q) and the products with DH are
+rtransform's constraint_rows and M3Jacobian.
 
 One RATTLE step solves the five update equations: an implicit momentum
 half-step with DH^T(q^j) lambda_1, an implicit-midpoint position step,
@@ -21,20 +17,21 @@ H(q^{j+1}) = 0 closing the nonlinear system for (p^{1/2}, q^{j+1},
 lambda_1) by Newton with the analytic Jacobian, an explicit momentum
 half-step, and the hidden constraint DH(q).dE/dp = 0, enforced through
 lambda_2 by the L2(g) projection p -> g P(g^-1 p) onto the constraint
-tangent space (rtransform._project_op_m3 for M3, shared with
-project_consistent; a dense Gram solve for M4).  Note the potential
-gradient is evaluated at (q^j, p^{j+1/2}) in the first half-step exactly
-as printed (implicit in p only), not at classical RATTLE's arguments.
+tangent space (rtransform._project_op_m3, shared with project_consistent).
+Note the potential gradient is evaluated at (q^j, p^{j+1/2}) in the first
+half-step exactly as printed (implicit in p only), not at classical
+RATTLE's arguments.
 
-rattle_step dispatches on the state's metric id and calls the energy
-functions of this module directly.  Each Newton iteration eliminates the
-momentum and position corrections sample by sample and solves the reduced
-system for the multipliers.  For M3 it is cyclic tridiagonal (not
-symmetric), bordered by the two closedness rows and columns: one
-rtransform.bordered_cyclic_solve, O(N), no dense Jacobian (_m3_newton),
-and g^-1 is only ever read as its diagonal.  M4 is the one dense path:
-dense per-sample blocks, the dense constraint Jacobian and a dense Gram
-solve (_dense_newton, _tangent_momentum).
+Each Newton iteration eliminates the momentum and position corrections
+sample by sample and solves the reduced system for the multipliers: cyclic
+tridiagonal (not symmetric), bordered by the two closedness rows and
+columns, so one rtransform.bordered_cyclic_solve, O(N), with g^-1 only
+ever read as its diagonal (_m3_newton).
+
+The full H2 transform (M4) has transforms and constraints in rtransform
+but no dynamics here.  Its two forward-difference rows per sample make the
+reduced Newton system block-banded, so M4 geodesics would go through
+bordered_cyclic_solve with wider bands, not a dense solve.
 """
 
 from __future__ import annotations
@@ -44,6 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    BadInput,
     CurveflowError,
     NewtonDivergence,
     RankDeficiency,
@@ -51,7 +49,7 @@ from .errors import (
     StepLeftDomain,
 )
 from .metric_suite import MetricId
-from .pointwise_geometry import g_grad, g_inv, g_inv_matrix, g_inv_quad
+from .pointwise_geometry import g_grad, g_inv, g_inv_quad
 from .rtransform import (
     M3Jacobian,
     RPoint,
@@ -61,14 +59,14 @@ from .rtransform import (
     _project_op_m3,
     _shift,
     bordered_cyclic_solve,
-    constraint_jacobian,
     constraint_rows,
 )
 
 
 def _constrained(metric_id: MetricId) -> MetricId:
-    if metric_id not in (MetricId.M3, MetricId.M4):
-        raise ValueError("the constrained system exists for the M3/M4 transforms")
+    if metric_id is not MetricId.M3:
+        raise BadInput(f"the constrained system exists for the M3 transform only, "
+                       f"got {metric_id.value}")
     return metric_id
 
 
@@ -77,8 +75,8 @@ class HamiltonianState:
     """Paired position/momentum arrays for the transform-space system."""
 
     metric_id: MetricId
-    q: np.ndarray          # (N, d)
-    p: np.ndarray          # (N, d)
+    q: np.ndarray          # (N, 3)
+    p: np.ndarray          # (N, 3)
     t: float = 0.0
     winding: int = 0
 
@@ -87,7 +85,7 @@ class HamiltonianState:
         q = np.asarray(self.q, dtype=float)
         p = np.asarray(self.p, dtype=float)
         if q.shape != p.shape or q.ndim != 2 or q.shape[1] != self.metric_id.fiber_dim:
-            raise ValueError("q and p must both be (N, d) arrays")
+            raise BadInput("q and p must both be (N, 3) arrays")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "p", p)
 
@@ -119,27 +117,6 @@ def energy_grad_q(metric_id, q, p, dtheta) -> np.ndarray:
     return 0.5 * g_grad(metric_id, q, p) * dtheta
 
 
-def _d_ginvp_dq(metric_id, q, p) -> np.ndarray:
-    """T[k, a, j] = d (g^{-1}_q p)_j / d q_a for M3 and M4, the only
-    nonzero rows being q1 and (M4) q4."""
-    metric_id = MetricId.parse(metric_id)
-    n, d = q.shape
-    T = np.zeros((n, d, d))
-    q1 = q[:, 0]
-    if metric_id is MetricId.M3:
-        T[:, 0, 1] = -2.0 * q1 ** -3 * p[:, 1]
-        T[:, 0, 2] = 6.0 * q1 ** 5 * p[:, 2]
-    else:
-        q4 = q[:, 3]
-        p2, p3, p4 = p[:, 1], p[:, 2], p[:, 3]
-        T[:, 0, 1] = -2.0 * q1 ** -3 * p2 - 4.0 * q4 * q1 ** -5 * p3
-        T[:, 0, 2] = -4.0 * q4 * q1 ** -5 * p2 + (2.0 * q1 - 6.0 * q4 ** 2 * q1 ** -7) * p3
-        T[:, 0, 3] = 6.0 * q1 ** 5 * p4
-        T[:, 3, 1] = q1 ** -4 * p3
-        T[:, 3, 2] = q1 ** -4 * p2 + 2.0 * q4 * q1 ** -6 * p3
-    return T
-
-
 # -- consistency --------------------------------------------------------------
 
 def _reset_m3_rate(q: np.ndarray, dth: float, wrap: float) -> None:
@@ -164,23 +141,17 @@ def _reset_m3_rate(q: np.ndarray, dth: float, wrap: float) -> None:
 
 
 def project_to_manifold(rpoint: RPoint) -> RPoint:
-    """Move an RPoint (e.g. a raw transform of a closed curve) onto the
-    discrete constraint manifold: the derivative components are reset (for
-    M3 only q3, by _reset_m3_rate; for M4 q3 and q4 from the forward
-    differences), then a small Newton iteration on (q1, q2) zeroes the
-    closedness rows.  For M3 the move is O(dtheta^2) for transforms of
-    genuinely closed curves."""
+    """Move an M3 RPoint (e.g. a raw transform of a closed curve) onto the
+    discrete constraint manifold: q3 is reset by _reset_m3_rate, then a
+    small Newton iteration on (q1, q2) zeroes the closedness rows.  The
+    move is O(dtheta^2) for transforms of genuinely closed curves."""
     mid = _constrained(rpoint.metric_id)
     winding = rpoint.winding or 0
     q = rpoint.q.copy()
     dth = 2.0 * np.pi / rpoint.n_samples
     wrap = 2.0 * np.pi * winding
     for _ in range(30):
-        if mid is MetricId.M3:
-            _reset_m3_rate(q, dth, wrap)
-        else:
-            q[:, 2] = 2.0 * q[:, 0] ** -1 * _forward_diff(q[:, 0], dth, True)
-            q[:, 3] = q[:, 0] ** 2 * _forward_diff(q[:, 1], dth, True, wrap)
+        _reset_m3_rate(q, dth, wrap)
         cl = constraint_rows(mid, q, winding)[-2:]
         if np.max(np.abs(cl)) < 1e-13:
             return RPoint(mid, q, True, winding)
@@ -188,26 +159,12 @@ def project_to_manifold(rpoint: RPoint) -> RPoint:
     raise NewtonDivergence("manifold projection did not converge")
 
 
-def _tangent_momentum(metric_id: MetricId, q: np.ndarray, winding: int,
-                      p: np.ndarray) -> np.ndarray:
+def _tangent_momentum(q: np.ndarray, p: np.ndarray) -> np.ndarray:
     """p - DH^T mu with DH g^{-1} (p - DH^T mu) = 0, i.e. g P(g^{-1} p):
-    _project_op_m3 with the diagonal M3 g^-1; for M4 a dense Gram solve
-    with the Jacobian built once.  Raises SingularSystem or LinAlgError."""
-    n, d = q.shape
-    if metric_id is MetricId.M3:
-        ginv = g_inv(MetricId.M3, q, np.ones_like(q))
-        return _project_op_m3(q, ginv * p, 2.0 * np.pi / n, closure=True) / ginv
-    gi = g_inv_matrix(metric_id, q)
-    jac = constraint_jacobian(metric_id, q, winding)
-    jg = np.einsum("mkd,kde->mke", jac.reshape(-1, n, d),
-                   gi).reshape(jac.shape)                     # DH g^-1
-    S = jg @ jac.T
-    rhs = jg @ p.ravel()
-    mu = np.linalg.solve(S, rhs)
-    if not np.all(np.isfinite(mu)) or np.linalg.norm(S @ mu - rhs) > 1e-8 * (
-            1.0 + np.linalg.norm(rhs)):
-        raise SingularSystem("constraint Gram solve failed")
-    return p - (jac.T @ mu).reshape(p.shape)
+    _project_op_m3 with the diagonal M3 g^-1.  Raises SingularSystem or
+    LinAlgError."""
+    ginv = g_inv(MetricId.M3, q, np.ones_like(q))
+    return _project_op_m3(q, ginv * p, 2.0 * np.pi / q.shape[0], closure=True) / ginv
 
 
 def project_consistent(rpoint: RPoint, p_raw: np.ndarray) -> HamiltonianState:
@@ -218,7 +175,7 @@ def project_consistent(rpoint: RPoint, p_raw: np.ndarray) -> HamiltonianState:
     winding = rpoint.winding or 0
     q = np.asarray(rpoint.q, dtype=float)
     try:
-        p = _tangent_momentum(mid, q, winding, np.asarray(p_raw, dtype=float))
+        p = _tangent_momentum(q, np.asarray(p_raw, dtype=float))
     except (np.linalg.LinAlgError, SingularSystem) as exc:
         raise RankDeficiency(f"constraint Gram system is singular: {exc}") from exc
     return HamiltonianState(mid, q, p, 0.0, winding)
@@ -226,29 +183,25 @@ def project_consistent(rpoint: RPoint, p_raw: np.ndarray) -> HamiltonianState:
 
 def hidden_residual(state: HamiltonianState) -> float:
     """sup |DH(q) . dE/dp|, the hidden-constraint residual."""
-    mid, q = state.metric_id, state.q
-    dp = energy_grad_p(mid, q, state.p, state.theta_step)
-    if mid is MetricId.M3:
-        res = M3Jacobian(q, state.theta_step).apply(dp)
-    else:
-        res = constraint_jacobian(mid, q, state.winding) @ dp.ravel()
-    return float(np.max(np.abs(res)))
+    q = state.q
+    dp = energy_grad_p(MetricId.M3, q, state.p, state.theta_step)
+    return float(np.max(np.abs(M3Jacobian(q, state.theta_step).apply(dp))))
 
 
 # -- RATTLE -------------------------------------------------------------------
 
-def _m3_newton(metric_id: MetricId, q0: np.ndarray, winding: int, dt: float):
-    """The O(N) reduced Newton solve of an M3 RATTLE step.  For the M3
-    metric A = I + half dginvp_dq(q0, ph) is unit upper triangular, D =
-    I - half dginvp_dq(q1, ph)^T unit lower triangular and C diagonal, so
+def _m3_newton(q0: np.ndarray, dt: float):
+    """The O(N) reduced Newton solve of an M3 RATTLE step.  With T(q, p)
+    = d(g^-1_q p)/dq, whose only nonzero row is q1's, A = I + half T(q0,
+    ph) is unit upper triangular, D = I - half T(q1, ph)^T unit lower
+    triangular and C = -half (g^-1(q0) + g^-1(q1)) diagonal, so
     the pointwise elimination is M = D^-1 C A^-1 = diag(0, c1, c2) +
     c0 (1, t1, t2)^T (1, -a1, -a2).  GW = J(q1) M (-dt/2) J(q0)^T has a
     cyclic tridiagonal derivative block (x^T M y for the trapezoid row
     vectors x of J(q1), y of J(q0) at samples k and k+1), the closedness
     columns J(q1) M C(q0)^T, rows J(q0) M^T C(q1)^T and a 2x2 corner.
-    Products with DH are M3Jacobian's; metric_id and winding (unused)
-    match _dense_newton.  Returns solve(q1, ph, f1, f2, f3) -> (dq, dph,
-    dlam) and lam -> DH(q0)^T lam."""
+    Products with DH are M3Jacobian's.  Returns solve(q1, ph, f1, f2, f3)
+    -> (dq, dph, dlam) and lam -> DH(q0)^T lam."""
     n = q0.shape[0]
     dth = 2.0 * np.pi / n
     half = 0.5 * dt * dth
@@ -311,43 +264,10 @@ def _m3_newton(metric_id: MetricId, q0: np.ndarray, winding: int, dt: float):
     return solve, jac0.apply_t
 
 
-def _dense_newton(metric_id: MetricId, q0: np.ndarray, winding: int, dt: float):
-    """The reduced Newton solve with dense per-sample d x d blocks and the
-    dense constraint Jacobian (M4): A^-1 and D^-1 by batched solves, GW =
-    G(q1) D^-1 C A^-1 (-dt/2) G(q0)^T.  Returns the same pair as
-    _m3_newton."""
-    n, d = q0.shape
-    dth = 2.0 * np.pi / n
-    half = 0.5 * dt * dth
-    gi0 = g_inv_matrix(metric_id, q0)
-    jac0 = constraint_jacobian(metric_id, q0, winding)
-    m = jac0.shape[0]
-    jac0_t = jac0.reshape(m, n, d).transpose(1, 2, 0)
-    B = -0.5 * dt * jac0_t
-    eye = np.eye(d)
-
-    def solve(q1, ph, f1, f2, f3):
-        A = eye + half * _d_ginvp_dq(metric_id, q0, ph)
-        C = -half * (gi0 + g_inv_matrix(metric_id, q1))
-        D = eye - half * np.transpose(_d_ginvp_dq(metric_id, q1, ph), (0, 2, 1))
-        sol1 = np.linalg.solve(A, np.concatenate([f1[:, :, None], B], axis=2))
-        rhs2 = np.matmul(C, sol1)
-        rhs2[:, :, 0] -= f2
-        sol2 = np.linalg.solve(D, rhs2)
-        G = constraint_jacobian(metric_id, q1, winding)
-        dlam = np.linalg.solve(G @ sol2[:, :, 1:].reshape(n * d, m),
-                               -f3 - G @ sol2[:, :, 0].ravel())
-        return (sol2[:, :, 0] + sol2[:, :, 1:] @ dlam,
-                sol1[:, :, 0] + sol1[:, :, 1:] @ dlam, dlam)
-
-    return solve, lambda lam: jac0_t @ lam
-
-
 def rattle_step(state: HamiltonianState, dt: float, tol: float = 1e-12,
                 max_iter: int = 50, lam_guess: np.ndarray | None = None):
     """One RATTLE step.  Returns (new_state, lambda_1) so callers can warm
-    start the next step's multiplier.  The Newton matrix is the M3
-    structured one (_m3_newton) or the dense M4 one (_dense_newton)."""
+    start the next step's multiplier; the Newton solve is _m3_newton's."""
     mid, winding = state.metric_id, state.winding
     dth = state.theta_step
     q0, p0 = state.q, state.p
@@ -355,10 +275,8 @@ def rattle_step(state: HamiltonianState, dt: float, tol: float = 1e-12,
 
     ph = p0.copy()
     q1 = q0 + dt * energy_grad_p(mid, q0, p0, dth)  # explicit predictor
-    lam = (np.zeros((n if mid is MetricId.M3 else 2 * n) + 2) if lam_guess is None
-           else lam_guess.copy())
-    newton_for = _m3_newton if mid is MetricId.M3 else _dense_newton
-    newton, jt0 = newton_for(mid, q0, winding, dt)
+    lam = np.zeros(n + 2) if lam_guess is None else lam_guess.copy()
+    newton, jt0 = _m3_newton(q0, dt)
     history = []
     for it in range(max_iter):
         if np.any(q1[:, 0] <= 0.0):
@@ -389,7 +307,7 @@ def rattle_step(state: HamiltonianState, dt: float, tol: float = 1e-12,
     # explicit momentum half-step + hidden-constraint projection
     p1 = ph - 0.5 * dt * energy_grad_q(mid, q1, ph, dth)
     try:
-        p1 = _tangent_momentum(mid, q1, winding, p1)
+        p1 = _tangent_momentum(q1, p1)
     except (np.linalg.LinAlgError, SingularSystem) as exc:
         raise NewtonDivergence("hidden-constraint system is singular",
                                history) from exc

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CurveflowError, DegenerateCurve, TurningTooFast
+from .errors import BadInput, CurveflowError, DegenerateCurve, TurningTooFast
 
 EPS_REG = 1e-10  # smallest admissible discrete speed |c'|
 
@@ -37,11 +37,11 @@ class DiscreteCurve:
     def __post_init__(self):
         pts = np.ascontiguousarray(np.asarray(self.points, dtype=float))
         if pts.ndim != 2 or pts.shape[1] != 2:
-            raise ValueError("points must be an (N, 2) array")
+            raise BadInput("points must be an (N, 2) array")
         if pts.shape[0] < 8:
-            raise ValueError("need at least 8 samples")
+            raise BadInput("need at least 8 samples")
         if not np.all(np.isfinite(pts)):
-            raise ValueError("curve coordinates must be finite")
+            raise BadInput("curve coordinates must be finite")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 

@@ -9,6 +9,10 @@ class CurveflowError(Exception):
     """Base class for all curveflow errors."""
 
 
+class BadInput(CurveflowError, ValueError):
+    """An argument has the wrong shape, size or metric for the operation."""
+
+
 class DegenerateCurve(CurveflowError):
     """Discrete speed |c'| fell below the regularity threshold."""
 

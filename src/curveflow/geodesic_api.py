@@ -155,6 +155,13 @@ def _require_sizes(T, snapshots, steps=1):
     _require(np.isfinite(T) and T > 0, f"T must be finite and positive, got {T}")
 
 
+def _require_open(metric_id, c0):
+    """The exact M1/M2 solvers work on open curves: on closed ones the
+    transform-space segment leaves the image, so its length is only a
+    lower bound."""
+    _require(not c0.closed, f"{metric_id.value} boundary solver works on open curves")
+
+
 def _require_known(metric_id, options, known=()):
     unknown = ", ".join(sorted(set(options).difference(known)))
     _require(not unknown, f"unknown {metric_id.value} option(s): {unknown}")
@@ -173,10 +180,10 @@ def geodesic_bvp(metric_id, c0: DiscreteCurve, c1: DiscreteCurve, K: int = 17,
     _require(c0.n_samples == c1.n_samples and c0.closed == c1.closed,
              "endpoint curves must share the sampling grid")
     if metric_id is MetricId.M1:
-        _require(not c0.closed, "M1 boundary solver works on open curves")
+        _require_open(metric_id, c0)
         return _bvp_flat(c0, c1, K, T)
     if metric_id is MetricId.M2:
-        _require(not c0.closed, "M2 boundary solver works on open curves")
+        _require_open(metric_id, c0)
         return _bvp_fiberwise(c0, c1, K, T)
     if metric_id is MetricId.M3:
         _require(c0.closed, "M3 works on closed curves")
@@ -451,14 +458,16 @@ def _ivp_rattle(c0, u0, T, steps, K) -> GeodesicPath:
 
 def distance(metric_id, c0: DiscreteCurve, c1: DiscreteCurve,
              **options) -> DistanceResult:
-    """Geodesic distance (exact for M1/M2; for M3 by geodesic_bvp, which
-    takes the options) with the provable square-root-of-length bounds."""
+    """Geodesic distance (exact for M1/M2 on open curves; for M3 by
+    geodesic_bvp, which takes the options) with the provable
+    square-root-of-length bounds."""
     metric_id = MetricId.parse(metric_id)
     _require_known(metric_id, options,
                    ("T", *_SHOOTING_DEFAULTS) if metric_id is MetricId.M3 else ())
     _require(c0.n_samples == c1.n_samples and c0.closed == c1.closed,
              "curves must share the sampling grid")
     if metric_id in (MetricId.M1, MetricId.M2):
+        _require_open(metric_id, c0)
         qa, qb = _on_section(metric_id, c0), _on_section(metric_id, c1)
         bounds = {"sqrt_length": 2.0 * abs(np.sqrt(curve_length(c1))
                                            - np.sqrt(curve_length(c0)))}

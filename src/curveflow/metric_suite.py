@@ -29,7 +29,7 @@ from .curve_core import (
     rotate90,
     trapezoid_weights,
 )
-from .errors import NotConvex, OpenCurveUnsupported
+from .errors import BadInput, NotConvex, OpenCurveUnsupported
 
 EPS_CONVEX = 1e-8
 
@@ -235,10 +235,10 @@ def geodesic_residual(metric_id, path) -> dict:
     curves = list(path.curves)
     times = np.asarray(path.times, dtype=float)
     if len(curves) < 3:
-        raise ValueError("need at least 3 snapshots")
+        raise BadInput("need at least 3 snapshots")
     dt = times[1] - times[0]
     if not np.allclose(np.diff(times), dt):
-        raise ValueError("snapshots must be uniform in time")
+        raise BadInput("snapshots must be uniform in time")
     stack = np.stack([c.points for c in curves])
     ct = _time_velocity(stack, dt)
     frames = [build_frame(c) for c in curves]

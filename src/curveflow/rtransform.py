@@ -22,9 +22,10 @@ the constraint gradients are the exact adjoints of these discrete
 functionals.  This module is the one definition of the constraints: rows
 (constraints, and constraint_rows for the H(q) of closed M3/M4 grids),
 the closedness derivative (_closure_coeffs), the M3 products DH.X,
-DH^T.lam and Gram bands with coefficients cached per q (M3Jacobian), the
-dense DH (constraint_jacobian) and the L2(g) projection P onto the M3
-tangent space (_project_op_m3).  project_image uses P; the consistent
+DH^T.lam and Gram bands with coefficients cached per q (M3Jacobian; no
+dense DH is built) and the L2(g) projection P onto the M3 tangent space
+(_project_op_m3).  The M4 rows are geometry only: no solver here
+differentiates them.  project_image uses P; the consistent
 momentum and the RATTLE lambda_2 step use p -> g P(g^-1 p).  The one
 cyclic banded solver (cyclic_banded_solve: nonsymmetric bands of
 half-width b, LAPACK banded factorization plus a Woodbury correction for
@@ -44,7 +45,7 @@ from scipy.linalg import solve_banded
 
 from .curve_core import (CurveFrame, DiscreteCurve, build_frame, ds_derivative, load_json,
                          trapezoid_weights)
-from .errors import CurveflowError, NonPositive, OffImage, SingularSystem
+from .errors import BadInput, CurveflowError, NonPositive, OffImage, SingularSystem
 from .metric_suite import MetricId, _require_convex
 from .pointwise_geometry import g_eval, g_inv
 
@@ -63,7 +64,7 @@ class RPoint:
         object.__setattr__(self, "metric_id", mid)
         q = np.ascontiguousarray(np.asarray(self.q, dtype=float))
         if q.ndim != 2 or q.shape[1] != mid.fiber_dim:
-            raise ValueError(f"q must be (N, {mid.fiber_dim}) for {mid.value}")
+            raise BadInput(f"q must be (N, {mid.fiber_dim}) for {mid.value}")
         q.setflags(write=False)
         object.__setattr__(self, "q", q)
 
@@ -310,32 +311,6 @@ class M3Jacobian:
                          0.25 * (s + s_next) + (g2 + g2_next) / self.dth ** 2, upper])
 
 
-def constraint_jacobian(metric_id: MetricId, q: np.ndarray, winding: int) -> np.ndarray:
-    """The dense DH(q) of constraint_rows, shaped (rows, n d).  For M3 it
-    is M3Jacobian applied to the unit vectors; for M4 the forward-difference
-    rows are written out, then the closedness rows from _closure_coeffs."""
-    n, d = q.shape
-    dth = 2.0 * np.pi / n
-    if MetricId.parse(metric_id) is MetricId.M3:
-        return M3Jacobian(q, dth).apply(np.eye(n * d).reshape(n, d, n * d))
-    q1, q2 = q[:, 0], q[:, 1]
-    d1 = _forward_diff(q1, dth, True)
-    d2 = _forward_diff(q2, dth, True, 2.0 * np.pi * winding)
-    jac = np.zeros((2 * n + 2, n, d))
-    idx = np.arange(n)
-    nxt = (idx + 1) % n
-    jac[idx, idx, 0] = 2.0 * q1 ** -2 * d1 + 2.0 * q1 ** -1 / dth
-    jac[idx, nxt, 0] += -2.0 * q1 ** -1 / dth
-    jac[idx, idx, 2] = 1.0
-    rows = n + idx
-    jac[rows, idx, 0] = -2.0 * q1 * d2
-    jac[rows, idx, 1] += q1 ** 2 / dth
-    jac[rows, nxt, 1] -= q1 ** 2 / dth
-    jac[rows, idx, 3] = 1.0
-    jac[2 * n:, :, :2] = _closure_coeffs(q1, q2, dth).transpose(0, 2, 1)
-    return jac.reshape(2 * n + 2, n * d)
-
-
 def _winding_of(rpoint: RPoint) -> int:
     if rpoint.winding is not None:
         return rpoint.winding
@@ -567,12 +542,12 @@ def project_image(rpoint: RPoint, h, image_tol: float = 1e-3) -> np.ndarray:
 
     M1/M2: subtract the span of the two closedness gradients.  M3: one
     bordered cyclic banded solve for the derivative and closedness rows
-    (_project_op_m3).  M4 is not supported.  Raises OffImage when
-    the constraints at q exceed image_tol relative to the closure scale.
+    (_project_op_m3).  M4 is BadInput.  Raises OffImage when the
+    constraints at q exceed image_tol relative to the closure scale.
     """
     metric_id = rpoint.metric_id
     if metric_id is MetricId.M4:
-        raise NotImplementedError("M4 image projection is not provided")
+        raise BadInput("image projection is provided for M1, M2 and M3, not M4")
     if not rpoint.closed:
         raise OffImage("projection is defined on closed-curve images")
     val = constraints(rpoint)

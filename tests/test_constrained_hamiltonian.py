@@ -4,9 +4,11 @@ import pytest
 from conftest import circle, wavy_curve
 from curveflow import constrained_hamiltonian as ch
 from curveflow import curve_core as cc
+from curveflow import metric_suite as ms
 from curveflow import pointwise_geometry as pg
 from curveflow import rtransform as rt
-from curveflow.errors import NewtonDivergence, RankDeficiency, SingularSystem, StepLeftDomain
+from curveflow.errors import (BadInput, CurveflowError, NewtonDivergence, RankDeficiency,
+                              SingularSystem, StepLeftDomain)
 
 
 def circle_state(n=64, amp=1.0, velocity="sin"):
@@ -46,6 +48,49 @@ def m3_jacobian_rows(q):
     return jac.reshape(n + 2, 3 * n)
 
 
+def d_ginvp_dq(q, p):
+    """T[k, a, j] = d (g^-1_q p)_j / d q_a for the M3 g^-1 = diag(1/4,
+    q1^-2, q1^6): only the q1 row is nonzero."""
+    T = np.zeros(q.shape + (3,))
+    q1 = q[:, 0]
+    T[:, 0, 1] = -2.0 * q1 ** -3 * p[:, 1]
+    T[:, 0, 2] = 6.0 * q1 ** 5 * p[:, 2]
+    return T
+
+
+def dense_m3_newton(q0, dt):
+    """The reduced Newton solve of an M3 RATTLE step with dense per-sample
+    3 x 3 blocks and the dense DH of m3_jacobian_rows: A^-1 and D^-1 by
+    batched solves, GW = G(q1) D^-1 C A^-1 (-dt/2) G(q0)^T and a dense
+    solve for the multipliers.  The reference for ch._m3_newton, with its
+    signature and return pair."""
+    n = q0.shape[0]
+    half = 0.5 * dt * 2 * np.pi / n
+    eye = np.eye(3)
+
+    def ginv(q):
+        return eye * pg.g_inv("M3", q, np.ones_like(q))[:, :, None]
+    gi0 = ginv(q0)
+    jac0_t = m3_jacobian_rows(q0).reshape(n + 2, n, 3).transpose(1, 2, 0)
+    B = -0.5 * dt * jac0_t
+
+    def solve(q1, ph, f1, f2, f3):
+        A = eye + half * d_ginvp_dq(q0, ph)
+        C = -half * (gi0 + ginv(q1))
+        D = eye - half * np.transpose(d_ginvp_dq(q1, ph), (0, 2, 1))
+        sol1 = np.linalg.solve(A, np.concatenate([f1[:, :, None], B], axis=2))
+        rhs2 = np.matmul(C, sol1)
+        rhs2[:, :, 0] -= f2
+        sol2 = np.linalg.solve(D, rhs2)
+        G = m3_jacobian_rows(q1)
+        dlam = np.linalg.solve(G @ sol2[:, :, 1:].reshape(3 * n, n + 2),
+                               -f3 - G @ sol2[:, :, 0].ravel())
+        return (sol2[:, :, 0] + sol2[:, :, 1:] @ dlam,
+                sol1[:, :, 0] + sol1[:, :, 1:] @ dlam, dlam)
+
+    return solve, lambda lam: jac0_t @ lam
+
+
 def test_discrete_energy_values():
     n = 50
     q = np.stack([np.ones(n), np.linspace(0, 2 * np.pi, n), np.zeros(n)], 1)
@@ -81,23 +126,19 @@ def test_energy_gradients_fd():
 
 def test_constraint_jacobian_fd():
     rng = np.random.default_rng(5)
-    for mid in ("M3", "M4"):
-        c = wavy_curve(48, seed=2)
-        q = rt.r_forward(mid, c).q.copy()
-        d = rng.standard_normal(q.shape)
-        eps = 1e-7
-        fd = (rt.constraint_rows(mid, q + eps * d, 1)
-              - rt.constraint_rows(mid, q - eps * d, 1)) / (2 * eps)
-        jacs = [rt.constraint_jacobian(mid, q, 1)]
-        if mid == "M3":
-            jacs.append(m3_jacobian_rows(q))
-        for jac in jacs:
-            assert np.abs(jac @ d.ravel() - fd).max() < 1e-6 * max(1.0, np.abs(fd).max())
+    c = wavy_curve(48, seed=2)
+    q = rt.r_forward("M3", c).q.copy()
+    d = rng.standard_normal(q.shape)
+    eps = 1e-7
+    fd = (rt.constraint_rows("M3", q + eps * d, 1)
+          - rt.constraint_rows("M3", q - eps * d, 1)) / (2 * eps)
+    for jd in (rt.M3Jacobian(q, 2 * np.pi / 48).apply(d), m3_jacobian_rows(q) @ d.ravel()):
+        assert np.abs(jd - fd).max() < 1e-6 * max(1.0, np.abs(fd).max())
 
 
 def test_structured_products_match_dense():
-    # DH . X and DH^T . lam of M3Jacobian, and the dense Jacobian built
-    # from them, against the row-by-row reference on an even and an odd grid
+    # DH . X and DH^T . lam of M3Jacobian against the row-by-row reference
+    # on an even and an odd grid
     rng = np.random.default_rng(7)
     for n in (48, 49):
         q = rt.r_forward("M3", wavy_curve(n, seed=2)).q
@@ -109,7 +150,6 @@ def test_structured_products_match_dense():
         assert np.abs(jac.apply(X[:, :, 0]) - ref @ X[:, :, 0].ravel()).max() < 1e-12
         assert np.abs(jac.apply_t(lam) - (ref.T @ lam).reshape(n, 3, 5)).max() < 1e-12
         assert np.abs(jac.apply_t(lam[:, 0]) - (ref.T @ lam[:, 0]).reshape(n, 3)).max() < 1e-12
-        assert np.abs(rt.constraint_jacobian("M3", q, 1) - ref).max() < 1e-12
 
 
 def test_m3_projection_matches_dense():
@@ -156,29 +196,81 @@ def test_m3_rattle_step_matches_dense():
         wavy = ch.project_consistent(rp, 0.3 * rng.standard_normal((n, 3)))
         for state in (st, wavy):
             new, lam = ch.rattle_step(state, 1e-2)
-            ref, lam_ref = step_with(ch._dense_newton, state)
+            ref, lam_ref = step_with(dense_m3_newton, state)
             jac = m3_jacobian_rows(state.q)
             for a, b in ((new.q, ref.q), (new.p, ref.p), (lam[:n], lam_ref[:n]),
                          (jac.T @ lam, jac.T @ lam_ref)):
                 assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
         # the same Newton matrix: equal residuals after one iteration
         after_one = []
-        for newton in (ch._m3_newton, ch._dense_newton):
+        for newton in (ch._m3_newton, dense_m3_newton):
             with pytest.raises(NewtonDivergence) as exc:
                 step_with(newton, st, max_iter=2)
             after_one.append(exc.value.residual_history[1])
         assert after_one[0] == pytest.approx(after_one[1], rel=1e-8)
 
 
-def test_m3_simulate_builds_no_dense_jacobian(monkeypatch):
-    st = circle_state(32)
+def test_m3_newton_matrix_is_exact():
+    # quadratic decay of the Newton residuals: the reduced matrix is the
+    # exact Jacobian of (f1, f2, f3), not an approximation of it
+    rng = np.random.default_rng(23)
+    for n in (64, 65, 400):
+        rp = ch.project_to_manifold(rt.r_forward("M3", wavy_curve(n, seed=2)))
+        wavy = ch.project_consistent(rp, 0.3 * rng.standard_normal((n, 3)))
+        for state in (circle_state(n), wavy):
+            with pytest.raises(NewtonDivergence) as exc:
+                ch.rattle_step(state, 1e-2, tol=0.0, max_iter=4)
+            r0, r1, r2 = exc.value.residual_history[:3]
+            assert r1 <= 10 * r0 ** 2
+            assert r2 <= max(10 * r1 ** 2, 1e-13)
 
-    def dense(*args, **kwargs):
-        raise AssertionError("dense constraint Jacobian built")
-    monkeypatch.setattr(ch, "constraint_jacobian", dense)
+
+def test_m3_simulate_makes_no_dense_solve(monkeypatch):
+    # only the 2b x 2b Woodbury and 2 x 2 Schur and closedness systems
+    # reach a dense solve; nothing of size O(N)
+    st = circle_state(32)
+    solve, sizes = np.linalg.solve, []
+
+    def recorded(a, b):
+        sizes.append(np.shape(a)[-1])
+        return solve(a, b)
+    monkeypatch.setattr(np.linalg, "solve", recorded)
     res = ch.simulate(st, 0.05, 1e-2)
+    assert sizes and max(sizes) <= 8
     assert res.constraint_norm.max() < 1e-9
     assert res.hidden_norm.max() < 1e-9
+
+
+def _snapshots(times):
+    c = circle(32)
+    return type("Path", (), {"curves": [c] * len(times), "times": times})
+
+
+def _m4_point():
+    return rt.r_forward("M4", wavy_curve(48, seed=3))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: cc.DiscreteCurve(np.zeros((16, 3)), True), "(N, 2)"),
+    (lambda: cc.DiscreteCurve(np.zeros((5, 2)), True), "8 samples"),
+    (lambda: cc.DiscreteCurve(np.full((16, 2), np.nan), True), "finite"),
+    (lambda: rt.RPoint("M3", np.ones((16, 2)), True), "(N, 3)"),
+    (lambda: ch.HamiltonianState("M3", np.ones((16, 3)), np.ones((16, 2))), "(N, 3)"),
+    (lambda: ch.HamiltonianState("M4", np.ones((16, 4)), np.ones((16, 4))), "M4"),
+    (lambda: ch.project_to_manifold(_m4_point()), "M4"),
+    (lambda: ch.project_consistent(_m4_point(), np.ones((48, 4))), "M4"),
+    (lambda: rt.project_image(_m4_point(), np.ones((48, 4))), "M4"),
+    (lambda: ms.geodesic_residual("M3", _snapshots([0.0, 1.0])), "3 snapshots"),
+    (lambda: ms.geodesic_residual("M3", _snapshots([0.0, 1.0, 3.0])), "uniform"),
+], ids=["curve-shape", "curve-size", "curve-nan", "rpoint-shape", "state-shape",
+        "state-m4", "manifold-m4", "consistent-m4", "project-image-m4",
+        "residual-snapshots", "residual-uniform"])
+def test_bad_input_is_named_error(make, message):
+    # BadInput is a CurveflowError and, for older callers, a ValueError
+    with pytest.raises(BadInput) as exc:
+        make()
+    assert isinstance(exc.value, CurveflowError) and isinstance(exc.value, ValueError)
+    assert message in str(exc.value)
 
 
 def test_singular_reduced_system_reports_history(monkeypatch):
@@ -191,22 +283,6 @@ def test_singular_reduced_system_reports_history(monkeypatch):
         ch.rattle_step(st, 1e-2)
     assert len(exc.value.residual_history) == 1
     assert isinstance(exc.value.__cause__, SingularSystem)
-
-
-def test_m4_jacobian_built_once_per_projection(monkeypatch):
-    n = 48
-    q0 = ch.project_to_manifold(rt.r_forward("M4", wavy_curve(n, seed=3)))
-    p_raw = np.random.default_rng(2).standard_normal((n, 4))
-    calls = []
-    jacobian = ch.constraint_jacobian
-
-    def counted(*args):
-        calls.append(1)
-        return jacobian(*args)
-    monkeypatch.setattr(ch, "constraint_jacobian", counted)
-    st = ch.project_consistent(q0, p_raw)
-    assert len(calls) == 1
-    assert ch.hidden_residual(ch.HamiltonianState("M4", st.q, st.p, 0.0, 1)) < 1e-10
 
 
 def test_project_to_manifold():
@@ -339,25 +415,6 @@ def test_csv_exports(tmp_path):
     assert diag.shape == (6, 4)
     header = tpath.read_text().splitlines()[0]
     assert header == "t,k,q1,q2,q3,p1,p2,p3"
-
-
-def test_m4_system_runs_and_reverses():
-    # the 4-component system (2N+2 constraints) behind the metric id
-    n = 48
-    c = wavy_curve(n, seed=3)
-    q0 = ch.project_to_manifold(rt.r_forward("M4", c))
-    assert np.abs(rt.constraint_rows("M4", q0.q, 1)).max() < 1e-12
-    th = (2 * np.pi / n) * np.arange(n)
-    u0 = 0.3 * np.stack([np.zeros(n), np.sin(th)], 1)
-    u0 = u0 - cc.integrate_ds(c, u0) / cc.curve_length(c)
-    p_raw = pg.g_apply("M4", q0.q, rt.dr("M4", c, u0)) / q0.theta_step
-    s0 = ch.project_consistent(q0, p_raw)
-    res = ch.simulate(s0, 0.2, 2e-3)
-    assert res.constraint_norm.max() < 1e-10
-    assert np.abs(res.energy - res.energy[0]).max() / res.energy[0] < 1e-5
-    back = ch.HamiltonianState("M4", res.qs[-1], -res.ps[-1], 0.0, 1)
-    res2 = ch.simulate(back, 0.2, 2e-3)
-    assert np.abs(res2.qs[-1] - s0.q).max() < 1e-9
 
 
 def test_long_horizon_energy_no_secular_drift():

@@ -225,6 +225,19 @@ def test_distance_symmetry_and_triangle():
     assert dac <= dab + dbc + 1e-12
 
 
+@pytest.mark.parametrize("mid", ["M1", "M2"])
+def test_m1_m2_refuse_closed_curves(mid):
+    # on closed curves the transform-space segment leaves the image, so
+    # its length is only a lower bound: distance refuses the pair that
+    # geodesic_bvp refuses
+    n = 64
+    th = (2 * np.pi / n) * np.arange(n)
+    ellipse = cc.DiscreteCurve(np.stack([1.3 * np.cos(th), 0.8 * np.sin(th)], 1), True)
+    for solve in (ga.distance, ga.geodesic_bvp):
+        with pytest.raises(CurveflowError, match=f"{mid} boundary solver works on open"):
+            solve(mid, circle(n), ellipse)
+
+
 def test_m4_has_no_solvers():
     c = wavy_curve(64, seed=1)
     with pytest.raises(CurveflowError):
