@@ -28,6 +28,19 @@ tridiagonal (not symmetric), bordered by the two closedness rows and
 columns, so one rtransform.bordered_cyclic_solve, O(N), with g^-1 only
 ever read as its diagonal (_m3_newton).
 
+The tangent pass (_rattle_tangent, _position_tangent) differentiates the
+discrete step, not the ODE, so it gives the exact derivative of the
+computed endpoint, as the shooting solver needs.  Per step it runs the
+same Newton loop as rattle_step (_rattle_newton), linearizes the converged
+(f1, f2, f3) in (q0, p0) - including lambda_1 contracted with the
+q0-derivative of DH (rtransform._m3_jacobian_tangent) - and solves for all
+r tangent columns at once with the step's own Newton solve at the
+converged point: that matrix is the exact Jacobian of (f1, f2, f3), and
+_m3_newton and bordered_cyclic_solve take (n, 3, r) right-hand sides.  The
+explicit half-step is differentiated directly, and the hidden-constraint
+projection p1 - DH(q1)^T mu with its operator moving with q1 by one more
+bordered solve of the Gram system (rtransform._m3_gram).
+
 The full H2 transform (M4) has transforms and constraints in rtransform
 but no dynamics here.  Its two forward-difference rows per sample make the
 reduced Newton system block-banded, so M4 geodesics would go through
@@ -55,6 +68,8 @@ from .rtransform import (
     RPoint,
     _closedness_newton,
     _forward_diff,
+    _m3_gram,
+    _m3_jacobian_tangent,
     _m3_rate,
     _project_op_m3,
     _shift,
@@ -115,6 +130,21 @@ def energy_grad_p(metric_id, q, p, dtheta) -> np.ndarray:
 
 def energy_grad_q(metric_id, q, p, dtheta) -> np.ndarray:
     return 0.5 * g_grad(metric_id, q, p) * dtheta
+
+
+def _energy_grad_tangents(q, p, dtheta, dq, dp):
+    """The derivatives of energy_grad_q and energy_grad_p (M3) at (q, p)
+    along the columns (dq, dp), each (n, 3, r).  dE/dq = dtheta (-q1^-3
+    p2^2 + 3 q1^5 p3^2, 0, 0) and dE/dp = dtheta (p1/4, q1^-2 p2, q1^6 p3)
+    vary with q through q1 only."""
+    x, p2, p3 = q[:, 0, None], p[:, 1, None], p[:, 2, None]
+    dx = dq[:, 0]
+    eq = np.zeros_like(dq)
+    eq[:, 0] = dtheta * ((3.0 * x ** -4 * p2 ** 2 + 15.0 * x ** 4 * p3 ** 2) * dx
+                         - 2.0 * x ** -3 * p2 * dp[:, 1] + 6.0 * x ** 5 * p3 * dp[:, 2])
+    ep = dtheta * np.stack([0.25 * dp[:, 0], x ** -2 * dp[:, 1] - 2.0 * x ** -3 * p2 * dx,
+                            x ** 6 * dp[:, 2] + 6.0 * x ** 5 * p3 * dx], axis=1)
+    return eq, ep
 
 
 # -- consistency --------------------------------------------------------------
@@ -201,7 +231,8 @@ def _m3_newton(q0: np.ndarray, dt: float):
     vectors x of J(q1), y of J(q0) at samples k and k+1), the closedness
     columns J(q1) M C(q0)^T, rows J(q0) M^T C(q1)^T and a 2x2 corner.
     Products with DH are M3Jacobian's.  Returns solve(q1, ph, f1, f2, f3)
-    -> (dq, dph, dlam) and lam -> DH(q0)^T lam."""
+    -> (dq, dph, dlam), where f1, f2 are (n, 3) and f3 (n+2,), or (n, 3, r)
+    and (n+2, r) for r right-hand sides at once, and lam -> DH(q0)^T lam."""
     n = q0.shape[0]
     dth = 2.0 * np.pi / n
     half = 0.5 * dt * dth
@@ -220,15 +251,17 @@ def _m3_newton(q0: np.ndarray, dt: float):
         a1, a2 = alpha1 * ph[:, 1], alpha2 * ph[:, 2]
         t1, t2 = -2.0 * half * x1 ** -3 * ph[:, 1], 6.0 * half * x1 ** 5 * ph[:, 2]
         c1, c2 = -half * (gi0_1 + x1 ** -2), -half * (gi0_2 + x1 ** 6)
+        sl = (slice(None),) + (None,) * (f1.ndim - 2)      # over the r columns
+        r = f3.size // f3.shape[0]
 
         def eliminate(z):
             """(A^-1 z, D^-1 (C A^-1 z - f2)) sample by sample."""
             du = z.copy()
-            du[:, 0] -= a1 * z[:, 1] + a2 * z[:, 2]
+            du[:, 0] -= a1[sl] * z[:, 1] + a2[sl] * z[:, 2]
             v = np.empty_like(z)
             v[:, 0] = c0 * du[:, 0] - f2[:, 0]
-            v[:, 1] = c1 * du[:, 1] - f2[:, 1] + t1 * v[:, 0]
-            v[:, 2] = c2 * du[:, 2] - f2[:, 2] + t2 * v[:, 0]
+            v[:, 1] = c1[sl] * du[:, 1] - f2[:, 1] + t1[sl] * v[:, 0]
+            v[:, 2] = c2[sl] * du[:, 2] - f2[:, 2] + t2[sl] * v[:, 0]
             return du, v
 
         u1, wq = eliminate(f1)
@@ -248,15 +281,16 @@ def _m3_newton(q0: np.ndarray, dt: float):
         # DH(q1) on wq and on the columns M C(q0)^T (-dt/2)
         gc1 = jac1.gc
         rho = beta * c0 * (gc0[:, 0] - a1 * gc0[:, 1])
-        X = np.empty((3, 3, n))
-        X[:, 0] = wq.T
-        X[0, 1:], X[1, 1:], X[2, 1:] = rho, beta * c1 * gc0[:, 1] + t1 * rho, t2 * rho
+        X = np.empty((3, r + 2, n))
+        X[:, :r] = wq.reshape(n, 3, r).transpose(1, 2, 0)
+        X[0, r:], X[1, r:], X[2, r:] = rho, beta * c1 * gc0[:, 1] + t1 * rho, t2 * rho
         jx = jac1.apply(X.transpose(2, 0, 1))
+        jw = jx[:, :r].reshape(f3.shape)
         sig = c0 * (gc1[:, 0] + t1 * gc1[:, 1])              # M^T C(q1)^T
         rows = jac0.apply(np.stack(
             [sig, c1 * gc1[:, 1] - a1 * sig, -a2 * sig]).transpose(2, 0, 1))[:n]
-        dl, dc = bordered_cyclic_solve(bands, jx[:n, 1:], beta * rows.T, jx[n:, 1:],
-                                       -f3[:n] - jx[:n, 0], -f3[n:] - jx[n:, 0])
+        dl, dc = bordered_cyclic_solve(bands, jx[:n, r:], beta * rows.T, jx[n:, r:],
+                                       -f3[:n] - jw[:n], -f3[n:] - jw[n:])
         dlam = np.concatenate([dl, dc])
         du, dq = eliminate(f1 + beta * jac0.apply_t(dlam))
         return dq, du, dlam
@@ -264,10 +298,11 @@ def _m3_newton(q0: np.ndarray, dt: float):
     return solve, jac0.apply_t
 
 
-def rattle_step(state: HamiltonianState, dt: float, tol: float = 1e-12,
-                max_iter: int = 50, lam_guess: np.ndarray | None = None):
-    """One RATTLE step.  Returns (new_state, lambda_1) so callers can warm
-    start the next step's multiplier; the Newton solve is _m3_newton's."""
+def _rattle_newton(state: HamiltonianState, dt: float, tol: float, max_iter: int,
+                   lam_guess: np.ndarray | None):
+    """The implicit part of a RATTLE step, solved by Newton: returns the
+    converged (q1, ph, lam), the step's Newton solve (_m3_newton) and the
+    residual history.  Shared by rattle_step and _rattle_tangent."""
     mid, winding = state.metric_id, state.winding
     dth = state.theta_step
     q0, p0 = state.q, state.p
@@ -303,16 +338,72 @@ def rattle_step(state: HamiltonianState, dt: float, tol: float = 1e-12,
         raise NewtonDivergence(
             f"RATTLE Newton did not reach tol={tol:g} in {max_iter} iterations",
             history)
+    return q1, ph, lam, newton, history
 
+
+def rattle_step(state: HamiltonianState, dt: float, tol: float = 1e-12,
+                max_iter: int = 50, lam_guess: np.ndarray | None = None):
+    """One RATTLE step.  Returns (new_state, lambda_1) so callers can warm
+    start the next step's multiplier; the Newton solve is _m3_newton's."""
+    q1, ph, lam, _, history = _rattle_newton(state, dt, tol, max_iter, lam_guess)
     # explicit momentum half-step + hidden-constraint projection
-    p1 = ph - 0.5 * dt * energy_grad_q(mid, q1, ph, dth)
+    p1 = ph - 0.5 * dt * energy_grad_q(state.metric_id, q1, ph, state.theta_step)
     try:
         p1 = _tangent_momentum(q1, p1)
     except (np.linalg.LinAlgError, SingularSystem) as exc:
         raise NewtonDivergence("hidden-constraint system is singular",
                                history) from exc
-    new_state = HamiltonianState(mid, q1, p1, state.t + dt, winding)
+    new_state = HamiltonianState(state.metric_id, q1, p1, state.t + dt, state.winding)
     return new_state, lam
+
+
+def _rattle_tangent(state: HamiltonianState, dt: float, lam_guess, dq0, dp0):
+    """One RATTLE step (simulate's settings) and its tangent-linear map on
+    the columns (dq0, dp0), each (n, 3, r): returns (new_state, lambda_1,
+    dq1, dp1).  The q0- and p0-derivatives of the converged (f1, f2, f3)
+    go through the step's own Newton solve at the converged point; then
+    the explicit half-step and the hidden-constraint projection p1 - A^T mu,
+    A g^-1 (p1 - A^T mu) = 0, are differentiated with A = DH(q1) moving."""
+    mid, dth = state.metric_id, state.theta_step
+    q0 = state.q
+    n = q0.shape[0]
+    q1, ph, lam, newton, _ = _rattle_newton(state, dt, 1e-12, 50, lam_guess)
+    eq0, ep0 = _energy_grad_tangents(q0, ph, dth, dq0, np.zeros_like(dq0))
+    f1 = 0.5 * dt * (eq0 - _m3_jacobian_tangent(q0, dth, dq0)[1](lam)) - dp0
+    # newton returns (dq, dph) with q1 + dq, ph - dph: here the tangent of
+    # (q1, ph) is (dq, -dph)
+    dq1, du, _ = newton(q1, ph, f1, -dq0 - 0.5 * dt * ep0,
+                        np.zeros((n + 2,) + dq0.shape[2:]))
+    eq1, _ = _energy_grad_tangents(q1, ph, dth, dq1, -du)
+    p1 = ph - 0.5 * dt * energy_grad_q(mid, q1, ph, dth)
+    dp1 = -du - 0.5 * dt * eq1
+    # rattle_step's projection (_tangent_momentum) p = p1 - A^T mu with
+    # A g^-1 p = 0, keeping mu, and its derivative: with v = dp1 - dA^T mu,
+    # A g^-1 A^T dmu = A (g^-1 v + dg^-1 p) + dA g^-1 p and dp = v - A^T dmu
+    jac, ginv, gram = _m3_gram(q1, dth, closure=True)
+    mu = gram(jac.apply(ginv * p1))
+    p1 = p1 - jac.apply_t(mu)
+    d_apply, d_apply_t = _m3_jacobian_tangent(q1, dth, dq1)
+    v = dp1 - d_apply_t(mu)
+    x, dx = q1[:, 0, None], dq1[:, 0]
+    dginv = np.stack([np.zeros_like(dx), -2.0 * x ** -3 * dx, 6.0 * x ** 5 * dx], axis=1)
+    dmu = gram(jac.apply(ginv[:, :, None] * v + dginv * p1[:, :, None])
+               + d_apply(ginv * p1))
+    dp1 = v - jac.apply_t(dmu)
+    return HamiltonianState(mid, q1, p1, state.t + dt, state.winding), lam, dq1, dp1
+
+
+def _position_tangent(state: HamiltonianState, steps: int, dt: float,
+                      dp0: np.ndarray) -> np.ndarray:
+    """The derivative of q after `steps` RATTLE steps of size dt from state
+    along the momentum columns dp0 (n, 3, r), the start position held: the
+    tangent-linear map of simulate's trajectory, carried through every step
+    at once, without simulate's diagnostics."""
+    dq, dp = np.zeros_like(dp0), dp0
+    lam = None
+    for _ in range(steps):
+        state, lam, dq, dp = _rattle_tangent(state, dt, lam, dq, dp)
+    return dq
 
 
 @dataclass

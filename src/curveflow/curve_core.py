@@ -13,7 +13,7 @@ second-order (trapezoid) constraint rows used by the Hamiltonian module.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -26,6 +26,7 @@ import numpy as np
 from .constrained_hamiltonian import (
     HamiltonianState,
     SimulationResult,
+    _position_tangent,
     project_consistent,
     project_to_manifold,
     simulate,
@@ -240,6 +241,54 @@ def _shooting_state(q0: RPoint, xi: np.ndarray, basis: np.ndarray) -> Hamiltonia
     return _consistent_state(q0, tangent_from_free(q0, basis @ xi[:nb], basis @ xi[nb:]))
 
 
+def _shooting_endpoints(c0: DiscreteCurve, c1: DiscreteCurve):
+    """(q0, target): the M3 points of the centred curves on the discrete
+    manifold, the target's angle lift moved to the 2 pi branch nearest q0."""
+    q0 = project_to_manifold(r_forward(MetricId.M3, center(c0)))
+    q1 = project_to_manifold(r_forward(MetricId.M3, center(c1)))
+    if q0.winding != q1.winding:
+        raise CurveflowError(
+            f"winding numbers differ ({q0.winding} vs {q1.winding}); "
+            "no geodesic within the image")
+    shift = 2.0 * np.pi * round(float(np.mean(q1.q[:, 1] - q0.q[:, 1]))
+                                / (2.0 * np.pi))
+    target_q = q1.q.copy()
+    target_q[:, 1] -= shift
+    return q0, RPoint(MetricId.M3, target_q, True, q1.winding)
+
+
+def _shooting_maps(q0: RPoint, target: RPoint, T: float, steps: int):
+    """The shooting residual xi -> (r, simulation) and its exact Jacobian
+    xi -> dr/dxi.  r is the endpoint gap of `steps` RATTLE steps from
+    _shooting_state(q0, xi, basis), projected to the image tangent space
+    at the target and weighted by the square roots of the diagonal metric
+    and the trapezoid weights.  The Jacobian differentiates the discrete
+    map: xi -> initial momentum is linear at fixed q0, so its columns are
+    the states of the unit xi, which the tangent-linear RATTLE map
+    (_position_tangent) carries to the end together; the projection and
+    the weights are linear."""
+    tau = trapezoid_weights(q0.n_samples, True)
+    w = np.sqrt(np.stack([4.0 * np.ones_like(tau), target.q[:, 0] ** 2,
+                          target.q[:, 0] ** -6], axis=1)
+                * (tau * q0.theta_step)[:, None])
+    momenta = {}      # the unit-xi momenta of each basis size
+
+    def residual(xi, basis):
+        sim = simulate(_shooting_state(q0, xi, basis), T, T / steps)
+        return (project_image(target, sim.qs[-1] - target.q) * w).ravel(), sim
+
+    def jacobian(xi, basis):
+        r = 2 * basis.shape[1]
+        if r not in momenta:
+            momenta[r] = np.stack([_shooting_state(q0, e, basis).p for e in np.eye(r)],
+                                  axis=-1)
+        dq = _position_tangent(_shooting_state(q0, xi, basis), steps, T / steps,
+                               momenta[r])
+        return (project_image(target, dq) * w[..., None]).reshape(-1, r)
+
+    return residual, jacobian
+
+
 # tol is relative to the transform-space distance of the endpoints
 _SHOOTING_DEFAULTS = {"dt": 1e-2, "modes": 10, "tol": 1e-4, "max_iter": 40}
 
@@ -250,7 +299,9 @@ def _bvp_shooting(c0, c1, K, T, dt, modes, tol, max_iter) -> GeodesicPath:
     The unknown initial momentum is parameterized by the first Fourier
     modes of the two free tangent components at q0; the residual is the
     endpoint gap projected to the image tangent space at the target,
-    minimized by damped Gauss-Newton with a forward-difference Jacobian.
+    minimized by damped Gauss-Newton with the exact Jacobian of the
+    discrete shooting map (_shooting_maps): one tangent-linear integration
+    per Jacobian, one simulate call per residual.
     On a stall the mode count grows by 4, up to 24, and the solve goes on;
     a stall at 24 modes, like running out of iterations, ends the solve, and
     a best path that misses the tolerance is raised in a ShootingStall.
@@ -260,35 +311,10 @@ def _bvp_shooting(c0, c1, K, T, dt, modes, tol, max_iter) -> GeodesicPath:
                  f"{name} must be finite and positive, got {value}")
     _require_count("modes", modes, 1)
     _require_count("max_iter", max_iter, 1)
-    c0, c1 = center(c0), center(c1)
-    q0 = project_to_manifold(r_forward(MetricId.M3, c0))
-    q1 = project_to_manifold(r_forward(MetricId.M3, c1))
-    if q0.winding != q1.winding:
-        raise CurveflowError(
-            f"winding numbers differ ({q0.winding} vs {q1.winding}); "
-            "no geodesic within the image")
-    # nearest 2 pi branch of the angle lift
-    shift = 2.0 * np.pi * round(float(np.mean(q1.q[:, 1] - q0.q[:, 1]))
-                                / (2.0 * np.pi))
-    target_q = q1.q.copy()
-    target_q[:, 1] -= shift
-    target = RPoint(MetricId.M3, target_q, True, q1.winding)
-
-    dth = q0.theta_step
-    tau = trapezoid_weights(q0.n_samples, True)
+    q0, target = _shooting_endpoints(c0, c1)
     dq_full = target.q - q0.q
     scale = np.sqrt(weighted_inner(MetricId.M3, q0.q, dq_full, dq_full, True))
-    steps = max(2, int(round(T / dt)))
-
-    def residual(xi, basis):
-        state = _shooting_state(q0, xi, basis)
-        sim = simulate(state, T, T / steps)
-        gap = sim.qs[-1] - target.q
-        proj = project_image(target, gap)
-        w = np.sqrt(np.stack([4.0 * np.ones_like(tau), target.q[:, 0] ** 2,
-                              target.q[:, 0] ** -6], axis=1)
-                    * (tau * dth)[:, None])
-        return (proj * w).ravel(), sim
+    residual, jacobian = _shooting_maps(q0, target, T, max(2, int(round(T / dt))))
 
     def initial_guess(basis):
         delta = project_image(q0, dq_full, image_tol=1.0) / T
@@ -308,13 +334,7 @@ def _bvp_shooting(c0, c1, K, T, dt, modes, tol, max_iter) -> GeodesicPath:
     while it < max_iter:
         if rn <= tol * scale:
             break
-        # forward-difference Jacobian in the reduced parameter space
-        J = np.empty((r.size, xi.size))
-        eps = 1e-6 * max(1.0, np.linalg.norm(xi))
-        for a in range(xi.size):
-            xp = xi.copy()
-            xp[a] += eps
-            J[:, a] = (residual(xp, basis)[0] - r) / eps
+        J = jacobian(xi, basis)
         # Levenberg-Marquardt: the endpoint map has sloppy high-frequency
         # directions, so undamped Gauss-Newton steps leave the trust region
         jtj = J.T @ J

@@ -23,8 +23,10 @@ functionals.  This module is the one definition of the constraints: rows
 (constraints, and constraint_rows for the H(q) of closed M3/M4 grids),
 the closedness derivative (_closure_coeffs), the M3 products DH.X,
 DH^T.lam and Gram bands with coefficients cached per q (M3Jacobian; no
-dense DH is built) and the L2(g) projection P onto the M3 tangent space
-(_project_op_m3).  The M4 rows are geometry only: no solver here
+dense DH is built), their derivative along a tangent of q
+(_m3_jacobian_tangent, for the tangent-linear RATTLE step), the Gram solve
+of A g^-1 A^T (_m3_gram) and the L2(g) projection P onto the M3 tangent
+space (_project_op_m3).  The M4 rows are geometry only: no solver here
 differentiates them.  project_image uses P; the consistent
 momentum and the RATTLE lambda_2 step use p -> g P(g^-1 p).  The one
 cyclic banded solver (cyclic_banded_solve: nonsymmetric bands of
@@ -311,6 +313,38 @@ class M3Jacobian:
                          0.25 * (s + s_next) + (g2 + g2_next) / self.dth ** 2, upper])
 
 
+def _m3_jacobian_tangent(q: np.ndarray, dth: float, dq: np.ndarray):
+    """The derivative of DH(q) along the columns dq (n, 3, r) of q, as the
+    products (k -> dDH k, lam -> dDH^T lam) for one k (n, 3) or one lam
+    (n+2,), giving (n+2, r) and (n, 3, r).  Only M3Jacobian's coefficients
+    move with q: gw1 and gw3, the partials of w = q1^-2 q3, and the
+    closedness coefficients gc; the +-1/dtheta entries are constant.
+    dDH^T lam is the Hessian of lam . H(q) applied to dq, pointwise."""
+    n = q.shape[0]
+    x, a, q3 = q[:, 0, None], q[:, 1, None], q[:, 2, None]
+    dx, da, d3 = dq[:, 0], dq[:, 1], dq[:, 2]
+    dgw1 = 6.0 * q3 * x ** -4 * dx - 2.0 * x ** -3 * d3
+    dgw3 = -2.0 * x ** -3 * dx
+    c, s = np.cos(a) * dth, np.sin(a) * dth
+    dgc = np.array([[2.0 * (c * dx - x * s * da), -(2.0 * x * s * dx + x ** 2 * c * da)],
+                    [2.0 * (s * dx + x * c * da), 2.0 * x * c * dx - x ** 2 * s * da]])
+
+    def apply(k):
+        half_y = 0.5 * (dgw1 * k[:, 0, None] + dgw3 * k[:, 2, None])
+        return np.concatenate([half_y + _shift(half_y, 1),
+                               np.einsum("ijkr,kj->ir", dgc, k[:, :2])])
+
+    def apply_t(lam):
+        mu = lam[:n]
+        avg = 0.5 * (mu + _shift(mu, -1))[:, None]
+        out = np.zeros_like(dq)
+        out[:, 0], out[:, 2] = dgw1 * avg, dgw3 * avg
+        out[:, :2] += np.einsum("ijkr,i->kjr", dgc, lam[n:])
+        return out
+
+    return apply, apply_t
+
+
 def _winding_of(rpoint: RPoint) -> int:
     if rpoint.winding is not None:
         return rpoint.winding
@@ -466,13 +500,16 @@ def bordered_cyclic_solve(bands, cols, rows, corner, f, g):
     banded A of cyclic_banded_solve, an (n, k) column border, a (k, n) row
     border and a (k, k) corner: one banded solve for f and the border
     columns, then the Schur complement (corner - rows A^-1 cols) y =
-    g - rows A^-1 f.  Returns (x, y); raises SingularSystem."""
+    g - rows A^-1 f.  f and g are (n,) and (k,), or (n, r) and (k, r) for
+    r right-hand sides.  Returns (x, y); raises SingularSystem."""
     sol = cyclic_banded_solve(bands, np.column_stack([f, cols]))
+    r = f.size // f.shape[0]
+    x, z = sol[:, :r].reshape(f.shape), sol[:, r:]
     try:
-        y = np.linalg.solve(corner - rows @ sol[:, 1:], g - rows @ sol[:, 0])
+        y = np.linalg.solve(corner - rows @ z, g - rows @ x)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem("border Schur complement is singular") from exc
-    return sol[:, 0] - sol[:, 1:] @ y, y
+    return x - z @ y, y
 
 
 def elliptic_solve(a, b, f, dtheta: float) -> np.ndarray:
@@ -495,28 +532,42 @@ def elliptic_solve(a, b, f, dtheta: float) -> np.ndarray:
 
 # -- orthogonal projection onto the image tangent space ----------------------
 
-def _project_op_m3(q: np.ndarray, h: np.ndarray, dth: float,
-                   closure: bool = False) -> np.ndarray:
-    """Exact discrete L2(g)-orthogonal projection onto {A k = 0}: k = h -
-    g^-1 A^T mu with (A g^-1 A^T) mu = A h, where A is the trapezoid
-    derivative rows J of M3Jacobian, bordered by its closedness rows C if
-    closure is set.  g^-1 is the M3 metric's diagonal ginv (n, 3).
+def _m3_gram(q: np.ndarray, dth: float, closure: bool):
+    """(jac, ginv, solve) at q: the M3Jacobian, the diagonal M3 g^-1 (n, 3)
+    and solve(rhs) = (A g^-1 A^T)^-1 rhs for rhs (n+2,) or (n+2, r), where
+    A is the trapezoid derivative rows J bordered by the closedness rows C
+    if closure is set (else the closedness multipliers are 0).
     A g^-1 A^T is the cyclic tridiagonal J g^-1 J^T (gram_bands) bordered
     by J g^-1 C^T, its transpose and C g^-1 C^T: one bordered_cyclic_solve."""
     n = q.shape[0]
     ginv = g_inv(MetricId.M3, q, np.ones_like(q))
     jac = M3Jacobian(q, dth)
     bands = jac.gram_bands(ginv)
-    ah = jac.apply(h)
     if closure:
         border = np.zeros(q.shape + (2,))                      # g^-1 C^T
         border[:, :2] = ginv[:, :2, None] * jac.gc.transpose(2, 1, 0)
         ab = jac.apply(border)
-        lam = np.concatenate(bordered_cyclic_solve(bands, ab[:n], ab[:n].T, ab[n:],
-                                                   ah[:n], ah[n:]))
+
+        def solve(rhs):
+            return np.concatenate(bordered_cyclic_solve(bands, ab[:n], ab[:n].T, ab[n:],
+                                                        rhs[:n], rhs[n:]))
     else:
-        lam = np.concatenate([cyclic_banded_solve(bands, ah[:n]), np.zeros(2)])
-    return h - ginv * jac.apply_t(lam)
+        def solve(rhs):
+            return np.concatenate([cyclic_banded_solve(bands, rhs[:n]),
+                                   np.zeros((2,) + rhs.shape[1:])])
+    return jac, ginv, solve
+
+
+def _project_op_m3(q: np.ndarray, h: np.ndarray, dth: float,
+                   closure: bool = False) -> np.ndarray:
+    """Exact discrete L2(g)-orthogonal projection onto {A k = 0}: k = h -
+    g^-1 A^T mu with (A g^-1 A^T) mu = A h, where A is the trapezoid
+    derivative rows J of M3Jacobian, bordered by its closedness rows C if
+    closure is set, and g^-1 is the M3 metric's diagonal (_m3_gram).  h is
+    (n, 3), or (n, 3, r) for r fields at once."""
+    jac, ginv, solve = _m3_gram(q, dth, closure)
+    lam = solve(jac.apply(h))
+    return h - ginv.reshape(ginv.shape + (1,) * (h.ndim - 2)) * jac.apply_t(lam)
 
 
 def _remove_span(metric_id, q, closed, h, basis):
@@ -542,8 +593,9 @@ def project_image(rpoint: RPoint, h, image_tol: float = 1e-3) -> np.ndarray:
 
     M1/M2: subtract the span of the two closedness gradients.  M3: one
     bordered cyclic banded solve for the derivative and closedness rows
-    (_project_op_m3).  M4 is BadInput.  Raises OffImage when the
-    constraints at q exceed image_tol relative to the closure scale.
+    (_project_op_m3), which also takes h as (n, 3, r) for r fields.  M4 is
+    BadInput.  Raises OffImage when the constraints at q exceed image_tol
+    relative to the closure scale.
     """
     metric_id = rpoint.metric_id
     if metric_id is MetricId.M4:

@@ -19,7 +19,6 @@ import time
 import types
 
 import numpy as np
-import pytest
 from scipy.integrate import quad
 
 from conftest import circle, convex_arc, smooth_field, wavy_curve

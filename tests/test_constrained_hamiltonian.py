@@ -227,7 +227,8 @@ def test_m3_newton_matrix_is_exact():
 
 def test_m3_simulate_makes_no_dense_solve(monkeypatch):
     # only the 2b x 2b Woodbury and 2 x 2 Schur and closedness systems
-    # reach a dense solve; nothing of size O(N)
+    # reach a dense solve; nothing of size O(N), in simulate or in the
+    # tangent pass that carries 6 columns through the same steps
     st = circle_state(32)
     solve, sizes = np.linalg.solve, []
 
@@ -239,6 +240,34 @@ def test_m3_simulate_makes_no_dense_solve(monkeypatch):
     assert sizes and max(sizes) <= 8
     assert res.constraint_norm.max() < 1e-9
     assert res.hidden_norm.max() < 1e-9
+    sizes.clear()
+    dq = ch._position_tangent(st, 5, 1e-2, np.random.default_rng(3).standard_normal((32, 3, 6)))
+    assert sizes and max(sizes) <= 8
+    assert dq.shape == (32, 3, 6) and np.all(np.isfinite(dq))
+
+
+def test_rattle_tangent_matches_central_differences():
+    # the tangent-linear step is the derivative of the computed step: its
+    # columns match central differences of rattle_step (q0, p0) -> (q1, p1)
+    rng = np.random.default_rng(29)
+    eps = 1e-6
+    for n in (64, 65):
+        rp = ch.project_to_manifold(rt.r_forward("M3", wavy_curve(n, seed=2)))
+        wavy = ch.project_consistent(rp, 0.3 * rng.standard_normal((n, 3)))
+        for state in (circle_state(n), wavy):
+            dq0, dp0 = rng.standard_normal((2, n, 3, 3))
+            new, lam, dq1, dp1 = ch._rattle_tangent(state, 1e-2, None, dq0, dp0)
+            ref, lam_ref = ch.rattle_step(state, 1e-2)
+            assert np.array_equal(new.q, ref.q) and np.array_equal(lam, lam_ref)
+            assert np.abs(new.p - ref.p).max() <= 1e-14 * np.abs(ref.p).max()
+            for j in range(3):
+                moved = [ch.rattle_step(ch.HamiltonianState(
+                    "M3", state.q + s * dq0[..., j], state.p + s * dp0[..., j],
+                    0.0, state.winding), 1e-2)[0] for s in (eps, -eps)]
+                for tangent, a, b in ((dq1, moved[0].q, moved[1].q),
+                                      (dp1, moved[0].p, moved[1].p)):
+                    fd = (a - b) / (2 * eps)
+                    assert np.linalg.norm(tangent[..., j] - fd) <= 1e-6 * np.linalg.norm(fd)
 
 
 def _snapshots(times):

@@ -9,7 +9,6 @@ from curveflow import curve_core as cc
 from curveflow import geodesic_api as ga
 from curveflow import metric_suite as ms
 from curveflow import pointwise_geometry as pg
-from curveflow import rtransform as rt
 from curveflow.errors import (CurveflowError, DomainExit, ShootingStall,
                               SingularVerticalOperator)
 
@@ -173,10 +172,29 @@ def test_shooting_stall_carries_best_path():
     assert np.abs(path.curves[0].points - cc.center(c0).points).max() < 1e-2
 
 
+@pytest.mark.parametrize("n", [32, 33])
+def test_shooting_jacobian_matches_central_differences(n):
+    # the tangent-linear RATTLE map gives the derivative of the computed
+    # residual: every column matches its central difference
+    th = (2 * np.pi / n) * np.arange(n)
+    c1 = cc.DiscreteCurve(np.stack([1.15 * np.cos(th), 0.87 * np.sin(th)], 1), True)
+    q0, target = ga._shooting_endpoints(circle(n), c1)
+    residual, jacobian = ga._shooting_maps(q0, target, 1.0, 20)
+    basis = ga._fourier_basis(n, 4)
+    xi = 0.1 * np.random.default_rng(31).standard_normal(2 * basis.shape[1])
+    J = jacobian(xi, basis)
+    eps = 1e-5
+    for a, e in enumerate(eps * np.eye(xi.size)):
+        fd = (residual(xi + e, basis)[0] - residual(xi - e, basis)[0]) / (2 * eps)
+        assert np.linalg.norm(J[:, a] - fd) <= 1e-6 * np.linalg.norm(fd)
+
+
 def test_m3_shooting_cost_is_rotation_invariant(monkeypatch):
     # the metric is rotation invariant; so must the solve's path be, not
     # only its answer: no Levenberg-Marquardt step is bought for a model
-    # decrease at rounding level
+    # decrease at rounding level.  With the exact Jacobian each residual
+    # evaluation is one simulate call: the start, three accepted steps and
+    # the re-evaluation after the basis grows from 4 to 8 modes
     n = 32
     th = (2 * np.pi / n) * np.arange(n)
     calls = []
@@ -187,7 +205,7 @@ def test_m3_shooting_cost_is_rotation_invariant(monkeypatch):
         return simulate(*args, **kwargs)
     monkeypatch.setattr(ga, "simulate", counted)
     counts, lengths = [], []
-    for angle in (0.0, 1.0):
+    for angle in (0.0, 1.0, 2.0):
         rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
         c0 = cc.DiscreteCurve(np.stack([np.cos(th), np.sin(th)], 1) @ rot.T, True)
         c1 = cc.DiscreteCurve(np.stack([1.15 * np.cos(th), 0.87 * np.sin(th)], 1)
@@ -197,8 +215,9 @@ def test_m3_shooting_cost_is_rotation_invariant(monkeypatch):
                                tol=5e-3, max_iter=25)
         counts.append(len(calls))
         lengths.append(ga._rspace_path_length(path))
-    assert counts[0] == counts[1]
+    assert counts[0] == counts[1] == counts[2] <= 5
     assert lengths[0] == pytest.approx(lengths[1], rel=1e-6)
+    assert lengths[0] == pytest.approx(lengths[2], rel=1e-6)
 
 
 def test_m3_winding_mismatch_rejected():

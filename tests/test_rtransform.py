@@ -236,6 +236,12 @@ def test_project_image_m3_oracles():
     assert np.abs(num).max() < 1e-6        # finite-difference noise level
     exact = rt.M3Jacobian(rp.q, rp.theta_step).apply(k)[: rp.n_samples]
     assert np.abs(exact).max() < 1e-9
+    # fields stacked as (n, 3, r) project column by column
+    hs = np.stack([h, 2.0 * h, rng.standard_normal(rp.q.shape)], axis=-1)
+    ks = rt.project_image(rp, hs)
+    for j in range(3):
+        col = rt.project_image(rp, hs[..., j])
+        assert np.abs(ks[..., j] - col).max() <= 1e-13 * np.abs(col).max()
     # (b) closedness gradients pair to zero
     for g in rt.constraint_gradients(rp):
         assert abs(rt.weighted_inner("M3", rp.q, g, k, True)) < 1e-9
@@ -339,6 +345,12 @@ def test_bordered_cyclic_solve():
     full = np.block([[_cyclic_dense(bands), cols], [rows, corner]])
     ref = np.linalg.solve(full, np.concatenate([f, g]))
     assert np.abs(np.concatenate([x, y]) - ref).max() < 1e-13 * np.abs(ref).max()
+    # r right-hand sides at once: column by column the same solution
+    F, G = rng.standard_normal((n, 4)), rng.standard_normal((2, 4))
+    X, Y = rt.bordered_cyclic_solve(bands, cols, rows, corner, F, G)
+    ref = np.linalg.solve(full, np.concatenate([F, G]))
+    assert X.shape == (n, 4) and Y.shape == (2, 4)
+    assert np.abs(np.concatenate([X, Y]) - ref).max() < 1e-13 * np.abs(ref).max()
 
 
 def test_elliptic_solve():
