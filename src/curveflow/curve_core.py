@@ -213,8 +213,8 @@ def first_variation(curve: DiscreteCurve, h, quantity: str,
     if quantity == "kappa":
         ds2h = ds_derivative(curve, dsh, frame)
         return np.einsum("ki,ki->k", ds2h, frame.n) - 2.0 * frame.kappa * dsh_v
-    raise ValueError(f"unknown quantity {quantity!r}; "
-                     f"expected one of {FIRST_VARIATION_QUANTITIES}")
+    raise BadInput(f"unknown quantity {quantity!r}; "
+                   f"expected one of {FIRST_VARIATION_QUANTITIES}")
 
 
 def centroid(curve: DiscreteCurve, frame: CurveFrame | None = None) -> np.ndarray:

@@ -12,7 +12,8 @@ additionally rotated onto the ds-mean-zero turning angle section.  Each
 step of these pipelines has one definition here: the move onto the section
 (`_on_section`), the reconstruction of snapshots (`_curves`), the L2 norm
 on the theta grid (`_l2`), the consistent M3 initial state
-(`_consistent_state`) and the M3 vertical pairing (`_vertical_pairing`).
+(`_consistent_state`), the M3 vertical pairing (`_vertical_pairing`) and
+the vertical field zeta c' (`_vertical_field`).
 """
 
 from __future__ import annotations
@@ -42,11 +43,19 @@ from .curve_core import (
     section_rotation,
     trapezoid_weights,
 )
-from .errors import CurveflowError, DomainExit, ShootingStall, SingularVerticalOperator
+from .errors import (
+    BadInput,
+    CurveflowError,
+    DomainExit,
+    ShootingStall,
+    SingularSystem,
+    SingularVerticalOperator,
+)
 from .metric_suite import MetricId, apply_L
 from .pointwise_geometry import _solve_fibers, dist2_lower_bound, g_apply, integrate_spray2
 from .rtransform import (
     RPoint,
+    cyclic_banded_solve,
     dr,
     project_image,
     r_forward,
@@ -524,30 +533,58 @@ def _vertical_pairing(curve: DiscreteCurve, u, frame):
     return np.einsum("ki,ki->k", lu, frame.v), lu
 
 
-def vertical_operator_matrix(curve: DiscreteCurve) -> np.ndarray:
-    """Dense matrix of zeta -> <L_c(zeta c'), v> on scalar samples (M3)."""
-    frame = build_frame(curve)
-    cp = frame.speed[:, None] * frame.v
-    mat = np.empty((curve.n_samples, curve.n_samples))
-    for k, zeta in enumerate(np.eye(curve.n_samples)):
-        mat[:, k] = _vertical_pairing(curve, zeta[:, None] * cp, frame)[0]
-    return mat
+# apply_L for M3 composes four central differences, so the vertical
+# operator zeta -> <L_c(zeta c'), v> is cyclic banded with half-width 4
+_VERTICAL_HALF_WIDTH = 4
+
+
+def _vertical_field(zeta, frame):
+    """The vertical field zeta c' = zeta |c'| v."""
+    return (zeta * frame.speed)[:, None] * frame.v
+
+
+def _probe_colors(n: int) -> np.ndarray:
+    """A colour per sample index such that no two indices of one colour lie
+    within 2b of each other cyclically (b the half-width): k mod 2b+1 on
+    the first multiple of 2b+1 indices, and a colour of its own for each
+    of the n mod 2b+1 tail indices; at most 4b+1 colours."""
+    w = 2 * _VERTICAL_HALF_WIDTH + 1
+    whole = n - n % w
+    return np.concatenate([np.arange(whole) % w, w + np.arange(n - whole)])
+
+
+def _vertical_bands(curve: DiscreteCurve, frame) -> np.ndarray:
+    """The (2b+1, N) bands of zeta -> <L_c(zeta c'), v> (M3), b the
+    half-width, in the layout of cyclic_banded_solve: one pairing per
+    probe colour (Curtis-Powell-Reid).  Column k meets only rows within b
+    of it, and columns of one colour lie more than 2b apart, so entry
+    (i, k) is read off the probe of k's colour at row i."""
+    n = curve.n_samples
+    colors = _probe_colors(n)
+    probes = np.stack([_vertical_pairing(curve, _vertical_field(colors == c, frame), frame)[0]
+                       for c in range(colors.max() + 1)])
+    offsets = np.arange(-_VERTICAL_HALF_WIDTH, _VERTICAL_HALF_WIDTH + 1)
+    rows = np.arange(n)
+    return probes[colors[(rows + offsets[:, None]) % n], rows]
 
 
 def horizontal_project(curve: DiscreteCurve, h) -> np.ndarray:
     """Remove the reparameterization (vertical) part of h for M3: h -
-    zeta c' with <L_c(h - zeta c'), v> = 0."""
+    zeta c' with <L_c(h - zeta c'), v> = 0.  The operator is cyclic banded
+    (_vertical_bands), so the cost is O(N): at most 17 apply_L probes and
+    one cyclic banded solve, which needs at least 9 samples."""
     h = _check_field(curve, h, "h")
+    least = 2 * _VERTICAL_HALF_WIDTH + 1
+    if curve.n_samples < least:
+        raise BadInput(f"horizontal projection needs at least {least} samples, "
+                       f"got {curve.n_samples}")
     frame = build_frame(curve)
     rhs = _vertical_pairing(curve, h, frame)[0]
-    mat = vertical_operator_matrix(curve)
     try:
-        zeta = np.linalg.solve(mat, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularVerticalOperator("vertical operator is singular") from exc
-    if not np.all(np.isfinite(zeta)):
-        raise SingularVerticalOperator("vertical solve produced non-finite values")
-    return h - zeta[:, None] * (frame.speed[:, None] * frame.v)
+        zeta = cyclic_banded_solve(_vertical_bands(curve, frame), rhs)
+    except SingularSystem as exc:
+        raise SingularVerticalOperator(f"vertical operator is singular ({exc})") from exc
+    return h - _vertical_field(zeta, frame)
 
 
 def _horizontality(curve: DiscreteCurve, u):

@@ -30,6 +30,7 @@ from scipy.interpolate import CubicSpline
 
 from .curve_core import DiscreteCurve, build_frame, ds_derivative, integrate_ds
 from .errors import (
+    BadInput,
     DegeneratePlane,
     DomainExit,
     NoConvergence,
@@ -46,7 +47,7 @@ def _as2d(q, dim):
     squeeze = q.ndim == 1
     q = np.atleast_2d(q)
     if q.shape[-1] != dim:
-        raise ValueError(f"expected last axis {dim}, got {q.shape}")
+        raise BadInput(f"expected last axis {dim}, got {q.shape}")
     return q, squeeze
 
 

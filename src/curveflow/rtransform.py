@@ -460,10 +460,10 @@ def cyclic_banded_solve(bands, f) -> np.ndarray:
     bands = np.asarray(bands, dtype=float)
     f = np.asarray(f, dtype=float)
     cols = f.reshape(f.shape[0], -1)
-    w, n = bands.shape
+    w, n = bands.shape if bands.ndim == 2 else (0, 0)
     b = w // 2
     if w != 2 * b + 1 or n <= 2 * b:
-        raise ValueError("bands must be (2b+1, n) with n > 2b")
+        raise BadInput(f"bands must be (2b+1, n) with n > 2b, got {bands.shape}")
     r = cols.shape[1]
     ends = np.arange(2 * b)             # rows of E: the first and last b
     ends[b:] += n - 2 * b
@@ -524,7 +524,7 @@ def elliptic_solve(a, b, f, dtheta: float) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if np.any(a <= 0.0) or np.any(b < 0.0):
-        raise ValueError("need a > 0 and b >= 0")
+        raise BadInput("need a > 0 and b >= 0")
     ae = 0.5 * (a + _shift(a, 1)) / dtheta ** 2     # a_{k+1/2} / dtheta^2
     aw = _shift(ae, -1)                             # a_{k-1/2} / dtheta^2
     return cyclic_banded_solve(np.stack([-aw, ae + aw + b, -ae]), f)

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import analytic_circle_frame, circle, smooth_field, wavy_curve
 from curveflow import curve_core as cc
-from curveflow.errors import DegenerateCurve, TurningTooFast
+from curveflow.errors import BadInput, DegenerateCurve, TurningTooFast
 
 
 def test_unit_circle_frame():
@@ -112,6 +112,8 @@ def test_first_variation_translation_invariance():
     h = np.tile([0.7, -0.3], (96, 1))
     for qty in cc.FIRST_VARIATION_QUANTITIES:
         assert np.abs(cc.first_variation(c, h, qty)).max() == 0.0
+    with pytest.raises(BadInput, match="unknown quantity"):
+        cc.first_variation(c, h, "torsion")
 
 
 def test_first_variation_scaling_field():

@@ -9,7 +9,7 @@ from curveflow import curve_core as cc
 from curveflow import geodesic_api as ga
 from curveflow import metric_suite as ms
 from curveflow import pointwise_geometry as pg
-from curveflow.errors import (CurveflowError, DomainExit, ShootingStall,
+from curveflow.errors import (BadInput, CurveflowError, DomainExit, ShootingStall,
                               SingularVerticalOperator)
 
 
@@ -343,13 +343,98 @@ def test_horizontal_project_examples():
     assert np.abs(out).max() < 1e-8
 
 
+def dense_vertical_operator(curve):
+    """Reference: the N x N matrix of zeta -> <L_c(zeta c'), v>, one
+    apply_L per column."""
+    f = cc.build_frame(curve)
+    cp = f.speed[:, None] * f.v
+    cols = [np.einsum("ki,ki->k", ms.apply_L("M3", curve, z[:, None] * cp, f), f.v)
+            for z in np.eye(curve.n_samples)]
+    return np.stack(cols, axis=1)
+
+
+def dense_horizontal_project(curve, h):
+    f = cc.build_frame(curve)
+    rhs = np.einsum("ki,ki->k", ms.apply_L("M3", curve, h, f), f.v)
+    zeta = np.linalg.solve(dense_vertical_operator(curve), rhs)
+    return h - zeta[:, None] * (f.speed[:, None] * f.v)
+
+
+def cyclic_distance(i, k, n):
+    d = np.abs(i - k) % n
+    return np.minimum(d, n - d)
+
+
+@pytest.mark.parametrize("n", [64, 65, 400, 800])
+def test_horizontal_project_matches_dense_reference(n):
+    c, h = wavy_curve(n, seed=3), smooth_field(n, seed=1, closed=True)
+    ref = dense_horizontal_project(c, h)
+    assert np.abs(ga.horizontal_project(c, h) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_vertical_bands_are_the_dense_entries():
+    # the operator has cyclic half-width 4, the assumption behind the
+    # colouring, and the probes read its band entries off exactly
+    for n in (64, 65):
+        c = wavy_curve(n, seed=3)
+        A = dense_vertical_operator(c)
+        i, k = np.indices((n, n))
+        assert np.all(A[cyclic_distance(i, k, n) > 4] == 0.0)
+        bands = ga._vertical_bands(c, cc.build_frame(c))
+        rows = np.arange(n)
+        for j in range(-4, 5):
+            assert np.array_equal(bands[4 + j], A[rows, (rows + j) % n])
+
+
+def test_probe_colors_are_far_apart():
+    for n in [*range(9, 41), 799, 800, 801]:
+        colors = ga._probe_colors(n)
+        assert colors.shape == (n,) and colors.max() + 1 <= 17
+        i, k = np.indices((n, n))
+        near = (cyclic_distance(i, k, n) <= 8) & (i != k)
+        assert not np.any(near & (colors[i] == colors[k])), n
+
+
+def test_horizontal_project_cost(monkeypatch):
+    # at most 17 probes plus the right-hand side, and no dense solve
+    # larger than the 8 x 8 Woodbury corner of the banded solve
+    n = 800
+    c, h = wavy_curve(n, seed=3), smooth_field(n, seed=1, closed=True)
+    apply_L, solve, calls, sizes = ga.apply_L, np.linalg.solve, [], []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return apply_L(*args, **kwargs)
+
+    def recorded(a, b):
+        sizes.append(np.shape(a)[-1])
+        return solve(a, b)
+    monkeypatch.setattr(ga, "apply_L", counted)
+    monkeypatch.setattr(np.linalg, "solve", recorded)
+    ga.horizontal_project(c, h)
+    assert len(calls) <= 18
+    assert sizes and max(sizes) <= 8
+
+
+def test_horizontal_project_needs_nine_samples():
+    c8 = circle(8)
+    with pytest.raises(BadInput, match="at least 9 samples"):
+        ga.horizontal_project(c8, smooth_field(8, seed=1, closed=True))
+    c9, h9 = circle(9), smooth_field(9, seed=1, closed=True)
+    ref = dense_horizontal_project(c9, h9)
+    assert np.abs(ga.horizontal_project(c9, h9) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 def test_singular_vertical_operator(monkeypatch):
+    # zero bands fail the banded factorization; NaN bands get through it
+    # and fail the solver's residual check, so no solution that is not
+    # finite comes back
     n = 32
     c, h = circle(n), smooth_field(n, seed=1, closed=True)
-    for fill, words in ((0.0, "singular"), (np.nan, "non-finite")):
-        monkeypatch.setattr(ga, "vertical_operator_matrix",
-                            lambda curve, fill=fill: np.full((n, n), fill))
-        with pytest.raises(SingularVerticalOperator, match=words):
+    for fill, words in ((0.0, "singular matrix"), (np.nan, "failed to converge")):
+        monkeypatch.setattr(ga, "_vertical_bands",
+                            lambda curve, frame, fill=fill: np.full((9, n), fill))
+        with pytest.raises(SingularVerticalOperator, match=f"singular .*{words}"):
             ga.horizontal_project(c, h)
 
 

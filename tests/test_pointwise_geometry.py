@@ -8,7 +8,7 @@ from curveflow import curve_core as cc
 from curveflow import pointwise_geometry as pg
 from curveflow import rtransform as rt
 from curveflow import metric_suite as ms
-from curveflow.errors import DegeneratePlane, DomainExit, NonPositive, OutOfRange
+from curveflow.errors import BadInput, DegeneratePlane, DomainExit, NonPositive, OutOfRange
 from curveflow.validation import fd_gauss_curvature
 
 
@@ -253,6 +253,8 @@ def test_scal2_and_curvature_tensor():
     assert val == -12.0
     with pytest.raises(NonPositive):
         pg.scal2((-1.0, 0.0))
+    with pytest.raises(BadInput, match="last axis 3"):
+        pg.g_matrix("M3", np.ones((4, 2)))
 
 
 def test_sectional_curvature_degenerate_and_zero():

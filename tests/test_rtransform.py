@@ -14,7 +14,7 @@ from curveflow import curve_core as cc
 from curveflow import metric_suite as ms
 from curveflow import rtransform as rt
 from curveflow.constrained_hamiltonian import project_to_manifold
-from curveflow.errors import NonPositive, NotConvex, OffImage, SingularSystem
+from curveflow.errors import BadInput, NonPositive, NotConvex, OffImage, SingularSystem
 
 ALL = ("M1", "M2", "M3", "M4")
 
@@ -330,6 +330,16 @@ def test_cyclic_banded_solve_singular(stencil):
     with pytest.raises(SingularSystem):
         rt.bordered_cyclic_solve(bands, np.zeros((n, 2)), np.zeros((2, n)),
                                  np.eye(2), np.ones(n), np.ones(2))
+
+
+def test_banded_solvers_name_bad_input():
+    # an even band count, n <= 2b, flat bands and a <= 0 are BadInput
+    # (a ValueError too, for older callers)
+    for bands in (np.ones((4, 20)), np.ones((9, 8)), np.ones(20)):
+        with pytest.raises(BadInput, match="bands must be"):
+            rt.cyclic_banded_solve(bands, np.ones(20))
+    with pytest.raises(BadInput, match="a > 0"):
+        rt.elliptic_solve(np.zeros(16), np.ones(16), np.ones(16), 0.1)
 
 
 def test_bordered_cyclic_solve():
