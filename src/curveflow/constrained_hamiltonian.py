@@ -17,7 +17,7 @@ H(q^{j+1}) = 0 closing the nonlinear system for (p^{1/2}, q^{j+1},
 lambda_1) by Newton with the analytic Jacobian, an explicit momentum
 half-step, and the hidden constraint DH(q).dE/dp = 0, enforced through
 lambda_2 by the L2(g) projection p -> g P(g^-1 p) onto the constraint
-tangent space (rtransform._project_op_m3, shared with project_consistent).
+tangent space (_tangent_momentum, shared with project_consistent).
 Note the potential gradient is evaluated at (q^j, p^{j+1/2}) in the first
 half-step exactly as printed (implicit in p only), not at classical
 RATTLE's arguments.
@@ -30,16 +30,19 @@ ever read as its diagonal (_m3_newton).
 
 The tangent pass (_rattle_tangent, _position_tangent) differentiates the
 discrete step, not the ODE, so it gives the exact derivative of the
-computed endpoint, as the shooting solver needs.  Per step it runs the
-same Newton loop as rattle_step (_rattle_newton), linearizes the converged
-(f1, f2, f3) in (q0, p0) - including lambda_1 contracted with the
-q0-derivative of DH (rtransform._m3_jacobian_tangent) - and solves for all
-r tangent columns at once with the step's own Newton solve at the
-converged point: that matrix is the exact Jacobian of (f1, f2, f3), and
-_m3_newton and bordered_cyclic_solve take (n, 3, r) right-hand sides.  The
-explicit half-step is differentiated directly, and the hidden-constraint
-projection p1 - DH(q1)^T mu with its operator moving with q1 by one more
-bordered solve of the Gram system (rtransform._m3_gram).
+computed endpoint, as the shooting solver needs.  It runs no Newton
+iteration: simulate keeps each step's converged momentum half-step and
+lambda_1, and per step the pass linearizes (f1, f2, f3) in (q0, p0) at
+that stored point - including lambda_1 contracted with the q0-derivative
+of DH (rtransform._m3_jacobian_tangent) - and solves for all r tangent
+columns at once with one solve of the step's Newton matrix (_m3_newton),
+the exact Jacobian of (f1, f2, f3); _m3_newton and bordered_cyclic_solve
+take (n, 3, r) right-hand sides.  The explicit half-step is differentiated
+directly, and the hidden-constraint projection p1 - DH(q1)^T mu with its
+operator moving with q1 by one more bordered solve of the Gram system
+(rtransform._m3_gram).  rattle_step, project_consistent and the tangent
+pass take p1 - DH^T mu from one helper (_tangent_momentum), so the
+trajectory the pass linearizes is simulate's, bit for bit.
 
 The full H2 transform (M4) has transforms and constraints in rtransform
 but no dynamics here.  Its two forward-difference rows per sample make the
@@ -49,7 +52,7 @@ bordered_cyclic_solve with wider bands, not a dense solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -71,7 +74,6 @@ from .rtransform import (
     _m3_gram,
     _m3_jacobian_tangent,
     _m3_rate,
-    _project_op_m3,
     _shift,
     bordered_cyclic_solve,
     constraint_rows,
@@ -189,12 +191,17 @@ def project_to_manifold(rpoint: RPoint) -> RPoint:
     raise NewtonDivergence("manifold projection did not converge")
 
 
-def _tangent_momentum(q: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """p - DH^T mu with DH g^{-1} (p - DH^T mu) = 0, i.e. g P(g^{-1} p):
-    _project_op_m3 with the diagonal M3 g^-1.  Raises SingularSystem or
-    LinAlgError."""
-    ginv = g_inv(MetricId.M3, q, np.ones_like(q))
-    return _project_op_m3(q, ginv * p, 2.0 * np.pi / q.shape[0], closure=True) / ginv
+def _tangent_momentum(q: np.ndarray, p: np.ndarray):
+    """(p - DH^T mu, mu, jac, ginv, gram) with DH g^-1 (p - DH^T mu) = 0:
+    the one definition of the hidden-constraint projection p -> g P(g^-1
+    p), with the Gram solve of rtransform._m3_gram that gave mu.  p is
+    (n, 3), or (n, 3, r) for r momenta at once.  Raises RankDeficiency."""
+    try:
+        jac, ginv, gram = _m3_gram(q, 2.0 * np.pi / q.shape[0], closure=True)
+        mu = gram(jac.apply(ginv.reshape(ginv.shape + (1,) * (p.ndim - 2)) * p))
+    except (np.linalg.LinAlgError, SingularSystem) as exc:
+        raise RankDeficiency(f"constraint Gram system is singular: {exc}") from exc
+    return p - jac.apply_t(mu), mu, jac, ginv, gram
 
 
 def project_consistent(rpoint: RPoint, p_raw: np.ndarray) -> HamiltonianState:
@@ -202,13 +209,9 @@ def project_consistent(rpoint: RPoint, p_raw: np.ndarray) -> HamiltonianState:
     DH^T mu with DH g^{-1} (p_raw - DH^T mu) = 0, so the hidden constraint
     holds at (q, p)."""
     mid = _constrained(rpoint.metric_id)
-    winding = rpoint.winding or 0
     q = np.asarray(rpoint.q, dtype=float)
-    try:
-        p = _tangent_momentum(q, np.asarray(p_raw, dtype=float))
-    except (np.linalg.LinAlgError, SingularSystem) as exc:
-        raise RankDeficiency(f"constraint Gram system is singular: {exc}") from exc
-    return HamiltonianState(mid, q, p, 0.0, winding)
+    p = _tangent_momentum(q, np.asarray(p_raw, dtype=float))[0]
+    return HamiltonianState(mid, q, p, 0.0, rpoint.winding or 0)
 
 
 def hidden_residual(state: HamiltonianState) -> float:
@@ -301,8 +304,7 @@ def _m3_newton(q0: np.ndarray, dt: float):
 def _rattle_newton(state: HamiltonianState, dt: float, tol: float, max_iter: int,
                    lam_guess: np.ndarray | None):
     """The implicit part of a RATTLE step, solved by Newton: returns the
-    converged (q1, ph, lam), the step's Newton solve (_m3_newton) and the
-    residual history.  Shared by rattle_step and _rattle_tangent."""
+    converged (q1, ph, lam) and the residual history."""
     mid, winding = state.metric_id, state.winding
     dth = state.theta_step
     q0, p0 = state.q, state.p
@@ -338,36 +340,49 @@ def _rattle_newton(state: HamiltonianState, dt: float, tol: float, max_iter: int
         raise NewtonDivergence(
             f"RATTLE Newton did not reach tol={tol:g} in {max_iter} iterations",
             history)
-    return q1, ph, lam, newton, history
+    return q1, ph, lam, history
+
+
+def _end_momentum(q1: np.ndarray, ph: np.ndarray, dt: float):
+    """The end of a step, in rattle_step and the tangent pass alike: the
+    explicit momentum half-step from (q1, ph), then _tangent_momentum."""
+    dth = 2.0 * np.pi / q1.shape[0]
+    return _tangent_momentum(q1, ph - 0.5 * dt * energy_grad_q(MetricId.M3, q1, ph, dth))
+
+
+def _rattle_step(state: HamiltonianState, dt: float, tol: float = 1e-12,
+                 max_iter: int = 50, lam_guess: np.ndarray | None = None):
+    """rattle_step, also returning the converged momentum half-step ph,
+    which simulate keeps for the tangent pass: (new_state, lambda_1, ph)."""
+    q1, ph, lam, history = _rattle_newton(state, dt, tol, max_iter, lam_guess)
+    try:
+        p1 = _end_momentum(q1, ph, dt)[0]
+    except RankDeficiency as exc:
+        raise NewtonDivergence("hidden-constraint system is singular",
+                               history) from exc
+    new_state = HamiltonianState(state.metric_id, q1, p1, state.t + dt, state.winding)
+    return new_state, lam, ph
 
 
 def rattle_step(state: HamiltonianState, dt: float, tol: float = 1e-12,
                 max_iter: int = 50, lam_guess: np.ndarray | None = None):
     """One RATTLE step.  Returns (new_state, lambda_1) so callers can warm
     start the next step's multiplier; the Newton solve is _m3_newton's."""
-    q1, ph, lam, _, history = _rattle_newton(state, dt, tol, max_iter, lam_guess)
-    # explicit momentum half-step + hidden-constraint projection
-    p1 = ph - 0.5 * dt * energy_grad_q(state.metric_id, q1, ph, state.theta_step)
-    try:
-        p1 = _tangent_momentum(q1, p1)
-    except (np.linalg.LinAlgError, SingularSystem) as exc:
-        raise NewtonDivergence("hidden-constraint system is singular",
-                               history) from exc
-    new_state = HamiltonianState(state.metric_id, q1, p1, state.t + dt, state.winding)
-    return new_state, lam
+    return _rattle_step(state, dt, tol, max_iter, lam_guess)[:2]
 
 
-def _rattle_tangent(state: HamiltonianState, dt: float, lam_guess, dq0, dp0):
-    """One RATTLE step (simulate's settings) and its tangent-linear map on
-    the columns (dq0, dp0), each (n, 3, r): returns (new_state, lambda_1,
-    dq1, dp1).  The q0- and p0-derivatives of the converged (f1, f2, f3)
-    go through the step's own Newton solve at the converged point; then
-    the explicit half-step and the hidden-constraint projection p1 - A^T mu,
-    A g^-1 (p1 - A^T mu) = 0, are differentiated with A = DH(q1) moving."""
-    mid, dth = state.metric_id, state.theta_step
-    q0 = state.q
+def _rattle_tangent(q0: np.ndarray, q1: np.ndarray, ph: np.ndarray, lam: np.ndarray,
+                    dt: float, dq0: np.ndarray, dp0: np.ndarray):
+    """The tangent-linear map on the columns (dq0, dp0), each (n, 3, r), of
+    the RATTLE step q0 -> q1 that simulate took with the converged ph and
+    lambda_1 = lam: returns (p1, dq1, dp1), p1 the step's end momentum.
+    The q0- and p0-derivatives of (f1, f2, f3) go through one solve of the
+    step's Newton matrix (_m3_newton) at that point; then the explicit
+    half-step and the projection p1 - A^T mu are differentiated with A =
+    DH(q1) moving."""
     n = q0.shape[0]
-    q1, ph, lam, newton, _ = _rattle_newton(state, dt, 1e-12, 50, lam_guess)
+    dth = 2.0 * np.pi / n
+    newton, _ = _m3_newton(q0, dt)
     eq0, ep0 = _energy_grad_tangents(q0, ph, dth, dq0, np.zeros_like(dq0))
     f1 = 0.5 * dt * (eq0 - _m3_jacobian_tangent(q0, dth, dq0)[1](lam)) - dp0
     # newton returns (dq, dph) with q1 + dq, ph - dph: here the tangent of
@@ -375,34 +390,29 @@ def _rattle_tangent(state: HamiltonianState, dt: float, lam_guess, dq0, dp0):
     dq1, du, _ = newton(q1, ph, f1, -dq0 - 0.5 * dt * ep0,
                         np.zeros((n + 2,) + dq0.shape[2:]))
     eq1, _ = _energy_grad_tangents(q1, ph, dth, dq1, -du)
-    p1 = ph - 0.5 * dt * energy_grad_q(mid, q1, ph, dth)
     dp1 = -du - 0.5 * dt * eq1
-    # rattle_step's projection (_tangent_momentum) p = p1 - A^T mu with
-    # A g^-1 p = 0, keeping mu, and its derivative: with v = dp1 - dA^T mu,
-    # A g^-1 A^T dmu = A (g^-1 v + dg^-1 p) + dA g^-1 p and dp = v - A^T dmu
-    jac, ginv, gram = _m3_gram(q1, dth, closure=True)
-    mu = gram(jac.apply(ginv * p1))
-    p1 = p1 - jac.apply_t(mu)
+    # the projection p1 = p - A^T mu with A g^-1 p1 = 0 and its derivative:
+    # with v = dp - dA^T mu, A g^-1 A^T dmu = A (g^-1 v + dg^-1 p1) + dA g^-1 p1
+    # and dp1 = v - A^T dmu
+    p1, mu, jac, ginv, gram = _end_momentum(q1, ph, dt)
     d_apply, d_apply_t = _m3_jacobian_tangent(q1, dth, dq1)
     v = dp1 - d_apply_t(mu)
     x, dx = q1[:, 0, None], dq1[:, 0]
     dginv = np.stack([np.zeros_like(dx), -2.0 * x ** -3 * dx, 6.0 * x ** 5 * dx], axis=1)
     dmu = gram(jac.apply(ginv[:, :, None] * v + dginv * p1[:, :, None])
                + d_apply(ginv * p1))
-    dp1 = v - jac.apply_t(dmu)
-    return HamiltonianState(mid, q1, p1, state.t + dt, state.winding), lam, dq1, dp1
+    return p1, dq1, v - jac.apply_t(dmu)
 
 
-def _position_tangent(state: HamiltonianState, steps: int, dt: float,
-                      dp0: np.ndarray) -> np.ndarray:
-    """The derivative of q after `steps` RATTLE steps of size dt from state
-    along the momentum columns dp0 (n, 3, r), the start position held: the
-    tangent-linear map of simulate's trajectory, carried through every step
-    at once, without simulate's diagnostics."""
+def _position_tangent(sim: SimulationResult, dt: float, dp0: np.ndarray) -> np.ndarray:
+    """The derivative of the final position of sim, simulate's trajectory
+    with step dt, along the start momentum columns dp0 (n, 3, r), the start
+    position held: the tangent-linear map of its stored steps, all columns
+    at once."""
     dq, dp = np.zeros_like(dp0), dp0
-    lam = None
-    for _ in range(steps):
-        state, lam, dq, dp = _rattle_tangent(state, dt, lam, dq, dp)
+    for j in range(len(sim._lam)):
+        _, dq, dp = _rattle_tangent(sim.qs[j], sim.qs[j + 1], sim._ph[j], sim._lam[j],
+                                    dt, dq, dp)
     return dq
 
 
@@ -416,6 +426,10 @@ class SimulationResult:
     hidden_norm: np.ndarray
     metric_id: MetricId
     winding: int
+    # each step's converged momentum half-step (K, N, d) and lambda_1
+    # (K, N+2): the linearization points of the tangent pass
+    _ph: np.ndarray = field(repr=False)
+    _lam: np.ndarray = field(repr=False)
 
     def write_trajectory_csv(self, path) -> None:
         d = self.qs.shape[2]
@@ -448,6 +462,8 @@ def simulate(state: HamiltonianState, T: float, dt: float) -> SimulationResult:
     energy = np.empty(steps + 1)
     cnorm = np.empty(steps + 1)
     hnorm = np.empty(steps + 1)
+    phs = np.empty((steps, n, d))
+    lams = np.empty((steps, n + 2))
     times = dt * np.arange(steps + 1) + state.t
 
     def record(j, st):
@@ -457,11 +473,10 @@ def simulate(state: HamiltonianState, T: float, dt: float) -> SimulationResult:
         hnorm[j] = hidden_residual(st)
 
     record(0, state)
-    lam = None
     cur = state
     for j in range(steps):
         try:
-            cur, lam = rattle_step(cur, dt, lam_guess=lam)
+            cur, lams[j], phs[j] = _rattle_step(cur, dt, lam_guess=lams[j - 1] if j else None)
         except StepLeftDomain as exc:
             raise StepLeftDomain(
                 f"simulation left the domain at t={times[j]:.6g}",
@@ -469,8 +484,9 @@ def simulate(state: HamiltonianState, T: float, dt: float) -> SimulationResult:
                 partial=SimulationResult(times[: j + 1], qs[: j + 1],
                                          ps[: j + 1], energy[: j + 1],
                                          cnorm[: j + 1], hnorm[: j + 1],
-                                         state.metric_id, state.winding),
+                                         state.metric_id, state.winding,
+                                         phs[:j], lams[:j]),
             ) from exc
         record(j + 1, cur)
     return SimulationResult(times, qs, ps, energy, cnorm, hnorm,
-                            state.metric_id, state.winding)
+                            state.metric_id, state.winding, phs, lams)

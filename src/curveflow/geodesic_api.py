@@ -11,8 +11,8 @@ Inputs are centered (the metrics ignore translations); M1/M2 inputs are
 additionally rotated onto the ds-mean-zero turning angle section.  Each
 step of these pipelines has one definition here: the move onto the section
 (`_on_section`), the reconstruction of snapshots (`_curves`), the L2 norm
-on the theta grid (`_l2`), the consistent M3 initial state
-(`_consistent_state`), the M3 vertical pairing (`_vertical_pairing`) and
+on the theta grid (`_l2`), the consistent M3 initial momentum
+(`_consistent_momentum`), the M3 vertical pairing (`_vertical_pairing`) and
 the vertical field zeta c' (`_vertical_field`).
 """
 
@@ -28,7 +28,7 @@ from .constrained_hamiltonian import (
     HamiltonianState,
     SimulationResult,
     _position_tangent,
-    project_consistent,
+    _tangent_momentum,
     project_to_manifold,
     simulate,
 )
@@ -47,9 +47,11 @@ from .errors import (
     BadInput,
     CurveflowError,
     DomainExit,
+    NewtonDivergence,
     ShootingStall,
     SingularSystem,
     SingularVerticalOperator,
+    StepLeftDomain,
 )
 from .metric_suite import MetricId, apply_L
 from .pointwise_geometry import _solve_fibers, dist2_lower_bound, g_apply, integrate_spray2
@@ -240,14 +242,22 @@ def _fourier_basis(n: int, modes: int) -> np.ndarray:
     return np.stack(cols, axis=1)          # (n, 2*modes+1)
 
 
+def _consistent_momentum(q0: RPoint, qdot) -> np.ndarray:
+    """The consistent M3 momentum at q0 nearest the transform velocity
+    qdot (n, 3), or the momenta of r velocities (n, 3, r) at once."""
+    return _tangent_momentum(q0.q, g_apply(MetricId.M3, q0.q, qdot) / q0.theta_step)[0]
+
+
 def _consistent_state(q0: RPoint, qdot) -> HamiltonianState:
     """The consistent M3 state at q0 nearest the transform velocity qdot."""
-    return project_consistent(q0, g_apply(MetricId.M3, q0.q, qdot) / q0.theta_step)
+    return HamiltonianState(MetricId.M3, q0.q, _consistent_momentum(q0, qdot), 0.0, q0.winding)
 
 
-def _shooting_state(q0: RPoint, xi: np.ndarray, basis: np.ndarray) -> HamiltonianState:
+def _shooting_velocity(q0: RPoint, xi: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """The transform velocity of the free-component coefficients xi (2 nb,),
+    or of the r columns of xi (2 nb, r) at once."""
     nb = basis.shape[1]
-    return _consistent_state(q0, tangent_from_free(q0, basis @ xi[:nb], basis @ xi[nb:]))
+    return tangent_from_free(q0, basis @ xi[:nb], basis @ xi[nb:])
 
 
 def _shooting_endpoints(c0: DiscreteCurve, c1: DiscreteCurve):
@@ -268,14 +278,16 @@ def _shooting_endpoints(c0: DiscreteCurve, c1: DiscreteCurve):
 
 def _shooting_maps(q0: RPoint, target: RPoint, T: float, steps: int):
     """The shooting residual xi -> (r, simulation) and its exact Jacobian
-    xi -> dr/dxi.  r is the endpoint gap of `steps` RATTLE steps from
-    _shooting_state(q0, xi, basis), projected to the image tangent space
+    (simulation, basis) -> dr/dxi at the xi that simulation came from.
+    r is the endpoint gap of `steps` RATTLE steps from the consistent state
+    of _shooting_velocity(q0, xi, basis), projected to the image tangent space
     at the target and weighted by the square roots of the diagonal metric
     and the trapezoid weights.  The Jacobian differentiates the discrete
     map: xi -> initial momentum is linear at fixed q0, so its columns are
-    the states of the unit xi, which the tangent-linear RATTLE map
-    (_position_tangent) carries to the end together; the projection and
-    the weights are linear."""
+    the momenta of the unit xi (xi = I, one pass), which the tangent-linear
+    RATTLE map (_position_tangent) carries to the end together along the
+    residual's own stored trajectory; the projection and the weights are
+    linear."""
     tau = trapezoid_weights(q0.n_samples, True)
     w = np.sqrt(np.stack([4.0 * np.ones_like(tau), target.q[:, 0] ** 2,
                           target.q[:, 0] ** -6], axis=1)
@@ -283,16 +295,14 @@ def _shooting_maps(q0: RPoint, target: RPoint, T: float, steps: int):
     momenta = {}      # the unit-xi momenta of each basis size
 
     def residual(xi, basis):
-        sim = simulate(_shooting_state(q0, xi, basis), T, T / steps)
+        sim = simulate(_consistent_state(q0, _shooting_velocity(q0, xi, basis)), T, T / steps)
         return (project_image(target, sim.qs[-1] - target.q) * w).ravel(), sim
 
-    def jacobian(xi, basis):
+    def jacobian(sim, basis):
         r = 2 * basis.shape[1]
         if r not in momenta:
-            momenta[r] = np.stack([_shooting_state(q0, e, basis).p for e in np.eye(r)],
-                                  axis=-1)
-        dq = _position_tangent(_shooting_state(q0, xi, basis), steps, T / steps,
-                               momenta[r])
+            momenta[r] = _consistent_momentum(q0, _shooting_velocity(q0, np.eye(r), basis))
+        dq = _position_tangent(sim, T / steps, momenta[r])
         return (project_image(target, dq) * w[..., None]).reshape(-1, r)
 
     return residual, jacobian
@@ -309,8 +319,10 @@ def _bvp_shooting(c0, c1, K, T, dt, modes, tol, max_iter) -> GeodesicPath:
     modes of the two free tangent components at q0; the residual is the
     endpoint gap projected to the image tangent space at the target,
     minimized by damped Gauss-Newton with the exact Jacobian of the
-    discrete shooting map (_shooting_maps): one tangent-linear integration
-    per Jacobian, one simulate call per residual.
+    discrete shooting map (_shooting_maps): one tangent-linear pass along
+    the residual's trajectory per Jacobian, one simulate call per residual.
+    A trial step whose simulation leaves the domain or whose Newton solve
+    fails is rejected like one that does not decrease the residual.
     On a stall the mode count grows by 4, up to 24, and the solve goes on;
     a stall at 24 modes, like running out of iterations, ends the solve, and
     a best path that misses the tolerance is raised in a ShootingStall.
@@ -343,7 +355,7 @@ def _bvp_shooting(c0, c1, K, T, dt, modes, tol, max_iter) -> GeodesicPath:
     while it < max_iter:
         if rn <= tol * scale:
             break
-        J = jacobian(xi, basis)
+        J = jacobian(sim, basis)
         # Levenberg-Marquardt: the endpoint map has sloppy high-frequency
         # directions, so undamped Gauss-Newton steps leave the trust region
         jtj = J.T @ J
@@ -355,8 +367,11 @@ def _bvp_shooting(c0, c1, K, T, dt, modes, tol, max_iter) -> GeodesicPath:
             # a model decrease at rounding level cannot buy a real one
             if rn ** 2 - np.linalg.norm(r + J @ step) ** 2 <= 1e-6 * rn ** 2:
                 break
-            rc, simc = residual(xi + step, basis)
-            if np.linalg.norm(rc) < rn:
+            try:
+                rc, simc = residual(xi + step, basis)
+            except (StepLeftDomain, NewtonDivergence):   # a failed trial is rejected
+                rc = None
+            if rc is not None and np.linalg.norm(rc) < rn:
                 xi = xi + step
                 r, rn, sim = rc, np.linalg.norm(rc), simc
                 lam = max(lam / 3.0, 1e-10)

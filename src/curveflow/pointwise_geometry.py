@@ -121,12 +121,14 @@ def g_inv_matrix(metric_id, q) -> np.ndarray:
 
 
 def g_apply(metric_id, q, h) -> np.ndarray:
-    """Lower an index: g_q(h, .)."""
+    """Lower an index: g_q(h, .).  M1-M3 multiply by the diagonal, so h
+    may also be (n, d, r), r fields at once."""
     g = g_matrix(metric_id, q)
     h = np.asarray(h, dtype=float)
-    if g.ndim == 2:
-        return g @ h
-    return np.einsum("kij,kj->ki", g, h)
+    if MetricId.parse(metric_id) is not MetricId.M4:
+        diag = np.diagonal(g, axis1=-2, axis2=-1)
+        return diag.reshape(diag.shape + (1,) * (h.ndim - diag.ndim)) * h
+    return g @ h if g.ndim == 2 else np.einsum("kij,kj->ki", g, h)
 
 
 def g_eval(metric_id, q, h, k):

@@ -27,8 +27,9 @@ dense DH is built), their derivative along a tangent of q
 (_m3_jacobian_tangent, for the tangent-linear RATTLE step), the Gram solve
 of A g^-1 A^T (_m3_gram) and the L2(g) projection P onto the M3 tangent
 space (_project_op_m3).  The M4 rows are geometry only: no solver here
-differentiates them.  project_image uses P; the consistent
-momentum and the RATTLE lambda_2 step use p -> g P(g^-1 p).  The one
+differentiates them.  project_image and tangent_from_free use P; the
+consistent momentum and the RATTLE lambda_2 step take p -> g P(g^-1 p) =
+p - A^T mu from _m3_gram (constrained_hamiltonian._tangent_momentum).  The one
 cyclic banded solver (cyclic_banded_solve: nonsymmetric bands of
 half-width b, LAPACK banded factorization plus a Woodbury correction for
 the wrap corners) and its bordered form for the two closedness rows
@@ -622,10 +623,12 @@ def tangent_from_free(rpoint: RPoint, k1: np.ndarray, k2: np.ndarray) -> np.ndar
     the field (k1, k2, 2 q1^-1 q3 k1 + q1^2 D+ k2), which solves the
     linearized rate relation sample by sample, projected onto the tangent
     space of the trapezoid rows by project_image's solve without the
-    closedness border."""
+    closedness border.  k1 and k2 are (n,), or (n, r) for r tangents at
+    once, (n, 3, r)."""
     q = rpoint.q
     dth = rpoint.theta_step
-    k3 = 2.0 * q[:, 2] / q[:, 0] * k1 + q[:, 0] ** 2 * _forward_diff(k2, dth, True)
+    sl = (slice(None),) + (None,) * (np.ndim(k1) - 1)
+    k3 = (2.0 * q[:, 2] / q[:, 0])[sl] * k1 + (q[:, 0] ** 2)[sl] * _forward_diff(k2, dth, True)
     return _project_op_m3(q, np.stack([k1, k2, k3], axis=1), dth)
 
 

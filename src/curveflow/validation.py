@@ -442,6 +442,24 @@ def check_rattle_short():
                 f"reverse {rev:.1e}")
 
 
+def check_shooting_jacobian():
+    n = 32
+    th = (2 * np.pi / n) * np.arange(n)
+    c1 = cc.DiscreteCurve(np.stack([1.15 * np.cos(th), 0.87 * np.sin(th)], 1), True)
+    q0, target = ga._shooting_endpoints(circle(n), c1)
+    residual, jacobian = ga._shooting_maps(q0, target, 1.0, 20)
+    basis = ga._fourier_basis(n, 4)
+    xi = 0.1 * np.random.default_rng(31).standard_normal(2 * basis.shape[1])
+    J = jacobian(residual(xi, basis)[1], basis)
+    eps, worst = 1e-5, 0.0
+    for a in (1, 8, 11):
+        e = np.zeros_like(xi)
+        e[a] = eps
+        fd = (residual(xi + e, basis)[0] - residual(xi - e, basis)[0]) / (2 * eps)
+        worst = max(worst, np.linalg.norm(J[:, a] - fd) / np.linalg.norm(fd))
+    return worst < 1e-6, f"3 columns, worst rel err {worst:.1e}"
+
+
 def check_m1_exactness():
     n = 128
     th = (2 * np.pi / (n - 1)) * np.arange(n)
@@ -514,6 +532,7 @@ CHECKS = [
     ("sectional curvature sign and oracle", check_sectional),
     ("Hamiltonian gradients and jacobian", check_energy_gradients),
     ("RATTLE conservation and reversibility", check_rattle_short),
+    ("shooting Jacobian vs central differences", check_shooting_jacobian),
     ("flat-metric exactness", check_m1_exactness),
     ("fiber IVP/BVP agreement", check_m2_ivp_bvp),
     ("horizontal example decay", check_horizontality),

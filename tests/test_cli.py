@@ -301,7 +301,7 @@ def test_bad_input_is_named_error(tmp_path, capsys, argv, code, words):
 
 def test_validate_command(capsys):
     assert cli.main(["validate"]) == 0
-    assert "26/26 checks passed" in capsys.readouterr().out
+    assert "27/27 checks passed" in capsys.readouterr().out
 
 
 def test_readme_cli_examples_parse():

@@ -241,14 +241,15 @@ def test_m3_simulate_makes_no_dense_solve(monkeypatch):
     assert res.constraint_norm.max() < 1e-9
     assert res.hidden_norm.max() < 1e-9
     sizes.clear()
-    dq = ch._position_tangent(st, 5, 1e-2, np.random.default_rng(3).standard_normal((32, 3, 6)))
+    dq = ch._position_tangent(res, 1e-2, np.random.default_rng(3).standard_normal((32, 3, 6)))
     assert sizes and max(sizes) <= 8
     assert dq.shape == (32, 3, 6) and np.all(np.isfinite(dq))
 
 
 def test_rattle_tangent_matches_central_differences():
     # the tangent-linear step is the derivative of the computed step: its
-    # columns match central differences of rattle_step (q0, p0) -> (q1, p1)
+    # columns match central differences of rattle_step (q0, p0) -> (q1, p1),
+    # and it linearizes simulate's own step, bit for bit
     rng = np.random.default_rng(29)
     eps = 1e-6
     for n in (64, 65):
@@ -256,10 +257,12 @@ def test_rattle_tangent_matches_central_differences():
         wavy = ch.project_consistent(rp, 0.3 * rng.standard_normal((n, 3)))
         for state in (circle_state(n), wavy):
             dq0, dp0 = rng.standard_normal((2, n, 3, 3))
-            new, lam, dq1, dp1 = ch._rattle_tangent(state, 1e-2, None, dq0, dp0)
+            sim = ch.simulate(state, 1e-2, 1e-2)
+            p1, dq1, dp1 = ch._rattle_tangent(sim.qs[0], sim.qs[1], sim._ph[0],
+                                              sim._lam[0], 1e-2, dq0, dp0)
             ref, lam_ref = ch.rattle_step(state, 1e-2)
-            assert np.array_equal(new.q, ref.q) and np.array_equal(lam, lam_ref)
-            assert np.abs(new.p - ref.p).max() <= 1e-14 * np.abs(ref.p).max()
+            assert np.array_equal(sim.qs[1], ref.q) and np.array_equal(sim._lam[0], lam_ref)
+            assert np.array_equal(sim.ps[1], ref.p) and np.array_equal(p1, ref.p)
             for j in range(3):
                 moved = [ch.rattle_step(ch.HamiltonianState(
                     "M3", state.q + s * dq0[..., j], state.p + s * dp0[..., j],
@@ -410,6 +413,21 @@ def test_step_left_domain():
         ch.simulate(bad, 1.0, 5e-2)
 
 
+def test_step_left_domain_partial_keeps_step_arrays():
+    # the partial result carries each completed step's ph and lambda_1,
+    # one per step between its times
+    st = circle_state(48)
+    bad = ch.HamiltonianState("M3", st.q, st.p - [160.0, 0.0, 0.0], 0.0, st.winding)
+    with pytest.raises(StepLeftDomain) as exc:
+        ch.simulate(bad, 1.0, 5e-2)
+    part = exc.value.partial
+    steps = len(part.times) - 1
+    assert steps >= 2
+    assert part._ph.shape == (steps, 48, 3) and part._lam.shape == (steps, 50)
+    full = ch.simulate(bad, steps * 5e-2, 5e-2)
+    assert np.array_equal(part._ph, full._ph) and np.array_equal(part._lam, full._lam)
+
+
 def test_newton_divergence_reports_history():
     st = circle_state(48)
     with pytest.raises(NewtonDivergence) as exc:
@@ -423,7 +441,7 @@ def test_projection_failures_keep_named_errors(monkeypatch, error):
 
     def singular(*args, **kwargs):
         raise error("singular")
-    monkeypatch.setattr(ch, "_project_op_m3", singular)
+    monkeypatch.setattr(ch, "_m3_gram", singular)
     with pytest.raises(RankDeficiency):
         ch.project_consistent(st.rpoint(), st.p)
     with pytest.raises(NewtonDivergence) as exc:

@@ -182,11 +182,85 @@ def test_shooting_jacobian_matches_central_differences(n):
     residual, jacobian = ga._shooting_maps(q0, target, 1.0, 20)
     basis = ga._fourier_basis(n, 4)
     xi = 0.1 * np.random.default_rng(31).standard_normal(2 * basis.shape[1])
-    J = jacobian(xi, basis)
+    J = jacobian(residual(xi, basis)[1], basis)
     eps = 1e-5
     for a, e in enumerate(eps * np.eye(xi.size)):
         fd = (residual(xi + e, basis)[0] - residual(xi - e, basis)[0]) / (2 * eps)
         assert np.linalg.norm(J[:, a] - fd) <= 1e-6 * np.linalg.norm(fd)
+
+
+@pytest.mark.parametrize("n", [32, 33])
+def test_unit_momenta_match_single_columns(n):
+    # the batched pass at xi = I gives, column by column, the momentum that
+    # one unit xi gets on its own
+    th = (2 * np.pi / n) * np.arange(n)
+    c1 = cc.DiscreteCurve(np.stack([1.15 * np.cos(th), 0.87 * np.sin(th)], 1), True)
+    q0, _ = ga._shooting_endpoints(circle(n), c1)
+    basis = ga._fourier_basis(n, 4)
+    r = 2 * basis.shape[1]
+    momenta = ga._consistent_momentum(q0, ga._shooting_velocity(q0, np.eye(r), basis))
+    assert momenta.shape == (n, 3, r)
+    for a, e in enumerate(np.eye(r)):
+        ref = ga._consistent_state(q0, ga._shooting_velocity(q0, e, basis)).p
+        assert np.abs(momenta[..., a] - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_shooting_tangent_passes_make_no_newton_iteration(monkeypatch):
+    # the Jacobian linearizes the residual's stored trajectory: no RATTLE
+    # Newton loop runs inside a tangent pass
+    n = 32
+    th = (2 * np.pi / n) * np.arange(n)
+    c1 = cc.DiscreteCurve(np.stack([1.15 * np.cos(th), 0.87 * np.sin(th)], 1), True)
+    newton, tangent = ch._rattle_newton, ga._position_tangent
+    calls = {"newton": 0, "inside": 0, "passes": 0}
+    inside = []
+
+    def counted_newton(*args, **kwargs):
+        calls["newton"] += 1
+        calls["inside"] += bool(inside)
+        return newton(*args, **kwargs)
+
+    def counted_tangent(*args, **kwargs):
+        calls["passes"] += 1
+        inside.append(1)
+        try:
+            return tangent(*args, **kwargs)
+        finally:
+            inside.pop()
+    monkeypatch.setattr(ch, "_rattle_newton", counted_newton)
+    monkeypatch.setattr(ga, "_position_tangent", counted_tangent)
+    ga.geodesic_bvp("M3", circle(n), c1, K=5, T=1.0, dt=0.05, modes=4, tol=5e-3,
+                    max_iter=25)
+    assert calls["passes"] == 4
+    assert calls["inside"] == 0
+    assert calls["newton"] == 5 * 20      # 5 simulate calls of 20 steps
+
+
+def test_failed_trial_step_is_rejected(monkeypatch):
+    # a Levenberg-Marquardt trial whose simulation leaves the domain is a
+    # rejected step, not the end of the solve: the best path survives
+    n = 32
+    th = (2 * np.pi / n) * np.arange(n)
+    r = 1.0 + 0.2 * np.cos(5 * th)
+    c1 = cc.DiscreteCurve(np.stack([r * np.cos(th), r * np.sin(th)], 1), True)
+    left = []
+    simulate = ga.simulate
+
+    def watched(*args, **kwargs):
+        try:
+            return simulate(*args, **kwargs)
+        except DomainExit:
+            left.append(1)
+            raise
+    monkeypatch.setattr(ga, "simulate", watched)
+    try:
+        path = ga.geodesic_bvp("M3", circle(n), c1, K=5, T=1.0, dt=0.1, modes=4,
+                               tol=5e-3, max_iter=15)
+    except ShootingStall as exc:
+        path = exc.best_path
+        assert exc.residual == path.diagnostics["endpoint_mismatch"]
+    assert left
+    assert np.abs(path.curves[0].points - cc.center(circle(n)).points).max() < 1e-2
 
 
 def test_m3_shooting_cost_is_rotation_invariant(monkeypatch):
