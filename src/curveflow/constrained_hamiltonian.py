@@ -25,34 +25,39 @@ RATTLE's arguments.
 Each Newton iteration eliminates the momentum and position corrections
 sample by sample and solves the reduced system for the multipliers: cyclic
 tridiagonal (not symmetric), bordered by the two closedness rows and
-columns, so one rtransform.bordered_cyclic_solve, O(N), with g^-1 only
-ever read as its diagonal (_m3_newton).
+columns, so one rtransform.CyclicFactor, O(N), with g^-1 only ever read as
+its diagonal (_m3_newton).  The iteration is simplified Newton
+(Hairer-Lubich-Wanner, Geometric Numerical Integration, VII.1): the
+matrix factored at the first iterate is reused, and factored again only
+when the residual has not fallen tenfold.  simulate keeps each step's
+Newton iterations, final residual and factorizations.
 
 The tangent pass (_rattle_tangent, _position_tangent) differentiates the
 discrete step, not the ODE, so it gives the exact derivative of the
 computed endpoint, as the shooting solver needs.  It runs no Newton
-iteration: simulate keeps each step's converged momentum half-step and
-lambda_1, and per step the pass linearizes (f1, f2, f3) in (q0, p0) at
-that stored point - including lambda_1 contracted with the q0-derivative
-of DH (rtransform._m3_jacobian_tangent) - and solves for all r tangent
-columns at once with one solve of the step's Newton matrix (_m3_newton),
-the exact Jacobian of (f1, f2, f3); _m3_newton and bordered_cyclic_solve
-take (n, 3, r) right-hand sides.  The explicit half-step is differentiated
-directly, and the hidden-constraint projection p1 - DH(q1)^T mu with its
-operator moving with q1 by one more bordered solve of the Gram system
-(rtransform._m3_gram).  rattle_step, project_consistent and the tangent
-pass take p1 - DH^T mu from one helper (_tangent_momentum), so the
-trajectory the pass linearizes is simulate's, bit for bit.
+iteration: simulate keeps each step's converged momentum half-step,
+lambda_1 and hidden-constraint multiplier mu, and per step the pass
+linearizes (f1, f2, f3) in (q0, p0) at that stored point - including
+lambda_1 contracted with the q0-derivative of DH
+(rtransform._m3_jacobian_tangent) - and solves for all r tangent columns
+at once with the Newton matrix factored at that point, the exact Jacobian
+of (f1, f2, f3).  The explicit half-step is differentiated directly, and
+the hidden-constraint projection p1 - DH(q1)^T mu (p1 and mu stored, the
+operator moving with q1) by one solve of the Gram system
+(rtransform._m3_gram).  rattle_step and project_consistent take p1 -
+DH^T mu from one helper (_tangent_momentum), so the trajectory the pass
+linearizes is simulate's, bit for bit.
 
 The full H2 transform (M4) has transforms and constraints in rtransform
 but no dynamics here.  Its two forward-difference rows per sample make the
 reduced Newton system block-banded, so M4 geodesics would go through
-bordered_cyclic_solve with wider bands, not a dense solve.
+CyclicFactor with wider bands, not a dense solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,6 +72,7 @@ from .errors import (
 from .metric_suite import MetricId
 from .pointwise_geometry import g_grad, g_inv, g_inv_quad
 from .rtransform import (
+    CyclicFactor,
     M3Jacobian,
     RPoint,
     _closedness_newton,
@@ -75,7 +81,6 @@ from .rtransform import (
     _m3_jacobian_tangent,
     _m3_rate,
     _shift,
-    bordered_cyclic_solve,
     constraint_rows,
 )
 
@@ -214,11 +219,15 @@ def project_consistent(rpoint: RPoint, p_raw: np.ndarray) -> HamiltonianState:
     return HamiltonianState(mid, q, p, 0.0, rpoint.winding or 0)
 
 
+def _hidden_norm(state: HamiltonianState, jac: M3Jacobian) -> float:
+    """sup |DH(q) . dE/dp| for jac = DH(q)."""
+    dp = energy_grad_p(MetricId.M3, state.q, state.p, state.theta_step)
+    return float(np.max(np.abs(jac.apply(dp))))
+
+
 def hidden_residual(state: HamiltonianState) -> float:
     """sup |DH(q) . dE/dp|, the hidden-constraint residual."""
-    q = state.q
-    dp = energy_grad_p(MetricId.M3, q, state.p, state.theta_step)
-    return float(np.max(np.abs(M3Jacobian(q, state.theta_step).apply(dp))))
+    return _hidden_norm(state, M3Jacobian(state.q, state.theta_step))
 
 
 # -- RATTLE -------------------------------------------------------------------
@@ -233,9 +242,11 @@ def _m3_newton(q0: np.ndarray, dt: float):
     cyclic tridiagonal derivative block (x^T M y for the trapezoid row
     vectors x of J(q1), y of J(q0) at samples k and k+1), the closedness
     columns J(q1) M C(q0)^T, rows J(q0) M^T C(q1)^T and a 2x2 corner.
-    Products with DH are M3Jacobian's.  Returns solve(q1, ph, f1, f2, f3)
-    -> (dq, dph, dlam), where f1, f2 are (n, 3) and f3 (n+2,), or (n, 3, r)
-    and (n+2, r) for r right-hand sides at once, and lam -> DH(q0)^T lam."""
+    Products with DH are M3Jacobian's.  Returns (factor, lam -> DH(q0)^T
+    lam): factor(q1, ph) builds the matrix at the iterate (q1, ph) and
+    factors GW once (CyclicFactor), and returns solve(f1, f2, f3) -> (dq,
+    dph, dlam), where f1, f2 are (n, 3) and f3 (n+2,), or (n, 3, r) and
+    (n+2, r) for r right-hand sides at once."""
     n = q0.shape[0]
     dth = 2.0 * np.pi / n
     half = 0.5 * dt * dth
@@ -249,25 +260,11 @@ def _m3_newton(q0: np.ndarray, dt: float):
     c0 = -0.5 * half                  # -half (1/4 + 1/4)
     gc0 = jac0.gc
 
-    def solve(q1, ph, f1, f2, f3):
+    def factor(q1, ph):
         x1 = q1[:, 0]
         a1, a2 = alpha1 * ph[:, 1], alpha2 * ph[:, 2]
         t1, t2 = -2.0 * half * x1 ** -3 * ph[:, 1], 6.0 * half * x1 ** 5 * ph[:, 2]
         c1, c2 = -half * (gi0_1 + x1 ** -2), -half * (gi0_2 + x1 ** 6)
-        sl = (slice(None),) + (None,) * (f1.ndim - 2)      # over the r columns
-        r = f3.size // f3.shape[0]
-
-        def eliminate(z):
-            """(A^-1 z, D^-1 (C A^-1 z - f2)) sample by sample."""
-            du = z.copy()
-            du[:, 0] -= a1[sl] * z[:, 1] + a2[sl] * z[:, 2]
-            v = np.empty_like(z)
-            v[:, 0] = c0 * du[:, 0] - f2[:, 0]
-            v[:, 1] = c1[sl] * du[:, 1] - f2[:, 1] + t1[sl] * v[:, 0]
-            v[:, 2] = c2[sl] * du[:, 2] - f2[:, 2] + t2[sl] * v[:, 0]
-            return du, v
-
-        u1, wq = eliminate(f1)
         # x^T M y at each sample for the row vectors x = (h1, +-e, h3) of
         # J(q1) and y = (g1, +-e, g3) of J(q0): + for row k at sample k,
         # - for row k-1 at sample k
@@ -281,30 +278,46 @@ def _m3_newton(q0: np.ndarray, dt: float):
         f_pp, f_mm = same + c0 * xp * rm, same + c0 * xm * rp
         f_pm, f_mp = cross + c0 * xp * rp, cross + c0 * xm * rm
         bands = beta * np.stack([f_pm, f_pp + _shift(f_mm, 1), _shift(f_mp, 1)])
-        # DH(q1) on wq and on the columns M C(q0)^T (-dt/2)
-        gc1 = jac1.gc
+        # the border: DH(q1) on the columns M C(q0)^T (-dt/2), and the rows
         rho = beta * c0 * (gc0[:, 0] - a1 * gc0[:, 1])
-        X = np.empty((3, r + 2, n))
-        X[:, :r] = wq.reshape(n, 3, r).transpose(1, 2, 0)
-        X[0, r:], X[1, r:], X[2, r:] = rho, beta * c1 * gc0[:, 1] + t1 * rho, t2 * rho
-        jx = jac1.apply(X.transpose(2, 0, 1))
-        jw = jx[:, :r].reshape(f3.shape)
+        cols = jac1.apply(np.stack([rho, beta * c1 * gc0[:, 1] + t1 * rho,
+                                    t2 * rho]).transpose(2, 0, 1))
+        gc1 = jac1.gc
         sig = c0 * (gc1[:, 0] + t1 * gc1[:, 1])              # M^T C(q1)^T
         rows = jac0.apply(np.stack(
             [sig, c1 * gc1[:, 1] - a1 * sig, -a2 * sig]).transpose(2, 0, 1))[:n]
-        dl, dc = bordered_cyclic_solve(bands, jx[:n, r:], beta * rows.T, jx[n:, r:],
-                                       -f3[:n] - jw[:n], -f3[n:] - jw[n:])
-        dlam = np.concatenate([dl, dc])
-        du, dq = eliminate(f1 + beta * jac0.apply_t(dlam))
-        return dq, du, dlam
+        gw = CyclicFactor(bands, cols[:n], beta * rows.T, cols[n:])
 
-    return solve, jac0.apply_t
+        def solve(f1, f2, f3):
+            sl = (slice(None),) + (None,) * (f1.ndim - 2)      # over the r columns
+
+            def eliminate(z):
+                """(A^-1 z, D^-1 (C A^-1 z - f2)) sample by sample."""
+                du = z.copy()
+                du[:, 0] -= a1[sl] * z[:, 1] + a2[sl] * z[:, 2]
+                v = np.empty_like(z)
+                v[:, 0] = c0 * du[:, 0] - f2[:, 0]
+                v[:, 1] = c1[sl] * du[:, 1] - f2[:, 1] + t1[sl] * v[:, 0]
+                v[:, 2] = c2[sl] * du[:, 2] - f2[:, 2] + t2[sl] * v[:, 0]
+                return du, v
+
+            dlam = gw.solve(-f3 - jac1.apply(eliminate(f1)[1]))
+            du, dq = eliminate(f1 + beta * jac0.apply_t(dlam))
+            return dq, du, dlam
+        return solve
+
+    return factor, jac0.apply_t
 
 
 def _rattle_newton(state: HamiltonianState, dt: float, tol: float, max_iter: int,
                    lam_guess: np.ndarray | None):
-    """The implicit part of a RATTLE step, solved by Newton: returns the
-    converged (q1, ph, lam) and the residual history."""
+    """The implicit part of a RATTLE step, solved by the simplified Newton
+    iteration (Hairer-Lubich-Wanner, Geometric Numerical Integration,
+    VII.1): the matrix is factored at the first iterate and kept, and
+    factored again at the current iterate only when the residual has not
+    fallen tenfold since the last iterate.  Returns the converged (q1, ph,
+    lam), the constraint rows H(q1), the residual history and the number
+    of factorizations."""
     mid, winding = state.metric_id, state.winding
     dth = state.theta_step
     q0, p0 = state.q, state.p
@@ -313,7 +326,8 @@ def _rattle_newton(state: HamiltonianState, dt: float, tol: float, max_iter: int
     ph = p0.copy()
     q1 = q0 + dt * energy_grad_p(mid, q0, p0, dth)  # explicit predictor
     lam = np.zeros(n + 2) if lam_guess is None else lam_guess.copy()
-    newton, jt0 = _m3_newton(q0, dt)
+    factor, jt0 = _m3_newton(q0, dt)
+    solve, factorizations = None, 0
     history = []
     for it in range(max_iter):
         if np.any(q1[:, 0] <= 0.0):
@@ -329,7 +343,9 @@ def _rattle_newton(state: HamiltonianState, dt: float, tol: float, max_iter: int
         if res < tol:
             break
         try:
-            dq, dph, dlam = newton(q1, ph, f1, f2, f3)
+            if solve is None or res > 0.1 * history[-2]:
+                solve, factorizations = factor(q1, ph), factorizations + 1
+            dq, dph, dlam = solve(f1, f2, f3)
         except (np.linalg.LinAlgError, SingularSystem) as exc:
             raise NewtonDivergence("reduced Newton system is singular",
                                    history) from exc
@@ -340,68 +356,86 @@ def _rattle_newton(state: HamiltonianState, dt: float, tol: float, max_iter: int
         raise NewtonDivergence(
             f"RATTLE Newton did not reach tol={tol:g} in {max_iter} iterations",
             history)
-    return q1, ph, lam, history
+    return q1, ph, lam, f3, history, factorizations
 
 
 def _end_momentum(q1: np.ndarray, ph: np.ndarray, dt: float):
-    """The end of a step, in rattle_step and the tangent pass alike: the
-    explicit momentum half-step from (q1, ph), then _tangent_momentum."""
+    """The end of a step: the explicit momentum half-step from (q1, ph),
+    then _tangent_momentum."""
     dth = 2.0 * np.pi / q1.shape[0]
     return _tangent_momentum(q1, ph - 0.5 * dt * energy_grad_q(MetricId.M3, q1, ph, dth))
 
 
+class _Step(NamedTuple):
+    """One RATTLE step as simulate keeps it: the tangent pass's
+    linearization point (lam, ph, mu), the diagnostics' H(q1) and DH(q1),
+    and the Newton record."""
+
+    state: HamiltonianState
+    lam: np.ndarray
+    ph: np.ndarray
+    mu: np.ndarray
+    rows: np.ndarray
+    jac: M3Jacobian
+    history: list
+    factorizations: int
+
+
 def _rattle_step(state: HamiltonianState, dt: float, tol: float = 1e-12,
-                 max_iter: int = 50, lam_guess: np.ndarray | None = None):
-    """rattle_step, also returning the converged momentum half-step ph,
-    which simulate keeps for the tangent pass: (new_state, lambda_1, ph)."""
-    q1, ph, lam, history = _rattle_newton(state, dt, tol, max_iter, lam_guess)
+                 max_iter: int = 50, lam_guess: np.ndarray | None = None) -> _Step:
+    """rattle_step, also returning what simulate keeps of the step."""
+    q1, ph, lam, rows, history, factorizations = _rattle_newton(state, dt, tol, max_iter,
+                                                                lam_guess)
     try:
-        p1 = _end_momentum(q1, ph, dt)[0]
+        p1, mu, jac = _end_momentum(q1, ph, dt)[:3]
     except RankDeficiency as exc:
         raise NewtonDivergence("hidden-constraint system is singular",
                                history) from exc
-    new_state = HamiltonianState(state.metric_id, q1, p1, state.t + dt, state.winding)
-    return new_state, lam, ph
+    return _Step(HamiltonianState(state.metric_id, q1, p1, state.t + dt, state.winding),
+                 lam, ph, mu, rows, jac, history, factorizations)
 
 
 def rattle_step(state: HamiltonianState, dt: float, tol: float = 1e-12,
                 max_iter: int = 50, lam_guess: np.ndarray | None = None):
     """One RATTLE step.  Returns (new_state, lambda_1) so callers can warm
     start the next step's multiplier; the Newton solve is _m3_newton's."""
-    return _rattle_step(state, dt, tol, max_iter, lam_guess)[:2]
+    step = _rattle_step(state, dt, tol, max_iter, lam_guess)
+    return step.state, step.lam
 
 
-def _rattle_tangent(q0: np.ndarray, q1: np.ndarray, ph: np.ndarray, lam: np.ndarray,
-                    dt: float, dq0: np.ndarray, dp0: np.ndarray):
+def _rattle_tangent(sim: SimulationResult, j: int, dt: float,
+                    dq0: np.ndarray, dp0: np.ndarray):
     """The tangent-linear map on the columns (dq0, dp0), each (n, 3, r), of
-    the RATTLE step q0 -> q1 that simulate took with the converged ph and
-    lambda_1 = lam: returns (p1, dq1, dp1), p1 the step's end momentum.
-    The q0- and p0-derivatives of (f1, f2, f3) go through one solve of the
-    step's Newton matrix (_m3_newton) at that point; then the explicit
-    half-step and the projection p1 - A^T mu are differentiated with A =
-    DH(q1) moving."""
+    step j of sim, simulate's trajectory with step dt: returns (dq1, dp1).
+    The step's stored ph, lambda_1, end momentum p1 and mu are the
+    linearization point.  The q0- and p0-derivatives of (f1, f2, f3) go
+    through one solve of the step's Newton matrix (_m3_newton) there; then
+    the explicit half-step and the projection p1 = p - A^T mu are
+    differentiated with A = DH(q1) moving, by one solve of the Gram
+    system."""
+    q0, q1, p1 = sim.qs[j], sim.qs[j + 1], sim.ps[j + 1]
+    ph, lam, mu = sim._ph[j], sim._lam[j], sim._mu[j]
     n = q0.shape[0]
     dth = 2.0 * np.pi / n
-    newton, _ = _m3_newton(q0, dt)
+    factor, _ = _m3_newton(q0, dt)
     eq0, ep0 = _energy_grad_tangents(q0, ph, dth, dq0, np.zeros_like(dq0))
     f1 = 0.5 * dt * (eq0 - _m3_jacobian_tangent(q0, dth, dq0)[1](lam)) - dp0
-    # newton returns (dq, dph) with q1 + dq, ph - dph: here the tangent of
+    # solve returns (dq, dph) with q1 + dq, ph - dph: here the tangent of
     # (q1, ph) is (dq, -dph)
-    dq1, du, _ = newton(q1, ph, f1, -dq0 - 0.5 * dt * ep0,
-                        np.zeros((n + 2,) + dq0.shape[2:]))
+    dq1, du, _ = factor(q1, ph)(f1, -dq0 - 0.5 * dt * ep0,
+                                np.zeros((n + 2,) + dq0.shape[2:]))
     eq1, _ = _energy_grad_tangents(q1, ph, dth, dq1, -du)
     dp1 = -du - 0.5 * dt * eq1
-    # the projection p1 = p - A^T mu with A g^-1 p1 = 0 and its derivative:
     # with v = dp - dA^T mu, A g^-1 A^T dmu = A (g^-1 v + dg^-1 p1) + dA g^-1 p1
     # and dp1 = v - A^T dmu
-    p1, mu, jac, ginv, gram = _end_momentum(q1, ph, dt)
+    jac, ginv, gram = _m3_gram(q1, dth, closure=True)
     d_apply, d_apply_t = _m3_jacobian_tangent(q1, dth, dq1)
     v = dp1 - d_apply_t(mu)
     x, dx = q1[:, 0, None], dq1[:, 0]
     dginv = np.stack([np.zeros_like(dx), -2.0 * x ** -3 * dx, 6.0 * x ** 5 * dx], axis=1)
     dmu = gram(jac.apply(ginv[:, :, None] * v + dginv * p1[:, :, None])
                + d_apply(ginv * p1))
-    return p1, dq1, v - jac.apply_t(dmu)
+    return dq1, v - jac.apply_t(dmu)
 
 
 def _position_tangent(sim: SimulationResult, dt: float, dp0: np.ndarray) -> np.ndarray:
@@ -411,8 +445,7 @@ def _position_tangent(sim: SimulationResult, dt: float, dp0: np.ndarray) -> np.n
     at once."""
     dq, dp = np.zeros_like(dp0), dp0
     for j in range(len(sim._lam)):
-        _, dq, dp = _rattle_tangent(sim.qs[j], sim.qs[j + 1], sim._ph[j], sim._lam[j],
-                                    dt, dq, dp)
+        dq, dp = _rattle_tangent(sim, j, dt, dq, dp)
     return dq
 
 
@@ -426,10 +459,26 @@ class SimulationResult:
     hidden_norm: np.ndarray
     metric_id: MetricId
     winding: int
-    # each step's converged momentum half-step (K, N, d) and lambda_1
-    # (K, N+2): the linearization points of the tangent pass
+    # per step (K,): the Newton iterations, the final Newton residual and
+    # the factorizations of the Newton matrix the iteration made
+    newton_iters: np.ndarray
+    newton_residual: np.ndarray
+    factorizations: np.ndarray
+    # each step's converged momentum half-step (K, N, d), lambda_1 and
+    # hidden-constraint multiplier mu (K, N+2): the linearization points of
+    # the tangent pass
     _ph: np.ndarray = field(repr=False)
     _lam: np.ndarray = field(repr=False)
+    _mu: np.ndarray = field(repr=False)
+
+    def _head(self, steps: int) -> SimulationResult:
+        """The result of the first `steps` steps."""
+        at, of = slice(steps + 1), slice(steps)
+        return SimulationResult(self.times[at], self.qs[at], self.ps[at], self.energy[at],
+                                self.constraint_norm[at], self.hidden_norm[at],
+                                self.metric_id, self.winding, self.newton_iters[of],
+                                self.newton_residual[of], self.factorizations[of],
+                                self._ph[of], self._lam[of], self._mu[of])
 
     def write_trajectory_csv(self, path) -> None:
         d = self.qs.shape[2]
@@ -457,36 +506,34 @@ def simulate(state: HamiltonianState, T: float, dt: float) -> SimulationResult:
                              f"got T={T}, dt={dt}")
     steps = int(round(T / dt))
     n, d = state.q.shape
-    qs = np.empty((steps + 1, n, d))
-    ps = np.empty_like(qs)
-    energy = np.empty(steps + 1)
-    cnorm = np.empty(steps + 1)
-    hnorm = np.empty(steps + 1)
-    phs = np.empty((steps, n, d))
-    lams = np.empty((steps, n + 2))
-    times = dt * np.arange(steps + 1) + state.t
+    sim = SimulationResult(dt * np.arange(steps + 1) + state.t, np.empty((steps + 1, n, d)),
+                           np.empty((steps + 1, n, d)), np.empty(steps + 1),
+                           np.empty(steps + 1), np.empty(steps + 1), state.metric_id,
+                           state.winding, np.empty(steps, int), np.empty(steps),
+                           np.empty(steps, int), np.empty((steps, n, d)),
+                           np.empty((steps, n + 2)), np.empty((steps, n + 2)))
 
-    def record(j, st):
-        qs[j], ps[j] = st.q, st.p
-        energy[j] = discrete_energy(st)
-        cnorm[j] = float(np.max(np.abs(constraint_rows(st.metric_id, st.q, st.winding))))
-        hnorm[j] = hidden_residual(st)
+    def record(j, st, rows, jac):
+        """Snapshot j, with the state's constraint rows and DH(q)."""
+        sim.qs[j], sim.ps[j] = st.q, st.p
+        sim.energy[j] = discrete_energy(st)
+        sim.constraint_norm[j] = float(np.max(np.abs(rows)))
+        sim.hidden_norm[j] = _hidden_norm(st, jac)
 
-    record(0, state)
+    record(0, state, constraint_rows(state.metric_id, state.q, state.winding),
+           M3Jacobian(state.q, state.theta_step))
     cur = state
     for j in range(steps):
         try:
-            cur, lams[j], phs[j] = _rattle_step(cur, dt, lam_guess=lams[j - 1] if j else None)
+            step = _rattle_step(cur, dt, lam_guess=sim._lam[j - 1] if j else None)
         except StepLeftDomain as exc:
             raise StepLeftDomain(
-                f"simulation left the domain at t={times[j]:.6g}",
-                exit_time=float(times[j]),
-                partial=SimulationResult(times[: j + 1], qs[: j + 1],
-                                         ps[: j + 1], energy[: j + 1],
-                                         cnorm[: j + 1], hnorm[: j + 1],
-                                         state.metric_id, state.winding,
-                                         phs[:j], lams[:j]),
-            ) from exc
-        record(j + 1, cur)
-    return SimulationResult(times, qs, ps, energy, cnorm, hnorm,
-                            state.metric_id, state.winding, phs, lams)
+                f"simulation left the domain at t={sim.times[j]:.6g}",
+                exit_time=float(sim.times[j]), partial=sim._head(j)) from exc
+        cur = step.state
+        sim._lam[j], sim._ph[j], sim._mu[j] = step.lam, step.ph, step.mu
+        sim.newton_iters[j] = len(step.history) - 1
+        sim.newton_residual[j] = step.history[-1]
+        sim.factorizations[j] = step.factorizations
+        record(j + 1, cur, step.rows, step.jac)
+    return sim

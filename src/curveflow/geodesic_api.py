@@ -56,8 +56,8 @@ from .errors import (
 from .metric_suite import MetricId, apply_L
 from .pointwise_geometry import _solve_fibers, dist2_lower_bound, g_apply, integrate_spray2
 from .rtransform import (
+    CyclicFactor,
     RPoint,
-    cyclic_banded_solve,
     dr,
     project_image,
     r_forward,
@@ -323,7 +323,9 @@ def _bvp_shooting(c0, c1, K, T, dt, modes, tol, max_iter) -> GeodesicPath:
     the residual's trajectory per Jacobian, one simulate call per residual.
     A trial step whose simulation leaves the domain or whose Newton solve
     fails is rejected like one that does not decrease the residual.
-    On a stall the mode count grows by 4, up to 24, and the solve goes on;
+    On a stall the mode count grows by 4, up to 24, and the solve goes on
+    from the same residual and trajectory (zero-padded, xi is the same
+    velocity);
     a stall at 24 modes, like running out of iterations, ends the solve, and
     a best path that misses the tolerance is raised in a ShootingStall.
     """
@@ -390,13 +392,12 @@ def _bvp_shooting(c0, c1, K, T, dt, modes, tol, max_iter) -> GeodesicPath:
             modes = min(24, modes + 4)
             basis = _fourier_basis(q0.n_samples, modes)
             pad = basis.shape[1] - old_nb
+            # the padded xi is the same velocity: r and sim stand
             xi = np.concatenate([xi[:old_nb], np.zeros(pad),
                                  xi[old_nb:], np.zeros(pad)])
-            r, sim = residual(xi, basis)
-            rn = np.linalg.norm(r)
             lam = 1e-3
     rn, xi, basis, sim = best
-    path = _path_from_simulation(sim, K)
+    path = _path_from_simulation(sim, len(sim.times) - 1, K)
     path.diagnostics.update(endpoint_mismatch=rn, mismatch_scale=scale,
                             modes=(basis.shape[1] - 1) // 2)
     if rn > tol * scale:
@@ -405,8 +406,10 @@ def _bvp_shooting(c0, c1, K, T, dt, modes, tol, max_iter) -> GeodesicPath:
     return path
 
 
-def _path_from_simulation(sim: SimulationResult, K: int) -> GeodesicPath:
-    idx = _snapshots(sim.qs.shape[0] - 1, K)
+def _path_from_simulation(sim: SimulationResult, steps: int, K: int) -> GeodesicPath:
+    """The snapshots of a run of `steps` RATTLE steps that sim reached."""
+    idx = _snapshots(steps, K)
+    idx = idx[idx < sim.qs.shape[0]]
     curves = [center(c) for c in _curves(MetricId.M3, sim.qs[idx], True, sim.winding)]
     return GeodesicPath(MetricId.M3, sim.times[idx], curves,
                         {"rspace": sim.qs[idx], "energy": sim.energy[idx],
@@ -495,7 +498,12 @@ def _ivp_rattle(c0, u0, T, steps, K) -> GeodesicPath:
     frame = build_frame(c0)
     q0 = project_to_manifold(r_forward(MetricId.M3, c0, frame))
     state = _consistent_state(q0, dr(MetricId.M3, c0, u0, frame))
-    return _path_from_simulation(simulate(state, T, T / steps), K)
+    try:
+        sim = simulate(state, T, T / steps)
+    except StepLeftDomain as exc:
+        raise StepLeftDomain(str(exc), exit_time=exc.exit_time,
+                             partial=_path_from_simulation(exc.partial, steps, K)) from exc
+    return _path_from_simulation(sim, steps, K)
 
 
 # -- distances ------------------------------------------------------------------
@@ -570,7 +578,7 @@ def _probe_colors(n: int) -> np.ndarray:
 
 def _vertical_bands(curve: DiscreteCurve, frame) -> np.ndarray:
     """The (2b+1, N) bands of zeta -> <L_c(zeta c'), v> (M3), b the
-    half-width, in the layout of cyclic_banded_solve: one pairing per
+    half-width, in the layout of CyclicFactor: one pairing per
     probe colour (Curtis-Powell-Reid).  Column k meets only rows within b
     of it, and columns of one colour lie more than 2b apart, so entry
     (i, k) is read off the probe of k's colour at row i."""
@@ -596,7 +604,7 @@ def horizontal_project(curve: DiscreteCurve, h) -> np.ndarray:
     frame = build_frame(curve)
     rhs = _vertical_pairing(curve, h, frame)[0]
     try:
-        zeta = cyclic_banded_solve(_vertical_bands(curve, frame), rhs)
+        zeta = CyclicFactor(_vertical_bands(curve, frame)).solve(rhs)
     except SingularSystem as exc:
         raise SingularVerticalOperator(f"vertical operator is singular ({exc})") from exc
     return h - _vertical_field(zeta, frame)

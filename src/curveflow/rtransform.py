@@ -29,12 +29,13 @@ of A g^-1 A^T (_m3_gram) and the L2(g) projection P onto the M3 tangent
 space (_project_op_m3).  The M4 rows are geometry only: no solver here
 differentiates them.  project_image and tangent_from_free use P; the
 consistent momentum and the RATTLE lambda_2 step take p -> g P(g^-1 p) =
-p - A^T mu from _m3_gram (constrained_hamiltonian._tangent_momentum).  The one
-cyclic banded solver (cyclic_banded_solve: nonsymmetric bands of
-half-width b, LAPACK banded factorization plus a Woodbury correction for
-the wrap corners) and its bordered form for the two closedness rows
-(bordered_cyclic_solve) serve P, the RATTLE Newton step and the periodic
-elliptic solve.
+p - A^T mu from _m3_gram (constrained_hamiltonian._tangent_momentum).  One
+solver serves every "cyclic banded + low-rank border" system - P, the
+RATTLE Newton step, the periodic elliptic solve and the horizontal
+projection: CyclicFactor factors [[A, cols], [rows, corner]] once (A
+cyclic banded, nonsymmetric, of any half-width b; LAPACK gbtrf for its
+band part, one small capacitance matrix for the wrap corners and the
+border together), and each solve after that is substitution only.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .curve_core import (CurveFrame, DiscreteCurve, build_frame, ds_derivative, load_json,
                          trapezoid_weights)
@@ -303,7 +304,7 @@ class M3Jacobian:
         return out
 
     def gram_bands(self, ginv: np.ndarray) -> np.ndarray:
-        """The (3, n) cyclic bands of S = J g^-1 J^T (cyclic_banded_solve's
+        """The (3, n) cyclic bands of S = J g^-1 J^T (CyclicFactor's
         layout) for a diagonal g^-1 given as (n, 3): S[k, k] and S[k, k+1]
         = S[k+1, k]."""
         s = self.gw1 ** 2 * ginv[:, 0] + self.gw3 ** 2 * ginv[:, 2]
@@ -449,68 +450,78 @@ def constraint_gradients(rpoint: RPoint) -> list[np.ndarray]:
 
 # -- cyclic banded solves -------------------------------------------------------
 
-def cyclic_banded_solve(bands, f) -> np.ndarray:
-    """Solve the cyclic banded system A u = f with A[i, (i + j) % n] =
-    bands[b + j, i] for |j| <= b; bands is (2b+1, n) with n > 2b, and A
-    need not be symmetric.  The band part A' is factored once by
-    solve_banded; the wrap corners R = A[:b, n-b:] and L = A[n-b:, :b]
-    enter by the Woodbury identity for A = A' + E W E^T, E the first and
-    last b unit columns.  f is (n,) or (n, r); the columns share the
-    factorization and each must pass a residual check, else
-    SingularSystem is raised."""
-    bands = np.asarray(bands, dtype=float)
-    f = np.asarray(f, dtype=float)
-    cols = f.reshape(f.shape[0], -1)
-    w, n = bands.shape if bands.ndim == 2 else (0, 0)
-    b = w // 2
-    if w != 2 * b + 1 or n <= 2 * b:
-        raise BadInput(f"bands must be (2b+1, n) with n > 2b, got {bands.shape}")
-    r = cols.shape[1]
-    ends = np.arange(2 * b)             # rows of E: the first and last b
-    ends[b:] += n - 2 * b
-    ab = np.zeros((w, n))               # LAPACK layout ab[b + i - k, k] = A'[i, k]
-    ab[b] = bands[b]
-    W = np.zeros((2 * b, 2 * b))        # [[0, R], [L, 0]]
-    for j in range(1, b + 1):
-        ab[b - j, j:] = bands[b + j, :n - j]
-        ab[b + j, :n - j] = bands[b - j, j:]
-        i = np.arange(j)
-        W[i, 2 * b - j + i] = bands[b - j, :j]
-        W[2 * b - j + i, i] = bands[b + j, n - j:]
-    rhs = np.zeros((n, r + 2 * b))      # [f, E]
-    rhs[:, :r] = cols
-    rhs[ends, r + np.arange(2 * b)] = 1.0
-    try:
-        sol = solve_banded((b, b), ab, rhs, check_finite=False)
-        y, z = sol[:, :r], sol[:, r:]
-        u = y - z @ np.linalg.solve(np.eye(2 * b) + W @ z[ends], W @ y[ends])
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"cyclic banded solve: {exc}") from exc
-    au = bands[b][:, None] * u - cols
-    for j in range(1, b + 1):
-        au += bands[b + j][:, None] * _shift(u, j)
-        au += bands[b - j][:, None] * _shift(u, -j)
-    if not np.all(np.abs(au).max(axis=0)
-                  <= 1e-8 * np.maximum(1.0, np.abs(cols).max(axis=0))):
-        raise SingularSystem("cyclic banded solve failed to converge")
-    return u.reshape(f.shape)
+class CyclicFactor:
+    """The bordered cyclic banded system [[A, cols], [rows, corner]], factored
+    once: A[i, (i + j) % n] = bands[b + j, i] for |j| <= b, bands (2b+1, n)
+    with n > 2b (A need not be symmetric), an (n, k) column border, a (k, n)
+    row border and a (k, k) corner, k = 0 without a border.  LAPACK gbtrf
+    factors the band part A' of A.  The wrap corners A - A' = E W E^T (E the
+    first and last b unit columns) and the border enter through one
+    (2b + k) capacitance matrix, inverted once: with Z = A'^-1 [E, cols],
+    [x; y] = [A'^-1 f - Z s; s[2b:]] where K s = P A'^-1 f + [0; g], P =
+    [W E^T; -rows] and K = diag(I, corner) + P Z.  solve([f; g]) is then
+    substitution only, for (n + k,) or (n + k, r) right-hand sides, and
+    each column must pass a residual check on the whole bordered system;
+    a failed check or a singular band part raises SingularSystem."""
 
+    def __init__(self, bands, cols=None, rows=None, corner=None):
+        bands = np.asarray(bands, dtype=float)
+        w, n = bands.shape if bands.ndim == 2 else (0, 0)
+        b = w // 2
+        if w != 2 * b + 1 or n <= 2 * b:
+            raise BadInput(f"bands must be (2b+1, n) with n > 2b, got {bands.shape}")
+        self.bands, self.b, self.n = bands, b, n
+        self.cols = np.zeros((n, 0)) if cols is None else np.asarray(cols, dtype=float)
+        self.rows = np.zeros((0, n)) if rows is None else np.asarray(rows, dtype=float)
+        self.corner = np.zeros((0, 0)) if corner is None else np.asarray(corner, dtype=float)
+        self._ends = np.arange(2 * b)       # rows of E: the first and last b
+        self._ends[b:] += n - 2 * b
+        ab = np.zeros((3 * b + 1, n))       # gbtrf layout ab[2b + i - k, k] = A'[i, k]
+        self._W = np.zeros((2 * b, 2 * b))  # [[0, R], [L, 0]]
+        ab[2 * b] = bands[b]
+        for j in range(1, b + 1):
+            ab[2 * b - j, j:] = bands[b + j, :n - j]
+            ab[2 * b + j, :n - j] = bands[b - j, j:]
+            i = np.arange(j)
+            self._W[i, 2 * b - j + i] = bands[b - j, :j]
+            self._W[2 * b - j + i, i] = bands[b + j, n - j:]
+        self._lu, self._piv, info = dgbtrf(ab, b, b, overwrite_ab=True)
+        if info > 0:
+            raise SingularSystem("cyclic banded solve: singular matrix")
+        E = np.zeros((n, 2 * b + self.cols.shape[1]))
+        E[self._ends, np.arange(2 * b)] = 1.0
+        E[:, 2 * b:] = self.cols
+        self._Z = dgbtrs(self._lu, b, b, E, self._piv, overwrite_b=True)[0]
+        K = self._border(self._Z)
+        K[:2 * b, :2 * b] += np.eye(2 * b)
+        K[2 * b:, 2 * b:] += self.corner
+        try:
+            self._kinv = np.linalg.inv(K)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystem(f"cyclic banded solve: {exc}") from exc
 
-def bordered_cyclic_solve(bands, cols, rows, corner, f, g):
-    """Solve [[A, cols], [rows, corner]] [x; y] = [f; g] for the cyclic
-    banded A of cyclic_banded_solve, an (n, k) column border, a (k, n) row
-    border and a (k, k) corner: one banded solve for f and the border
-    columns, then the Schur complement (corner - rows A^-1 cols) y =
-    g - rows A^-1 f.  f and g are (n,) and (k,), or (n, r) and (k, r) for
-    r right-hand sides.  Returns (x, y); raises SingularSystem."""
-    sol = cyclic_banded_solve(bands, np.column_stack([f, cols]))
-    r = f.size // f.shape[0]
-    x, z = sol[:, :r].reshape(f.shape), sol[:, r:]
-    try:
-        y = np.linalg.solve(corner - rows @ z, g - rows @ x)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem("border Schur complement is singular") from exc
-    return x - z @ y, y
+    def _border(self, X):
+        """P X = [W E^T X; -rows X] for X (n, r)."""
+        return np.concatenate([self._W @ X[self._ends], -self.rows @ X])
+
+    def solve(self, rhs) -> np.ndarray:
+        rhs = np.asarray(rhs, dtype=float)
+        cols = rhs.reshape(rhs.shape[0], -1)
+        n, b = self.n, self.b
+        y = dgbtrs(self._lu, b, b, cols[:n], self._piv)[0]
+        small = self._border(y)
+        small[2 * b:] += cols[n:]
+        s = self._kinv @ small
+        u = np.concatenate([y - self._Z @ s, s[2 * b:]])
+        x, bands = u[:n], self.bands
+        res = np.concatenate([bands[b][:, None] * x + self.cols @ u[n:],
+                              self.rows @ x + self.corner @ u[n:]]) - cols
+        for j in range(1, b + 1):
+            res[:n] += bands[b + j][:, None] * _shift(x, j) + bands[b - j][:, None] * _shift(x, -j)
+        if not np.all(np.abs(res).max(axis=0)
+                      <= 1e-8 * np.maximum(1.0, np.abs(cols).max(axis=0))):
+            raise SingularSystem("cyclic banded solve failed to converge")
+        return u.reshape(rhs.shape)
 
 
 def elliptic_solve(a, b, f, dtheta: float) -> np.ndarray:
@@ -519,8 +530,8 @@ def elliptic_solve(a, b, f, dtheta: float) -> np.ndarray:
 
         -(a_{k+1/2}(u_{k+1}-u_k) - a_{k-1/2}(u_k-u_{k-1}))/dtheta^2 + b_k u_k = f_k
 
-    by cyclic_banded_solve; edge values a_{k+1/2} are arithmetic means
-    of node values.
+    by CyclicFactor; edge values a_{k+1/2} are arithmetic means of node
+    values.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -528,7 +539,7 @@ def elliptic_solve(a, b, f, dtheta: float) -> np.ndarray:
         raise BadInput("need a > 0 and b >= 0")
     ae = 0.5 * (a + _shift(a, 1)) / dtheta ** 2     # a_{k+1/2} / dtheta^2
     aw = _shift(ae, -1)                             # a_{k-1/2} / dtheta^2
-    return cyclic_banded_solve(np.stack([-aw, ae + aw + b, -ae]), f)
+    return CyclicFactor(np.stack([-aw, ae + aw + b, -ae])).solve(f)
 
 
 # -- orthogonal projection onto the image tangent space ----------------------
@@ -539,7 +550,8 @@ def _m3_gram(q: np.ndarray, dth: float, closure: bool):
     A is the trapezoid derivative rows J bordered by the closedness rows C
     if closure is set (else the closedness multipliers are 0).
     A g^-1 A^T is the cyclic tridiagonal J g^-1 J^T (gram_bands) bordered
-    by J g^-1 C^T, its transpose and C g^-1 C^T: one bordered_cyclic_solve."""
+    by J g^-1 C^T, its transpose and C g^-1 C^T: one CyclicFactor, made
+    here and shared by every solve."""
     n = q.shape[0]
     ginv = g_inv(MetricId.M3, q, np.ones_like(q))
     jac = M3Jacobian(q, dth)
@@ -548,14 +560,11 @@ def _m3_gram(q: np.ndarray, dth: float, closure: bool):
         border = np.zeros(q.shape + (2,))                      # g^-1 C^T
         border[:, :2] = ginv[:, :2, None] * jac.gc.transpose(2, 1, 0)
         ab = jac.apply(border)
+        return jac, ginv, CyclicFactor(bands, ab[:n], ab[:n].T, ab[n:]).solve
+    factor = CyclicFactor(bands)
 
-        def solve(rhs):
-            return np.concatenate(bordered_cyclic_solve(bands, ab[:n], ab[:n].T, ab[n:],
-                                                        rhs[:n], rhs[n:]))
-    else:
-        def solve(rhs):
-            return np.concatenate([cyclic_banded_solve(bands, rhs[:n]),
-                                   np.zeros((2,) + rhs.shape[1:])])
+    def solve(rhs):
+        return np.concatenate([factor.solve(rhs[:n]), np.zeros((2,) + rhs.shape[1:])])
     return jac, ginv, solve
 
 

@@ -288,19 +288,25 @@ def check_elliptic():
 
 
 def check_cyclic_banded():
-    # b = 4 on an N that is not a multiple of 9 is the horizontal projection's case
+    # b = 4 on an N that is not a multiple of 9 is the horizontal projection's
+    # case, b = 1 with a k = 2 border the RATTLE Newton and Gram systems';
+    # each factorization serves two right-hand sides
     rng = np.random.default_rng(8)
     errs = []
-    for n, b in ((63, 2), (67, 4)):
+    for n, b, k in ((63, 2, 0), (67, 4, 0), (64, 1, 2)):
         bands = rng.uniform(-1.0, 1.0, (2 * b + 1, n))
         bands[b] += 2.0 * b + 2.0
-        dense = np.zeros((n, n))
+        dense = rng.standard_normal((n + k, n + k))
         idx = np.arange(n)
+        dense[:n, :n] = 0.0
         for j in range(-b, b + 1):
             dense[idx, (idx + j) % n] = bands[b + j]
-        f = rng.standard_normal((n, 3))
-        ref = np.linalg.solve(dense, f)
-        errs.append(np.abs(rt.cyclic_banded_solve(bands, f) - ref).max() / np.abs(ref).max())
+        factor = rt.CyclicFactor(bands, dense[:n, n:], dense[n:, :n], dense[n:, n:])
+        worst = 0.0
+        for f in rng.standard_normal((2, n + k, 3)):
+            ref = np.linalg.solve(dense, f)
+            worst = max(worst, np.abs(factor.solve(f) - ref).max() / np.abs(ref).max())
+        errs.append(worst)
     return max(errs) < 1e-12, "vs dense solve " + " / ".join(f"{e:.1e}" for e in errs)
 
 
@@ -523,7 +529,7 @@ CHECKS = [
     ("closedness gradient finite differences", check_constraint_gradients),
     ("image projection oracles", check_projection),
     ("cyclic elliptic solver", check_elliptic),
-    ("cyclic banded solver (nonsymmetric, b = 2 and 4)", check_cyclic_banded),
+    ("cyclic banded solver (b = 2, 4; b = 1 bordered, k = 2)", check_cyclic_banded),
     ("plane spray first integrals", check_spray_conservation),
     ("F(1) constant", check_F_constant),
     ("trajectory formula vs RK4", check_trajectory_vs_rk4),

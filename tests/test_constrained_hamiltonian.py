@@ -63,7 +63,7 @@ def dense_m3_newton(q0, dt):
     3 x 3 blocks and the dense DH of m3_jacobian_rows: A^-1 and D^-1 by
     batched solves, GW = G(q1) D^-1 C A^-1 (-dt/2) G(q0)^T and a dense
     solve for the multipliers.  The reference for ch._m3_newton, with its
-    signature and return pair."""
+    signature and return pair: factor(q1, ph) -> solve(f1, f2, f3)."""
     n = q0.shape[0]
     half = 0.5 * dt * 2 * np.pi / n
     eye = np.eye(3)
@@ -73,6 +73,9 @@ def dense_m3_newton(q0, dt):
     gi0 = ginv(q0)
     jac0_t = m3_jacobian_rows(q0).reshape(n + 2, n, 3).transpose(1, 2, 0)
     B = -0.5 * dt * jac0_t
+
+    def factor(q1, ph):
+        return lambda f1, f2, f3: solve(q1, ph, f1, f2, f3)
 
     def solve(q1, ph, f1, f2, f3):
         A = eye + half * d_ginvp_dq(q0, ph)
@@ -88,7 +91,35 @@ def dense_m3_newton(q0, dt):
         return (sol2[:, :, 0] + sol2[:, :, 1:] @ dlam,
                 sol1[:, :, 0] + sol1[:, :, 1:] @ dlam, dlam)
 
-    return solve, lambda lam: jac0_t @ lam
+    return factor, lambda lam: jac0_t @ lam
+
+
+def exact_newton_step(state, dt, tol=1e-12, max_iter=50, lam_guess=None):
+    """One RATTLE step by the exact Newton iteration, the reduced matrix
+    factored again at every iterate, ending with the step's own end
+    momentum: the reference for the simplified iteration of
+    ch._rattle_newton.  Returns (new_state, lambda_1); raises
+    NewtonDivergence with the residual history."""
+    mid, dth, winding = state.metric_id, state.theta_step, state.winding
+    q0, p0 = state.q, state.p
+    ph, q1 = p0.copy(), q0 + dt * ch.energy_grad_p(mid, q0, p0, dth)
+    lam = np.zeros(q0.shape[0] + 2) if lam_guess is None else lam_guess.copy()
+    factor, jt0 = ch._m3_newton(q0, dt)
+    history = []
+    for _ in range(max_iter):
+        f1 = ph - p0 + 0.5 * dt * ch.energy_grad_q(mid, q0, ph, dth) - 0.5 * dt * jt0(lam)
+        f2 = q1 - q0 - 0.5 * dt * (ch.energy_grad_p(mid, q0, ph, dth)
+                                   + ch.energy_grad_p(mid, q1, ph, dth))
+        f3 = rt.constraint_rows(mid, q1, winding)
+        history.append(max(np.abs(f1).max(), np.abs(f2).max(), np.abs(f3).max()))
+        if history[-1] < tol:
+            break
+        dq, dph, dlam = factor(q1, ph)(f1, f2, f3)
+        q1, ph, lam = q1 + dq, ph - dph, lam + dlam
+    else:
+        raise NewtonDivergence("exact Newton reference did not converge", history)
+    p1 = ch._end_momentum(q1, ph, dt)[0]
+    return ch.HamiltonianState(mid, q1, p1, state.t + dt, winding), lam
 
 
 def test_discrete_energy_values():
@@ -211,31 +242,58 @@ def test_m3_rattle_step_matches_dense():
 
 
 def test_m3_newton_matrix_is_exact():
-    # quadratic decay of the Newton residuals: the reduced matrix is the
-    # exact Jacobian of (f1, f2, f3), not an approximation of it
+    # quadratic decay of the Newton residuals when the reduced matrix is
+    # factored at every iterate: it is the exact Jacobian of (f1, f2, f3),
+    # not an approximation of it.  The simplified iteration factors it at
+    # the first iterate, so its first step is that exact Newton step
     rng = np.random.default_rng(23)
     for n in (64, 65, 400):
         rp = ch.project_to_manifold(rt.r_forward("M3", wavy_curve(n, seed=2)))
         wavy = ch.project_consistent(rp, 0.3 * rng.standard_normal((n, 3)))
         for state in (circle_state(n), wavy):
             with pytest.raises(NewtonDivergence) as exc:
-                ch.rattle_step(state, 1e-2, tol=0.0, max_iter=4)
+                exact_newton_step(state, 1e-2, tol=0.0, max_iter=4)
             r0, r1, r2 = exc.value.residual_history[:3]
             assert r1 <= 10 * r0 ** 2
             assert r2 <= max(10 * r1 ** 2, 1e-13)
+            with pytest.raises(NewtonDivergence) as exc:
+                ch.rattle_step(state, 1e-2, tol=0.0, max_iter=4)
+            assert exc.value.residual_history[:2] == pytest.approx([r0, r1], rel=1e-6)
+
+
+def test_simplified_newton_matches_exact_newton():
+    # the simplified iteration converges to the exact Newton iteration's
+    # states; at dt = 1e-2 every step keeps its first factorization, and a
+    # step at a large dt, whose residual stops falling tenfold, factors the
+    # matrix again at the current iterate and still converges
+    rng = np.random.default_rng(31)
+    rp = ch.project_to_manifold(rt.r_forward("M3", wavy_curve(64, seed=2)))
+    wavy = ch.project_consistent(rp, 0.3 * rng.standard_normal((64, 3)))
+    for state, dt, steps, factorizations in ((circle_state(64), 1e-2, 6, 1),
+                                             (wavy, 1e-2, 6, 1),
+                                             (circle_state(64, velocity="lobe"), 0.2, 1, 2)):
+        sim = ch.simulate(state, steps * dt, dt)
+        assert np.all(sim.factorizations == factorizations)
+        assert np.all(sim.newton_residual < 1e-12)
+        ref, lam = state, None
+        for j in range(steps):
+            ref, lam = exact_newton_step(ref, dt, lam_guess=lam)
+            for a, b in ((sim.qs[j + 1], ref.q), (sim.ps[j + 1], ref.p)):
+                assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
 
 def test_m3_simulate_makes_no_dense_solve(monkeypatch):
-    # only the 2b x 2b Woodbury and 2 x 2 Schur and closedness systems
-    # reach a dense solve; nothing of size O(N), in simulate or in the
-    # tangent pass that carries 6 columns through the same steps
+    # only the (2b + k) capacitance matrices of the bordered cyclic
+    # factorizations and the 2 x 2 closedness systems reach a dense solve
+    # or inverse; nothing of size O(N), in simulate or in the tangent pass
+    # that carries 6 columns through the same steps
     st = circle_state(32)
-    solve, sizes = np.linalg.solve, []
-
-    def recorded(a, b):
-        sizes.append(np.shape(a)[-1])
-        return solve(a, b)
-    monkeypatch.setattr(np.linalg, "solve", recorded)
+    sizes = []
+    for name in ("solve", "inv"):
+        def recorded(a, *args, dense=getattr(np.linalg, name)):
+            sizes.append(np.shape(a)[-1])
+            return dense(a, *args)
+        monkeypatch.setattr(np.linalg, name, recorded)
     res = ch.simulate(st, 0.05, 1e-2)
     assert sizes and max(sizes) <= 8
     assert res.constraint_norm.max() < 1e-9
@@ -258,11 +316,11 @@ def test_rattle_tangent_matches_central_differences():
         for state in (circle_state(n), wavy):
             dq0, dp0 = rng.standard_normal((2, n, 3, 3))
             sim = ch.simulate(state, 1e-2, 1e-2)
-            p1, dq1, dp1 = ch._rattle_tangent(sim.qs[0], sim.qs[1], sim._ph[0],
-                                              sim._lam[0], 1e-2, dq0, dp0)
+            dq1, dp1 = ch._rattle_tangent(sim, 0, 1e-2, dq0, dp0)
             ref, lam_ref = ch.rattle_step(state, 1e-2)
             assert np.array_equal(sim.qs[1], ref.q) and np.array_equal(sim._lam[0], lam_ref)
-            assert np.array_equal(sim.ps[1], ref.p) and np.array_equal(p1, ref.p)
+            assert np.array_equal(sim.ps[1], ref.p)
+            assert np.array_equal(sim._mu[0], ch._end_momentum(sim.qs[1], sim._ph[0], 1e-2)[1])
             for j in range(3):
                 moved = [ch.rattle_step(ch.HamiltonianState(
                     "M3", state.q + s * dq0[..., j], state.p + s * dp0[..., j],
@@ -308,9 +366,8 @@ def test_bad_input_is_named_error(make, message):
 def test_singular_reduced_system_reports_history(monkeypatch):
     # a zero band block makes the reduced Newton system singular
     st = circle_state(32)
-    solve = ch.bordered_cyclic_solve
-    monkeypatch.setattr(ch, "bordered_cyclic_solve",
-                        lambda bands, *args: solve(0.0 * bands, *args))
+    factor = ch.CyclicFactor
+    monkeypatch.setattr(ch, "CyclicFactor", lambda bands, *args: factor(0.0 * bands, *args))
     with pytest.raises(NewtonDivergence) as exc:
         ch.rattle_step(st, 1e-2)
     assert len(exc.value.residual_history) == 1
@@ -378,7 +435,12 @@ def test_rattle_preserves_constraints_and_reverses():
     assert res.hidden_norm.max() < 1e-9
     drift = np.abs(res.energy - res.energy[0]).max() / res.energy[0]
     assert drift < 1e-4
-    back = ch.HamiltonianState("M3", res.qs[-1], -res.ps[-1], 0.0, st.winding)
+    # the recorded diagnostics reuse each step's own H(q1) and DH(q1): the
+    # same numbers as computing them afresh from the stored states
+    for q, p, cnorm, hnorm in zip(res.qs, res.ps, res.constraint_norm, res.hidden_norm):
+        assert cnorm == np.abs(rt.constraint_rows("M3", q, st.winding)).max()
+        assert hnorm == ch.hidden_residual(ch.HamiltonianState("M3", q, p, 0.0, st.winding))
+    back =ch.HamiltonianState("M3", res.qs[-1], -res.ps[-1], 0.0, st.winding)
     res2 = ch.simulate(back, 0.5, 5e-3)
     assert np.abs(res2.qs[-1] - st.q).max() < 1e-6
     assert np.abs(res2.ps[-1] + st.p).max() < 1e-6
@@ -414,8 +476,8 @@ def test_step_left_domain():
 
 
 def test_step_left_domain_partial_keeps_step_arrays():
-    # the partial result carries each completed step's ph and lambda_1,
-    # one per step between its times
+    # the partial result carries each completed step's ph, lambda_1, mu
+    # and Newton record, one per step between its times
     st = circle_state(48)
     bad = ch.HamiltonianState("M3", st.q, st.p - [160.0, 0.0, 0.0], 0.0, st.winding)
     with pytest.raises(StepLeftDomain) as exc:
@@ -423,9 +485,15 @@ def test_step_left_domain_partial_keeps_step_arrays():
     part = exc.value.partial
     steps = len(part.times) - 1
     assert steps >= 2
-    assert part._ph.shape == (steps, 48, 3) and part._lam.shape == (steps, 50)
+    assert part._ph.shape == (steps, 48, 3)
+    assert part._lam.shape == part._mu.shape == (steps, 50)
+    assert part.newton_iters.shape == part.newton_residual.shape == (steps,)
+    assert part.factorizations.shape == (steps,)
     full = ch.simulate(bad, steps * 5e-2, 5e-2)
-    assert np.array_equal(part._ph, full._ph) and np.array_equal(part._lam, full._lam)
+    for name in ("_ph", "_lam", "_mu", "newton_iters", "newton_residual", "factorizations"):
+        assert np.array_equal(getattr(part, name), getattr(full, name))
+    assert np.all(part.newton_iters >= 1) and np.all(part.newton_residual < 1e-12)
+    assert np.all(part.factorizations >= 1)
 
 
 def test_newton_divergence_reports_history():

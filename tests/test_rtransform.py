@@ -300,23 +300,40 @@ def _cyclic_dense(bands):
     return A
 
 
+def _bordered_system(rng, n, b, k):
+    """A diagonally dominant cyclic banded A of half-width b with a random
+    k-wide border and 2 x 2-dominant corner: (bands, dense [[A, cols], [rows,
+    corner]])."""
+    bands = rng.uniform(-1.0, 1.0, (2 * b + 1, n))
+    bands[b] += 2.0 * b + 2.0
+    dense = np.zeros((n + k, n + k))
+    dense[:n, :n] = _cyclic_dense(bands)
+    dense[:n, n:], dense[n:, :n] = rng.standard_normal((n, k)), rng.standard_normal((k, n))
+    dense[n:, n:] = rng.standard_normal((k, k)) + 4.0 * np.sqrt(n) * np.eye(k)
+    return bands, dense
+
+
 def test_cyclic_banded_solve_columns():
-    # nonsymmetric bands of half-width 1 and 2 against a dense solve; the
-    # (n, 3) right-hand sides share one factorization and each column
-    # equals its single-column solve
+    # nonsymmetric bands of half-width 1, 2 and 4, without a border and with
+    # a 2-wide one, on even, odd and the smallest (2b + 1) grids, against a
+    # dense solve; one factorization serves several right-hand sides, and
+    # each column of an (n + k, 3) right-hand side equals its
+    # single-column solve
     rng = np.random.default_rng(4)
-    for b in (1, 2):
-        for n in (64, 65):
-            bands = rng.uniform(-1.0, 1.0, (2 * b + 1, n))
-            bands[b] += 2.0 * b + 2.0
-            f = rng.standard_normal((n, 3))
-            u = rt.cyclic_banded_solve(bands, f)
-            assert u.shape == (n, 3)
-            ref = np.linalg.solve(_cyclic_dense(bands), f)
-            assert np.abs(u - ref).max() < 1e-13 * np.abs(ref).max()
-            for j in range(3):
-                single = rt.cyclic_banded_solve(bands, f[:, j])
-                assert np.abs(u[:, j] - single).max() <= 1e-15 * np.abs(single).max()
+    for b in (1, 2, 4):
+        for k in (0, 2):
+            for n in (64, 65, 2 * b + 1):
+                bands, dense = _bordered_system(rng, n, b, k)
+                factor = rt.CyclicFactor(bands, dense[:n, n:], dense[n:, :n], dense[n:, n:])
+                for _ in range(2):
+                    f = rng.standard_normal((n + k, 3))
+                    u = factor.solve(f)
+                    assert u.shape == (n + k, 3)
+                    ref = np.linalg.solve(dense, f)
+                    assert np.abs(u - ref).max() < 1e-13 * np.abs(ref).max()
+                    for j in range(3):
+                        single = factor.solve(f[:, j])
+                        assert np.abs(u[:, j] - single).max() <= 1e-15 * np.abs(single).max()
 
 
 @pytest.mark.parametrize("stencil", [(-1.0, 2.0, -1.0), (1.0, -4.0, 6.0, -4.0, 1.0)])
@@ -326,10 +343,30 @@ def test_cyclic_banded_solve_singular(stencil):
     n = 65
     bands = np.repeat(np.array(stencil)[:, None], n, axis=1)
     with pytest.raises(SingularSystem):
-        rt.cyclic_banded_solve(bands, np.ones(n))
+        rt.CyclicFactor(bands).solve(np.ones(n))
     with pytest.raises(SingularSystem):
-        rt.bordered_cyclic_solve(bands, np.zeros((n, 2)), np.zeros((2, n)),
-                                 np.eye(2), np.ones(n), np.ones(2))
+        rt.CyclicFactor(bands, np.zeros((n, 2)), np.zeros((2, n)),
+                        np.eye(2)).solve(np.ones(n + 2))
+    # zero bands fail the band factorization; NaN bands get through it
+    # and fail the residual check
+    for fill, words in ((0.0, "singular matrix"), (np.nan, "failed to converge")):
+        with pytest.raises(SingularSystem, match=words):
+            rt.CyclicFactor(np.full_like(bands, fill)).solve(np.ones(n))
+
+
+def test_cyclic_factor_checks_border_rows():
+    # a corner changed after the factorization: the band rows of the
+    # solution still hold, so only the residual check on the border rows
+    # can see it
+    rng = np.random.default_rng(5)
+    n, b, k = 64, 1, 2
+    bands, dense = _bordered_system(rng, n, b, k)
+    factor = rt.CyclicFactor(bands, dense[:n, n:], dense[n:, :n], dense[n:, n:].copy())
+    f = rng.standard_normal(n + k)
+    factor.solve(f)
+    factor.corner[0, 0] += 1.0
+    with pytest.raises(SingularSystem, match="failed to converge"):
+        factor.solve(f)
 
 
 def test_banded_solvers_name_bad_input():
@@ -337,7 +374,7 @@ def test_banded_solvers_name_bad_input():
     # (a ValueError too, for older callers)
     for bands in (np.ones((4, 20)), np.ones((9, 8)), np.ones(20)):
         with pytest.raises(BadInput, match="bands must be"):
-            rt.cyclic_banded_solve(bands, np.ones(20))
+            rt.CyclicFactor(bands)
     with pytest.raises(BadInput, match="a > 0"):
         rt.elliptic_solve(np.zeros(16), np.ones(16), np.ones(16), 0.1)
 
@@ -350,17 +387,17 @@ def test_bordered_cyclic_solve():
     cols = rng.standard_normal((n, 2))
     rows = rng.standard_normal((2, n))
     corner = rng.standard_normal((2, 2))
-    f, g = rng.standard_normal(n), rng.standard_normal(2)
-    x, y = rt.bordered_cyclic_solve(bands, cols, rows, corner, f, g)
+    factor = rt.CyclicFactor(bands, cols, rows, corner)
+    f = rng.standard_normal(n + 2)
     full = np.block([[_cyclic_dense(bands), cols], [rows, corner]])
-    ref = np.linalg.solve(full, np.concatenate([f, g]))
-    assert np.abs(np.concatenate([x, y]) - ref).max() < 1e-13 * np.abs(ref).max()
+    ref = np.linalg.solve(full, f)
+    assert np.abs(factor.solve(f) - ref).max() < 1e-13 * np.abs(ref).max()
     # r right-hand sides at once: column by column the same solution
-    F, G = rng.standard_normal((n, 4)), rng.standard_normal((2, 4))
-    X, Y = rt.bordered_cyclic_solve(bands, cols, rows, corner, F, G)
-    ref = np.linalg.solve(full, np.concatenate([F, G]))
-    assert X.shape == (n, 4) and Y.shape == (2, 4)
-    assert np.abs(np.concatenate([X, Y]) - ref).max() < 1e-13 * np.abs(ref).max()
+    F = rng.standard_normal((n + 2, 4))
+    X = factor.solve(F)
+    ref = np.linalg.solve(full, F)
+    assert X.shape == (n + 2, 4)
+    assert np.abs(X - ref).max() < 1e-13 * np.abs(ref).max()
 
 
 def test_elliptic_solve():
