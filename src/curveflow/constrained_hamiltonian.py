@@ -30,7 +30,8 @@ its diagonal (_m3_newton).  The iteration is simplified Newton
 (Hairer-Lubich-Wanner, Geometric Numerical Integration, VII.1): the
 matrix factored at the first iterate is reused, and factored again only
 when the residual has not fallen tenfold.  simulate keeps each step's
-Newton iterations, final residual and factorizations.
+Newton iterations, final residual and factorizations.  Each point is built
+once (rtransform._M3Point): a step's end point is the next one's start.
 
 The tangent pass (_rattle_tangent, _position_tangent) differentiates the
 discrete step, not the ODE, so it gives the exact derivative of the
@@ -39,14 +40,17 @@ iteration: simulate keeps each step's converged momentum half-step,
 lambda_1 and hidden-constraint multiplier mu, and per step the pass
 linearizes (f1, f2, f3) in (q0, p0) at that stored point - including
 lambda_1 contracted with the q0-derivative of DH
-(rtransform._m3_jacobian_tangent) - and solves for all r tangent columns
-at once with the Newton matrix factored at that point, the exact Jacobian
-of (f1, f2, f3).  The explicit half-step is differentiated directly, and
-the hidden-constraint projection p1 - DH(q1)^T mu (p1 and mu stored, the
-operator moving with q1) by one solve of the Gram system
-(rtransform._m3_gram).  rattle_step and project_consistent take p1 -
-DH^T mu from one helper (_tangent_momentum), so the trajectory the pass
-linearizes is simulate's, bit for bit.
+(rtransform._m3_jacobian_tangent), carried over from the step before -
+and solves for all r tangent columns at once with the Newton matrix
+factored at that point, the exact Jacobian of (f1, f2, f3).  The explicit
+half-step is differentiated directly, and the hidden-constraint
+projection p1 - DH(q1)^T mu (p1 and mu stored, the operator moving with
+q1) by one solve of the Gram system that simulate's step factored at q1.
+The shooting solver's simulations keep their points and, from the first
+pass on, each step's Newton factor, so a second pass factors nothing.
+rattle_step and project_consistent take p1 - DH^T mu from one helper
+(_tangent_momentum), so the trajectory the pass linearizes is
+simulate's, bit for bit.
 
 The full H2 transform (M4) has transforms and constraints in rtransform
 but no dynamics here.  Its two forward-difference rows per sample make the
@@ -57,7 +61,6 @@ CyclicFactor with wider bands, not a dense solve.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -65,6 +68,7 @@ from .errors import (
     BadInput,
     CurveflowError,
     NewtonDivergence,
+    NonPositive,
     RankDeficiency,
     SingularSystem,
     StepLeftDomain,
@@ -73,12 +77,12 @@ from .metric_suite import MetricId
 from .pointwise_geometry import g_grad, g_inv, g_inv_quad
 from .rtransform import (
     CyclicFactor,
-    M3Jacobian,
     RPoint,
     _closedness_newton,
     _forward_diff,
     _m3_gram,
     _m3_jacobian_tangent,
+    _M3Point,
     _m3_rate,
     _shift,
     constraint_rows,
@@ -139,6 +143,18 @@ def energy_grad_q(metric_id, q, p, dtheta) -> np.ndarray:
     return 0.5 * g_grad(metric_id, q, p) * dtheta
 
 
+def _grad_p(pt: _M3Point, p: np.ndarray) -> np.ndarray:
+    """energy_grad_p at the M3 point pt."""
+    return pt.ginv * p * pt.dth
+
+
+def _grad_q(pt: _M3Point, p: np.ndarray) -> np.ndarray:
+    """energy_grad_q at the M3 point pt: only its q1 row is nonzero."""
+    out = np.zeros_like(p)
+    out[:, 0] = -2.0 * pt.xm3 * p[:, 1] ** 2 + 6.0 * pt.x5 * p[:, 2] ** 2
+    return 0.5 * out * pt.dth
+
+
 def _energy_grad_tangents(q, p, dtheta, dq, dp):
     """The derivatives of energy_grad_q and energy_grad_p (M3) at (q, p)
     along the columns (dq, dp), each (n, 3, r).  dE/dq = dtheta (-q1^-3
@@ -196,17 +212,16 @@ def project_to_manifold(rpoint: RPoint) -> RPoint:
     raise NewtonDivergence("manifold projection did not converge")
 
 
-def _tangent_momentum(q: np.ndarray, p: np.ndarray):
-    """(p - DH^T mu, mu, jac, ginv, gram) with DH g^-1 (p - DH^T mu) = 0:
-    the one definition of the hidden-constraint projection p -> g P(g^-1
-    p), with the Gram solve of rtransform._m3_gram that gave mu.  p is
-    (n, 3), or (n, 3, r) for r momenta at once.  Raises RankDeficiency."""
+def _tangent_momentum(pt: _M3Point, p: np.ndarray):
+    """(p - DH^T mu, mu) with DH g^-1 (p - DH^T mu) = 0 at the M3 point
+    pt: the one definition of the hidden-constraint projection p -> g
+    P(g^-1 p), by pt's Gram solve (rtransform._m3_gram).  p is (n, 3), or
+    (n, 3, r) for r momenta at once.  Raises RankDeficiency."""
     try:
-        jac, ginv, gram = _m3_gram(q, 2.0 * np.pi / q.shape[0], closure=True)
-        mu = gram(jac.apply(ginv.reshape(ginv.shape + (1,) * (p.ndim - 2)) * p))
+        mu = _m3_gram(pt)(pt.jac.apply(pt.ginv.reshape(pt.ginv.shape + (1,) * (p.ndim - 2)) * p))
     except (np.linalg.LinAlgError, SingularSystem) as exc:
         raise RankDeficiency(f"constraint Gram system is singular: {exc}") from exc
-    return p - jac.apply_t(mu), mu, jac, ginv, gram
+    return p - pt.jac.apply_t(mu), mu
 
 
 def project_consistent(rpoint: RPoint, p_raw: np.ndarray) -> HamiltonianState:
@@ -214,61 +229,57 @@ def project_consistent(rpoint: RPoint, p_raw: np.ndarray) -> HamiltonianState:
     DH^T mu with DH g^{-1} (p_raw - DH^T mu) = 0, so the hidden constraint
     holds at (q, p)."""
     mid = _constrained(rpoint.metric_id)
-    q = np.asarray(rpoint.q, dtype=float)
-    p = _tangent_momentum(q, np.asarray(p_raw, dtype=float))[0]
-    return HamiltonianState(mid, q, p, 0.0, rpoint.winding or 0)
+    p = _tangent_momentum(rpoint._m3, np.asarray(p_raw, dtype=float))[0]
+    return HamiltonianState(mid, rpoint.q, p, 0.0, rpoint.winding or 0)
 
 
-def _hidden_norm(state: HamiltonianState, jac: M3Jacobian) -> float:
-    """sup |DH(q) . dE/dp| for jac = DH(q)."""
-    dp = energy_grad_p(MetricId.M3, state.q, state.p, state.theta_step)
-    return float(np.max(np.abs(jac.apply(dp))))
+def _hidden_norm(pt: _M3Point, p: np.ndarray) -> float:
+    """sup |DH(q) . dE/dp| at the M3 point pt."""
+    return float(np.max(np.abs(pt.jac.apply(_grad_p(pt, p)))))
 
 
 def hidden_residual(state: HamiltonianState) -> float:
     """sup |DH(q) . dE/dp|, the hidden-constraint residual."""
-    return _hidden_norm(state, M3Jacobian(state.q, state.theta_step))
+    return _hidden_norm(_M3Point(state.q), state.p)
 
 
 # -- RATTLE -------------------------------------------------------------------
 
-def _m3_newton(q0: np.ndarray, dt: float):
-    """The O(N) reduced Newton solve of an M3 RATTLE step.  With T(q, p)
-    = d(g^-1_q p)/dq, whose only nonzero row is q1's, A = I + half T(q0,
-    ph) is unit upper triangular, D = I - half T(q1, ph)^T unit lower
-    triangular and C = -half (g^-1(q0) + g^-1(q1)) diagonal, so
-    the pointwise elimination is M = D^-1 C A^-1 = diag(0, c1, c2) +
+def _m3_newton(pt0: _M3Point, dt: float):
+    """The O(N) reduced Newton solve of an M3 RATTLE step from the point
+    pt0 of q0.  With T(q, p) = d(g^-1_q p)/dq, whose only nonzero row is q1's,
+    A = I + half T(q0, ph) is unit upper triangular, D = I - half T(q1,
+    ph)^T unit lower triangular and C = -half (g^-1(q0) + g^-1(q1)) diagonal,
+    so the pointwise elimination is M = D^-1 C A^-1 = diag(0, c1, c2) +
     c0 (1, t1, t2)^T (1, -a1, -a2).  GW = J(q1) M (-dt/2) J(q0)^T has a
     cyclic tridiagonal derivative block (x^T M y for the trapezoid row
     vectors x of J(q1), y of J(q0) at samples k and k+1), the closedness
     columns J(q1) M C(q0)^T, rows J(q0) M^T C(q1)^T and a 2x2 corner.
     Products with DH are M3Jacobian's.  Returns (factor, lam -> DH(q0)^T
-    lam): factor(q1, ph) builds the matrix at the iterate (q1, ph) and
-    factors GW once (CyclicFactor), and returns solve(f1, f2, f3) -> (dq,
-    dph, dlam), where f1, f2 are (n, 3) and f3 (n+2,), or (n, 3, r) and
-    (n+2, r) for r right-hand sides at once."""
-    n = q0.shape[0]
-    dth = 2.0 * np.pi / n
+    lam): factor(pt1, ph) builds the matrix at the iterate (q1, ph), pt1
+    the point of q1, and factors GW once (CyclicFactor), and returns
+    solve(f1, f2, f3) -> (dq, dph, dlam), where f1, f2 are (n, 3) and f3
+    (n+2,), or (n, 3, r) and (n+2, r) for r right-hand sides at once."""
+    n = pt0.q.shape[0]
+    dth = pt0.dth
     half = 0.5 * dt * dth
     beta = -0.5 * dt
     e = 1.0 / dth
-    x0 = q0[:, 0]
-    gi0_1, gi0_2 = x0 ** -2, x0 ** 6
-    alpha1, alpha2 = -2.0 * half * x0 ** -3, 6.0 * half * x0 ** 5
-    jac0 = M3Jacobian(q0, dth)
+    gi0_1, gi0_2 = pt0.ginv[:, 1], pt0.ginv[:, 2]
+    alpha1, alpha2 = -2.0 * half * pt0.xm3, 6.0 * half * pt0.x5
+    jac0 = pt0.jac
     g1, g3 = 0.5 * jac0.gw1, 0.5 * jac0.gw3
     c0 = -0.5 * half                  # -half (1/4 + 1/4)
     gc0 = jac0.gc
 
-    def factor(q1, ph):
-        x1 = q1[:, 0]
+    def factor(pt1, ph):
         a1, a2 = alpha1 * ph[:, 1], alpha2 * ph[:, 2]
-        t1, t2 = -2.0 * half * x1 ** -3 * ph[:, 1], 6.0 * half * x1 ** 5 * ph[:, 2]
-        c1, c2 = -half * (gi0_1 + x1 ** -2), -half * (gi0_2 + x1 ** 6)
+        t1, t2 = -2.0 * half * pt1.xm3 * ph[:, 1], 6.0 * half * pt1.x5 * ph[:, 2]
+        c1, c2 = -half * (gi0_1 + pt1.ginv[:, 1]), -half * (gi0_2 + pt1.ginv[:, 2])
         # x^T M y at each sample for the row vectors x = (h1, +-e, h3) of
         # J(q1) and y = (g1, +-e, g3) of J(q0): + for row k at sample k,
         # - for row k-1 at sample k
-        jac1 = M3Jacobian(q1, dth)
+        jac1 = pt1.jac
         h1, h3 = 0.5 * jac1.gw1, 0.5 * jac1.gw3
         xs, xd = h1 + t2 * h3, e * t1
         ry, rd = g1 - a2 * g3, e * a1
@@ -309,34 +320,33 @@ def _m3_newton(q0: np.ndarray, dt: float):
     return factor, jac0.apply_t
 
 
-def _rattle_newton(state: HamiltonianState, dt: float, tol: float, max_iter: int,
-                   lam_guess: np.ndarray | None):
-    """The implicit part of a RATTLE step, solved by the simplified Newton
-    iteration (Hairer-Lubich-Wanner, Geometric Numerical Integration,
-    VII.1): the matrix is factored at the first iterate and kept, and
-    factored again at the current iterate only when the residual has not
-    fallen tenfold since the last iterate.  Returns the converged (q1, ph,
-    lam), the constraint rows H(q1), the residual history and the number
-    of factorizations."""
+def _rattle_newton(state: HamiltonianState, pt0: _M3Point, dt: float, tol: float,
+                   max_iter: int, lam_guess: np.ndarray | None):
+    """The implicit part of a RATTLE step from state at the point pt0,
+    solved by the simplified Newton iteration (Hairer-Lubich-Wanner,
+    Geometric Numerical Integration, VII.1): the matrix is factored at the
+    first iterate and kept, and factored again at the current iterate only
+    when the residual has not fallen tenfold since the last iterate.
+    Returns the converged (point of q1, ph, lam), the constraint rows
+    H(q1), the residual history and the number of factorizations."""
     mid, winding = state.metric_id, state.winding
-    dth = state.theta_step
     q0, p0 = state.q, state.p
-    n = q0.shape[0]
 
     ph = p0.copy()
-    q1 = q0 + dt * energy_grad_p(mid, q0, p0, dth)  # explicit predictor
-    lam = np.zeros(n + 2) if lam_guess is None else lam_guess.copy()
-    factor, jt0 = _m3_newton(q0, dt)
+    q1 = q0 + dt * _grad_p(pt0, p0)  # explicit predictor
+    lam = np.zeros(q0.shape[0] + 2) if lam_guess is None else lam_guess.copy()
+    factor, jt0 = _m3_newton(pt0, dt)
     solve, factorizations = None, 0
     history = []
     for it in range(max_iter):
-        if np.any(q1[:, 0] <= 0.0):
+        try:
+            pt1 = _M3Point(q1)
+        except NonPositive as exc:
             raise StepLeftDomain(
                 "position update reached q1 <= 0; use a smaller time step",
-                exit_time=state.t)
-        f1 = ph - p0 + 0.5 * dt * energy_grad_q(mid, q0, ph, dth) - 0.5 * dt * jt0(lam)
-        f2 = q1 - q0 - 0.5 * dt * (energy_grad_p(mid, q0, ph, dth)
-                                   + energy_grad_p(mid, q1, ph, dth))
+                exit_time=state.t) from exc
+        f1 = ph - p0 + 0.5 * dt * _grad_q(pt0, ph) - 0.5 * dt * jt0(lam)
+        f2 = q1 - q0 - 0.5 * dt * (_grad_p(pt0, ph) + _grad_p(pt1, ph))
         f3 = constraint_rows(mid, q1, winding)
         res = max(np.max(np.abs(f1)), np.max(np.abs(f2)), np.max(np.abs(f3)))
         history.append(res)
@@ -344,7 +354,7 @@ def _rattle_newton(state: HamiltonianState, dt: float, tol: float, max_iter: int
             break
         try:
             if solve is None or res > 0.1 * history[-2]:
-                solve, factorizations = factor(q1, ph), factorizations + 1
+                solve, factorizations = factor(pt1, ph), factorizations + 1
             dq, dph, dlam = solve(f1, f2, f3)
         except (np.linalg.LinAlgError, SingularSystem) as exc:
             raise NewtonDivergence("reduced Newton system is singular",
@@ -356,86 +366,77 @@ def _rattle_newton(state: HamiltonianState, dt: float, tol: float, max_iter: int
         raise NewtonDivergence(
             f"RATTLE Newton did not reach tol={tol:g} in {max_iter} iterations",
             history)
-    return q1, ph, lam, f3, history, factorizations
+    return pt1, ph, lam, f3, history, factorizations
 
 
-def _end_momentum(q1: np.ndarray, ph: np.ndarray, dt: float):
-    """The end of a step: the explicit momentum half-step from (q1, ph),
-    then _tangent_momentum."""
-    dth = 2.0 * np.pi / q1.shape[0]
-    return _tangent_momentum(q1, ph - 0.5 * dt * energy_grad_q(MetricId.M3, q1, ph, dth))
+def _end_momentum(pt1: _M3Point, ph: np.ndarray, dt: float):
+    """The end of a step at the point pt1: the explicit momentum half-step
+    from (q1, ph), then _tangent_momentum."""
+    return _tangent_momentum(pt1, ph - 0.5 * dt * _grad_q(pt1, ph))
 
 
-class _Step(NamedTuple):
-    """One RATTLE step as simulate keeps it: the tangent pass's
-    linearization point (lam, ph, mu), the diagnostics' H(q1) and DH(q1),
-    and the Newton record."""
-
-    state: HamiltonianState
-    lam: np.ndarray
-    ph: np.ndarray
-    mu: np.ndarray
-    rows: np.ndarray
-    jac: M3Jacobian
-    history: list
-    factorizations: int
-
-
-def _rattle_step(state: HamiltonianState, dt: float, tol: float = 1e-12,
-                 max_iter: int = 50, lam_guess: np.ndarray | None = None) -> _Step:
-    """rattle_step, also returning what simulate keeps of the step."""
-    q1, ph, lam, rows, history, factorizations = _rattle_newton(state, dt, tol, max_iter,
-                                                                lam_guess)
+def _rattle_step(state: HamiltonianState, pt0: _M3Point, dt: float, tol: float = 1e-12,
+                 max_iter: int = 50, lam_guess: np.ndarray | None = None):
+    """rattle_step from state at the point pt0, returning what simulate
+    keeps of the step: (end state, its point, lam, ph, mu), the last three
+    the tangent pass's linearization point, then H(q1), the Newton
+    residual history and the factorizations."""
+    pt1, ph, lam, rows, history, factorizations = _rattle_newton(state, pt0, dt, tol,
+                                                                 max_iter, lam_guess)
     try:
-        p1, mu, jac = _end_momentum(q1, ph, dt)[:3]
+        p1, mu = _end_momentum(pt1, ph, dt)
     except RankDeficiency as exc:
         raise NewtonDivergence("hidden-constraint system is singular",
                                history) from exc
-    return _Step(HamiltonianState(state.metric_id, q1, p1, state.t + dt, state.winding),
-                 lam, ph, mu, rows, jac, history, factorizations)
+    return (HamiltonianState(state.metric_id, pt1.q, p1, state.t + dt, state.winding),
+            pt1, lam, ph, mu, rows, history, factorizations)
 
 
 def rattle_step(state: HamiltonianState, dt: float, tol: float = 1e-12,
                 max_iter: int = 50, lam_guess: np.ndarray | None = None):
     """One RATTLE step.  Returns (new_state, lambda_1) so callers can warm
     start the next step's multiplier; the Newton solve is _m3_newton's."""
-    step = _rattle_step(state, dt, tol, max_iter, lam_guess)
-    return step.state, step.lam
+    new, _, lam = _rattle_step(state, _M3Point(state.q), dt, tol, max_iter, lam_guess)[:3]
+    return new, lam
 
 
-def _rattle_tangent(sim: SimulationResult, j: int, dt: float,
-                    dq0: np.ndarray, dp0: np.ndarray):
+def _rattle_tangent(sim: SimulationResult, j: int, dt: float, dq0: np.ndarray,
+                    dp0: np.ndarray, d_apply_t0=None):
     """The tangent-linear map on the columns (dq0, dp0), each (n, 3, r), of
-    step j of sim, simulate's trajectory with step dt: returns (dq1, dp1).
-    The step's stored ph, lambda_1, end momentum p1 and mu are the
-    linearization point.  The q0- and p0-derivatives of (f1, f2, f3) go
-    through one solve of the step's Newton matrix (_m3_newton) there; then
-    the explicit half-step and the projection p1 = p - A^T mu are
-    differentiated with A = DH(q1) moving, by one solve of the Gram
-    system."""
-    q0, q1, p1 = sim.qs[j], sim.qs[j + 1], sim.ps[j + 1]
+    step j of sim, simulate's trajectory with step dt: returns (dq1, dp1,
+    lam -> dDH(q1)[dq1]^T lam), the last the next step's d_apply_t0 (made
+    from dq0 if not given).  The step's stored ph, lambda_1, end momentum p1
+    and mu are the linearization point.  The q0- and p0-derivatives of (f1,
+    f2, f3) go through one solve of the step's Newton matrix (_m3_newton)
+    there, factored by the first pass and kept on sim; then the explicit
+    half-step and the projection p1 = p - A^T mu are differentiated with
+    A = DH(q1) moving, by one solve of the Gram system simulate factored."""
+    points, newton = sim._tape()
+    pt0, pt1 = points[j], points[j + 1]
+    q0, q1, p1 = pt0.q, pt1.q, sim.ps[j + 1]
     ph, lam, mu = sim._ph[j], sim._lam[j], sim._mu[j]
-    n = q0.shape[0]
-    dth = 2.0 * np.pi / n
-    factor, _ = _m3_newton(q0, dt)
+    n, dth = q0.shape[0], pt0.dth
+    if d_apply_t0 is None:
+        d_apply_t0 = _m3_jacobian_tangent(q0, dth, dq0)[1]
+    if newton[j] is None:
+        newton[j] = _m3_newton(pt0, dt)[0](pt1, ph)
     eq0, ep0 = _energy_grad_tangents(q0, ph, dth, dq0, np.zeros_like(dq0))
-    f1 = 0.5 * dt * (eq0 - _m3_jacobian_tangent(q0, dth, dq0)[1](lam)) - dp0
+    f1 = 0.5 * dt * (eq0 - d_apply_t0(lam)) - dp0
     # solve returns (dq, dph) with q1 + dq, ph - dph: here the tangent of
     # (q1, ph) is (dq, -dph)
-    dq1, du, _ = factor(q1, ph)(f1, -dq0 - 0.5 * dt * ep0,
-                                np.zeros((n + 2,) + dq0.shape[2:]))
+    dq1, du, _ = newton[j](f1, -dq0 - 0.5 * dt * ep0, np.zeros((n + 2,) + dq0.shape[2:]))
     eq1, _ = _energy_grad_tangents(q1, ph, dth, dq1, -du)
     dp1 = -du - 0.5 * dt * eq1
     # with v = dp - dA^T mu, A g^-1 A^T dmu = A (g^-1 v + dg^-1 p1) + dA g^-1 p1
     # and dp1 = v - A^T dmu
-    jac, ginv, gram = _m3_gram(q1, dth, closure=True)
+    jac, ginv, dx = pt1.jac, pt1.ginv, dq1[:, 0]
     d_apply, d_apply_t = _m3_jacobian_tangent(q1, dth, dq1)
     v = dp1 - d_apply_t(mu)
-    x, dx = q1[:, 0, None], dq1[:, 0]
-    dginv = np.stack([np.zeros_like(dx), -2.0 * x ** -3 * dx, 6.0 * x ** 5 * dx], axis=1)
-    dmu = gram(jac.apply(ginv[:, :, None] * v + dginv * p1[:, :, None])
-               + d_apply(ginv * p1))
-    return dq1, v - jac.apply_t(dmu)
+    dginv = np.stack([np.zeros_like(dx), -2.0 * pt1.xm3[:, None] * dx,
+                      6.0 * pt1.x5[:, None] * dx], axis=1)
+    dmu = _m3_gram(pt1)(jac.apply(ginv[:, :, None] * v + dginv * p1[:, :, None])
+                        + d_apply(ginv * p1))
+    return dq1, v - jac.apply_t(dmu), d_apply_t
 
 
 def _position_tangent(sim: SimulationResult, dt: float, dp0: np.ndarray) -> np.ndarray:
@@ -443,9 +444,9 @@ def _position_tangent(sim: SimulationResult, dt: float, dp0: np.ndarray) -> np.n
     with step dt, along the start momentum columns dp0 (n, 3, r), the start
     position held: the tangent-linear map of its stored steps, all columns
     at once."""
-    dq, dp = np.zeros_like(dp0), dp0
+    dq, dp, d_apply_t = np.zeros_like(dp0), dp0, None
     for j in range(len(sim._lam)):
-        dq, dp = _rattle_tangent(sim, j, dt, dq, dp)
+        dq, dp, d_apply_t = _rattle_tangent(sim, j, dt, dq, dp, d_apply_t)
     return dq
 
 
@@ -470,15 +471,39 @@ class SimulationResult:
     _ph: np.ndarray = field(repr=False)
     _lam: np.ndarray = field(repr=False)
     _mu: np.ndarray = field(repr=False)
+    # the tangent pass's tape (_tape): each snapshot's point (K+1) and
+    # each step's Newton solve (K, made by the first pass)
+    _points: list | None = field(default=None, repr=False)
+    _newton: list | None = field(default=None, repr=False)
 
     def _head(self, steps: int) -> SimulationResult:
         """The result of the first `steps` steps."""
         at, of = slice(steps + 1), slice(steps)
+        kept = self._points is not None
         return SimulationResult(self.times[at], self.qs[at], self.ps[at], self.energy[at],
                                 self.constraint_norm[at], self.hidden_norm[at],
                                 self.metric_id, self.winding, self.newton_iters[of],
                                 self.newton_residual[of], self.factorizations[of],
-                                self._ph[of], self._lam[of], self._mu[of])
+                                self._ph[of], self._lam[of], self._mu[of],
+                                self._points[at] if kept else None,
+                                self._newton[of] if kept else None)
+
+    def _tape(self):
+        """(points, newton) for the tangent pass: the shooting path of
+        simulate keeps them; for any other simulation they are made here,
+        on first use."""
+        if self._points is None:
+            self._points = [_M3Point(q) for q in self.qs]
+            self._newton = [None] * len(self._lam)
+        return self._points, self._newton
+
+    def _diagnosed(self) -> SimulationResult:
+        """self with each kept point's energy and hidden-constraint
+        residual, which simulate's shooting path leaves out."""
+        for j, pt in enumerate(self._points or ()):
+            st = HamiltonianState(self.metric_id, self.qs[j], self.ps[j])
+            self.energy[j], self.hidden_norm[j] = discrete_energy(st), _hidden_norm(pt, st.p)
+        return self
 
     def write_trajectory_csv(self, path) -> None:
         d = self.qs.shape[2]
@@ -498,9 +523,14 @@ class SimulationResult:
                    header="t,E,Hinf,hiddenNorm", comments="")
 
 
-def simulate(state: HamiltonianState, T: float, dt: float) -> SimulationResult:
+def simulate(state: HamiltonianState, T: float, dt: float, *,
+             _shooting: _M3Point | None = None) -> SimulationResult:
     """Integrate for round(T/dt) RATTLE steps with per-step diagnostics;
-    dt must be positive and round(T/dt) at least 1."""
+    dt must be positive and round(T/dt) at least 1.
+
+    _shooting, the point of state.q, is the shooting solver's private
+    path: the result keeps its tangent passes' tape, and leaves the energy
+    and hidden-constraint residual to _diagnosed, for the path returned."""
     if not (dt > 0 and np.isfinite(T / dt) and round(T / dt) >= 1):
         raise CurveflowError(f"simulate needs dt > 0 and at least one step, "
                              f"got T={T}, dt={dt}")
@@ -512,28 +542,29 @@ def simulate(state: HamiltonianState, T: float, dt: float) -> SimulationResult:
                            state.winding, np.empty(steps, int), np.empty(steps),
                            np.empty(steps, int), np.empty((steps, n, d)),
                            np.empty((steps, n + 2)), np.empty((steps, n + 2)))
+    if _shooting is not None:
+        sim._points, sim._newton = [], [None] * steps
 
-    def record(j, st, rows, jac):
-        """Snapshot j, with the state's constraint rows and DH(q)."""
+    def record(j, st, rows, pt):
+        """Snapshot j, with the state's constraint rows and point."""
         sim.qs[j], sim.ps[j] = st.q, st.p
-        sim.energy[j] = discrete_energy(st)
         sim.constraint_norm[j] = float(np.max(np.abs(rows)))
-        sim.hidden_norm[j] = _hidden_norm(st, jac)
+        if _shooting is None:
+            sim.energy[j], sim.hidden_norm[j] = discrete_energy(st), _hidden_norm(pt, st.p)
+        else:
+            sim._points.append(pt)
 
-    record(0, state, constraint_rows(state.metric_id, state.q, state.winding),
-           M3Jacobian(state.q, state.theta_step))
+    pt = _M3Point(state.q) if _shooting is None else _shooting
+    record(0, state, constraint_rows(state.metric_id, state.q, state.winding), pt)
     cur = state
     for j in range(steps):
         try:
-            step = _rattle_step(cur, dt, lam_guess=sim._lam[j - 1] if j else None)
+            cur, pt, sim._lam[j], sim._ph[j], sim._mu[j], rows, history, sim.factorizations[j] = \
+                _rattle_step(cur, pt, dt, lam_guess=sim._lam[j - 1] if j else None)
         except StepLeftDomain as exc:
             raise StepLeftDomain(
                 f"simulation left the domain at t={sim.times[j]:.6g}",
-                exit_time=float(sim.times[j]), partial=sim._head(j)) from exc
-        cur = step.state
-        sim._lam[j], sim._ph[j], sim._mu[j] = step.lam, step.ph, step.mu
-        sim.newton_iters[j] = len(step.history) - 1
-        sim.newton_residual[j] = step.history[-1]
-        sim.factorizations[j] = step.factorizations
-        record(j + 1, cur, step.rows, step.jac)
+                exit_time=float(sim.times[j]), partial=sim._head(j)._diagnosed()) from exc
+        sim.newton_iters[j], sim.newton_residual[j] = len(history) - 1, history[-1]
+        record(j + 1, cur, rows, pt)
     return sim

@@ -245,7 +245,7 @@ def _fourier_basis(n: int, modes: int) -> np.ndarray:
 def _consistent_momentum(q0: RPoint, qdot) -> np.ndarray:
     """The consistent M3 momentum at q0 nearest the transform velocity
     qdot (n, 3), or the momenta of r velocities (n, 3, r) at once."""
-    return _tangent_momentum(q0.q, g_apply(MetricId.M3, q0.q, qdot) / q0.theta_step)[0]
+    return _tangent_momentum(q0._m3, g_apply(MetricId.M3, q0.q, qdot) / q0.theta_step)[0]
 
 
 def _consistent_state(q0: RPoint, qdot) -> HamiltonianState:
@@ -287,23 +287,34 @@ def _shooting_maps(q0: RPoint, target: RPoint, T: float, steps: int):
     the momenta of the unit xi (xi = I, one pass), which the tangent-linear
     RATTLE map (_position_tangent) carries to the end together along the
     residual's own stored trajectory; the projection and the weights are
-    linear."""
+    linear.  A basis that grows keeps its old functions first, so a pass
+    over the last pass's simulation carries only the new columns."""
     tau = trapezoid_weights(q0.n_samples, True)
     w = np.sqrt(np.stack([4.0 * np.ones_like(tau), target.q[:, 0] ** 2,
                           target.q[:, 0] ** -6], axis=1)
                 * (tau * q0.theta_step)[:, None])
-    momenta = {}      # the unit-xi momenta of each basis size
+    momenta = {}              # the unit-xi momenta of each basis size
+    last = [None, None]       # the last pass: its simulation and position tangents
 
     def residual(xi, basis):
-        sim = simulate(_consistent_state(q0, _shooting_velocity(q0, xi, basis)), T, T / steps)
+        sim = simulate(_consistent_state(q0, _shooting_velocity(q0, xi, basis)), T, T / steps,
+                       _shooting=q0._m3)
         return (project_image(target, sim.qs[-1] - target.q) * w).ravel(), sim
 
     def jacobian(sim, basis):
-        r = 2 * basis.shape[1]
-        if r not in momenta:
-            momenta[r] = _consistent_momentum(q0, _shooting_velocity(q0, np.eye(r), basis))
-        dq = _position_tangent(sim, T / steps, momenta[r])
-        return (project_image(target, dq) * w[..., None]).reshape(-1, r)
+        nb = basis.shape[1]
+        if nb not in momenta:
+            momenta[nb] = _consistent_momentum(q0, _shooting_velocity(q0, np.eye(2 * nb), basis))
+        dq, held = np.empty(q0.q.shape + (2 * nb,)), np.zeros(2 * nb, bool)
+        if last[0] is sim:
+            nb0 = last[1].shape[-1] // 2
+            held[:nb0] = held[nb:nb + nb0] = True
+            dq[..., held] = last[1]
+        # take gives C-ordered columns, carried bit for bit as in a full pass
+        dq[..., ~held] = _position_tangent(sim, T / steps,
+                                           momenta[nb].take(np.flatnonzero(~held), -1))
+        last[:] = sim, dq
+        return (project_image(target, dq) * w[..., None]).reshape(-1, 2 * nb)
 
     return residual, jacobian
 
@@ -325,9 +336,13 @@ def _bvp_shooting(c0, c1, K, T, dt, modes, tol, max_iter) -> GeodesicPath:
     fails is rejected like one that does not decrease the residual.
     On a stall the mode count grows by 4, up to 24, and the solve goes on
     from the same residual and trajectory (zero-padded, xi is the same
-    velocity);
+    velocity): the old basis is the first columns of the new one, so the
+    tangent pass over that trajectory carries only the new columns, on the
+    factorizations its first pass made;
     a stall at 24 modes, like running out of iterations, ends the solve, and
     a best path that misses the tolerance is raised in a ShootingStall.
+    The path's "length" is the transform-space length of the simulation,
+    a chord per RATTLE step.
     """
     for name, value in (("dt", dt), ("tol", tol)):
         _require(np.isfinite(value) and value > 0,
@@ -397,9 +412,9 @@ def _bvp_shooting(c0, c1, K, T, dt, modes, tol, max_iter) -> GeodesicPath:
                                  xi[old_nb:], np.zeros(pad)])
             lam = 1e-3
     rn, xi, basis, sim = best
-    path = _path_from_simulation(sim, len(sim.times) - 1, K)
+    path = _path_from_simulation(sim._diagnosed(), len(sim.times) - 1, K)
     path.diagnostics.update(endpoint_mismatch=rn, mismatch_scale=scale,
-                            modes=(basis.shape[1] - 1) // 2)
+                            modes=(basis.shape[1] - 1) // 2, length=_rspace_length(sim.qs))
     if rn > tol * scale:
         raise ShootingStall("shooting did not reach tolerance",
                             best_path=path, residual=rn)
@@ -530,21 +545,17 @@ def distance(metric_id, c0: DiscreteCurve, c1: DiscreteCurve,
         bounds["pointwise_integral"] = _l2(dist2_lower_bound(qa.q, qb.q), c0.closed)
         return DistanceResult(_l2(lengths, c0.closed), bounds, {"fiber_lengths": lengths})
     if metric_id is MetricId.M3:
-        path = geodesic_bvp(MetricId.M3, c0, c1, K=5, **options)
-        val = _rspace_path_length(path)
-        return DistanceResult(val, {}, {"endpoint_mismatch":
-                                        path.diagnostics["endpoint_mismatch"]})
+        diag = geodesic_bvp(MetricId.M3, c0, c1, K=5, **options).diagnostics
+        return DistanceResult(diag["length"], {}, {"endpoint_mismatch": diag["endpoint_mismatch"]})
     raise CurveflowError("no distance solver for the full H2 transform (M4)")
 
 
-def _rspace_path_length(path: GeodesicPath) -> float:
-    qs = path.diagnostics["rspace"]
-    times = np.asarray(path.times)
+def _rspace_length(qs) -> float:
+    """The M3 transform-space length of the polygon through the points qs,
+    each chord measured at its midpoint."""
     total = 0.0
-    for j in range(len(times) - 1):
-        mid = 0.5 * (qs[j] + qs[j + 1])
-        dq = qs[j + 1] - qs[j]
-        total += np.sqrt(weighted_inner(MetricId.M3, mid, dq, dq, True))
+    for a, b in zip(qs[:-1], qs[1:]):
+        total += np.sqrt(weighted_inner(MetricId.M3, 0.5 * (a + b), b - a, b - a, True))
     return float(total)
 
 

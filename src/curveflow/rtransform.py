@@ -27,9 +27,11 @@ dense DH is built), their derivative along a tangent of q
 (_m3_jacobian_tangent, for the tangent-linear RATTLE step), the Gram solve
 of A g^-1 A^T (_m3_gram) and the L2(g) projection P onto the M3 tangent
 space (_project_op_m3).  The M4 rows are geometry only: no solver here
-differentiates them.  project_image and tangent_from_free use P; the
-consistent momentum and the RATTLE lambda_2 step take p -> g P(g^-1 p) =
-p - A^T mu from _m3_gram (constrained_hamiltonian._tangent_momentum).  One
+differentiates them.  Each M3 point is built once (_M3Point: g^-1, DH and
+its Gram factors; an RPoint keeps its own) and handed to every solve at
+it.  project_image and tangent_from_free use P; the consistent momentum
+and the RATTLE lambda_2 step take p -> g P(g^-1 p) = p - A^T mu from
+_m3_gram (constrained_hamiltonian._tangent_momentum).  One
 solver serves every "cyclic banded + low-rank border" system - P, the
 RATTLE Newton step, the periodic elliptic solve and the horizontal
 projection: CyclicFactor factors [[A, cols], [rows, corner]] once (A
@@ -42,6 +44,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -51,7 +54,7 @@ from .curve_core import (CurveFrame, DiscreteCurve, build_frame, ds_derivative, 
                          trapezoid_weights)
 from .errors import BadInput, CurveflowError, NonPositive, OffImage, SingularSystem
 from .metric_suite import MetricId, _require_convex
-from .pointwise_geometry import g_eval, g_inv
+from .pointwise_geometry import _g_inv_diag, g_eval, g_inv
 
 
 @dataclass(frozen=True)
@@ -83,6 +86,11 @@ class RPoint:
 
     def with_q(self, q) -> "RPoint":
         return RPoint(self.metric_id, q, self.closed, self.winding)
+
+    @cached_property
+    def _m3(self) -> "_M3Point":
+        """The record of q as a closed M3 grid point, built on first use."""
+        return _M3Point(self.q)
 
 
 @dataclass(frozen=True)
@@ -544,40 +552,60 @@ def elliptic_solve(a, b, f, dtheta: float) -> np.ndarray:
 
 # -- orthogonal projection onto the image tangent space ----------------------
 
-def _m3_gram(q: np.ndarray, dth: float, closure: bool):
-    """(jac, ginv, solve) at q: the M3Jacobian, the diagonal M3 g^-1 (n, 3)
-    and solve(rhs) = (A g^-1 A^T)^-1 rhs for rhs (n+2,) or (n+2, r), where
-    A is the trapezoid derivative rows J bordered by the closedness rows C
-    if closure is set (else the closedness multipliers are 0).
-    A g^-1 A^T is the cyclic tridiagonal J g^-1 J^T (gram_bands) bordered
-    by J g^-1 C^T, its transpose and C g^-1 C^T: one CyclicFactor, made
-    here and shared by every solve."""
-    n = q.shape[0]
-    ginv = g_inv(MetricId.M3, q, np.ones_like(q))
-    jac = M3Jacobian(q, dth)
+class _M3Point:
+    """One point q of a closed M3 grid, built once and handed along: the
+    diagonal g^-1 (n, 3) and the powers x^-3, x^5 of x = q1 that the RATTLE
+    Newton step reads, DH(q) (jac, made on first use) and the Gram solves
+    of _m3_gram, kept in grams.  q1 > 0 is checked here, once per point."""
+
+    def __init__(self, q: np.ndarray):
+        x = q[:, 0]
+        if np.any(x <= 0.0):
+            raise NonPositive(f"M3: q1 must be positive (min {np.min(x):.3e})")
+        self.q, self.dth = q, 2.0 * np.pi / q.shape[0]
+        self.ginv = _g_inv_diag(MetricId.M3, q)
+        self.xm3, self.x5 = x ** -3, x ** 5
+        self.grams = {}
+
+    @cached_property
+    def jac(self) -> M3Jacobian:
+        return M3Jacobian(self.q, self.dth)
+
+
+def _m3_gram(pt: _M3Point, closure: bool = True):
+    """solve(rhs) = (A g^-1 A^T)^-1 rhs at the point pt for rhs (n+2,) or
+    (n+2, r), where A is the trapezoid derivative rows J bordered by the
+    closedness rows C if closure is set (else the closedness multipliers
+    are 0).  A g^-1 A^T is the cyclic tridiagonal J g^-1 J^T (gram_bands)
+    bordered by J g^-1 C^T, its transpose and C g^-1 C^T: one
+    CyclicFactor, made on the first call and kept on pt for every solve
+    after it."""
+    if closure in pt.grams:
+        return pt.grams[closure]
+    n, jac, ginv = pt.q.shape[0], pt.jac, pt.ginv
     bands = jac.gram_bands(ginv)
     if closure:
-        border = np.zeros(q.shape + (2,))                      # g^-1 C^T
+        border = np.zeros(pt.q.shape + (2,))                   # g^-1 C^T
         border[:, :2] = ginv[:, :2, None] * jac.gc.transpose(2, 1, 0)
         ab = jac.apply(border)
-        return jac, ginv, CyclicFactor(bands, ab[:n], ab[:n].T, ab[n:]).solve
-    factor = CyclicFactor(bands)
+        solve = CyclicFactor(bands, ab[:n], ab[:n].T, ab[n:]).solve
+    else:
+        factor = CyclicFactor(bands)
 
-    def solve(rhs):
-        return np.concatenate([factor.solve(rhs[:n]), np.zeros((2,) + rhs.shape[1:])])
-    return jac, ginv, solve
+        def solve(rhs):
+            return np.concatenate([factor.solve(rhs[:n]), np.zeros((2,) + rhs.shape[1:])])
+    pt.grams[closure] = solve
+    return solve
 
 
-def _project_op_m3(q: np.ndarray, h: np.ndarray, dth: float,
-                   closure: bool = False) -> np.ndarray:
-    """Exact discrete L2(g)-orthogonal projection onto {A k = 0}: k = h -
-    g^-1 A^T mu with (A g^-1 A^T) mu = A h, where A is the trapezoid
-    derivative rows J of M3Jacobian, bordered by its closedness rows C if
-    closure is set, and g^-1 is the M3 metric's diagonal (_m3_gram).  h is
-    (n, 3), or (n, 3, r) for r fields at once."""
-    jac, ginv, solve = _m3_gram(q, dth, closure)
-    lam = solve(jac.apply(h))
-    return h - ginv.reshape(ginv.shape + (1,) * (h.ndim - 2)) * jac.apply_t(lam)
+def _project_op_m3(pt: _M3Point, h: np.ndarray, closure: bool = False) -> np.ndarray:
+    """Exact discrete L2(g)-orthogonal projection onto {A k = 0} at the
+    point pt: k = h - g^-1 A^T mu with (A g^-1 A^T) mu = A h, where A is the
+    trapezoid derivative rows J of M3Jacobian, bordered by its closedness
+    rows C if closure is set, and g^-1 is the M3 metric's diagonal
+    (_m3_gram).  h is (n, 3), or (n, 3, r) for r fields at once."""
+    lam = _m3_gram(pt, closure)(pt.jac.apply(h))
+    return h - pt.ginv.reshape(pt.ginv.shape + (1,) * (h.ndim - 2)) * pt.jac.apply_t(lam)
 
 
 def _remove_span(metric_id, q, closed, h, basis):
@@ -620,7 +648,7 @@ def project_image(rpoint: RPoint, h, image_tol: float = 1e-3) -> np.ndarray:
         raise OffImage("derivative constraint residual too large")
     h = np.asarray(h, dtype=float)
     if metric_id is MetricId.M3:
-        return _project_op_m3(rpoint.q, h, rpoint.theta_step, closure=True)
+        return _project_op_m3(rpoint._m3, h, closure=True)
     return _remove_span(metric_id, rpoint.q, rpoint.closed, h,
                         constraint_gradients(rpoint))
 
@@ -638,7 +666,7 @@ def tangent_from_free(rpoint: RPoint, k1: np.ndarray, k2: np.ndarray) -> np.ndar
     dth = rpoint.theta_step
     sl = (slice(None),) + (None,) * (np.ndim(k1) - 1)
     k3 = (2.0 * q[:, 2] / q[:, 0])[sl] * k1 + (q[:, 0] ** 2)[sl] * _forward_diff(k2, dth, True)
-    return _project_op_m3(q, np.stack([k1, k2, k3], axis=1), dth)
+    return _project_op_m3(rpoint._m3, np.stack([k1, k2, k3], axis=1))
 
 
 # -- file format ------------------------------------------------------------

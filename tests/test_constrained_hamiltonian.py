@@ -58,12 +58,14 @@ def d_ginvp_dq(q, p):
     return T
 
 
-def dense_m3_newton(q0, dt):
+def dense_m3_newton(pt0, dt):
     """The reduced Newton solve of an M3 RATTLE step with dense per-sample
     3 x 3 blocks and the dense DH of m3_jacobian_rows: A^-1 and D^-1 by
     batched solves, GW = G(q1) D^-1 C A^-1 (-dt/2) G(q0)^T and a dense
     solve for the multipliers.  The reference for ch._m3_newton, with its
-    signature and return pair: factor(q1, ph) -> solve(f1, f2, f3)."""
+    signature and return pair: factor(pt1, ph) -> solve(f1, f2, f3), the
+    points pt0, pt1 read only for their q."""
+    q0 = pt0.q
     n = q0.shape[0]
     half = 0.5 * dt * 2 * np.pi / n
     eye = np.eye(3)
@@ -74,8 +76,8 @@ def dense_m3_newton(q0, dt):
     jac0_t = m3_jacobian_rows(q0).reshape(n + 2, n, 3).transpose(1, 2, 0)
     B = -0.5 * dt * jac0_t
 
-    def factor(q1, ph):
-        return lambda f1, f2, f3: solve(q1, ph, f1, f2, f3)
+    def factor(pt1, ph):
+        return lambda f1, f2, f3: solve(pt1.q, ph, f1, f2, f3)
 
     def solve(q1, ph, f1, f2, f3):
         A = eye + half * d_ginvp_dq(q0, ph)
@@ -104,7 +106,7 @@ def exact_newton_step(state, dt, tol=1e-12, max_iter=50, lam_guess=None):
     q0, p0 = state.q, state.p
     ph, q1 = p0.copy(), q0 + dt * ch.energy_grad_p(mid, q0, p0, dth)
     lam = np.zeros(q0.shape[0] + 2) if lam_guess is None else lam_guess.copy()
-    factor, jt0 = ch._m3_newton(q0, dt)
+    factor, jt0 = ch._m3_newton(rt._M3Point(q0), dt)
     history = []
     for _ in range(max_iter):
         f1 = ph - p0 + 0.5 * dt * ch.energy_grad_q(mid, q0, ph, dth) - 0.5 * dt * jt0(lam)
@@ -114,11 +116,11 @@ def exact_newton_step(state, dt, tol=1e-12, max_iter=50, lam_guess=None):
         history.append(max(np.abs(f1).max(), np.abs(f2).max(), np.abs(f3).max()))
         if history[-1] < tol:
             break
-        dq, dph, dlam = factor(q1, ph)(f1, f2, f3)
+        dq, dph, dlam = factor(rt._M3Point(q1), ph)(f1, f2, f3)
         q1, ph, lam = q1 + dq, ph - dph, lam + dlam
     else:
         raise NewtonDivergence("exact Newton reference did not converge", history)
-    p1 = ch._end_momentum(q1, ph, dt)[0]
+    p1 = ch._end_momentum(rt._M3Point(q1), ph, dt)[0]
     return ch.HamiltonianState(mid, q1, p1, state.t + dt, winding), lam
 
 
@@ -316,11 +318,12 @@ def test_rattle_tangent_matches_central_differences():
         for state in (circle_state(n), wavy):
             dq0, dp0 = rng.standard_normal((2, n, 3, 3))
             sim = ch.simulate(state, 1e-2, 1e-2)
-            dq1, dp1 = ch._rattle_tangent(sim, 0, 1e-2, dq0, dp0)
+            dq1, dp1 = ch._rattle_tangent(sim, 0, 1e-2, dq0, dp0)[:2]
             ref, lam_ref = ch.rattle_step(state, 1e-2)
             assert np.array_equal(sim.qs[1], ref.q) and np.array_equal(sim._lam[0], lam_ref)
             assert np.array_equal(sim.ps[1], ref.p)
-            assert np.array_equal(sim._mu[0], ch._end_momentum(sim.qs[1], sim._ph[0], 1e-2)[1])
+            assert np.array_equal(sim._mu[0],
+                                  ch._end_momentum(rt._M3Point(sim.qs[1]), sim._ph[0], 1e-2)[1])
             for j in range(3):
                 moved = [ch.rattle_step(ch.HamiltonianState(
                     "M3", state.q + s * dq0[..., j], state.p + s * dp0[..., j],
@@ -477,7 +480,9 @@ def test_step_left_domain():
 
 def test_step_left_domain_partial_keeps_step_arrays():
     # the partial result carries each completed step's ph, lambda_1, mu
-    # and Newton record, one per step between its times
+    # and Newton record, one per step between its times; a shooting
+    # simulation's partial also its points (one per snapshot) and Newton
+    # factor slots (one per step), with the diagnostics it otherwise defers
     st = circle_state(48)
     bad = ch.HamiltonianState("M3", st.q, st.p - [160.0, 0.0, 0.0], 0.0, st.winding)
     with pytest.raises(StepLeftDomain) as exc:
@@ -489,11 +494,20 @@ def test_step_left_domain_partial_keeps_step_arrays():
     assert part._lam.shape == part._mu.shape == (steps, 50)
     assert part.newton_iters.shape == part.newton_residual.shape == (steps,)
     assert part.factorizations.shape == (steps,)
+    assert part._points is None and part._newton is None
     full = ch.simulate(bad, steps * 5e-2, 5e-2)
     for name in ("_ph", "_lam", "_mu", "newton_iters", "newton_residual", "factorizations"):
         assert np.array_equal(getattr(part, name), getattr(full, name))
     assert np.all(part.newton_iters >= 1) and np.all(part.newton_residual < 1e-12)
     assert np.all(part.factorizations >= 1)
+    with pytest.raises(StepLeftDomain) as exc:
+        ch.simulate(bad, 1.0, 5e-2, _shooting=rt._M3Point(bad.q))
+    shot = exc.value.partial
+    assert len(shot._points) == steps + 1 and shot._newton == [None] * steps
+    assert all(np.array_equal(pt.q, q) for pt, q in zip(shot._points, shot.qs))
+    for name in ("qs", "ps", "energy", "constraint_norm", "hidden_norm", "_ph", "_lam", "_mu",
+                 "newton_iters", "newton_residual", "factorizations"):
+        assert np.array_equal(getattr(shot, name), getattr(part, name))
 
 
 def test_newton_divergence_reports_history():

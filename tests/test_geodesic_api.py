@@ -9,6 +9,7 @@ from curveflow import curve_core as cc
 from curveflow import geodesic_api as ga
 from curveflow import metric_suite as ms
 from curveflow import pointwise_geometry as pg
+from curveflow import rtransform as rt
 from curveflow.errors import (BadInput, CurveflowError, DomainExit, ShootingStall,
                               SingularVerticalOperator, StepLeftDomain)
 
@@ -247,33 +248,87 @@ def test_unit_momenta_match_single_columns(n):
 
 def test_shooting_tangent_passes_make_no_newton_iteration(monkeypatch):
     # the Jacobian linearizes the residual's stored trajectory: no RATTLE
-    # Newton loop runs inside a tangent pass
+    # Newton loop runs inside a tangent pass.  And each M3 point is built
+    # once: one DH (M3Jacobian) per distinct q, no Gram system factored
+    # twice and none in a tangent pass, whose Newton factors are the only
+    # ones it makes; the pass after the basis grows from 4 to 8 modes runs
+    # over the same simulation, carries only the 16 new columns and
+    # factors nothing
     n = 32
     th = (2 * np.pi / n) * np.arange(n)
     c1 = cc.DiscreteCurve(np.stack([1.15 * np.cos(th), 0.87 * np.sin(th)], 1), True)
     newton, tangent = ch._rattle_newton, ga._position_tangent
     calls = {"newton": 0, "inside": 0, "passes": 0}
-    inside = []
+    inside, passes, points, made = [], [], [], []
 
     def counted_newton(*args, **kwargs):
         calls["newton"] += 1
         calls["inside"] += bool(inside)
         return newton(*args, **kwargs)
 
-    def counted_tangent(*args, **kwargs):
+    def counted_tangent(sim, dt, dp0):
         calls["passes"] += 1
         inside.append(1)
+        start = len(made)
         try:
-            return tangent(*args, **kwargs)
+            return tangent(sim, dt, dp0)
         finally:
             inside.pop()
+            passes.append((sim, dp0.shape[-1], made[start:]))
+
+    def counted(kind, cls):
+        class Counted(cls):
+            def __init__(self, bands, *border):
+                made.append((kind, bands.tobytes(), len(border)))
+                super().__init__(bands, *border)
+        return Counted
+    jacobian = rt.M3Jacobian.__init__
+
+    def counted_jacobian(self, q, dth):
+        points.append(q.tobytes())
+        jacobian(self, q, dth)
     monkeypatch.setattr(ch, "_rattle_newton", counted_newton)
     monkeypatch.setattr(ga, "_position_tangent", counted_tangent)
+    monkeypatch.setattr(rt, "CyclicFactor", counted("gram", rt.CyclicFactor))
+    monkeypatch.setattr(ch, "CyclicFactor", counted("newton", ch.CyclicFactor))
+    monkeypatch.setattr(rt.M3Jacobian, "__init__", counted_jacobian)
     ga.geodesic_bvp("M3", circle(n), c1, K=5, T=1.0, dt=0.05, modes=4, tol=5e-3,
                     max_iter=25)
     assert calls["passes"] == 4
     assert calls["inside"] == 0
     assert calls["newton"] == 4 * 20      # 4 simulate calls of 20 steps
+    assert len(points) == len(set(points))
+    grams = [key for key in made if key[0] == "gram"]
+    assert grams and len(grams) == len(set(grams))
+    for j, (sim, columns, factored) in enumerate(passes):
+        if j and sim is passes[j - 1][0]:
+            assert (columns, factored) == (2 * 17 - 2 * 9, [])
+        else:
+            assert [kind for kind, *_ in factored] == ["newton"] * 20
+    assert sum(j and sim is passes[j - 1][0] for j, (sim, *_) in enumerate(passes)) == 1
+
+
+def test_ivp_simulation_keeps_no_step_factors(monkeypatch):
+    # only a shooting simulation keeps its points and factors for the
+    # tangent pass; the simulation of an initial value solve keeps none
+    n = 32
+    th = (2 * np.pi / n) * np.arange(n)
+    sims, simulate = [], ga.simulate
+
+    def kept(*args, **kwargs):
+        sims.append(simulate(*args, **kwargs))
+        return sims[-1]
+    monkeypatch.setattr(ga, "simulate", kept)
+    ga.geodesic_ivp("M3", circle(n), np.stack([np.zeros(n), np.sin(th)], 1), 0.1,
+                    steps=10, snapshots=3)
+    c1 = cc.DiscreteCurve(np.stack([1.15 * np.cos(th), 0.87 * np.sin(th)], 1), True)
+    residual = ga._shooting_maps(*ga._shooting_endpoints(circle(n), c1), 1.0, 20)[0]
+    residual(np.zeros(18), ga._fourier_basis(n, 4))
+    ivp, shot = sims
+    assert ivp._points is None and ivp._newton is None
+    assert not any(isinstance(v, (list, rt._M3Point)) for v in vars(ivp).values())
+    assert len(shot._points) == 21 and len(shot._newton) == 20
+    assert all(isinstance(pt, rt._M3Point) for pt in shot._points)
 
 
 def test_failed_trial_step_is_rejected(monkeypatch):
@@ -303,6 +358,21 @@ def test_failed_trial_step_is_rejected(monkeypatch):
     assert np.abs(path.curves[0].points - cc.center(circle(n)).points).max() < 1e-2
 
 
+def test_m3_distance_sums_a_chord_per_step():
+    # M3 distance measures the simulation it solved by a chord per RATTLE
+    # step: the chord sum of the K = 21 path, all 20 steps, well within the
+    # shooting tol; the K = 5 snapshots it used to sum miss it by 7e-5
+    n = 32
+    th = (2 * np.pi / n) * np.arange(n)
+    c1 = cc.DiscreteCurve(np.stack([1.15 * np.cos(th), 0.87 * np.sin(th)], 1), True)
+    options = dict(T=1.0, dt=0.05, modes=4, tol=5e-3, max_iter=25)
+    d = ga.distance("M3", circle(n), c1, **options).value
+    qs = ga.geodesic_bvp("M3", circle(n), c1, K=21, **options).diagnostics["rspace"]
+    every_step = ga._rspace_length(qs)
+    assert abs(d - every_step) <= 1e-9 * every_step
+    assert abs(ga._rspace_length(qs[::5]) - every_step) > 1e-5 * every_step
+
+
 def test_m3_shooting_cost_is_rotation_invariant(monkeypatch):
     # the metric is rotation invariant; so must the solve's path be, not
     # only its answer: no Levenberg-Marquardt step is bought for a model
@@ -329,7 +399,7 @@ def test_m3_shooting_cost_is_rotation_invariant(monkeypatch):
         path = ga.geodesic_bvp("M3", c0, c1, K=5, T=1.0, dt=0.05, modes=4,
                                tol=5e-3, max_iter=25)
         counts.append(len(calls))
-        lengths.append(ga._rspace_path_length(path))
+        lengths.append(ga._rspace_length(path.diagnostics["rspace"]))
     assert counts == [4, 4, 4]
     assert lengths[0] == pytest.approx(lengths[1], rel=1e-6)
     assert lengths[0] == pytest.approx(lengths[2], rel=1e-6)

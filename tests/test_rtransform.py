@@ -247,7 +247,7 @@ def test_project_image_m3_oracles():
         assert abs(rt.weighted_inner("M3", rp.q, g, k, True)) < 1e-9
     # (c) h - k is orthogonal to 50 random tangent fields
     grads = rt.constraint_gradients(rp)
-    basis = [rt._project_op_m3(rp.q, g, rp.theta_step) for g in grads]
+    basis = [rt._project_op_m3(rp._m3, g) for g in grads]
     gram = np.array([[rt.weighted_inner("M3", rp.q, a, b, True)
                       for b in basis] for a in basis])
     for s in range(50):
@@ -275,7 +275,7 @@ def test_project_image_idempotent_selfadjoint():
     t = rt.tangent_from_free(rp, np.cos(2 * np.pi * np.arange(96) / 96),
                              np.sin(4 * np.pi * np.arange(96) / 96))
     grads = rt.constraint_gradients(rp)
-    basis = [rt._project_op_m3(rp.q, g, rp.theta_step) for g in grads]
+    basis = [rt._project_op_m3(rp._m3, g) for g in grads]
     gram = np.array([[rt.weighted_inner("M3", rp.q, a_, b_, True)
                       for b_ in basis] for a_ in basis])
     beta = np.linalg.solve(gram, [rt.weighted_inner("M3", rp.q, t, b_, True)
