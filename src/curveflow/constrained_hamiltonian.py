@@ -31,7 +31,8 @@ its diagonal (_m3_newton).  The iteration is simplified Newton
 matrix factored at the first iterate is reused, and factored again only
 when the residual has not fallen tenfold.  simulate keeps each step's
 Newton iterations, final residual and factorizations.  Each point is built
-once (rtransform._M3Point): a step's end point is the next one's start.
+once (rtransform._M3Point, which holds g^-1 and its q1-derivatives): a
+step's end point is the next one's start.
 
 The tangent pass (_rattle_tangent, _position_tangent) differentiates the
 discrete step, not the ODE, so it gives the exact derivative of the
@@ -46,8 +47,8 @@ factored at that point, the exact Jacobian of (f1, f2, f3).  The explicit
 half-step is differentiated directly, and the hidden-constraint
 projection p1 - DH(q1)^T mu (p1 and mu stored, the operator moving with
 q1) by one solve of the Gram system that simulate's step factored at q1.
-The shooting solver's simulations keep their points and, from the first
-pass on, each step's Newton factor, so a second pass factors nothing.
+The pass runs on the shooting solver's simulations, which keep their
+points and, from the first pass on, each step's Newton factor.
 rattle_step and project_consistent take p1 - DH^T mu from one helper
 (_tangent_momentum), so the trajectory the pass linearizes is
 simulate's, bit for bit.
@@ -151,23 +152,19 @@ def _grad_p(pt: _M3Point, p: np.ndarray) -> np.ndarray:
 def _grad_q(pt: _M3Point, p: np.ndarray) -> np.ndarray:
     """energy_grad_q at the M3 point pt: only its q1 row is nonzero."""
     out = np.zeros_like(p)
-    out[:, 0] = -2.0 * pt.xm3 * p[:, 1] ** 2 + 6.0 * pt.x5 * p[:, 2] ** 2
+    out[:, 0] = pt.dginv[:, 1] * p[:, 1] ** 2 + pt.dginv[:, 2] * p[:, 2] ** 2
     return 0.5 * out * pt.dth
 
 
-def _energy_grad_tangents(q, p, dtheta, dq, dp):
-    """The derivatives of energy_grad_q and energy_grad_p (M3) at (q, p)
-    along the columns (dq, dp), each (n, 3, r).  dE/dq = dtheta (-q1^-3
-    p2^2 + 3 q1^5 p3^2, 0, 0) and dE/dp = dtheta (p1/4, q1^-2 p2, q1^6 p3)
-    vary with q through q1 only."""
-    x, p2, p3 = q[:, 0, None], p[:, 1, None], p[:, 2, None]
-    dx = dq[:, 0]
+def _energy_grad_tangents(pt: _M3Point, p, dq, dp):
+    """The derivatives of _grad_q and _grad_p at (pt, p) along the columns
+    (dq, dp), each (n, 3, r), from the point's q1-derivatives dginv and
+    d2ginv of g^-1: q1 is the only part of q they depend on."""
+    ps, dx = p[:, :, None], dq[:, :1]
     eq = np.zeros_like(dq)
-    eq[:, 0] = dtheta * ((3.0 * x ** -4 * p2 ** 2 + 15.0 * x ** 4 * p3 ** 2) * dx
-                         - 2.0 * x ** -3 * p2 * dp[:, 1] + 6.0 * x ** 5 * p3 * dp[:, 2])
-    ep = dtheta * np.stack([0.25 * dp[:, 0], x ** -2 * dp[:, 1] - 2.0 * x ** -3 * p2 * dx,
-                            x ** 6 * dp[:, 2] + 6.0 * x ** 5 * p3 * dx], axis=1)
-    return eq, ep
+    eq[:, 0] = pt.dth * np.sum(0.5 * pt.d2ginv[:, :, None] * ps ** 2 * dx
+                               + pt.dginv[:, :, None] * ps * dp, axis=1)
+    return eq, pt.dth * (pt.ginv[:, :, None] * dp + pt.dginv[:, :, None] * ps * dx)
 
 
 # -- consistency --------------------------------------------------------------
@@ -266,15 +263,14 @@ def _m3_newton(pt0: _M3Point, dt: float):
     beta = -0.5 * dt
     e = 1.0 / dth
     gi0_1, gi0_2 = pt0.ginv[:, 1], pt0.ginv[:, 2]
-    alpha1, alpha2 = -2.0 * half * pt0.xm3, 6.0 * half * pt0.x5
     jac0 = pt0.jac
     g1, g3 = 0.5 * jac0.gw1, 0.5 * jac0.gw3
     c0 = -0.5 * half                  # -half (1/4 + 1/4)
     gc0 = jac0.gc
 
     def factor(pt1, ph):
-        a1, a2 = alpha1 * ph[:, 1], alpha2 * ph[:, 2]
-        t1, t2 = -2.0 * half * pt1.xm3 * ph[:, 1], 6.0 * half * pt1.x5 * ph[:, 2]
+        a1, a2 = half * pt0.dginv[:, 1] * ph[:, 1], half * pt0.dginv[:, 2] * ph[:, 2]
+        t1, t2 = half * pt1.dginv[:, 1] * ph[:, 1], half * pt1.dginv[:, 2] * ph[:, 2]
         c1, c2 = -half * (gi0_1 + pt1.ginv[:, 1]), -half * (gi0_2 + pt1.ginv[:, 2])
         # x^T M y at each sample for the row vectors x = (h1, +-e, h3) of
         # J(q1) and y = (g1, +-e, g3) of J(q0): + for row k at sample k,
@@ -320,15 +316,17 @@ def _m3_newton(pt0: _M3Point, dt: float):
     return factor, jac0.apply_t
 
 
-def _rattle_newton(state: HamiltonianState, pt0: _M3Point, dt: float, tol: float,
-                   max_iter: int, lam_guess: np.ndarray | None):
-    """The implicit part of a RATTLE step from state at the point pt0,
+def _rattle_step(state: HamiltonianState, pt0: _M3Point, dt: float, tol: float = 1e-12,
+                 max_iter: int = 50, lam_guess: np.ndarray | None = None):
+    """rattle_step from state at the point pt0.  The implicit part is
     solved by the simplified Newton iteration (Hairer-Lubich-Wanner,
     Geometric Numerical Integration, VII.1): the matrix is factored at the
     first iterate and kept, and factored again at the current iterate only
-    when the residual has not fallen tenfold since the last iterate.
-    Returns the converged (point of q1, ph, lam), the constraint rows
-    H(q1), the residual history and the number of factorizations."""
+    when the residual has not fallen tenfold since the last iterate.  The
+    explicit momentum half-step from (q1, ph) and _tangent_momentum end the
+    step.  Returns what simulate keeps of it: (end state, its point, lam,
+    ph, mu), the last three the tangent pass's linearization point, then
+    H(q1), the Newton residual history and the factorizations."""
     mid, winding = state.metric_id, state.winding
     q0, p0 = state.q, state.p
 
@@ -336,9 +334,8 @@ def _rattle_newton(state: HamiltonianState, pt0: _M3Point, dt: float, tol: float
     q1 = q0 + dt * _grad_p(pt0, p0)  # explicit predictor
     lam = np.zeros(q0.shape[0] + 2) if lam_guess is None else lam_guess.copy()
     factor, jt0 = _m3_newton(pt0, dt)
-    solve, factorizations = None, 0
-    history = []
-    for it in range(max_iter):
+    solve, factorizations, history = None, 0, []
+    for _ in range(max_iter):
         try:
             pt1 = _M3Point(q1)
         except NonPositive as exc:
@@ -366,30 +363,13 @@ def _rattle_newton(state: HamiltonianState, pt0: _M3Point, dt: float, tol: float
         raise NewtonDivergence(
             f"RATTLE Newton did not reach tol={tol:g} in {max_iter} iterations",
             history)
-    return pt1, ph, lam, f3, history, factorizations
-
-
-def _end_momentum(pt1: _M3Point, ph: np.ndarray, dt: float):
-    """The end of a step at the point pt1: the explicit momentum half-step
-    from (q1, ph), then _tangent_momentum."""
-    return _tangent_momentum(pt1, ph - 0.5 * dt * _grad_q(pt1, ph))
-
-
-def _rattle_step(state: HamiltonianState, pt0: _M3Point, dt: float, tol: float = 1e-12,
-                 max_iter: int = 50, lam_guess: np.ndarray | None = None):
-    """rattle_step from state at the point pt0, returning what simulate
-    keeps of the step: (end state, its point, lam, ph, mu), the last three
-    the tangent pass's linearization point, then H(q1), the Newton
-    residual history and the factorizations."""
-    pt1, ph, lam, rows, history, factorizations = _rattle_newton(state, pt0, dt, tol,
-                                                                 max_iter, lam_guess)
     try:
-        p1, mu = _end_momentum(pt1, ph, dt)
+        p1, mu = _tangent_momentum(pt1, ph - 0.5 * dt * _grad_q(pt1, ph))
     except RankDeficiency as exc:
         raise NewtonDivergence("hidden-constraint system is singular",
                                history) from exc
-    return (HamiltonianState(state.metric_id, pt1.q, p1, state.t + dt, state.winding),
-            pt1, lam, ph, mu, rows, history, factorizations)
+    return (HamiltonianState(mid, pt1.q, p1, state.t + dt, winding),
+            pt1, lam, ph, mu, f3, history, factorizations)
 
 
 def rattle_step(state: HamiltonianState, dt: float, tol: float = 1e-12,
@@ -403,40 +383,35 @@ def rattle_step(state: HamiltonianState, dt: float, tol: float = 1e-12,
 def _rattle_tangent(sim: SimulationResult, j: int, dt: float, dq0: np.ndarray,
                     dp0: np.ndarray, d_apply_t0=None):
     """The tangent-linear map on the columns (dq0, dp0), each (n, 3, r), of
-    step j of sim, simulate's trajectory with step dt: returns (dq1, dp1,
-    lam -> dDH(q1)[dq1]^T lam), the last the next step's d_apply_t0 (made
-    from dq0 if not given).  The step's stored ph, lambda_1, end momentum p1
+    step j of sim, a shooting simulation (_shooting) with step dt: returns
+    (dq1, dp1, lam -> dDH(q1)[dq1]^T lam), the last the next step's
+    d_apply_t0 (made from dq0 if not given).  The step's stored ph, lambda_1, end momentum p1
     and mu are the linearization point.  The q0- and p0-derivatives of (f1,
     f2, f3) go through one solve of the step's Newton matrix (_m3_newton)
     there, factored by the first pass and kept on sim; then the explicit
     half-step and the projection p1 = p - A^T mu are differentiated with
     A = DH(q1) moving, by one solve of the Gram system simulate factored."""
-    points, newton = sim._tape()
-    pt0, pt1 = points[j], points[j + 1]
-    q0, q1, p1 = pt0.q, pt1.q, sim.ps[j + 1]
-    ph, lam, mu = sim._ph[j], sim._lam[j], sim._mu[j]
-    n, dth = q0.shape[0], pt0.dth
+    pt0, pt1, newton = sim._points[j], sim._points[j + 1], sim._newton
+    p1, ph, lam, mu = sim.ps[j + 1], sim._ph[j], sim._lam[j], sim._mu[j]
     if d_apply_t0 is None:
-        d_apply_t0 = _m3_jacobian_tangent(q0, dth, dq0)[1]
+        d_apply_t0 = _m3_jacobian_tangent(pt0, dq0)[1]
     if newton[j] is None:
         newton[j] = _m3_newton(pt0, dt)[0](pt1, ph)
-    eq0, ep0 = _energy_grad_tangents(q0, ph, dth, dq0, np.zeros_like(dq0))
+    eq0, ep0 = _energy_grad_tangents(pt0, ph, dq0, np.zeros_like(dq0))
     f1 = 0.5 * dt * (eq0 - d_apply_t0(lam)) - dp0
     # solve returns (dq, dph) with q1 + dq, ph - dph: here the tangent of
     # (q1, ph) is (dq, -dph)
-    dq1, du, _ = newton[j](f1, -dq0 - 0.5 * dt * ep0, np.zeros((n + 2,) + dq0.shape[2:]))
-    eq1, _ = _energy_grad_tangents(q1, ph, dth, dq1, -du)
+    dq1, du, _ = newton[j](f1, -dq0 - 0.5 * dt * ep0, np.zeros((len(lam),) + dq0.shape[2:]))
+    eq1, _ = _energy_grad_tangents(pt1, ph, dq1, -du)
     dp1 = -du - 0.5 * dt * eq1
     # with v = dp - dA^T mu, A g^-1 A^T dmu = A (g^-1 v + dg^-1 p1) + dA g^-1 p1
     # and dp1 = v - A^T dmu
-    jac, ginv, dx = pt1.jac, pt1.ginv, dq1[:, 0]
-    d_apply, d_apply_t = _m3_jacobian_tangent(q1, dth, dq1)
+    d_apply, d_apply_t = _m3_jacobian_tangent(pt1, dq1)
     v = dp1 - d_apply_t(mu)
-    dginv = np.stack([np.zeros_like(dx), -2.0 * pt1.xm3[:, None] * dx,
-                      6.0 * pt1.x5[:, None] * dx], axis=1)
-    dmu = _m3_gram(pt1)(jac.apply(ginv[:, :, None] * v + dginv * p1[:, :, None])
-                        + d_apply(ginv * p1))
-    return dq1, v - jac.apply_t(dmu), d_apply_t
+    dginv = pt1.dginv[:, :, None] * dq1[:, None, 0]
+    dmu = _m3_gram(pt1)(pt1.jac.apply(pt1.ginv[:, :, None] * v + dginv * p1[:, :, None])
+                        + d_apply(pt1.ginv * p1))
+    return dq1, v - pt1.jac.apply_t(dmu), d_apply_t
 
 
 def _position_tangent(sim: SimulationResult, dt: float, dp0: np.ndarray) -> np.ndarray:
@@ -471,8 +446,8 @@ class SimulationResult:
     _ph: np.ndarray = field(repr=False)
     _lam: np.ndarray = field(repr=False)
     _mu: np.ndarray = field(repr=False)
-    # the tangent pass's tape (_tape): each snapshot's point (K+1) and
-    # each step's Newton solve (K, made by the first pass)
+    # a shooting simulation's tape for the tangent pass (else None): each
+    # snapshot's point (K+1) and each step's Newton solve (K, first pass)
     _points: list | None = field(default=None, repr=False)
     _newton: list | None = field(default=None, repr=False)
 
@@ -487,15 +462,6 @@ class SimulationResult:
                                 self._ph[of], self._lam[of], self._mu[of],
                                 self._points[at] if kept else None,
                                 self._newton[of] if kept else None)
-
-    def _tape(self):
-        """(points, newton) for the tangent pass: the shooting path of
-        simulate keeps them; for any other simulation they are made here,
-        on first use."""
-        if self._points is None:
-            self._points = [_M3Point(q) for q in self.qs]
-            self._newton = [None] * len(self._lam)
-        return self._points, self._newton
 
     def _diagnosed(self) -> SimulationResult:
         """self with each kept point's energy and hidden-constraint

@@ -13,7 +13,8 @@ step of these pipelines has one definition here: the move onto the section
 (`_on_section`), the reconstruction of snapshots (`_curves`), the L2 norm
 on the theta grid (`_l2`), the consistent M3 initial momentum
 (`_consistent_momentum`), the M3 vertical pairing (`_vertical_pairing`) and
-the vertical field zeta c' (`_vertical_field`).
+the vertical field zeta c' (`_vertical_field`).  The M3 shooting velocity
+is the raw free-component lift, which the consistent momentum projects once.
 """
 
 from __future__ import annotations
@@ -58,11 +59,11 @@ from .pointwise_geometry import _solve_fibers, dist2_lower_bound, g_apply, integ
 from .rtransform import (
     CyclicFactor,
     RPoint,
+    _forward_diff,
     dr,
     project_image,
     r_forward,
     r_inverse,
-    tangent_from_free,
     weighted_inner,
 )
 
@@ -255,9 +256,14 @@ def _consistent_state(q0: RPoint, qdot) -> HamiltonianState:
 
 def _shooting_velocity(q0: RPoint, xi: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """The transform velocity of the free-component coefficients xi (2 nb,),
-    or of the r columns of xi (2 nb, r) at once."""
-    nb = basis.shape[1]
-    return tangent_from_free(q0, basis @ xi[:nb], basis @ xi[nb:])
+    or of the r columns of xi (2 nb, r) at once: the raw lift (k1, k2, 2
+    q1^-1 q3 k1 + q1^2 D+ k2) of k1, k2 = basis xi[:nb], basis xi[nb:],
+    left for _consistent_momentum to project."""
+    nb, q = basis.shape[1], q0.q
+    k1, k2 = basis @ xi[:nb], basis @ xi[nb:]
+    dk2 = _forward_diff(k2, q0.theta_step, True)
+    k3 = (2.0 * q[:, 2] / q[:, 0] * k1.T + q[:, 0] ** 2 * dk2.T).T
+    return np.stack([k1, k2, k3], axis=1)
 
 
 def _shooting_endpoints(c0: DiscreteCurve, c1: DiscreteCurve):

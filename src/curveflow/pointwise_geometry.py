@@ -65,25 +65,29 @@ def g_matrix(metric_id, q) -> np.ndarray:
     _check_pattern(metric_id, q[:, 0])
     n = q.shape[0]
     g = np.zeros((n, d, d))
-    q1 = q[:, 0]
-    if metric_id is MetricId.M1:
-        g[:, 0, 0] = 1.0
-        g[:, 1, 1] = 1.0
-    elif metric_id is MetricId.M2:
-        g[:, 0, 0] = 4.0
-        g[:, 1, 1] = q1 ** -6
-    elif metric_id is MetricId.M3:
-        g[:, 0, 0] = 4.0
-        g[:, 1, 1] = q1 ** 2
-        g[:, 2, 2] = q1 ** -6
+    if metric_id is not MetricId.M4:
+        g[:, np.arange(d), np.arange(d)] = _g_diag(metric_id, q)
     else:
-        q4 = q[:, 3]
+        q1, q4 = q[:, 0], q[:, 3]
         g[:, 0, 0] = 4.0
         g[:, 1, 1] = q1 ** 2 + q4 ** 2 * q1 ** -6
         g[:, 1, 2] = g[:, 2, 1] = -q4 * q1 ** -4
         g[:, 2, 2] = q1 ** -2
         g[:, 3, 3] = q1 ** -6
     return g[0] if squeeze else g
+
+
+def _g_diag(metric_id, q) -> np.ndarray:
+    """Diagonal of the fiber metric of M1-M3, (n, d)."""
+    if metric_id is MetricId.M1:
+        return np.ones_like(q)
+    q1 = q[:, 0]
+    diag = np.empty_like(q)
+    diag[:, 0] = 4.0
+    diag[:, -1] = q1 ** -6
+    if metric_id is MetricId.M3:
+        diag[:, 1] = q1 ** 2
+    return diag
 
 
 def _g_inv_diag(metric_id, q) -> np.ndarray:
@@ -121,14 +125,18 @@ def g_inv_matrix(metric_id, q) -> np.ndarray:
 
 
 def g_apply(metric_id, q, h) -> np.ndarray:
-    """Lower an index: g_q(h, .).  M1-M3 multiply by the diagonal, so h
-    may also be (n, d, r), r fields at once."""
-    g = g_matrix(metric_id, q)
+    """Lower an index: g_q(h, .).  M1-M3 multiply by the diagonal
+    (_g_diag), so h may also be (n, d, r), r fields at once; only M4
+    contracts the dense matrix."""
+    metric_id = MetricId.parse(metric_id)
     h = np.asarray(h, dtype=float)
-    if MetricId.parse(metric_id) is not MetricId.M4:
-        diag = np.diagonal(g, axis1=-2, axis2=-1)
-        return diag.reshape(diag.shape + (1,) * (h.ndim - diag.ndim)) * h
-    return g @ h if g.ndim == 2 else np.einsum("kij,kj->ki", g, h)
+    if metric_id is MetricId.M4:
+        g = g_matrix(metric_id, q)
+        return g @ h if g.ndim == 2 else np.einsum("kij,kj->ki", g, h)
+    q, squeeze = _as2d(q, metric_id.fiber_dim)
+    _check_pattern(metric_id, q[:, 0])
+    diag = _g_diag(metric_id, q)[0] if squeeze else _g_diag(metric_id, q)
+    return diag.reshape(diag.shape + (1,) * (h.ndim - diag.ndim)) * h
 
 
 def g_eval(metric_id, q, h, k):

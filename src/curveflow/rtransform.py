@@ -24,14 +24,15 @@ functionals.  This module is the one definition of the constraints: rows
 the closedness derivative (_closure_coeffs), the M3 products DH.X,
 DH^T.lam and Gram bands with coefficients cached per q (M3Jacobian; no
 dense DH is built), their derivative along a tangent of q
-(_m3_jacobian_tangent, for the tangent-linear RATTLE step), the Gram solve
-of A g^-1 A^T (_m3_gram) and the L2(g) projection P onto the M3 tangent
-space (_project_op_m3).  The M4 rows are geometry only: no solver here
-differentiates them.  Each M3 point is built once (_M3Point: g^-1, DH and
-its Gram factors; an RPoint keeps its own) and handed to every solve at
-it.  project_image and tangent_from_free use P; the consistent momentum
-and the RATTLE lambda_2 step take p -> g P(g^-1 p) = p - A^T mu from
-_m3_gram (constrained_hamiltonian._tangent_momentum).  One
+(_m3_jacobian_tangent, for the tangent-linear RATTLE step), and the Gram
+solve of A g^-1 A^T (_m3_gram, A the derivative rows bordered by the
+closedness rows), the one M3 constraint projection.  The M4 rows are
+geometry only: no solver here differentiates them.  Each M3 point is built
+once (_M3Point, the one place the M3 solver evaluates g^-1 and its
+q1-derivatives; an RPoint keeps its own) and handed to every solve at it.
+project_image takes the L2(g) projection P from _m3_gram; the consistent
+momentum and the RATTLE lambda_2 step take p -> g P(g^-1 p) = p - A^T mu
+(constrained_hamiltonian._tangent_momentum).  One
 solver serves every "cyclic banded + low-rank border" system - P, the
 RATTLE Newton step, the periodic elliptic solve and the horizontal
 projection: CyclicFactor factors [[A, cols], [rows, corner]] once (A
@@ -323,18 +324,18 @@ class M3Jacobian:
                          0.25 * (s + s_next) + (g2 + g2_next) / self.dth ** 2, upper])
 
 
-def _m3_jacobian_tangent(q: np.ndarray, dth: float, dq: np.ndarray):
-    """The derivative of DH(q) along the columns dq (n, 3, r) of q, as the
-    products (k -> dDH k, lam -> dDH^T lam) for one k (n, 3) or one lam
-    (n+2,), giving (n+2, r) and (n, 3, r).  Only M3Jacobian's coefficients
-    move with q: gw1 and gw3, the partials of w = q1^-2 q3, and the
-    closedness coefficients gc; the +-1/dtheta entries are constant.
-    dDH^T lam is the Hessian of lam . H(q) applied to dq, pointwise."""
-    n = q.shape[0]
-    x, a, q3 = q[:, 0, None], q[:, 1, None], q[:, 2, None]
+def _m3_jacobian_tangent(pt: "_M3Point", dq: np.ndarray):
+    """The derivative of DH(q) at the M3 point pt along the columns dq (n,
+    3, r) of q, as the products (k -> dDH k, lam -> dDH^T lam) for one k
+    (n, 3) or one lam (n+2,), giving (n+2, r) and (n, 3, r).  Only
+    M3Jacobian's coefficients move with q: gw1 = q3 dginv2 and gw3 = ginv2
+    (the partials of w = q1^-2 q3) and gc; the +-1/dtheta entries are
+    constant.  dDH^T lam is the Hessian of lam . H(q) applied to dq."""
+    n, dth = pt.q.shape[0], pt.dth
+    x, a, q3 = pt.q[:, 0, None], pt.q[:, 1, None], pt.q[:, 2, None]
     dx, da, d3 = dq[:, 0], dq[:, 1], dq[:, 2]
-    dgw1 = 6.0 * q3 * x ** -4 * dx - 2.0 * x ** -3 * d3
-    dgw3 = -2.0 * x ** -3 * dx
+    dgw1 = q3 * pt.d2ginv[:, 1, None] * dx + pt.dginv[:, 1, None] * d3
+    dgw3 = pt.dginv[:, 1, None] * dx
     c, s = np.cos(a) * dth, np.sin(a) * dth
     dgc = np.array([[2.0 * (c * dx - x * s * da), -(2.0 * x * s * dx + x ** 2 * c * da)],
                     [2.0 * (s * dx + x * c * da), 2.0 * x * c * dx - x ** 2 * s * da]])
@@ -470,7 +471,8 @@ class CyclicFactor:
     [W E^T; -rows] and K = diag(I, corner) + P Z.  solve([f; g]) is then
     substitution only, for (n + k,) or (n + k, r) right-hand sides, and
     each column must pass a residual check on the whole bordered system;
-    a failed check or a singular band part raises SingularSystem."""
+    a failed check or a singular band part raises SingularSystem, a partial
+    or misshapen border or right-hand side BadInput."""
 
     def __init__(self, bands, cols=None, rows=None, corner=None):
         bands = np.asarray(bands, dtype=float)
@@ -479,9 +481,16 @@ class CyclicFactor:
         if w != 2 * b + 1 or n <= 2 * b:
             raise BadInput(f"bands must be (2b+1, n) with n > 2b, got {bands.shape}")
         self.bands, self.b, self.n = bands, b, n
-        self.cols = np.zeros((n, 0)) if cols is None else np.asarray(cols, dtype=float)
-        self.rows = np.zeros((0, n)) if rows is None else np.asarray(rows, dtype=float)
-        self.corner = np.zeros((0, 0)) if corner is None else np.asarray(corner, dtype=float)
+        if cols is None and rows is None and corner is None:
+            cols, rows, corner = np.zeros((n, 0)), np.zeros((0, n)), np.zeros((0, 0))
+        # a missing part becomes a 0-d NaN array, of the wrong shape
+        self.cols, self.rows, self.corner = (np.asarray(x, dtype=float)
+                                             for x in (cols, rows, corner))
+        k = self.cols.shape[-1] if self.cols.ndim else -1
+        shapes = (self.cols.shape, self.rows.shape, self.corner.shape)
+        if shapes != ((n, k), (k, n), (k, k)):
+            raise BadInput(f"border must be cols (n, k), rows (k, n) and corner (k, k) together, "
+                           f"n = {n}; got {shapes}")
         self._ends = np.arange(2 * b)       # rows of E: the first and last b
         self._ends[b:] += n - 2 * b
         ab = np.zeros((3 * b + 1, n))       # gbtrf layout ab[2b + i - k, k] = A'[i, k]
@@ -514,8 +523,11 @@ class CyclicFactor:
 
     def solve(self, rhs) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
-        cols = rhs.reshape(rhs.shape[0], -1)
         n, b = self.n, self.b
+        if rhs.ndim not in (1, 2) or rhs.shape[0] != n + self.cols.shape[1]:
+            raise BadInput(f"right-hand side must be (n + k,) or (n + k, r) with n + k = "
+                           f"{n + self.cols.shape[1]}, got {rhs.shape}")
+        cols = rhs.reshape(rhs.shape[0], -1)
         y = dgbtrs(self._lu, b, b, cols[:n], self._piv)[0]
         small = self._border(y)
         small[2 * b:] += cols[n:]
@@ -541,8 +553,10 @@ def elliptic_solve(a, b, f, dtheta: float) -> np.ndarray:
     by CyclicFactor; edge values a_{k+1/2} are arithmetic means of node
     values.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a, b, f = (np.asarray(x, dtype=float) for x in (a, b, f))
+    if a.ndim != 1 or not a.shape == b.shape == f.shape or not np.isfinite([a, b, f]).all():
+        raise BadInput(f"a, b and f must be finite (n,) arrays, got {a.shape}, {b.shape}, "
+                       f"{f.shape}")
     if np.any(a <= 0.0) or np.any(b < 0.0):
         raise BadInput("need a > 0 and b >= 0")
     ae = 0.5 * (a + _shift(a, 1)) / dtheta ** 2     # a_{k+1/2} / dtheta^2
@@ -554,9 +568,9 @@ def elliptic_solve(a, b, f, dtheta: float) -> np.ndarray:
 
 class _M3Point:
     """One point q of a closed M3 grid, built once and handed along: the
-    diagonal g^-1 (n, 3) and the powers x^-3, x^5 of x = q1 that the RATTLE
-    Newton step reads, DH(q) (jac, made on first use) and the Gram solves
-    of _m3_gram, kept in grams.  q1 > 0 is checked here, once per point."""
+    diagonal g^-1 (n, 3) and, made on first use, DH(q) (jac), the q1-
+    derivatives dginv and d2ginv of g^-1 (d2ginv for the tangent pass only)
+    and the Gram solve of _m3_gram (gram).  q1 > 0 is checked here, once."""
 
     def __init__(self, q: np.ndarray):
         x = q[:, 0]
@@ -564,48 +578,37 @@ class _M3Point:
             raise NonPositive(f"M3: q1 must be positive (min {np.min(x):.3e})")
         self.q, self.dth = q, 2.0 * np.pi / q.shape[0]
         self.ginv = _g_inv_diag(MetricId.M3, q)
-        self.xm3, self.x5 = x ** -3, x ** 5
-        self.grams = {}
+        self.gram = None
 
     @cached_property
     def jac(self) -> M3Jacobian:
         return M3Jacobian(self.q, self.dth)
 
+    @cached_property
+    def dginv(self) -> np.ndarray:
+        """(0, -2 q1^-3, 6 q1^5), the q1-derivative of g^-1 = (1/4, q1^-2, q1^6)."""
+        return self.ginv * [0.0, -2.0, 6.0] / self.q[:, :1]
 
-def _m3_gram(pt: _M3Point, closure: bool = True):
+    @cached_property
+    def d2ginv(self) -> np.ndarray:
+        """(0, 6 q1^-4, 30 q1^4), the second q1-derivative of g^-1."""
+        return self.dginv * [0.0, -3.0, 5.0] / self.q[:, :1]
+
+
+def _m3_gram(pt: _M3Point):
     """solve(rhs) = (A g^-1 A^T)^-1 rhs at the point pt for rhs (n+2,) or
     (n+2, r), where A is the trapezoid derivative rows J bordered by the
-    closedness rows C if closure is set (else the closedness multipliers
-    are 0).  A g^-1 A^T is the cyclic tridiagonal J g^-1 J^T (gram_bands)
-    bordered by J g^-1 C^T, its transpose and C g^-1 C^T: one
+    closedness rows C.  A g^-1 A^T is the cyclic tridiagonal J g^-1 J^T
+    (gram_bands) bordered by J g^-1 C^T, its transpose and C g^-1 C^T: one
     CyclicFactor, made on the first call and kept on pt for every solve
     after it."""
-    if closure in pt.grams:
-        return pt.grams[closure]
-    n, jac, ginv = pt.q.shape[0], pt.jac, pt.ginv
-    bands = jac.gram_bands(ginv)
-    if closure:
+    if pt.gram is None:
+        n, jac, ginv = pt.q.shape[0], pt.jac, pt.ginv
         border = np.zeros(pt.q.shape + (2,))                   # g^-1 C^T
         border[:, :2] = ginv[:, :2, None] * jac.gc.transpose(2, 1, 0)
         ab = jac.apply(border)
-        solve = CyclicFactor(bands, ab[:n], ab[:n].T, ab[n:]).solve
-    else:
-        factor = CyclicFactor(bands)
-
-        def solve(rhs):
-            return np.concatenate([factor.solve(rhs[:n]), np.zeros((2,) + rhs.shape[1:])])
-    pt.grams[closure] = solve
-    return solve
-
-
-def _project_op_m3(pt: _M3Point, h: np.ndarray, closure: bool = False) -> np.ndarray:
-    """Exact discrete L2(g)-orthogonal projection onto {A k = 0} at the
-    point pt: k = h - g^-1 A^T mu with (A g^-1 A^T) mu = A h, where A is the
-    trapezoid derivative rows J of M3Jacobian, bordered by its closedness
-    rows C if closure is set, and g^-1 is the M3 metric's diagonal
-    (_m3_gram).  h is (n, 3), or (n, 3, r) for r fields at once."""
-    lam = _m3_gram(pt, closure)(pt.jac.apply(h))
-    return h - pt.ginv.reshape(pt.ginv.shape + (1,) * (h.ndim - 2)) * pt.jac.apply_t(lam)
+        pt.gram = CyclicFactor(jac.gram_bands(ginv), ab[:n], ab[:n].T, ab[n:]).solve
+    return pt.gram
 
 
 def _remove_span(metric_id, q, closed, h, basis):
@@ -629,11 +632,11 @@ def project_image(rpoint: RPoint, h, image_tol: float = 1e-3) -> np.ndarray:
     """L2(g)-orthogonal projection of an ambient tangent h onto the tangent
     space of the image of the transform (closed curves).
 
-    M1/M2: subtract the span of the two closedness gradients.  M3: one
-    bordered cyclic banded solve for the derivative and closedness rows
-    (_project_op_m3), which also takes h as (n, 3, r) for r fields.  M4 is
-    BadInput.  Raises OffImage when the constraints at q exceed image_tol
-    relative to the closure scale.
+    M1/M2: subtract the span of the two closedness gradients.  M3: k = h -
+    g^-1 A^T mu with (A g^-1 A^T) mu = A h by _m3_gram, exact for the
+    discrete rows; h may also be (n, 3, r), r fields.  M4 is BadInput.
+    Raises OffImage when the constraints at q exceed image_tol relative to
+    the closure scale.
     """
     metric_id = rpoint.metric_id
     if metric_id is MetricId.M4:
@@ -648,25 +651,11 @@ def project_image(rpoint: RPoint, h, image_tol: float = 1e-3) -> np.ndarray:
         raise OffImage("derivative constraint residual too large")
     h = np.asarray(h, dtype=float)
     if metric_id is MetricId.M3:
-        return _project_op_m3(rpoint._m3, h, closure=True)
+        pt = rpoint._m3
+        lam = _m3_gram(pt)(pt.jac.apply(h))
+        return h - pt.ginv.reshape(pt.ginv.shape + (1,) * (h.ndim - 2)) * pt.jac.apply_t(lam)
     return _remove_span(metric_id, rpoint.q, rpoint.closed, h,
                         constraint_gradients(rpoint))
-
-
-# -- tangent lift helper ------------------------------------------------------
-
-def tangent_from_free(rpoint: RPoint, k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
-    """An M3 derivative-constraint tangent built from two free components:
-    the field (k1, k2, 2 q1^-1 q3 k1 + q1^2 D+ k2), which solves the
-    linearized rate relation sample by sample, projected onto the tangent
-    space of the trapezoid rows by project_image's solve without the
-    closedness border.  k1 and k2 are (n,), or (n, r) for r tangents at
-    once, (n, 3, r)."""
-    q = rpoint.q
-    dth = rpoint.theta_step
-    sl = (slice(None),) + (None,) * (np.ndim(k1) - 1)
-    k3 = (2.0 * q[:, 2] / q[:, 0])[sl] * k1 + (q[:, 0] ** 2)[sl] * _forward_diff(k2, dth, True)
-    return _project_op_m3(rpoint._m3, np.stack([k1, k2, k3], axis=1))
 
 
 # -- file format ------------------------------------------------------------

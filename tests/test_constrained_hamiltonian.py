@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import circle, wavy_curve
+from conftest import circle, m3_jacobian_rows, wavy_curve
 from curveflow import constrained_hamiltonian as ch
 from curveflow import curve_core as cc
 from curveflow import metric_suite as ms
@@ -22,30 +22,6 @@ def circle_state(n=64, amp=1.0, velocity="sin"):
     u0 = u0 - cc.integrate_ds(c, u0) / cc.curve_length(c)
     p_raw = pg.g_apply("M3", q0.q, rt.dr("M3", c, u0)) / q0.theta_step
     return ch.project_consistent(q0, p_raw)
-
-
-def m3_jacobian_rows(q):
-    """The dense M3 DH(q), (n+2, 3n), written entry by entry: the N
-    trapezoid derivative rows, then the two closedness rows.  The
-    independent reference for rtransform.M3Jacobian."""
-    n = q.shape[0]
-    dth = 2 * np.pi / n
-    q1, q2, q3 = q.T
-    gw1, gw3 = -2.0 * q3 * q1 ** -3, q1 ** -2
-    jac = np.zeros((n + 2, n, 3))
-    idx = np.arange(n)
-    nxt = (idx + 1) % n
-    jac[idx, idx, 0] += 0.5 * gw1
-    jac[idx, nxt, 0] += 0.5 * gw1[nxt]
-    jac[idx, idx, 2] += 0.5 * gw3
-    jac[idx, nxt, 2] += 0.5 * gw3[nxt]
-    jac[idx, idx, 1] += 1.0 / dth
-    jac[idx, nxt, 1] -= 1.0 / dth
-    jac[n, :, 0] = 2.0 * q1 * np.cos(q2) * dth
-    jac[n, :, 1] = -q1 ** 2 * np.sin(q2) * dth
-    jac[n + 1, :, 0] = 2.0 * q1 * np.sin(q2) * dth
-    jac[n + 1, :, 1] = q1 ** 2 * np.cos(q2) * dth
-    return jac.reshape(n + 2, 3 * n)
 
 
 def d_ginvp_dq(q, p):
@@ -100,7 +76,7 @@ def exact_newton_step(state, dt, tol=1e-12, max_iter=50, lam_guess=None):
     """One RATTLE step by the exact Newton iteration, the reduced matrix
     factored again at every iterate, ending with the step's own end
     momentum: the reference for the simplified iteration of
-    ch._rattle_newton.  Returns (new_state, lambda_1); raises
+    ch._rattle_step.  Returns (new_state, lambda_1); raises
     NewtonDivergence with the residual history."""
     mid, dth, winding = state.metric_id, state.theta_step, state.winding
     q0, p0 = state.q, state.p
@@ -120,7 +96,8 @@ def exact_newton_step(state, dt, tol=1e-12, max_iter=50, lam_guess=None):
         q1, ph, lam = q1 + dq, ph - dph, lam + dlam
     else:
         raise NewtonDivergence("exact Newton reference did not converge", history)
-    p1 = ch._end_momentum(rt._M3Point(q1), ph, dt)[0]
+    pt1 = rt._M3Point(q1)
+    p1 = ch._tangent_momentum(pt1, ph - 0.5 * dt * ch._grad_q(pt1, ph))[0]
     return ch.HamiltonianState(mid, q1, p1, state.t + dt, winding), lam
 
 
@@ -155,6 +132,36 @@ def test_energy_gradients_fd():
             assert abs(fd - np.sum(gq * dq)) < 1e-6 * max(1.0, abs(fd))
             fd = (e(q, p + eps * dq) - e(q, p - eps * dq)) / (2 * eps)
             assert abs(fd - np.sum(gp * dq)) < 1e-6 * max(1.0, abs(fd))
+
+
+def test_point_algebra_matches_references():
+    # at an on-image point, the M3 point's energy gradients equal the
+    # generic ones, and the derivatives built from its g^-1 derivatives
+    # (_energy_grad_tangents, _m3_jacobian_tangent) match central
+    # differences of _grad_q, _grad_p, DH . k and DH^T . lam along random
+    # (dq, dp)
+    rng = np.random.default_rng(37)
+    n = 64
+    rp = ch.project_to_manifold(rt.r_forward("M3", wavy_curve(n, seed=2)))
+    pt, dth = rp._m3, rp.theta_step
+    p = rng.standard_normal((n, 3))
+    for ours, ref in ((ch._grad_q(pt, p), ch.energy_grad_q("M3", rp.q, p, dth)),
+                      (ch._grad_p(pt, p), ch.energy_grad_p("M3", rp.q, p, dth))):
+        assert np.abs(ours - ref).max() <= 1e-14 * np.abs(ref).max()
+    dq, dp = rng.standard_normal((2, n, 3, 3))
+    k, lam = rng.standard_normal((n, 3)), rng.standard_normal(n + 2)
+    eq, ep = ch._energy_grad_tangents(pt, p, dq, dp)
+    d_apply, d_apply_t = rt._m3_jacobian_tangent(pt, dq)
+    dk, dlam = d_apply(k), d_apply_t(lam)
+    eps = 1e-6
+    for j in range(3):
+        (a, pa), (b, pb) = [(rt._M3Point(rp.q + s * dq[..., j]), p + s * dp[..., j])
+                            for s in (eps, -eps)]
+        for tangent, f in ((eq[..., j], ch._grad_q), (ep[..., j], ch._grad_p),
+                           (dk[:, j], lambda pt_, _: pt_.jac.apply(k)),
+                           (dlam[..., j], lambda pt_, _: pt_.jac.apply_t(lam))):
+            fd = (f(a, pa) - f(b, pb)) / (2 * eps)
+            assert np.linalg.norm(tangent - fd) <= 1e-6 * np.linalg.norm(fd)
 
 
 def test_constraint_jacobian_fd():
@@ -300,8 +307,9 @@ def test_m3_simulate_makes_no_dense_solve(monkeypatch):
     assert sizes and max(sizes) <= 8
     assert res.constraint_norm.max() < 1e-9
     assert res.hidden_norm.max() < 1e-9
+    shot = ch.simulate(st, 0.05, 1e-2, _shooting=rt._M3Point(st.q))
     sizes.clear()
-    dq = ch._position_tangent(res, 1e-2, np.random.default_rng(3).standard_normal((32, 3, 6)))
+    dq = ch._position_tangent(shot, 1e-2, np.random.default_rng(3).standard_normal((32, 3, 6)))
     assert sizes and max(sizes) <= 8
     assert dq.shape == (32, 3, 6) and np.all(np.isfinite(dq))
 
@@ -317,13 +325,14 @@ def test_rattle_tangent_matches_central_differences():
         wavy = ch.project_consistent(rp, 0.3 * rng.standard_normal((n, 3)))
         for state in (circle_state(n), wavy):
             dq0, dp0 = rng.standard_normal((2, n, 3, 3))
-            sim = ch.simulate(state, 1e-2, 1e-2)
+            sim = ch.simulate(state, 1e-2, 1e-2, _shooting=rt._M3Point(state.q))
             dq1, dp1 = ch._rattle_tangent(sim, 0, 1e-2, dq0, dp0)[:2]
             ref, lam_ref = ch.rattle_step(state, 1e-2)
             assert np.array_equal(sim.qs[1], ref.q) and np.array_equal(sim._lam[0], lam_ref)
             assert np.array_equal(sim.ps[1], ref.p)
-            assert np.array_equal(sim._mu[0],
-                                  ch._end_momentum(rt._M3Point(sim.qs[1]), sim._ph[0], 1e-2)[1])
+            pt1, ph = rt._M3Point(sim.qs[1]), sim._ph[0]
+            assert np.array_equal(sim._mu[0], ch._tangent_momentum(
+                pt1, ph - 0.5 * 1e-2 * ch._grad_q(pt1, ph))[1])
             for j in range(3):
                 moved = [ch.rattle_step(ch.HamiltonianState(
                     "M3", state.q + s * dq0[..., j], state.p + s * dp0[..., j],

@@ -257,14 +257,14 @@ def test_shooting_tangent_passes_make_no_newton_iteration(monkeypatch):
     n = 32
     th = (2 * np.pi / n) * np.arange(n)
     c1 = cc.DiscreteCurve(np.stack([1.15 * np.cos(th), 0.87 * np.sin(th)], 1), True)
-    newton, tangent = ch._rattle_newton, ga._position_tangent
-    calls = {"newton": 0, "inside": 0, "passes": 0}
+    step, tangent = ch._rattle_step, ga._position_tangent
+    calls = {"steps": 0, "inside": 0, "passes": 0}
     inside, passes, points, made = [], [], [], []
 
-    def counted_newton(*args, **kwargs):
-        calls["newton"] += 1
+    def counted_step(*args, **kwargs):
+        calls["steps"] += 1
         calls["inside"] += bool(inside)
-        return newton(*args, **kwargs)
+        return step(*args, **kwargs)
 
     def counted_tangent(sim, dt, dp0):
         calls["passes"] += 1
@@ -287,7 +287,7 @@ def test_shooting_tangent_passes_make_no_newton_iteration(monkeypatch):
     def counted_jacobian(self, q, dth):
         points.append(q.tobytes())
         jacobian(self, q, dth)
-    monkeypatch.setattr(ch, "_rattle_newton", counted_newton)
+    monkeypatch.setattr(ch, "_rattle_step", counted_step)
     monkeypatch.setattr(ga, "_position_tangent", counted_tangent)
     monkeypatch.setattr(rt, "CyclicFactor", counted("gram", rt.CyclicFactor))
     monkeypatch.setattr(ch, "CyclicFactor", counted("newton", ch.CyclicFactor))
@@ -296,7 +296,7 @@ def test_shooting_tangent_passes_make_no_newton_iteration(monkeypatch):
                     max_iter=25)
     assert calls["passes"] == 4
     assert calls["inside"] == 0
-    assert calls["newton"] == 4 * 20      # 4 simulate calls of 20 steps
+    assert calls["steps"] == 4 * 20       # 4 simulate calls of 20 steps
     assert len(points) == len(set(points))
     grams = [key for key in made if key[0] == "gram"]
     assert grams and len(grams) == len(set(grams))

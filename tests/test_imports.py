@@ -1,7 +1,9 @@
-"""No imported name goes unused, in the package or in its tests.
+"""No imported name goes unused, in the package or in its tests, and no
+private helper of the package is left for the tests alone.
 
 The package's __init__ and the tests' conftest re-export what they import
-(`from conftest import circle` in the test modules), so they are exempt.
+(`from conftest import circle` in the test modules), so they are exempt
+from the import check.
 """
 
 import ast
@@ -35,3 +37,41 @@ def test_no_unused_imports():
              for path in files if str(path.relative_to(ROOT)) not in EXEMPT
              for line, name in unused_imports(path.read_text())]
     assert files and not found, "\n".join(found)
+
+
+def unreferenced_private(sources: dict) -> list[tuple[str, int, str]]:
+    """(file, line, name) of every module-level private function or class
+    (a name with one leading underscore) in the sources, a dict of file
+    name -> source text, that none of the sources references: by name, as
+    an attribute or in an import."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(a.name for a in node.names)
+    return [(name, node.lineno, node.name) for name, tree in trees.items()
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")
+            and node.name not in used]
+
+
+def test_unreferenced_private_helpers_are_found():
+    sources = {"a.py": "def _kept():\n    pass\n\n\ndef _called():\n    return _kept\n\n\n"
+                       "class _Alone:\n    def _method(self):\n        pass\n",
+               "b.py": "from a import _kept\nimport a\na._called()\n"}
+    assert unreferenced_private(sources) == [("a.py", 9, "_Alone")]
+
+
+def test_no_test_only_private_helpers():
+    sources = {str(path.relative_to(ROOT)): path.read_text()
+               for path in sorted(ROOT.glob("src/curveflow/*.py"))}
+    found = [f"{path}:{line} defines {name}, which no module of the package uses"
+             for path, line, name in unreferenced_private(sources)]
+    assert sources
+    assert not found, "\n".join(found)

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from scipy.linalg import null_space
 
 from conftest import (
     circle,
     convex_arc,
     convex_closed,
     curve_for,
+    m3_jacobian_rows,
     rotation_representative,
     smooth_field,
     wavy_curve,
@@ -32,6 +34,15 @@ def on_image_point(n=96, seed=13):
     q2 = th + np.pi / 2 + 0.08 * np.sin(th)
     q = np.stack([q1, q2, np.zeros(n)], 1)
     return project_to_manifold(rt.RPoint("M3", q, True, winding=1))
+
+
+def tangent_fields(rp, r, seed):
+    """r random tangent fields (n, 3, r) at the M3 point rp: combinations
+    of an orthonormal basis of the null space of the dense DH
+    (m3_jacobian_rows), the test-side reference for the tangent space."""
+    null = null_space(m3_jacobian_rows(rp.q))
+    coef = np.random.default_rng(seed).standard_normal((null.shape[1], r))
+    return (null @ coef).reshape(rp.n_samples, 3, r)
 
 
 def test_forward_values_on_circles():
@@ -246,17 +257,9 @@ def test_project_image_m3_oracles():
     for g in rt.constraint_gradients(rp):
         assert abs(rt.weighted_inner("M3", rp.q, g, k, True)) < 1e-9
     # (c) h - k is orthogonal to 50 random tangent fields
-    grads = rt.constraint_gradients(rp)
-    basis = [rt._project_op_m3(rp._m3, g) for g in grads]
-    gram = np.array([[rt.weighted_inner("M3", rp.q, a, b, True)
-                      for b in basis] for a in basis])
+    fields = tangent_fields(rp, 50, 100)
     for s in range(50):
-        r2 = np.random.default_rng(100 + s)
-        t = rt.tangent_from_free(rp, r2.standard_normal(rp.n_samples),
-                                 r2.standard_normal(rp.n_samples))
-        beta = np.linalg.solve(gram, [rt.weighted_inner("M3", rp.q, t, b, True)
-                                      for b in basis])
-        t = t - beta[0] * basis[0] - beta[1] * basis[1]
+        t = fields[..., s]
         pair = rt.weighted_inner("M3", rp.q, h - k, t, True)
         assert abs(pair) < 1e-9 * np.linalg.norm(t)
 
@@ -272,15 +275,7 @@ def test_project_image_idempotent_selfadjoint():
     b = rt.weighted_inner("M3", rp.q, h, rt.project_image(rp, h2), True)
     assert abs(a - b) < 1e-9
     # tangent inputs are returned unchanged
-    t = rt.tangent_from_free(rp, np.cos(2 * np.pi * np.arange(96) / 96),
-                             np.sin(4 * np.pi * np.arange(96) / 96))
-    grads = rt.constraint_gradients(rp)
-    basis = [rt._project_op_m3(rp._m3, g) for g in grads]
-    gram = np.array([[rt.weighted_inner("M3", rp.q, a_, b_, True)
-                      for b_ in basis] for a_ in basis])
-    beta = np.linalg.solve(gram, [rt.weighted_inner("M3", rp.q, t, b_, True)
-                                  for b_ in basis])
-    t = t - beta[0] * basis[0] - beta[1] * basis[1]
+    t = tangent_fields(rp, 1, 4)[..., 0]
     assert np.abs(rt.project_image(rp, t) - t).max() < 1e-9
 
 
@@ -369,14 +364,45 @@ def test_cyclic_factor_checks_border_rows():
         factor.solve(f)
 
 
-def test_banded_solvers_name_bad_input():
-    # an even band count, n <= 2b, flat bands and a <= 0 are BadInput
-    # (a ValueError too, for older callers)
+def test_banded_solvers_name_bad_input(capfd):
+    # an even band count, n <= 2b, flat bands, a partial or misshapen
+    # border, a right-hand side of the wrong length, a <= 0 and arrays of
+    # the wrong shape or not finite are BadInput (a ValueError too, for
+    # older callers), and LAPACK prints nothing
     for bands in (np.ones((4, 20)), np.ones((9, 8)), np.ones(20)):
         with pytest.raises(BadInput, match="bands must be"):
             rt.CyclicFactor(bands)
+    n = 16
+    bands = np.stack([-np.ones(n), 3.0 * np.ones(n), -np.ones(n)])
+    for border in ((np.ones((n, 2)),), (np.ones((n, 2)), np.ones((2, n))),
+                   (None, np.ones((2, n)), np.eye(2))):
+        with pytest.raises(BadInput, match="together"):
+            rt.CyclicFactor(bands, *border)
+    for border in ((np.ones((n, 2)), np.ones((2, n - 1)), np.eye(2)),
+                   (np.ones((n + 1, 2)), np.ones((2, n)), np.eye(2)),
+                   (np.ones((n, 2)), np.ones((2, n)), np.eye(3)),
+                   (np.ones(n), np.ones(n), np.ones(1))):
+        with pytest.raises(BadInput, match="border must be"):
+            rt.CyclicFactor(bands, *border)
+    bordered = rt.CyclicFactor(bands, np.ones((n, 2)), np.ones((2, n)), 4.0 * np.eye(2))
+    for factor, rhs in ((rt.CyclicFactor(bands), np.ones(n - 1)),
+                        (rt.CyclicFactor(bands), np.ones(n + 1)),
+                        (rt.CyclicFactor(bands), np.ones((n, 2, 2))),
+                        (bordered, np.ones(n)), (bordered, np.ones((n + 1, 3)))):
+        with pytest.raises(BadInput, match="right-hand side"):
+            factor.solve(rhs)
     with pytest.raises(BadInput, match="a > 0"):
-        rt.elliptic_solve(np.zeros(16), np.ones(16), np.ones(16), 0.1)
+        rt.elliptic_solve(np.zeros(n), np.ones(n), np.ones(n), 0.1)
+    nan = np.ones(n)
+    nan[3] = np.nan
+    for a, b, f in ((np.ones(n), np.ones(n), np.ones(n + 1)),
+                    (np.ones(n), np.ones(n - 1), np.ones(n)),
+                    (np.ones((n, 1)), np.ones((n, 1)), np.ones((n, 1))),
+                    (np.ones(n), nan, np.ones(n)), (nan, np.ones(n), np.ones(n)),
+                    (np.ones(n), np.ones(n), np.inf * nan)):
+        with pytest.raises(BadInput, match="finite"):
+            rt.elliptic_solve(a, b, f, 0.1)
+    assert capfd.readouterr().err == ""
 
 
 def test_bordered_cyclic_solve():
