@@ -81,7 +81,6 @@ from .rtransform import (
     RPoint,
     _closedness_newton,
     _forward_diff,
-    _m3_gram,
     _m3_jacobian_tangent,
     _M3Point,
     _m3_rate,
@@ -212,10 +211,10 @@ def project_to_manifold(rpoint: RPoint) -> RPoint:
 def _tangent_momentum(pt: _M3Point, p: np.ndarray):
     """(p - DH^T mu, mu) with DH g^-1 (p - DH^T mu) = 0 at the M3 point
     pt: the one definition of the hidden-constraint projection p -> g
-    P(g^-1 p), by pt's Gram solve (rtransform._m3_gram).  p is (n, 3), or
+    P(g^-1 p), by pt's Gram solve (rtransform._M3Point.gram).  p is (n, 3), or
     (n, 3, r) for r momenta at once.  Raises RankDeficiency."""
     try:
-        mu = _m3_gram(pt)(pt.jac.apply(pt.ginv.reshape(pt.ginv.shape + (1,) * (p.ndim - 2)) * p))
+        mu = pt.gram(pt.jac.apply(pt.ginv.reshape(pt.ginv.shape + (1,) * (p.ndim - 2)) * p))
     except (np.linalg.LinAlgError, SingularSystem) as exc:
         raise RankDeficiency(f"constraint Gram system is singular: {exc}") from exc
     return p - pt.jac.apply_t(mu), mu
@@ -409,8 +408,8 @@ def _rattle_tangent(sim: SimulationResult, j: int, dt: float, dq0: np.ndarray,
     d_apply, d_apply_t = _m3_jacobian_tangent(pt1, dq1)
     v = dp1 - d_apply_t(mu)
     dginv = pt1.dginv[:, :, None] * dq1[:, None, 0]
-    dmu = _m3_gram(pt1)(pt1.jac.apply(pt1.ginv[:, :, None] * v + dginv * p1[:, :, None])
-                        + d_apply(pt1.ginv * p1))
+    dmu = pt1.gram(pt1.jac.apply(pt1.ginv[:, :, None] * v + dginv * p1[:, :, None])
+                   + d_apply(pt1.ginv * p1))
     return dq1, v - pt1.jac.apply_t(dmu), d_apply_t
 
 

@@ -255,12 +255,13 @@ def _consistent_state(q0: RPoint, qdot) -> HamiltonianState:
 
 
 def _shooting_velocity(q0: RPoint, xi: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """The transform velocity of the free-component coefficients xi (2 nb,),
-    or of the r columns of xi (2 nb, r) at once: the raw lift (k1, k2, 2
-    q1^-1 q3 k1 + q1^2 D+ k2) of k1, k2 = basis xi[:nb], basis xi[nb:],
-    left for _consistent_momentum to project."""
-    nb, q = basis.shape[1], q0.q
-    k1, k2 = basis @ xi[:nb], basis @ xi[nb:]
+    """The transform velocity of the free-component coefficients xi (m, 2),
+    a row per basis function and a column each for k1 and k2, or of r
+    coefficient sets xi (m, 2, r) at once: the raw lift (k1, k2, 2 q1^-1 q3
+    k1 + q1^2 D+ k2) of k1, k2 = basis xi[:, 0], basis xi[:, 1], left for
+    _consistent_momentum to project."""
+    q = q0.q
+    k1, k2 = basis @ xi[:, 0], basis @ xi[:, 1]
     dk2 = _forward_diff(k2, q0.theta_step, True)
     k3 = (2.0 * q[:, 2] / q[:, 0] * k1.T + q[:, 0] ** 2 * dk2.T).T
     return np.stack([k1, k2, k3], axis=1)
@@ -283,44 +284,36 @@ def _shooting_endpoints(c0: DiscreteCurve, c1: DiscreteCurve):
 
 
 def _shooting_maps(q0: RPoint, target: RPoint, T: float, steps: int):
-    """The shooting residual xi -> (r, simulation) and its exact Jacobian
-    (simulation, basis) -> dr/dxi at the xi that simulation came from.
-    r is the endpoint gap of `steps` RATTLE steps from the consistent state
-    of _shooting_velocity(q0, xi, basis), projected to the image tangent space
+    """The shooting residual (xi, basis) -> (r, simulation) and its exact
+    Jacobian (simulation, cols) -> dr/dxi along the basis functions cols
+    (n, m), at the xi that simulation came from: column 2j + c belongs to
+    function j and component c, the order of xi.ravel().  r is the endpoint gap
+    of `steps` RATTLE steps from the consistent state of
+    _shooting_velocity(q0, xi, basis), projected to the image tangent space
     at the target and weighted by the square roots of the diagonal metric
     and the trapezoid weights.  The Jacobian differentiates the discrete
     map: xi -> initial momentum is linear at fixed q0, so its columns are
-    the momenta of the unit xi (xi = I, one pass), which the tangent-linear
-    RATTLE map (_position_tangent) carries to the end together along the
-    residual's own stored trajectory; the projection and the weights are
-    linear.  A basis that grows keeps its old functions first, so a pass
-    over the last pass's simulation carries only the new columns."""
+    the momenta of the unit coefficients of cols, built at once, which the
+    tangent-linear RATTLE map (_position_tangent) carries to the end
+    together along the residual's own stored trajectory; the projection
+    and the weights are linear.  It keeps no state: the columns of the
+    functions a grown basis adds, over the same simulation, append to the
+    Jacobian of the old ones."""
     tau = trapezoid_weights(q0.n_samples, True)
     w = np.sqrt(np.stack([4.0 * np.ones_like(tau), target.q[:, 0] ** 2,
                           target.q[:, 0] ** -6], axis=1)
                 * (tau * q0.theta_step)[:, None])
-    momenta = {}              # the unit-xi momenta of each basis size
-    last = [None, None]       # the last pass: its simulation and position tangents
 
     def residual(xi, basis):
         sim = simulate(_consistent_state(q0, _shooting_velocity(q0, xi, basis)), T, T / steps,
                        _shooting=q0._m3)
         return (project_image(target, sim.qs[-1] - target.q) * w).ravel(), sim
 
-    def jacobian(sim, basis):
-        nb = basis.shape[1]
-        if nb not in momenta:
-            momenta[nb] = _consistent_momentum(q0, _shooting_velocity(q0, np.eye(2 * nb), basis))
-        dq, held = np.empty(q0.q.shape + (2 * nb,)), np.zeros(2 * nb, bool)
-        if last[0] is sim:
-            nb0 = last[1].shape[-1] // 2
-            held[:nb0] = held[nb:nb + nb0] = True
-            dq[..., held] = last[1]
-        # take gives C-ordered columns, carried bit for bit as in a full pass
-        dq[..., ~held] = _position_tangent(sim, T / steps,
-                                           momenta[nb].take(np.flatnonzero(~held), -1))
-        last[:] = sim, dq
-        return (project_image(target, dq) * w[..., None]).reshape(-1, 2 * nb)
+    def jacobian(sim, cols):
+        r = 2 * cols.shape[1]
+        units = _consistent_momentum(q0, _shooting_velocity(q0, np.eye(r).reshape(-1, 2, r), cols))
+        dq = _position_tangent(sim, T / steps, units)
+        return (project_image(target, dq) * w[..., None]).reshape(-1, r)
 
     return residual, jacobian
 
@@ -333,22 +326,23 @@ def _bvp_shooting(c0, c1, K, T, dt, modes, tol, max_iter) -> GeodesicPath:
     """Momentum shooting for the constrained transform-space system.
 
     The unknown initial momentum is parameterized by the first Fourier
-    modes of the two free tangent components at q0; the residual is the
-    endpoint gap projected to the image tangent space at the target,
-    minimized by damped Gauss-Newton with the exact Jacobian of the
-    discrete shooting map (_shooting_maps): one tangent-linear pass along
-    the residual's trajectory per Jacobian, one simulate call per residual.
-    A trial step whose simulation leaves the domain or whose Newton solve
-    fails is rejected like one that does not decrease the residual.
-    On a stall the mode count grows by 4, up to 24, and the solve goes on
-    from the same residual and trajectory (zero-padded, xi is the same
-    velocity): the old basis is the first columns of the new one, so the
-    tangent pass over that trajectory carries only the new columns, on the
-    factorizations its first pass made;
-    a stall at 24 modes, like running out of iterations, ends the solve, and
-    a best path that misses the tolerance is raised in a ShootingStall.
-    The path's "length" is the transform-space length of the simulation,
-    a chord per RATTLE step.
+    modes of the two free tangent components at q0, xi a row per basis
+    function; the residual is the endpoint gap projected to the image
+    tangent space at the target, minimized by damped Gauss-Newton with the
+    exact Jacobian of the discrete shooting map (_shooting_maps): one
+    tangent-linear pass along the residual's trajectory per Jacobian, one
+    simulate call per residual.  A trial step whose simulation leaves the
+    domain or whose Newton solve fails is rejected like one that does not
+    decrease the residual, so the current iterate is always the best one.
+    On a stall, while another iteration remains, the mode count grows by 4,
+    up to 24 and below N/2 (more modes alias on N samples), and the solve
+    goes on from the same residual and trajectory: xi gets zero rows, the
+    same velocity, and the Jacobian appends the new functions' columns from
+    one pass over that trajectory, on the factorizations its first pass
+    made.  A stall at the top mode count, like running out of iterations,
+    ends the solve, and a path that misses the tolerance is raised in a
+    ShootingStall.  The path's "length" is the transform-space length of
+    the simulation, a chord per RATTLE step.
     """
     for name, value in (("dt", dt), ("tol", tol)):
         _require(np.isfinite(value) and value > 0,
@@ -359,26 +353,21 @@ def _bvp_shooting(c0, c1, K, T, dt, modes, tol, max_iter) -> GeodesicPath:
     dq_full = target.q - q0.q
     scale = np.sqrt(weighted_inner(MetricId.M3, q0.q, dq_full, dq_full, True))
     residual, jacobian = _shooting_maps(q0, target, T, max(2, int(round(T / dt))))
-
-    def initial_guess(basis):
-        delta = project_image(q0, dq_full, image_tol=1.0) / T
-        nb = basis.shape[1]
-        xi = np.empty(2 * nb)
-        xi[:nb] = np.linalg.lstsq(basis, delta[:, 0], rcond=None)[0]
-        xi[nb:] = np.linalg.lstsq(basis, delta[:, 1], rcond=None)[0]
-        return xi
-
+    top = min(24, (q0.n_samples - 1) // 2)
+    modes = min(modes, top)
     basis = _fourier_basis(q0.n_samples, modes)
-    xi = initial_guess(basis)
+    delta = project_image(q0, dq_full, image_tol=1.0) / T
+    xi = np.linalg.lstsq(basis, delta[:, :2], rcond=None)[0]
     r, sim = residual(xi, basis)
     rn = np.linalg.norm(r)
-    best = (rn, xi.copy(), basis, sim)
+    J = np.empty((r.size, 0))
     lam = 1e-3
-    it = 0
-    while it < max_iter:
+    for it in range(max_iter):
         if rn <= tol * scale:
             break
-        J = jacobian(sim, basis)
+        # the columns J lacks: all of them for a new simulation, the new
+        # functions' after the basis grew
+        J = np.hstack([J, jacobian(sim, basis[:, J.shape[1] // 2:])])
         # Levenberg-Marquardt: the endpoint map has sloppy high-frequency
         # directions, so undamped Gauss-Newton steps leave the trust region
         jtj = J.T @ J
@@ -390,37 +379,29 @@ def _bvp_shooting(c0, c1, K, T, dt, modes, tol, max_iter) -> GeodesicPath:
             # a model decrease at rounding level cannot buy a real one
             if rn ** 2 - np.linalg.norm(r + J @ step) ** 2 <= 1e-6 * rn ** 2:
                 break
+            trial = xi + step.reshape(xi.shape)
             try:
-                rc, simc = residual(xi + step, basis)
+                rc, simc = residual(trial, basis)
             except (StepLeftDomain, NewtonDivergence):   # a failed trial is rejected
                 rc = None
             if rc is not None and np.linalg.norm(rc) < rn:
-                xi = xi + step
-                r, rn, sim = rc, np.linalg.norm(rc), simc
+                xi, r, rn, sim, J = trial, rc, np.linalg.norm(rc), simc, J[:, :0]
                 lam = max(lam / 3.0, 1e-10)
                 improved = True
                 break
             lam *= 10.0
             if lam > 1e8:      # quadratic model exhausted: basis floor reached
                 break
-        it += 1
-        if rn < best[0]:
-            best = (rn, xi.copy(), basis, sim)
         if not improved:
-            if modes >= 24:
+            if modes >= top or it + 1 == max_iter:
                 break
-            old_nb = basis.shape[1]
-            modes = min(24, modes + 4)
+            modes = min(top, modes + 4)
             basis = _fourier_basis(q0.n_samples, modes)
-            pad = basis.shape[1] - old_nb
-            # the padded xi is the same velocity: r and sim stand
-            xi = np.concatenate([xi[:old_nb], np.zeros(pad),
-                                 xi[old_nb:], np.zeros(pad)])
+            xi = np.vstack([xi, np.zeros((basis.shape[1] - len(xi), 2))])
             lam = 1e-3
-    rn, xi, basis, sim = best
     path = _path_from_simulation(sim._diagnosed(), len(sim.times) - 1, K)
-    path.diagnostics.update(endpoint_mismatch=rn, mismatch_scale=scale,
-                            modes=(basis.shape[1] - 1) // 2, length=_rspace_length(sim.qs))
+    path.diagnostics.update(endpoint_mismatch=rn, mismatch_scale=scale, modes=modes,
+                            length=_rspace_length(sim.qs))
     if rn > tol * scale:
         raise ShootingStall("shooting did not reach tolerance",
                             best_path=path, residual=rn)

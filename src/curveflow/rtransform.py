@@ -24,13 +24,13 @@ functionals.  This module is the one definition of the constraints: rows
 the closedness derivative (_closure_coeffs), the M3 products DH.X,
 DH^T.lam and Gram bands with coefficients cached per q (M3Jacobian; no
 dense DH is built), their derivative along a tangent of q
-(_m3_jacobian_tangent, for the tangent-linear RATTLE step), and the Gram
-solve of A g^-1 A^T (_m3_gram, A the derivative rows bordered by the
-closedness rows), the one M3 constraint projection.  The M4 rows are
-geometry only: no solver here differentiates them.  Each M3 point is built
-once (_M3Point, the one place the M3 solver evaluates g^-1 and its
-q1-derivatives; an RPoint keeps its own) and handed to every solve at it.
-project_image takes the L2(g) projection P from _m3_gram; the consistent
+(_m3_jacobian_tangent, for the tangent-linear RATTLE step).  The M4 rows
+are geometry only: no solver here differentiates them.  Each M3 point is
+built once (_M3Point, the one place the M3 solver evaluates g^-1 and its
+q1-derivatives; an RPoint keeps its own) and handed to every solve at it,
+with its Gram solve of A g^-1 A^T (A the derivative rows bordered by the
+closedness rows), the one M3 constraint projection.
+project_image takes the L2(g) projection P from that solve; the consistent
 momentum and the RATTLE lambda_2 step take p -> g P(g^-1 p) = p - A^T mu
 (constrained_hamiltonian._tangent_momentum).  One
 solver serves every "cyclic banded + low-rank border" system - P, the
@@ -570,7 +570,7 @@ class _M3Point:
     """One point q of a closed M3 grid, built once and handed along: the
     diagonal g^-1 (n, 3) and, made on first use, DH(q) (jac), the q1-
     derivatives dginv and d2ginv of g^-1 (d2ginv for the tangent pass only)
-    and the Gram solve of _m3_gram (gram).  q1 > 0 is checked here, once."""
+    and the Gram solve (gram).  q1 > 0 is checked here, once."""
 
     def __init__(self, q: np.ndarray):
         x = q[:, 0]
@@ -578,7 +578,6 @@ class _M3Point:
             raise NonPositive(f"M3: q1 must be positive (min {np.min(x):.3e})")
         self.q, self.dth = q, 2.0 * np.pi / q.shape[0]
         self.ginv = _g_inv_diag(MetricId.M3, q)
-        self.gram = None
 
     @cached_property
     def jac(self) -> M3Jacobian:
@@ -594,21 +593,18 @@ class _M3Point:
         """(0, 6 q1^-4, 30 q1^4), the second q1-derivative of g^-1."""
         return self.dginv * [0.0, -3.0, 5.0] / self.q[:, :1]
 
-
-def _m3_gram(pt: _M3Point):
-    """solve(rhs) = (A g^-1 A^T)^-1 rhs at the point pt for rhs (n+2,) or
-    (n+2, r), where A is the trapezoid derivative rows J bordered by the
-    closedness rows C.  A g^-1 A^T is the cyclic tridiagonal J g^-1 J^T
-    (gram_bands) bordered by J g^-1 C^T, its transpose and C g^-1 C^T: one
-    CyclicFactor, made on the first call and kept on pt for every solve
-    after it."""
-    if pt.gram is None:
-        n, jac, ginv = pt.q.shape[0], pt.jac, pt.ginv
-        border = np.zeros(pt.q.shape + (2,))                   # g^-1 C^T
+    @cached_property
+    def gram(self):
+        """solve(rhs) = (A g^-1 A^T)^-1 rhs for rhs (n+2,) or (n+2, r), where
+        A is the trapezoid derivative rows J bordered by the closedness rows
+        C.  A g^-1 A^T is the cyclic tridiagonal J g^-1 J^T (gram_bands)
+        bordered by J g^-1 C^T, its transpose and C g^-1 C^T: one
+        CyclicFactor for every solve at the point."""
+        n, jac, ginv = self.q.shape[0], self.jac, self.ginv
+        border = np.zeros(self.q.shape + (2,))                 # g^-1 C^T
         border[:, :2] = ginv[:, :2, None] * jac.gc.transpose(2, 1, 0)
         ab = jac.apply(border)
-        pt.gram = CyclicFactor(jac.gram_bands(ginv), ab[:n], ab[:n].T, ab[n:]).solve
-    return pt.gram
+        return CyclicFactor(jac.gram_bands(ginv), ab[:n], ab[:n].T, ab[n:]).solve
 
 
 def _remove_span(metric_id, q, closed, h, basis):
@@ -633,7 +629,7 @@ def project_image(rpoint: RPoint, h, image_tol: float = 1e-3) -> np.ndarray:
     space of the image of the transform (closed curves).
 
     M1/M2: subtract the span of the two closedness gradients.  M3: k = h -
-    g^-1 A^T mu with (A g^-1 A^T) mu = A h by _m3_gram, exact for the
+    g^-1 A^T mu with (A g^-1 A^T) mu = A h by _M3Point.gram, exact for the
     discrete rows; h may also be (n, 3, r), r fields.  M4 is BadInput.
     Raises OffImage when the constraints at q exceed image_tol relative to
     the closure scale.
@@ -652,7 +648,7 @@ def project_image(rpoint: RPoint, h, image_tol: float = 1e-3) -> np.ndarray:
     h = np.asarray(h, dtype=float)
     if metric_id is MetricId.M3:
         pt = rpoint._m3
-        lam = _m3_gram(pt)(pt.jac.apply(h))
+        lam = pt.gram(pt.jac.apply(h))
         return h - pt.ginv.reshape(pt.ginv.shape + (1,) * (h.ndim - 2)) * pt.jac.apply_t(lam)
     return _remove_span(metric_id, rpoint.q, rpoint.closed, h,
                         constraint_gradients(rpoint))

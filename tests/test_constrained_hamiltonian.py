@@ -532,7 +532,7 @@ def test_projection_failures_keep_named_errors(monkeypatch, error):
 
     def singular(*args, **kwargs):
         raise error("singular")
-    monkeypatch.setattr(ch, "_m3_gram", singular)
+    monkeypatch.setattr(rt._M3Point, "gram", property(singular))
     with pytest.raises(RankDeficiency):
         ch.project_consistent(st.rpoint(), st.p)
     with pytest.raises(NewtonDivergence) as exc:

@@ -222,12 +222,82 @@ def test_shooting_jacobian_matches_central_differences(n):
     q0, target = ga._shooting_endpoints(circle(n), c1)
     residual, jacobian = ga._shooting_maps(q0, target, 1.0, 20)
     basis = ga._fourier_basis(n, 4)
-    xi = 0.1 * np.random.default_rng(31).standard_normal(2 * basis.shape[1])
+    xi = 0.1 * np.random.default_rng(31).standard_normal((basis.shape[1], 2))
     J = jacobian(residual(xi, basis)[1], basis)
     eps = 1e-5
-    for a, e in enumerate(eps * np.eye(xi.size)):
+    for a, e in enumerate(eps * np.eye(xi.size).reshape(-1, *xi.shape)):
         fd = (residual(xi + e, basis)[0] - residual(xi - e, basis)[0]) / (2 * eps)
         assert np.linalg.norm(J[:, a] - fd) <= 1e-6 * np.linalg.norm(fd)
+
+
+def test_grown_basis_appends_jacobian_columns():
+    # the functions a grown basis adds, differentiated over the same
+    # simulation, are the columns the Jacobian of the whole basis has there
+    n = 32
+    th = (2 * np.pi / n) * np.arange(n)
+    c1 = cc.DiscreteCurve(np.stack([1.15 * np.cos(th), 0.87 * np.sin(th)], 1), True)
+    residual, jacobian = ga._shooting_maps(*ga._shooting_endpoints(circle(n), c1), 1.0, 20)
+    small, large = ga._fourier_basis(n, 4), ga._fourier_basis(n, 8)
+    xi = 0.1 * np.random.default_rng(31).standard_normal((small.shape[1], 2))
+    sim = residual(xi, small)[1]
+    grown = np.hstack([jacobian(sim, small), jacobian(sim, large[:, small.shape[1]:])])
+    whole = jacobian(sim, large)
+    assert np.linalg.norm(grown - whole) <= 1e-12 * np.linalg.norm(whole)
+
+
+@pytest.mark.parametrize("amp, dt, max_iter", [(None, 0.05, 25), (0.2, 0.1, 15)])
+def test_shooting_returns_smallest_residual(monkeypatch, amp, dt, max_iter):
+    # the returned mismatch is the smallest residual the solve evaluated,
+    # also where trial steps were rejected and the solve stalls (the second
+    # pair, as in test_failed_trial_step_is_rejected)
+    n = 32
+    th = (2 * np.pi / n) * np.arange(n)
+    if amp is None:
+        points = np.stack([1.15 * np.cos(th), 0.87 * np.sin(th)], 1)
+    else:
+        points = (1.0 + amp * np.cos(5 * th))[:, None] * np.stack([np.cos(th), np.sin(th)], 1)
+    c1 = cc.DiscreteCurve(points, True)
+    norms, maps = [], ga._shooting_maps
+
+    def recorded(*args):
+        residual, jacobian = maps(*args)
+
+        def kept(xi, basis):
+            r, sim = residual(xi, basis)
+            norms.append(np.linalg.norm(r))
+            return r, sim
+        return kept, jacobian
+    monkeypatch.setattr(ga, "_shooting_maps", recorded)
+    try:
+        path = ga.geodesic_bvp("M3", circle(n), c1, K=5, T=1.0, dt=dt, modes=4, tol=5e-3,
+                               max_iter=max_iter)
+    except ShootingStall as exc:
+        path = exc.best_path
+    assert path.diagnostics["endpoint_mismatch"] == min(norms)
+    rejected = sum(b >= min(norms[:j + 1]) for j, b in enumerate(norms[1:]))
+    assert (rejected > 0) == (amp is not None)
+
+
+@pytest.mark.parametrize("n, modes, max_iter", [(16, 10, 40), (32, 12, 8)])
+def test_shooting_basis_has_full_column_rank(monkeypatch, n, modes, max_iter):
+    # a Fourier basis of more than (N - 1) / 2 modes holds aliased
+    # functions; the solve caps its start and its growth there (10 -> 7
+    # at N = 16, 12 -> 15 at N = 32) and reports the modes it used
+    th = (2 * np.pi / n) * np.arange(n)
+    c1 = cc.DiscreteCurve(np.stack([1.15 * np.cos(th), 0.87 * np.sin(th)], 1), True)
+    bases, fourier = [], ga._fourier_basis
+
+    def kept(*args):
+        bases.append(fourier(*args))
+        return bases[-1]
+    monkeypatch.setattr(ga, "_fourier_basis", kept)
+    with pytest.raises(ShootingStall) as exc:
+        ga.geodesic_bvp("M3", circle(n), c1, K=5, T=1.0, dt=0.05, modes=modes, tol=1e-12,
+                        max_iter=max_iter)
+    assert exc.value.best_path.diagnostics["modes"] == (n - 1) // 2
+    assert bases[-1].shape[1] == n - 1
+    for basis in bases:
+        assert np.linalg.matrix_rank(basis) == basis.shape[1]
 
 
 @pytest.mark.parametrize("n", [32, 33])
@@ -239,10 +309,11 @@ def test_unit_momenta_match_single_columns(n):
     q0, _ = ga._shooting_endpoints(circle(n), c1)
     basis = ga._fourier_basis(n, 4)
     r = 2 * basis.shape[1]
-    momenta = ga._consistent_momentum(q0, ga._shooting_velocity(q0, np.eye(r), basis))
+    units = np.eye(r).reshape(-1, 2, r)
+    momenta = ga._consistent_momentum(q0, ga._shooting_velocity(q0, units, basis))
     assert momenta.shape == (n, 3, r)
-    for a, e in enumerate(np.eye(r)):
-        ref = ga._consistent_state(q0, ga._shooting_velocity(q0, e, basis)).p
+    for a in range(r):
+        ref = ga._consistent_state(q0, ga._shooting_velocity(q0, units[..., a], basis)).p
         assert np.abs(momenta[..., a] - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
@@ -323,7 +394,7 @@ def test_ivp_simulation_keeps_no_step_factors(monkeypatch):
                     steps=10, snapshots=3)
     c1 = cc.DiscreteCurve(np.stack([1.15 * np.cos(th), 0.87 * np.sin(th)], 1), True)
     residual = ga._shooting_maps(*ga._shooting_endpoints(circle(n), c1), 1.0, 20)[0]
-    residual(np.zeros(18), ga._fourier_basis(n, 4))
+    residual(np.zeros((9, 2)), ga._fourier_basis(n, 4))
     ivp, shot = sims
     assert ivp._points is None and ivp._newton is None
     assert not any(isinstance(v, (list, rt._M3Point)) for v in vars(ivp).values())
