@@ -172,12 +172,18 @@ def cmd_validate(args) -> int:
     return 0 if failures == 0 else 1
 
 
+# a flag the figure does not read is a usage error; the defaults apply after
+_DEMO_UNREAD = {"fig1": ("dt",), "fig2": ("tol", "modes", "bvp_dt"),
+                "fig3": ("tol", "modes", "bvp_dt", "which")}
+_DEMO_DEFAULTS = {"which": 1, "modes": 8, "bvp_dt": 2e-2}
+
+
 def cmd_demo(args) -> int:
     cfg = args.run_config
     n = cfg.n
     os.makedirs(cfg.outdir, exist_ok=True)
+    th = 2.0 * np.pi * np.arange(n) / n
     if args.figure == "fig2":
-        th = 2.0 * np.pi * np.arange(n) / n
         if args.which == 1:
             u0 = np.stack([np.zeros(n), np.sin(th)], 1)
             T = 2.0
@@ -187,36 +193,30 @@ def cmd_demo(args) -> int:
         steps = int(round(T / cfg.dt))
         path = ga.geodesic_ivp(MetricId.M3, _circle(n), u0, T, steps=steps,
                                snapshots=args.snapshots)
-        path.export(cfg.outdir)
-        _write_snapshot_csv(path, os.path.join(cfg.outdir, "snapshots.csv"))
-        print(f"initial-velocity geodesic: {path.n_snapshots} snapshots, "
-              f"max |H| = {path.diagnostics['constraint_norm_full'].max():.2e}")
-        return 0
-    if args.figure == "fig3":
-        th = 2.0 * np.pi * np.arange(n) / n
+        note = (f"initial-velocity geodesic: {path.n_snapshots} snapshots, "
+                f"max |H| = {path.diagnostics['constraint_norm_full'].max():.2e}")
+    elif args.figure == "fig3":
         h = -np.stack([2.0 - np.cos(2 * th), 2.0 * np.sin(2 * th)], 1)
         steps = int(round(0.3 / cfg.dt))
         path = ga.shape_geodesic(_circle(n), h, 0.3, steps=steps,
                                  snapshots=args.snapshots)
-        path.export(cfg.outdir)
-        _write_snapshot_csv(path, os.path.join(cfg.outdir, "snapshots.csv"))
         resid = path.diagnostics["horizontality_rel"]
-        print(f"horizontal geodesic: relative residual start {resid[0]:.3e}, "
-              f"max {resid.max():.3e}")
-        return 0
-    # fig1: boundary value problems
-    if args.which == 1:
-        c0, c1 = _circle(n), _ellipse(n, 1.4, 0.7)
-    else:
-        c0 = _ellipse(n, 1.3, 0.75)
-        c1 = _ellipse(n, 1.3, 0.75, rot=np.pi / 4)
-    path = ga.geodesic_bvp(MetricId.M3, c0, c1, K=args.snapshots, T=2.0,
-                           dt=args.bvp_dt, modes=args.modes, tol=cfg.tol)
+        note = (f"horizontal geodesic: relative residual start {resid[0]:.3e}, "
+                f"max {resid.max():.3e}")
+    else:  # fig1: boundary value problems
+        if args.which == 1:
+            c0, c1 = _circle(n), _ellipse(n, 1.4, 0.7)
+        else:
+            c0 = _ellipse(n, 1.3, 0.75)
+            c1 = _ellipse(n, 1.3, 0.75, rot=np.pi / 4)
+        path = ga.geodesic_bvp(MetricId.M3, c0, c1, K=args.snapshots, T=2.0,
+                               dt=args.bvp_dt, modes=args.modes, tol=cfg.tol)
+        note = (f"boundary geodesic: endpoint mismatch "
+                f"{path.diagnostics['endpoint_mismatch']:.3e} "
+                f"(scale {path.diagnostics['mismatch_scale']:.3e})")
     path.export(cfg.outdir)
     _write_snapshot_csv(path, os.path.join(cfg.outdir, "snapshots.csv"))
-    print(f"boundary geodesic: endpoint mismatch "
-          f"{path.diagnostics['endpoint_mismatch']:.3e} "
-          f"(scale {path.diagnostics['mismatch_scale']:.3e})")
+    print(note)
     return 0
 
 
@@ -277,14 +277,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     dm = sub.add_parser("demo", help="regenerate experiment data")
     dm.add_argument("figure", choices=["fig1", "fig2", "fig3"])
-    dm.add_argument("--which", type=int, default=1, choices=[1, 2])
+    dm.add_argument("--which", type=int, choices=[1, 2], help="fig1/fig2 case (default 1)")
     dm.add_argument("--config")
     dm.add_argument("--n", type=int)
-    dm.add_argument("--dt", type=float)
-    dm.add_argument("--tol", type=float)
+    dm.add_argument("--dt", type=float, help="fig2/fig3 time step")
+    dm.add_argument("--tol", type=float, help="fig1 endpoint tolerance")
     dm.add_argument("--snapshots", type=int, default=17)
-    dm.add_argument("--modes", type=int, default=8)
-    dm.add_argument("--bvp-dt", type=float, default=2e-2)
+    dm.add_argument("--modes", type=int, help="fig1 initial Fourier modes (default 8)")
+    dm.add_argument("--bvp-dt", type=float, help="fig1 shooting time step (default 2e-2)")
     dm.add_argument("-o", "--outdir")
     dm.set_defaults(func=cmd_demo)
     return p
@@ -293,10 +293,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "curvature" and not args.scal2 and not (
-            args.curve and args.h and args.k):
-        parser.error("curvature needs either --scal2 or --curve/--h/--k")
+    if args.command == "curvature":
+        given = [f"--{name}" for name in ("curve", "h", "k") if getattr(args, name)]
+        if args.scal2 and given:
+            parser.error(f"curvature --scal2 does not read {', '.join(given)}")
+        if not args.scal2 and len(given) < 3:
+            parser.error("curvature needs either --scal2 or --curve/--h/--k")
     if args.command == "demo":
+        unread = [f"--{name.replace('_', '-')}" for name in _DEMO_UNREAD[args.figure]
+                  if getattr(args, name) is not None]
+        if unread:
+            parser.error(f"demo {args.figure} does not read {', '.join(unread)}")
+        vars(args).update({k: v for k, v in _DEMO_DEFAULTS.items() if getattr(args, k) is None})
         try:
             args.run_config = _merge_config(args)
         except ValueError as exc:

@@ -70,6 +70,7 @@ from .errors import (
     CurveflowError,
     NewtonDivergence,
     NonPositive,
+    OffImage,
     RankDeficiency,
     SingularSystem,
     StepLeftDomain,
@@ -491,7 +492,8 @@ class SimulationResult:
 def simulate(state: HamiltonianState, T: float, dt: float, *,
              _shooting: _M3Point | None = None) -> SimulationResult:
     """Integrate for round(T/dt) RATTLE steps with per-step diagnostics;
-    dt must be positive and round(T/dt) at least 1.
+    dt must be positive, round(T/dt) at least 1 and the start on the
+    constraints (of its winding) to 1e-9, OffImage if not.
 
     _shooting, the point of state.q, is the shooting solver's private
     path: the result keeps its tangent passes' tape, and leaves the energy
@@ -499,6 +501,11 @@ def simulate(state: HamiltonianState, T: float, dt: float, *,
     if not (dt > 0 and np.isfinite(T / dt) and round(T / dt) >= 1):
         raise CurveflowError(f"simulate needs dt > 0 and at least one step, "
                              f"got T={T}, dt={dt}")
+    rows = constraint_rows(state.metric_id, state.q, state.winding)
+    resid = float(np.max(np.abs(rows)))
+    if not resid <= 1e-9:
+        raise OffImage(f"simulate needs a start on the constraint manifold, got "
+                       f"max |H(q0)| = {resid:.3e} > 1e-9 (winding {state.winding})")
     steps = int(round(T / dt))
     n, d = state.q.shape
     sim = SimulationResult(dt * np.arange(steps + 1) + state.t, np.empty((steps + 1, n, d)),
@@ -520,7 +527,7 @@ def simulate(state: HamiltonianState, T: float, dt: float, *,
             sim._points.append(pt)
 
     pt = _M3Point(state.q) if _shooting is None else _shooting
-    record(0, state, constraint_rows(state.metric_id, state.q, state.winding), pt)
+    record(0, state, rows, pt)
     cur = state
     for j in range(steps):
         try:

@@ -8,12 +8,15 @@ curves, one-sided three-point stencils at open endpoints.  Integration
 is the (periodic) trapezoid rule.  These choices are deliberately
 low-order and uniform so that they compose consistently with the
 second-order (trapezoid) constraint rows used by the Hamiltonian module.
+FieldJet defines D_s h, D_s^2 h and their v/n parts once for every form
+built from them, and _dot the per-sample planar pairing.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,6 +28,11 @@ EPS_REG = 1e-10  # smallest admissible discrete speed |c'|
 def rotate90(w):
     """Rotate an (N,2) array of vectors by +pi/2."""
     return np.stack([-w[:, 1], w[:, 0]], axis=1)
+
+
+def _dot(a, b):
+    """<a_k, b_k> per sample of two (N,2) arrays."""
+    return a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1]
 
 
 @dataclass(frozen=True)
@@ -119,7 +127,7 @@ def build_frame(curve: DiscreteCurve) -> CurveFrame:
     v = cp / speed[:, None]
     n = rotate90(v)
     dsv = theta_derivative(v, curve.closed, curve.theta_step) / speed[:, None]
-    kappa = np.einsum("ki,ki->k", dsv, n)
+    kappa = _dot(dsv, n)
 
     raw = np.arctan2(v[:, 1], v[:, 0])
     alpha = np.unwrap(raw)
@@ -146,11 +154,8 @@ def ds_derivative(curve: DiscreteCurve, values: np.ndarray,
     """Arc-length derivative D_s f = f' / |c'| of scalar or vector samples."""
     if frame is None:
         frame = build_frame(curve)
-    f = np.asarray(values, dtype=float)
-    df = theta_derivative(f, curve.closed, curve.theta_step)
-    if df.ndim == 1:
-        return df / frame.speed
-    return df / frame.speed[:, None]
+    df = theta_derivative(values, curve.closed, curve.theta_step)
+    return df / (frame.speed if df.ndim == 1 else frame.speed[:, None])
 
 
 def integrate_ds(curve: DiscreteCurve, values: np.ndarray,
@@ -173,14 +178,30 @@ def curve_length(curve: DiscreteCurve, frame: CurveFrame | None = None) -> float
 
 
 def _check_field(curve: DiscreteCurve, h, name: str) -> np.ndarray:
-    """h as an (N, 2) float array; a CurveflowError naming it if not."""
+    """h as an (N, 2) float array; BadInput naming it if not."""
     h = np.asarray(h, dtype=float)
     if h.shape != curve.points.shape:
-        raise CurveflowError(f"{name} must be an {curve.points.shape} array on the "
-                             f"curve grid, got shape {h.shape}")
+        raise BadInput(f"{name} must be an {curve.points.shape} array on the "
+                       f"curve grid, got shape {h.shape}")
     if not np.all(np.isfinite(h)):
-        raise CurveflowError(f"{name} must be finite")
+        raise BadInput(f"{name} must be finite")
     return h
+
+
+class FieldJet:
+    """The arc-length jet of a field h on a curve: d1 = D_s h, d2 = D_s^2 h
+    and a1 = <d1, v>, b1 = <d1, n>, a2 = <d2, v>, b2 = <d2, n>, each but d1
+    computed on first use.  The field is checked here, once."""
+
+    def __init__(self, curve: DiscreteCurve, h, frame: CurveFrame, name: str = "h"):
+        self.curve, self.frame = curve, frame
+        self.d1 = ds_derivative(curve, _check_field(curve, h, name), frame)
+
+    d2 = cached_property(lambda self: ds_derivative(self.curve, self.d1, self.frame))
+    a1 = cached_property(lambda self: _dot(self.d1, self.frame.v))
+    b1 = cached_property(lambda self: _dot(self.d1, self.frame.n))
+    a2 = cached_property(lambda self: _dot(self.d2, self.frame.v))
+    b2 = cached_property(lambda self: _dot(self.d2, self.frame.n))
 
 
 FIRST_VARIATION_QUANTITIES = ("alpha", "v", "n", "speed", "kappa")
@@ -198,21 +219,17 @@ def first_variation(curve: DiscreteCurve, h, quantity: str,
     """
     if frame is None:
         frame = build_frame(curve)
-    h = _check_field(curve, h, "h")
-    dsh = ds_derivative(curve, h, frame)
-    dsh_n = np.einsum("ki,ki->k", dsh, frame.n)
-    dsh_v = np.einsum("ki,ki->k", dsh, frame.v)
+    jet = FieldJet(curve, h, frame)
     if quantity == "alpha":
-        return dsh_n
+        return jet.b1
     if quantity == "v":
-        return dsh_n[:, None] * frame.n
+        return jet.b1[:, None] * frame.n
     if quantity == "n":
-        return -dsh_n[:, None] * frame.v
+        return -jet.b1[:, None] * frame.v
     if quantity == "speed":
-        return dsh_v * frame.speed
+        return jet.a1 * frame.speed
     if quantity == "kappa":
-        ds2h = ds_derivative(curve, dsh, frame)
-        return np.einsum("ki,ki->k", ds2h, frame.n) - 2.0 * frame.kappa * dsh_v
+        return jet.b2 - 2.0 * frame.kappa * jet.a1
     raise BadInput(f"unknown quantity {quantity!r}; "
                    f"expected one of {FIRST_VARIATION_QUANTITIES}")
 

@@ -36,6 +36,7 @@ from .constrained_hamiltonian import (
 from .curve_core import (
     DiscreteCurve,
     _check_field,
+    _dot,
     build_frame,
     center,
     curve_length,
@@ -551,7 +552,7 @@ def _rspace_length(qs) -> float:
 def _vertical_pairing(curve: DiscreteCurve, u, frame):
     """(<L_c u, v> per sample, L_c u) for M3."""
     lu = apply_L(MetricId.M3, curve, u, frame)
-    return np.einsum("ki,ki->k", lu, frame.v), lu
+    return _dot(lu, frame.v), lu
 
 
 # apply_L for M3 composes four central differences, so the vertical
@@ -610,7 +611,7 @@ def horizontal_project(curve: DiscreteCurve, h) -> np.ndarray:
 
 def _horizontality(curve: DiscreteCurve, u):
     """(sup |<L_c u, v>|, the same relative to sup |L_c u|) for M3."""
-    pairing, lu = _vertical_pairing(curve, np.asarray(u, float), build_frame(curve))
+    pairing, lu = _vertical_pairing(curve, u, build_frame(curve))
     resid = float(np.max(np.abs(pairing)))
     scale = float(np.max(np.abs(lu)))
     return resid, (resid / scale if scale > 0.0 else 0.0)

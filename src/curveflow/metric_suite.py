@@ -10,7 +10,9 @@ Metric integrands (all integrated against ds):
     M4: <D_s h, D_s k> + <D_s^2 h, D_s^2 k>
 
 M1 is defined only on strictly convex curves.  The operator and
-momentum forms hold without boundary terms on closed curves only.
+momentum forms hold without boundary terms on closed curves only.  All
+forms read the field's curve_core.FieldJet; _integrand also serves the M2
+sectional curvature.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ import numpy as np
 from .curve_core import (
     CurveFrame,
     DiscreteCurve,
+    FieldJet,
+    _dot,
     build_frame,
     ds_derivative,
     integrate_ds,
@@ -72,10 +76,17 @@ def _require_convex(frame: CurveFrame) -> None:
         raise NotConvex(f"min kappa = {kmin:.3e} <= EPS_CONVEX = {EPS_CONVEX:.1e}")
 
 
-def _diffs(curve, field, frame):
-    dsh = ds_derivative(curve, field, frame)
-    ds2h = ds_derivative(curve, dsh, frame)
-    return dsh, ds2h
+def _integrand(metric_id: MetricId, frame: CurveFrame, jh: FieldJet, jk: FieldJet):
+    """The per-sample integrand of G_c(h, k), from the jets of h and k."""
+    if metric_id is MetricId.M1:
+        _require_convex(frame)
+        # grouping (b2h*b2k) keeps the evaluation exactly symmetric in (h, k)
+        return frame.kappa ** (-1.5) * (jh.b2 * jk.b2) + jh.a1 * jk.a1
+    if metric_id is MetricId.M2:
+        return jh.a1 * jk.a1 + jh.b2 * jk.b2
+    if metric_id is MetricId.M3:
+        return _dot(jh.d1, jk.d1) + jh.b2 * jk.b2
+    return _dot(jh.d1, jk.d1) + _dot(jh.d2, jk.d2)
 
 
 def metric_eval(metric_id, curve: DiscreteCurve, h, k,
@@ -84,26 +95,8 @@ def metric_eval(metric_id, curve: DiscreteCurve, h, k,
     metric_id = MetricId.parse(metric_id)
     if frame is None:
         frame = build_frame(curve)
-    h = np.asarray(h, dtype=float)
-    k = np.asarray(k, dtype=float)
-    dsh, ds2h = _diffs(curve, h, frame)
-    dsk, ds2k = _diffs(curve, k, frame)
-    a1h = np.einsum("ki,ki->k", dsh, frame.v)
-    a1k = np.einsum("ki,ki->k", dsk, frame.v)
-    b2h = np.einsum("ki,ki->k", ds2h, frame.n)
-    b2k = np.einsum("ki,ki->k", ds2k, frame.n)
-    if metric_id is MetricId.M1:
-        _require_convex(frame)
-        # grouping (b2h*b2k) keeps the evaluation exactly symmetric in (h, k)
-        integrand = frame.kappa ** (-1.5) * (b2h * b2k) + a1h * a1k
-    elif metric_id is MetricId.M2:
-        integrand = a1h * a1k + b2h * b2k
-    elif metric_id is MetricId.M3:
-        integrand = np.einsum("ki,ki->k", dsh, dsk) + b2h * b2k
-    else:
-        integrand = (np.einsum("ki,ki->k", dsh, dsk)
-                     + np.einsum("ki,ki->k", ds2h, ds2k))
-    return integrate_ds(curve, integrand, frame)
+    jh, jk = FieldJet(curve, h, frame), FieldJet(curve, k, frame, "k")
+    return integrate_ds(curve, _integrand(metric_id, frame, jh, jk), frame)
 
 
 def apply_L(metric_id, curve: DiscreteCurve, h,
@@ -120,23 +113,20 @@ def apply_L(metric_id, curve: DiscreteCurve, h,
             "(open curves produce boundary terms)")
     if frame is None:
         frame = build_frame(curve)
-    h = np.asarray(h, dtype=float)
-    dsh, ds2h = _diffs(curve, h, frame)
-    a1 = np.einsum("ki,ki->k", dsh, frame.v)
-    b2 = np.einsum("ki,ki->k", ds2h, frame.n)
+    jet = FieldJet(curve, h, frame)
 
     def ds(f):
         return ds_derivative(curve, f, frame)
 
     if metric_id is MetricId.M1:
         _require_convex(frame)
-        w = frame.kappa ** (-1.5) * b2
-        return ds(ds(w[:, None] * frame.n)) - ds(a1[:, None] * frame.v)
+        w = frame.kappa ** (-1.5) * jet.b2
+        return ds(ds(w[:, None] * frame.n)) - ds(jet.a1[:, None] * frame.v)
     if metric_id is MetricId.M2:
-        return ds(ds(b2[:, None] * frame.n)) - ds(a1[:, None] * frame.v)
+        return ds(ds(jet.b2[:, None] * frame.n)) - ds(jet.a1[:, None] * frame.v)
     if metric_id is MetricId.M3:
-        return ds(ds(b2[:, None] * frame.n)) - ds2h
-    return ds(ds(ds2h)) - ds2h
+        return ds(ds(jet.b2[:, None] * frame.n)) - jet.d2
+    return ds(ds(jet.d2)) - jet.d2
 
 
 def hc_quadratic(metric_id, curve: DiscreteCurve, h,
@@ -153,12 +143,8 @@ def hc_quadratic(metric_id, curve: DiscreteCurve, h,
         raise OpenCurveUnsupported("momentum form requires a closed curve")
     if frame is None:
         frame = build_frame(curve)
-    h = np.asarray(h, dtype=float)
-    dsh, ds2h = _diffs(curve, h, frame)
-    a1 = np.einsum("ki,ki->k", dsh, frame.v)
-    b1 = np.einsum("ki,ki->k", dsh, frame.n)
-    a2 = np.einsum("ki,ki->k", ds2h, frame.v)
-    b2 = np.einsum("ki,ki->k", ds2h, frame.n)
+    jet = FieldJet(curve, h, frame)
+    a1, b1, a2, b2 = jet.a1, jet.b1, jet.a2, jet.b2
     v, n = frame.v, frame.n
 
     def ds(f):
@@ -178,15 +164,11 @@ def hc_quadratic(metric_id, curve: DiscreteCurve, h,
             - 2.0 * ds(b1 * b2)[:, None] * v \
             + 2.0 * (a2 * b2)[:, None] * n + 3.0 * (b2 ** 2)[:, None] * v
     elif metric_id is MetricId.M3:
-        sq = np.einsum("ki,ki->k", dsh, dsh)
-        X = sq[:, None] * v - 2.0 * ds(b1 * b2)[:, None] * v \
+        X = _dot(jet.d1, jet.d1)[:, None] * v - 2.0 * ds(b1 * b2)[:, None] * v \
             + 2.0 * (a2 * b2)[:, None] * n + 3.0 * (b2 ** 2)[:, None] * v
     else:
-        sq1 = np.einsum("ki,ki->k", dsh, dsh)
-        sq2 = np.einsum("ki,ki->k", ds2h, ds2h)
-        cross = np.einsum("ki,ki->k", dsh, ds2h)
-        X = 3.0 * sq2[:, None] * v - 2.0 * ds(cross)[:, None] * v \
-            + sq1[:, None] * v
+        X = 3.0 * _dot(jet.d2, jet.d2)[:, None] * v - 2.0 * ds(_dot(jet.d1, jet.d2))[:, None] * v \
+            + _dot(jet.d1, jet.d1)[:, None] * v
     values = 0.5 * ds(X) * frame.speed[:, None]
     return MomentumDensity(values=values, theta_step=curve.theta_step,
                            closed=curve.closed)

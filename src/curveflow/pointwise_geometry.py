@@ -28,7 +28,7 @@ import numpy as np
 from scipy.integrate import cumulative_simpson, quad
 from scipy.interpolate import CubicSpline
 
-from .curve_core import DiscreteCurve, build_frame, ds_derivative, integrate_ds
+from .curve_core import DiscreteCurve, FieldJet, build_frame, integrate_ds
 from .errors import (
     BadInput,
     DegeneratePlane,
@@ -37,7 +37,7 @@ from .errors import (
     NonPositive,
     OutOfRange,
 )
-from .metric_suite import MetricId, metric_eval
+from .metric_suite import MetricId, _integrand
 
 # -- fiber metrics ----------------------------------------------------------
 
@@ -614,22 +614,12 @@ def sectional_curvature_m2(curve: DiscreteCurve, h, k) -> float:
     numerically zero (e.g. k parallel to h modulo the kernel).
     """
     frame = build_frame(curve)
-    h = np.asarray(h, dtype=float)
-    k = np.asarray(k, dtype=float)
-    ghh = metric_eval(MetricId.M2, curve, h, h, frame)
-    gkk = metric_eval(MetricId.M2, curve, k, k, frame)
-    ghk = metric_eval(MetricId.M2, curve, h, k, frame)
+    jh, jk = FieldJet(curve, h, frame), FieldJet(curve, k, frame, "k")
+    ghh, gkk, ghk = (integrate_ds(curve, _integrand(MetricId.M2, frame, a, b), frame)
+                     for a, b in ((jh, jh), (jk, jk), (jh, jk)))
     gram = ghh * gkk - ghk ** 2
     if gram <= 1e-12 * max(ghh * gkk, 1e-300):
         raise DegeneratePlane("plane spanned by (h, k) is degenerate")
-    dsh = ds_derivative(curve, h, frame)
-    dsk = ds_derivative(curve, k, frame)
-    ds2h = ds_derivative(curve, dsh, frame)
-    ds2k = ds_derivative(curve, dsk, frame)
-    a1h = np.einsum("ki,ki->k", dsh, frame.v)
-    a1k = np.einsum("ki,ki->k", dsk, frame.v)
-    b2h = np.einsum("ki,ki->k", ds2h, frame.n)
-    b2k = np.einsum("ki,ki->k", ds2k, frame.n)
-    w = a1h * b2k - a1k * b2h
+    w = jh.a1 * jk.b2 - jk.a1 * jh.b2
     numerator = -3.0 * integrate_ds(curve, w ** 2, frame)
     return numerator / gram

@@ -51,8 +51,8 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-from .curve_core import (CurveFrame, DiscreteCurve, build_frame, ds_derivative, load_json,
-                         trapezoid_weights)
+from .curve_core import (CurveFrame, DiscreteCurve, FieldJet, build_frame, ds_derivative,
+                         load_json, trapezoid_weights)
 from .errors import BadInput, CurveflowError, NonPositive, OffImage, SingularSystem
 from .metric_suite import MetricId, _require_convex
 from .pointwise_geometry import _g_inv_diag, g_eval, g_inv
@@ -181,24 +181,18 @@ def dr(metric_id, curve: DiscreteCurve, h,
     metric_id = MetricId.parse(metric_id)
     if frame is None:
         frame = build_frame(curve)
-    h = np.asarray(h, dtype=float)
-    dsh = ds_derivative(curve, h, frame)
-    ds2h = ds_derivative(curve, dsh, frame)
-    a1 = np.einsum("ki,ki->k", dsh, frame.v)
-    b1 = np.einsum("ki,ki->k", dsh, frame.n)
-    a2 = np.einsum("ki,ki->k", ds2h, frame.v)
-    b2 = np.einsum("ki,ki->k", ds2h, frame.n)
+    jet = FieldJet(curve, h, frame)
     root = np.sqrt(frame.speed)
     if metric_id is MetricId.M1:
         _require_convex(frame)
-        return np.stack([a1 * root, frame.kappa ** -0.75 * b2 * root], axis=1)
+        return np.stack([jet.a1 * root, frame.kappa ** -0.75 * jet.b2 * root], axis=1)
     if metric_id is MetricId.M2:
-        return np.stack([0.5 * a1 * root, b2 * frame.speed ** 2], axis=1)
+        return np.stack([0.5 * jet.a1 * root, jet.b2 * frame.speed ** 2], axis=1)
     if metric_id is MetricId.M3:
-        return np.stack([0.5 * a1 * root, b1, b2 * frame.speed ** 2], axis=1)
-    return np.stack([0.5 * a1 * root, b1,
-                     frame.speed * a2 + frame.speed * frame.kappa * b1,
-                     b2 * frame.speed ** 2], axis=1)
+        return np.stack([0.5 * jet.a1 * root, jet.b1, jet.b2 * frame.speed ** 2], axis=1)
+    return np.stack([0.5 * jet.a1 * root, jet.b1,
+                     frame.speed * jet.a2 + frame.speed * frame.kappa * jet.b1,
+                     jet.b2 * frame.speed ** 2], axis=1)
 
 
 # -- constraints ------------------------------------------------------------

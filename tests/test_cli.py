@@ -122,6 +122,24 @@ def test_demo_bad_run_config_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("argv, flags", [
+    (["demo", "fig2", "--tol", "123", "--modes", "99", "--bvp-dt", "7"],
+     "demo fig2 does not read --tol, --modes, --bvp-dt"),
+    (["demo", "fig3", "--which", "2", "--tol", "9"], "demo fig3 does not read --tol, --which"),
+    (["demo", "fig3", "--modes", "8"], "demo fig3 does not read --modes"),
+    (["demo", "fig1", "--dt", "1e-2"], "demo fig1 does not read --dt"),
+    (["curvature", "--scal2", "1", "--curve", "c.json", "--k", "k.json"],
+     "curvature --scal2 does not read --curve, --k"),
+])
+def test_unread_flags_are_usage_errors(tmp_path, capsys, argv, flags):
+    # a flag the command would ignore is named, before any work
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["-o", str(tmp_path / "o")] if argv[0] == "demo" else argv)
+    assert exc.value.code == 2
+    assert flags in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_demo_fig2_writes_snapshots(tmp_path, capsys):
     out = tmp_path / "fig2"
     rc = cli.main(["demo", "fig2", "--which", "1", "--n", "48",

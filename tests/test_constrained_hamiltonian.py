@@ -7,8 +7,8 @@ from curveflow import curve_core as cc
 from curveflow import metric_suite as ms
 from curveflow import pointwise_geometry as pg
 from curveflow import rtransform as rt
-from curveflow.errors import (BadInput, CurveflowError, NewtonDivergence, RankDeficiency,
-                              SingularSystem, StepLeftDomain)
+from curveflow.errors import (BadInput, CurveflowError, NewtonDivergence, OffImage,
+                              RankDeficiency, SingularSystem, StepLeftDomain)
 
 
 def circle_state(n=64, amp=1.0, velocity="sin"):
@@ -485,6 +485,16 @@ def test_step_left_domain():
     bad = ch.HamiltonianState("M3", st.q, p, 0.0, st.winding)
     with pytest.raises(StepLeftDomain):
         ch.simulate(bad, 1.0, 5e-2)
+
+
+def test_simulate_start_off_the_constraints():
+    # a projected circle has winding 1; the same q with the default winding
+    # 0 misses the 2 pi seam jump of alpha, a derivative row of 2 pi/dtheta
+    # = N, which simulate names before any step
+    st = circle_state(48)
+    with pytest.raises(OffImage, match=r"max \|H\(q0\)\| = 4\.800e\+01 > 1e-9 \(winding 0\)"):
+        ch.simulate(ch.HamiltonianState("M3", st.q, st.p), 1.0, 5e-2)
+    assert ch.simulate(st, 5e-2, 5e-2).constraint_norm[0] <= 1e-9
 
 
 def test_step_left_domain_partial_keeps_step_arrays():

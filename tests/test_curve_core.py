@@ -107,6 +107,23 @@ def test_gauss_bonnet_total_turning():
         assert abs(total - 2 * np.pi * f.winding) < 10 * c.theta_step ** 2
 
 
+def test_field_jet_is_second_order_on_the_circle():
+    # h = (cos 2t, sin 2t) on the unit circle has the exact jet
+    # a1 = 2 cos t, b1 = 2 sin t, a2 = -4 sin t, b2 = 4 cos t; each part
+    # converges at second order (h = c would be exact to rounding)
+    errors = []
+    for n in (64, 128):
+        c = circle(n)
+        th = c.theta
+        jet = cc.FieldJet(c, np.stack([np.cos(2 * th), np.sin(2 * th)], 1), cc.build_frame(c))
+        exact = {"a1": 2 * np.cos(th), "b1": 2 * np.sin(th),
+                 "a2": -4 * np.sin(th), "b2": 4 * np.cos(th)}
+        errors.append({name: np.abs(getattr(jet, name) - value).max()
+                       for name, value in exact.items()})
+    for name, coarse in errors[0].items():
+        assert 3.5 <= coarse / errors[1][name] <= 4.5, name
+
+
 def test_first_variation_translation_invariance():
     c = wavy_curve(96, seed=8)
     h = np.tile([0.7, -0.3], (96, 1))

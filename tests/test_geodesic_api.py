@@ -577,6 +577,22 @@ def test_fields_are_checked():
             ga.horizontal_project(c, field)
         with pytest.raises(CurveflowError, match=f"h must .*{words}"):
             ga.shape_geodesic(c, field, T=0.2, steps=20, snapshots=5)
+        # every reader of a field's jet checks it: one sample short, or a
+        # NaN, is BadInput naming the field, never a broadcast error or a NaN
+        good = smooth_field(n)
+        readers = [lambda f: ms.metric_eval("M2", c, f, good),
+                   lambda f: ms.apply_L("M3", c, f),
+                   lambda f: ms.hc_quadratic("M3", c, f),
+                   lambda f: rt.dr("M4", c, f),
+                   lambda f: pg.sectional_curvature_m2(c, f, good),
+                   lambda f: cc.first_variation(c, f, "kappa")]
+        for read in readers:
+            with pytest.raises(BadInput, match=f"h must .*{words}"):
+                read(field)
+        for read in (lambda f: ms.metric_eval("M2", c, good, f),
+                     lambda f: pg.sectional_curvature_m2(c, good, f)):
+            with pytest.raises(BadInput, match=f"k must .*{words}"):
+                read(field)
 
 
 def test_horizontal_project_examples():

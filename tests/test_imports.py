@@ -1,5 +1,6 @@
-"""No imported name goes unused, in the package or in its tests, and no
-private helper of the package is left for the tests alone.
+"""No imported name goes unused, in the package or in its tests, no
+private helper of the package is left for the tests alone, and no module
+spells the per-sample planar pairing itself.
 
 The package's __init__ and the tests' conftest re-export what they import
 (`from conftest import circle` in the test modules), so they are exempt
@@ -75,3 +76,32 @@ def test_no_test_only_private_helpers():
              for path, line, name in unreferenced_private(sources)]
     assert sources
     assert not found, "\n".join(found)
+
+
+# fiber pairings run over d = 2..4 components; validation is reference code
+PAIRING_EXEMPT = {"src/curveflow/pointwise_geometry.py", "src/curveflow/validation.py"}
+
+
+def planar_pairings(source: str) -> list[int]:
+    """Lines that spell <a_k, b_k> as einsum("ki,ki->k", a, b), which
+    curve_core._dot and FieldJet define once."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) == "einsum"
+            and node.args and isinstance(node.args[0], ast.Constant)
+            and str(node.args[0].value).replace(" ", "") == "ki,ki->k"]
+
+
+def test_planar_pairings_are_found():
+    source = ('import numpy as np\nfrom numpy import einsum\n'
+              'a = np.einsum("ki,ki->k", x, y)\nb = np.einsum("kij,kj->ki", g, x)\n'
+              'c = einsum("ki, ki -> k", x, y)\n')
+    assert planar_pairings(source) == [3, 5]
+
+
+def test_no_planar_pairing_outside_the_jet():
+    files = [path for path in sorted(ROOT.glob("src/curveflow/*.py"))
+             if str(path.relative_to(ROOT)) not in PAIRING_EXEMPT]
+    found = [f"{path.relative_to(ROOT)}:{line} pairs with einsum; use curve_core._dot"
+             for path in files for line in planar_pairings(path.read_text())]
+    assert files and not found, "\n".join(found)
