@@ -46,6 +46,18 @@ class RunConfig:
             raise ValueError("steps and tolerances must be positive")
 
 
+def _numbers(text: str) -> list[float]:
+    """The comma-separated numbers of an option value; a usage error names
+    the first token that is not one."""
+    out = []
+    for token in text.split(","):
+        try:
+            out.append(float(token))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{token!r} is not a number") from None
+    return out
+
+
 def _merge_config(args) -> RunConfig:
     names = [f.name for f in fields(RunConfig)]
     data = {}
@@ -153,10 +165,10 @@ def cmd_distance(args) -> int:
 
 def cmd_curvature(args) -> int:
     if args.scal2:
-        xs = [float(x) for x in args.scal2.split(",")]
+        rows = [(x, scal2((x, 0.0))) for x in args.scal2]
         print("x, scal")
-        for x in xs:
-            print(f"{x:g}, {scal2((x, 0.0)):.12g}")
+        for x, value in rows:
+            print(f"{x:g}, {value:.12g}")
         return 0
     c = load_curve(args.curve)
     h = _load_field(args.h)
@@ -269,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     cv.add_argument("--curve")
     cv.add_argument("--h")
     cv.add_argument("--k")
-    cv.add_argument("--scal2", help="comma-separated x values for -3/x^2")
+    cv.add_argument("--scal2", type=_numbers, help="comma-separated x values for -3/x^2")
     cv.set_defaults(func=cmd_curvature)
 
     v = sub.add_parser("validate", help="run the invariant suite")

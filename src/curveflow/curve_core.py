@@ -8,8 +8,10 @@ curves, one-sided three-point stencils at open endpoints.  Integration
 is the (periodic) trapezoid rule.  These choices are deliberately
 low-order and uniform so that they compose consistently with the
 second-order (trapezoid) constraint rows used by the Hamiltonian module.
-FieldJet defines D_s h, D_s^2 h and their v/n parts once for every form
-built from them, and _dot the per-sample planar pairing.
+A curve carries its frame (DiscreteCurve.frame, built by build_frame on
+first use), which every function of the curve reads.  FieldJet defines
+D_s h, D_s^2 h and their v/n parts once for every form built from them,
+and _dot the per-sample planar pairing.
 """
 
 from __future__ import annotations
@@ -68,6 +70,9 @@ class DiscreteCurve:
 
     def with_points(self, points) -> "DiscreteCurve":
         return DiscreteCurve(points, self.closed)
+
+    # build_frame is looked up per call, so a wrapped module attribute sees every build
+    frame = cached_property(lambda self: build_frame(self))
 
 
 @dataclass(frozen=True)
@@ -146,58 +151,57 @@ def build_frame(curve: DiscreteCurve) -> CurveFrame:
     winding = None
     if curve.closed:
         winding = int(round((alpha[-1] + seam - alpha[0]) / (2.0 * np.pi)))
+    for values in (speed, v, n, kappa, alpha):  # shared by every reader of curve.frame
+        values.setflags(write=False)
     return CurveFrame(speed=speed, v=v, n=n, kappa=kappa, alpha=alpha, winding=winding)
 
 
-def ds_derivative(curve: DiscreteCurve, values: np.ndarray,
-                  frame: CurveFrame | None = None) -> np.ndarray:
+def _check_samples(values, shapes, name: str) -> np.ndarray:
+    """values as a float array of one of the shapes; BadInput naming it if
+    its shape is another or it holds a non-finite number."""
+    f = np.asarray(values, dtype=float)
+    if f.shape not in shapes:
+        raise BadInput(f"{name} must be an array of shape "
+                       f"{' or '.join(map(str, shapes))}, got shape {f.shape}")
+    if not np.all(np.isfinite(f)):
+        raise BadInput(f"{name} must be finite")
+    return f
+
+
+def ds_derivative(curve: DiscreteCurve, values: np.ndarray) -> np.ndarray:
     """Arc-length derivative D_s f = f' / |c'| of scalar or vector samples."""
-    if frame is None:
-        frame = build_frame(curve)
+    speed = curve.frame.speed
     df = theta_derivative(values, curve.closed, curve.theta_step)
-    return df / (frame.speed if df.ndim == 1 else frame.speed[:, None])
+    return df / (speed if df.ndim == 1 else speed[:, None])
 
 
-def integrate_ds(curve: DiscreteCurve, values: np.ndarray,
-                 frame: CurveFrame | None = None):
+def integrate_ds(curve: DiscreteCurve, values: np.ndarray):
     """Trapezoid quadrature of f against ds = |c'| dtheta.
 
     Scalar samples give a float; (N,2) samples integrate componentwise.
     """
-    if frame is None:
-        frame = build_frame(curve)
-    f = np.asarray(values, dtype=float)
-    w = trapezoid_weights(curve.n_samples, curve.closed) * curve.theta_step
+    w = trapezoid_weights(curve.n_samples, curve.closed) * curve.theta_step * curve.frame.speed
+    f = _check_samples(values, [(curve.n_samples,), curve.points.shape], "values")
     if f.ndim == 1:
-        return float(np.sum(w * frame.speed * f))
-    return np.einsum("k,ki->i", w * frame.speed, f)
+        return float(np.sum(w * f))
+    return np.einsum("k,ki->i", w, f)
 
 
-def curve_length(curve: DiscreteCurve, frame: CurveFrame | None = None) -> float:
-    return integrate_ds(curve, np.ones(curve.n_samples), frame)
-
-
-def _check_field(curve: DiscreteCurve, h, name: str) -> np.ndarray:
-    """h as an (N, 2) float array; BadInput naming it if not."""
-    h = np.asarray(h, dtype=float)
-    if h.shape != curve.points.shape:
-        raise BadInput(f"{name} must be an {curve.points.shape} array on the "
-                       f"curve grid, got shape {h.shape}")
-    if not np.all(np.isfinite(h)):
-        raise BadInput(f"{name} must be finite")
-    return h
+def curve_length(curve: DiscreteCurve) -> float:
+    return integrate_ds(curve, np.ones(curve.n_samples))
 
 
 class FieldJet:
     """The arc-length jet of a field h on a curve: d1 = D_s h, d2 = D_s^2 h
     and a1 = <d1, v>, b1 = <d1, n>, a2 = <d2, v>, b2 = <d2, n>, each but d1
-    computed on first use.  The field is checked here, once."""
+    computed on first use.  The field is checked here, once, after the
+    curve's frame is built."""
 
-    def __init__(self, curve: DiscreteCurve, h, frame: CurveFrame, name: str = "h"):
-        self.curve, self.frame = curve, frame
-        self.d1 = ds_derivative(curve, _check_field(curve, h, name), frame)
+    def __init__(self, curve: DiscreteCurve, h, name: str = "h"):
+        self.curve, self.frame = curve, curve.frame
+        self.d1 = ds_derivative(curve, _check_samples(h, [curve.points.shape], name))
 
-    d2 = cached_property(lambda self: ds_derivative(self.curve, self.d1, self.frame))
+    d2 = cached_property(lambda self: ds_derivative(self.curve, self.d1))
     a1 = cached_property(lambda self: _dot(self.d1, self.frame.v))
     b1 = cached_property(lambda self: _dot(self.d1, self.frame.n))
     a2 = cached_property(lambda self: _dot(self.d2, self.frame.v))
@@ -207,8 +211,7 @@ class FieldJet:
 FIRST_VARIATION_QUANTITIES = ("alpha", "v", "n", "speed", "kappa")
 
 
-def first_variation(curve: DiscreteCurve, h, quantity: str,
-                    frame: CurveFrame | None = None):
+def first_variation(curve: DiscreteCurve, h, quantity: str):
     """First variation of a frame quantity in the direction h.
 
         d alpha . h = <D_s h, n>
@@ -217,9 +220,8 @@ def first_variation(curve: DiscreteCurve, h, quantity: str,
         d |c'| . h  = <D_s h, v> |c'|
         d kappa . h = <D_s^2 h, n> - 2 kappa <D_s h, v>
     """
-    if frame is None:
-        frame = build_frame(curve)
-    jet = FieldJet(curve, h, frame)
+    jet = FieldJet(curve, h)
+    frame = jet.frame
     if quantity == "alpha":
         return jet.b1
     if quantity == "v":
@@ -234,12 +236,8 @@ def first_variation(curve: DiscreteCurve, h, quantity: str,
                    f"expected one of {FIRST_VARIATION_QUANTITIES}")
 
 
-def centroid(curve: DiscreteCurve, frame: CurveFrame | None = None) -> np.ndarray:
-    if frame is None:
-        frame = build_frame(curve)
-    mass = curve_length(curve, frame)
-    first = integrate_ds(curve, curve.points, frame)
-    return first / mass
+def centroid(curve: DiscreteCurve) -> np.ndarray:
+    return integrate_ds(curve, curve.points) / curve_length(curve)
 
 
 def center(curve: DiscreteCurve) -> DiscreteCurve:
@@ -247,11 +245,9 @@ def center(curve: DiscreteCurve) -> DiscreteCurve:
     return curve.with_points(curve.points - centroid(curve))
 
 
-def section_rotation(curve: DiscreteCurve, frame: CurveFrame | None = None) -> np.ndarray:
+def section_rotation(curve: DiscreteCurve) -> np.ndarray:
     """The rotation matrix after which the ds-average of alpha vanishes."""
-    if frame is None:
-        frame = build_frame(curve)
-    phi = -integrate_ds(curve, frame.alpha, frame) / curve_length(curve, frame)
+    phi = -integrate_ds(curve, curve.frame.alpha) / curve_length(curve)
     return np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
 
 
@@ -261,9 +257,8 @@ def normalize_rotation(curve: DiscreteCurve) -> DiscreteCurve:
     Combined with center() this realizes the reparameterization-invariant
     section of curves modulo Euclidean motions.
     """
-    frame = build_frame(curve)
-    mid = centroid(curve, frame)
-    return curve.with_points((curve.points - mid) @ section_rotation(curve, frame).T + mid)
+    mid = centroid(curve)
+    return curve.with_points((curve.points - mid) @ section_rotation(curve).T + mid)
 
 
 # -- file format ------------------------------------------------------------

@@ -35,9 +35,8 @@ from .constrained_hamiltonian import (
 )
 from .curve_core import (
     DiscreteCurve,
-    _check_field,
+    _check_samples,
     _dot,
-    build_frame,
     center,
     curve_length,
     integrate_ds,
@@ -436,7 +435,7 @@ def geodesic_ivp(metric_id, c0: DiscreteCurve, u0, T: float,
     domain raises DomainExit with the snapshots reached.
     """
     metric_id = MetricId.parse(metric_id)
-    u0 = _check_field(c0, u0, "u0")
+    u0 = _check_samples(u0, [c0.points.shape], "u0")
     _require(metric_id is not MetricId.M1 or steps is None,
              f"M1 geodesics are exact; steps={steps!r} would be ignored")
     steps = 200 if steps is None else steps
@@ -490,17 +489,15 @@ def remove_translation_component(c0: DiscreteCurve, u0) -> np.ndarray:
     """Subtract the ds-mean: the L2(ds) projection off the constant fields
     (the metric kernel itself pairs to zero against everything, so the
     quotient is realized in the L2 geometry)."""
-    frame = build_frame(c0)
-    mean = integrate_ds(c0, np.asarray(u0, float), frame) / curve_length(c0, frame)
+    mean = integrate_ds(c0, np.asarray(u0, float)) / curve_length(c0)
     return np.asarray(u0, float) - mean
 
 
 def _ivp_rattle(c0, u0, T, steps, K) -> GeodesicPath:
     c0 = center(c0)
     u0 = remove_translation_component(c0, u0)
-    frame = build_frame(c0)
-    q0 = project_to_manifold(r_forward(MetricId.M3, c0, frame))
-    state = _consistent_state(q0, dr(MetricId.M3, c0, u0, frame))
+    q0 = project_to_manifold(r_forward(MetricId.M3, c0))
+    state = _consistent_state(q0, dr(MetricId.M3, c0, u0))
     try:
         sim = simulate(state, T, T / steps)
     except StepLeftDomain as exc:
@@ -549,10 +546,10 @@ def _rspace_length(qs) -> float:
 
 # -- horizontality ---------------------------------------------------------------
 
-def _vertical_pairing(curve: DiscreteCurve, u, frame):
+def _vertical_pairing(curve: DiscreteCurve, u):
     """(<L_c u, v> per sample, L_c u) for M3."""
-    lu = apply_L(MetricId.M3, curve, u, frame)
-    return _dot(lu, frame.v), lu
+    lu = apply_L(MetricId.M3, curve, u)
+    return _dot(lu, curve.frame.v), lu
 
 
 # apply_L for M3 composes four central differences, so the vertical
@@ -560,9 +557,9 @@ def _vertical_pairing(curve: DiscreteCurve, u, frame):
 _VERTICAL_HALF_WIDTH = 4
 
 
-def _vertical_field(zeta, frame):
+def _vertical_field(curve: DiscreteCurve, zeta):
     """The vertical field zeta c' = zeta |c'| v."""
-    return (zeta * frame.speed)[:, None] * frame.v
+    return (zeta * curve.frame.speed)[:, None] * curve.frame.v
 
 
 def _probe_colors(n: int) -> np.ndarray:
@@ -575,7 +572,7 @@ def _probe_colors(n: int) -> np.ndarray:
     return np.concatenate([np.arange(whole) % w, w + np.arange(n - whole)])
 
 
-def _vertical_bands(curve: DiscreteCurve, frame) -> np.ndarray:
+def _vertical_bands(curve: DiscreteCurve) -> np.ndarray:
     """The (2b+1, N) bands of zeta -> <L_c(zeta c'), v> (M3), b the
     half-width, in the layout of CyclicFactor: one pairing per
     probe colour (Curtis-Powell-Reid).  Column k meets only rows within b
@@ -583,7 +580,7 @@ def _vertical_bands(curve: DiscreteCurve, frame) -> np.ndarray:
     (i, k) is read off the probe of k's colour at row i."""
     n = curve.n_samples
     colors = _probe_colors(n)
-    probes = np.stack([_vertical_pairing(curve, _vertical_field(colors == c, frame), frame)[0]
+    probes = np.stack([_vertical_pairing(curve, _vertical_field(curve, colors == c))[0]
                        for c in range(colors.max() + 1)])
     offsets = np.arange(-_VERTICAL_HALF_WIDTH, _VERTICAL_HALF_WIDTH + 1)
     rows = np.arange(n)
@@ -595,23 +592,22 @@ def horizontal_project(curve: DiscreteCurve, h) -> np.ndarray:
     zeta c' with <L_c(h - zeta c'), v> = 0.  The operator is cyclic banded
     (_vertical_bands), so the cost is O(N): at most 17 apply_L probes and
     one cyclic banded solve, which needs at least 9 samples."""
-    h = _check_field(curve, h, "h")
+    h = _check_samples(h, [curve.points.shape], "h")
     least = 2 * _VERTICAL_HALF_WIDTH + 1
     if curve.n_samples < least:
         raise BadInput(f"horizontal projection needs at least {least} samples, "
                        f"got {curve.n_samples}")
-    frame = build_frame(curve)
-    rhs = _vertical_pairing(curve, h, frame)[0]
+    rhs = _vertical_pairing(curve, h)[0]
     try:
-        zeta = CyclicFactor(_vertical_bands(curve, frame)).solve(rhs)
+        zeta = CyclicFactor(_vertical_bands(curve)).solve(rhs)
     except SingularSystem as exc:
         raise SingularVerticalOperator(f"vertical operator is singular ({exc})") from exc
-    return h - _vertical_field(zeta, frame)
+    return h - _vertical_field(curve, zeta)
 
 
 def _horizontality(curve: DiscreteCurve, u):
     """(sup |<L_c u, v>|, the same relative to sup |L_c u|) for M3."""
-    pairing, lu = _vertical_pairing(curve, u, build_frame(curve))
+    pairing, lu = _vertical_pairing(curve, u)
     resid = float(np.max(np.abs(pairing)))
     scale = float(np.max(np.abs(lu)))
     return resid, (resid / scale if scale > 0.0 else 0.0)

@@ -26,8 +26,8 @@ from .curve_core import (
     CurveFrame,
     DiscreteCurve,
     FieldJet,
+    _check_samples,
     _dot,
-    build_frame,
     ds_derivative,
     integrate_ds,
     rotate90,
@@ -65,9 +65,9 @@ class MomentumDensity:
     closed: bool = True
 
     def pair(self, h: np.ndarray) -> float:
+        h = _check_samples(h, [self.values.shape], "h")
         w = trapezoid_weights(self.values.shape[0], self.closed)
-        return float(np.einsum("k,ki,ki->", w, self.values, np.asarray(h))
-                     * self.theta_step)
+        return float(np.einsum("k,ki,ki->", w, self.values, h) * self.theta_step)
 
 
 def _require_convex(frame: CurveFrame) -> None:
@@ -89,18 +89,14 @@ def _integrand(metric_id: MetricId, frame: CurveFrame, jh: FieldJet, jk: FieldJe
     return _dot(jh.d1, jk.d1) + _dot(jh.d2, jk.d2)
 
 
-def metric_eval(metric_id, curve: DiscreteCurve, h, k,
-                frame: CurveFrame | None = None) -> float:
+def metric_eval(metric_id, curve: DiscreteCurve, h, k) -> float:
     """G_c(h, k) for the requested metric, by trapezoid quadrature."""
     metric_id = MetricId.parse(metric_id)
-    if frame is None:
-        frame = build_frame(curve)
-    jh, jk = FieldJet(curve, h, frame), FieldJet(curve, k, frame, "k")
-    return integrate_ds(curve, _integrand(metric_id, frame, jh, jk), frame)
+    jh, jk = FieldJet(curve, h), FieldJet(curve, k, "k")
+    return integrate_ds(curve, _integrand(metric_id, curve.frame, jh, jk))
 
 
-def apply_L(metric_id, curve: DiscreteCurve, h,
-            frame: CurveFrame | None = None) -> np.ndarray:
+def apply_L(metric_id, curve: DiscreteCurve, h) -> np.ndarray:
     """The operator field L_c h with integrate_ds(<L_c h, k>) = G_c(h, k).
 
     Built from the same difference stencils as metric_eval, which makes the
@@ -111,12 +107,11 @@ def apply_L(metric_id, curve: DiscreteCurve, h,
         raise OpenCurveUnsupported(
             "operator form of the metric needs a closed curve "
             "(open curves produce boundary terms)")
-    if frame is None:
-        frame = build_frame(curve)
-    jet = FieldJet(curve, h, frame)
+    jet = FieldJet(curve, h)
+    frame = jet.frame
 
     def ds(f):
-        return ds_derivative(curve, f, frame)
+        return ds_derivative(curve, f)
 
     if metric_id is MetricId.M1:
         _require_convex(frame)
@@ -129,8 +124,7 @@ def apply_L(metric_id, curve: DiscreteCurve, h,
     return ds(ds(jet.d2)) - jet.d2
 
 
-def hc_quadratic(metric_id, curve: DiscreteCurve, h,
-                 frame: CurveFrame | None = None) -> MomentumDensity:
+def hc_quadratic(metric_id, curve: DiscreteCurve, h) -> MomentumDensity:
     """(1/2) H_c(h, h): the right-hand side of the momentum form p_t of the
     geodesic equation, returned as a momentum density.
 
@@ -141,14 +135,13 @@ def hc_quadratic(metric_id, curve: DiscreteCurve, h,
     metric_id = MetricId.parse(metric_id)
     if not curve.closed:
         raise OpenCurveUnsupported("momentum form requires a closed curve")
-    if frame is None:
-        frame = build_frame(curve)
-    jet = FieldJet(curve, h, frame)
+    jet = FieldJet(curve, h)
+    frame = jet.frame
     a1, b1, a2, b2 = jet.a1, jet.b1, jet.a2, jet.b2
     v, n = frame.v, frame.n
 
     def ds(f):
-        return ds_derivative(curve, f, frame)
+        return ds_derivative(curve, f)
 
     if metric_id is MetricId.M1:
         _require_convex(frame)
@@ -174,13 +167,10 @@ def hc_quadratic(metric_id, curve: DiscreteCurve, h,
                            closed=curve.closed)
 
 
-def momentum_of(metric_id, curve: DiscreteCurve, h,
-                frame: CurveFrame | None = None) -> MomentumDensity:
+def momentum_of(metric_id, curve: DiscreteCurve, h) -> MomentumDensity:
     """p = L_c h (x) ds as a per-dtheta momentum density."""
-    if frame is None:
-        frame = build_frame(curve)
-    lh = apply_L(metric_id, curve, h, frame)
-    return MomentumDensity(values=lh * frame.speed[:, None],
+    lh = apply_L(metric_id, curve, h)
+    return MomentumDensity(values=lh * curve.frame.speed[:, None],
                            theta_step=curve.theta_step, closed=curve.closed)
 
 
@@ -223,14 +213,12 @@ def geodesic_residual(metric_id, path) -> dict:
         raise BadInput("snapshots must be uniform in time")
     stack = np.stack([c.points for c in curves])
     ct = _time_velocity(stack, dt)
-    frames = [build_frame(c) for c in curves]
-    p = np.stack([momentum_of(metric_id, c, u, f).values
-                  for c, u, f in zip(curves, ct, frames)])
+    p = np.stack([momentum_of(metric_id, c, u).values for c, u in zip(curves, ct)])
     pt = (p[2:] - p[:-2]) / (2.0 * dt)
     dtheta = curves[0].theta_step
     norms = []
     for j in range(1, len(curves) - 1):
-        hc = hc_quadratic(metric_id, curves[j], ct[j], frames[j]).values
+        hc = hc_quadratic(metric_id, curves[j], ct[j]).values
         r = pt[j - 1] - hc
         norms.append(float(np.sqrt(np.sum(r ** 2) * dtheta)))
     norms = np.array(norms)

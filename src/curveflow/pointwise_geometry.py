@@ -28,7 +28,7 @@ import numpy as np
 from scipy.integrate import cumulative_simpson, quad
 from scipy.interpolate import CubicSpline
 
-from .curve_core import DiscreteCurve, FieldJet, build_frame, integrate_ds
+from .curve_core import DiscreteCurve, FieldJet, integrate_ds
 from .errors import (
     BadInput,
     DegeneratePlane,
@@ -570,6 +570,8 @@ def _solve_fibers(p0s, p1s, full: bool, samples: int = 33):
 def scal2(p) -> float:
     """Gauss curvature of the half-plane metric: -3 / x^2."""
     x = float(np.asarray(p, dtype=float).reshape(-1)[0])
+    if not np.isfinite(x):
+        raise BadInput(f"scal2 needs a finite x, got {x}")
     if x <= 0.0:
         raise NonPositive("scal2 needs x > 0")
     return -3.0 / x ** 2
@@ -613,13 +615,12 @@ def sectional_curvature_m2(curve: DiscreteCurve, h, k) -> float:
     Always <= 0; raises DegeneratePlane when the Gram determinant is
     numerically zero (e.g. k parallel to h modulo the kernel).
     """
-    frame = build_frame(curve)
-    jh, jk = FieldJet(curve, h, frame), FieldJet(curve, k, frame, "k")
-    ghh, gkk, ghk = (integrate_ds(curve, _integrand(MetricId.M2, frame, a, b), frame)
+    jh, jk = FieldJet(curve, h), FieldJet(curve, k, "k")
+    ghh, gkk, ghk = (integrate_ds(curve, _integrand(MetricId.M2, curve.frame, a, b))
                      for a, b in ((jh, jh), (jk, jk), (jh, jk)))
     gram = ghh * gkk - ghk ** 2
     if gram <= 1e-12 * max(ghh * gkk, 1e-300):
         raise DegeneratePlane("plane spanned by (h, k) is degenerate")
     w = jh.a1 * jk.b2 - jk.a1 * jh.b2
-    numerator = -3.0 * integrate_ds(curve, w ** 2, frame)
+    numerator = -3.0 * integrate_ds(curve, w ** 2)
     return numerator / gram

@@ -51,8 +51,8 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-from .curve_core import (CurveFrame, DiscreteCurve, FieldJet, build_frame, ds_derivative,
-                         load_json, trapezoid_weights)
+from .curve_core import (DiscreteCurve, FieldJet, _check_samples, ds_derivative, load_json,
+                         trapezoid_weights)
 from .errors import BadInput, CurveflowError, NonPositive, OffImage, SingularSystem
 from .metric_suite import MetricId, _require_convex
 from .pointwise_geometry import _g_inv_diag, g_eval, g_inv
@@ -114,11 +114,9 @@ def check_pattern(rpoint: RPoint) -> None:
 
 # -- forward / inverse / differential ---------------------------------------
 
-def r_forward(metric_id, curve: DiscreteCurve,
-              frame: CurveFrame | None = None) -> RPoint:
+def r_forward(metric_id, curve: DiscreteCurve) -> RPoint:
     metric_id = MetricId.parse(metric_id)
-    if frame is None:
-        frame = build_frame(curve)
+    frame = curve.frame
     root = np.sqrt(frame.speed)
     if metric_id is MetricId.M1:
         _require_convex(frame)
@@ -128,7 +126,7 @@ def r_forward(metric_id, curve: DiscreteCurve,
     elif metric_id is MetricId.M3:
         q = np.stack([root, frame.alpha, frame.kappa * frame.speed ** 2], axis=1)
     else:
-        ds_speed = ds_derivative(curve, frame.speed, frame)
+        ds_speed = ds_derivative(curve, frame.speed)
         q = np.stack([root, frame.alpha, ds_speed,
                       frame.kappa * frame.speed ** 2], axis=1)
     winding = frame.winding if (curve.closed and
@@ -175,13 +173,11 @@ def r_inverse(metric_id, rpoint: RPoint | None = None) -> DiscreteCurve:
     return DiscreteCurve(pts, rpoint.closed)
 
 
-def dr(metric_id, curve: DiscreteCurve, h,
-       frame: CurveFrame | None = None) -> np.ndarray:
+def dr(metric_id, curve: DiscreteCurve, h) -> np.ndarray:
     """Differential of the transform at c applied to the field h."""
     metric_id = MetricId.parse(metric_id)
-    if frame is None:
-        frame = build_frame(curve)
-    jet = FieldJet(curve, h, frame)
+    jet = FieldJet(curve, h)
+    frame = jet.frame
     root = np.sqrt(frame.speed)
     if metric_id is MetricId.M1:
         _require_convex(frame)
@@ -411,7 +407,9 @@ def weighted_inner(metric_id, q_array, a, b, closed: bool) -> float:
     n = q_array.shape[0]
     dth = 2.0 * np.pi / n if closed else 2.0 * np.pi / (n - 1)
     tau = trapezoid_weights(n, closed)
-    vals = g_eval(metric_id, q_array, np.asarray(a, float), np.asarray(b, float))
+    a = _check_samples(a, [q_array.shape], "a")
+    b = _check_samples(b, [q_array.shape], "b")
+    vals = g_eval(metric_id, q_array, a, b)
     return float(np.sum(tau * vals) * dth)
 
 

@@ -76,8 +76,7 @@ def smooth_field(n, seed=2, closed=True, modes=4):
 def rotation_representative(curve):
     """Rotate so the initial tangent angle vanishes (the Mot section used
     by the open-curve transforms when reconstructing)."""
-    f = cc.build_frame(curve)
-    a0 = f.alpha[0]
+    a0 = curve.frame.alpha[0]
     rot = np.array([[np.cos(a0), np.sin(a0)], [-np.sin(a0), np.cos(a0)]])
     return curve.with_points(curve.points @ rot.T)
 
@@ -96,7 +95,7 @@ def curve_for(mid, n, seed=1):
 def check_frame_circle():
     n = 256
     c = circle(n)
-    f = cc.build_frame(c)
+    f = c.frame
     th = c.theta
     errs = [np.abs(f.kappa - 1.0).max(), np.abs(f.alpha - (th + np.pi / 2)).max(),
             np.abs(np.einsum("ki,ki->k", f.v, f.n)).max(),
@@ -107,8 +106,8 @@ def check_frame_circle():
 
 def check_gauss_bonnet():
     c = wavy_curve(256, seed=7)
-    f = cc.build_frame(c)
-    total = cc.integrate_ds(c, f.kappa, f)
+    f = c.frame
+    total = cc.integrate_ds(c, f.kappa)
     err = abs(total - 2 * np.pi * f.winding)
     return err < 10 * c.theta_step ** 2, f"total turning err {err:.2e}"
 
@@ -122,8 +121,7 @@ def check_first_variation_fd():
     worst = 0.0
     for qty in cc.FIRST_VARIATION_QUANTITIES:
         def F(pts):
-            cur = cc.DiscreteCurve(pts, True)
-            fr = cc.build_frame(cur)
+            fr = cc.DiscreteCurve(pts, True).frame
             return {"alpha": fr.alpha, "v": fr.v, "n": fr.n,
                     "speed": fr.speed, "kappa": fr.kappa}[qty]
         fd = (F(c.points + eps * m) - F(c.points - eps * m)) / (2 * eps)
@@ -142,10 +140,8 @@ def check_reparam_covariance():
                                           np.sin(phi)], 1), True), phi
     cw, phi = sample(n, True)
     c0, _ = sample(4 * n, False)
-    f0 = cc.build_frame(c0)
-    fw = cc.build_frame(cw)
-    kap_ref = np.interp(phi, c0.theta, f0.kappa, period=2 * np.pi)
-    err = np.abs(fw.kappa - kap_ref).max()
+    kap_ref = np.interp(phi, c0.theta, c0.frame.kappa, period=2 * np.pi)
+    err = np.abs(cw.frame.kappa - kap_ref).max()
     return err < 50 * cw.theta_step ** 2, f"kappa covariance err {err:.2e}"
 
 
@@ -490,7 +486,7 @@ def check_horizontality():
     for n in (128, 256):
         th = (2 * np.pi / n) * np.arange(n)
         c = cc.DiscreteCurve(np.stack([np.cos(th), np.sin(th)], 1), True)
-        f = cc.build_frame(c)
+        f = c.frame
         hstar = np.cos(2 * th)[:, None] * f.n \
             + (8.0 / 7.0) * np.sin(2 * th)[:, None] * f.v
         errs[n] = ga.horizontality_residual(c, hstar)

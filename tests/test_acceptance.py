@@ -416,7 +416,7 @@ def test_criterion09_horizontality_printed_example_as_stated():
         c = circle(n)
         f = cc.build_frame(c)
         h = -np.stack([2 - np.cos(2 * th), 2 * np.sin(2 * th)], 1)
-        pairing = np.einsum("ki,ki->k", ms.apply_L("M3", c, h, f), f.v)
+        pairing = np.einsum("ki,ki->k", ms.apply_L("M3", c, h), f.v)
         errs[n] = np.abs(pairing - (-6 * np.sin(th) + 30 * np.sin(3 * th))).max()
         resid[n] = ga.horizontality_residual(c, h)
     ratio = errs[128] / errs[256]

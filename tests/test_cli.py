@@ -67,6 +67,21 @@ def test_curvature_scal_table(capsys):
     assert "-12" in out and "-0.75" in out
 
 
+@pytest.mark.parametrize("value, token", [("a,1", "'a'"), ("1,,2", "''")])
+def test_curvature_scal_bad_number_is_usage_error(capsys, value, token):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["curvature", "--scal2", value])
+    assert exc.value.code == 2
+    assert f"argument --scal2: {token} is not a number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "1,nan"])
+def test_curvature_scal_non_finite_is_named(capsys, value):
+    assert cli.main(["curvature", "--scal2", value]) == 1
+    out, err = capsys.readouterr()
+    assert "scal2 needs a finite x" in err and out == ""
+
+
 def test_curvature_sectional(tmp_path, capsys):
     n = 96
     th = (2 * np.pi / (n - 1)) * np.arange(n)

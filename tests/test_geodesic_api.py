@@ -1,9 +1,10 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from conftest import circle, convex_arc, smooth_field, wavy_curve
+from conftest import circle, convex_arc, rotation_representative, smooth_field, wavy_curve
 from curveflow import constrained_hamiltonian as ch
 from curveflow import curve_core as cc
 from curveflow import geodesic_api as ga
@@ -593,6 +594,51 @@ def test_fields_are_checked():
                      lambda f: pg.sectional_curvature_m2(c, good, f)):
             with pytest.raises(BadInput, match=f"k must .*{words}"):
                 read(field)
+        # the quadratures check their samples alike, (N, d) ones included
+        for read, name in ((lambda f: ms.momentum_of("M3", c, good).pair(f), "h"),
+                           (lambda f: cc.integrate_ds(c, f), "values")):
+            with pytest.raises(BadInput, match=f"{name} must .*{words}"):
+                read(field)
+        q, good3 = rt.r_forward("M3", c).q, np.ones((n, 3))
+        for read, name in ((lambda f: rt.weighted_inner("M3", q, f, good3, True), "a"),
+                           (lambda f: rt.weighted_inner("M3", q, good3, f, True), "b")):
+            with pytest.raises(BadInput, match=f"{name} must .*{words}"):
+                read(np.column_stack([field, np.zeros(len(field))]))
+
+
+def test_each_curve_is_framed_once(monkeypatch):
+    # the frame belongs to the curve: no call path frames one curve object
+    # twice (the list keeps every framed curve alive, so no id is reused);
+    # build_frame is recorded under every name a curveflow module binds
+    framed, build = [], cc.build_frame
+
+    def recorded(curve):
+        framed.append(curve)
+        return build(curve)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("curveflow") and getattr(module, "build_frame", None) is build:
+            monkeypatch.setattr(module, "build_frame", recorded)
+
+    def builds(run):
+        start = len(framed)
+        run()
+        return len(framed) - start
+    arcs = [rotation_representative(wavy_curve(64, seed=s, closed=False)) for s in (3, 4)]
+    assert builds(lambda: ga.distance("M2", *arcs)) == 6
+    ga.distance("M1", convex_arc(64, seed=3), convex_arc(64, seed=4))
+    c, u = wavy_curve(64, seed=3), 0.3 * smooth_field(64, seed=1)
+    assert builds(lambda: ga.horizontal_project(c, u)) == 1
+    assert builds(lambda: ga.horizontal_project(c, u)) == 0
+    path = ga.geodesic_ivp("M3", c, u, 0.2, steps=20, snapshots=5)
+    ms.geodesic_residual("M3", path)
+    ga.shape_geodesic(c, u, 0.2, steps=20, snapshots=5)
+    pg.sectional_curvature_m2(arcs[0], smooth_field(64, seed=1, closed=False),
+                              smooth_field(64, seed=2, closed=False))
+    ids = [id(curve) for curve in framed]
+    assert len(set(ids)) == len(ids)
+    assert c.frame is c.frame
+    twin = c.with_points(c.points)
+    assert builds(lambda: twin.frame) == 1 and twin.frame is not c.frame
 
 
 def test_horizontal_project_examples():
@@ -602,7 +648,7 @@ def test_horizontal_project_examples():
     f = cc.build_frame(c)
     # corrected closed-form horizontal field: a = cos 2t, b = (8/7) sin 2t
     hstar = np.cos(2 * th)[:, None] * f.n + (8.0 / 7.0) * np.sin(2 * th)[:, None] * f.v
-    lh = ms.apply_L("M3", c, hstar, f)
+    lh = ms.apply_L("M3", c, hstar)
     scale = np.abs(lh).max()
     hp = ga.horizontal_project(c, hstar)
     assert ga.horizontality_residual(c, hp) < 1e-8 * scale
@@ -620,14 +666,14 @@ def dense_vertical_operator(curve):
     apply_L per column."""
     f = cc.build_frame(curve)
     cp = f.speed[:, None] * f.v
-    cols = [np.einsum("ki,ki->k", ms.apply_L("M3", curve, z[:, None] * cp, f), f.v)
+    cols = [np.einsum("ki,ki->k", ms.apply_L("M3", curve, z[:, None] * cp), f.v)
             for z in np.eye(curve.n_samples)]
     return np.stack(cols, axis=1)
 
 
 def dense_horizontal_project(curve, h):
     f = cc.build_frame(curve)
-    rhs = np.einsum("ki,ki->k", ms.apply_L("M3", curve, h, f), f.v)
+    rhs = np.einsum("ki,ki->k", ms.apply_L("M3", curve, h), f.v)
     zeta = np.linalg.solve(dense_vertical_operator(curve), rhs)
     return h - zeta[:, None] * (f.speed[:, None] * f.v)
 
@@ -652,7 +698,7 @@ def test_vertical_bands_are_the_dense_entries():
         A = dense_vertical_operator(c)
         i, k = np.indices((n, n))
         assert np.all(A[cyclic_distance(i, k, n) > 4] == 0.0)
-        bands = ga._vertical_bands(c, cc.build_frame(c))
+        bands = ga._vertical_bands(c)
         rows = np.arange(n)
         for j in range(-4, 5):
             assert np.array_equal(bands[4 + j], A[rows, (rows + j) % n])
@@ -706,7 +752,7 @@ def test_singular_vertical_operator(monkeypatch):
     c, h = circle(n), smooth_field(n, seed=1, closed=True)
     for fill, words in ((0.0, "singular matrix"), (np.nan, "failed to converge")):
         monkeypatch.setattr(ga, "_vertical_bands",
-                            lambda curve, frame, fill=fill: np.full((9, n), fill))
+                            lambda curve, fill=fill: np.full((9, n), fill))
         with pytest.raises(SingularVerticalOperator, match=f"singular .*{words}"):
             ga.horizontal_project(c, h)
 

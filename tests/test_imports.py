@@ -1,6 +1,7 @@
 """No imported name goes unused, in the package or in its tests, no
-private helper of the package is left for the tests alone, and no module
-spells the per-sample planar pairing itself.
+private helper of the package is left for the tests alone, no module
+spells the per-sample planar pairing itself, and no function builds or
+takes a curve's frame in place of DiscreteCurve.frame.
 
 The package's __init__ and the tests' conftest re-export what they import
 (`from conftest import circle` in the test modules), so they are exempt
@@ -104,4 +105,45 @@ def test_no_planar_pairing_outside_the_jet():
              if str(path.relative_to(ROOT)) not in PAIRING_EXEMPT]
     found = [f"{path.relative_to(ROOT)}:{line} pairs with einsum; use curve_core._dot"
              for path in files for line in planar_pairings(path.read_text())]
+    assert files and not found, "\n".join(found)
+
+
+def frame_rebuilds(source: str) -> list[tuple[int, str]]:
+    """(line, what) of every call of build_frame outside DiscreteCurve,
+    whose cached frame is the one build, and of every parameter named frame
+    with a default, a cache that DiscreteCurve.frame makes redundant."""
+    tree = ast.parse(source)
+    home = {id(node) for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and cls.name == "DiscreteCurve"
+            for node in ast.walk(cls)}
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and id(node) not in home
+                and getattr(node.func, "attr", getattr(node.func, "id", None)) == "build_frame"):
+            found.append((node.lineno, "calls build_frame"))
+        elif isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults):] + [
+                a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            found += [(node.lineno, "takes frame=") for a in defaulted if a.arg == "frame"]
+    return sorted(found)
+
+
+def test_frame_rebuilds_are_found():
+    source = ("import curveflow.curve_core as cc\nfrom curveflow.curve_core import build_frame\n"
+              "def f(curve, frame=None):\n    return frame or build_frame(curve)\n"
+              "def g(curve, *, frame=None, fr=None):\n    return cc.build_frame(curve)\n"
+              "def _integrand(metric_id, frame, jh):\n    return frame.v\n"
+              "h = lambda curve, frame=None: frame\n"
+              "class DiscreteCurve:\n    frame = property(lambda self: build_frame(self))\n")
+    assert frame_rebuilds(source) == [(3, "takes frame="), (4, "calls build_frame"),
+                                      (5, "takes frame="), (6, "calls build_frame"),
+                                      (9, "takes frame=")]
+
+
+def test_the_curve_builds_its_frame():
+    files = sorted(ROOT.glob("src/curveflow/*.py"))
+    found = [f"{path.relative_to(ROOT)}:{line} {what}; read curve.frame"
+             for path in files for line, what in frame_rebuilds(path.read_text())]
     assert files and not found, "\n".join(found)

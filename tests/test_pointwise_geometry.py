@@ -253,6 +253,9 @@ def test_scal2_and_curvature_tensor():
     assert val == -12.0
     with pytest.raises(NonPositive):
         pg.scal2((-1.0, 0.0))
+    for x in (np.nan, np.inf):
+        with pytest.raises(BadInput, match="finite x"):
+            pg.scal2((x, 0.0))
     with pytest.raises(BadInput, match="last axis 3"):
         pg.g_matrix("M3", np.ones((4, 2)))
 
