@@ -12,7 +12,6 @@ from .curve_core import (
     first_variation,
     integrate_ds,
     load_curve,
-    normalize_rotation,
     save_curve,
 )
 from .metric_suite import MetricId, MomentumDensity, apply_L, geodesic_residual, hc_quadratic, kernel_basis, metric_eval

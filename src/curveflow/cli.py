@@ -253,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help='JSON {"values": [[vx, vy], ...]}')
     iv.add_argument("-T", type=float, required=True)
     iv.add_argument("--steps", type=int,
-                    help="M2 RK4 or M3 RATTLE steps (default 200; M1 is exact)")
+                    help="M3 RATTLE steps (default 200; M1 and M2 are exact)")
     iv.add_argument("--snapshots", type=int, default=33)
     iv.add_argument("-o", "--outdir", default="out")
     iv.set_defaults(func=cmd_ivp)

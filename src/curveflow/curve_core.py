@@ -9,9 +9,9 @@ is the (periodic) trapezoid rule.  These choices are deliberately
 low-order and uniform so that they compose consistently with the
 second-order (trapezoid) constraint rows used by the Hamiltonian module.
 A curve carries its frame (DiscreteCurve.frame, built by build_frame on
-first use), which every function of the curve reads.  FieldJet defines
-D_s h, D_s^2 h and their v/n parts once for every form built from them,
-and _dot the per-sample planar pairing.
+first use, or moved along by DiscreteCurve.moved), which every function
+of the curve reads.  FieldJet defines D_s h, D_s^2 h and their v/n parts
+once for every form built from them, and _dot the per-sample pairing.
 """
 
 from __future__ import annotations
@@ -70,6 +70,19 @@ class DiscreteCurve:
 
     def with_points(self, points) -> "DiscreteCurve":
         return DiscreteCurve(points, self.closed)
+
+    def moved(self, rot, shift) -> "DiscreteCurve":
+        """The curve translated by shift, then rotated by the 2x2 rotation
+        rot about the origin.  It carries this curve's frame: v and n
+        rotate, speed and kappa stay, and alpha shifts by the angle, alpha(0)
+        in (-pi, pi] as build_frame takes it."""
+        f, out = self.frame, self.with_points((self.points + shift) @ np.transpose(rot))
+        v, n = f.v @ np.transpose(rot), f.n @ np.transpose(rot)
+        alpha = f.alpha + (np.arctan2(v[0, 1], v[0, 0]) - f.alpha[0])
+        for values in (v, n, alpha):
+            values.setflags(write=False)
+        out.__dict__["frame"] = CurveFrame(f.speed, v, n, f.kappa, alpha, f.winding)
+        return out
 
     # build_frame is looked up per call, so a wrapped module attribute sees every build
     frame = cached_property(lambda self: build_frame(self))
@@ -242,23 +255,13 @@ def centroid(curve: DiscreteCurve) -> np.ndarray:
 
 def center(curve: DiscreteCurve) -> DiscreteCurve:
     """Translate so that the arc-length centroid sits at the origin."""
-    return curve.with_points(curve.points - centroid(curve))
+    return curve.moved(np.eye(2), -centroid(curve))
 
 
 def section_rotation(curve: DiscreteCurve) -> np.ndarray:
     """The rotation matrix after which the ds-average of alpha vanishes."""
     phi = -integrate_ds(curve, curve.frame.alpha) / curve_length(curve)
     return np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
-
-
-def normalize_rotation(curve: DiscreteCurve) -> DiscreteCurve:
-    """Rotate (about the centroid) by section_rotation.
-
-    Combined with center() this realizes the reparameterization-invariant
-    section of curves modulo Euclidean motions.
-    """
-    mid = centroid(curve)
-    return curve.with_points((curve.points - mid) @ section_rotation(curve).T + mid)
 
 
 # -- file format ------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Dispatch:
     M1  flat transform target: straight-line interpolation / rays, exact.
-    M2  pointwise fiber geodesics of the half-plane model, exact per theta.
+    M2  pointwise fiber geodesics of the half-plane model, exact per theta:
+        the initial value problem walks the closed form (`_ivp_exact`).
     M3  RATTLE on the constrained transform-space system; boundary value
         problems by momentum shooting over a reduced Fourier basis.
     M4  transforms only (no boundary solver).
@@ -38,6 +39,7 @@ from .curve_core import (
     _check_samples,
     _dot,
     center,
+    centroid,
     curve_length,
     integrate_ds,
     save_curve,
@@ -55,7 +57,7 @@ from .errors import (
     StepLeftDomain,
 )
 from .metric_suite import MetricId, apply_L
-from .pointwise_geometry import _solve_fibers, dist2_lower_bound, g_apply, integrate_spray2
+from .pointwise_geometry import _fiber_ivp, _solve_fibers, dist2_lower_bound, g_apply
 from .rtransform import (
     CyclicFactor,
     RPoint,
@@ -122,9 +124,8 @@ class DistanceResult:
 def _on_section(metric_id: MetricId, c0: DiscreteCurve, u0=None):
     """The M1/M2 transform of c0 centred and rotated onto the section; with
     u0 also dr of u0 rotated alike (centering shifts only the curve)."""
-    c0 = center(c0)
     rot = section_rotation(c0)
-    c0 = c0.with_points(c0.points @ rot.T)
+    c0 = c0.moved(rot, -centroid(c0))
     q0 = r_forward(metric_id, c0)
     if u0 is None:
         return q0
@@ -143,12 +144,6 @@ def _l2(values, closed: bool) -> float:
     tau = trapezoid_weights(n, closed).reshape((n,) + (1,) * (values.ndim - 1))
     dth = 2.0 * np.pi / (n if closed else n - 1)
     return float(np.sqrt(np.sum(tau * values ** 2) * dth))
-
-
-def _snapshots(total: int, K: int) -> np.ndarray:
-    """Indices of K snapshots spread evenly over steps 0..total (fewer if
-    K > total + 1)."""
-    return np.unique(np.round(np.linspace(0, total, K)).astype(int))
 
 
 def _require(cond, message):
@@ -409,8 +404,9 @@ def _bvp_shooting(c0, c1, K, T, dt, modes, tol, max_iter) -> GeodesicPath:
 
 
 def _path_from_simulation(sim: SimulationResult, steps: int, K: int) -> GeodesicPath:
-    """The snapshots of a run of `steps` RATTLE steps that sim reached."""
-    idx = _snapshots(steps, K)
+    """The snapshots of a run of `steps` RATTLE steps that sim reached: K
+    steps spread evenly over 0..steps (fewer if K > steps + 1)."""
+    idx = np.unique(np.round(np.linspace(0, steps, K)).astype(int))
     idx = idx[idx < sim.qs.shape[0]]
     curves = [center(c) for c in _curves(MetricId.M3, sim.qs[idx], True, sim.winding)]
     return GeodesicPath(MetricId.M3, sim.times[idx], curves,
@@ -427,61 +423,50 @@ def _path_from_simulation(sim: SimulationResult, steps: int, K: int) -> Geodesic
 def geodesic_ivp(metric_id, c0: DiscreteCurve, u0, T: float,
                  steps: int | None = None, snapshots: int = 33) -> GeodesicPath:
     """Geodesic from c0 with initial velocity field u0 on [0, T], returned
-    as `snapshots` curves (fewer if steps + 1 is smaller).
+    as `snapshots` curves.
 
-    M1 is exact (straight rays in the flat target) and takes no steps; M2
-    integrates the fiber sprays with `steps` RK4 steps and M3 takes `steps`
-    RATTLE steps, 200 if steps is None.  A path that leaves the transform
+    M1 and M2 are exact (_ivp_exact) and take no steps; M3 takes `steps`
+    RATTLE steps, 200 if steps is None, with the snapshots among them
+    (fewer if steps + 1 is smaller).  A path that leaves the transform
     domain raises DomainExit with the snapshots reached.
     """
     metric_id = MetricId.parse(metric_id)
     u0 = _check_samples(u0, [c0.points.shape], "u0")
-    _require(metric_id is not MetricId.M1 or steps is None,
-             f"M1 geodesics are exact; steps={steps!r} would be ignored")
+    exact = metric_id in (MetricId.M1, MetricId.M2)
+    _require(not exact or steps is None,
+             f"{metric_id.value} geodesics are exact; steps={steps!r} would be ignored")
     steps = 200 if steps is None else steps
     _require_sizes(T, snapshots, steps)
-    if metric_id is MetricId.M1:
-        _require(not c0.closed, "M1 initial value solver works on open curves")
-        return _ivp_flat(c0, u0, T, snapshots)
-    if metric_id is MetricId.M2:
-        _require(not c0.closed, "M2 initial value solver works on open curves")
-        return _ivp_fiberwise(c0, u0, T, steps, snapshots)
+    if exact:
+        _require(not c0.closed, f"{metric_id.value} initial value solver works on open curves")
+        return _ivp_exact(metric_id, c0, u0, T, snapshots)
     if metric_id is MetricId.M3:
         _require(c0.closed, "M3 works on closed curves")
         return _ivp_rattle(c0, u0, T, steps, snapshots)
     raise CurveflowError("no initial value solver for the full H2 transform (M4)")
 
 
-def _ivp_flat(c0, u0, T, K) -> GeodesicPath:
-    q0, d = _on_section(MetricId.M1, c0, u0)
-    neg = d < -1e-300
-    exit_time = float(np.min(q0.q[neg] / -d[neg])) if np.any(neg) else np.inf
+def _ivp_exact(metric_id, c0, u0, T, K) -> GeodesicPath:
+    """The M1 or M2 geodesic at the times linspace(0, T, K): M1 components
+    on rays, M2 fibers on their half-plane geodesics (_fiber_ivp); the
+    snapshots before the first exit are kept and the exit time recorded."""
+    q0, d = _on_section(metric_id, c0, u0)
     times = np.linspace(0.0, T, K)
-    live = times[times < exit_time]
-    qs = q0.q + live[:, None, None] * d
-    path = GeodesicPath(MetricId.M1, live, _curves(MetricId.M1, qs, False), {"rspace": qs})
+    if metric_id is MetricId.M1:
+        neg = d < -1e-300
+        exit_time = float(np.min(q0.q[neg] / -d[neg])) if np.any(neg) else np.inf
+        qs = q0.q + times[:, None, None] * d
+    else:
+        pts, _, exits = _fiber_ivp(q0.q, d, times)
+        exit_time = float(np.min(exits))
+        qs = pts.transpose(1, 0, 2)
+    live = times < exit_time
+    qs = np.ascontiguousarray(qs[live])
+    path = GeodesicPath(metric_id, times[live], _curves(metric_id, qs, False), {"rspace": qs})
     if exit_time <= T:
-        raise DomainExit(
-            f"geodesic leaves the space (component reaches 0) at t = {exit_time:.6g}",
-            exit_time=exit_time, partial=path)
+        raise DomainExit(f"geodesic leaves the transform domain at t = {exit_time:.6g}",
+                         exit_time=exit_time, partial=path)
     path.diagnostics["exit_time"] = exit_time
-    return path
-
-
-def _ivp_fiberwise(c0, u0, T, steps, K) -> GeodesicPath:
-    q0, v0 = _on_section(MetricId.M2, c0, u0)
-    left = None
-    try:
-        times, ps, _ = integrate_spray2(q0.q, v0, T, steps)
-    except DomainExit as exc:
-        left = exc
-        times, ps, _ = exc.partial
-    idx = _snapshots(steps, K)
-    idx = idx[idx < ps.shape[0]]
-    path = GeodesicPath(MetricId.M2, times[idx], _curves(MetricId.M2, ps[idx], False),
-                        {"rspace": ps[idx]})
-    if left is not None:
-        raise DomainExit(str(left), exit_time=left.exit_time, partial=path) from left
     return path
 
 

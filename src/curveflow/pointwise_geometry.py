@@ -8,21 +8,23 @@ Fiber metrics on the transform targets:
     M4: 4x4 with a coupled (q2, q3) block  on R_{>0} x R x R x R
 
 plus the complete geometry of the half-plane (R_{>0} x R, 4dx^2 + x^-6 dy^2):
-geodesic spray, exact trajectories via the incomplete integral
-F(u) = int_0^u z^6 / sqrt(1 - z^6) dz, the two-case boundary value solver,
-Gauss curvature -3/x^2, a geodesic-distance lower bound, and the sectional
-curvature of metric M2 on curve space.
+geodesic spray (with RK4, the reference), exact trajectories via the
+incomplete integral F(u) = int_0^u z^6 / sqrt(1 - z^6) dz, the two-case
+boundary value solver, Gauss curvature -3/x^2, a geodesic-distance lower
+bound, and the sectional curvature of metric M2 on curve space.
 
-The boundary value solver works on whole arrays of fibers: an M2 geodesic
-or distance between two curves is one half-plane problem per theta, and
-`_solve_fibers` normalizes, classifies (point, ray, arc1, arc2), root-solves
-and samples all of them with array operations.  `bvp2` and
-`fiber_distance` are its one-fiber calls.
+The solvers work on whole arrays of fibers, one half-plane problem per
+theta of an M2 geodesic or distance.  `_fiber_ivp` walks the closed-form
+geodesics from initial velocities; `_solve_fibers` classifies (point, ray,
+arc1, arc2) and root-solves the boundary problems, and samples each path
+by that walk from its initial velocity.  `bvp2` and `fiber_distance` are
+its one-fiber calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 from scipy.integrate import cumulative_simpson, quad
@@ -245,31 +247,33 @@ class _Tables:
         self.phi1 = float(cp[-1])            # Phi(1)
         self._f = CubicSpline(s, self.A - cf)
         self._phi = CubicSpline(s, self.phi1 - cp)
-        # ascending-u arrays for inverse interpolation of Phi
-        self._u_asc = z[::-1]
-        self._phi_asc = (self.phi1 - cp)[::-1]
+        # ascending-Phi arrays for inverse interpolation of Phi in s
+        self._phi_asc, self._s_desc = (self.phi1 - cp)[::-1], s[::-1]
+        # F(u) = u^7 sum_k binom(2k, k) 4^-k u^6k / (7 + 6k), for polyval
+        self._series = [comb(2 * k, k) / 4 ** k / (7 + 6 * k) for k in range(9, -1, -1)]
 
     def F(self, u):
-        u = np.clip(u, 0.0, 1.0)
-        return self._f(np.sqrt(1.0 - u))
+        return self._f(np.sqrt(1.0 - np.clip(u, 0.0, 1.0)))
 
     def dF(self, u):
         # huge-but-finite at u = 1 so safeguarded Newton steps stay defined
-        u = np.asarray(u, dtype=float)
         return u ** 6 / np.sqrt(np.maximum(1.0 - u ** 6, 1e-300))
 
-    def phi(self, u):
-        u = np.clip(u, 0.0, 1.0)
-        return self._phi(np.sqrt(1.0 - u))
+    def F_rel(self, u, s):
+        # F at u = 1 - s^2 to relative rounding: the series where F << A
+        return np.where(u < 0.5, u ** 7 * np.polyval(self._series, u ** 6), self._f(s))
 
-    def phi_inverse(self, val):
-        """Solve Phi(u) = val for u in [0, 1] (vectorized)."""
+    def phi(self, u):
+        return self._phi(np.sqrt(1.0 - np.clip(u, 0.0, 1.0)))
+
+    def s_of_phi(self, val):
+        """s = sqrt(1 - u) with Phi(u) = val: Newton in s, where dPhi/ds =
+        -2 / sqrt(psi(1 - s^2)) stays away from 0 up to the apex s = 0."""
         val = np.clip(val, 0.0, self.phi1)
-        u = np.interp(val, self._phi_asc, self._u_asc)
-        for _ in range(3):  # Newton polish; dPhi/du = 1/sqrt(1-u^6)
-            u = np.clip(u + (val - self.phi(u)) * np.sqrt(np.maximum(1.0 - u ** 6, 0.0)),
-                        0.0, 1.0)
-        return u
+        s = np.interp(val, self._phi_asc, self._s_desc)
+        for _ in range(3):
+            s = s + 0.5 * (self._phi(s) - val) * np.sqrt(_psi(1.0 - s * s))
+        return np.clip(s, 0.0, 1.0)
 
 
 _tables: _Tables | None = None
@@ -315,13 +319,11 @@ def integrate_spray2(p0, v0, T: float, steps: int):
             k3p, k3v = v + 0.5 * dt * k2v, spray2(p + 0.5 * dt * k2p, v + 0.5 * dt * k2v)
             k4p, k4v = v + dt * k3v, spray2(p + dt * k3p, v + dt * k3v)
         except DomainExit as exc:
-            raise DomainExit("geodesic left x > 0", exit_time=times[j],
-                             partial=(times[: j + 1], ps[: j + 1], vs[: j + 1])) from exc
+            raise DomainExit("geodesic left x > 0", exit_time=times[j]) from exc
         p = p + (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
         v = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
         if np.any(p[..., 0] <= 0.0):
-            raise DomainExit("geodesic left x > 0", exit_time=times[j + 1],
-                             partial=(times[: j + 1], ps[: j + 1], vs[: j + 1]))
+            raise DomainExit("geodesic left x > 0", exit_time=times[j + 1])
         ps[j + 1], vs[j + 1] = p, v
     return times, ps, vs
 
@@ -499,16 +501,11 @@ def _solve_fibers(p0s, p1s, full: bool, samples: int = 33):
         raise NonPositive("fiber points need x > 0")
     tab = tables()
 
-    # symmetry normalization: swap endpoints so x0 <= x1 (time reversal),
-    # then reflect y so dy >= 0; order matters, the swap re-labels y too
+    # symmetry normalization: time reversal (swap) puts x0 <= x1, and a
+    # reflection of y makes dy >= 0
     swap = p0s[:, 0] > p1s[:, 0]
-    a = np.where(swap[:, None], p1s, p0s)
-    b = np.where(swap[:, None], p0s, p1s)
-    flip = b[:, 1] < a[:, 1]
-    sign = np.where(flip, -1.0, 1.0)
-    x0, x1 = a[:, 0], b[:, 0]
-    y0, y1 = sign * a[:, 1], sign * b[:, 1]
-    dy = y1 - y0
+    x0, x1 = np.minimum(p0s[:, 0], p1s[:, 0]), np.maximum(p0s[:, 0], p1s[:, 0])
+    dy = np.abs(p1s[:, 1] - p0s[:, 1])
 
     thresh = 2.0 * x1 ** 4 * (tab.A - tab.F(x0 / x1))
     case = np.select([np.all(p0s == p1s, axis=1), dy == 0.0,
@@ -529,40 +526,55 @@ def _solve_fibers(p0s, p1s, full: bool, samples: int = 33):
     if not full:
         return length
 
-    K = int(samples)
-    times = np.linspace(0.0, 1.0, K)
-    xs = x0[:, None] + (x1 - x0)[:, None] * times
-    ys = np.repeat(y0[:, None], K, axis=1)
-    c = c[:, None]
-    phi0 = phi0[:, None]
-    xa = x0[arc, None]
-    ya = y0[arc, None]
-    ell = length[arc, None] * times
-    walked = phi0 + 0.5 * c * ell
-    # past the apex (case 2 only) the path descends its mirrored branch
-    desc = ~ascending[:, None] & (ell > (2.0 / c) * (tab.phi1 - phi0))
-    u = tab.phi_inverse(np.where(desc, 2.0 * tab.phi1 - walked, walked))
-    F0 = tab.F(c * xa)
-    ybar = ya + (2.0 / c ** 4) * (tab.A - F0)
-    xs[arc] = u / c
-    ys[arc] = np.where(desc, ybar + (2.0 / c ** 4) * (tab.A - tab.F(u)),
-                       ya + (2.0 / c ** 4) * (tab.F(u) - F0))
+    # the initial velocity at unit total time, in the caller's orientation:
+    # an arc leaves toward the apex, but for an arc1 run from its higher end
+    v0 = p1s - p0s
+    u = c * p0s[arc, 0]
+    up = np.where(ascending & swap[arc], -0.5, 0.5)
+    v0[arc, 0] = up * length[arc] * np.sqrt(np.maximum(1.0 - u, 0.0) * _psi(u))
+    v0[arc, 1] = np.sign(v0[arc, 1]) * length[arc] * u ** 6 / c ** 3
+    times = np.linspace(0.0, 1.0, int(samples))
+    pts, vel, _ = _fiber_ivp(p0s, v0, times)
     # exact endpoints (the root solve already matches them to tolerance)
-    xs[:, 0], ys[:, 0] = x0, y0
-    xs[:, -1], ys[:, -1] = x1, y1
-    vel = np.zeros(xs.shape + (2,))
-    vel[:, :, 0] = (x1 - x0)[:, None]
-    root = np.sqrt(np.maximum(1.0 - u ** 6, 0.0))
-    vel[arc] = length[arc, None, None] * np.stack(
-        [np.where(desc, -0.5 * root, 0.5 * root), c ** 3 * xs[arc] ** 6], axis=2)
-
-    pts = np.stack([xs, ys], axis=2)
-    pts[swap] = pts[swap, ::-1]
-    vel[swap] = -vel[swap, ::-1]
-    pts[flip, :, 1] *= -1.0
-    vel[flip, :, 1] *= -1.0
+    pts[:, 0], pts[:, -1] = p0s, p1s
     return FiberGeodesic(length=length, case=case, times=times, points=pts,
                          velocities=vel, C=C, xbar=1.0 / C)
+
+
+def _fiber_ivp(p, v, times):
+    """Exact half-plane geodesics from the rows of p (n, 2) with velocities
+    v (n, 2) at the times (K,): points and velocities (n, K, 2) and exit
+    times (n,).  A ray (yd = 0) moves at constant xd.  An arc, C as in
+    trajectory2 and L the g-speed, walks w = w0 + C L t / 2, w = Phi(Cx) up
+    to the apex and 2 Phi(1) - Phi(Cx) past it (inverted in s = sqrt(1 -
+    Cx)), exits at w = 2 Phi(1), and has y = y0 + sgn(yd) (2/C^4) G with G
+    the change of F(Cx), or of 2A - F(Cx) past the apex."""
+    x0, xd, yd = p[:, 0], v[:, 0], v[:, 1]
+    pts = np.stack([x0[:, None] + xd[:, None] * times, np.repeat(p[:, 1, None], times.size, 1)], 2)
+    vel = np.repeat(v[:, None, :], times.size, axis=1)
+    falling = xd < 0.0
+    exit_time = np.where(falling, x0 / np.where(falling, -xd, 1.0), np.inf)
+    arc = np.flatnonzero(yd != 0.0)
+    tab = tables()
+    xa, xda, yda = x0[arc, None], xd[arc, None], yd[arc, None]
+    L = np.sqrt(4.0 * xda ** 2 + yda ** 2 / xa ** 6)
+    C = np.cbrt(np.abs(yda) / (xa ** 6 * L))
+    u0 = np.minimum(C * xa, 1.0)
+    phi0, F0 = tab.phi(u0), tab.F_rel(u0, np.sqrt(1.0 - u0))
+    b0 = falling[arc, None].astype(float)        # 1 past the apex, else 0
+    w0 = b0 * 2.0 * tab.phi1 + (1.0 - 2.0 * b0) * phi0
+    w = w0 + 0.5 * C * L * times
+    b = (w > tab.phi1).astype(float)
+    s = tab.s_of_phi(b * 2.0 * tab.phi1 + (1.0 - 2.0 * b) * w)
+    u = 1.0 - s * s
+    # G(w) - G(w0), the 2A terms cancelling exactly on one branch
+    dG = 2.0 * tab.A * (b - b0) + (1.0 - 2.0 * b) * tab.F_rel(u, s) - (1.0 - 2.0 * b0) * F0
+    pts[arc, :, 0] = u / C
+    pts[arc, :, 1] = p[arc, 1, None] + np.sign(yda) * (2.0 / C ** 4) * dG
+    vel[arc, :, 0] = (0.5 - b) * L * s * np.sqrt(_psi(u))
+    vel[arc, :, 1] = yda * (u / u0) ** 6           # yd / x^6 is conserved
+    exit_time[arc] = 2.0 * (2.0 * tab.phi1 - w0[:, 0]) / (C * L)[:, 0]
+    return pts, vel, exit_time
 
 
 # -- curvature --------------------------------------------------------------

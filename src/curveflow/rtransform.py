@@ -285,6 +285,7 @@ class M3Jacobian:
         self.gc = _closure_coeffs(q1, q[:, 1], dth)
 
     def apply(self, X: np.ndarray) -> np.ndarray:
+        X = np.ascontiguousarray(X)      # the einsum's sum order follows the layout
         sl = (slice(None),) + (None,) * (X.ndim - 2)
         half_y = 0.5 * (self.gw1[sl] * X[:, 0] + self.gw3[sl] * X[:, 2])
         d2 = X[:, 1] / self.dth

@@ -269,6 +269,8 @@ def test_ivp_command_files(tmp_path):
       "-T", "0.2", "--steps", "0"], 1, ["steps"]),
     (["ivp", "--metric", "M3", "--curve", "{circle}", "--velocity", "{u0}",
       "-T", "0.2", "--steps", "-3"], 1, ["steps"]),
+    (["ivp", "--metric", "M2", "--curve", "{line}", "--velocity", "{u0}",
+      "-T", "0.2", "--steps", "5"], 1, ["M2", "steps"]),
     (["ivp", "--metric", "M3", "--curve", "{circle}", "--velocity", "{u0}",
       "-T", "0"], 1, ["T must be"]),
     (["ivp", "--metric", "M3", "--curve", "{circle}", "--velocity", "{u0}",
@@ -290,7 +292,7 @@ def test_ivp_command_files(tmp_path):
     (["ivp", "--metric", "M2", "--curve", "{line}", "--velocity", "{u0nan}",
       "-T", "0.2"], 1, ["u0", "finite"]),
 ], ids=["transform-M5", "distance-M9", "inverse-mismatch", "ivp-steps-0",
-        "ivp-steps-neg", "ivp-T-0", "ivp-snapshots-neg", "bvp-snapshots-0",
+        "ivp-steps-neg", "ivp-M2-steps", "ivp-T-0", "ivp-snapshots-neg", "bvp-snapshots-0",
         "demo-fig2-dt-5", "bvp-M1-modes", "bvp-dt-0", "bvp-dt-neg",
         "demo-fig1-bvp-dt-0", "distance-5-points", "curve-not-json",
         "transform-not-json", "curve-no-closed", "velocity-no-values",

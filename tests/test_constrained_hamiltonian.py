@@ -192,6 +192,16 @@ def test_structured_products_match_dense():
         assert np.abs(jac.apply_t(lam[:, 0]) - (ref.T @ lam[:, 0]).reshape(n, 3)).max() < 1e-12
 
 
+def test_jacobian_product_ignores_memory_order():
+    # DH . X is the same to the bit for C- and Fortran-ordered copies of
+    # one block of columns
+    rng = np.random.default_rng(8)
+    q = rt.r_forward("M3", wavy_curve(64, seed=2)).q
+    jac = rt.M3Jacobian(q, 2 * np.pi / 64)
+    X = rng.standard_normal((64, 3, 18))
+    assert np.array_equal(jac.apply(np.ascontiguousarray(X)), jac.apply(np.asfortranarray(X)))
+
+
 def test_m3_projection_matches_dense():
     # the one M3 tangent projection (derivative rows bordered by the two
     # closedness rows) against k = h - g^-1 A^T mu, (A g^-1 A^T) mu = A h,

@@ -186,11 +186,39 @@ def test_center():
 
 
 def test_normalize_rotation():
+    # centring and rotating by section_rotation puts alpha on the section
     c = wavy_curve(128, seed=3)
-    out = cc.normalize_rotation(c)
+    out = c.moved(cc.section_rotation(c), -cc.centroid(c))
     f = cc.build_frame(out)
     mean = cc.integrate_ds(out, f.alpha) / cc.curve_length(out)
     assert abs(mean) < 1e-10
+
+
+@pytest.mark.parametrize("turns", [None, 0.5, 1.3, 2.7])
+def test_rigid_motion_carries_the_frame(turns):
+    # moved() rotates v and n, keeps speed and kappa and shifts alpha by the
+    # angle, as build_frame of the moved points gives it, alpha(0) in
+    # (-pi, pi] included: on the spirals alpha(0) + phi leaves that range
+    if turns is None:
+        c = wavy_curve(128, seed=5)
+    else:
+        th = np.linspace(0.0, 2 * np.pi, 256)
+        c = cc.DiscreteCurve((1.0 + 0.3 * th)[:, None]
+                             * np.stack([np.cos(turns * th), np.sin(turns * th)], 1), False)
+    wrapped = False
+    for phi in (2.5, -2.9, 0.4):
+        rot = np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
+        moved = c.moved(rot, (0.7, -1.3))
+        assert np.abs(moved.points - (c.points + (0.7, -1.3)) @ rot.T).max() == 0.0
+        carried, ref = moved.frame, cc.build_frame(moved)
+        for name in ("speed", "v", "n", "alpha"):
+            assert np.abs(getattr(carried, name) - getattr(ref, name)).max() < 1e-12
+            assert not getattr(carried, name).flags.writeable
+        assert np.abs(carried.kappa - ref.kappa).max() < 1e-11 * np.abs(ref.kappa).max()
+        assert carried.winding == ref.winding
+        assert -np.pi < carried.alpha[0] <= np.pi
+        wrapped |= not -np.pi < c.frame.alpha[0] + phi <= np.pi
+    assert wrapped or turns is None
 
 
 def test_richardson_refinement_circle_ellipse():

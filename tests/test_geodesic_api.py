@@ -110,18 +110,93 @@ def test_m2_ivp_runs_and_exits():
     assert exc.value.exit_time is not None
 
 
-def test_ivp_steps_are_used_or_refused():
-    # M1 is exact: a step count would be ignored, so it is refused
+def open_arc(n, slope, bend, phase, stretch, scale):
+    """Arc with turning angle slope th + bend sin(th + phase) and speed
+    scale (1 + stretch cos th) on [0, 2 pi]; convex when slope > |bend|."""
+    th = (2 * np.pi / (n - 1)) * np.arange(n)
+    alpha = slope * th + bend * np.sin(th + phase)
+    integ = (scale * (1.0 + stretch * np.cos(th)))[:, None] * np.stack(
+        [np.cos(alpha), np.sin(alpha)], 1)
+    pts = np.zeros((n, 2))
+    pts[1:] = np.cumsum(0.5 * (integ[1:] + integ[:-1]) * (th[1] - th[0]), axis=0)
+    return cc.DiscreteCurve(pts, False)
+
+
+def seeded_arcs(seed):
+    """Three convex arcs (two of one shape at two scales) and two non-convex
+    ones at N = 400, drawn from the seed."""
+    u = np.random.default_rng([seed, 3]).uniform
+    base = dict(slope=u(0.6, 0.8), bend=u(0.1, 0.2), phase=u(0, 2 * np.pi),
+                stretch=u(0.15, 0.3))
+    small = u(0.7, 0.9)
+    specs = [dict(base, scale=small), dict(base, scale=2.0 * small),
+             dict(slope=u(0.5, 0.7), bend=u(0.1, 0.3), phase=u(0, 2 * np.pi),
+                  stretch=u(0.1, 0.3), scale=u(1.2, 1.5))]
+    specs += [dict(slope=u(0.05, 0.15), bend=u(0.6, 0.9), phase=u(0, 2 * np.pi),
+                   stretch=u(0.1, 0.3), scale=u(0.8, 1.2)) for _ in range(2)]
+    return [open_arc(400, **spec) for spec in specs]
+
+
+@pytest.mark.parametrize("target", [1, 3], ids=["convex", "non-convex"])
+def test_m2_ivp_reaches_the_bvp_endpoint(target):
+    # the exact fiber walk from the boundary solver's initial velocity ends
+    # on every fiber where the solver's path ends, and the solver's
+    # snapshots follow a fine RK4 run of that velocity (fibers of the
+    # non-convex pair pass near their apex)
+    arcs = seeded_arcs(301)
+    path = ga.geodesic_bvp("M2", arcs[0], arcs[target], K=9)
+    qs, v0 = path.diagnostics["rspace"], path.diagnostics["initial_velocity_rspace"]
+    pts, _, exits = pg._fiber_ivp(qs[0], v0, path.times)
+    assert np.all(exits > 1.0)
+    assert np.abs(pts[:, -1] - qs[-1]).max() <= 1e-10
+    _, ps, _ = pg.integrate_spray2(qs[0], v0, 1.0, 1600)
+    assert np.abs(ps[::200] - qs).max() <= 1e-10
+    # the walk leaves the lengths alone: the distance's are the same bits
+    lengths = ga.distance("M2", arcs[0], arcs[target]).details["fiber_lengths"]
+    assert np.array_equal(path.diagnostics["fiber_lengths"], lengths)
+
+
+def test_m2_ivp_matches_rk4():
     c = open_circle(64)
     u0 = smooth_field(64, seed=3, closed=False) * 0.1
-    with pytest.raises(CurveflowError, match="steps"):
-        ga.geodesic_ivp("M1", c, u0, T=0.5, steps=64)
-    # M2 takes exactly `steps` RK4 steps and samples the snapshots among them
-    path = ga.geodesic_ivp("M2", c, u0, T=0.5, steps=6, snapshots=4)
+    path = ga.geodesic_ivp("M2", c, u0, T=0.5, snapshots=6)
+    assert np.array_equal(path.times, np.linspace(0.0, 0.5, 6))
     q0, v0 = ga._on_section(ms.MetricId.M2, c, u0)
-    times, ps, _ = pg.integrate_spray2(q0.q, v0, 0.5, 6)
-    assert np.array_equal(path.times, times[::2])
-    assert np.array_equal(path.diagnostics["rspace"], ps[::2])
+    _, ps, _ = pg.integrate_spray2(q0.q, v0, 0.5, 4000)
+    assert np.abs(path.diagnostics["rspace"] - ps[::800]).max() <= 1e-10
+    assert path.diagnostics["exit_time"] > 0.5
+
+
+def test_m2_ivp_exits():
+    c = open_circle(64)
+    # the snapshots reached lie before the exit time, which a fine RK4 run
+    # of the same fibers brackets
+    u_bad = -2.0 * c.points
+    with pytest.raises(DomainExit) as exc:
+        ga.geodesic_ivp("M2", c, u_bad, T=5.0, snapshots=11)
+    partial = exc.value.partial
+    assert np.all(partial.times < exc.value.exit_time)
+    assert np.array_equal(partial.times, np.linspace(0.0, 5.0, 11)[:partial.n_snapshots])
+    q0, v0 = ga._on_section(ms.MetricId.M2, c, u_bad)
+    with pytest.raises(DomainExit) as rk4:
+        pg.integrate_spray2(q0.q, v0, 0.8, 8000)
+    assert abs(rk4.value.exit_time - exc.value.exit_time) <= 1e-4
+    # a ray moving down in x leaves at x0 / -xd
+    _, _, exits = pg._fiber_ivp(np.array([[0.9, 0.2]]), np.array([[-0.3, 0.0]]), np.zeros(1))
+    assert exits[0] == pytest.approx(3.0, rel=1e-15)
+    # zero velocity: constant path
+    path = ga.geodesic_ivp("M2", c, np.zeros((64, 2)), T=1.0, snapshots=5)
+    assert path.diagnostics["exit_time"] == np.inf
+    assert np.abs(path.curves[-1].points - path.curves[0].points).max() < 1e-12
+
+
+def test_ivp_steps_are_used_or_refused():
+    # M1 and M2 are exact: a step count would be ignored, so it is refused
+    c = open_circle(64)
+    u0 = smooth_field(64, seed=3, closed=False) * 0.1
+    for metric in ("M1", "M2"):
+        with pytest.raises(CurveflowError, match="steps"):
+            ga.geodesic_ivp(metric, c, u0, T=0.5, steps=64)
 
 
 def test_m3_ivp_second_initial_velocity():
@@ -624,7 +699,7 @@ def test_each_curve_is_framed_once(monkeypatch):
         run()
         return len(framed) - start
     arcs = [rotation_representative(wavy_curve(64, seed=s, closed=False)) for s in (3, 4)]
-    assert builds(lambda: ga.distance("M2", *arcs)) == 6
+    assert builds(lambda: ga.distance("M2", *arcs)) == 2
     ga.distance("M1", convex_arc(64, seed=3), convex_arc(64, seed=4))
     c, u = wavy_curve(64, seed=3), 0.3 * smooth_field(64, seed=1)
     assert builds(lambda: ga.horizontal_project(c, u)) == 1

@@ -218,6 +218,35 @@ def test_fiber_batch_matches_rows():
     assert flips == {(False, False), (False, True), (True, False), (True, True)}
 
 
+def test_bvp2_walk_crosses_the_apex():
+    # a fiber whose path passes within 1e-9 of its apex: the samples follow
+    # the geodesic of the solver's own initial velocity (a fine RK4 run) and
+    # stay below the apex, where a Newton inverse of Phi in u stuck at u = 1
+    geo = pg.bvp2((1.35227301, 1.33324122), (1.10496834, -0.85067066), samples=17)
+    assert geo.case == "arc2"
+    _, ps, vs = pg.integrate_spray2(geo.points[:1], geo.velocities[:1], 1.0, 16000)
+    assert np.abs(ps[::1000, 0] - geo.points).max() <= 1e-10
+    assert np.abs(vs[::1000, 0] - geo.velocities).max() <= 1e-10
+    assert np.all(1.0 - geo.C * geo.points[1:-1, 0] > 0.0)
+
+
+def test_fiber_ivp_against_rk4():
+    # rays, arcs starting on either branch and at the apex, and nearly flat
+    # arcs (vertical speeds of 1e-6 and 1e-12), whose y motion is F(Cx) ~
+    # (Cx)^7 / 7 scaled by 2 / C^4
+    p = np.array([[1.0, 0.3], [1.0, 0.3], [0.8, -1.0], [1.2, 0.5], [0.9, 0.0],
+                  [1.0, 0.3], [1.0, 0.3], [1.0, 0.3]])
+    v = np.array([[0.4, 1.0], [-0.4, -1.0], [0.0, 0.5], [0.3, 0.0], [-0.2, 0.0],
+                  [0.4, 1e-6], [-0.4, -1e-6], [0.4, 1e-12]])
+    times = np.linspace(0.0, 0.8, 5)
+    pts, vel, exits = pg._fiber_ivp(p, v, times)
+    _, ps, vs = pg.integrate_spray2(p, v, 0.8, 8000)
+    assert np.abs(ps[::2000].transpose(1, 0, 2) - pts).max() <= 1e-10
+    assert np.abs(vs[::2000].transpose(1, 0, 2) - vel).max() <= 1e-10
+    assert np.all(exits[[0, 1, 2, 5, 6, 7]] > 0.8)
+    assert exits[3] == np.inf and exits[4] == pytest.approx(0.9 / 0.2, rel=1e-15)
+
+
 def test_lower_bound_examples():
     assert pg.dist2_lower_bound((1.0, 2.0), (1.0, 2.0)) == 0.0
     assert abs(pg.dist2_lower_bound((1.0, 0.0), (2.0, 0.0)) - 2.0) < 1e-14
