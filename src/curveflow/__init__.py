@@ -20,7 +20,6 @@ from .rtransform import (
     constraint_gradients,
     constraints,
     dr,
-    elliptic_solve,
     load_rpoint,
     project_image,
     r_forward,
@@ -32,7 +31,6 @@ from .pointwise_geometry import (
     bvp2,
     dist2_lower_bound,
     g_eval,
-    g_grad,
     g_inv,
     scal2,
     sectional_curvature_m2,

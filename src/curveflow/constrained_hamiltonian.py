@@ -65,6 +65,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .curve_core import _check_samples
 from .errors import (
     BadInput,
     CurveflowError,
@@ -76,7 +77,7 @@ from .errors import (
     StepLeftDomain,
 )
 from .metric_suite import MetricId
-from .pointwise_geometry import g_grad, g_inv, g_inv_quad
+from .pointwise_geometry import g_inv_quad
 from .rtransform import (
     CyclicFactor,
     RPoint,
@@ -136,21 +137,13 @@ def discrete_energy(state: HamiltonianState) -> float:
     return 0.5 * float(np.sum(vals)) * state.theta_step
 
 
-def energy_grad_p(metric_id, q, p, dtheta) -> np.ndarray:
-    return g_inv(metric_id, q, p) * dtheta
-
-
-def energy_grad_q(metric_id, q, p, dtheta) -> np.ndarray:
-    return 0.5 * g_grad(metric_id, q, p) * dtheta
-
-
 def _grad_p(pt: _M3Point, p: np.ndarray) -> np.ndarray:
-    """energy_grad_p at the M3 point pt."""
+    """dE/dp = g^-1 p dtheta at the M3 point pt."""
     return pt.ginv * p * pt.dth
 
 
 def _grad_q(pt: _M3Point, p: np.ndarray) -> np.ndarray:
-    """energy_grad_q at the M3 point pt: only its q1 row is nonzero."""
+    """dE/dq at the M3 point pt: only its q1 row is nonzero."""
     out = np.zeros_like(p)
     out[:, 0] = pt.dginv[:, 1] * p[:, 1] ** 2 + pt.dginv[:, 2] * p[:, 2] ** 2
     return 0.5 * out * pt.dth
@@ -226,18 +219,13 @@ def project_consistent(rpoint: RPoint, p_raw: np.ndarray) -> HamiltonianState:
     DH^T mu with DH g^{-1} (p_raw - DH^T mu) = 0, so the hidden constraint
     holds at (q, p)."""
     mid = _constrained(rpoint.metric_id)
-    p = _tangent_momentum(rpoint._m3, np.asarray(p_raw, dtype=float))[0]
+    p = _tangent_momentum(rpoint._m3, _check_samples(p_raw, [rpoint.q.shape], "p_raw"))[0]
     return HamiltonianState(mid, rpoint.q, p, 0.0, rpoint.winding or 0)
 
 
 def _hidden_norm(pt: _M3Point, p: np.ndarray) -> float:
     """sup |DH(q) . dE/dp| at the M3 point pt."""
     return float(np.max(np.abs(pt.jac.apply(_grad_p(pt, p)))))
-
-
-def hidden_residual(state: HamiltonianState) -> float:
-    """sup |DH(q) . dE/dp|, the hidden-constraint residual."""
-    return _hidden_norm(_M3Point(state.q), state.p)
 
 
 # -- RATTLE -------------------------------------------------------------------

@@ -173,35 +173,6 @@ def g_inv_quad(metric_id, q, p):
     return np.einsum("ki,ki->k", gp, p)
 
 
-def g_grad(metric_id, q, p) -> np.ndarray:
-    """Gradient of q -> g_q^{-1}(p, p) in q (same shape as q).
-
-    Only q1 (all metrics) and q4 (M4) carry dependence.
-    """
-    metric_id = MetricId.parse(metric_id)
-    d = metric_id.fiber_dim
-    q, squeeze = _as2d(q, d)
-    p, _ = _as2d(p, d)
-    _check_pattern(metric_id, q[:, 0])
-    q1 = q[:, 0]
-    out = np.zeros_like(q)
-    if metric_id is MetricId.M1:
-        pass
-    elif metric_id is MetricId.M2:
-        out[:, 0] = 6.0 * q1 ** 5 * p[:, 1] ** 2
-    elif metric_id is MetricId.M3:
-        out[:, 0] = -2.0 * q1 ** -3 * p[:, 1] ** 2 + 6.0 * q1 ** 5 * p[:, 2] ** 2
-    else:
-        q4 = q[:, 3]
-        p2, p3, p4 = p[:, 1], p[:, 2], p[:, 3]
-        out[:, 0] = (-2.0 * q1 ** -3 * p2 ** 2
-                     - 8.0 * q4 * q1 ** -5 * p2 * p3
-                     + (2.0 * q1 - 6.0 * q4 ** 2 * q1 ** -7) * p3 ** 2
-                     + 6.0 * q1 ** 5 * p4 ** 2)
-        out[:, 3] = 2.0 * q1 ** -4 * p2 * p3 + 2.0 * q4 * q1 ** -6 * p3 ** 2
-    return out[0] if squeeze else out
-
-
 # -- the singular integral F and its arclength sibling ----------------------
 
 def _psi(z):
@@ -497,6 +468,8 @@ def _solve_fibers(p0s, p1s, full: bool, samples: int = 33):
     FiberGeodesic whose fields carry a leading fiber axis."""
     p0s = np.asarray(p0s, dtype=float)
     p1s = np.asarray(p1s, dtype=float)
+    if not (np.all(np.isfinite(p0s)) and np.all(np.isfinite(p1s))):
+        raise BadInput("fiber points must be finite")
     if np.any(p0s[:, 0] <= 0.0) or np.any(p1s[:, 0] <= 0.0):
         raise NonPositive("fiber points need x > 0")
     tab = tables()
@@ -609,6 +582,8 @@ def dist2_lower_bound(p0, p1):
     r = 2^{-1/12} X^{-1/4} one has r^6 = 2^{-1/2} X^{-3/2}.)
     """
     p0, p1 = np.asarray(p0, dtype=float), np.asarray(p1, dtype=float)
+    if not (np.all(np.isfinite(p0)) and np.all(np.isfinite(p1))):
+        raise BadInput("lower bound needs finite points")
     x0, x1 = p0[..., 0], p1[..., 0]
     if np.any(x0 <= 0.0) or np.any(x1 <= 0.0):
         raise NonPositive("lower bound needs x > 0")

@@ -32,13 +32,12 @@ with its Gram solve of A g^-1 A^T (A the derivative rows bordered by the
 closedness rows), the one M3 constraint projection.
 project_image takes the L2(g) projection P from that solve; the consistent
 momentum and the RATTLE lambda_2 step take p -> g P(g^-1 p) = p - A^T mu
-(constrained_hamiltonian._tangent_momentum).  One
-solver serves every "cyclic banded + low-rank border" system - P, the
-RATTLE Newton step, the periodic elliptic solve and the horizontal
-projection: CyclicFactor factors [[A, cols], [rows, corner]] once (A
-cyclic banded, nonsymmetric, of any half-width b; LAPACK gbtrf for its
-band part, one small capacitance matrix for the wrap corners and the
-border together), and each solve after that is substitution only.
+(constrained_hamiltonian._tangent_momentum).  One solver serves every
+"cyclic banded + low-rank border" system - P, the RATTLE Newton step and
+the horizontal projection: CyclicFactor factors [[A, cols], [rows,
+corner]] once (A cyclic banded, nonsymmetric, of any half-width b; LAPACK
+gbtrf for its band part, one small capacitance matrix for the wrap corners
+and the border together), and each solve after that is substitution only.
 """
 
 from __future__ import annotations
@@ -71,8 +70,8 @@ class RPoint:
         mid = MetricId.parse(self.metric_id)
         object.__setattr__(self, "metric_id", mid)
         q = np.ascontiguousarray(np.asarray(self.q, dtype=float))
-        if q.ndim != 2 or q.shape[1] != mid.fiber_dim:
-            raise BadInput(f"q must be (N, {mid.fiber_dim}) for {mid.value}")
+        if q.ndim != 2 or q.shape[1] != mid.fiber_dim or not np.all(np.isfinite(q)):
+            raise BadInput(f"q must be a finite (N, {mid.fiber_dim}) array for {mid.value}")
         q.setflags(write=False)
         object.__setattr__(self, "q", q)
 
@@ -537,26 +536,6 @@ class CyclicFactor:
         return u.reshape(rhs.shape)
 
 
-def elliptic_solve(a, b, f, dtheta: float) -> np.ndarray:
-    """Solve the periodic equation -(a u')' + b u = f with the conservative
-    second-order stencil
-
-        -(a_{k+1/2}(u_{k+1}-u_k) - a_{k-1/2}(u_k-u_{k-1}))/dtheta^2 + b_k u_k = f_k
-
-    by CyclicFactor; edge values a_{k+1/2} are arithmetic means of node
-    values.
-    """
-    a, b, f = (np.asarray(x, dtype=float) for x in (a, b, f))
-    if a.ndim != 1 or not a.shape == b.shape == f.shape or not np.isfinite([a, b, f]).all():
-        raise BadInput(f"a, b and f must be finite (n,) arrays, got {a.shape}, {b.shape}, "
-                       f"{f.shape}")
-    if np.any(a <= 0.0) or np.any(b < 0.0):
-        raise BadInput("need a > 0 and b >= 0")
-    ae = 0.5 * (a + _shift(a, 1)) / dtheta ** 2     # a_{k+1/2} / dtheta^2
-    aw = _shift(ae, -1)                             # a_{k-1/2} / dtheta^2
-    return CyclicFactor(np.stack([-aw, ae + aw + b, -ae])).solve(f)
-
-
 # -- orthogonal projection onto the image tangent space ----------------------
 
 class _M3Point:
@@ -623,7 +602,7 @@ def project_image(rpoint: RPoint, h, image_tol: float = 1e-3) -> np.ndarray:
 
     M1/M2: subtract the span of the two closedness gradients.  M3: k = h -
     g^-1 A^T mu with (A g^-1 A^T) mu = A h by _M3Point.gram, exact for the
-    discrete rows; h may also be (n, 3, r), r fields.  M4 is BadInput.
+    discrete rows; h may also be (n, 3, r), r fields.  M4 or a bad h is BadInput.
     Raises OffImage when the constraints at q exceed image_tol relative to
     the closure scale.
     """
@@ -632,13 +611,14 @@ def project_image(rpoint: RPoint, h, image_tol: float = 1e-3) -> np.ndarray:
         raise BadInput("image projection is provided for M1, M2 and M3, not M4")
     if not rpoint.closed:
         raise OffImage("projection is defined on closed-curve images")
+    fields = np.shape(h)[2:] if metric_id is MetricId.M3 and np.ndim(h) == 3 else ()
+    h = _check_samples(h, [rpoint.q.shape + fields], "h")
     val = constraints(rpoint)
     if np.linalg.norm(val.h_cl) > image_tol * closure_scale(rpoint):
         raise OffImage(f"|H_cl| = {np.linalg.norm(val.h_cl):.3e} too large")
     if val.h_diff is not None and np.max(np.abs(val.h_diff)) > image_tol * max(
             1.0, float(np.max(np.abs(rpoint.q[:, 2])))):
         raise OffImage("derivative constraint residual too large")
-    h = np.asarray(h, dtype=float)
     if metric_id is MetricId.M3:
         pt = rpoint._m3
         lam = pt.gram(pt.jac.apply(h))

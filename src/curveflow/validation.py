@@ -8,7 +8,7 @@ frozen oracle values.
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
+from scipy.integrate import cumulative_trapezoid, solve_ivp
 
 from . import (
     constrained_hamiltonian as ch,
@@ -275,14 +275,6 @@ def check_projection():
     return ok, f"grad pair {pair:.1e} idem {idem:.1e} selfadj {sym:.1e}"
 
 
-def check_elliptic():
-    n = 256
-    th = (2 * np.pi / n) * np.arange(n)
-    u = rt.elliptic_solve(np.ones(n), np.ones(n), 2 * np.sin(th), 2 * np.pi / n)
-    err = np.abs(u - np.sin(th)).max()
-    return err < 1e-3, f"analytic err {err:.2e}"
-
-
 def check_cyclic_banded():
     # b = 4 on an N that is not a multiple of 9 is the horizontal projection's
     # case, b = 1 with a k = 2 border the RATTLE Newton and Gram systems';
@@ -405,11 +397,10 @@ def check_energy_gradients():
     rp = _on_image_point()
     q = rp.q
     p = rng.standard_normal(q.shape)
-    st = ch.HamiltonianState("M3", q, p, 0.0, 1)
     eps = 1e-7
     worst = 0.0
-    gq = ch.energy_grad_q("M3", q, p, st.theta_step)
-    gp_ = ch.energy_grad_p("M3", q, p, st.theta_step)
+    pt = rt._M3Point(q)
+    gq, gp_ = ch._grad_q(pt, p), ch._grad_p(pt, p)
     for _ in range(3):
         d = rng.standard_normal(q.shape)
         fd = (ch.discrete_energy(ch.HamiltonianState("M3", q + eps * d, p, 0, 1))
@@ -421,7 +412,7 @@ def check_energy_gradients():
     d = rng.standard_normal(q.shape)
     fdj = (rt.constraint_rows("M3", q + eps * d, 1)
            - rt.constraint_rows("M3", q - eps * d, 1)) / (2 * eps)
-    jerr = np.abs(rt.M3Jacobian(q, st.theta_step).apply(d) - fdj).max() / np.abs(fdj).max()
+    jerr = np.abs(pt.jac.apply(d) - fdj).max() / np.abs(fdj).max()
     ok = worst < 1e-6 and jerr < 1e-6
     return ok, f"energy grads {worst:.1e}, jacobian {jerr:.1e}"
 
@@ -442,6 +433,24 @@ def check_rattle_short():
     ok = res.constraint_norm.max() < 1e-9 and drift < 1e-4 and rev < 1e-6
     return ok, (f"|H| {res.constraint_norm.max():.1e} drift {drift:.1e} "
                 f"reverse {rev:.1e}")
+
+
+def circle_ivp_errors(rho, grids):
+    """Errors of the radius (mean q1^2) at t = 1 of M3 geodesic_ivp from the
+    unit circle with velocity rho (cos th, sin th), per (N, dt) of grids:
+    centred circles are totally geodesic, so r' = rho sqrt(G(1)/G(r)) with
+    G(r) = 2 pi (1/r + 1/r^3), the M3 metric on them."""
+    exact = solve_ivp(lambda t, r: rho * np.sqrt(2 / (1 / r + r ** -3)), (0.0, 1.0), [1.0],
+                      rtol=1e-12, atol=1e-14).y[0, -1]
+    paths = [ga.geodesic_ivp("M3", circle(n), rho * circle(n).points, 1.0, steps=round(1 / dt))
+             for n, dt in grids]
+    return [abs(np.mean(p.diagnostics["rspace"][-1, :, 0] ** 2) - exact) for p in paths]
+
+
+def check_m3_exact_circles():
+    e = circle_ivp_errors(0.6, ((32, 0.1), (64, 0.05)))
+    order = np.log2(e[0] / e[1])
+    return 1.8 <= order <= 2.2, f"radius errors {e[0]:.2e}, {e[1]:.2e}, order {order:.2f}"
 
 
 def check_shooting_jacobian():
@@ -523,7 +532,6 @@ CHECKS = [
     ("transform isometry identity", check_isometry),
     ("closedness gradient finite differences", check_constraint_gradients),
     ("image projection oracles", check_projection),
-    ("cyclic elliptic solver", check_elliptic),
     ("cyclic banded solver (b = 2, 4; b = 1 bordered, k = 2)", check_cyclic_banded),
     ("plane spray first integrals", check_spray_conservation),
     ("F(1) constant", check_F_constant),
@@ -533,6 +541,7 @@ CHECKS = [
     ("sectional curvature sign and oracle", check_sectional),
     ("Hamiltonian gradients and jacobian", check_energy_gradients),
     ("RATTLE conservation and reversibility", check_rattle_short),
+    ("M3 geodesic of centred circles vs exact radius", check_m3_exact_circles),
     ("shooting Jacobian vs central differences", check_shooting_jacobian),
     ("flat-metric exactness", check_m1_exactness),
     ("fiber IVP/BVP agreement", check_m2_ivp_bvp),

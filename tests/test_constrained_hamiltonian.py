@@ -78,25 +78,25 @@ def exact_newton_step(state, dt, tol=1e-12, max_iter=50, lam_guess=None):
     momentum: the reference for the simplified iteration of
     ch._rattle_step.  Returns (new_state, lambda_1); raises
     NewtonDivergence with the residual history."""
-    mid, dth, winding = state.metric_id, state.theta_step, state.winding
+    mid, winding = state.metric_id, state.winding
     q0, p0 = state.q, state.p
-    ph, q1 = p0.copy(), q0 + dt * ch.energy_grad_p(mid, q0, p0, dth)
+    pt0 = rt._M3Point(q0)
+    ph, q1 = p0.copy(), q0 + dt * ch._grad_p(pt0, p0)
     lam = np.zeros(q0.shape[0] + 2) if lam_guess is None else lam_guess.copy()
-    factor, jt0 = ch._m3_newton(rt._M3Point(q0), dt)
+    factor, jt0 = ch._m3_newton(pt0, dt)
     history = []
     for _ in range(max_iter):
-        f1 = ph - p0 + 0.5 * dt * ch.energy_grad_q(mid, q0, ph, dth) - 0.5 * dt * jt0(lam)
-        f2 = q1 - q0 - 0.5 * dt * (ch.energy_grad_p(mid, q0, ph, dth)
-                                   + ch.energy_grad_p(mid, q1, ph, dth))
+        pt1 = rt._M3Point(q1)
+        f1 = ph - p0 + 0.5 * dt * ch._grad_q(pt0, ph) - 0.5 * dt * jt0(lam)
+        f2 = q1 - q0 - 0.5 * dt * (ch._grad_p(pt0, ph) + ch._grad_p(pt1, ph))
         f3 = rt.constraint_rows(mid, q1, winding)
         history.append(max(np.abs(f1).max(), np.abs(f2).max(), np.abs(f3).max()))
         if history[-1] < tol:
             break
-        dq, dph, dlam = factor(rt._M3Point(q1), ph)(f1, f2, f3)
+        dq, dph, dlam = factor(pt1, ph)(f1, f2, f3)
         q1, ph, lam = q1 + dq, ph - dph, lam + dlam
     else:
         raise NewtonDivergence("exact Newton reference did not converge", history)
-    pt1 = rt._M3Point(q1)
     p1 = ch._tangent_momentum(pt1, ph - 0.5 * dt * ch._grad_q(pt1, ph))[0]
     return ch.HamiltonianState(mid, q1, p1, state.t + dt, winding), lam
 
@@ -113,41 +113,36 @@ def test_discrete_energy_values():
 
 
 def test_energy_gradients_fd():
+    # the M3 point's gradients against central differences of discrete_energy
     rng = np.random.default_rng(3)
-    for mid, d in (("M3", 3), ("M4", 4)):
-        n = 40
-        q = rng.uniform(0.5, 1.5, (n, d))
-        q[:, 1] = np.linspace(0, 2 * np.pi, n)
-        p = rng.standard_normal((n, d))
-        dth = 2 * np.pi / n
-        gq = ch.energy_grad_q(mid, q, p, dth)
-        gp = ch.energy_grad_p(mid, q, p, dth)
-        eps = 1e-7
-        for _ in range(4):
-            dq = rng.standard_normal((n, d))
+    n = 40
+    q = rng.uniform(0.5, 1.5, (n, 3))
+    q[:, 1] = np.linspace(0, 2 * np.pi, n)
+    p = rng.standard_normal((n, 3))
+    pt = rt._M3Point(q)
+    gq, gp = ch._grad_q(pt, p), ch._grad_p(pt, p)
+    eps = 1e-7
 
-            def e(qq, pp):
-                return 0.5 * float(np.sum(pg.g_inv_quad(mid, qq, pp))) * dth
-            fd = (e(q + eps * dq, p) - e(q - eps * dq, p)) / (2 * eps)
-            assert abs(fd - np.sum(gq * dq)) < 1e-6 * max(1.0, abs(fd))
-            fd = (e(q, p + eps * dq) - e(q, p - eps * dq)) / (2 * eps)
-            assert abs(fd - np.sum(gp * dq)) < 1e-6 * max(1.0, abs(fd))
+    def e(qq, pp):
+        return ch.discrete_energy(ch.HamiltonianState("M3", qq, pp))
+    for _ in range(4):
+        dq = rng.standard_normal((n, 3))
+        fd = (e(q + eps * dq, p) - e(q - eps * dq, p)) / (2 * eps)
+        assert abs(fd - np.sum(gq * dq)) < 1e-6 * max(1.0, abs(fd))
+        fd = (e(q, p + eps * dq) - e(q, p - eps * dq)) / (2 * eps)
+        assert abs(fd - np.sum(gp * dq)) < 1e-6 * max(1.0, abs(fd))
 
 
 def test_point_algebra_matches_references():
-    # at an on-image point, the M3 point's energy gradients equal the
-    # generic ones, and the derivatives built from its g^-1 derivatives
-    # (_energy_grad_tangents, _m3_jacobian_tangent) match central
-    # differences of _grad_q, _grad_p, DH . k and DH^T . lam along random
-    # (dq, dp)
+    # at an on-image point, the derivatives built from the M3 point's g^-1
+    # derivatives (_energy_grad_tangents, _m3_jacobian_tangent) match
+    # central differences of _grad_q, _grad_p, DH . k and DH^T . lam along
+    # random (dq, dp)
     rng = np.random.default_rng(37)
     n = 64
     rp = ch.project_to_manifold(rt.r_forward("M3", wavy_curve(n, seed=2)))
-    pt, dth = rp._m3, rp.theta_step
+    pt = rp._m3
     p = rng.standard_normal((n, 3))
-    for ours, ref in ((ch._grad_q(pt, p), ch.energy_grad_q("M3", rp.q, p, dth)),
-                      (ch._grad_p(pt, p), ch.energy_grad_p("M3", rp.q, p, dth))):
-        assert np.abs(ours - ref).max() <= 1e-14 * np.abs(ref).max()
     dq, dp = rng.standard_normal((2, n, 3, 3))
     k, lam = rng.standard_normal((n, 3)), rng.standard_normal(n + 2)
     eq, ep = ch._energy_grad_tangents(pt, p, dq, dp)
@@ -225,7 +220,7 @@ def test_m3_projection_matches_dense():
         assert np.abs(p - p_ref).max() <= 1e-12 * np.abs(p_ref).max()
     # and so is the RATTLE hidden-constraint step
     new, _ = ch.rattle_step(circle_state(65), 1e-2)
-    assert ch.hidden_residual(new) <= 1e-11
+    assert ch._hidden_norm(rt._M3Point(new.q), new.p) <= 1e-11
 
 
 def step_with(newton, state, **kwargs):
@@ -362,6 +357,10 @@ def _m4_point():
     return rt.r_forward("M4", wavy_curve(48, seed=3))
 
 
+def _m3_point():
+    return circle_state(16).rpoint()
+
+
 @pytest.mark.parametrize("make, message", [
     (lambda: cc.DiscreteCurve(np.zeros((16, 3)), True), "(N, 2)"),
     (lambda: cc.DiscreteCurve(np.zeros((5, 2)), True), "8 samples"),
@@ -374,11 +373,26 @@ def _m4_point():
     (lambda: rt.project_image(_m4_point(), np.ones((48, 4))), "M4"),
     (lambda: ms.geodesic_residual("M3", _snapshots([0.0, 1.0])), "3 snapshots"),
     (lambda: ms.geodesic_residual("M3", _snapshots([0.0, 1.0, 3.0])), "uniform"),
+    (lambda: rt.RPoint("M3", np.full((16, 3), np.nan), True, 1), "finite"),
+    (lambda: pg.bvp2((1.0, np.nan), (1.2, 0.3)), "finite"),
+    (lambda: pg.bvp2((1.0, 0.2), (np.inf, 0.3)), "finite"),
+    (lambda: pg.dist2_lower_bound((1.0, np.nan), (1.2, 0.3)), "finite"),
+    (lambda: rt.project_image(_m3_point(), np.ones((16, 2))), "h must be an array of shape"),
+    (lambda: rt.project_image(_m3_point(), np.ones((15, 3))), "h must be an array of shape"),
+    (lambda: rt.project_image(_m3_point(), np.ones((15, 3, 2))), "h must be an array of shape"),
+    (lambda: rt.project_image(_m3_point(), np.full((16, 3), np.nan)), "h must be finite"),
+    (lambda: rt.project_image(rt.r_forward("M2", circle(16)), np.full((16, 2), np.nan)),
+     "h must be finite"),
+    (lambda: ch.project_consistent(_m3_point(), np.ones((16, 2))), "p_raw must be an array"),
+    (lambda: ch.project_consistent(_m3_point(), np.full((16, 3), np.nan)), "p_raw must be finite"),
 ], ids=["curve-shape", "curve-size", "curve-nan", "rpoint-shape", "state-shape",
         "state-m4", "manifold-m4", "consistent-m4", "project-image-m4",
-        "residual-snapshots", "residual-uniform"])
+        "residual-snapshots", "residual-uniform", "rpoint-nan", "bvp2-nan", "bvp2-inf",
+        "lower-bound-nan", "project-image-2d", "project-image-rows", "project-image-fields",
+        "project-image-nan", "project-image-m2-nan", "consistent-shape", "consistent-nan"])
 def test_bad_input_is_named_error(make, message):
-    # BadInput is a CurveflowError and, for older callers, a ValueError
+    # BadInput is a CurveflowError and, for older callers, a ValueError;
+    # points and fields that are not finite are refused before any numerics
     with pytest.raises(BadInput) as exc:
         make()
     assert isinstance(exc.value, CurveflowError) and isinstance(exc.value, ValueError)
@@ -429,7 +443,7 @@ def test_consistency_projections_are_second_order():
 
 def test_project_consistent():
     st = circle_state(48)
-    assert ch.hidden_residual(st) < 1e-11
+    assert ch._hidden_norm(rt._M3Point(st.q), st.p) < 1e-11
     # consistent momentum is a fixed point
     again = ch.project_consistent(st.rpoint(), st.p)
     assert np.abs(again.p - st.p).max() < 1e-12
@@ -461,7 +475,7 @@ def test_rattle_preserves_constraints_and_reverses():
     # same numbers as computing them afresh from the stored states
     for q, p, cnorm, hnorm in zip(res.qs, res.ps, res.constraint_norm, res.hidden_norm):
         assert cnorm == np.abs(rt.constraint_rows("M3", q, st.winding)).max()
-        assert hnorm == ch.hidden_residual(ch.HamiltonianState("M3", q, p, 0.0, st.winding))
+        assert hnorm == ch._hidden_norm(rt._M3Point(q), p)
     back =ch.HamiltonianState("M3", res.qs[-1], -res.ps[-1], 0.0, st.winding)
     res2 = ch.simulate(back, 0.5, 5e-3)
     assert np.abs(res2.qs[-1] - st.q).max() < 1e-6

@@ -3,6 +3,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from conftest import circle, convex_arc, rotation_representative, smooth_field, wavy_curve
 from curveflow import constrained_hamiltonian as ch
@@ -13,6 +14,7 @@ from curveflow import pointwise_geometry as pg
 from curveflow import rtransform as rt
 from curveflow.errors import (BadInput, CurveflowError, DomainExit, ShootingStall,
                               SingularVerticalOperator, StepLeftDomain)
+from curveflow.validation import circle_ivp_errors
 
 
 def open_circle(n, r=1.0):
@@ -518,6 +520,33 @@ def test_m3_distance_sums_a_chord_per_step():
     every_step = ga._rspace_length(qs)
     assert abs(d - every_step) <= 1e-9 * every_step
     assert abs(ga._rspace_length(qs[::5]) - every_step) > 1e-5 * every_step
+
+
+# (N, dt) refined jointly: the M3 solver is second order in both
+CIRCLE_GRIDS = ((32, 0.1), (64, 0.05), (128, 0.025))
+
+
+def test_m3_distance_between_centred_circles():
+    # centred circles are totally geodesic, the M3 metric on them is
+    # G(r) r'^2 with G(r) = 2 pi (1/r + 1/r^3), so the distance from radius
+    # 1 to 1.6 is the integral of sqrt(G); measured errors 1.36e-3, 3.43e-4
+    # and 8.58e-5
+    exact = quad(lambda r: np.sqrt(2 * np.pi * (1 / r + r ** -3)), 1.0, 1.6,
+                 epsabs=1e-12, epsrel=1e-12)[0]
+    errs = np.array([abs(ga.distance("M3", circle(n), circle(n, 1.6), T=1.0, dt=dt, modes=4,
+                                     tol=1e-10).value - exact) for n, dt in CIRCLE_GRIDS])
+    orders = np.log2(errs[:-1] / errs[1:])
+    assert np.all((orders >= 1.8) & (orders <= 2.2)), orders
+
+
+@pytest.mark.parametrize("rho", [0.6, -0.3])
+def test_m3_ivp_on_centred_circles(rho):
+    # from a radial start the radius at t = 1 (the mean of q1^2) converges
+    # to the exact r(1) at second order: errors 1.08e-2, 2.69e-3 and 6.73e-4
+    # for rho = 0.6
+    errs = np.array(circle_ivp_errors(rho, CIRCLE_GRIDS))
+    orders = np.log2(errs[:-1] / errs[1:])
+    assert np.all((orders >= 1.8) & (orders <= 2.2)), orders
 
 
 def test_m3_shooting_cost_is_rotation_invariant(monkeypatch):

@@ -48,24 +48,6 @@ def test_fiber_metric_inverse_and_determinant():
                 assert np.abs(det / expected - 1.0).max() < 1e-10
 
 
-def test_g_grad_finite_differences():
-    rng = np.random.default_rng(1)
-    for mid in ("M2", "M3", "M4"):
-        d = ms.MetricId.parse(mid).fiber_dim
-        q = rng.uniform(0.5, 1.5, d)
-        q[1:] = rng.standard_normal(d - 1)
-        q[0] = 1.3
-        p = rng.standard_normal(d)
-        grad = pg.g_grad(mid, q, p)
-        eps = 1e-7
-        for a in range(d):
-            qp, qm = q.copy(), q.copy()
-            qp[a] += eps
-            qm[a] -= eps
-            fd = (pg.g_inv_quad(mid, qp, p) - pg.g_inv_quad(mid, qm, p)) / (2 * eps)
-            assert abs(fd - grad[a]) < 1e-6 * max(1.0, abs(fd))
-
-
 def test_spray_values():
     assert np.allclose(pg.spray2([1.0, 0.0], [1.0, 0.0]), [0.0, 0.0])
     acc = pg.spray2([1.0, 5.0], [0.0, 1.0])

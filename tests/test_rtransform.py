@@ -366,9 +366,8 @@ def test_cyclic_factor_checks_border_rows():
 
 def test_banded_solvers_name_bad_input(capfd):
     # an even band count, n <= 2b, flat bands, a partial or misshapen
-    # border, a right-hand side of the wrong length, a <= 0 and arrays of
-    # the wrong shape or not finite are BadInput (a ValueError too, for
-    # older callers), and LAPACK prints nothing
+    # border and a right-hand side of the wrong length are BadInput (a
+    # ValueError too, for older callers), and LAPACK prints nothing
     for bands in (np.ones((4, 20)), np.ones((9, 8)), np.ones(20)):
         with pytest.raises(BadInput, match="bands must be"):
             rt.CyclicFactor(bands)
@@ -391,17 +390,6 @@ def test_banded_solvers_name_bad_input(capfd):
                         (bordered, np.ones(n)), (bordered, np.ones((n + 1, 3)))):
         with pytest.raises(BadInput, match="right-hand side"):
             factor.solve(rhs)
-    with pytest.raises(BadInput, match="a > 0"):
-        rt.elliptic_solve(np.zeros(n), np.ones(n), np.ones(n), 0.1)
-    nan = np.ones(n)
-    nan[3] = np.nan
-    for a, b, f in ((np.ones(n), np.ones(n), np.ones(n + 1)),
-                    (np.ones(n), np.ones(n - 1), np.ones(n)),
-                    (np.ones((n, 1)), np.ones((n, 1)), np.ones((n, 1))),
-                    (np.ones(n), nan, np.ones(n)), (nan, np.ones(n), np.ones(n)),
-                    (np.ones(n), np.ones(n), np.inf * nan)):
-        with pytest.raises(BadInput, match="finite"):
-            rt.elliptic_solve(a, b, f, 0.1)
     assert capfd.readouterr().err == ""
 
 
@@ -424,33 +412,6 @@ def test_bordered_cyclic_solve():
     ref = np.linalg.solve(full, F)
     assert X.shape == (n + 2, 4)
     assert np.abs(X - ref).max() < 1e-13 * np.abs(ref).max()
-
-
-def test_elliptic_solve():
-    n = 256
-    th = (2 * np.pi / n) * np.arange(n)
-    dth = 2 * np.pi / n
-    u = rt.elliptic_solve(np.ones(n), np.ones(n), 2 * np.sin(th), dth)
-    assert np.abs(u - np.sin(th)).max() < 2 * dth ** 2
-    assert np.abs(rt.elliptic_solve(np.ones(n), np.ones(n),
-                                    np.zeros(n), dth)).max() == 0.0
-    c = 3.7
-    assert np.abs(rt.elliptic_solve(np.ones(n), np.ones(n),
-                                    np.full(n, c), dth) - c).max() < 1e-12
-    errs = []
-    for m in (128, 256):
-        t2 = (2 * np.pi / m) * np.arange(m)
-        a = 1.0 + 0.5 * np.cos(t2)
-        b = 1.0 + 0.3 * np.sin(2 * t2)
-        exact = np.sin(2 * t2)
-        rhs = -np.gradient(a * np.gradient(exact, t2, edge_order=2), t2,
-                           edge_order=2) + b * exact
-        # build the rhs analytically instead to stay clean
-        rhs = (-(-0.5 * np.sin(t2)) * 2 * np.cos(2 * t2)
-               + a * 4 * np.sin(2 * t2) + b * exact)
-        u = rt.elliptic_solve(a, b, rhs, 2 * np.pi / m)
-        errs.append(np.abs(u - exact).max())
-    assert 3.0 < errs[0] / errs[1] < 5.0
 
 
 def test_positivity_errors():
