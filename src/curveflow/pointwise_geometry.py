@@ -27,8 +27,6 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, quad
-from scipy.interpolate import CubicSpline
 
 from .curve_core import DiscreteCurve, FieldJet, integrate_ds
 from .errors import (
@@ -186,6 +184,7 @@ def F_integral(u: float) -> float:
     The endpoint singularity at z = 1 is removed by the substitution
     z = 1 - t^2, under which the integrand becomes 2 z^6 / sqrt(psi(z)).
     """
+    from scipy.integrate import quad
     if not -1e-12 <= u <= 1.0 + 1e-12:
         raise OutOfRange(f"F is defined on [0, 1]; got {u}")
     u = min(max(u, 0.0), 1.0)
@@ -202,11 +201,14 @@ def F_integral(u: float) -> float:
 
 
 class _Tables:
-    """Dense spline tables for F and the arclength integral
-    Phi(u) = int_0^u dz / sqrt(1 - z^6), parameterized by s = sqrt(1 - u)
-    so the endpoint is resolved.  Built lazily once per process."""
+    """Dense spline tables in s = sqrt(1 - u), which resolves the endpoint,
+    for F and the arclength integral Phi(u) = int_0^u dz / sqrt(1 - z^6).
+    The first M2 half-plane geodesic builds them, once per process, and
+    loads scipy's cumulative_simpson and CubicSpline to do so."""
 
     def __init__(self):
+        from scipy.integrate import cumulative_simpson
+        from scipy.interpolate import CubicSpline
         s = np.linspace(0.0, 1.0, 4001)
         z = 1.0 - s * s
         root = np.sqrt(_psi(z))

@@ -38,6 +38,8 @@ the horizontal projection: CyclicFactor factors [[A, cols], [rows,
 corner]] once (A cyclic banded, nonsymmetric, of any half-width b; LAPACK
 gbtrf for its band part, one small capacitance matrix for the wrap corners
 and the border together), and each solve after that is substitution only.
+The M1/M2 alpha and r_inverse sum by _cumulative_trapezoid (numpy, in
+scipy's formula), so of scipy this module loads only LAPACK's gbtrf/gbtrs.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .curve_core import (DiscreteCurve, FieldJet, _check_samples, ds_derivative, load_json,
@@ -133,17 +134,20 @@ def r_forward(metric_id, curve: DiscreteCurve) -> RPoint:
     return RPoint(metric_id, q, curve.closed, winding)
 
 
+def _cumulative_trapezoid(y: np.ndarray, dx: float) -> np.ndarray:
+    """scipy's cumulative_trapezoid(y, dx=dx, initial=0, axis=0), same formula and bits."""
+    return np.concatenate([np.zeros_like(y[:1]), np.cumsum(dx * (y[1:] + y[:-1]) / 2.0, axis=0)])
+
+
 def _alpha_of(rpoint: RPoint) -> np.ndarray:
     """The turning angle encoded by an RPoint (cumulative for M1/M2)."""
     q = rpoint.q
     dth = rpoint.theta_step
     mid = rpoint.metric_id
     if mid is MetricId.M1:
-        w = 2.0 ** -6 * q[:, 0] ** -2 * q[:, 1] ** 4
-        return cumulative_trapezoid(w, dx=dth, initial=0.0)
+        return _cumulative_trapezoid(2.0 ** -6 * q[:, 0] ** -2 * q[:, 1] ** 4, dth)
     if mid is MetricId.M2:
-        w = q[:, 1] * q[:, 0] ** -2
-        return cumulative_trapezoid(w, dx=dth, initial=0.0)
+        return _cumulative_trapezoid(q[:, 1] * q[:, 0] ** -2, dth)
     return q[:, 1]
 
 
@@ -168,7 +172,7 @@ def r_inverse(metric_id, rpoint: RPoint | None = None) -> DiscreteCurve:
     alpha = _alpha_of(rpoint)
     dth = rpoint.theta_step
     integrand = speed[:, None] * np.stack([np.cos(alpha), np.sin(alpha)], axis=1)
-    pts = cumulative_trapezoid(integrand, dx=dth, initial=0.0, axis=0)
+    pts = _cumulative_trapezoid(integrand, dth)
     return DiscreteCurve(pts, rpoint.closed)
 
 
@@ -391,11 +395,10 @@ def closure_scale(rpoint: RPoint) -> float:
 # -- exact discrete constraint gradients ------------------------------------
 
 def _adjoint_cumtrapz(u: np.ndarray, dth: float) -> np.ndarray:
-    """Transpose of w -> cumulative_trapezoid(w, initial=0) applied to u.
+    """Transpose of the numpy trapezoid w -> _cumulative_trapezoid(w, dth), applied to u.
 
     With alpha_k = dth * (w_0/2 + w_1 + ... + w_{k-1} + w_k/2), the
     adjoint is a reverse cumulative sum: the discrete tail integral."""
-    n = u.shape[0]
     tail = np.concatenate([np.cumsum(u[::-1])[::-1][1:], [0.0]])
     out = dth * (0.5 * u + tail)
     out[0] = dth * 0.5 * tail[0]

@@ -8,7 +8,6 @@ frozen oracle values.
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, solve_ivp
 
 from . import (
     constrained_hamiltonian as ch,
@@ -50,7 +49,7 @@ def convex_arc(n, seed=3):
     alpha = 0.8 * th + 0.2 * rng.uniform(0.5, 1.0) * np.sin(th)
     sigma = 1.0 + 0.3 * rng.uniform(0.5, 1.0) * np.cos(th)
     integ = sigma[:, None] * np.stack([np.cos(alpha), np.sin(alpha)], 1)
-    pts = cumulative_trapezoid(integ, dx=th[1] - th[0], initial=0.0, axis=0)
+    pts = rt._cumulative_trapezoid(integ, th[1] - th[0])
     return cc.DiscreteCurve(pts, False)
 
 
@@ -440,6 +439,7 @@ def circle_ivp_errors(rho, grids):
     unit circle with velocity rho (cos th, sin th), per (N, dt) of grids:
     centred circles are totally geodesic, so r' = rho sqrt(G(1)/G(r)) with
     G(r) = 2 pi (1/r + 1/r^3), the M3 metric on them."""
+    from scipy.integrate import solve_ivp
     exact = solve_ivp(lambda t, r: rho * np.sqrt(2 / (1 / r + r ** -3)), (0.0, 1.0), [1.0],
                       rtol=1e-12, atol=1e-14).y[0, -1]
     paths = [ga.geodesic_ivp("M3", circle(n), rho * circle(n).points, 1.0, steps=round(1 / dt))

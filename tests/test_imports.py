@@ -1,7 +1,9 @@
 """No imported name goes unused, in the package or in its tests, no
 function or class of the package, public or private, is left for the
-tests alone, no module spells the per-sample planar pairing itself, and no
-function builds or takes a curve's frame in place of DiscreteCurve.frame.
+tests alone, no module spells the per-sample planar pairing itself, no
+function builds or takes a curve's frame in place of DiscreteCurve.frame,
+and importing the package, or running its M3 and projection solvers,
+loads neither scipy's quadrature nor its splines.
 
 The package's __init__ and the tests' conftest re-export what they import
 (`from conftest import circle` in the test modules), so they are exempt
@@ -9,6 +11,10 @@ from the import check.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -153,3 +159,93 @@ def test_the_curve_builds_its_frame():
     found = [f"{path.relative_to(ROOT)}:{line} {what}; read curve.frame"
              for path in files for line, what in frame_rebuilds(path.read_text())]
     assert files and not found, "\n".join(found)
+
+
+# only the M2 half-plane tables integrate and interpolate; the rest of
+# scipy that these load (optimize, special, sparse, spatial) comes with them
+DEFERRED = ("scipy.integrate", "scipy.interpolate")
+
+
+def deferred_imports(source: str) -> list[tuple[int, str]]:
+    """(line, module) of every import of a DEFERRED module, or of a name in
+    it, that runs when the source is imported: at module level or in a
+    class body, not in a function."""
+    found, todo = [], [ast.parse(source)]
+    while todo:
+        for node in ast.iter_child_nodes(todo.pop()):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                names = []
+            found += [(node.lineno, module) for module in DEFERRED
+                      if any(n == module or n.startswith(module + ".") for n in names)]
+            todo.append(node)
+    return sorted(found)
+
+
+def test_deferred_imports_are_found():
+    source = ("import scipy.integrate\nfrom scipy.interpolate import CubicSpline\n"
+              "from scipy import integrate, linalg\nfrom scipy.linalg import solve\n"
+              "import scipy.interpolate._cubic as cubic\n"
+              "if True:\n    from scipy.integrate import quad\n"
+              "class T:\n    from scipy import interpolate\n"
+              "def f():\n    from scipy.integrate import solve_ivp\n    return solve_ivp\n")
+    assert deferred_imports(source) == [
+        (1, "scipy.integrate"), (2, "scipy.interpolate"), (3, "scipy.integrate"),
+        (5, "scipy.interpolate"), (7, "scipy.integrate"), (9, "scipy.interpolate")]
+
+
+def test_library_defers_quadrature_and_splines():
+    files = sorted(ROOT.glob("src/curveflow/*.py"))
+    found = [f"{path.relative_to(ROOT)}:{line} imports {name} at import time; "
+             "import it in the function that calls it"
+             for path in files for line, name in deferred_imports(path.read_text())]
+    assert files and not found, "\n".join(found)
+
+
+# run in a fresh interpreter: prints, after each stage, which of HEAVY are loaded
+IMPORT_BUDGET = """
+import json, sys
+import numpy as np
+HEAVY = ("scipy.integrate", "scipy.interpolate", "scipy.optimize", "scipy.special",
+         "scipy.sparse", "scipy.spatial")
+loaded = {}
+def note(stage):
+    loaded[stage] = [m for m in HEAVY if m in sys.modules]
+import curveflow
+note("import curveflow")
+import curveflow.cli
+note("import curveflow.cli")
+from curveflow import curve_core as cc, geodesic_api as ga, validation as va
+c0 = va.circle(32)
+th = c0.theta
+c1 = cc.DiscreteCurve(np.stack([1.15 * np.cos(th), 0.87 * np.sin(th)], 1), True)
+ga.geodesic_ivp("M3", c0, 0.3 * c0.points, 0.2, steps=2)
+note("M3 geodesic_ivp")
+ga.geodesic_bvp("M3", c0, c1, K=5, T=1.0, dt=0.05, modes=4, tol=5e-3, max_iter=25)
+note("M3 geodesic_bvp")
+ga.horizontal_project(c0, np.stack([np.cos(2 * th), np.sin(3 * th)], 1))
+note("horizontal_project")
+d = ga.distance("M2", va.wavy_curve(64, seed=1, closed=False),
+                va.wavy_curve(64, seed=2, closed=False)).value
+note("M2 distance")
+print(json.dumps({"loaded": loaded, "m2_distance": d}))
+"""
+
+
+def test_import_budget():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_BUDGET], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    loaded = out["loaded"]
+    early = {stage: mods for stage, mods in loaded.items() if mods and stage != "M2 distance"}
+    assert len(loaded) == 6 and not early, early
+    assert set(DEFERRED) <= set(loaded["M2 distance"])
+    assert 0 < out["m2_distance"] < float("inf")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import null_space
 
 from conftest import (
@@ -80,6 +81,14 @@ def test_r_inverse_examples():
     q = rt.RPoint("M2", np.tile([1.0, 0.0], (n, 1)), False)
     c = rt.r_inverse(q)
     assert np.abs(c.points - np.stack([c.theta, np.zeros(n)], 1)).max() < 1e-12
+
+
+@pytest.mark.parametrize("shape", [(400,), (401,), (64, 2), (401, 2), (2, 3)])
+def test_cumulative_trapezoid_is_scipys(shape):
+    y = np.random.default_rng(shape[0]).standard_normal(shape)
+    dx = 2 * np.pi / (shape[0] - 1)
+    assert np.array_equal(rt._cumulative_trapezoid(y, dx),
+                          cumulative_trapezoid(y, dx=dx, initial=0.0, axis=0))
 
 
 @pytest.mark.parametrize("mid", ALL)
