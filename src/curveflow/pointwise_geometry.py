@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 from .curve_core import DiscreteCurve, FieldJet, integrate_ds
 from .errors import (
@@ -200,33 +201,79 @@ def F_integral(u: float) -> float:
     return head + tail
 
 
+def _cumulative_simpson(y, x):
+    """scipy's cumulative_simpson(y, x=x, initial=0.0), same formulas and bits:
+    each even step by Simpson on the triple it starts, odd and last ones on the triple they end."""
+    def first_steps(y, dx):              # scipy's unequal-interval formula
+        x21, x32 = dx[:-1], dx[1:]
+        x21_x31 = x21 / (x21 + x32)
+        x21x21_x31x32 = x21_x31 * (x21 / x32)
+        return x21 / 6 * ((3 - x21_x31) * y[:-2] + (3 + x21x21_x31x32 + x21_x31) * y[1:-1]
+                          + -x21x21_x31x32 * y[2:])
+    dx = np.diff(x)
+    ahead, behind = first_steps(y, dx), first_steps(y[::-1], dx[::-1])[::-1]
+    steps = np.empty(dx.size)
+    steps[:-1:2], steps[1::2], steps[-1] = ahead[::2], behind[::2], behind[-1]
+    return np.concatenate(([0.0], np.cumsum(steps)))
+
+
+def _spline(x, y):
+    """scipy's not-a-knot CubicSpline(x, y).c, the (4, n - 1) coefficients
+    highest power first, same formulas and bits: the tridiagonal solve for
+    the knot slopes m, then the Hermite cubic on each step."""
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    A = np.array([np.r_[0.0, d0, dx[:-1]], np.r_[dx[1], 2 * (dx[:-1] + dx[1:]), dx[-2]],
+                  np.r_[dx[1:], d1, 0.0]])
+    b = np.r_[((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0,
+              3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:]),
+              (dx[-1] ** 2 * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1]
+    m = solve_banded((1, 1), A, b[:, None], overwrite_ab=True, overwrite_b=True,
+                     check_finite=False)[:, 0]
+    t = (m[:-1] + m[1:] - 2 * slope) / dx
+    return np.stack([t / dx, (slope - m[:-1]) / dx - t, m[:-1], y[:-1]])
+
+
 class _Tables:
     """Dense spline tables in s = sqrt(1 - u), which resolves the endpoint,
-    for F and the arclength integral Phi(u) = int_0^u dz / sqrt(1 - z^6).
-    The first M2 half-plane geodesic builds them, once per process, and
-    loads scipy's cumulative_simpson and CubicSpline to do so."""
+    for F and the arclength integral Phi(u) = int_0^u dz / sqrt(1 - z^6),
+    on 4001 uniform knots by numpy ports of scipy's cumulative_simpson and
+    CubicSpline (same bits).  The first M2 half-plane geodesic builds them,
+    once per process, in about a millisecond."""
+
+    _steps = 4000                            # of the uniform s grid
 
     def __init__(self):
-        from scipy.integrate import cumulative_simpson
-        from scipy.interpolate import CubicSpline
-        s = np.linspace(0.0, 1.0, 4001)
+        s = np.linspace(0.0, 1.0, self._steps + 1)
         z = 1.0 - s * s
         root = np.sqrt(_psi(z))
         f_int = 2.0 * z ** 6 / root          # dF in -s direction
         p_int = 2.0 / root                   # dPhi in -s direction
-        cf = cumulative_simpson(f_int, x=s, initial=0.0)
-        cp = cumulative_simpson(p_int, x=s, initial=0.0)
-        self.A = float(cf[-1])               # F(1)
-        self.phi1 = float(cp[-1])            # Phi(1)
-        self._f = CubicSpline(s, self.A - cf)
-        self._phi = CubicSpline(s, self.phi1 - cp)
+        cf = _cumulative_simpson(f_int, s)
+        cp = _cumulative_simpson(p_int, s)
+        self.A, self.phi1 = float(cf[-1]), float(cp[-1])     # F(1), Phi(1)
+        self._f = _spline(s, self.A - cf)
+        self._phi = _spline(s, self.phi1 - cp)
+        # piece i holds s_i <= v < s_i+1; the end pieces extend past 0 and 1
+        self._s, self._lo, self._hi = s, np.r_[-np.inf, s[1:-1]], np.r_[s[1:-1], np.inf]
         # ascending-Phi arrays for inverse interpolation of Phi in s
         self._phi_asc, self._s_desc = (self.phi1 - cp)[::-1], s[::-1]
         # F(u) = u^7 sum_k binom(2k, k) 4^-k u^6k / (7 + 6k), for polyval
         self._series = [comb(2 * k, k) / 4 ** k / (7 + 6 * k) for k in range(9, -1, -1)]
 
+    def _cubic(self, c, v):
+        """The spline with coefficients c at v, as scipy evaluates it: the
+        piece from v * _steps, moved by one knot where that rounds across
+        one, and c3 + c2 d + c1 d^2 + c0 d^3 in d = v - s_i."""
+        i = np.fmin(np.fmax(v * self._steps, 0.0), self._steps - 1).astype(np.intp)
+        i = i - (v < self._lo[i]) + (v >= self._hi[i])
+        d = v - self._s[i]
+        d2 = d * d
+        return c[3][i] + c[2][i] * d + c[1][i] * d2 + c[0][i] * (d2 * d)
+
     def F(self, u):
-        return self._f(np.sqrt(1.0 - np.clip(u, 0.0, 1.0)))
+        return self._cubic(self._f, np.sqrt(1.0 - np.minimum(np.maximum(u, 0.0), 1.0)))
 
     def dF(self, u):
         # huge-but-finite at u = 1 so safeguarded Newton steps stay defined
@@ -234,19 +281,20 @@ class _Tables:
 
     def F_rel(self, u, s):
         # F at u = 1 - s^2 to relative rounding: the series where F << A
-        return np.where(u < 0.5, u ** 7 * np.polyval(self._series, u ** 6), self._f(s))
+        return np.where(u < 0.5, u ** 7 * np.polyval(self._series, u ** 6),
+                        self._cubic(self._f, s))
 
     def phi(self, u):
-        return self._phi(np.sqrt(1.0 - np.clip(u, 0.0, 1.0)))
+        return self._cubic(self._phi, np.sqrt(1.0 - np.minimum(np.maximum(u, 0.0), 1.0)))
 
     def s_of_phi(self, val):
         """s = sqrt(1 - u) with Phi(u) = val: Newton in s, where dPhi/ds =
         -2 / sqrt(psi(1 - s^2)) stays away from 0 up to the apex s = 0."""
-        val = np.clip(val, 0.0, self.phi1)
+        val = np.minimum(np.maximum(val, 0.0), self.phi1)
         s = np.interp(val, self._phi_asc, self._s_desc)
         for _ in range(3):
-            s = s + 0.5 * (self._phi(s) - val) * np.sqrt(_psi(1.0 - s * s))
-        return np.clip(s, 0.0, 1.0)
+            s = s + 0.5 * (self._cubic(self._phi, s) - val) * np.sqrt(_psi(1.0 - s * s))
+        return np.minimum(np.maximum(s, 0.0), 1.0)
 
 
 _tables: _Tables | None = None
@@ -414,9 +462,10 @@ def _case1(x0, x1, dy):
     tab = tables()
 
     def equation(C, i):
-        gap = tab.F(C * x1[i]) - tab.F(C * x0[i])
-        dF1 = tab.dF(np.minimum(C * x1[i], 1.0 - 1e-15))
-        dF0 = tab.dF(C * x0[i])
+        u = np.stack([C * x1[i], C * x0[i]])
+        gap = np.subtract(*tab.F(u))
+        dF1 = tab.dF(np.minimum(u[0], 1.0 - 1e-15))
+        dF0 = tab.dF(u[1])
         return ((2.0 / C ** 4) * gap - dy[i],
                 (-8.0 / C ** 5) * gap + (2.0 / C ** 4) * (dF1 * x1[i] - dF0 * x0[i]))
 
@@ -432,8 +481,10 @@ def _case2(x0, x1, dy):
     tab = tables()
 
     def equation(xb, i):
-        rest = 2.0 * tab.A - tab.F(x0[i] / xb) - tab.F(x1[i] / xb)
-        slope = tab.dF(x0[i] / xb) * x0[i] + tab.dF(x1[i] / xb) * x1[i]
+        u = np.stack([x0[i] / xb, x1[i] / xb])
+        (F0, F1), (dF0, dF1) = tab.F(u), tab.dF(u)
+        rest = 2.0 * tab.A - F0 - F1
+        slope = dF0 * x0[i] + dF1 * x1[i]
         return (2.0 * xb ** 4 * rest - dy[i],
                 8.0 * xb ** 3 * rest + 2.0 * xb ** 2 * slope)
 
@@ -494,8 +545,7 @@ def _solve_fibers(p0s, p1s, full: bool, samples: int = 33):
     length = 2.0 * (x1 - x0)              # rays; a point is a ray of length 0
     arc = np.flatnonzero(np.isin(case, ("arc1", "arc2")))
     c, ascending = C[arc], case[arc] == "arc1"
-    phi0 = tab.phi(np.minimum(c * x0[arc], 1.0))
-    phi1 = tab.phi(np.minimum(c * x1[arc], 1.0))
+    phi0, phi1 = tab.phi(np.minimum(c * np.stack([x0[arc], x1[arc]]), 1.0))
     length[arc] = np.where(ascending, (2.0 / c) * (phi1 - phi0),
                            (2.0 / c) * (2.0 * tab.phi1 - phi0 - phi1))
     if not full:

@@ -2,8 +2,9 @@
 function or class of the package, public or private, is left for the
 tests alone, no module spells the per-sample planar pairing itself, no
 function builds or takes a curve's frame in place of DiscreteCurve.frame,
-and importing the package, or running its M3 and projection solvers,
-loads neither scipy's quadrature nor its splines.
+no module imports scipy's splines, and importing the package, or running
+its M3, M2 and projection solvers, loads neither scipy's quadrature nor
+its splines.
 
 The package's __init__ and the tests' conftest re-export what they import
 (`from conftest import circle` in the test modules), so they are exempt
@@ -161,29 +162,32 @@ def test_the_curve_builds_its_frame():
     assert files and not found, "\n".join(found)
 
 
-# only the M2 half-plane tables integrate and interpolate; the rest of
-# scipy that these load (optimize, special, sparse, spatial) comes with them
+# only F_integral and validate integrate with scipy; the rest of scipy that
+# this loads (optimize, special, sparse, spatial) comes with it.  The M2
+# tables are numpy ports of scipy's splines, so no module imports those.
 DEFERRED = ("scipy.integrate", "scipy.interpolate")
+BANNED = ("scipy.interpolate",)
 
 
 def deferred_imports(source: str) -> list[tuple[int, str]]:
     """(line, module) of every import of a DEFERRED module, or of a name in
     it, that runs when the source is imported: at module level or in a
-    class body, not in a function."""
-    found, todo = [], [ast.parse(source)]
+    class body, not in a function; and of every import of a BANNED module,
+    in a function too."""
+    found, todo = [], [(ast.parse(source), DEFERRED)]
     while todo:
-        for node in ast.iter_child_nodes(todo.pop()):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
+        parent, watched = todo.pop()
+        for node in ast.iter_child_nodes(parent):
             if isinstance(node, ast.Import):
                 names = [a.name for a in node.names]
             elif isinstance(node, ast.ImportFrom) and node.module:
                 names = [f"{node.module}.{a.name}" for a in node.names]
             else:
                 names = []
-            found += [(node.lineno, module) for module in DEFERRED
+            found += [(node.lineno, module) for module in watched
                       if any(n == module or n.startswith(module + ".") for n in names)]
-            todo.append(node)
+            in_function = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            todo.append((node, BANNED if in_function else watched))
     return sorted(found)
 
 
@@ -193,16 +197,20 @@ def test_deferred_imports_are_found():
               "import scipy.interpolate._cubic as cubic\n"
               "if True:\n    from scipy.integrate import quad\n"
               "class T:\n    from scipy import interpolate\n"
-              "def f():\n    from scipy.integrate import solve_ivp\n    return solve_ivp\n")
+              "def f():\n    from scipy.integrate import solve_ivp\n    return solve_ivp\n"
+              "class S:\n    def g(self):\n        from scipy.interpolate import CubicSpline\n"
+              "        return CubicSpline\n")
     assert deferred_imports(source) == [
         (1, "scipy.integrate"), (2, "scipy.interpolate"), (3, "scipy.integrate"),
-        (5, "scipy.interpolate"), (7, "scipy.integrate"), (9, "scipy.interpolate")]
+        (5, "scipy.interpolate"), (7, "scipy.integrate"), (9, "scipy.interpolate"),
+        (15, "scipy.interpolate")]
 
 
 def test_library_defers_quadrature_and_splines():
     files = sorted(ROOT.glob("src/curveflow/*.py"))
-    found = [f"{path.relative_to(ROOT)}:{line} imports {name} at import time; "
-             "import it in the function that calls it"
+    found = [f"{path.relative_to(ROOT)}:{line} imports {name}; " + (
+                 "the package uses no scipy splines" if name in BANNED else
+                 "import it in the function that calls it, not at import time")
              for path in files for line, name in deferred_imports(path.read_text())]
     assert files and not found, "\n".join(found)
 
@@ -233,6 +241,9 @@ note("horizontal_project")
 d = ga.distance("M2", va.wavy_curve(64, seed=1, closed=False),
                 va.wavy_curve(64, seed=2, closed=False)).value
 note("M2 distance")
+from curveflow import pointwise_geometry as pg
+pg.F_integral(0.5)
+note("F_integral")
 print(json.dumps({"loaded": loaded, "m2_distance": d}))
 """
 
@@ -245,7 +256,8 @@ def test_import_budget():
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout.splitlines()[-1])
     loaded = out["loaded"]
-    early = {stage: mods for stage, mods in loaded.items() if mods and stage != "M2 distance"}
-    assert len(loaded) == 6 and not early, early
-    assert set(DEFERRED) <= set(loaded["M2 distance"])
+    early = {stage: mods for stage, mods in loaded.items() if mods and stage != "F_integral"}
+    assert len(loaded) == 7 and not early, early
+    # the probe sees a deferred load: F_integral imports quad
+    assert "scipy.integrate" in loaded["F_integral"]
     assert 0 < out["m2_distance"] < float("inf")

@@ -99,6 +99,34 @@ def test_F_integral_values_and_speed():
         assert abs(tab.F(u) - pg.F_integral(float(u))) < 1e-9
 
 
+def test_tables_match_scipy():
+    """The M2 tables are numpy ports of scipy's cumulative_simpson and
+    not-a-knot CubicSpline: the same sums, coefficients and values, bit for
+    bit, on the knots, their neighbours, the ends and random points, and
+    for a float or a 0-d array as inside an array."""
+    from scipy.integrate import cumulative_simpson
+    from scipy.interpolate import CubicSpline
+    tab = pg.tables()
+    s = np.linspace(0.0, 1.0, 4001)
+    z = 1.0 - s * s
+    root = np.sqrt(pg._psi(z))
+    rng = np.random.default_rng(24)
+    v = np.concatenate([s, np.nextafter(s, -np.inf), np.nextafter(s, np.inf), [0.0, 1.0],
+                        rng.uniform(0.0, 1.0, 100_000)])
+    for integrand, c, total in ((2.0 * z ** 6 / root, tab._f, tab.A),
+                                (2.0 / root, tab._phi, tab.phi1)):
+        cum = cumulative_simpson(integrand, x=s, initial=0.0)
+        assert np.array_equal(pg._cumulative_simpson(integrand, s), cum)
+        assert total == cum[-1]
+        spline = CubicSpline(s, total - cum)
+        assert np.array_equal(c, spline.c)
+        values = tab._cubic(c, v)
+        assert np.array_equal(values, spline(v))
+        for k in (0, 1234, 4000, 4001, 2 * 4001 + 4000, 3 * 4001 + 2, v.size - 1):
+            for arg in (float(v[k]), np.array(v[k])):
+                assert np.asarray(tab._cubic(c, arg)).tobytes() == values[k].tobytes()
+
+
 def test_trajectory_examples():
     ray = pg.trajectory2((2.0, 1.5), (0.7, 0.0))
     assert ray.kind == "ray"
