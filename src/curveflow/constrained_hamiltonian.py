@@ -65,7 +65,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curve_core import _check_samples
+from .curve_core import _check_samples, _finite
 from .errors import (
     BadInput,
     CurveflowError,
@@ -110,8 +110,7 @@ class HamiltonianState:
 
     def __post_init__(self):
         object.__setattr__(self, "metric_id", _constrained(MetricId.parse(self.metric_id)))
-        q = np.asarray(self.q, dtype=float)
-        p = np.asarray(self.p, dtype=float)
+        q, p = _finite(self.q, "q"), _finite(self.p, "p")
         if q.shape != p.shape or q.ndim != 2 or q.shape[1] != self.metric_id.fiber_dim:
             raise BadInput("q and p must both be (N, 3) arrays")
         object.__setattr__(self, "q", q)

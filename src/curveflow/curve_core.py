@@ -50,8 +50,7 @@ class DiscreteCurve:
             raise BadInput("points must be an (N, 2) array")
         if pts.shape[0] < 8:
             raise BadInput("need at least 8 samples")
-        if not np.all(np.isfinite(pts)):
-            raise BadInput("curve coordinates must be finite")
+        _finite(pts, "points")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
@@ -169,6 +168,14 @@ def build_frame(curve: DiscreteCurve) -> CurveFrame:
     return CurveFrame(speed=speed, v=v, n=n, kappa=kappa, alpha=alpha, winding=winding)
 
 
+def _finite(values, name: str) -> np.ndarray:
+    """values as a float array; BadInput naming it if it holds a non-finite number."""
+    f = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(f)):
+        raise BadInput(f"{name} must be finite")
+    return f
+
+
 def _check_samples(values, shapes, name: str) -> np.ndarray:
     """values as a float array of one of the shapes; BadInput naming it if
     its shape is another or it holds a non-finite number."""
@@ -176,9 +183,7 @@ def _check_samples(values, shapes, name: str) -> np.ndarray:
     if f.shape not in shapes:
         raise BadInput(f"{name} must be an array of shape "
                        f"{' or '.join(map(str, shapes))}, got shape {f.shape}")
-    if not np.all(np.isfinite(f)):
-        raise BadInput(f"{name} must be finite")
-    return f
+    return _finite(f, name)
 
 
 def ds_derivative(curve: DiscreteCurve, values: np.ndarray) -> np.ndarray:

@@ -57,7 +57,8 @@ from .errors import (
     StepLeftDomain,
 )
 from .metric_suite import MetricId, apply_L
-from .pointwise_geometry import _fiber_ivp, _solve_fibers, dist2_lower_bound, g_apply
+from .pointwise_geometry import (_fiber, _fiber_ivp, _solve_fibers, dist2_lower_bound,
+                                 g_apply)
 from .rtransform import (
     CyclicFactor,
     RPoint,
@@ -295,9 +296,7 @@ def _shooting_maps(q0: RPoint, target: RPoint, T: float, steps: int):
     functions a grown basis adds, over the same simulation, append to the
     Jacobian of the old ones."""
     tau = trapezoid_weights(q0.n_samples, True)
-    w = np.sqrt(np.stack([4.0 * np.ones_like(tau), target.q[:, 0] ** 2,
-                          target.q[:, 0] ** -6], axis=1)
-                * (tau * q0.theta_step)[:, None])
+    w = np.sqrt(_fiber(MetricId.M3, target.q, 1) * (tau * q0.theta_step)[:, None])
 
     def residual(xi, basis):
         sim = simulate(_consistent_state(q0, _shooting_velocity(q0, xi, basis)), T, T / steps,

@@ -7,11 +7,13 @@ Fiber metrics on the transform targets:
     M3: diag(4, q1^2, q1^-6)               on R_{>0} x R x R
     M4: 4x4 with a coupled (q2, q3) block  on R_{>0} x R x R x R
 
-plus the complete geometry of the half-plane (R_{>0} x R, 4dx^2 + x^-6 dy^2):
-geodesic spray (with RK4, the reference), exact trajectories via the
-incomplete integral F(u) = int_0^u z^6 / sqrt(1 - z^6) dz, the two-case
-boundary value solver, Gauss curvature -3/x^2, a geodesic-distance lower
-bound, and the sectional curvature of metric M2 on curve space.
+`_fiber` is the one definition of g and g^-1: every reader of either, in
+this module or another, takes it from there.  Plus the complete geometry
+of the half-plane (R_{>0} x R, 4dx^2 + x^-6 dy^2): geodesic spray (with
+RK4, the reference), exact trajectories via the incomplete integral
+F(u) = int_0^u z^6 / sqrt(1 - z^6) dz, the two-case boundary value solver,
+Gauss curvature -3/x^2, a geodesic-distance lower bound, and the
+sectional curvature of metric M2 on curve space.
 
 The solvers work on whole arrays of fibers, one half-plane problem per
 theta of an M2 geodesic or distance.  `_fiber_ivp` walks the closed-form
@@ -29,7 +31,7 @@ from math import comb
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .curve_core import DiscreteCurve, FieldJet, integrate_ds
+from .curve_core import DiscreteCurve, FieldJet, _finite, integrate_ds
 from .errors import (
     BadInput,
     DegeneratePlane,
@@ -44,7 +46,7 @@ from .metric_suite import MetricId, _integrand
 
 
 def _as2d(q, dim):
-    q = np.asarray(q, dtype=float)
+    q = _finite(q, "q")
     squeeze = q.ndim == 1
     q = np.atleast_2d(q)
     if q.shape[-1] != dim:
@@ -52,10 +54,44 @@ def _as2d(q, dim):
     return q, squeeze
 
 
-def _check_pattern(metric_id, q1):
+def _fiber(metric_id, q, power):
+    """The fiber metric g (power 1) or its inverse (power -1) at the points
+    q (n, d): the (n, d) diagonal of M1-M3, the (n, 4, 4) matrices of M4.
+    The one definition of both; q1 > 0 is checked here."""
+    q1 = q[:, 0]
     if np.any(q1 <= 0.0):
-        raise NonPositive(f"{metric_id.value}: q1 must be positive "
-                          f"(min {np.min(q1):.3e})")
+        raise NonPositive(f"{metric_id.value}: q1 must be positive (min {np.min(q1):.3e})")
+    if metric_id is MetricId.M1:
+        return np.ones_like(q)
+    diag = np.empty_like(q)
+    diag[:, 0], diag[:, -1] = 4.0 ** power, q1 ** (-6 * power)
+    if metric_id is MetricId.M3:
+        diag[:, 1] = q1 ** (2 * power)
+    if metric_id is not MetricId.M4:
+        return diag
+    # the (q2, q3) block has determinant 1: g^-1 swaps its diagonal and
+    # negates its coupling
+    q4 = q[:, 3]
+    outer, inner = q1 ** 2 + q4 ** 2 * q1 ** -6, q1 ** -2
+    g = np.zeros(q.shape + (4,))
+    g[:, 0, 0], g[:, 3, 3] = diag[:, 0], diag[:, 3]
+    g[:, 1, 1], g[:, 2, 2] = (outer, inner) if power == 1 else (inner, outer)
+    g[:, 1, 2] = g[:, 2, 1] = -power * q4 * q1 ** -4
+    return g
+
+
+def _apply(metric_id, q, v, power):
+    """g (power 1) or g^-1 (power -1) at q applied to v.  M1-M3 multiply by
+    the diagonal, so v may also be (n, d, r), r fields at once; only M4
+    contracts the dense matrix."""
+    metric_id = MetricId.parse(metric_id)
+    v = np.asarray(v, dtype=float)
+    q, squeeze = _as2d(q, metric_id.fiber_dim)
+    g = _fiber(metric_id, q, power)
+    g = g[0] if squeeze else g
+    if metric_id is MetricId.M4:
+        return g @ v if squeeze else np.einsum("kij,kj->ki", g, v)
+    return g.reshape(g.shape + (1,) * (v.ndim - g.ndim)) * v
 
 
 def g_matrix(metric_id, q) -> np.ndarray:
@@ -63,113 +99,37 @@ def g_matrix(metric_id, q) -> np.ndarray:
     metric_id = MetricId.parse(metric_id)
     d = metric_id.fiber_dim
     q, squeeze = _as2d(q, d)
-    _check_pattern(metric_id, q[:, 0])
-    n = q.shape[0]
-    g = np.zeros((n, d, d))
+    g = _fiber(metric_id, q, 1)
     if metric_id is not MetricId.M4:
-        g[:, np.arange(d), np.arange(d)] = _g_diag(metric_id, q)
-    else:
-        q1, q4 = q[:, 0], q[:, 3]
-        g[:, 0, 0] = 4.0
-        g[:, 1, 1] = q1 ** 2 + q4 ** 2 * q1 ** -6
-        g[:, 1, 2] = g[:, 2, 1] = -q4 * q1 ** -4
-        g[:, 2, 2] = q1 ** -2
-        g[:, 3, 3] = q1 ** -6
+        diag, g = g, np.zeros(q.shape + (d,))
+        g[:, np.arange(d), np.arange(d)] = diag
     return g[0] if squeeze else g
 
 
-def _g_diag(metric_id, q) -> np.ndarray:
-    """Diagonal of the fiber metric of M1-M3, (n, d)."""
-    if metric_id is MetricId.M1:
-        return np.ones_like(q)
-    q1 = q[:, 0]
-    diag = np.empty_like(q)
-    diag[:, 0] = 4.0
-    diag[:, -1] = q1 ** -6
-    if metric_id is MetricId.M3:
-        diag[:, 1] = q1 ** 2
-    return diag
-
-
-def _g_inv_diag(metric_id, q) -> np.ndarray:
-    """Diagonal of the inverse fiber metric of M1-M3, (n, d)."""
-    if metric_id is MetricId.M1:
-        return np.ones_like(q)
-    q1 = q[:, 0]
-    diag = np.empty_like(q)
-    diag[:, 0] = 0.25
-    diag[:, -1] = q1 ** 6
-    if metric_id is MetricId.M3:
-        diag[:, 1] = q1 ** -2
-    return diag
-
-
-def g_inv_matrix(metric_id, q) -> np.ndarray:
-    """Closed-form inverse of the fiber metric, (..., d, d)."""
-    metric_id = MetricId.parse(metric_id)
-    d = metric_id.fiber_dim
-    q, squeeze = _as2d(q, d)
-    _check_pattern(metric_id, q[:, 0])
-    n = q.shape[0]
-    gi = np.zeros((n, d, d))
-    if metric_id is not MetricId.M4:
-        gi[:, np.arange(d), np.arange(d)] = _g_inv_diag(metric_id, q)
-    else:
-        # (q2, q3) block has determinant exactly 1
-        q1, q4 = q[:, 0], q[:, 3]
-        gi[:, 0, 0] = 0.25
-        gi[:, 1, 1] = q1 ** -2
-        gi[:, 1, 2] = gi[:, 2, 1] = q4 * q1 ** -4
-        gi[:, 2, 2] = q1 ** 2 + q4 ** 2 * q1 ** -6
-        gi[:, 3, 3] = q1 ** 6
-    return gi[0] if squeeze else gi
-
-
 def g_apply(metric_id, q, h) -> np.ndarray:
-    """Lower an index: g_q(h, .).  M1-M3 multiply by the diagonal
-    (_g_diag), so h may also be (n, d, r), r fields at once; only M4
-    contracts the dense matrix."""
-    metric_id = MetricId.parse(metric_id)
-    h = np.asarray(h, dtype=float)
-    if metric_id is MetricId.M4:
-        g = g_matrix(metric_id, q)
-        return g @ h if g.ndim == 2 else np.einsum("kij,kj->ki", g, h)
-    q, squeeze = _as2d(q, metric_id.fiber_dim)
-    _check_pattern(metric_id, q[:, 0])
-    diag = _g_diag(metric_id, q)[0] if squeeze else _g_diag(metric_id, q)
-    return diag.reshape(diag.shape + (1,) * (h.ndim - diag.ndim)) * h
+    """Lower an index: g_q(h, .)."""
+    return _apply(metric_id, q, h, 1)
+
+
+def _pair(metric_id, q, v, k, power):
+    """g (power 1) or g^-1 (power -1) at q applied to v, paired with k, pointwise."""
+    gv, k = _apply(metric_id, q, v, power), np.asarray(k, dtype=float)
+    return float(gv @ k) if gv.ndim == 1 else np.einsum("ki,ki->k", gv, k)
 
 
 def g_eval(metric_id, q, h, k):
     """g_q(h, k) pointwise (scalar or per-sample array)."""
-    gh = g_apply(metric_id, q, h)
-    k = np.asarray(k, dtype=float)
-    if gh.ndim == 1:
-        return float(gh @ k)
-    return np.einsum("ki,ki->k", gh, k)
+    return _pair(metric_id, q, h, k, 1)
 
 
 def g_inv(metric_id, q, p) -> np.ndarray:
-    """Raise an index: g_q^{-1}(p, .).  M1-M3 multiply by the diagonal;
-    only M4 contracts the dense matrix."""
-    metric_id = MetricId.parse(metric_id)
-    p = np.asarray(p, dtype=float)
-    if metric_id is MetricId.M4:
-        gi = g_inv_matrix(metric_id, q)
-        return gi @ p if gi.ndim == 2 else np.einsum("kij,kj->ki", gi, p)
-    q, squeeze = _as2d(q, metric_id.fiber_dim)
-    _check_pattern(metric_id, q[:, 0])
-    out = _g_inv_diag(metric_id, q) * p
-    return out[0] if squeeze else out
+    """Raise an index: g_q^{-1}(p, .)."""
+    return _apply(metric_id, q, p, -1)
 
 
 def g_inv_quad(metric_id, q, p):
     """g_q^{-1}(p, p) pointwise."""
-    gp = g_inv(metric_id, q, p)
-    p = np.asarray(p, dtype=float)
-    if gp.ndim == 1:
-        return float(gp @ p)
-    return np.einsum("ki,ki->k", gp, p)
+    return _pair(metric_id, q, p, p, -1)
 
 
 # -- the singular integral F and its arclength sibling ----------------------
@@ -311,8 +271,11 @@ def tables() -> _Tables:
 
 def spray2(p, v):
     """Geodesic acceleration (xdd, ydd) = (-3/4 x^-7 yd^2, 6 x^-1 xd yd)."""
-    p = np.asarray(p, dtype=float)
-    v = np.asarray(v, dtype=float)
+    return _spray(_finite(p, "p"), _finite(v, "v"))
+
+
+def _spray(p, v):
+    """spray2 on float arrays, unchecked for finiteness: the RK4 stages."""
     x = p[..., 0]
     if np.any(x <= 0.0):
         raise DomainExit("spray evaluated at x <= 0")
@@ -326,8 +289,8 @@ def integrate_spray2(p0, v0, T: float, steps: int):
     Returns (times, positions, velocities) with leading time axis.  Raises
     DomainExit (with the last in-domain time) if any fiber reaches x <= 0.
     """
-    p = np.atleast_2d(np.asarray(p0, dtype=float)).copy()
-    v = np.atleast_2d(np.asarray(v0, dtype=float)).copy()
+    p = np.atleast_2d(_finite(p0, "p0")).copy()
+    v = np.atleast_2d(_finite(v0, "v0")).copy()
     dt = T / steps
     times = np.linspace(0.0, T, steps + 1)
     ps = np.empty((steps + 1,) + p.shape)
@@ -335,10 +298,10 @@ def integrate_spray2(p0, v0, T: float, steps: int):
     ps[0], vs[0] = p, v
     for j in range(steps):
         try:
-            k1p, k1v = v, spray2(p, v)
-            k2p, k2v = v + 0.5 * dt * k1v, spray2(p + 0.5 * dt * k1p, v + 0.5 * dt * k1v)
-            k3p, k3v = v + 0.5 * dt * k2v, spray2(p + 0.5 * dt * k2p, v + 0.5 * dt * k2v)
-            k4p, k4v = v + dt * k3v, spray2(p + dt * k3p, v + dt * k3v)
+            k1p, k1v = v, _spray(p, v)
+            k2p, k2v = v + 0.5 * dt * k1v, _spray(p + 0.5 * dt * k1p, v + 0.5 * dt * k1v)
+            k3p, k3v = v + 0.5 * dt * k2v, _spray(p + 0.5 * dt * k2p, v + 0.5 * dt * k2v)
+            k4p, k4v = v + dt * k3v, _spray(p + dt * k3p, v + dt * k3v)
         except DomainExit as exc:
             raise DomainExit("geodesic left x > 0", exit_time=times[j]) from exc
         p = p + (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
@@ -368,9 +331,9 @@ class Trajectory2:
 
     def y_of_x(self, x):
         tab = tables()
+        x = _finite(x, "x")
         if self.kind == "ray":
-            return np.full_like(np.asarray(x, dtype=float), self.y0)
-        x = np.asarray(x, dtype=float)
+            return np.full_like(x, self.y0)
         if np.any((x <= 0) | (self.C * x > 1.0 + 1e-12)):
             raise OutOfRange("x outside (0, 1/C]")
         return self.y0 + self.sgn * (2.0 / self.C ** 4) * (
@@ -384,6 +347,7 @@ def trajectory2(p0, v0) -> Trajectory2:
     C2^2 = xd^2 + C1^2 x^6 / 4 (C2 is xd continued to the y-axis), giving
     C = (|C1| / (2 C2))^{1/3}; the apex is at x = 1/C.
     """
+    p0, v0 = _finite(p0, "p0"), _finite(v0, "v0")
     x0, y0 = float(p0[0]), float(p0[1])
     xd0, yd0 = float(v0[0]), float(v0[1])
     if x0 <= 0.0:
@@ -519,10 +483,7 @@ def _solve_fibers(p0s, p1s, full: bool, samples: int = 33):
     """Half-plane geodesics between the rows of the (n, 2) arrays p0s and
     p1s, all fibers at once.  Returns the (n,) lengths, or with `full` a
     FiberGeodesic whose fields carry a leading fiber axis."""
-    p0s = np.asarray(p0s, dtype=float)
-    p1s = np.asarray(p1s, dtype=float)
-    if not (np.all(np.isfinite(p0s)) and np.all(np.isfinite(p1s))):
-        raise BadInput("fiber points must be finite")
+    p0s, p1s = _finite(p0s, "p0"), _finite(p1s, "p1")
     if np.any(p0s[:, 0] <= 0.0) or np.any(p1s[:, 0] <= 0.0):
         raise NonPositive("fiber points need x > 0")
     tab = tables()
@@ -633,9 +594,7 @@ def dist2_lower_bound(p0, p1):
     limit.  (The rescaling constant is sqrt(2) = 2^{1/2}: with
     r = 2^{-1/12} X^{-1/4} one has r^6 = 2^{-1/2} X^{-3/2}.)
     """
-    p0, p1 = np.asarray(p0, dtype=float), np.asarray(p1, dtype=float)
-    if not (np.all(np.isfinite(p0)) and np.all(np.isfinite(p1))):
-        raise BadInput("lower bound needs finite points")
+    p0, p1 = _finite(p0, "p0"), _finite(p1, "p1")
     x0, x1 = p0[..., 0], p1[..., 0]
     if np.any(x0 <= 0.0) or np.any(x1 <= 0.0):
         raise NonPositive("lower bound needs x > 0")

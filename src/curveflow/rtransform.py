@@ -26,8 +26,9 @@ DH^T.lam and Gram bands with coefficients cached per q (M3Jacobian; no
 dense DH is built), their derivative along a tangent of q
 (_m3_jacobian_tangent, for the tangent-linear RATTLE step).  The M4 rows
 are geometry only: no solver here differentiates them.  Each M3 point is
-built once (_M3Point, the one place the M3 solver evaluates g^-1 and its
-q1-derivatives; an RPoint keeps its own) and handed to every solve at it,
+built once (_M3Point, which holds g^-1 from pointwise_geometry._fiber, the
+one definition of the fiber metric, and its q1-derivatives; an RPoint
+keeps its own) and handed to every solve at it,
 with its Gram solve of A g^-1 A^T (A the derivative rows bordered by the
 closedness rows), the one M3 constraint projection.
 project_image takes the L2(g) projection P from that solve; the consistent
@@ -55,7 +56,7 @@ from .curve_core import (DiscreteCurve, FieldJet, _check_samples, ds_derivative,
                          trapezoid_weights)
 from .errors import BadInput, CurveflowError, NonPositive, OffImage, SingularSystem
 from .metric_suite import MetricId, _require_convex
-from .pointwise_geometry import _g_inv_diag, g_eval, g_inv
+from .pointwise_geometry import _fiber, g_eval, g_inv
 
 
 @dataclass(frozen=True)
@@ -545,14 +546,11 @@ class _M3Point:
     """One point q of a closed M3 grid, built once and handed along: the
     diagonal g^-1 (n, 3) and, made on first use, DH(q) (jac), the q1-
     derivatives dginv and d2ginv of g^-1 (d2ginv for the tangent pass only)
-    and the Gram solve (gram).  q1 > 0 is checked here, once."""
+    and the Gram solve (gram).  q1 > 0 is checked here, once, by _fiber."""
 
     def __init__(self, q: np.ndarray):
-        x = q[:, 0]
-        if np.any(x <= 0.0):
-            raise NonPositive(f"M3: q1 must be positive (min {np.min(x):.3e})")
         self.q, self.dth = q, 2.0 * np.pi / q.shape[0]
-        self.ginv = _g_inv_diag(MetricId.M3, q)
+        self.ginv = _fiber(MetricId.M3, q, -1)
 
     @cached_property
     def jac(self) -> M3Jacobian:

@@ -385,11 +385,24 @@ def _m3_point():
      "h must be finite"),
     (lambda: ch.project_consistent(_m3_point(), np.ones((16, 2))), "p_raw must be an array"),
     (lambda: ch.project_consistent(_m3_point(), np.full((16, 3), np.nan)), "p_raw must be finite"),
+    (lambda: ch.HamiltonianState("M3", np.ones((16, 3)), np.full((16, 3), np.nan)),
+     "p must be finite"),
+    (lambda: ch.HamiltonianState("M3", np.full((16, 3), np.inf), np.ones((16, 3))),
+     "q must be finite"),
+    (lambda: pg.g_matrix("M3", [np.nan, 0.0, 0.0]), "q must be finite"),
+    (lambda: pg.g_inv("M4", np.full((3, 4), np.nan), np.ones((3, 4))), "q must be finite"),
+    (lambda: pg.trajectory2((np.nan, 0.0), (1.0, 1.0)), "p0 must be finite"),
+    (lambda: pg.trajectory2((1.0, 0.0), (np.nan, 1.0)), "v0 must be finite"),
+    (lambda: pg.trajectory2((1.0, 0.0), (1.0, 1.0)).y_of_x(np.nan), "x must be finite"),
+    (lambda: pg.spray2((1.0, np.nan), (1.0, 1.0)), "p must be finite"),
+    (lambda: pg.integrate_spray2((1.0, 0.0), (np.nan, 1.0), 1.0, 10), "v0 must be finite"),
 ], ids=["curve-shape", "curve-size", "curve-nan", "rpoint-shape", "state-shape",
         "state-m4", "manifold-m4", "consistent-m4", "project-image-m4",
         "residual-snapshots", "residual-uniform", "rpoint-nan", "bvp2-nan", "bvp2-inf",
         "lower-bound-nan", "project-image-2d", "project-image-rows", "project-image-fields",
-        "project-image-nan", "project-image-m2-nan", "consistent-shape", "consistent-nan"])
+        "project-image-nan", "project-image-m2-nan", "consistent-shape", "consistent-nan",
+        "state-p-nan", "state-q-inf", "g-matrix-nan", "g-inv-nan", "trajectory-p0-nan",
+        "trajectory-v0-nan", "y-of-x-nan", "spray-nan", "integrate-spray-nan"])
 def test_bad_input_is_named_error(make, message):
     # BadInput is a CurveflowError and, for older callers, a ValueError;
     # points and fields that are not finite are refused before any numerics

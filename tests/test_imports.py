@@ -1,8 +1,8 @@
 """No imported name goes unused, in the package or in its tests, no
 function or class of the package, public or private, is left for the
-tests alone, no module spells the per-sample planar pairing itself, no
-function builds or takes a curve's frame in place of DiscreteCurve.frame,
-no module imports scipy's splines, and importing the package, or running
+tests alone, no module spells the per-sample planar pairing or the fiber
+metric's sixth powers itself, no function builds or takes a curve's frame
+in place of DiscreteCurve.frame, no module imports scipy's splines, and importing the package, or running
 its M3, M2 and projection solvers, loads neither scipy's quadrature nor
 its splines.
 
@@ -118,6 +118,39 @@ def test_no_planar_pairing_outside_the_jet():
              if str(path.relative_to(ROOT)) not in PAIRING_EXEMPT]
     found = [f"{path.relative_to(ROOT)}:{line} pairs with einsum; use curve_core._dot"
              for path in files for line in planar_pairings(path.read_text())]
+    assert files and not found, "\n".join(found)
+
+
+# the fiber metric g = diag(4, q1^2, q1^-6) and its M2/M4 kin are spelled
+# once, by pointwise_geometry._fiber; validation is reference code
+FIBER_EXEMPT = {"src/curveflow/pointwise_geometry.py", "src/curveflow/validation.py"}
+
+
+def fiber_powers(source: str) -> list[int]:
+    """Lines that raise a non-constant base to the power 6 or -6, the
+    q1^-6 weight of the fiber metric and the q1^6 of its inverse."""
+    def sixth(node):
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            node = node.operand
+        return isinstance(node, ast.Constant) and node.value == 6
+
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                  and sixth(node.right) and not isinstance(node.left, ast.Constant))
+
+
+def test_fiber_powers_are_found():
+    source = ("w = q[:, 0] ** -6\nc = 2.0 ** -6 * q1 ** 2\nv = (x / y) ** 6\n"
+              "u = x ** 6.0 + x ** 5 + x ** -(6)\nt = 6 ** x\n")
+    assert fiber_powers(source) == [1, 3, 4, 4]
+
+
+def test_only_pointwise_geometry_spells_the_fiber_metric():
+    files = [path for path in sorted(ROOT.glob("src/curveflow/*.py"))
+             if str(path.relative_to(ROOT)) not in FIBER_EXEMPT]
+    found = [f"{path.relative_to(ROOT)}:{line} raises to the power 6; "
+             "read the fiber metric from pointwise_geometry"
+             for path in files for line in fiber_powers(path.read_text())]
     assert files and not found, "\n".join(found)
 
 

@@ -34,10 +34,12 @@ def test_fiber_metric_inverse_and_determinant():
             h = rng.standard_normal((40, d))
             back = pg.g_inv(mid, q, pg.g_apply(mid, q, h))
             assert np.abs(back - h).max() < tol
-            # g_inv of the diagonal metrics skips only exact zeros
-            gi = pg.g_inv_matrix(mid, q)
-            assert np.array_equal(pg.g_inv(mid, q, h), np.einsum("kij,kj->ki", gi, h))
-            assert np.array_equal(pg.g_inv(mid, q[0], h[0]), gi[0] @ h[0])
+            # g_inv is the inverse of g_matrix, on arrays and on single
+            # points, to tol relative to the largest entry (M4's reaches 4e3)
+            gi = np.linalg.inv(pg.g_matrix(mid, q))
+            for got, want in ((pg.g_inv(mid, q, h), np.einsum("kij,kj->ki", gi, h)),
+                              (pg.g_inv(mid, q[0], h[0]), gi[0] @ h[0])):
+                assert np.abs(got - want).max() <= tol * np.abs(want).max()
             g = pg.g_matrix(mid, q)
             assert np.all(np.linalg.eigvalsh(g) > 0.0)
             if mid == "M4":
