@@ -484,7 +484,7 @@ def simulate(state: HamiltonianState, T: float, dt: float, *,
 
     _shooting, the point of state.q, is the shooting solver's private
     path: the result keeps its tangent passes' tape, and leaves the energy
-    and hidden-constraint residual to _diagnosed, for the path returned."""
+    and hidden-constraint residual NaN for _diagnosed, on the path returned."""
     if not (dt > 0 and np.isfinite(T / dt) and round(T / dt) >= 1):
         raise CurveflowError(f"simulate needs dt > 0 and at least one step, "
                              f"got T={T}, dt={dt}")
@@ -496,8 +496,8 @@ def simulate(state: HamiltonianState, T: float, dt: float, *,
     steps = int(round(T / dt))
     n, d = state.q.shape
     sim = SimulationResult(dt * np.arange(steps + 1) + state.t, np.empty((steps + 1, n, d)),
-                           np.empty((steps + 1, n, d)), np.empty(steps + 1),
-                           np.empty(steps + 1), np.empty(steps + 1), state.metric_id,
+                           np.empty((steps + 1, n, d)), np.full(steps + 1, np.nan),
+                           np.empty(steps + 1), np.full(steps + 1, np.nan), state.metric_id,
                            state.winding, np.empty(steps, int), np.empty(steps),
                            np.empty(steps, int), np.empty((steps, n, d)),
                            np.empty((steps, n + 2)), np.empty((steps, n + 2)))

@@ -11,16 +11,15 @@ Fiber metrics on the transform targets:
 this module or another, takes it from there.  Plus the complete geometry
 of the half-plane (R_{>0} x R, 4dx^2 + x^-6 dy^2): geodesic spray (with
 RK4, the reference), exact trajectories via the incomplete integral
-F(u) = int_0^u z^6 / sqrt(1 - z^6) dz, the two-case boundary value solver,
+F(u) = int_0^u z^6 / sqrt(1 - z^6) dz, the boundary value solver,
 Gauss curvature -3/x^2, a geodesic-distance lower bound, and the
 sectional curvature of metric M2 on curve space.
 
 The solvers work on whole arrays of fibers, one half-plane problem per
 theta of an M2 geodesic or distance.  `_fiber_ivp` walks the closed-form
-geodesics from initial velocities; `_solve_fibers` classifies (point, ray,
-arc1, arc2) and root-solves the boundary problems, and samples each path
-by that walk from its initial velocity.  `bvp2` and `fiber_distance` are
-its one-fiber calls.
+geodesics from initial velocities; `_solve_fibers` solves the boundary
+problems (point, ray, arc1, arc2; both arcs in one root solve) and samples
+each path by that walk.  `bvp2` and `fiber_distance` are its one-fiber calls.
 """
 
 from __future__ import annotations
@@ -219,8 +218,11 @@ class _Tables:
         self._s, self._lo, self._hi = s, np.r_[-np.inf, s[1:-1]], np.r_[s[1:-1], np.inf]
         # ascending-Phi arrays for inverse interpolation of Phi in s
         self._phi_asc, self._s_desc = (self.phi1 - cp)[::-1], s[::-1]
-        # F(u) = u^7 sum_k binom(2k, k) 4^-k u^6k / (7 + 6k), for polyval
-        self._series = [comb(2 * k, k) / 4 ** k / (7 + 6 * k) for k in range(9, -1, -1)]
+        # F(u) = u^7 sum_k b_k u^6k / (7 + 6k) and Phi(u) = u sum_k b_k u^6k /
+        # (1 + 6k), b_k = binom(2k, k) 4^-k, for polyval below u = 1/2
+        b = {k: comb(2 * k, k) / 4 ** k for k in range(9, -1, -1)}
+        self._f_series = [bk / (7 + 6 * k) for k, bk in b.items()]
+        self._phi_series = [bk / (1 + 6 * k) for k, bk in b.items()]
 
     def _cubic(self, c, v):
         """The spline with coefficients c at v, as scipy evaluates it: the
@@ -235,26 +237,31 @@ class _Tables:
     def F(self, u):
         return self._cubic(self._f, np.sqrt(1.0 - np.minimum(np.maximum(u, 0.0), 1.0)))
 
-    def dF(self, u):
-        # huge-but-finite at u = 1 so safeguarded Newton steps stay defined
-        return u ** 6 / np.sqrt(np.maximum(1.0 - u ** 6, 1e-300))
-
     def F_rel(self, u, s):
-        # F at u = 1 - s^2 to relative rounding: the series where F << A
-        return np.where(u < 0.5, u ** 7 * np.polyval(self._series, u ** 6),
+        """F at u = 1 - s^2 to relative rounding: the series where F << A."""
+        return np.where(u < 0.5, u ** 7 * np.polyval(self._f_series, u ** 6),
                         self._cubic(self._f, s))
 
-    def phi(self, u):
-        return self._cubic(self._phi, np.sqrt(1.0 - np.minimum(np.maximum(u, 0.0), 1.0)))
+    def phi(self, u, s):
+        """Phi at u = 1 - s^2 to relative rounding: the series below u = 1/2."""
+        return np.where(u < 0.5, u * np.polyval(self._phi_series, u ** 6),
+                        self._cubic(self._phi, s))
 
-    def s_of_phi(self, val):
-        """s = sqrt(1 - u) with Phi(u) = val: Newton in s, where dPhi/ds =
-        -2 / sqrt(psi(1 - s^2)) stays away from 0 up to the apex s = 0."""
+    def u_of_phi(self, val):
+        """u and s = sqrt(1 - u) with Phi(u) = val: Newton in s, where dPhi/ds
+        = -2 / sqrt(psi(1 - s^2)) stays away from 0 up to the apex s = 0, then
+        below u = 1/2 one Newton step on the series, to u's relative rounding."""
         val = np.minimum(np.maximum(val, 0.0), self.phi1)
         s = np.interp(val, self._phi_asc, self._s_desc)
         for _ in range(3):
             s = s + 0.5 * (self._cubic(self._phi, s) - val) * np.sqrt(_psi(1.0 - s * s))
-        return np.minimum(np.maximum(s, 0.0), 1.0)
+        s = np.minimum(np.maximum(s, 0.0), 1.0)
+        u = 1.0 - s * s
+        low = u < 0.5
+        ul, vl = u[low], val[low]
+        u[low] = ul - (ul * np.polyval(self._phi_series, ul ** 6) - vl) * np.sqrt(1.0 - ul ** 6)
+        s[low] = np.sqrt(1.0 - u[low])
+        return u, s
 
 
 _tables: _Tables | None = None
@@ -340,13 +347,16 @@ class Trajectory2:
             tab.F(self.C * x) - tab.F(self.C * self.x0))
 
 
-def trajectory2(p0, v0) -> Trajectory2:
-    """Closed-form trajectory through p0 with velocity v0.
+def _arc_constant(x, xd, yd):
+    """The g-speed L and trajectory constant C = (|yd| / (x^6 L))^(1/3) at x
+    with velocity (xd, yd): yd / x^6 and L are conserved, and C x = 1 where xd = 0."""
+    L = np.sqrt(4.0 * xd ** 2 + yd ** 2 / x ** 6)
+    return L, np.cbrt(np.abs(yd) / (x ** 6 * L))
 
-    The constant uses the conserved quantities C1 = yd/x^6 and
-    C2^2 = xd^2 + C1^2 x^6 / 4 (C2 is xd continued to the y-axis), giving
-    C = (|C1| / (2 C2))^{1/3}; the apex is at x = 1/C.
-    """
+
+def trajectory2(p0, v0) -> Trajectory2:
+    """Closed-form trajectory through p0 with velocity v0, C from
+    _arc_constant; the apex is at x = 1/C."""
     p0, v0 = _finite(p0, "p0"), _finite(v0, "v0")
     x0, y0 = float(p0[0]), float(p0[1])
     xd0, yd0 = float(v0[0]), float(v0[1])
@@ -354,13 +364,9 @@ def trajectory2(p0, v0) -> Trajectory2:
         raise DomainExit("x0 must be positive")
     if yd0 == 0.0:
         return Trajectory2(kind="ray", x0=x0, y0=y0)
-    c1 = yd0 / x0 ** 6
-    c2 = np.hypot(xd0, 0.5 * c1 * x0 ** 3)
-    C = (abs(c1) / (2.0 * c2)) ** (1.0 / 3.0)
-    if xd0 == 0.0:
-        sgn = np.sign(yd0)   # at the apex; treat as the ascending branch
-    else:
-        sgn = np.sign(yd0 / xd0)
+    C = float(_arc_constant(x0, xd0, yd0)[1])
+    # at the apex (xd0 = 0), the ascending branch
+    sgn = np.sign(yd0) if xd0 == 0.0 else np.sign(yd0 / xd0)
     tab = tables()
     apex_y = y0 + sgn * (2.0 / C ** 4) * (tab.A - tab.F(C * x0))
     return Trajectory2(kind="arc", x0=x0, y0=y0, C=C, sgn=sgn,
@@ -383,85 +389,83 @@ class FiberGeodesic:
     xbar: float = np.nan
 
 
-def _find_roots(equation, lo, hi, tol):
+def _find_roots(equation, lo, hi, tol, z):
     """Root of equation(z, i) -> (value, dvalue/dz) for each fiber i, where
-    the value rises through zero on [lo_i, hi_i]: bisection to a relative
-    bracket of 1e-3, then Newton steps that fall back to bisection when they
-    leave the bracket.  A fiber's root is frozen once |value| < tol_i or its
-    bracket closes to 1e-16 relative; the rest stop after 60 Newton steps."""
+    the value rises through zero on [lo_i, hi_i]: Newton from z clipped to
+    the bracket, which each value's sign shrinks and a step that leaves it
+    bisects.  A root is frozen once |value| < tol or its bracket closes to
+    adjacent doubles; NoConvergence, with the count and the worst |value|,
+    if any is open after 60 steps.  No fibers, no equation call."""
     lo, hi = lo.copy(), hi.copy()
-    for _ in range(200):
-        i = np.flatnonzero((hi - lo) > 1e-3 * hi)
-        if i.size == 0:
-            break
-        mid = 0.5 * (lo[i] + hi[i])
-        below = equation(mid, i)[0] < 0.0
-        lo[i] = np.where(below, mid, lo[i])
-        hi[i] = np.where(below, hi[i], mid)
-    else:
-        raise NoConvergence("root bisection stalled")
-    z = 0.5 * (lo + hi)
+    z = np.minimum(np.maximum(z, lo), hi)
     live = np.arange(z.size)
-    for _ in range(60):
-        val, der = equation(z[live], live)
-        open_ = ~(np.abs(val) < tol[live])
-        live, val, der = live[open_], val[open_], der[open_]
+    for k in range(61):
         if live.size == 0:
             break
+        val, der = equation(z[live], live)
+        open_ = ~(np.abs(val) < tol)
+        live, val, der = live[open_], val[open_], der[open_]
+        if k == 60 and live.size:
+            raise NoConvergence(f"{live.size} fiber roots open after 60 Newton steps, "
+                                f"worst |value| {np.max(np.abs(val)):.3e}")
         zl, lol, hil = z[live], lo[live], hi[live]
         step = np.divide(val, der, out=np.zeros_like(val), where=der != 0.0)
         new = zl - step
         bisect = ~((lol <= new) & (new <= hil)) | (step == 0.0)
         below = val < 0.0
-        lol = np.where(below, zl, lol)
-        hil = np.where(below, hil, zl)
-        lo[live], hi[live] = lol, hil
-        z[live] = np.where(bisect, 0.5 * (lol + hil), new)
-        live = live[~(hil - lol < 1e-16 * hil)]
+        lo[live] = lol = np.where(below, zl, lol)
+        hi[live] = hil = np.where(below, hil, zl)
+        mid = 0.5 * (lol + hil)
+        z[live] = np.where(bisect, mid, new)
+        live = live[(lol < mid) & (mid < hil)]
     return z
 
 
-def _case1(x0, x1, dy):
-    """C in (0, 1/x1] with (2/C^4)(F(C x1) - F(C x0)) = dy, per fiber."""
+def _arc_roots(x0, x1, dy):
+    """The arcs from (x0, 0) to (x1, dy), x0 <= x1 and dy > 0: u = Cx and
+    s = sqrt(1 - u) at x1 (row 0) and x0 (row 1), to relative rounding, and
+    whether each passes its apex xbar = 1/C (arc2, else arc1).  In z = 1 -+
+    sqrt(1 - C x1), below and past the apex, the rise 2 xbar^4 (G - F(C x0)),
+    G = F(C x1) below and 2A - F(C x1) past, is smooth.  The root variable
+    w is z, or 2 - z if dy is above the rise at the apex, so that its end
+    w -> 0 is the flat end (C -> 0) or the tall one (xbar -> inf), as needed.
+    Newton starts at the small-u limit C = (7 dy / 2(x1^7 - x0^7))^(1/3), or
+    the apex tangent if flatter, and above the apex at xbar = max(x1,
+    (dy / 4A)^(1/4)), the large-dy limit."""
     tab = tables()
+    thresh = 2.0 * x1 ** 4 * (tab.A - tab.F(x0 / x1))       # the rise at the apex
+    tall = dy > thresh
+    sgn = np.where(tall, -1.0, 1.0)            # dz/dw, z = w below the apex
+    r, gap = x0 / x1, (x1 - x0) / x1
 
-    def equation(C, i):
-        u = np.stack([C * x1[i], C * x0[i]])
-        gap = np.subtract(*tab.F(u))
-        dF1 = tab.dF(np.minimum(u[0], 1.0 - 1e-15))
-        dF0 = tab.dF(u[1])
-        return ((2.0 / C ** 4) * gap - dy[i],
-                (-8.0 / C ** 5) * gap + (2.0 / C ** 4) * (dF1 * x1[i] - dF0 * x0[i]))
+    def abscissae(w, i):
+        u1, s1 = w * (2.0 - w), np.abs(1.0 - w)
+        return np.stack([u1, r[i] * u1]), np.stack([s1, np.sqrt(gap[i] + r[i] * s1 * s1)])
 
-    lo, hi = 1e-9 / x1, 1.0 / x1
-    # numerically at the case boundary: an empty bracket returns hi itself
-    lo = np.where(equation(hi, np.arange(hi.size))[0] < 0.0, hi, lo)
-    return _find_roots(equation, lo, hi, 1e-12 * np.maximum(1.0, np.abs(dy)))
+    def equation(w, i):
+        (u1, u0), (s1, s0) = abscissae(w, i)
+        F1, F0 = tab.F_rel(np.stack([u1, u0]), np.stack([s1, s0]))
+        G = np.where((w > 1.0) != tall[i], 2.0 * tab.A - F1, F1)
+        # d/dz: dG = 2 u1^6 / sqrt(psi(u1)) on both branches, and dF(C x0)
+        # has the factor (1 - z) / s0, -1 at the apex if x0 = x1
+        c = sgn[i] * (1.0 - w)
+        q = np.divide(c, s0, out=-np.ones_like(w), where=s0 > 0.0)
+        slope = 2.0 * (u1 ** 6 / np.sqrt(_psi(u1))
+                       - r[i] * q * u0 ** 6 / np.sqrt(_psi(u0)))
+        # the rise - dy and its z-derivative over 2 xbar^4 (G + F0), so that
+        # |value| is relative to the rounding of the terms
+        rest, size = G - F0, G + F0
+        return (sgn[i] * (rest - 0.5 * dy[i] * (u1 / x1[i]) ** 4) / size,
+                (slope - 8.0 * c * rest / u1) / size)
 
-
-def _case2(x0, x1, dy):
-    """The apex abscissa xbar >= x1 with
-    2 xbar^4 (2A - F(x0/xbar) - F(x1/xbar)) = dy, per fiber."""
-    tab = tables()
-
-    def equation(xb, i):
-        u = np.stack([x0[i] / xb, x1[i] / xb])
-        (F0, F1), (dF0, dF1) = tab.F(u), tab.dF(u)
-        rest = 2.0 * tab.A - F0 - F1
-        slope = dF0 * x0[i] + dF1 * x1[i]
-        return (2.0 * xb ** 4 * rest - dy[i],
-                8.0 * xb ** 3 * rest + 2.0 * xb ** 2 * slope)
-
-    lo, hi = x1.copy(), x1 * 2.0
-    grow = np.arange(x1.size)
-    for _ in range(201):       # double the bracket until it holds the root
-        grow = grow[equation(hi[grow], grow)[0] < 0.0]
-        if grow.size == 0:
-            break
-        lo[grow], hi[grow] = hi[grow], hi[grow] * 2.0
-    else:
-        raise NoConvergence("case-2 bracket expansion failed")
-    return _find_roots(equation, lo, hi, 1e-12 * np.maximum(1.0, np.abs(dy)))
+    u = x1 / np.maximum(x1, np.sqrt(np.sqrt(dy / (4.0 * tab.A))))
+    a = np.flatnonzero(~tall)
+    u[a] = np.minimum(np.cbrt(3.5 * dy[a] / (x1[a] ** 7 - x0[a] ** 7)) * x1[a], 1.0)
+    w = u / (1.0 + np.sqrt(1.0 - u))
+    w[a] = np.minimum(w[a], 1.0 + (dy[a] - thresh[a]) * np.sqrt(1.5) / (2.0 * x1[a] ** 4))
+    lo, hi = 5e-41, np.nextafter(2.0, 0.0)     # C x1 >= 1e-40: F(C x1) > 0
+    w = _find_roots(equation, np.full_like(w, lo), np.full_like(w, hi), 1e-13, w)
+    return (*abscissae(w, slice(None)), (w > 1.0) != tall)
 
 
 def fiber_distance(p0, p1) -> float:
@@ -494,30 +498,26 @@ def _solve_fibers(p0s, p1s, full: bool, samples: int = 33):
     x0, x1 = np.minimum(p0s[:, 0], p1s[:, 0]), np.maximum(p0s[:, 0], p1s[:, 0])
     dy = np.abs(p1s[:, 1] - p0s[:, 1])
 
-    thresh = 2.0 * x1 ** 4 * (tab.A - tab.F(x0 / x1))
-    case = np.select([np.all(p0s == p1s, axis=1), dy == 0.0,
-                      dy <= thresh * (1.0 + 1e-12)], ["point", "ray", "arc1"], "arc2")
+    arc = np.flatnonzero(dy > 0.0)
+    (u1, u0), (s1, s0), past = _arc_roots(x0[arc], x1[arc], dy[arc])
+    case = np.where(np.all(p0s == p1s, axis=1), "point", "ray")
+    case[arc] = np.where(past, "arc2", "arc1")
     C = np.full(x0.shape, np.nan)
-    k1 = np.flatnonzero(case == "arc1")
-    k2 = np.flatnonzero(case == "arc2")
-    C[k1] = _case1(x0[k1], x1[k1], dy[k1])
-    C[k2] = 1.0 / _case2(x0[k2], x1[k2], dy[k2])
+    C[arc] = c = u1 / x1[arc]
 
     length = 2.0 * (x1 - x0)              # rays; a point is a ray of length 0
-    arc = np.flatnonzero(np.isin(case, ("arc1", "arc2")))
-    c, ascending = C[arc], case[arc] == "arc1"
-    phi0, phi1 = tab.phi(np.minimum(c * np.stack([x0[arc], x1[arc]]), 1.0))
-    length[arc] = np.where(ascending, (2.0 / c) * (phi1 - phi0),
-                           (2.0 / c) * (2.0 * tab.phi1 - phi0 - phi1))
+    phi1, phi0 = tab.phi(np.stack([u1, u0]), np.stack([s1, s0]))
+    length[arc] = np.where(past, (2.0 / c) * (2.0 * tab.phi1 - phi0 - phi1),
+                           (2.0 / c) * (phi1 - phi0))
     if not full:
         return length
 
     # the initial velocity at unit total time, in the caller's orientation:
     # an arc leaves toward the apex, but for an arc1 run from its higher end
     v0 = p1s - p0s
-    u = c * p0s[arc, 0]
-    up = np.where(ascending & swap[arc], -0.5, 0.5)
-    v0[arc, 0] = up * length[arc] * np.sqrt(np.maximum(1.0 - u, 0.0) * _psi(u))
+    u, s = np.where(swap[arc], u1, u0), np.where(swap[arc], s1, s0)
+    up = np.where(~past & swap[arc], -0.5, 0.5)
+    v0[arc, 0] = up * length[arc] * s * np.sqrt(_psi(u))
     v0[arc, 1] = np.sign(v0[arc, 1]) * length[arc] * u ** 6 / c ** 3
     times = np.linspace(0.0, 1.0, int(samples))
     pts, vel, _ = _fiber_ivp(p0s, v0, times)
@@ -530,11 +530,11 @@ def _solve_fibers(p0s, p1s, full: bool, samples: int = 33):
 def _fiber_ivp(p, v, times):
     """Exact half-plane geodesics from the rows of p (n, 2) with velocities
     v (n, 2) at the times (K,): points and velocities (n, K, 2) and exit
-    times (n,).  A ray (yd = 0) moves at constant xd.  An arc, C as in
-    trajectory2 and L the g-speed, walks w = w0 + C L t / 2, w = Phi(Cx) up
-    to the apex and 2 Phi(1) - Phi(Cx) past it (inverted in s = sqrt(1 -
-    Cx)), exits at w = 2 Phi(1), and has y = y0 + sgn(yd) (2/C^4) G with G
-    the change of F(Cx), or of 2A - F(Cx) past the apex."""
+    times (n,).  A ray (yd = 0) moves at constant xd.  An arc, L and C from
+    _arc_constant, moves Phi(Cx) at the rate C L / 2: up to the apex and
+    down past it, or down from a falling start, and exits where it reaches
+    0; y = y0 + sgn(yd) (2/C^4) G with G the change of F(Cx), or of 2A -
+    F(Cx) past the apex."""
     x0, xd, yd = p[:, 0], v[:, 0], v[:, 1]
     pts = np.stack([x0[:, None] + xd[:, None] * times, np.repeat(p[:, 1, None], times.size, 1)], 2)
     vel = np.repeat(v[:, None, :], times.size, axis=1)
@@ -543,23 +543,23 @@ def _fiber_ivp(p, v, times):
     arc = np.flatnonzero(yd != 0.0)
     tab = tables()
     xa, xda, yda = x0[arc, None], xd[arc, None], yd[arc, None]
-    L = np.sqrt(4.0 * xda ** 2 + yda ** 2 / xa ** 6)
-    C = np.cbrt(np.abs(yda) / (xa ** 6 * L))
+    L, C = _arc_constant(xa, xda, yda)
     u0 = np.minimum(C * xa, 1.0)
-    phi0, F0 = tab.phi(u0), tab.F_rel(u0, np.sqrt(1.0 - u0))
+    s0 = np.sqrt(1.0 - u0)
+    phi0, F0 = tab.phi(u0, s0), tab.F_rel(u0, s0)
     b0 = falling[arc, None].astype(float)        # 1 past the apex, else 0
-    w0 = b0 * 2.0 * tab.phi1 + (1.0 - 2.0 * b0) * phi0
-    w = w0 + 0.5 * C * L * times
-    b = (w > tab.phi1).astype(float)
-    s = tab.s_of_phi(b * 2.0 * tab.phi1 + (1.0 - 2.0 * b) * w)
-    u = 1.0 - s * s
+    # Phi(Cx) on the start's branch, counted down from phi0 on a falling
+    # start, so that a small Cx keeps its relative rounding
+    w = phi0 + (0.5 - b0) * C * L * times
+    b = np.maximum(b0, w > tab.phi1)
+    u, s = tab.u_of_phi(np.where(w > tab.phi1, 2.0 * tab.phi1 - w, w))
     # G(w) - G(w0), the 2A terms cancelling exactly on one branch
     dG = 2.0 * tab.A * (b - b0) + (1.0 - 2.0 * b) * tab.F_rel(u, s) - (1.0 - 2.0 * b0) * F0
     pts[arc, :, 0] = u / C
     pts[arc, :, 1] = p[arc, 1, None] + np.sign(yda) * (2.0 / C ** 4) * dG
     vel[arc, :, 0] = (0.5 - b) * L * s * np.sqrt(_psi(u))
     vel[arc, :, 1] = yda * (u / u0) ** 6           # yd / x^6 is conserved
-    exit_time[arc] = 2.0 * (2.0 * tab.phi1 - w0[:, 0]) / (C * L)[:, 0]
+    exit_time[arc] = 2.0 * np.where(b0, phi0, 2.0 * tab.phi1 - phi0)[:, 0] / (C * L)[:, 0]
     return pts, vel, exit_time
 
 

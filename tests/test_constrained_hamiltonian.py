@@ -319,6 +319,19 @@ def test_m3_simulate_makes_no_dense_solve(monkeypatch):
     assert dq.shape == (32, 3, 6) and np.all(np.isfinite(dq))
 
 
+def test_shooting_simulation_leaves_diagnostics_nan():
+    # a shooting simulation leaves its energy and hidden-constraint residual
+    # NaN, not uninitialized memory, until _diagnosed fills them with the
+    # plain simulation's figures, bit for bit
+    st = circle_state(32)
+    plain = ch.simulate(st, 0.05, 1e-2)
+    shot = ch.simulate(st, 0.05, 1e-2, _shooting=rt._M3Point(st.q))
+    assert np.all(np.isnan(shot.energy)) and np.all(np.isnan(shot.hidden_norm))
+    shot._diagnosed()
+    assert shot.energy.tobytes() == plain.energy.tobytes()
+    assert shot.hidden_norm.tobytes() == plain.hidden_norm.tobytes()
+
+
 def test_rattle_tangent_matches_central_differences():
     # the tangent-linear step is the derivative of the computed step: its
     # columns match central differences of rattle_step (q0, p0) -> (q1, p1),

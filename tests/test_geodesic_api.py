@@ -158,6 +158,32 @@ def test_m2_ivp_reaches_the_bvp_endpoint(target):
     assert np.array_equal(path.diagnostics["fiber_lengths"], lengths)
 
 
+def test_m2_root_solve_calls(monkeypatch):
+    # Newton from the closed-form starts: the root solve of a distance
+    # between seeded arcs (arc1 and arc2 fibers in one batch) evaluates its
+    # equation at most 10 times (5-9 measured); bisection to a bracket took
+    # 14-31 calls
+    calls = []
+    find_roots = pg._find_roots
+
+    def counted(equation, *args):
+        calls.append(0)
+
+        def eq(z, i):
+            calls[-1] += 1
+            return equation(z, i)
+        return find_roots(eq, *args)
+    monkeypatch.setattr(pg, "_find_roots", counted)
+    cases = set()
+    for seed in (301, 302):
+        arcs = seeded_arcs(seed)
+        for i, j in ((0, 1), (0, 3), (2, 4), (4, 1)):
+            q0, q1 = (ga._on_section(ms.MetricId.M2, c).q for c in (arcs[i], arcs[j]))
+            cases |= set(pg._solve_fibers(q0, q1, full=True, samples=3).case)
+    assert cases == {"arc1", "arc2"}
+    assert len(calls) == 8 and max(calls) <= 10
+
+
 def test_m2_ivp_matches_rk4():
     c = open_circle(64)
     u0 = smooth_field(64, seed=3, closed=False) * 0.1

@@ -8,7 +8,8 @@ from curveflow import curve_core as cc
 from curveflow import pointwise_geometry as pg
 from curveflow import rtransform as rt
 from curveflow import metric_suite as ms
-from curveflow.errors import BadInput, DegeneratePlane, DomainExit, NonPositive, OutOfRange
+from curveflow.errors import (BadInput, DegeneratePlane, DomainExit, NoConvergence,
+                              NonPositive, OutOfRange)
 from curveflow.validation import fd_gauss_curvature
 
 
@@ -257,6 +258,53 @@ def test_fiber_ivp_against_rk4():
     assert np.abs(vs[::2000].transpose(1, 0, 2) - vel).max() <= 1e-10
     assert np.all(exits[[0, 1, 2, 5, 6, 7]] > 0.8)
     assert exits[3] == np.inf and exits[4] == pytest.approx(0.9 / 0.2, rel=1e-15)
+
+
+def test_bvp2_flat_arcs_reach_their_endpoint():
+    # nearly flat arcs: the root solve's rise F(Cx) ~ (Cx)^7 / 7 is to
+    # relative rounding, so the walk from the solver's initial velocity ends
+    # where the solver's path does
+    p0 = np.array([1.0, 0.3])
+    for dy in (1e-5, 1e-6, 1e-8):
+        p1 = np.array([1.4, 0.3 + dy])
+        geo = pg.bvp2(p0, p1, samples=9)
+        assert geo.case == "arc1"
+        pts, _, _ = pg._fiber_ivp(p0[None], geo.velocities[:1], np.array([0.0, 1.0]))
+        assert np.abs(pts[0, -1] - p1).max() <= 1e-12
+
+
+def test_fiber_ivp_flat_arcs_to_relative_rounding():
+    # arcs with yd / (x^6 L) = 1e-10 and 1e-14 from (1, 0.3), rising and
+    # falling: x keeps its relative rounding where it was off by about
+    # 1e-16 / C, and is the ray's x0 + xd t, up to (Cx)^6 <= 1e-19
+    ratio = np.array([1e-10, 1e-14, 1e-10, 1e-14])
+    xd = np.array([0.4, 0.4, -0.4, -0.4])
+    p = np.tile([1.0, 0.3], (4, 1))
+    v = np.stack([xd, ratio * 0.8 * np.sign(xd)], 1)
+    times = np.linspace(0.0, 0.8, 5)
+    pts, _, _ = pg._fiber_ivp(p, v, times)
+    _, ps, _ = pg.integrate_spray2(p, v, 0.8, 4000)
+    assert np.abs(ps[::1000, :, 0].T - pts[..., 0]).max() <= 5e-13
+    assert np.abs(pts[..., 0] - (1.0 + xd[:, None] * times)).max() <= 1e-15
+
+
+def test_find_roots_refuses_an_open_root():
+    # a derivative so large that every Newton step rounds to no move: the
+    # root is refused, with the count and worst |value|, not returned
+    def stuck(z, i):
+        return z - 0.5, np.full_like(z, 1e300)
+    one = np.ones(1)
+    with pytest.raises(NoConvergence, match=r"1 fiber roots .* 2\.500e-01"):
+        pg._find_roots(stuck, 0.0 * one, one, 1e-12, 0.25 * one)
+    # a bracket that closes to adjacent doubles counts as converged, even
+    # where the value jumps across zero without reaching it
+    def jump(z, i):
+        return np.where(z < 0.3, -1.0, 1.0), np.ones_like(z)
+    root = pg._find_roots(jump, 0.0 * one, one, 1e-12, 0.9 * one)
+    assert abs(root[0] - 0.3) <= 1e-15
+    # no fibers, no equation call
+    empty = np.empty(0)
+    assert pg._find_roots(None, empty, empty, 1e-12, empty).size == 0
 
 
 def test_lower_bound_examples():
