@@ -65,7 +65,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curve_core import _check_samples, _finite
+from .curve_core import _check_samples, _finite, _shift
 from .errors import (
     BadInput,
     CurveflowError,
@@ -86,7 +86,6 @@ from .rtransform import (
     _m3_jacobian_tangent,
     _M3Point,
     _m3_rate,
-    _shift,
     constraint_rows,
 )
 

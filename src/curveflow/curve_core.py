@@ -11,7 +11,8 @@ second-order (trapezoid) constraint rows used by the Hamiltonian module.
 A curve carries its frame (DiscreteCurve.frame, built by build_frame on
 first use, or moved along by DiscreteCurve.moved), which every function
 of the curve reads.  FieldJet defines D_s h, D_s^2 h and their v/n parts
-once for every form built from them, and _dot the per-sample pairing.
+once for every form built from them, _dot the per-sample pairing and
+_shift the cyclic shift along the samples; all three take stacks of fields.
 """
 
 from __future__ import annotations
@@ -33,8 +34,13 @@ def rotate90(w):
 
 
 def _dot(a, b):
-    """<a_k, b_k> per sample of two (N,2) arrays."""
+    """<a_k, b_k> per sample of two (N,2) arrays, or per column of stacks."""
     return a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1]
+
+
+def _shift(v: np.ndarray, j: int) -> np.ndarray:
+    """v_{k+j} along axis 0 on a closed grid (np.roll(v, -j, 0), cheaper)."""
+    return np.concatenate((v[j:], v[:j]))
 
 
 @dataclass(frozen=True)
@@ -116,16 +122,19 @@ def theta_derivative(values: np.ndarray, closed: bool, dtheta: float) -> np.ndar
     the composed arc-length second derivative second-order up to the
     boundary (a mismatched error constant there costs one order after the
     second differentiation).  Difference form keeps constants exactly flat.
+    The differences are written into the output, wrapped at both ends on
+    closed grids, so a stack of fields makes no shifted copies.
     """
     f = np.asarray(values, dtype=float)
-    if closed:
-        return (np.roll(f, -1, axis=0) - np.roll(f, 1, axis=0)) / (2.0 * dtheta)
     out = np.empty_like(f)
-    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * dtheta)
-    out[0] = (3.5 * (f[1] - f[0]) - 2.0 * (f[2] - f[0])
-              + 0.5 * (f[3] - f[0])) / dtheta
-    out[-1] = (3.5 * (f[-1] - f[-2]) - 2.0 * (f[-1] - f[-3])
-               + 0.5 * (f[-1] - f[-4])) / dtheta
+    np.subtract(f[2:], f[:-2], out=out[1:-1])
+    out[0], out[-1] = f[1] - f[-1], f[0] - f[-2]  # the closed grid's wrap
+    out /= 2.0 * dtheta
+    if not closed:
+        out[0] = (3.5 * (f[1] - f[0]) - 2.0 * (f[2] - f[0])
+                  + 0.5 * (f[3] - f[0])) / dtheta
+        out[-1] = (3.5 * (f[-1] - f[-2]) - 2.0 * (f[-1] - f[-3])
+                   + 0.5 * (f[-1] - f[-4])) / dtheta
     return out
 
 
@@ -187,10 +196,10 @@ def _check_samples(values, shapes, name: str) -> np.ndarray:
 
 
 def ds_derivative(curve: DiscreteCurve, values: np.ndarray) -> np.ndarray:
-    """Arc-length derivative D_s f = f' / |c'| of scalar or vector samples."""
-    speed = curve.frame.speed
+    """Arc-length derivative D_s f = f' / |c'| of samples, or of stacks."""
     df = theta_derivative(values, curve.closed, curve.theta_step)
-    return df / (speed if df.ndim == 1 else speed[:, None])
+    df /= curve.frame.speed.reshape((-1,) + (1,) * (df.ndim - 1))
+    return df
 
 
 def integrate_ds(curve: DiscreteCurve, values: np.ndarray):
@@ -213,11 +222,15 @@ class FieldJet:
     """The arc-length jet of a field h on a curve: d1 = D_s h, d2 = D_s^2 h
     and a1 = <d1, v>, b1 = <d1, n>, a2 = <d2, v>, b2 = <d2, n>, each but d1
     computed on first use.  The field is checked here, once, after the
-    curve's frame is built."""
+    curve's frame is built.  With columns=True h may be an (N,2,r) stack,
+    and frame's arrays get a trailing axis to act on each column alike."""
 
-    def __init__(self, curve: DiscreteCurve, h, name: str = "h"):
-        self.curve, self.frame = curve, curve.frame
-        self.d1 = ds_derivative(curve, _check_samples(h, [curve.points.shape], name))
+    def __init__(self, curve: DiscreteCurve, h, name: str = "h", columns: bool = False):
+        f, shape = curve.frame, curve.points.shape + (np.shape(h)[2:3] if columns else ())
+        if len(shape) == 3:
+            f = CurveFrame(*(x[..., None] for x in (f.speed, f.v, f.n, f.kappa, f.alpha)))
+        self.curve, self.frame = curve, f
+        self.d1 = ds_derivative(curve, _check_samples(h, [shape], name))
 
     d2 = cached_property(lambda self: ds_derivative(self.curve, self.d1))
     a1 = cached_property(lambda self: _dot(self.d1, self.frame.v))

@@ -14,8 +14,9 @@ step of these pipelines has one definition here: the move onto the section
 (`_on_section`), the reconstruction of snapshots (`_curves`), the L2 norm
 on the theta grid (`_l2`), the consistent M3 initial momentum
 (`_consistent_momentum`), the M3 vertical pairing (`_vertical_pairing`) and
-the vertical field zeta c' (`_vertical_field`).  The M3 shooting velocity
-is the raw free-component lift, which the consistent momentum projects once.
+the vertical fields zeta c' (`_vertical_field`), on stacks of columns, so
+one apply_L call gives every probe.  The M3 shooting velocity is the raw
+free-component lift, which the consistent momentum projects once.
 """
 
 from __future__ import annotations
@@ -531,9 +532,9 @@ def _rspace_length(qs) -> float:
 # -- horizontality ---------------------------------------------------------------
 
 def _vertical_pairing(curve: DiscreteCurve, u):
-    """(<L_c u, v> per sample, L_c u) for M3."""
+    """(<L_c u, v> per sample and column, L_c u) for M3 of an (N,2,r) stack u."""
     lu = apply_L(MetricId.M3, curve, u)
-    return _dot(lu, curve.frame.v), lu
+    return _dot(lu, curve.frame.v[..., None]), lu
 
 
 # apply_L for M3 composes four central differences, so the vertical
@@ -542,8 +543,8 @@ _VERTICAL_HALF_WIDTH = 4
 
 
 def _vertical_field(curve: DiscreteCurve, zeta):
-    """The vertical field zeta c' = zeta |c'| v."""
-    return (zeta * curve.frame.speed)[:, None] * curve.frame.v
+    """The (N,2,r) stack of vertical fields zeta c' = zeta |c'| v of (N,r) zeta."""
+    return (zeta * curve.frame.speed[:, None])[:, None] * curve.frame.v[..., None]
 
 
 def _probe_colors(n: int) -> np.ndarray:
@@ -558,40 +559,40 @@ def _probe_colors(n: int) -> np.ndarray:
 
 def _vertical_bands(curve: DiscreteCurve) -> np.ndarray:
     """The (2b+1, N) bands of zeta -> <L_c(zeta c'), v> (M3), b the
-    half-width, in the layout of CyclicFactor: one pairing per
-    probe colour (Curtis-Powell-Reid).  Column k meets only rows within b
-    of it, and columns of one colour lie more than 2b apart, so entry
-    (i, k) is read off the probe of k's colour at row i."""
+    half-width, in the layout of CyclicFactor: one apply_L call on a stack
+    of probes, one per colour (Curtis-Powell-Reid).  Column k meets only
+    rows within b of it, and columns of one colour lie more than 2b apart,
+    so entry (i, k) is read off the probe of k's colour at row i."""
     n = curve.n_samples
     colors = _probe_colors(n)
-    probes = np.stack([_vertical_pairing(curve, _vertical_field(curve, colors == c))[0]
-                       for c in range(colors.max() + 1)])
+    probes = _vertical_field(curve, colors[:, None] == np.arange(colors.max() + 1))
+    pairing = _vertical_pairing(curve, probes)[0]
     offsets = np.arange(-_VERTICAL_HALF_WIDTH, _VERTICAL_HALF_WIDTH + 1)
     rows = np.arange(n)
-    return probes[colors[(rows + offsets[:, None]) % n], rows]
+    return pairing[rows, colors[(rows + offsets[:, None]) % n]]
 
 
 def horizontal_project(curve: DiscreteCurve, h) -> np.ndarray:
     """Remove the reparameterization (vertical) part of h for M3: h -
     zeta c' with <L_c(h - zeta c'), v> = 0.  The operator is cyclic banded
-    (_vertical_bands), so the cost is O(N): at most 17 apply_L probes and
-    one cyclic banded solve, which needs at least 9 samples."""
+    (_vertical_bands), so the cost is O(N): an apply_L call on h and one
+    on the probes, and one cyclic banded solve, which needs at least 9 samples."""
     h = _check_samples(h, [curve.points.shape], "h")
     least = 2 * _VERTICAL_HALF_WIDTH + 1
     if curve.n_samples < least:
         raise BadInput(f"horizontal projection needs at least {least} samples, "
                        f"got {curve.n_samples}")
-    rhs = _vertical_pairing(curve, h)[0]
+    rhs = _vertical_pairing(curve, h[..., None])[0][:, 0]
     try:
         zeta = CyclicFactor(_vertical_bands(curve)).solve(rhs)
     except SingularSystem as exc:
         raise SingularVerticalOperator(f"vertical operator is singular ({exc})") from exc
-    return h - _vertical_field(curve, zeta)
+    return h - _vertical_field(curve, zeta[:, None])[..., 0]
 
 
 def _horizontality(curve: DiscreteCurve, u):
     """(sup |<L_c u, v>|, the same relative to sup |L_c u|) for M3."""
-    pairing, lu = _vertical_pairing(curve, u)
+    pairing, lu = _vertical_pairing(curve, u[..., None])
     resid = float(np.max(np.abs(pairing)))
     scale = float(np.max(np.abs(lu)))
     return resid, (resid / scale if scale > 0.0 else 0.0)

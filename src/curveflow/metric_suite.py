@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -100,19 +101,16 @@ def apply_L(metric_id, curve: DiscreteCurve, h) -> np.ndarray:
     """The operator field L_c h with integrate_ds(<L_c h, k>) = G_c(h, k).
 
     Built from the same difference stencils as metric_eval, which makes the
-    adjoint identity hold to machine precision on closed grids.
+    adjoint identity hold to machine precision on closed grids.  On an
+    (N,2,r) stack h all is elementwise: each column is bitwise one field's.
     """
     metric_id = MetricId.parse(metric_id)
     if not curve.closed:
         raise OpenCurveUnsupported(
             "operator form of the metric needs a closed curve "
             "(open curves produce boundary terms)")
-    jet = FieldJet(curve, h)
-    frame = jet.frame
-
-    def ds(f):
-        return ds_derivative(curve, f)
-
+    jet = FieldJet(curve, h, columns=True)
+    frame, ds = jet.frame, partial(ds_derivative, curve)
     if metric_id is MetricId.M1:
         _require_convex(frame)
         w = frame.kappa ** (-1.5) * jet.b2
@@ -138,11 +136,7 @@ def hc_quadratic(metric_id, curve: DiscreteCurve, h) -> MomentumDensity:
     jet = FieldJet(curve, h)
     frame = jet.frame
     a1, b1, a2, b2 = jet.a1, jet.b1, jet.a2, jet.b2
-    v, n = frame.v, frame.n
-
-    def ds(f):
-        return ds_derivative(curve, f)
-
+    v, n, ds = frame.v, frame.n, partial(ds_derivative, curve)
     if metric_id is MetricId.M1:
         _require_convex(frame)
         km32 = frame.kappa ** (-1.5)
@@ -169,7 +163,7 @@ def hc_quadratic(metric_id, curve: DiscreteCurve, h) -> MomentumDensity:
 
 def momentum_of(metric_id, curve: DiscreteCurve, h) -> MomentumDensity:
     """p = L_c h (x) ds as a per-dtheta momentum density."""
-    lh = apply_L(metric_id, curve, h)
+    lh = apply_L(metric_id, curve, _check_samples(h, [curve.points.shape], "h"))
     return MomentumDensity(values=lh * curve.frame.speed[:, None],
                            theta_step=curve.theta_step, closed=curve.closed)
 

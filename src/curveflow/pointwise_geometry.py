@@ -291,13 +291,14 @@ def _spray(p, v):
 
 
 def integrate_spray2(p0, v0, T: float, steps: int):
-    """RK4 integration of the plane spray; supports stacked fibers.
+    """RK4 integration of the plane spray, increments Kahan-summed; stacks fibers.
 
     Returns (times, positions, velocities) with leading time axis.  Raises
     DomainExit (with the last in-domain time) if any fiber reaches x <= 0.
     """
     p = np.atleast_2d(_finite(p0, "p0")).copy()
     v = np.atleast_2d(_finite(v0, "v0")).copy()
+    lost = 0.0  # the rounding the sums of p and v dropped
     dt = T / steps
     times = np.linspace(0.0, T, steps + 1)
     ps = np.empty((steps + 1,) + p.shape)
@@ -311,8 +312,11 @@ def integrate_spray2(p0, v0, T: float, steps: int):
             k4p, k4v = v + dt * k3v, _spray(p + dt * k3p, v + dt * k3v)
         except DomainExit as exc:
             raise DomainExit("geodesic left x > 0", exit_time=times[j]) from exc
-        p = p + (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-        v = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        pv = np.stack([p, v])
+        step = (dt / 6.0) * np.stack([k1p + 2.0 * k2p + 2.0 * k3p + k4p,
+                                      k1v + 2.0 * k2v + 2.0 * k3v + k4v]) + lost
+        p, v = new = pv + step
+        lost = step - (new - pv)
         if np.any(p[..., 0] <= 0.0):
             raise DomainExit("geodesic left x > 0", exit_time=times[j + 1])
         ps[j + 1], vs[j + 1] = p, v

@@ -16,7 +16,8 @@ differences are single-valued.
 Discretization conventions: the M3 derivative constraint is the trapezoid
 (box-scheme) row (w_k + w_{k+1})/2 - (q2_{k+1} - q2_k)/dtheta with
 w = q1^-2 q3, centred at the half node and so second-order consistent; the
-M4 rows use forward differences.  The closedness constraint uses the grid
+M4 rows use forward differences, which wrap closed grids by the cyclic
+shift curve_core._shift.  The closedness constraint uses the grid
 quadrature (periodic trapezoid = left Riemann sum on closed grids), and
 the constraint gradients are the exact adjoints of these discrete
 functionals.  This module is the one definition of the constraints: rows
@@ -52,8 +53,8 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-from .curve_core import (DiscreteCurve, FieldJet, _check_samples, ds_derivative, load_json,
-                         trapezoid_weights)
+from .curve_core import (DiscreteCurve, FieldJet, _check_samples, _shift, ds_derivative,
+                         load_json, trapezoid_weights)
 from .errors import BadInput, CurveflowError, NonPositive, OffImage, SingularSystem
 from .metric_suite import MetricId, _require_convex
 from .pointwise_geometry import _fiber, g_eval, g_inv
@@ -196,11 +197,6 @@ def dr(metric_id, curve: DiscreteCurve, h) -> np.ndarray:
 
 
 # -- constraints ------------------------------------------------------------
-
-def _shift(v: np.ndarray, j: int) -> np.ndarray:
-    """v_{k+j} along axis 0 on a closed grid (np.roll(v, -j, 0), cheaper)."""
-    return np.concatenate((v[j:], v[:j]))
-
 
 def _forward_diff(f: np.ndarray, dth: float, closed: bool,
                   wrap_offset: float = 0.0) -> np.ndarray:

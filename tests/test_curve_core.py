@@ -80,6 +80,16 @@ def test_ds_derivative_frenet():
     assert np.abs(cc.ds_derivative(c, f.n) + f.v).max() < tol
 
 
+def test_closed_theta_derivative_is_the_roll_stencil():
+    # the wrapped stencil is np.roll's: the same f[k+1] - f[k-1], bit for
+    # bit, on samples, fields and stacks of fields
+    n, dth = 65, 2 * np.pi / 65
+    f = wavy_curve(n, seed=3).points
+    for values in (f[:, 0], f, np.stack([f, smooth_field(n, seed=1), -f], axis=2)):
+        roll = (np.roll(values, -1, axis=0) - np.roll(values, 1, axis=0)) / (2.0 * dth)
+        assert np.array_equal(cc.theta_derivative(values, True, dth), roll)
+
+
 def test_ds_derivative_open_scalar():
     # c(theta) = (2 theta, 0): D_s sin = cos/2
     n = 200

@@ -1,10 +1,10 @@
 """No imported name goes unused, in the package or in its tests, no
 function or class of the package, public or private, is left for the
 tests alone, no module spells the per-sample planar pairing or the fiber
-metric's sixth powers itself, no function builds or takes a curve's frame
-in place of DiscreteCurve.frame, no module imports scipy's splines, and importing the package, or running
-its M3, M2 and projection solvers, loads neither scipy's quadrature nor
-its splines.
+metric's sixth powers itself or shifts samples with np.roll, no function
+builds or takes a curve's frame in place of DiscreteCurve.frame, no module
+imports scipy's splines, and importing the package, or running its M3, M2
+and projection solvers, loads neither scipy's quadrature nor its splines.
 
 The package's __init__ and the tests' conftest re-export what they import
 (`from conftest import circle` in the test modules), so they are exempt
@@ -151,6 +151,33 @@ def test_only_pointwise_geometry_spells_the_fiber_metric():
     found = [f"{path.relative_to(ROOT)}:{line} raises to the power 6; "
              "read the fiber metric from pointwise_geometry"
              for path in files for line in fiber_powers(path.read_text())]
+    assert files and not found, "\n".join(found)
+
+
+# the cyclic shift along the samples is curve_core._shift; validation is
+# reference code
+ROLL_EXEMPT = {"src/curveflow/validation.py"}
+
+
+def rolls(source: str) -> list[int]:
+    """Lines that call np.roll, or a roll imported from numpy."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "attr", getattr(node.func, "id", None)) == "roll")
+
+
+def test_rolls_are_found():
+    source = ("import numpy as np\nfrom numpy import roll\n"
+              "a = np.roll(x, -1, axis=0) - np.roll(x, 1, axis=0)\nb = _shift(x, 1)\n"
+              "c = roll(x, 2)\nd = numpy.roll\ne = np.rollaxis(x, 1)\n")
+    assert rolls(source) == [3, 3, 5]
+
+
+def test_no_roll_in_the_library():
+    files = [path for path in sorted(ROOT.glob("src/curveflow/*.py"))
+             if str(path.relative_to(ROOT)) not in ROLL_EXEMPT]
+    found = [f"{path.relative_to(ROOT)}:{line} calls np.roll; use curve_core._shift"
+             for path in files for line in rolls(path.read_text())]
     assert files and not found, "\n".join(found)
 
 

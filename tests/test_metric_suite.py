@@ -6,7 +6,9 @@ import pytest
 from conftest import circle, convex_closed, curve_for, smooth_field, wavy_curve
 from curveflow import curve_core as cc
 from curveflow import metric_suite as ms
-from curveflow.errors import NotConvex, OpenCurveUnsupported
+from curveflow import pointwise_geometry as pg
+from curveflow import rtransform as rt
+from curveflow.errors import BadInput, NotConvex, OpenCurveUnsupported
 
 ALL = ("M1", "M2", "M3", "M4")
 
@@ -97,6 +99,41 @@ def test_operator_metric_adjoint_identity():
         lhs = cc.integrate_ds(c, np.einsum("ki,ki->k", ms.apply_L(mid, c, h), k))
         rhs = ms.metric_eval(mid, c, h, k)
         assert abs(lhs - rhs) <= 1e-11 * max(1.0, abs(rhs))
+
+
+@pytest.mark.parametrize("n", [64, 65])
+def test_apply_L_stack_is_bitwise_per_column(n):
+    # every operation on an (N, 2, r) stack is elementwise, so each column
+    # is bitwise the single field's: r = 1, r = 5 in C order, and a stack
+    # that is a strided view (not C-contiguous)
+    fields = [smooth_field(n, seed=s) for s in range(1, 6)]
+    stacks = [fields[0][..., None], np.stack(fields, axis=2),
+              np.stack(fields)[::2].transpose(1, 2, 0)]
+    assert not stacks[2].flags.c_contiguous
+    for mid in ALL:
+        c = convex_closed(n) if mid == "M1" else wavy_curve(n, seed=2)
+        for stack in stacks:
+            out = ms.apply_L(mid, c, stack)
+            assert out.shape == stack.shape
+            for j in range(stack.shape[2]):
+                assert np.array_equal(out[..., j], ms.apply_L(mid, c, stack[..., j])), (mid, j)
+
+
+def test_single_field_readers_refuse_stacks():
+    # the forms that take one field refuse an (N, 2, r) stack by name, as
+    # they do any other shape
+    n = 64
+    c, h = wavy_curve(n, seed=2), smooth_field(n, seed=1)
+    stack = np.stack([h, 2.0 * h], axis=2)
+    readers = [lambda: ms.metric_eval("M3", c, stack, h),
+               lambda: ms.hc_quadratic("M3", c, stack),
+               lambda: ms.momentum_of("M3", c, stack),
+               lambda: cc.first_variation(c, stack, "kappa"),
+               lambda: pg.sectional_curvature_m2(c, stack, h),
+               lambda: rt.dr("M3", c, stack)]
+    for read in readers:
+        with pytest.raises(BadInput, match=r"^h must be an array of shape \(64, 2\)"):
+            read()
 
 
 def test_apply_L_kernel_examples():

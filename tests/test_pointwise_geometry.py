@@ -284,8 +284,17 @@ def test_fiber_ivp_flat_arcs_to_relative_rounding():
     times = np.linspace(0.0, 0.8, 5)
     pts, _, _ = pg._fiber_ivp(p, v, times)
     _, ps, _ = pg.integrate_spray2(p, v, 0.8, 4000)
-    assert np.abs(ps[::1000, :, 0].T - pts[..., 0]).max() <= 5e-13
+    assert np.abs(ps[::1000, :, 0].T - pts[..., 0]).max() <= 1e-15
     assert np.abs(pts[..., 0] - (1.0 + xd[:, None] * times)).max() <= 1e-15
+
+
+def test_integrate_spray2_sums_without_drift():
+    # a ray to 1e-40: x is x0 + xd t at every snapshot to rounding, however
+    # many steps; plain sums of the RK4 increments drift by 1e-13 to 1e-12
+    # over these step counts
+    for steps in (1000, 4000, 16000):
+        t, ps, _ = pg.integrate_spray2([1.0, 0.3], [0.4, 1e-20], 0.8, steps)
+        assert np.abs(ps[:, 0, 0] - (1.0 + 0.4 * t)).max() <= 1e-15, steps
 
 
 def test_find_roots_refuses_an_open_root():
