@@ -9,7 +9,9 @@ N uniformly sampled points.  The N + 2 constraints are position-only:
 
 The derivative rows are the trapezoid (box-scheme) form centred at the
 half nodes, second-order consistent.  H(q) and the products with DH are
-rtransform's constraint_rows and M3Jacobian.
+rtransform's constraint_rows and M3Jacobian.  project_to_manifold puts a
+raw transform on H = 0 by Newton's method, one bordered CyclicFactor
+solve per step.
 
 One RATTLE step solves the five update equations: an implicit momentum
 half-step with DH^T(q^j) lambda_1, an implicit-midpoint position step,
@@ -81,7 +83,7 @@ from .pointwise_geometry import g_inv_quad
 from .rtransform import (
     CyclicFactor,
     RPoint,
-    _closedness_newton,
+    _closure_coeffs,
     _forward_diff,
     _m3_jacobian_tangent,
     _M3Point,
@@ -160,44 +162,40 @@ def _energy_grad_tangents(pt: _M3Point, p, dq, dp):
 
 # -- consistency --------------------------------------------------------------
 
-def _reset_m3_rate(q: np.ndarray, dth: float, wrap: float) -> None:
-    """Zero the M3 derivative rows in place by resetting q3: solve the
-    cyclic average (w_k + w_{k+1})/2 = D+q2_k for w = q1^-2 q3.
-
-    On even grids the average annihilates the alternating vector, so D+q2
-    must have no alternating part: it is moved into a shift of q2 of the
-    same size (dtheta/2 times it), and w keeps the alternating part of its
-    current value."""
-    n = q.shape[0]
-    rate = _forward_diff(q[:, 1], dth, True, wrap)
-    symbol = 0.5 * (1.0 + np.exp(2j * np.pi * np.arange(n) / n))
-    rate_hat = np.fft.fft(rate)
-    if n % 2 == 0:
-        alt = (-1.0) ** np.arange(n)
-        q[:, 1] += 0.5 * dth * (alt @ rate / n) * alt  # D+ of it: -(alt part)
-        symbol[n // 2] = 1.0
-        rate_hat[n // 2] = alt @ _m3_rate(q)
-    w = np.fft.ifft(rate_hat / symbol).real
-    q[:, 2] = q[:, 0] ** 2 * w
-
-
 def project_to_manifold(rpoint: RPoint) -> RPoint:
     """Move an M3 RPoint (e.g. a raw transform of a closed curve) onto the
-    discrete constraint manifold: q3 is reset by _reset_m3_rate, then a
-    small Newton iteration on (q1, q2) zeroes the closedness rows.  The
-    move is O(dtheta^2) for transforms of genuinely closed curves."""
+    discrete constraint manifold by Newton's method, one bordered
+    CyclicFactor solve per step.  q3 absorbs the derivative rows (the band
+    is their cyclic average in w = q1^-2 q3); (q1, q2) move only along the
+    closedness gradients gc^T mu, and on even grids, where the average
+    annihilates alt = (-1)^k, q2 by dtheta/2 s alt, w keeping its alt part.
+    The last step starts with the closedness rows met, so q3 is solved
+    against the final q2.  A raw transform takes one step, of O(dtheta^2)."""
     mid = _constrained(rpoint.metric_id)
-    winding = rpoint.winding or 0
-    q = rpoint.q.copy()
-    dth = 2.0 * np.pi / rpoint.n_samples
-    wrap = 2.0 * np.pi * winding
+    winding, q, n = rpoint.winding or 0, rpoint.q.copy(), rpoint.n_samples
+    dth = 2.0 * np.pi / n
+    alt = ((-1.0) ** np.arange(n))[:, None] if n % 2 == 0 else np.zeros((n, 0))
+    bands, rows = np.repeat([[0.0], [0.5], [0.5]], n, 1), np.r_[np.zeros((2, n)), alt.T]
+    corner = np.zeros((len(rows), len(rows)))
+    history, settled = [], True
     for _ in range(30):
-        _reset_m3_rate(q, dth, wrap)
-        cl = constraint_rows(mid, q, winding)[-2:]
-        if np.max(np.abs(cl)) < 1e-13:
+        h = constraint_rows(mid, q, winding)
+        history.append(float(np.max(np.abs(h))))
+        if history[-1] < 1e-13 and settled:
             return RPoint(mid, q, True, winding)
-        q[:, :2] -= _closedness_newton(q, dth, cl)
-    raise NewtonDivergence("manifold projection did not converge")
+        settled = np.max(np.abs(h[n:])) < 1e-13
+        gc = _closure_coeffs(q[:, 0], q[:, 1], dth)
+        corner[:2] = np.c_[np.einsum("ijk,ljk->il", gc, gc), 0.5 * dth * gc[:, 1] @ alt]
+        cols = np.c_[-_forward_diff(gc[:, 1].T, dth, True), alt]
+        try:
+            u = CyclicFactor(bands, cols, rows, corner).solve(np.r_[-h, np.zeros(alt.shape[1])])
+        except SingularSystem as exc:
+            raise NewtonDivergence("manifold projection system is singular", history) from exc
+        w = _m3_rate(q) + u[:n]
+        q[:, :2] += np.einsum("ijk,i->kj", gc, u[n:n + 2])
+        q[:, 1] += 0.5 * dth * alt @ u[n + 2:]
+        q[:, 2] = q[:, 0] ** 2 * w
+    raise NewtonDivergence("manifold projection did not converge", history)
 
 
 def _tangent_momentum(pt: _M3Point, p: np.ndarray):

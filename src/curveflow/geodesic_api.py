@@ -351,7 +351,7 @@ def _bvp_shooting(c0, c1, K, T, dt, modes, tol, max_iter) -> GeodesicPath:
     top = min(24, (q0.n_samples - 1) // 2)
     modes = min(modes, top)
     basis = _fourier_basis(q0.n_samples, modes)
-    delta = project_image(q0, dq_full, image_tol=1.0) / T
+    delta = project_image(q0, dq_full) / T
     xi = np.linalg.lstsq(basis, delta[:, :2], rcond=None)[0]
     r, sim = residual(xi, basis)
     rn = np.linalg.norm(r)
@@ -557,34 +557,35 @@ def _probe_colors(n: int) -> np.ndarray:
     return np.concatenate([np.arange(whole) % w, w + np.arange(n - whole)])
 
 
-def _vertical_bands(curve: DiscreteCurve) -> np.ndarray:
+def _vertical_system(curve: DiscreteCurve, h) -> tuple[np.ndarray, np.ndarray]:
     """The (2b+1, N) bands of zeta -> <L_c(zeta c'), v> (M3), b the
-    half-width, in the layout of CyclicFactor: one apply_L call on a stack
-    of probes, one per colour (Curtis-Powell-Reid).  Column k meets only
+    half-width, in the layout of CyclicFactor, and the right-hand side
+    <L_c h, v>: one apply_L call on a stack of probes, one per colour
+    (Curtis-Powell-Reid), and h as its last column.  Column k meets only
     rows within b of it, and columns of one colour lie more than 2b apart,
     so entry (i, k) is read off the probe of k's colour at row i."""
     n = curve.n_samples
     colors = _probe_colors(n)
     probes = _vertical_field(curve, colors[:, None] == np.arange(colors.max() + 1))
-    pairing = _vertical_pairing(curve, probes)[0]
+    pairing = _vertical_pairing(curve, np.concatenate([probes, h[..., None]], axis=2))[0]
     offsets = np.arange(-_VERTICAL_HALF_WIDTH, _VERTICAL_HALF_WIDTH + 1)
     rows = np.arange(n)
-    return pairing[rows, colors[(rows + offsets[:, None]) % n]]
+    return pairing[rows, colors[(rows + offsets[:, None]) % n]], pairing[:, -1]
 
 
 def horizontal_project(curve: DiscreteCurve, h) -> np.ndarray:
     """Remove the reparameterization (vertical) part of h for M3: h -
     zeta c' with <L_c(h - zeta c'), v> = 0.  The operator is cyclic banded
-    (_vertical_bands), so the cost is O(N): an apply_L call on h and one
-    on the probes, and one cyclic banded solve, which needs at least 9 samples."""
+    (_vertical_system), so the cost is O(N): one apply_L call on the probes
+    and h, and one cyclic banded solve, which needs at least 9 samples."""
     h = _check_samples(h, [curve.points.shape], "h")
     least = 2 * _VERTICAL_HALF_WIDTH + 1
     if curve.n_samples < least:
         raise BadInput(f"horizontal projection needs at least {least} samples, "
                        f"got {curve.n_samples}")
-    rhs = _vertical_pairing(curve, h[..., None])[0][:, 0]
+    bands, rhs = _vertical_system(curve, h)
     try:
-        zeta = CyclicFactor(_vertical_bands(curve)).solve(rhs)
+        zeta = CyclicFactor(bands).solve(rhs)
     except SingularSystem as exc:
         raise SingularVerticalOperator(f"vertical operator is singular ({exc})") from exc
     return h - _vertical_field(curve, zeta[:, None])[..., 0]

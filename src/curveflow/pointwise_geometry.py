@@ -237,15 +237,20 @@ class _Tables:
     def F(self, u):
         return self._cubic(self._f, np.sqrt(1.0 - np.minimum(np.maximum(u, 0.0), 1.0)))
 
+    def _rel(self, c, series, power, u, s):
+        """u^power times the series in u^6 below u = 1/2, else the spline c at s."""
+        out, low = np.empty_like(u), u < 0.5
+        out[low] = u[low] ** power * np.polyval(series, u[low] ** 6)
+        out[~low] = self._cubic(c, s[~low])
+        return out
+
     def F_rel(self, u, s):
         """F at u = 1 - s^2 to relative rounding: the series where F << A."""
-        return np.where(u < 0.5, u ** 7 * np.polyval(self._f_series, u ** 6),
-                        self._cubic(self._f, s))
+        return self._rel(self._f, self._f_series, 7, u, s)
 
     def phi(self, u, s):
         """Phi at u = 1 - s^2 to relative rounding: the series below u = 1/2."""
-        return np.where(u < 0.5, u * np.polyval(self._phi_series, u ** 6),
-                        self._cubic(self._phi, s))
+        return self._rel(self._phi, self._phi_series, 1, u, s)
 
     def u_of_phi(self, val):
         """u and s = sqrt(1 - u) with Phi(u) = val: Newton in s, where dPhi/ds

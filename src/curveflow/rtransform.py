@@ -35,11 +35,12 @@ closedness rows), the one M3 constraint projection.
 project_image takes the L2(g) projection P from that solve; the consistent
 momentum and the RATTLE lambda_2 step take p -> g P(g^-1 p) = p - A^T mu
 (constrained_hamiltonian._tangent_momentum).  One solver serves every
-"cyclic banded + low-rank border" system - P, the RATTLE Newton step and
-the horizontal projection: CyclicFactor factors [[A, cols], [rows,
-corner]] once (A cyclic banded, nonsymmetric, of any half-width b; LAPACK
-gbtrf for its band part, one small capacitance matrix for the wrap corners
-and the border together), and each solve after that is substitution only.
+"cyclic banded + low-rank border" system - P, the RATTLE Newton step, the
+horizontal projection and the manifold projection: CyclicFactor factors
+[[A, cols], [rows, corner]] once (A cyclic banded, nonsymmetric, of any
+half-width b; LAPACK gbtrf for its band part, one small capacitance matrix
+for the wrap corners and the border together), and each solve after that
+is substitution only.
 The M1/M2 alpha and r_inverse sum by _cumulative_trapezoid (numpy, in
 scipy's formula), so of scipy this module loads only LAPACK's gbtrf/gbtrs.
 """
@@ -252,14 +253,6 @@ def _closure_coeffs(q1: np.ndarray, angle: np.ndarray, dth: float) -> np.ndarray
     gc[1, 0] = 2.0 * q1 * np.sin(angle) * dth
     gc[1, 1] = q1 ** 2 * np.cos(angle) * dth
     return gc
-
-
-def _closedness_newton(q: np.ndarray, dth: float, cl: np.ndarray) -> np.ndarray:
-    """The (n, 2) Newton correction of (q1, q2) for the closedness rows cl
-    of a closed M3/M4 grid, along their Euclidean gradient span."""
-    gc = _closure_coeffs(q[:, 0], q[:, 1], dth)
-    mu = np.linalg.solve(np.einsum("ijk,ljk->il", gc, gc), cl)
-    return np.einsum("ijk,i->kj", gc, mu)
 
 
 def constraint_rows(metric_id: MetricId, q: np.ndarray, winding: int) -> np.ndarray:

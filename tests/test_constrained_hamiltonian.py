@@ -7,6 +7,7 @@ from curveflow import curve_core as cc
 from curveflow import metric_suite as ms
 from curveflow import pointwise_geometry as pg
 from curveflow import rtransform as rt
+from curveflow import validation as va
 from curveflow.errors import (BadInput, CurveflowError, NewtonDivergence, OffImage,
                               RankDeficiency, SingularSystem, StepLeftDomain)
 
@@ -443,6 +444,64 @@ def test_project_to_manifold():
     assert np.abs(rt.constraint_rows("M3", onm.q, 1)).max() < 1e-13
     # the move is discretization-small
     assert np.abs(onm.q - raw.q).max() < 10 * raw.theta_step ** 2 * 10
+
+
+def raw_transforms():
+    """Raw M3 transforms of the circle, the (1.15, 0.87) ellipse and a wavy
+    curve on even and odd grids."""
+    for n in (64, 65, 128):
+        th = (2 * np.pi / n) * np.arange(n)
+        ellipse = cc.DiscreteCurve(np.stack([1.15 * np.cos(th), 0.87 * np.sin(th)], 1), True)
+        for c in (circle(n), ellipse, wavy_curve(n, seed=4)):
+            yield rt.r_forward("M3", c)
+
+
+def test_projection_keeps_the_curve():
+    # q3 absorbs the derivative rows, and (q1, q2) move only along the
+    # closedness gradients, whose rows a raw transform meets to rounding:
+    # the curve that r_inverse reads off q1 and q2 stays put.  An
+    # L2(g)-nearest projection would move q1, and the N = 32 circle by 1e-2.
+    for raw in raw_transforms():
+        onm = ch.project_to_manifold(raw)
+        assert np.abs(rt.constraint_rows("M3", onm.q, 1)).max() < 1e-13
+        assert np.abs(onm.q[:, 0] - raw.q[:, 0]).max() <= 1e-14
+        assert np.abs(rt.r_inverse(onm).points - rt.r_inverse(raw).points).max() <= 1e-7
+
+
+def test_projection_is_one_banded_solve_per_newton_step(monkeypatch):
+    # a raw transform takes one Newton step, the synthetic off-manifold
+    # point a few; each is one CyclicFactor, whose capacitance matrix
+    # (2 wrap corners and at most 3 border rows) is the only dense inverse
+    factor, made, sizes = ch.CyclicFactor, [], []
+
+    def counted(*args):
+        made.append(1)
+        return factor(*args)
+    monkeypatch.setattr(ch, "CyclicFactor", counted)
+    for name in ("solve", "inv"):
+        def recorded(a, *args, dense=getattr(np.linalg, name)):
+            sizes.append(np.shape(a)[-1])
+            return dense(a, *args)
+        monkeypatch.setattr(np.linalg, name, recorded)
+    for n in (64, 65):
+        made.clear()
+        ch.project_to_manifold(rt.r_forward("M3", wavy_curve(n, seed=4)))
+        assert len(made) == 1
+    for n in (96, 97):
+        made.clear()
+        onm = va._on_image_point(n)
+        assert np.abs(rt.constraint_rows("M3", onm.q, 1)).max() < 1e-13
+        assert 2 <= len(made) <= 4
+    assert sizes and max(sizes) <= 5
+
+
+def test_singular_projection_system(monkeypatch):
+    factor = ch.CyclicFactor
+    monkeypatch.setattr(ch, "CyclicFactor", lambda bands, *args: factor(0.0 * bands, *args))
+    with pytest.raises(NewtonDivergence) as exc:
+        ch.project_to_manifold(rt.r_forward("M3", wavy_curve(64, seed=4)))
+    assert len(exc.value.residual_history) == 1
+    assert isinstance(exc.value.__cause__, SingularSystem)
 
 
 def test_consistency_projections_are_second_order():

@@ -828,7 +828,7 @@ def test_vertical_bands_are_the_dense_entries():
         A = dense_vertical_operator(c)
         i, k = np.indices((n, n))
         assert np.all(A[cyclic_distance(i, k, n) > 4] == 0.0)
-        bands = ga._vertical_bands(c)
+        bands = ga._vertical_system(c, np.zeros((n, 2)))[0]
         rows = np.arange(n)
         for j in range(-4, 5):
             assert np.array_equal(bands[4 + j], A[rows, (rows + j) % n])
@@ -844,9 +844,9 @@ def test_probe_colors_are_far_apart():
 
 
 def test_horizontal_project_cost(monkeypatch):
-    # one apply_L call on the stack of probe fields and one on the
-    # right-hand side, and no dense solve or inverse larger than the 8 x 8
-    # capacitance matrix of the banded factorization
+    # one apply_L call on the stack of probe fields and h, and no dense
+    # solve or inverse larger than the 8 x 8 capacitance matrix of the
+    # banded factorization
     n = 800
     c, h = wavy_curve(n, seed=3), smooth_field(n, seed=1, closed=True)
     apply_L, calls, sizes = ga.apply_L, [], []
@@ -861,7 +861,7 @@ def test_horizontal_project_cost(monkeypatch):
             return dense(a, *args)
         monkeypatch.setattr(np.linalg, name, recorded)
     ga.horizontal_project(c, h)
-    assert len(calls) <= 2
+    assert len(calls) == 1
     assert sizes and max(sizes) <= 8
 
 
@@ -880,9 +880,10 @@ def test_singular_vertical_operator(monkeypatch):
     # finite comes back
     n = 32
     c, h = circle(n), smooth_field(n, seed=1, closed=True)
+    factor = ga.CyclicFactor
     for fill, words in ((0.0, "singular matrix"), (np.nan, "failed to converge")):
-        monkeypatch.setattr(ga, "_vertical_bands",
-                            lambda curve, fill=fill: np.full((9, n), fill))
+        monkeypatch.setattr(ga, "CyclicFactor",
+                            lambda bands, fill=fill: factor(np.full_like(bands, fill)))
         with pytest.raises(SingularVerticalOperator, match=f"singular .*{words}"):
             ga.horizontal_project(c, h)
 

@@ -1,10 +1,11 @@
 """No imported name goes unused, in the package or in its tests, no
 function or class of the package, public or private, is left for the
 tests alone, no module spells the per-sample planar pairing or the fiber
-metric's sixth powers itself or shifts samples with np.roll, no function
-builds or takes a curve's frame in place of DiscreteCurve.frame, no module
-imports scipy's splines, and importing the package, or running its M3, M2
-and projection solvers, loads neither scipy's quadrature nor its splines.
+metric's sixth powers itself, shifts samples with np.roll or takes an
+FFT, no function builds or takes a curve's frame in place of
+DiscreteCurve.frame, no module imports scipy's splines, and importing the
+package, or running its M3, M2 and projection solvers, loads neither
+scipy's quadrature nor its splines.
 
 The package's __init__ and the tests' conftest re-export what they import
 (`from conftest import circle` in the test modules), so they are exempt
@@ -178,6 +179,34 @@ def test_no_roll_in_the_library():
              if str(path.relative_to(ROOT)) not in ROLL_EXEMPT]
     found = [f"{path.relative_to(ROOT)}:{line} calls np.roll; use curve_core._shift"
              for path in files for line in rolls(path.read_text())]
+    assert files and not found, "\n".join(found)
+
+
+def ffts(source: str) -> list[int]:
+    """Lines that reach an FFT: an attribute named fft, or an import of an
+    fft module or of a name from one."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            found += [node.lineno] * (node.attr == "fft")
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+            found += [node.lineno] * any("fft" in name.split(".") for name in names)
+    return sorted(found)
+
+
+def test_ffts_are_found():
+    source = ("import numpy as np\nfrom numpy import fft\nfrom numpy.fft import ifft\n"
+              "import scipy.fft as sf\na = np.fft.fft(x)\nb = np.fft.rfftfreq(4)\n"
+              "c = fft_size + np.fftpack + x.fft_plan\n")
+    assert ffts(source) == [2, 3, 4, 5, 5, 6]
+
+
+def test_no_fft_in_the_library():
+    files = sorted(ROOT.glob("src/curveflow/*.py"))
+    found = [f"{path.relative_to(ROOT)}:{line} uses an FFT; solve cyclic systems "
+             "with rtransform.CyclicFactor"
+             for path in files for line in ffts(path.read_text())]
     assert files and not found, "\n".join(found)
 
 
