@@ -15,7 +15,7 @@ step of these pipelines has one definition here: the move onto the section
 on the theta grid (`_l2`), the consistent M3 initial momentum
 (`_consistent_momentum`), the M3 vertical pairing (`_vertical_pairing`) and
 the vertical fields zeta c' (`_vertical_field`), on stacks of columns, so
-one apply_L call gives every probe.  The M3 shooting velocity is the raw
+a few apply_L calls give every probe.  The M3 shooting velocity is the raw
 free-component lift, which the consistent momentum projects once.
 """
 
@@ -541,6 +541,11 @@ def _vertical_pairing(curve: DiscreteCurve, u):
 # operator zeta -> <L_c(zeta c'), v> is cyclic banded with half-width 4
 _VERTICAL_HALF_WIDTH = 4
 
+# apply_L's temporaries are the size of its stack: below glibc's default
+# mmap threshold they stay on the heap, above it they are unmapped on free
+# and faulted in again by a later solve
+_STACK_BYTES = 1 << 17
+
 
 def _vertical_field(curve: DiscreteCurve, zeta):
     """The (N,2,r) stack of vertical fields zeta c' = zeta |c'| v of (N,r) zeta."""
@@ -560,14 +565,20 @@ def _probe_colors(n: int) -> np.ndarray:
 def _vertical_system(curve: DiscreteCurve, h) -> tuple[np.ndarray, np.ndarray]:
     """The (2b+1, N) bands of zeta -> <L_c(zeta c'), v> (M3), b the
     half-width, in the layout of CyclicFactor, and the right-hand side
-    <L_c h, v>: one apply_L call on a stack of probes, one per colour
-    (Curtis-Powell-Reid), and h as its last column.  Column k meets only
-    rows within b of it, and columns of one colour lie more than 2b apart,
-    so entry (i, k) is read off the probe of k's colour at row i."""
-    n = curve.n_samples
-    colors = _probe_colors(n)
-    probes = _vertical_field(curve, colors[:, None] == np.arange(colors.max() + 1))
-    pairing = _vertical_pairing(curve, np.concatenate([probes, h[..., None]], axis=2))[0]
+    <L_c h, v>: apply_L on stacks of probes, one per colour
+    (Curtis-Powell-Reid), and h last, in even blocks below _STACK_BYTES.
+    Column k meets only rows within b of it, and columns of one colour lie
+    more than 2b apart, so entry (i, k) is read off the probe of k's colour
+    at row i."""
+    n, colors = curve.n_samples, _probe_colors(curve.n_samples)
+    columns = np.arange(colors.max() + 2)  # the colours, then h
+    width = max(1, (_STACK_BYTES - 1) // h.nbytes)
+    pairing = np.empty((n, columns.size))
+    for block in np.array_split(columns, -(-columns.size // width)):
+        u = _vertical_field(curve, colors[:, None] == block)
+        if block[-1] == columns[-1]:
+            u[..., -1] = h
+        pairing[:, block] = _vertical_pairing(curve, u)[0]
     offsets = np.arange(-_VERTICAL_HALF_WIDTH, _VERTICAL_HALF_WIDTH + 1)
     rows = np.arange(n)
     return pairing[rows, colors[(rows + offsets[:, None]) % n]], pairing[:, -1]
@@ -576,7 +587,7 @@ def _vertical_system(curve: DiscreteCurve, h) -> tuple[np.ndarray, np.ndarray]:
 def horizontal_project(curve: DiscreteCurve, h) -> np.ndarray:
     """Remove the reparameterization (vertical) part of h for M3: h -
     zeta c' with <L_c(h - zeta c'), v> = 0.  The operator is cyclic banded
-    (_vertical_system), so the cost is O(N): one apply_L call on the probes
+    (_vertical_system), so the cost is O(N): apply_L on blocks of the probes
     and h, and one cyclic banded solve, which needs at least 9 samples."""
     h = _check_samples(h, [curve.points.shape], "h")
     least = 2 * _VERTICAL_HALF_WIDTH + 1

@@ -844,16 +844,17 @@ def test_probe_colors_are_far_apart():
 
 
 def test_horizontal_project_cost(monkeypatch):
-    # one apply_L call on the stack of probe fields and h, and no dense
+    # apply_L on the 17 probe fields and h in the fewest even blocks below
+    # _STACK_BYTES (18 columns of 12.8 kB: 2 blocks of 9), and no dense
     # solve or inverse larger than the 8 x 8 capacitance matrix of the
     # banded factorization
     n = 800
     c, h = wavy_curve(n, seed=3), smooth_field(n, seed=1, closed=True)
     apply_L, calls, sizes = ga.apply_L, [], []
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return apply_L(*args, **kwargs)
+    def counted(metric, curve, u):
+        calls.append(np.asarray(u).nbytes)
+        return apply_L(metric, curve, u)
     monkeypatch.setattr(ga, "apply_L", counted)
     for name in ("solve", "inv"):
         def recorded(a, *args, dense=getattr(np.linalg, name)):
@@ -861,7 +862,8 @@ def test_horizontal_project_cost(monkeypatch):
             return dense(a, *args)
         monkeypatch.setattr(np.linalg, name, recorded)
     ga.horizontal_project(c, h)
-    assert len(calls) == 1
+    assert calls == [9 * h.nbytes] * 2
+    assert max(calls) < ga._STACK_BYTES
     assert sizes and max(sizes) <= 8
 
 
