@@ -14,27 +14,25 @@ raw transform on H = 0 by Newton's method, one bordered CyclicFactor
 solve per step.
 
 One RATTLE step solves the five update equations: an implicit momentum
-half-step with DH^T(q^j) lambda_1, an implicit-midpoint position step,
-H(q^{j+1}) = 0 closing the nonlinear system for (p^{1/2}, q^{j+1},
-lambda_1) by Newton with the analytic Jacobian, an explicit momentum
-half-step, and the hidden constraint DH(q).dE/dp = 0, enforced through
-lambda_2 by the L2(g) projection p -> g P(g^-1 p) onto the constraint
-tangent space (_tangent_momentum, shared with project_consistent).
-Note the potential gradient is evaluated at (q^j, p^{j+1/2}) in the first
-half-step exactly as printed (implicit in p only), not at classical
-RATTLE's arguments.
+half-step f1 with DH^T(q^j) lambda_1, an implicit-midpoint position step
+f2, H(q^{j+1}) = 0, an explicit momentum half-step, and the hidden
+constraint DH(q).dE/dp = 0, enforced through lambda_2 by the L2(g)
+projection p -> g P(g^-1 p) onto the constraint tangent space
+(_tangent_momentum, shared with project_consistent).  Note the potential
+gradient is evaluated at (q^j, p^{j+1/2}) in the first half-step exactly
+as printed (implicit in p only), not at classical RATTLE's arguments.
 
-Each Newton iteration eliminates the momentum and position corrections
-sample by sample and solves the reduced system for the multipliers: cyclic
-tridiagonal (not symmetric), bordered by the two closedness rows and
-columns, so one rtransform.CyclicFactor, O(N), with g^-1 only ever read as
-its diagonal (_m3_newton).  The iteration is simplified Newton
-(Hairer-Lubich-Wanner, Geometric Numerical Integration, VII.1): the
-matrix factored at the first iterate is reused, and factored again only
-when the residual has not fallen tenfold.  simulate keeps each step's
-Newton iterations, final residual and factorizations.  Each point is built
-once (rtransform._M3Point, which holds g^-1 and its q1-derivatives): a
-step's end point is the next one's start.
+dE/dq has only a q1 row and g^-1 reads only q1, so f1 = 0 and f2 = 0 give
+p^{1/2} and q^{j+1} explicitly in lambda_1, and the step is simplified
+Newton on H(q^{j+1}(lambda_1)) = 0 alone (Hairer-Lubich-Wanner, Geometric
+Numerical Integration, VII.1).  Its matrix GW, cyclic tridiagonal (not
+symmetric) and bordered by the two closedness rows and columns, is one
+rtransform.CyclicFactor, O(N) (_m3_newton), factored at the first iterate
+and again only when the residual has not fallen tenfold.  simulate starts
+lambda_1 from 2 lambda_{j-1} - lambda_{j-2} and keeps each step's Newton
+iterations, final residual (of f1, f2 and H) and factorizations.  Each
+point is built once (rtransform._M3Point, which holds g^-1 and its
+q1-derivatives): a step's end point is the next one's start.
 
 The tangent pass (_rattle_tangent, _position_tangent) differentiates the
 discrete step, not the ODE, so it gives the exact derivative of the
@@ -44,7 +42,7 @@ lambda_1 and hidden-constraint multiplier mu, and per step the pass
 linearizes (f1, f2, f3) in (q0, p0) at that stored point - including
 lambda_1 contracted with the q0-derivative of DH
 (rtransform._m3_jacobian_tangent), carried over from the step before -
-and solves for all r tangent columns at once with the Newton matrix
+and solves for all r tangent columns at once with the full Newton matrix
 factored at that point, the exact Jacobian of (f1, f2, f3).  The explicit
 half-step is differentiated directly, and the hidden-constraint
 projection p1 - DH(q1)^T mu (p1 and mu stored, the operator moving with
@@ -79,7 +77,7 @@ from .errors import (
     StepLeftDomain,
 )
 from .metric_suite import MetricId
-from .pointwise_geometry import g_inv_quad
+from .pointwise_geometry import _paired
 from .rtransform import (
     CyclicFactor,
     RPoint,
@@ -133,8 +131,12 @@ class HamiltonianState:
 
 def discrete_energy(state: HamiltonianState) -> float:
     """E = (1/2) sum_k g^{-1}_{q^k}(p^k, p^k) dtheta."""
-    vals = g_inv_quad(state.metric_id, state.q, state.p)
-    return 0.5 * float(np.sum(vals)) * state.theta_step
+    return _energy(_M3Point(state.q), state.p)
+
+
+def _energy(pt: _M3Point, p: np.ndarray) -> float:
+    """discrete_energy at the M3 point pt, from its g^-1."""
+    return 0.5 * float(np.sum(_paired(pt.ginv * p, p))) * pt.dth
 
 
 def _grad_p(pt: _M3Point, p: np.ndarray) -> np.ndarray:
@@ -236,10 +238,11 @@ def _m3_newton(pt0: _M3Point, dt: float):
     cyclic tridiagonal derivative block (x^T M y for the trapezoid row
     vectors x of J(q1), y of J(q0) at samples k and k+1), the closedness
     columns J(q1) M C(q0)^T, rows J(q0) M^T C(q1)^T and a 2x2 corner.
-    Products with DH are M3Jacobian's.  Returns (factor, lam -> DH(q0)^T
-    lam): factor(pt1, ph) builds the matrix at the iterate (q1, ph), pt1
-    the point of q1, and factors GW once (CyclicFactor), and returns
-    solve(f1, f2, f3) -> (dq, dph, dlam), where f1, f2 are (n, 3) and f3
+    Products with DH are M3Jacobian's.  Returns factor(pt1, ph), which
+    builds the matrix at the iterate (q1, ph), pt1 the point of q1, factors
+    GW once (CyclicFactor) and returns (GW, solve): GW the derivative of
+    H(q1(lambda_1)), solve(f1, f2, f3) -> (dq, dph, dlam) the full Newton
+    solve, where f1, f2 are (n, 3) and f3
     (n+2,), or (n, 3, r) and (n+2, r) for r right-hand sides at once."""
     n = pt0.q.shape[0]
     dth = pt0.dth
@@ -295,71 +298,71 @@ def _m3_newton(pt0: _M3Point, dt: float):
             dlam = gw.solve(-f3 - jac1.apply(eliminate(f1)[1]))
             du, dq = eliminate(f1 + beta * jac0.apply_t(dlam))
             return dq, du, dlam
-        return solve
+        return gw, solve
 
-    return factor, jac0.apply_t
+    return factor
 
 
 def _rattle_step(state: HamiltonianState, pt0: _M3Point, dt: float, tol: float = 1e-12,
                  max_iter: int = 50, lam_guess: np.ndarray | None = None):
-    """rattle_step from state at the point pt0.  The implicit part is
-    solved by the simplified Newton iteration (Hairer-Lubich-Wanner,
-    Geometric Numerical Integration, VII.1): the matrix is factored at the
-    first iterate and kept, and factored again at the current iterate only
-    when the residual has not fallen tenfold since the last iterate.  The
-    explicit momentum half-step from (q1, ph) and _tangent_momentum end the
-    step.  Returns what simulate keeps of it: (end state, its point, lam,
-    ph, mu), the last three the tangent pass's linearization point, then
-    H(q1), the Newton residual history and the factorizations."""
+    """rattle_step from state at the point pt0: simplified Newton on
+    H(q1(lambda_1)) = 0, (ph, q1) explicit in lambda_1 (module docstring),
+    GW factored at the first iterate and again at the current one only when
+    |H| has not fallen tenfold.  f1 and f2 are evaluated once at the end,
+    and the whole residual must be below tol.  The explicit momentum
+    half-step from (q1, ph) and _tangent_momentum end the step.  Returns
+    what simulate keeps of it: (end state, its point, lam, ph, mu), the last
+    three the tangent pass's linearization point, then H(q1), the residual
+    history (the last entry the whole residual) and the factorizations."""
     mid, winding = state.metric_id, state.winding
-    q0, p0 = state.q, state.p
-
-    ph = p0.copy()
-    q1 = q0 + dt * _grad_p(pt0, p0)  # explicit predictor
-    lam = np.zeros(q0.shape[0] + 2) if lam_guess is None else lam_guess.copy()
-    factor, jt0 = _m3_newton(pt0, dt)
-    solve, factorizations, history = None, 0, []
+    q0, p0, half = state.q, state.p, 0.5 * dt
+    lam = np.zeros(q0.shape[0] + 2) if lam_guess is None else lam_guess
+    factor, jt0 = _m3_newton(pt0, dt), pt0.jac.apply_t
+    gw, factorizations, history = None, 0, []
     for _ in range(max_iter):
+        ph = p0 + half * jt0(lam)
+        ph[:, 0] -= half * _grad_q(pt0, ph)[:, 0]      # reads ph's columns 2-3 only
+        q1 = q0 + dt * pt0.dth * pt0.ginv * ph          # column 1: g^-1's entry is constant
         try:
-            pt1 = _M3Point(q1)
+            pt1 = _M3Point(q1)                          # its g^-1 reads column 1 only
         except NonPositive as exc:
             raise StepLeftDomain(
                 "position update reached q1 <= 0; use a smaller time step",
                 exit_time=state.t) from exc
-        f1 = ph - p0 + 0.5 * dt * _grad_q(pt0, ph) - 0.5 * dt * jt0(lam)
-        f2 = q1 - q0 - 0.5 * dt * (_grad_p(pt0, ph) + _grad_p(pt1, ph))
+        q1[:, 1:] = q0[:, 1:] + half * pt0.dth * (pt0.ginv[:, 1:] + pt1.ginv[:, 1:]) * ph[:, 1:]
         f3 = constraint_rows(mid, q1, winding)
-        res = max(np.max(np.abs(f1)), np.max(np.abs(f2)), np.max(np.abs(f3)))
-        history.append(res)
-        if res < tol:
+        history.append(float(np.max(np.abs(f3))))
+        if history[-1] < tol:
             break
         try:
-            if solve is None or res > 0.1 * history[-2]:
-                solve, factorizations = factor(pt1, ph), factorizations + 1
-            dq, dph, dlam = solve(f1, f2, f3)
+            if gw is None or history[-1] > 0.1 * history[-2]:
+                gw, factorizations = factor(pt1, ph)[0], factorizations + 1
+            lam = lam + gw.solve(-f3)
         except (np.linalg.LinAlgError, SingularSystem) as exc:
             raise NewtonDivergence("reduced Newton system is singular",
                                    history) from exc
-        q1 = q1 + dq
-        ph = ph - dph
-        lam = lam + dlam
     else:
         raise NewtonDivergence(
             f"RATTLE Newton did not reach tol={tol:g} in {max_iter} iterations",
             history)
+    f1 = ph - p0 + half * _grad_q(pt0, ph) - half * jt0(lam)
+    f2 = q1 - q0 - half * (_grad_p(pt0, ph) + _grad_p(pt1, ph))
+    history[-1] = max(np.max(np.abs(f1)), np.max(np.abs(f2)), history[-1])
+    if not history[-1] < tol:
+        raise NewtonDivergence(f"RATTLE step misses tol={tol:g} in (f1, f2)", history)
     try:
-        p1, mu = _tangent_momentum(pt1, ph - 0.5 * dt * _grad_q(pt1, ph))
+        p1, mu = _tangent_momentum(pt1, ph - half * _grad_q(pt1, ph))
     except RankDeficiency as exc:
         raise NewtonDivergence("hidden-constraint system is singular",
                                history) from exc
-    return (HamiltonianState(mid, pt1.q, p1, state.t + dt, winding),
+    return (HamiltonianState(mid, q1, p1, state.t + dt, winding),
             pt1, lam, ph, mu, f3, history, factorizations)
 
 
 def rattle_step(state: HamiltonianState, dt: float, tol: float = 1e-12,
                 max_iter: int = 50, lam_guess: np.ndarray | None = None):
-    """One RATTLE step.  Returns (new_state, lambda_1) so callers can warm
-    start the next step's multiplier; the Newton solve is _m3_newton's."""
+    """One RATTLE step, Newton on lambda_1 from lam_guess (0 if None).  Returns
+    (new_state, lambda_1) so callers can warm start the next step's multiplier."""
     new, _, lam = _rattle_step(state, _M3Point(state.q), dt, tol, max_iter, lam_guess)[:3]
     return new, lam
 
@@ -380,7 +383,7 @@ def _rattle_tangent(sim: SimulationResult, j: int, dt: float, dq0: np.ndarray,
     if d_apply_t0 is None:
         d_apply_t0 = _m3_jacobian_tangent(pt0, dq0)[1]
     if newton[j] is None:
-        newton[j] = _m3_newton(pt0, dt)[0](pt1, ph)
+        newton[j] = _m3_newton(pt0, dt)(pt1, ph)[1]
     eq0, ep0 = _energy_grad_tangents(pt0, ph, dq0, np.zeros_like(dq0))
     f1 = 0.5 * dt * (eq0 - d_apply_t0(lam)) - dp0
     # solve returns (dq, dph) with q1 + dq, ph - dph: here the tangent of
@@ -450,9 +453,8 @@ class SimulationResult:
     def _diagnosed(self) -> SimulationResult:
         """self with each kept point's energy and hidden-constraint
         residual, which simulate's shooting path leaves out."""
-        for j, pt in enumerate(self._points or ()):
-            st = HamiltonianState(self.metric_id, self.qs[j], self.ps[j])
-            self.energy[j], self.hidden_norm[j] = discrete_energy(st), _hidden_norm(pt, st.p)
+        for j, (pt, p) in enumerate(zip(self._points or (), self.ps)):
+            self.energy[j], self.hidden_norm[j] = _energy(pt, p), _hidden_norm(pt, p)
         return self
 
     def write_trajectory_csv(self, path) -> None:
@@ -477,7 +479,8 @@ def simulate(state: HamiltonianState, T: float, dt: float, *,
              _shooting: _M3Point | None = None) -> SimulationResult:
     """Integrate for round(T/dt) RATTLE steps with per-step diagnostics;
     dt must be positive, round(T/dt) at least 1 and the start on the
-    constraints (of its winding) to 1e-9, OffImage if not.
+    constraints (of its winding) to 1e-9, OffImage if not.  Step j's Newton
+    starts from 2 lambda_{j-1} - lambda_{j-2} (lambda_0 at step 1, 0 at 0).
 
     _shooting, the point of state.q, is the shooting solver's private
     path: the result keeps its tangent passes' tape, and leaves the energy
@@ -506,7 +509,7 @@ def simulate(state: HamiltonianState, T: float, dt: float, *,
         sim.qs[j], sim.ps[j] = st.q, st.p
         sim.constraint_norm[j] = float(np.max(np.abs(rows)))
         if _shooting is None:
-            sim.energy[j], sim.hidden_norm[j] = discrete_energy(st), _hidden_norm(pt, st.p)
+            sim.energy[j], sim.hidden_norm[j] = _energy(pt, st.p), _hidden_norm(pt, st.p)
         else:
             sim._points.append(pt)
 
@@ -516,7 +519,8 @@ def simulate(state: HamiltonianState, T: float, dt: float, *,
     for j in range(steps):
         try:
             cur, pt, sim._lam[j], sim._ph[j], sim._mu[j], rows, history, sim.factorizations[j] = \
-                _rattle_step(cur, pt, dt, lam_guess=sim._lam[j - 1] if j else None)
+                _rattle_step(cur, pt, dt, lam_guess=None if j == 0 else sim._lam[0] if j == 1
+                             else 2.0 * sim._lam[j - 1] - sim._lam[j - 2])
         except StepLeftDomain as exc:
             raise StepLeftDomain(
                 f"simulation left the domain at t={sim.times[j]:.6g}",

@@ -110,25 +110,20 @@ def g_apply(metric_id, q, h) -> np.ndarray:
     return _apply(metric_id, q, h, 1)
 
 
-def _pair(metric_id, q, v, k, power):
-    """g (power 1) or g^-1 (power -1) at q applied to v, paired with k, pointwise."""
-    gv, k = _apply(metric_id, q, v, power), np.asarray(k, dtype=float)
+def _paired(gv, k):
+    """gv . k pointwise, for gv = g v or g^-1 v already applied (_apply)."""
+    k = np.asarray(k, dtype=float)
     return float(gv @ k) if gv.ndim == 1 else np.einsum("ki,ki->k", gv, k)
 
 
 def g_eval(metric_id, q, h, k):
     """g_q(h, k) pointwise (scalar or per-sample array)."""
-    return _pair(metric_id, q, h, k, 1)
+    return _paired(_apply(metric_id, q, h, 1), k)
 
 
 def g_inv(metric_id, q, p) -> np.ndarray:
     """Raise an index: g_q^{-1}(p, .)."""
     return _apply(metric_id, q, p, -1)
-
-
-def g_inv_quad(metric_id, q, p):
-    """g_q^{-1}(p, p) pointwise."""
-    return _pair(metric_id, q, p, p, -1)
 
 
 # -- the singular integral F and its arclength sibling ----------------------

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,11 @@ from curveflow.errors import (BadInput, CurveflowError, NewtonDivergence, OffIma
                               RankDeficiency, SingularSystem, StepLeftDomain)
 
 
-def circle_state(n=64, amp=1.0, velocity="sin"):
+def circle_state(n=64, amp=1.0, velocity="sin", curve=None):
+    """A consistent M3 state on the circle, or on curve if given, with the
+    velocity field "sin" or "lobe" of criterion 7."""
     th = (2 * np.pi / n) * np.arange(n)
-    c = circle(n)
+    c = circle(n) if curve is None else curve
     q0 = ch.project_to_manifold(rt.r_forward("M3", c))
     if velocity == "sin":
         u0 = amp * np.stack([np.zeros(n), np.sin(th)], 1)
@@ -36,12 +40,12 @@ def d_ginvp_dq(q, p):
 
 
 def dense_m3_newton(pt0, dt):
-    """The reduced Newton solve of an M3 RATTLE step with dense per-sample
+    """The reduced Newton matrix of an M3 RATTLE step with dense per-sample
     3 x 3 blocks and the dense DH of m3_jacobian_rows: A^-1 and D^-1 by
-    batched solves, GW = G(q1) D^-1 C A^-1 (-dt/2) G(q0)^T and a dense
-    solve for the multipliers.  The reference for ch._m3_newton, with its
-    signature and return pair: factor(pt1, ph) -> solve(f1, f2, f3), the
-    points pt0, pt1 read only for their q."""
+    batched solves and GW = G(q1) D^-1 C A^-1 (-dt/2) G(q0)^T, solved
+    densely.  The reference for ch._m3_newton, with its signature and
+    return: factor(pt1, ph) -> (GW, solve(f1, f2, f3)), GW with a solve
+    method, the points pt0, pt1 read only for their q."""
     q0 = pt0.q
     n = q0.shape[0]
     half = 0.5 * dt * 2 * np.pi / n
@@ -50,56 +54,64 @@ def dense_m3_newton(pt0, dt):
     def ginv(q):
         return eye * pg.g_inv("M3", q, np.ones_like(q))[:, :, None]
     gi0 = ginv(q0)
-    jac0_t = m3_jacobian_rows(q0).reshape(n + 2, n, 3).transpose(1, 2, 0)
-    B = -0.5 * dt * jac0_t
+    B = -0.5 * dt * m3_jacobian_rows(q0).reshape(n + 2, n, 3).transpose(1, 2, 0)
 
     def factor(pt1, ph):
-        return lambda f1, f2, f3: solve(pt1.q, ph, f1, f2, f3)
-
-    def solve(q1, ph, f1, f2, f3):
         A = eye + half * d_ginvp_dq(q0, ph)
-        C = -half * (gi0 + ginv(q1))
-        D = eye - half * np.transpose(d_ginvp_dq(q1, ph), (0, 2, 1))
-        sol1 = np.linalg.solve(A, np.concatenate([f1[:, :, None], B], axis=2))
-        rhs2 = np.matmul(C, sol1)
-        rhs2[:, :, 0] -= f2
-        sol2 = np.linalg.solve(D, rhs2)
-        G = m3_jacobian_rows(q1)
-        dlam = np.linalg.solve(G @ sol2[:, :, 1:].reshape(3 * n, n + 2),
-                               -f3 - G @ sol2[:, :, 0].ravel())
-        return (sol2[:, :, 0] + sol2[:, :, 1:] @ dlam,
-                sol1[:, :, 0] + sol1[:, :, 1:] @ dlam, dlam)
+        C = -half * (gi0 + ginv(pt1.q))
+        D = eye - half * np.transpose(d_ginvp_dq(pt1.q, ph), (0, 2, 1))
+        G = m3_jacobian_rows(pt1.q)
+        sol1 = np.linalg.solve(A, B)
+        sol2 = np.linalg.solve(D, C @ sol1)
+        gw = G @ sol2.reshape(3 * n, n + 2)
 
-    return factor, lambda lam: jac0_t @ lam
+        def solve(f1, f2, f3):
+            s1 = np.linalg.solve(A, f1[:, :, None])
+            s2 = np.linalg.solve(D, C @ s1 - f2[:, :, None])[:, :, 0]
+            dlam = np.linalg.solve(gw, -f3 - G @ s2.ravel())
+            return s2 + sol2 @ dlam, s1[:, :, 0] + sol1 @ dlam, dlam
+        return SimpleNamespace(solve=lambda rhs: np.linalg.solve(gw, rhs)), solve
+
+    return factor
+
+
+def explicit_update(state, pt0, lam, dt):
+    """(ph, q1, the point of q1) with f1 = 0 and f2 = 0 of the RATTLE step
+    from state at lambda_1 = lam: ph's columns 2-3, then its column 1 (dE/dq
+    has only a q1 row, which reads ph's columns 2-3); q1's column 1 (g^-1's
+    first entry is constant), then its columns 2-3 from g^-1 at q1."""
+    q0, p0 = state.q, state.p
+    force = 0.5 * dt * pt0.jac.apply_t(lam)
+    ph = p0 + force
+    ph[:, 0] = p0[:, 0] - 0.5 * dt * ch._grad_q(pt0, ph)[:, 0] + force[:, 0]
+    q1 = q0.copy()
+    q1[:, 0] += dt * ch._grad_p(pt0, ph)[:, 0]
+    pt1 = rt._M3Point(q1.copy())
+    q1[:, 1:] += 0.5 * dt * (ch._grad_p(pt0, ph) + ch._grad_p(pt1, ph))[:, 1:]
+    return ph, q1, rt._M3Point(q1)
 
 
 def exact_newton_step(state, dt, tol=1e-12, max_iter=50, lam_guess=None):
-    """One RATTLE step by the exact Newton iteration, the reduced matrix
-    factored again at every iterate, ending with the step's own end
+    """One RATTLE step by the exact Newton iteration on H(q1(lambda_1)) =
+    0, GW factored again at every iterate, ending with the step's own end
     momentum: the reference for the simplified iteration of
     ch._rattle_step.  Returns (new_state, lambda_1); raises
-    NewtonDivergence with the residual history."""
-    mid, winding = state.metric_id, state.winding
-    q0, p0 = state.q, state.p
-    pt0 = rt._M3Point(q0)
-    ph, q1 = p0.copy(), q0 + dt * ch._grad_p(pt0, p0)
-    lam = np.zeros(q0.shape[0] + 2) if lam_guess is None else lam_guess.copy()
-    factor, jt0 = ch._m3_newton(pt0, dt)
+    NewtonDivergence with the history of sup |H|."""
+    pt0 = rt._M3Point(state.q)
+    lam = np.zeros(state.n_samples + 2) if lam_guess is None else lam_guess
+    factor = ch._m3_newton(pt0, dt)
     history = []
     for _ in range(max_iter):
-        pt1 = rt._M3Point(q1)
-        f1 = ph - p0 + 0.5 * dt * ch._grad_q(pt0, ph) - 0.5 * dt * jt0(lam)
-        f2 = q1 - q0 - 0.5 * dt * (ch._grad_p(pt0, ph) + ch._grad_p(pt1, ph))
-        f3 = rt.constraint_rows(mid, q1, winding)
-        history.append(max(np.abs(f1).max(), np.abs(f2).max(), np.abs(f3).max()))
+        ph, q1, pt1 = explicit_update(state, pt0, lam, dt)
+        f3 = rt.constraint_rows("M3", q1, state.winding)
+        history.append(np.abs(f3).max())
         if history[-1] < tol:
             break
-        dq, dph, dlam = factor(pt1, ph)(f1, f2, f3)
-        q1, ph, lam = q1 + dq, ph - dph, lam + dlam
+        lam = lam + factor(pt1, ph)[0].solve(-f3)
     else:
         raise NewtonDivergence("exact Newton reference did not converge", history)
     p1 = ch._tangent_momentum(pt1, ph - 0.5 * dt * ch._grad_q(pt1, ph))[0]
-    return ch.HamiltonianState(mid, q1, p1, state.t + dt, winding), lam
+    return ch.HamiltonianState("M3", q1, p1, state.t + dt, state.winding), lam
 
 
 def test_discrete_energy_values():
@@ -232,20 +244,47 @@ def step_with(newton, state, **kwargs):
 
 
 def test_m3_rattle_step_matches_dense():
-    # the banded, bordered Newton step against the dense reduced system.
-    # The closedness multipliers vanish on the circle by symmetry, so they
-    # are compared through the force DH(q0)^T lambda they exert.
+    # the banded, bordered Newton matrix against the dense reduced system:
+    # the same converged step, the same correction on every residual of the
+    # iteration, and the same full solve (f1, f2, f3) that the tangent pass
+    # makes at the converged point.  The closedness multipliers vanish on
+    # the circle by symmetry, so multipliers are compared through the force
+    # DH(q0)^T lambda they exert.  The forces of two separately iterated
+    # runs are compared per correction, not at their end: each run
+    # recomputes q1 from its lambda, an ulp that flips in q1 moves H by
+    # ~5e-14 at N = 400, and GW^-1 carries that into the end force at a few
+    # 1e-12 relative on the circle, a difference of rounding, not of GW
     rng = np.random.default_rng(19)
     for n in (64, 65, 400):
         st = circle_state(n)
         rp = ch.project_to_manifold(rt.r_forward("M3", wavy_curve(n, seed=2)))
         wavy = ch.project_consistent(rp, 0.3 * rng.standard_normal((n, 3)))
         for state in (st, wavy):
-            new, lam = ch.rattle_step(state, 1e-2)
+            pt0, jac = rt._M3Point(state.q), m3_jacobian_rows(state.q)
+            factor, dense = ch._m3_newton(pt0, 1e-2), dense_m3_newton(pt0, 1e-2)
+            pairs = []
+
+            def checked(pt0_, dt, pairs=pairs, factor=factor, dense=dense):
+                def factor_both(pt1, ph):
+                    (gw, solve), gw_ref = factor(pt1, ph), dense(pt1, ph)[0]
+
+                    def solve_both(rhs):
+                        dlam = gw.solve(rhs)
+                        pairs.append((jac.T @ dlam, jac.T @ gw_ref.solve(rhs)))
+                        return dlam
+                    return SimpleNamespace(solve=solve_both), solve
+                return factor_both
+            new, lam = step_with(checked, state)
             ref, lam_ref = step_with(dense_m3_newton, state)
-            jac = m3_jacobian_rows(state.q)
-            for a, b in ((new.q, ref.q), (new.p, ref.p), (lam[:n], lam_ref[:n]),
-                         (jac.T @ lam, jac.T @ lam_ref)):
+            assert pairs
+            for a, b in ((new.q, ref.q), (new.p, ref.p), (lam[:n], lam_ref[:n]), *pairs):
+                assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+            pt1, ph = rt._M3Point(new.q), ch._rattle_step(state, pt0, 1e-2)[3]
+            f = (rng.standard_normal((n, 3)), rng.standard_normal((n, 3)),
+                 rng.standard_normal(n + 2))
+            (dq, dph, dlam), (dq_ref, dph_ref, dlam_ref) = (
+                make(pt1, ph)[1](*f) for make in (factor, dense))
+            for a, b in ((dq, dq_ref), (dph, dph_ref), (jac.T @ dlam, jac.T @ dlam_ref)):
                 assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
         # the same Newton matrix: equal residuals after one iteration
         after_one = []
@@ -257,30 +296,35 @@ def test_m3_rattle_step_matches_dense():
 
 
 def test_m3_newton_matrix_is_exact():
-    # quadratic decay of the Newton residuals when the reduced matrix is
-    # factored at every iterate: it is the exact Jacobian of (f1, f2, f3),
-    # not an approximation of it.  The simplified iteration factors it at
-    # the first iterate, so its first step is that exact Newton step
+    # quadratic decay of the Newton residuals when GW is factored at every
+    # iterate: it is the exact derivative of H(q1(lambda_1)), not an
+    # approximation of it.  The simplified iteration factors it at the
+    # first iterate, so its first step is that exact Newton step.  The wavy
+    # starts take a random lambda_1 guess: from 0 their first residual is
+    # already near rounding (2e-8 at N = 400)
     rng = np.random.default_rng(23)
     for n in (64, 65, 400):
         rp = ch.project_to_manifold(rt.r_forward("M3", wavy_curve(n, seed=2)))
         wavy = ch.project_consistent(rp, 0.3 * rng.standard_normal((n, 3)))
-        for state in (circle_state(n), wavy):
+        for state, guess in ((circle_state(n), None),
+                             (wavy, 10.0 * rng.standard_normal(n + 2))):
             with pytest.raises(NewtonDivergence) as exc:
-                exact_newton_step(state, 1e-2, tol=0.0, max_iter=4)
+                exact_newton_step(state, 1e-2, tol=0.0, max_iter=4, lam_guess=guess)
             r0, r1, r2 = exc.value.residual_history[:3]
+            assert r0 > 1e-5
             assert r1 <= 10 * r0 ** 2
             assert r2 <= max(10 * r1 ** 2, 1e-13)
             with pytest.raises(NewtonDivergence) as exc:
-                ch.rattle_step(state, 1e-2, tol=0.0, max_iter=4)
+                ch.rattle_step(state, 1e-2, tol=0.0, max_iter=4, lam_guess=guess)
             assert exc.value.residual_history[:2] == pytest.approx([r0, r1], rel=1e-6)
 
 
 def test_simplified_newton_matches_exact_newton():
     # the simplified iteration converges to the exact Newton iteration's
-    # states; at dt = 1e-2 every step keeps its first factorization, and a
-    # step at a large dt, whose residual stops falling tenfold, factors the
-    # matrix again at the current iterate and still converges
+    # states; at dt = 1e-2 every step that iterates keeps its first
+    # factorization (a step whose extrapolated lambda_1 already meets tol
+    # makes none), and a step at a large dt, whose residual stops falling
+    # tenfold, factors GW again at the current iterate and still converges
     rng = np.random.default_rng(31)
     rp = ch.project_to_manifold(rt.r_forward("M3", wavy_curve(64, seed=2)))
     wavy = ch.project_consistent(rp, 0.3 * rng.standard_normal((64, 3)))
@@ -288,13 +332,66 @@ def test_simplified_newton_matches_exact_newton():
                                              (wavy, 1e-2, 6, 1),
                                              (circle_state(64, velocity="lobe"), 0.2, 1, 2)):
         sim = ch.simulate(state, steps * dt, dt)
-        assert np.all(sim.factorizations == factorizations)
+        iterated = sim.newton_iters > 0
+        assert np.all(sim.factorizations[iterated] == factorizations)
+        assert np.all(sim.factorizations[~iterated] == 0)
         assert np.all(sim.newton_residual < 1e-12)
         ref, lam = state, None
         for j in range(steps):
             ref, lam = exact_newton_step(ref, dt, lam_guess=lam)
             for a, b in ((sim.qs[j + 1], ref.q), (sim.ps[j + 1], ref.p)):
                 assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+
+def test_rattle_call_budget():
+    # the RATTLE step's call budget at N = 400, dt = 1e-2 on the circle and
+    # a wavy curve: the warm start 2 lambda_{j-1} - lambda_{j-2} leaves every
+    # step from the third on one Newton iteration and one factorization,
+    # and two CyclicFactor solves (GW and the hidden-constraint Gram)
+    wavy = wavy_curve(400, seed=2, amp=0.12)
+    for state in (circle_state(400), circle_state(400, curve=wavy)):
+        counts, step = [], ch._rattle_step
+        solve = rt.CyclicFactor.solve
+
+        def counted_solve(self, rhs):
+            counts[-1] += 1
+            return solve(self, rhs)
+
+        def counted_step(*args, **kwargs):
+            counts.append(0)
+            return step(*args, **kwargs)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rt.CyclicFactor, "solve", counted_solve)
+            mp.setattr(ch, "_rattle_step", counted_step)
+            sim = ch.simulate(state, 0.1, 1e-2)
+        assert len(counts) == 10
+        assert np.all(sim.newton_iters[2:] == 1)
+        assert np.all(sim.factorizations == 1)
+        assert max(counts[2:]) <= 2
+
+
+def test_full_residual_check_is_live(monkeypatch):
+    # the step solves f1 = 0 and f2 = 0 explicitly and iterates on H alone;
+    # f1 and f2 are then evaluated once, from their own formulas, and the
+    # whole residual must meet tol.  A mismatch of 1e-8 planted in dE/dp,
+    # which only f2 reads, is caught there and reported with the history
+    st = circle_state(64)
+    ch.rattle_step(st, 1e-2)
+    grad_p = ch._grad_p
+    monkeypatch.setattr(ch, "_grad_p", lambda pt, p: (1.0 + 1e-8) * grad_p(pt, p))
+    with pytest.raises(NewtonDivergence) as exc:
+        ch.rattle_step(st, 1e-2)
+    assert "in (f1, f2)" in str(exc.value)
+    assert len(exc.value.residual_history) >= 2 and exc.value.residual_history[-1] > 1e-12
+
+
+def test_simulate_energy_is_discrete_energy():
+    # simulate reads each snapshot's energy from the step's point, with the
+    # same result as discrete_energy of the snapshot, bit for bit
+    st = circle_state(64, velocity="lobe")
+    sim = ch.simulate(st, 0.05, 1e-2)
+    assert list(sim.energy) == [ch.discrete_energy(ch.HamiltonianState("M3", q, p))
+                                for q, p in zip(sim.qs, sim.ps)]
 
 
 def test_m3_simulate_makes_no_dense_solve(monkeypatch):
