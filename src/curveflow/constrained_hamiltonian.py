@@ -151,15 +151,21 @@ def _grad_q(pt: _M3Point, p: np.ndarray) -> np.ndarray:
     return 0.5 * out * pt.dth
 
 
-def _energy_grad_tangents(pt: _M3Point, p, dq, dp):
-    """The derivatives of _grad_q and _grad_p at (pt, p) along the columns
-    (dq, dp), each (n, 3, r), from the point's q1-derivatives dginv and
-    d2ginv of g^-1: q1 is the only part of q they depend on."""
-    ps, dx = p[:, :, None], dq[:, :1]
-    eq = np.zeros_like(dq)
-    eq[:, 0] = pt.dth * np.sum(0.5 * pt.d2ginv[:, :, None] * ps ** 2 * dx
-                               + pt.dginv[:, :, None] * ps * dp, axis=1)
-    return eq, pt.dth * (pt.ginv[:, :, None] * dp + pt.dginv[:, :, None] * ps * dx)
+def _grad_q_tangent(pt: _M3Point, p, dq, dp=None):
+    """The derivative of _grad_q at (pt, p) along the columns dq, and dp
+    if given, each (n, 3, r), from the point's q1-derivatives dginv and
+    d2ginv of g^-1: q1 is the only part of q it depends on."""
+    ps, eq = p[:, :, None], np.zeros_like(dq)
+    terms = 0.5 * pt.d2ginv[:, :, None] * ps ** 2 * dq[:, :1]
+    eq[:, 0] = pt.dth * np.sum(terms if dp is None else terms + pt.dginv[:, :, None] * ps * dp,
+                               axis=1)
+    return eq
+
+
+def _grad_p_tangent(pt: _M3Point, p, dq):
+    """The derivative of _grad_p at (pt, p) along the position columns dq
+    (n, 3, r); along momenta dp it is _grad_p of dp, linear in p."""
+    return pt.dth * (pt.dginv[:, :, None] * p[:, :, None] * dq[:, :1])
 
 
 # -- consistency --------------------------------------------------------------
@@ -243,7 +249,8 @@ def _m3_newton(pt0: _M3Point, dt: float):
     GW once (CyclicFactor) and returns (GW, solve): GW the derivative of
     H(q1(lambda_1)), solve(f1, f2, f3) -> (dq, dph, dlam) the full Newton
     solve, where f1, f2 are (n, 3) and f3
-    (n+2,), or (n, 3, r) and (n+2, r) for r right-hand sides at once."""
+    (n+2,), or (n, 3, r) and (n+2, r) for r right-hand sides at once; f3
+    may be a scalar, 0.0 for the tangent pass."""
     n = pt0.q.shape[0]
     dth = pt0.dth
     half = 0.5 * dt * dth
@@ -320,8 +327,10 @@ def _rattle_step(state: HamiltonianState, pt0: _M3Point, dt: float, tol: float =
     factor, jt0 = _m3_newton(pt0, dt), pt0.jac.apply_t
     gw, factorizations, history = None, 0, []
     for _ in range(max_iter):
-        ph = p0 + half * jt0(lam)
-        ph[:, 0] -= half * _grad_q(pt0, ph)[:, 0]      # reads ph's columns 2-3 only
+        force = jt0(lam)
+        ph = p0 + half * force
+        gq0 = _grad_q(pt0, ph)                          # reads ph's columns 2-3 only
+        ph[:, 0] -= half * gq0[:, 0]
         q1 = q0 + dt * pt0.dth * pt0.ginv * ph          # column 1: g^-1's entry is constant
         try:
             pt1 = _M3Point(q1)                          # its g^-1 reads column 1 only
@@ -345,7 +354,7 @@ def _rattle_step(state: HamiltonianState, pt0: _M3Point, dt: float, tol: float =
         raise NewtonDivergence(
             f"RATTLE Newton did not reach tol={tol:g} in {max_iter} iterations",
             history)
-    f1 = ph - p0 + half * _grad_q(pt0, ph) - half * jt0(lam)
+    f1 = ph - p0 + half * gq0 - half * force        # lam has not moved since ph
     f2 = q1 - q0 - half * (_grad_p(pt0, ph) + _grad_p(pt1, ph))
     history[-1] = max(np.max(np.abs(f1)), np.max(np.abs(f2)), history[-1])
     if not history[-1] < tol:
@@ -384,13 +393,11 @@ def _rattle_tangent(sim: SimulationResult, j: int, dt: float, dq0: np.ndarray,
         d_apply_t0 = _m3_jacobian_tangent(pt0, dq0)[1]
     if newton[j] is None:
         newton[j] = _m3_newton(pt0, dt)(pt1, ph)[1]
-    eq0, ep0 = _energy_grad_tangents(pt0, ph, dq0, np.zeros_like(dq0))
-    f1 = 0.5 * dt * (eq0 - d_apply_t0(lam)) - dp0
+    f1 = 0.5 * dt * (_grad_q_tangent(pt0, ph, dq0) - d_apply_t0(lam)) - dp0
     # solve returns (dq, dph) with q1 + dq, ph - dph: here the tangent of
-    # (q1, ph) is (dq, -dph)
-    dq1, du, _ = newton[j](f1, -dq0 - 0.5 * dt * ep0, np.zeros((len(lam),) + dq0.shape[2:]))
-    eq1, _ = _energy_grad_tangents(pt1, ph, dq1, -du)
-    dp1 = -du - 0.5 * dt * eq1
+    # (q1, ph) is (dq, -dph); H(q1) reads neither q0 nor p0, so f3 = 0
+    dq1, du, _ = newton[j](f1, -dq0 - 0.5 * dt * _grad_p_tangent(pt0, ph, dq0), 0.0)
+    dp1 = -du - 0.5 * dt * _grad_q_tangent(pt1, ph, dq1, -du)
     # with v = dp - dA^T mu, A g^-1 A^T dmu = A (g^-1 v + dg^-1 p1) + dA g^-1 p1
     # and dp1 = v - A^T dmu
     d_apply, d_apply_t = _m3_jacobian_tangent(pt1, dq1)

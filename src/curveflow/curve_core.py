@@ -138,14 +138,19 @@ def theta_derivative(values: np.ndarray, closed: bool, dtheta: float) -> np.ndar
     return out
 
 
+def _velocity(points: np.ndarray, closed: bool, dtheta: float):
+    """(c', |c'|) of points (N, 2) or a stack (N, 2, K): the one definition of the speed."""
+    cp = theta_derivative(points, closed, dtheta)
+    return cp, np.hypot(cp[:, 0], cp[:, 1])
+
+
 def build_frame(curve: DiscreteCurve) -> CurveFrame:
     """Compute the discrete frame of a curve.
 
     Raises DegenerateCurve if any sample has |c'| <= EPS_REG and
     TurningTooFast if the tangent turns by >= pi between samples.
     """
-    cp = theta_derivative(curve.points, curve.closed, curve.theta_step)
-    speed = np.hypot(cp[:, 0], cp[:, 1])
+    cp, speed = _velocity(curve.points, curve.closed, curve.theta_step)
     if np.any(speed <= EPS_REG):
         raise DegenerateCurve(
             f"discrete speed has min {speed.min():.3e} <= EPS_REG={EPS_REG:.1e}"
@@ -274,6 +279,19 @@ def centroid(curve: DiscreteCurve) -> np.ndarray:
 def center(curve: DiscreteCurve) -> DiscreteCurve:
     """Translate so that the arc-length centroid sits at the origin."""
     return curve.moved(np.eye(2), -centroid(curve))
+
+
+def _centered(points: np.ndarray, closed: bool) -> np.ndarray:
+    """The points of a stack (K, N, 2) of curves, each translated so that
+    its arc-length centroid sits at the origin, with no frame built: each
+    curve's sums are integrate_ds's and curve_length's, so the points are
+    center's, bit for bit."""
+    n = points.shape[1]
+    dth = 2.0 * np.pi / n if closed else 2.0 * np.pi / (n - 1)
+    speed = _velocity(points.transpose(1, 2, 0), closed, dth)[1].T
+    w = np.ascontiguousarray(trapezoid_weights(n, closed) * dth * speed)
+    centroids = np.einsum("jk,jki->ji", w, points) / np.sum(w, axis=1)[:, None]
+    return points - centroids[:, None]
 
 
 def section_rotation(curve: DiscreteCurve) -> np.ndarray:

@@ -11,8 +11,10 @@ Dispatch:
 Inputs are centered (the metrics ignore translations); M1/M2 inputs are
 additionally rotated onto the ds-mean-zero turning angle section.  Each
 step of these pipelines has one definition here: the move onto the section
-(`_on_section`), the reconstruction of snapshots (`_curves`), the L2 norm
-on the theta grid (`_l2`), the consistent M3 initial momentum
+(`_on_section`), the reconstruction of snapshots (`_curves`, one stacked
+pass over a path's transforms, M3's centered from the stacked speed; a path
+curve builds its frame on first read), the L2 norm on the theta grid
+(`_l2`), the consistent M3 initial momentum
 (`_consistent_momentum`), the M3 vertical pairing (`_vertical_pairing`) and
 the vertical fields zeta c' (`_vertical_field`), on stacks of columns, so
 a few apply_L calls give every probe.  The M3 shooting velocity is the raw
@@ -37,6 +39,7 @@ from .constrained_hamiltonian import (
 )
 from .curve_core import (
     DiscreteCurve,
+    _centered,
     _check_samples,
     _dot,
     center,
@@ -64,10 +67,10 @@ from .rtransform import (
     CyclicFactor,
     RPoint,
     _forward_diff,
+    _inverse_points,
     dr,
     project_image,
     r_forward,
-    r_inverse,
     weighted_inner,
 )
 
@@ -134,9 +137,15 @@ def _on_section(metric_id: MetricId, c0: DiscreteCurve, u0=None):
     return q0, dr(metric_id, c0, u0 @ rot.T)
 
 
-def _curves(metric_id: MetricId, qs, closed: bool, winding=None) -> list:
-    """The curves reconstructed from the transform snapshots qs."""
-    return [r_inverse(RPoint(metric_id, q, closed, winding)) for q in qs]
+def _curves(metric_id: MetricId, qs, closed: bool) -> list:
+    """The curves reconstructed from the transform snapshots qs (K, N, d)
+    in one stacked pass, M3's centered like its inputs.  No curve carries a
+    frame: a reader builds it on first use."""
+    pts = np.ascontiguousarray(
+        np.moveaxis(_inverse_points(metric_id, np.moveaxis(qs, 0, -1), closed), -1, 0))
+    if metric_id is MetricId.M3:
+        pts = _centered(pts, closed)
+    return [DiscreteCurve(p, closed) for p in pts]
 
 
 def _l2(values, closed: bool) -> float:
@@ -408,8 +417,7 @@ def _path_from_simulation(sim: SimulationResult, steps: int, K: int) -> Geodesic
     steps spread evenly over 0..steps (fewer if K > steps + 1)."""
     idx = np.unique(np.round(np.linspace(0, steps, K)).astype(int))
     idx = idx[idx < sim.qs.shape[0]]
-    curves = [center(c) for c in _curves(MetricId.M3, sim.qs[idx], True, sim.winding)]
-    return GeodesicPath(MetricId.M3, sim.times[idx], curves,
+    return GeodesicPath(MetricId.M3, sim.times[idx], _curves(MetricId.M3, sim.qs[idx], True),
                         {"rspace": sim.qs[idx], "energy": sim.energy[idx],
                          "constraint_norm": sim.constraint_norm[idx],
                          "hidden_norm": sim.hidden_norm[idx],

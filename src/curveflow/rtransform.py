@@ -107,11 +107,11 @@ class ConstraintValue:
     h_cl: np.ndarray
 
 
-def check_pattern(rpoint: RPoint) -> None:
-    q = rpoint.q
+def check_pattern(metric_id: MetricId, q: np.ndarray) -> None:
+    """NonPositive unless q1 > 0 (and q2 > 0 for M1) in q (N, d) or a stack (N, d, K)."""
     if np.any(q[:, 0] <= 0.0):
         raise NonPositive("q1 must be positive everywhere")
-    if rpoint.metric_id is MetricId.M1 and np.any(q[:, 1] <= 0.0):
+    if metric_id is MetricId.M1 and np.any(q[:, 1] <= 0.0):
         raise NonPositive("M1 requires q2 > 0 (convexity)")
 
 
@@ -142,41 +142,44 @@ def _cumulative_trapezoid(y: np.ndarray, dx: float) -> np.ndarray:
     return np.concatenate([np.zeros_like(y[:1]), np.cumsum(dx * (y[1:] + y[:-1]) / 2.0, axis=0)])
 
 
-def _alpha_of(rpoint: RPoint) -> np.ndarray:
-    """The turning angle encoded by an RPoint (cumulative for M1/M2)."""
-    q = rpoint.q
-    dth = rpoint.theta_step
-    mid = rpoint.metric_id
-    if mid is MetricId.M1:
+def _alpha_of(metric_id: MetricId, q: np.ndarray, dth: float) -> np.ndarray:
+    """The turning angle encoded by q (N, d) or by each transform of a stack
+    q (N, d, K) (cumulative for M1/M2)."""
+    if metric_id is MetricId.M1:
         return _cumulative_trapezoid(2.0 ** -6 * q[:, 0] ** -2 * q[:, 1] ** 4, dth)
-    if mid is MetricId.M2:
+    if metric_id is MetricId.M2:
         return _cumulative_trapezoid(q[:, 1] * q[:, 0] ** -2, dth)
     return q[:, 1]
 
 
-def _speed_of(rpoint: RPoint) -> np.ndarray:
-    """|c'| encoded by an RPoint (includes the M1 inversion constant)."""
-    q1 = rpoint.q[:, 0]
-    if rpoint.metric_id is MetricId.M1:
-        return 2.0 ** -2 * q1 ** 2
-    return q1 ** 2
+def _inverse_points(metric_id: MetricId, q: np.ndarray, closed: bool) -> np.ndarray:
+    """The points (N, 2) of the curve r_inverse reconstructs from q (N, d),
+    or the stack (N, 2, K) of those of a samples-first stack q (N, d, K) in
+    one pass, each transform's bit for bit.  The whole stack must be finite
+    (BadInput) and pass check_pattern."""
+    if not np.all(np.isfinite(q)):
+        raise BadInput(f"q must be a finite (N, {metric_id.fiber_dim}) array for {metric_id.value}")
+    check_pattern(metric_id, q)
+    dth = 2.0 * np.pi / q.shape[0] if closed else 2.0 * np.pi / (q.shape[0] - 1)
+    alpha, speed = _alpha_of(metric_id, q, dth), q[:, 0] ** 2      # 4 |c'| for M1
+    if metric_id is MetricId.M1:
+        speed = 2.0 ** -2 * speed
+    integrand = speed[:, None] * np.stack([np.cos(alpha), np.sin(alpha)], axis=1)
+    return _cumulative_trapezoid(integrand, dth)
 
 
 def r_inverse(metric_id, rpoint: RPoint | None = None) -> DiscreteCurve:
     """Reconstruct the curve (translation representative starting at the
-    origin) by cumulative trapezoid integration of |c'| exp(i alpha)."""
+    origin) by cumulative trapezoid integration of |c'| exp(i alpha).  Its
+    arithmetic is _inverse_points', which rebuilds a whole stack of
+    transforms (a geodesic's snapshots) in one pass with the same bits."""
     if rpoint is None:
         rpoint = metric_id
     elif MetricId.parse(metric_id) is not rpoint.metric_id:
         raise CurveflowError(f"metric {MetricId.parse(metric_id).value} does not "
                              f"match the {rpoint.metric_id.value} transform")
-    check_pattern(rpoint)
-    speed = _speed_of(rpoint)
-    alpha = _alpha_of(rpoint)
-    dth = rpoint.theta_step
-    integrand = speed[:, None] * np.stack([np.cos(alpha), np.sin(alpha)], axis=1)
-    pts = _cumulative_trapezoid(integrand, dth)
-    return DiscreteCurve(pts, rpoint.closed)
+    return DiscreteCurve(_inverse_points(rpoint.metric_id, rpoint.q, rpoint.closed),
+                         rpoint.closed)
 
 
 def dr(metric_id, curve: DiscreteCurve, h) -> np.ndarray:
@@ -248,10 +251,11 @@ def _closure_coeffs(q1: np.ndarray, angle: np.ndarray, dth: float) -> np.ndarray
     """gc[i, j, k]: d(closedness row i)/d(q1, angle)_j at sample k, for the
     rows sum_k q1^2 (cos angle, sin angle) dtheta."""
     gc = np.empty((2, 2, q1.shape[0]))
-    gc[0, 0] = 2.0 * q1 * np.cos(angle) * dth
-    gc[0, 1] = -q1 ** 2 * np.sin(angle) * dth
-    gc[1, 0] = 2.0 * q1 * np.sin(angle) * dth
-    gc[1, 1] = q1 ** 2 * np.cos(angle) * dth
+    c, s = np.cos(angle), np.sin(angle)
+    gc[0, 0] = 2.0 * q1 * c * dth
+    gc[0, 1] = -q1 ** 2 * s * dth
+    gc[1, 0] = 2.0 * q1 * s * dth
+    gc[1, 1] = q1 ** 2 * c * dth
     return gc
 
 
@@ -363,13 +367,13 @@ def constraints(rpoint: RPoint) -> ConstraintValue:
     (q2^{k+1} - q2^k)/dtheta with w = q1^-2 q3; for M4 it is the stacked
     forward-difference pair (q3 - 2 q1^-1 q1', q4 - q1^2 q2').
     """
-    check_pattern(rpoint)
     q = rpoint.q
     dth = rpoint.theta_step
     mid = rpoint.metric_id
+    check_pattern(mid, q)
     tau = trapezoid_weights(rpoint.n_samples, rpoint.closed)
     scale = 2.0 ** -2 if mid is MetricId.M1 else 1.0
-    h_cl = scale * _closedness(tau * q[:, 0] ** 2, _alpha_of(rpoint), dth)
+    h_cl = scale * _closedness(tau * q[:, 0] ** 2, _alpha_of(mid, q, dth), dth)
     diff = _DIFF_ROWS.get(mid)
     h_diff = None if diff is None else diff(q, dth, rpoint.closed,
                                             2.0 * np.pi * _winding_of(rpoint))
@@ -415,15 +419,15 @@ def constraint_gradients(rpoint: RPoint) -> list[np.ndarray]:
     grids they agree with the continuum formulas to quadrature order, and
     for M3 exactly.
     """
-    check_pattern(rpoint)
     q = rpoint.q
     mid = rpoint.metric_id
     dth = rpoint.theta_step
+    check_pattern(mid, q)
     tau = trapezoid_weights(rpoint.n_samples, rpoint.closed)
     scale = 2.0 ** -2 if mid is MetricId.M1 else 1.0
     q1 = q[:, 0]
     # d(closedness row i)/d(q1, alpha) per sample
-    gc = scale * tau * _closure_coeffs(q1, _alpha_of(rpoint), dth)
+    gc = scale * tau * _closure_coeffs(q1, _alpha_of(mid, q, dth), dth)
     grads = []
     for dq1, dalpha in gc:
         e = np.zeros_like(q)

@@ -148,7 +148,7 @@ def test_energy_gradients_fd():
 
 def test_point_algebra_matches_references():
     # at an on-image point, the derivatives built from the M3 point's g^-1
-    # derivatives (_energy_grad_tangents, _m3_jacobian_tangent) match
+    # derivatives (_grad_q_tangent, _grad_p_tangent, _m3_jacobian_tangent) match
     # central differences of _grad_q, _grad_p, DH . k and DH^T . lam along
     # random (dq, dp)
     rng = np.random.default_rng(37)
@@ -158,7 +158,8 @@ def test_point_algebra_matches_references():
     p = rng.standard_normal((n, 3))
     dq, dp = rng.standard_normal((2, n, 3, 3))
     k, lam = rng.standard_normal((n, 3)), rng.standard_normal(n + 2)
-    eq, ep = ch._energy_grad_tangents(pt, p, dq, dp)
+    eq = ch._grad_q_tangent(pt, p, dq, dp)
+    ep = ch._grad_p_tangent(pt, p, dq) + pt.dth * pt.ginv[..., None] * dp
     d_apply, d_apply_t = rt._m3_jacobian_tangent(pt, dq)
     dk, dlam = d_apply(k), d_apply_t(lam)
     eps = 1e-6

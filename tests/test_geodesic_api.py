@@ -12,8 +12,8 @@ from curveflow import geodesic_api as ga
 from curveflow import metric_suite as ms
 from curveflow import pointwise_geometry as pg
 from curveflow import rtransform as rt
-from curveflow.errors import (BadInput, CurveflowError, DomainExit, ShootingStall,
-                              SingularVerticalOperator, StepLeftDomain)
+from curveflow.errors import (BadInput, CurveflowError, DomainExit, NonPositive,
+                              ShootingStall, SingularVerticalOperator, StepLeftDomain)
 from curveflow.validation import circle_ivp_errors
 
 
@@ -762,6 +762,11 @@ def test_each_curve_is_framed_once(monkeypatch):
     path = ga.geodesic_ivp("M3", c, u, 0.2, steps=20, snapshots=5)
     ms.geodesic_residual("M3", path)
     ga.shape_geodesic(c, u, 0.2, steps=20, snapshots=5)
+    # path curves build their frame on first read, so a solve's builds do
+    # not grow with its snapshot count
+    for solve in (lambda k: ga.geodesic_ivp("M3", c, u, 0.2, steps=32, snapshots=k),
+                  lambda k: ga.geodesic_bvp("M2", *arcs, K=k)):
+        assert builds(lambda: solve(3)) == builds(lambda: solve(33))
     pg.sectional_curvature_m2(arcs[0], smooth_field(64, seed=1, closed=False),
                               smooth_field(64, seed=2, closed=False))
     ids = [id(curve) for curve in framed]
@@ -769,6 +774,34 @@ def test_each_curve_is_framed_once(monkeypatch):
     assert c.frame is c.frame
     twin = c.with_points(c.points)
     assert builds(lambda: twin.frame) == 1 and twin.frame is not c.frame
+
+
+@pytest.mark.parametrize("mid, n", [("M1", 64), ("M2", 65), ("M3", 64), ("M3", 129)])
+def test_snapshot_stack_matches_each_snapshot(mid, n):
+    # one stacked pass gives each snapshot r_inverse's points, bit for bit,
+    # and for M3 center's; the curves carry no frame yet
+    mid, closed = ms.MetricId.parse(mid), mid == "M3"
+    arcs = ([convex_arc(n, seed=s) for s in (3, 4, 5)] if mid is ms.MetricId.M1
+            else [wavy_curve(n, seed=s, closed=closed) for s in (3, 4, 5)])
+    qs = np.stack([rt.r_forward(mid, a).q for a in arcs])
+    stack = rt._inverse_points(mid, np.moveaxis(qs, 0, -1), closed)
+    for j, curve in enumerate(ga._curves(mid, qs, closed)):
+        each = rt.r_inverse(rt.RPoint(mid, qs[j], closed))
+        assert np.array_equal(stack[..., j], each.points)
+        assert np.array_equal(curve.points, (cc.center(each) if closed else each).points)
+        assert "frame" not in curve.__dict__
+
+
+def test_snapshot_stack_is_checked_whole():
+    qs = np.stack([rt.r_forward("M1", convex_arc(64, seed=s)).q for s in (3, 4, 5)])
+    for j, col, value, error, words in ((1, 0, 0.0, NonPositive, "q1 must be positive"),
+                                        (2, 0, -1.0, NonPositive, "q1 must be positive"),
+                                        (1, 1, -0.5, NonPositive, "M1 requires q2 > 0"),
+                                        (2, 1, np.nan, BadInput, "q must be a finite")):
+        bad = qs.copy()
+        bad[j, 7, col] = value
+        with pytest.raises(error, match=words):
+            ga._curves(ms.MetricId.M1, bad, False)
 
 
 def test_horizontal_project_examples():

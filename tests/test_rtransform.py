@@ -225,7 +225,7 @@ def test_m2_gradient_open_endpoint():
         c = rotation_representative(wavy_curve(n, seed=5, closed=False))
         q = rt.r_forward("M2", c)
         g1 = rt.constraint_gradients(q)[0]
-        alpha = rt._alpha_of(q)
+        alpha = rt._alpha_of(q.metric_id, q.q, q.theta_step)
         vals.append(abs(g1[-1, 1]))
         assert abs(g1[-1, 0] - 0.5 * q.q[-1, 0] * np.cos(alpha[-1])) < 0.1
     assert vals[1] < 0.7 * vals[0]  # O(dtheta) endpoint decay
