@@ -475,12 +475,6 @@ class SimulationResult:
         np.savetxt(path, np.asarray(rows), delimiter=",", header=header,
                    comments="")
 
-    def write_diagnostics_csv(self, path) -> None:
-        data = np.stack([self.times, self.energy, self.constraint_norm,
-                         self.hidden_norm], axis=1)
-        np.savetxt(path, data, delimiter=",",
-                   header="t,E,Hinf,hiddenNorm", comments="")
-
 
 def simulate(state: HamiltonianState, T: float, dt: float, *,
              _shooting: _M3Point | None = None) -> SimulationResult:

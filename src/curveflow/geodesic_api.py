@@ -322,6 +322,12 @@ def _shooting_maps(q0: RPoint, target: RPoint, T: float, steps: int):
     return residual, jacobian
 
 
+def _gauss_newton_floor(J, r) -> float:
+    """|r + J s| for the undamped Gauss-Newton step s = lstsq(J, -r): the
+    least residual any step along J's columns reaches to first order."""
+    return float(np.linalg.norm(r + J @ np.linalg.lstsq(J, -r, rcond=None)[0]))
+
+
 # tol is relative to the transform-space distance of the endpoints
 _SHOOTING_DEFAULTS = {"dt": 1e-2, "modes": 10, "tol": 1e-4, "max_iter": 40}
 
@@ -338,15 +344,19 @@ def _bvp_shooting(c0, c1, K, T, dt, modes, tol, max_iter) -> GeodesicPath:
     simulate call per residual.  A trial step whose simulation leaves the
     domain or whose Newton solve fails is rejected like one that does not
     decrease the residual, so the current iterate is always the best one.
-    On a stall, while another iteration remains, the mode count grows by 4,
-    up to 24 and below N/2 (more modes alias on N samples), and the solve
-    goes on from the same residual and trajectory: xi gets zero rows, the
-    same velocity, and the Jacobian appends the new functions' columns from
-    one pass over that trajectory, on the factorizations its first pass
-    made.  A stall at the top mode count, like running out of iterations,
-    ends the solve, and a path that misses the tolerance is raised in a
+    While another iteration remains, the mode count grows by 4, up to 24 and
+    below N/2 (more modes alias on N samples), on a stall or, with no trial
+    simulate, as soon as the basis is at its floor: no step in it can halve
+    the residual to first order (_gauss_newton_floor).  The solve goes on
+    from the same residual and trajectory: xi gets zero rows, the same
+    velocity, and the Jacobian appends the new functions' columns from one
+    pass over that trajectory, on the factorizations its first pass made.
+    A stall at the top mode count, like running out of iterations, ends
+    the solve, and a path that misses the tolerance is raised in a
     ShootingStall.  The path's "length" is the transform-space length of
-    the simulation, a chord per RATTLE step.
+    the simulation, a chord per RATTLE step; its trace["lm"] holds a record
+    per iteration: lam, residual, modes, floor, trials (simulate calls) and
+    the action: "step", "grow", or "reject", which ends the solve.
     """
     for name, value in (("dt", dt), ("tol", tol)):
         _require(np.isfinite(value) and value > 0,
@@ -365,7 +375,7 @@ def _bvp_shooting(c0, c1, K, T, dt, modes, tol, max_iter) -> GeodesicPath:
     r, sim = residual(xi, basis)
     rn = np.linalg.norm(r)
     J = np.empty((r.size, 0))
-    lam = 1e-3
+    lam, lm = 1e-3, []
     for it in range(max_iter):
         if rn <= tol * scale:
             break
@@ -377,13 +387,17 @@ def _bvp_shooting(c0, c1, K, T, dt, modes, tol, max_iter) -> GeodesicPath:
         jtj = J.T @ J
         jtr = J.T @ r
         diag = np.diag(np.maximum(np.diag(jtj), 1e-14))
+        floor = _gauss_newton_floor(J, r)
+        can_grow = modes < top and it + 1 < max_iter
+        lm.append({"lam": lam, "residual": rn, "modes": modes, "floor": floor, "trials": 0})
         improved = False
-        for _ in range(12):
+        for _ in range(0 if can_grow and floor > 0.5 * rn else 12):
             step = np.linalg.solve(jtj + lam * diag, -jtr)
             # a model decrease at rounding level cannot buy a real one
             if rn ** 2 - np.linalg.norm(r + J @ step) ** 2 <= 1e-6 * rn ** 2:
                 break
             trial = xi + step.reshape(xi.shape)
+            lm[-1]["trials"] += 1
             try:
                 rc, simc = residual(trial, basis)
             except (StepLeftDomain, NewtonDivergence):   # a failed trial is rejected
@@ -396,8 +410,9 @@ def _bvp_shooting(c0, c1, K, T, dt, modes, tol, max_iter) -> GeodesicPath:
             lam *= 10.0
             if lam > 1e8:      # quadratic model exhausted: basis floor reached
                 break
+        lm[-1]["action"] = "step" if improved else "grow" if can_grow else "reject"
         if not improved:
-            if modes >= top or it + 1 == max_iter:
+            if not can_grow:
                 break
             modes = min(top, modes + 4)
             basis = _fourier_basis(q0.n_samples, modes)
@@ -405,7 +420,7 @@ def _bvp_shooting(c0, c1, K, T, dt, modes, tol, max_iter) -> GeodesicPath:
             lam = 1e-3
     path = _path_from_simulation(sim._diagnosed(), len(sim.times) - 1, K)
     path.diagnostics.update(endpoint_mismatch=rn, mismatch_scale=scale, modes=modes,
-                            length=_rspace_length(sim.qs))
+                            length=_rspace_length(sim.qs), trace={"lm": lm})
     if rn > tol * scale:
         raise ShootingStall("shooting did not reach tolerance",
                             best_path=path, residual=rn)

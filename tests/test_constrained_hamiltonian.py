@@ -6,6 +6,7 @@ import pytest
 from conftest import circle, m3_jacobian_rows, wavy_curve
 from curveflow import constrained_hamiltonian as ch
 from curveflow import curve_core as cc
+from curveflow import geodesic_api as ga
 from curveflow import metric_suite as ms
 from curveflow import pointwise_geometry as pg
 from curveflow import rtransform as rt
@@ -758,18 +759,25 @@ def test_projection_failures_keep_named_errors(monkeypatch, error):
 
 
 def test_csv_exports(tmp_path):
+    # the trajectory CSV of a simulation, and the diagnostics CSV that the
+    # export of a path built from it writes, a row per snapshot
     st = circle_state(32)
     res = ch.simulate(st, 0.05, 1e-2)
     tpath = tmp_path / "traj.csv"
-    dpath = tmp_path / "diag.csv"
     res.write_trajectory_csv(tpath)
-    res.write_diagnostics_csv(dpath)
     traj = np.loadtxt(tpath, delimiter=",", skiprows=1)
     assert traj.shape == (6 * 32, 2 + 6)
-    diag = np.loadtxt(dpath, delimiter=",", skiprows=1)
-    assert diag.shape == (6, 4)
     header = tpath.read_text().splitlines()[0]
     assert header == "t,k,q1,q2,q3,p1,p2,p3"
+    ga._path_from_simulation(res, 5, 6).export(tmp_path / "path")
+    dpath = tmp_path / "path" / "diagnostics.csv"
+    columns = dpath.read_text().splitlines()[0].split(",")
+    diag = np.loadtxt(dpath, delimiter=",", skiprows=1)
+    assert diag.shape == (6, len(columns))
+    for name, values in (("t", res.times), ("energy", res.energy),
+                         ("constraint_norm", res.constraint_norm),
+                         ("hidden_norm", res.hidden_norm)):
+        assert np.array_equal(diag[:, columns.index(name)], values)
 
 
 def test_long_horizon_energy_no_secular_drift():

@@ -263,7 +263,9 @@ def test_m3_ivp_domain_exit_carries_path():
 def test_m3_bvp_steps_keep_one_factorization(monkeypatch):
     # on the small boundary solve of the benchmark (N = 64) every RATTLE
     # step of every simulation converges on the Newton matrix factored at
-    # its first iterate: one factorization, no refresh
+    # its first iterate: one factorization, no refresh.  The solve makes 3
+    # simulations: the start and two accepted steps, the basis growing at
+    # its Gauss-Newton floor in between with no trial
     n = 64
     th = (2 * np.pi / n) * np.arange(n)
     c1 = cc.DiscreteCurve(np.stack([1.15 * np.cos(th), 0.87 * np.sin(th)], 1), True)
@@ -275,7 +277,7 @@ def test_m3_bvp_steps_keep_one_factorization(monkeypatch):
     monkeypatch.setattr(ga, "simulate", kept)
     ga.geodesic_bvp("M3", circle(n), c1, K=21, T=1.0, dt=0.05, modes=4, tol=5e-3,
                     max_iter=25)
-    assert len(sims) == 4
+    assert len(sims) == 3
     for sim in sims:
         assert np.all(sim.factorizations == 1)
         assert np.all(sim.newton_residual < 1e-12)
@@ -315,6 +317,11 @@ def test_shooting_stall_carries_best_path():
     assert path.diagnostics["mismatch_scale"] > 0.0
     assert path.diagnostics["modes"] == 2
     assert np.abs(path.curves[0].points - cc.center(c0).points).max() < 1e-2
+    # and it carries the Levenberg-Marquardt log of its one iteration, a
+    # step from the start's residual to the best one
+    [record] = path.diagnostics["trace"]["lm"]
+    assert (record["modes"], record["trials"], record["action"]) == (2, 1, "step")
+    assert record["residual"] > exc.value.residual
 
 
 @pytest.mark.parametrize("n", [32, 33])
@@ -349,18 +356,23 @@ def test_grown_basis_appends_jacobian_columns():
     assert np.linalg.norm(grown - whole) <= 1e-12 * np.linalg.norm(whole)
 
 
+def far_target(n, amp):
+    th = (2 * np.pi / n) * np.arange(n)
+    r = 1.0 + amp * np.cos(5 * th)
+    return cc.DiscreteCurve(np.stack([r * np.cos(th), r * np.sin(th)], 1), True)
+
+
 @pytest.mark.parametrize("amp, dt, max_iter", [(None, 0.05, 25), (0.2, 0.1, 15)])
 def test_shooting_returns_smallest_residual(monkeypatch, amp, dt, max_iter):
     # the returned mismatch is the smallest residual the solve evaluated,
     # also where trial steps were rejected and the solve stalls (the second
-    # pair, as in test_failed_trial_step_is_rejected)
+    # pair, a far target)
     n = 32
     th = (2 * np.pi / n) * np.arange(n)
     if amp is None:
-        points = np.stack([1.15 * np.cos(th), 0.87 * np.sin(th)], 1)
+        c1 = cc.DiscreteCurve(np.stack([1.15 * np.cos(th), 0.87 * np.sin(th)], 1), True)
     else:
-        points = (1.0 + amp * np.cos(5 * th))[:, None] * np.stack([np.cos(th), np.sin(th)], 1)
-    c1 = cc.DiscreteCurve(points, True)
+        c1 = far_target(n, amp)
     norms, maps = [], ga._shooting_maps
 
     def recorded(*args):
@@ -428,7 +440,8 @@ def test_shooting_tangent_passes_make_no_newton_iteration(monkeypatch):
     # twice and none in a tangent pass, whose Newton factors are the only
     # ones it makes; the pass after the basis grows from 4 to 8 modes runs
     # over the same simulation, carries only the 16 new columns and
-    # factors nothing
+    # factors nothing.  3 passes over 3 simulations: two full ones and
+    # that growth pass
     n = 32
     th = (2 * np.pi / n) * np.arange(n)
     c1 = cc.DiscreteCurve(np.stack([1.15 * np.cos(th), 0.87 * np.sin(th)], 1), True)
@@ -469,9 +482,9 @@ def test_shooting_tangent_passes_make_no_newton_iteration(monkeypatch):
     monkeypatch.setattr(rt.M3Jacobian, "__init__", counted_jacobian)
     ga.geodesic_bvp("M3", circle(n), c1, K=5, T=1.0, dt=0.05, modes=4, tol=5e-3,
                     max_iter=25)
-    assert calls["passes"] == 4
+    assert calls["passes"] == 3
     assert calls["inside"] == 0
-    assert calls["steps"] == 4 * 20       # 4 simulate calls of 20 steps
+    assert calls["steps"] == 3 * 20       # 3 simulate calls of 20 steps
     assert len(points) == len(set(points))
     grams = [key for key in made if key[0] == "gram"]
     assert grams and len(grams) == len(set(grams))
@@ -508,11 +521,10 @@ def test_ivp_simulation_keeps_no_step_factors(monkeypatch):
 
 def test_failed_trial_step_is_rejected(monkeypatch):
     # a Levenberg-Marquardt trial whose simulation leaves the domain is a
-    # rejected step, not the end of the solve: the best path survives
+    # rejected step, not the end of the solve: the best path survives.  On
+    # this far target 3 trials leave the domain, once the basis has grown
     n = 32
-    th = (2 * np.pi / n) * np.arange(n)
-    r = 1.0 + 0.2 * np.cos(5 * th)
-    c1 = cc.DiscreteCurve(np.stack([r * np.cos(th), r * np.sin(th)], 1), True)
+    c1 = far_target(n, 0.25)
     left = []
     simulate = ga.simulate
 
@@ -531,6 +543,59 @@ def test_failed_trial_step_is_rejected(monkeypatch):
         assert exc.residual == path.diagnostics["endpoint_mismatch"]
     assert left
     assert np.abs(path.curves[0].points - cc.center(circle(n)).points).max() < 1e-2
+
+
+def test_spent_basis_grows_with_no_trial():
+    # 4 modes cannot represent this far target: at once the Gauss-Newton
+    # model shows that no step can halve the residual, and the basis grows
+    # with no trial simulate, up to its top of 15 modes at N = 32.  The
+    # solve then ends near the tolerance (5.7e-3 relative) where a basis
+    # that grew only on a stalled step crawled at 4 modes to 0.81
+    n = 32
+    try:
+        path = ga.geodesic_bvp("M3", circle(n), far_target(n, 0.15), K=5, T=1.0, dt=0.1,
+                               modes=4, tol=5e-3, max_iter=15)
+    except ShootingStall as exc:
+        path = exc.best_path
+    lm = path.diagnostics["trace"]["lm"]
+    assert path.diagnostics["modes"] > 4
+    assert path.diagnostics["endpoint_mismatch"] < 0.1 * path.diagnostics["mismatch_scale"]
+    assert (lm[0]["modes"], lm[0]["trials"], lm[0]["action"]) == (4, 0, "grow")
+    for record in lm[:-1]:
+        if record["floor"] > 0.5 * record["residual"] and record["modes"] < 15:
+            assert (record["trials"], record["action"]) == (0, "grow")
+
+
+def test_basis_at_its_top_keeps_its_trials():
+    # at the top mode count (7 at N = 16) the basis cannot grow, so a floor
+    # above half the residual leaves the Levenberg-Marquardt trials to run
+    n = 16
+    th = (2 * np.pi / n) * np.arange(n)
+    c1 = cc.DiscreteCurve(np.stack([1.15 * np.cos(th), 0.87 * np.sin(th)], 1), True)
+    with pytest.raises(ShootingStall) as exc:
+        ga.geodesic_bvp("M3", circle(n), c1, K=5, T=1.0, dt=0.05, modes=7, tol=1e-12,
+                        max_iter=6)
+    lm = exc.value.best_path.diagnostics["trace"]["lm"]
+    assert all(record["modes"] == 7 and record["action"] != "grow" for record in lm)
+    assert any(record["floor"] > 0.5 * record["residual"] and record["trials"] > 0
+               for record in lm)
+
+
+def test_solve_off_its_floor_keeps_its_path(monkeypatch):
+    # circle -> (1.15, 0.87) at N = 64 with the default settings reaches no
+    # floor: two steps at 10 modes, and the path of the same solve with the
+    # floor test switched off, bit for bit
+    n = 64
+    th = (2 * np.pi / n) * np.arange(n)
+    c1 = cc.DiscreteCurve(np.stack([1.15 * np.cos(th), 0.87 * np.sin(th)], 1), True)
+    path = ga.geodesic_bvp("M3", circle(n), c1, K=5)
+    lm = path.diagnostics["trace"]["lm"]
+    assert [(record["modes"], record["trials"], record["action"]) for record in lm] \
+        == [(10, 1, "step")] * 2
+    assert all(record["floor"] <= 0.5 * record["residual"] for record in lm)
+    monkeypatch.setattr(ga, "_gauss_newton_floor", lambda J, r: 0.0)
+    off = ga.geodesic_bvp("M3", circle(n), c1, K=5)
+    assert np.array_equal(path.diagnostics["rspace"], off.diagnostics["rspace"])
 
 
 def test_m3_distance_sums_a_chord_per_step():
@@ -579,9 +644,9 @@ def test_m3_shooting_cost_is_rotation_invariant(monkeypatch):
     # the metric is rotation invariant; so must the solve's path be, not
     # only its answer: no Levenberg-Marquardt step is bought for a model
     # decrease at rounding level.  With the exact Jacobian each residual
-    # evaluation is one simulate call: the start and three accepted steps.
-    # Growing the basis from 4 to 8 modes zero-pads the coefficients, the
-    # same velocity, so it needs none
+    # evaluation is one simulate call: the start and two accepted steps.
+    # Growing the basis from 4 to 8 modes, at its Gauss-Newton floor,
+    # zero-pads the coefficients, the same velocity, so it needs none
     n = 32
     th = (2 * np.pi / n) * np.arange(n)
     calls = []
@@ -602,7 +667,7 @@ def test_m3_shooting_cost_is_rotation_invariant(monkeypatch):
                                tol=5e-3, max_iter=25)
         counts.append(len(calls))
         lengths.append(ga._rspace_length(path.diagnostics["rspace"]))
-    assert counts == [4, 4, 4]
+    assert counts == [3, 3, 3]
     assert lengths[0] == pytest.approx(lengths[1], rel=1e-6)
     assert lengths[0] == pytest.approx(lengths[2], rel=1e-6)
 
