@@ -347,7 +347,8 @@ def _bvp_shooting(c0, c1, K, T, dt, modes, tol, max_iter) -> GeodesicPath:
     While another iteration remains, the mode count grows by 4, up to 24 and
     below N/2 (more modes alias on N samples), on a stall or, with no trial
     simulate, as soon as the basis is at its floor: no step in it can halve
-    the residual to first order (_gauss_newton_floor).  The solve goes on
+    the residual, or reach the tolerance, to first order
+    (_gauss_newton_floor).  The solve goes on
     from the same residual and trajectory: xi gets zero rows, the same
     velocity, and the Jacobian appends the new functions' columns from one
     pass over that trajectory, on the factorizations its first pass made.
@@ -355,8 +356,9 @@ def _bvp_shooting(c0, c1, K, T, dt, modes, tol, max_iter) -> GeodesicPath:
     the solve, and a path that misses the tolerance is raised in a
     ShootingStall.  The path's "length" is the transform-space length of
     the simulation, a chord per RATTLE step; its trace["lm"] holds a record
-    per iteration: lam, residual, modes, floor, trials (simulate calls) and
-    the action: "step", "grow", or "reject", which ends the solve.
+    per iteration: lam, residual, modes, floor, columns (those its tangent
+    pass appended), trials (simulate calls) and the action: "step",
+    "grow", or "reject", which ends the solve.
     """
     for name, value in (("dt", dt), ("tol", tol)):
         _require(np.isfinite(value) and value > 0,
@@ -381,7 +383,8 @@ def _bvp_shooting(c0, c1, K, T, dt, modes, tol, max_iter) -> GeodesicPath:
             break
         # the columns J lacks: all of them for a new simulation, the new
         # functions' after the basis grew
-        J = np.hstack([J, jacobian(sim, basis[:, J.shape[1] // 2:])])
+        added = jacobian(sim, basis[:, J.shape[1] // 2:])
+        J = np.hstack([J, added])
         # Levenberg-Marquardt: the endpoint map has sloppy high-frequency
         # directions, so undamped Gauss-Newton steps leave the trust region
         jtj = J.T @ J
@@ -389,9 +392,10 @@ def _bvp_shooting(c0, c1, K, T, dt, modes, tol, max_iter) -> GeodesicPath:
         diag = np.diag(np.maximum(np.diag(jtj), 1e-14))
         floor = _gauss_newton_floor(J, r)
         can_grow = modes < top and it + 1 < max_iter
-        lm.append({"lam": lam, "residual": rn, "modes": modes, "floor": floor, "trials": 0})
+        lm.append({"lam": lam, "residual": rn, "modes": modes, "floor": floor,
+                   "columns": added.shape[1], "trials": 0})
         improved = False
-        for _ in range(0 if can_grow and floor > 0.5 * rn else 12):
+        for _ in range(0 if can_grow and floor > min(0.5 * rn, tol * scale) else 12):
             step = np.linalg.solve(jtj + lam * diag, -jtr)
             # a model decrease at rounding level cannot buy a real one
             if rn ** 2 - np.linalg.norm(r + J @ step) ** 2 <= 1e-6 * rn ** 2:
@@ -577,12 +581,12 @@ def _vertical_field(curve: DiscreteCurve, zeta):
 
 def _probe_colors(n: int) -> np.ndarray:
     """A colour per sample index such that no two indices of one colour lie
-    within 2b of each other cyclically (b the half-width): k mod 2b+1 on
-    the first multiple of 2b+1 indices, and a colour of its own for each
-    of the n mod 2b+1 tail indices; at most 4b+1 colours."""
-    w = 2 * _VERTICAL_HALF_WIDTH + 1
-    whole = n - n % w
-    return np.concatenate([np.arange(whole) % w, w + np.arange(n - whole)])
+    within 2b of each other cyclically (b the half-width): each index's
+    place in its block, of n // (2b+1) even blocks of consecutive indices.
+    Every block holds at least 2b+1 indices, and a colour has at most one
+    index per block, so ceil(n / (n // (2b+1))) colours, the fewest."""
+    blocks = np.array_split(np.arange(n), n // (2 * _VERTICAL_HALF_WIDTH + 1))
+    return np.concatenate([np.arange(len(block)) for block in blocks])
 
 
 def _vertical_system(curve: DiscreteCurve, h) -> tuple[np.ndarray, np.ndarray]:
