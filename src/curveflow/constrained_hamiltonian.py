@@ -34,24 +34,23 @@ iterations, final residual (of f1, f2 and H) and factorizations.  Each
 point is built once (rtransform._M3Point, which holds g^-1 and its
 q1-derivatives): a step's end point is the next one's start.
 
+_rattle_step is SHAKE's step: it ends with the explicit half-step's p~ =
+p^{1/2} - (dt/2) dE/dq(q^{j+1}, p^{1/2}), unprojected.  p^j enters a step
+only as p^j + (dt/2) DH^T(q^j) lambda_1, so RATTLE's projection p~ - DH^T
+mu moves only the next lambda_1, by mu/(dt/2), and not the positions (HLW
+VII.1.4; Leimkuhler-Skeel, J. Comput. Phys. 112, 1994).  rattle_step,
+simulate and SimulationResult._diagnosed project (_consistent_end); the
+shooting solver's simulations, which read only the final position, do not.
+
 The tangent pass (_rattle_tangent, _position_tangent) differentiates the
-discrete step, not the ODE, so it gives the exact derivative of the
+discrete SHAKE step, not the ODE, so it gives the exact derivative of the
 computed endpoint, as the shooting solver needs.  It runs no Newton
-iteration: simulate keeps each step's converged momentum half-step,
-lambda_1 and hidden-constraint multiplier mu, and per step the pass
-linearizes (f1, f2, f3) in (q0, p0) at that stored point - including
-lambda_1 contracted with the q0-derivative of DH
-(rtransform._m3_jacobian_tangent), carried over from the step before -
-and solves for all r tangent columns at once with the full Newton matrix
-factored at that point, the exact Jacobian of (f1, f2, f3).  The explicit
-half-step is differentiated directly, and the hidden-constraint
-projection p1 - DH(q1)^T mu (p1 and mu stored, the operator moving with
-q1) by one solve of the Gram system that simulate's step factored at q1.
-The pass runs on the shooting solver's simulations, which keep their
-points and, from the first pass on, each step's Newton factor.
-rattle_step and project_consistent take p1 - DH^T mu from one helper
-(_tangent_momentum), so the trajectory the pass linearizes is
-simulate's, bit for bit.
+iteration and no Gram solve: per step it linearizes (f1, f2, f3) in (q0,
+p0) at simulate's stored ph and lambda_1 - including lambda_1 contracted
+with the q0-derivative of DH (rtransform._m3_jacobian_tangent) - solves
+for all r tangent columns at once with the full Newton matrix there, the
+exact Jacobian of (f1, f2, f3), factored by the first pass and kept on the
+simulation, and differentiates the explicit half-step directly.
 
 The full H2 transform (M4) has transforms and constraints in rtransform
 but no dynamics here.  Its two forward-difference rows per sample make the
@@ -206,8 +205,8 @@ def project_to_manifold(rpoint: RPoint) -> RPoint:
     raise NewtonDivergence("manifold projection did not converge", history)
 
 
-def _tangent_momentum(pt: _M3Point, p: np.ndarray):
-    """(p - DH^T mu, mu) with DH g^-1 (p - DH^T mu) = 0 at the M3 point
+def _tangent_momentum(pt: _M3Point, p: np.ndarray) -> np.ndarray:
+    """p - DH^T mu with DH g^-1 (p - DH^T mu) = 0 at the M3 point
     pt: the one definition of the hidden-constraint projection p -> g
     P(g^-1 p), by pt's Gram solve (rtransform._M3Point.gram).  p is (n, 3), or
     (n, 3, r) for r momenta at once.  Raises RankDeficiency."""
@@ -215,7 +214,7 @@ def _tangent_momentum(pt: _M3Point, p: np.ndarray):
         mu = pt.gram(pt.jac.apply(pt.ginv.reshape(pt.ginv.shape + (1,) * (p.ndim - 2)) * p))
     except (np.linalg.LinAlgError, SingularSystem) as exc:
         raise RankDeficiency(f"constraint Gram system is singular: {exc}") from exc
-    return p - pt.jac.apply_t(mu), mu
+    return p - pt.jac.apply_t(mu)
 
 
 def project_consistent(rpoint: RPoint, p_raw: np.ndarray) -> HamiltonianState:
@@ -223,7 +222,7 @@ def project_consistent(rpoint: RPoint, p_raw: np.ndarray) -> HamiltonianState:
     DH^T mu with DH g^{-1} (p_raw - DH^T mu) = 0, so the hidden constraint
     holds at (q, p)."""
     mid = _constrained(rpoint.metric_id)
-    p = _tangent_momentum(rpoint._m3, _check_samples(p_raw, [rpoint.q.shape], "p_raw"))[0]
+    p = _tangent_momentum(rpoint._m3, _check_samples(p_raw, [rpoint.q.shape], "p_raw"))
     return HamiltonianState(mid, rpoint.q, p, 0.0, rpoint.winding or 0)
 
 
@@ -312,14 +311,15 @@ def _m3_newton(pt0: _M3Point, dt: float):
 
 def _rattle_step(state: HamiltonianState, pt0: _M3Point, dt: float, tol: float = 1e-12,
                  max_iter: int = 50, lam_guess: np.ndarray | None = None):
-    """rattle_step from state at the point pt0: simplified Newton on
+    """The SHAKE step from state at the point pt0: simplified Newton on
     H(q1(lambda_1)) = 0, (ph, q1) explicit in lambda_1 (module docstring),
     GW factored at the first iterate and again at the current one only when
     |H| has not fallen tenfold.  f1 and f2 are evaluated once at the end,
     and the whole residual must be below tol.  The explicit momentum
-    half-step from (q1, ph) and _tangent_momentum end the step.  Returns
-    what simulate keeps of it: (end state, its point, lam, ph, mu), the last
-    three the tangent pass's linearization point, then H(q1), the residual
+    half-step from (q1, ph) ends the step, with no hidden-constraint
+    projection: _consistent_end makes it RATTLE's.  Returns what simulate
+    keeps of it: (q1, its SHAKE momentum, its point, lam, ph), the last two
+    the tangent pass's linearization point, then H(q1), the residual
     history (the last entry the whole residual) and the factorizations."""
     mid, winding = state.metric_id, state.winding
     q0, p0, half = state.q, state.p, 0.5 * dt
@@ -359,53 +359,46 @@ def _rattle_step(state: HamiltonianState, pt0: _M3Point, dt: float, tol: float =
     history[-1] = max(np.max(np.abs(f1)), np.max(np.abs(f2)), history[-1])
     if not history[-1] < tol:
         raise NewtonDivergence(f"RATTLE step misses tol={tol:g} in (f1, f2)", history)
+    return q1, ph - half * _grad_q(pt1, ph), pt1, lam, ph, f3, history, factorizations
+
+
+def _consistent_end(pt1: _M3Point, p: np.ndarray, history) -> np.ndarray:
+    """_tangent_momentum's RATTLE momentum from SHAKE's p at a step's end
+    point pt1; a singular Gram system raises the step's NewtonDivergence."""
     try:
-        p1, mu = _tangent_momentum(pt1, ph - half * _grad_q(pt1, ph))
+        return _tangent_momentum(pt1, p)
     except RankDeficiency as exc:
-        raise NewtonDivergence("hidden-constraint system is singular",
-                               history) from exc
-    return (HamiltonianState(mid, q1, p1, state.t + dt, winding),
-            pt1, lam, ph, mu, f3, history, factorizations)
+        raise NewtonDivergence("hidden-constraint system is singular", history) from exc
 
 
 def rattle_step(state: HamiltonianState, dt: float, tol: float = 1e-12,
                 max_iter: int = 50, lam_guess: np.ndarray | None = None):
     """One RATTLE step, Newton on lambda_1 from lam_guess (0 if None).  Returns
     (new_state, lambda_1) so callers can warm start the next step's multiplier."""
-    new, _, lam = _rattle_step(state, _M3Point(state.q), dt, tol, max_iter, lam_guess)[:3]
-    return new, lam
+    q1, p1, pt1, lam, _, _, history = _rattle_step(state, _M3Point(state.q), dt, tol,
+                                                   max_iter, lam_guess)[:7]
+    return HamiltonianState(state.metric_id, q1, _consistent_end(pt1, p1, history),
+                            state.t + dt, state.winding), lam
 
 
 def _rattle_tangent(sim: SimulationResult, j: int, dt: float, dq0: np.ndarray,
-                    dp0: np.ndarray, d_apply_t0=None):
-    """The tangent-linear map on the columns (dq0, dp0), each (n, 3, r), of
-    step j of sim, a shooting simulation (_shooting) with step dt: returns
-    (dq1, dp1, lam -> dDH(q1)[dq1]^T lam), the last the next step's
-    d_apply_t0 (made from dq0 if not given).  The step's stored ph, lambda_1, end momentum p1
-    and mu are the linearization point.  The q0- and p0-derivatives of (f1,
-    f2, f3) go through one solve of the step's Newton matrix (_m3_newton)
-    there, factored by the first pass and kept on sim; then the explicit
-    half-step and the projection p1 = p - A^T mu are differentiated with
-    A = DH(q1) moving, by one solve of the Gram system simulate factored."""
+                    dp0: np.ndarray):
+    """The tangent-linear map of the SHAKE step on the columns (dq0, dp0),
+    each (n, 3, r), of step j of sim, a shooting simulation (_shooting) with
+    step dt: returns (dq1, dp1).  The step's stored ph and lambda_1 are the
+    linearization point.  The q0- and p0-derivatives of (f1, f2, f3) go
+    through one solve of the step's Newton matrix (_m3_newton) there,
+    factored by the first pass and kept on sim; then the explicit half-step
+    is differentiated directly."""
     pt0, pt1, newton = sim._points[j], sim._points[j + 1], sim._newton
-    p1, ph, lam, mu = sim.ps[j + 1], sim._ph[j], sim._lam[j], sim._mu[j]
-    if d_apply_t0 is None:
-        d_apply_t0 = _m3_jacobian_tangent(pt0, dq0)[1]
+    ph, lam = sim._ph[j], sim._lam[j]
     if newton[j] is None:
         newton[j] = _m3_newton(pt0, dt)(pt1, ph)[1]
-    f1 = 0.5 * dt * (_grad_q_tangent(pt0, ph, dq0) - d_apply_t0(lam)) - dp0
+    f1 = 0.5 * dt * (_grad_q_tangent(pt0, ph, dq0) - _m3_jacobian_tangent(pt0, dq0, lam)) - dp0
     # solve returns (dq, dph) with q1 + dq, ph - dph: here the tangent of
     # (q1, ph) is (dq, -dph); H(q1) reads neither q0 nor p0, so f3 = 0
     dq1, du, _ = newton[j](f1, -dq0 - 0.5 * dt * _grad_p_tangent(pt0, ph, dq0), 0.0)
-    dp1 = -du - 0.5 * dt * _grad_q_tangent(pt1, ph, dq1, -du)
-    # with v = dp - dA^T mu, A g^-1 A^T dmu = A (g^-1 v + dg^-1 p1) + dA g^-1 p1
-    # and dp1 = v - A^T dmu
-    d_apply, d_apply_t = _m3_jacobian_tangent(pt1, dq1)
-    v = dp1 - d_apply_t(mu)
-    dginv = pt1.dginv[:, :, None] * dq1[:, None, 0]
-    dmu = pt1.gram(pt1.jac.apply(pt1.ginv[:, :, None] * v + dginv * p1[:, :, None])
-                   + d_apply(pt1.ginv * p1))
-    return dq1, v - pt1.jac.apply_t(dmu), d_apply_t
+    return dq1, -du - 0.5 * dt * _grad_q_tangent(pt1, ph, dq1, -du)
 
 
 def _position_tangent(sim: SimulationResult, dt: float, dp0: np.ndarray) -> np.ndarray:
@@ -413,9 +406,9 @@ def _position_tangent(sim: SimulationResult, dt: float, dp0: np.ndarray) -> np.n
     with step dt, along the start momentum columns dp0 (n, 3, r), the start
     position held: the tangent-linear map of its stored steps, all columns
     at once."""
-    dq, dp, d_apply_t = np.zeros_like(dp0), dp0, None
+    dq, dp = np.zeros_like(dp0), dp0
     for j in range(len(sim._lam)):
-        dq, dp, d_apply_t = _rattle_tangent(sim, j, dt, dq, dp, d_apply_t)
+        dq, dp = _rattle_tangent(sim, j, dt, dq, dp)
     return dq
 
 
@@ -423,7 +416,7 @@ def _position_tangent(sim: SimulationResult, dt: float, dp0: np.ndarray) -> np.n
 class SimulationResult:
     times: np.ndarray
     qs: np.ndarray              # (K+1, N, d)
-    ps: np.ndarray
+    ps: np.ndarray              # SHAKE's in a shooting simulation until _diagnosed
     energy: np.ndarray
     constraint_norm: np.ndarray
     hidden_norm: np.ndarray
@@ -434,12 +427,10 @@ class SimulationResult:
     newton_iters: np.ndarray
     newton_residual: np.ndarray
     factorizations: np.ndarray
-    # each step's converged momentum half-step (K, N, d), lambda_1 and
-    # hidden-constraint multiplier mu (K, N+2): the linearization points of
-    # the tangent pass
+    # each step's converged momentum half-step (K, N, d) and lambda_1 (K,
+    # N+2): the linearization points of the tangent pass
     _ph: np.ndarray = field(repr=False)
     _lam: np.ndarray = field(repr=False)
-    _mu: np.ndarray = field(repr=False)
     # a shooting simulation's tape for the tangent pass (else None): each
     # snapshot's point (K+1) and each step's Newton solve (K, first pass)
     _points: list | None = field(default=None, repr=False)
@@ -453,14 +444,18 @@ class SimulationResult:
                                 self.constraint_norm[at], self.hidden_norm[at],
                                 self.metric_id, self.winding, self.newton_iters[of],
                                 self.newton_residual[of], self.factorizations[of],
-                                self._ph[of], self._lam[of], self._mu[of],
+                                self._ph[of], self._lam[of],
                                 self._points[at] if kept else None,
                                 self._newton[of] if kept else None)
 
     def _diagnosed(self) -> SimulationResult:
-        """self with each kept point's energy and hidden-constraint
-        residual, which simulate's shooting path leaves out."""
-        for j, (pt, p) in enumerate(zip(self._points or (), self.ps)):
+        """self with what simulate's shooting path leaves out at each kept
+        point: the momentum after the start projected (_consistent_end),
+        then the energy and hidden-constraint residual.  Call it once."""
+        for j, pt in enumerate(self._points or ()):
+            if j:
+                self.ps[j] = _consistent_end(pt, self.ps[j], [self.newton_residual[j - 1]])
+            p = self.ps[j]
             self.energy[j], self.hidden_norm[j] = _energy(pt, p), _hidden_norm(pt, p)
         return self
 
@@ -483,9 +478,10 @@ def simulate(state: HamiltonianState, T: float, dt: float, *,
     constraints (of its winding) to 1e-9, OffImage if not.  Step j's Newton
     starts from 2 lambda_{j-1} - lambda_{j-2} (lambda_0 at step 1, 0 at 0).
 
-    _shooting, the point of state.q, is the shooting solver's private
-    path: the result keeps its tangent passes' tape, and leaves the energy
-    and hidden-constraint residual NaN for _diagnosed, on the path returned."""
+    _shooting, the point of state.q, is the shooting solver's private path
+    of SHAKE steps (module docstring): the result keeps their unprojected
+    end momenta and its tangent passes' tape, and leaves the projection,
+    energy and hidden-constraint residual (NaN) to _diagnosed."""
     if not (dt > 0 and np.isfinite(T / dt) and round(T / dt) >= 1):
         raise CurveflowError(f"simulate needs dt > 0 and at least one step, "
                              f"got T={T}, dt={dt}")
@@ -501,7 +497,7 @@ def simulate(state: HamiltonianState, T: float, dt: float, *,
                            np.empty(steps + 1), np.full(steps + 1, np.nan), state.metric_id,
                            state.winding, np.empty(steps, int), np.empty(steps),
                            np.empty(steps, int), np.empty((steps, n, d)),
-                           np.empty((steps, n + 2)), np.empty((steps, n + 2)))
+                           np.empty((steps, n + 2)))
     if _shooting is not None:
         sim._points, sim._newton = [], [None] * steps
 
@@ -519,13 +515,16 @@ def simulate(state: HamiltonianState, T: float, dt: float, *,
     cur = state
     for j in range(steps):
         try:
-            cur, pt, sim._lam[j], sim._ph[j], sim._mu[j], rows, history, sim.factorizations[j] = \
+            q1, p1, pt, sim._lam[j], sim._ph[j], rows, history, sim.factorizations[j] = \
                 _rattle_step(cur, pt, dt, lam_guess=None if j == 0 else sim._lam[0] if j == 1
                              else 2.0 * sim._lam[j - 1] - sim._lam[j - 2])
         except StepLeftDomain as exc:
             raise StepLeftDomain(
                 f"simulation left the domain at t={sim.times[j]:.6g}",
                 exit_time=float(sim.times[j]), partial=sim._head(j)._diagnosed()) from exc
+        if _shooting is None:
+            p1 = _consistent_end(pt, p1, history)
+        cur = HamiltonianState(cur.metric_id, q1, p1, cur.t + dt, cur.winding)
         sim.newton_iters[j], sim.newton_residual[j] = len(history) - 1, history[-1]
         record(j + 1, cur, rows, pt)
     return sim

@@ -89,7 +89,8 @@ class GeodesicPath:
         return len(self.curves)
 
     def export(self, outdir) -> None:
-        """JSON manifest + per-snapshot curve files + diagnostics CSV."""
+        """JSON manifest + per-snapshot curve files + diagnostics CSV, and
+        the solver's trace (diagnostics["trace"]) as trace.json if it has one."""
         os.makedirs(outdir, exist_ok=True)
         files = []
         for j, c in enumerate(self.curves):
@@ -101,9 +102,11 @@ class GeodesicPath:
             "times": [float(t) for t in self.times],
             "curves": files,
         }
-        with open(os.path.join(outdir, "manifest.json"), "w") as fh:
-            json.dump(manifest, fh, indent=1)
-            fh.write("\n")
+        for name, data in (("manifest", manifest), ("trace", self.diagnostics.get("trace"))):
+            if data is not None:
+                with open(os.path.join(outdir, f"{name}.json"), "w") as fh:
+                    json.dump(data, fh, indent=1)
+                    fh.write("\n")
         scalars = {k: np.asarray(v) for k, v in self.diagnostics.items()
                    if np.ndim(v) == 1 and len(np.asarray(v)) == len(self.times)}
         if scalars:
@@ -252,7 +255,7 @@ def _fourier_basis(n: int, modes: int) -> np.ndarray:
 def _consistent_momentum(q0: RPoint, qdot) -> np.ndarray:
     """The consistent M3 momentum at q0 nearest the transform velocity
     qdot (n, 3), or the momenta of r velocities (n, 3, r) at once."""
-    return _tangent_momentum(q0._m3, g_apply(MetricId.M3, q0.q, qdot) / q0.theta_step)[0]
+    return _tangent_momentum(q0._m3, g_apply(MetricId.M3, q0.q, qdot) / q0.theta_step)
 
 
 def _consistent_state(q0: RPoint, qdot) -> HamiltonianState:
@@ -294,13 +297,13 @@ def _shooting_maps(q0: RPoint, target: RPoint, T: float, steps: int):
     Jacobian (simulation, cols) -> dr/dxi along the basis functions cols
     (n, m), at the xi that simulation came from: column 2j + c belongs to
     function j and component c, the order of xi.ravel().  r is the endpoint gap
-    of `steps` RATTLE steps from the consistent state of
+    of `steps` SHAKE steps (RATTLE's positions) from the consistent state of
     _shooting_velocity(q0, xi, basis), projected to the image tangent space
     at the target and weighted by the square roots of the diagonal metric
     and the trapezoid weights.  The Jacobian differentiates the discrete
     map: xi -> initial momentum is linear at fixed q0, so its columns are
     the momenta of the unit coefficients of cols, built at once, which the
-    tangent-linear RATTLE map (_position_tangent) carries to the end
+    tangent-linear SHAKE map (_position_tangent) carries to the end
     together along the residual's own stored trajectory; the projection
     and the weights are linear.  It keeps no state: the columns of the
     functions a grown basis adds, over the same simulation, append to the
@@ -343,7 +346,8 @@ def _bvp_shooting(c0, c1, K, T, dt, modes, tol, max_iter) -> GeodesicPath:
     tangent-linear pass along the residual's trajectory per Jacobian, one
     simulate call per residual.  A trial step whose simulation leaves the
     domain or whose Newton solve fails is rejected like one that does not
-    decrease the residual, so the current iterate is always the best one.
+    decrease the residual, so the current iterate is always the best one;
+    a start that fails so is replaced, once, by xi = 0, the rest state.
     While another iteration remains, the mode count grows by 4, up to 24 and
     below N/2 (more modes alias on N samples), on a stall or, with no trial
     simulate, as soon as the basis is at its floor: no step in it can halve
@@ -374,7 +378,11 @@ def _bvp_shooting(c0, c1, K, T, dt, modes, tol, max_iter) -> GeodesicPath:
     basis = _fourier_basis(q0.n_samples, modes)
     delta = project_image(q0, dq_full) / T
     xi = np.linalg.lstsq(basis, delta[:, :2], rcond=None)[0]
-    r, sim = residual(xi, basis)
+    try:
+        r, sim = residual(xi, basis)
+    except (StepLeftDomain, NewtonDivergence):   # from rest, which stays on the manifold
+        xi = np.zeros_like(xi)
+        r, sim = residual(xi, basis)
     rn = np.linalg.norm(r)
     J = np.empty((r.size, 0))
     lam, lm = 1e-3, []
@@ -584,9 +592,11 @@ def _probe_colors(n: int) -> np.ndarray:
     within 2b of each other cyclically (b the half-width): each index's
     place in its block, of n // (2b+1) even blocks of consecutive indices.
     Every block holds at least 2b+1 indices, and a colour has at most one
-    index per block, so ceil(n / (n // (2b+1))) colours, the fewest."""
-    blocks = np.array_split(np.arange(n), n // (2 * _VERTICAL_HALF_WIDTH + 1))
-    return np.concatenate([np.arange(len(block)) for block in blocks])
+    index per block, so ceil(n / (n // (2b+1))) colours, the fewest.  Of
+    the m blocks, the first n % m hold n // m + 1 indices (np.array_split's)."""
+    q, e = divmod(n, n // (2 * _VERTICAL_HALF_WIDTH + 1))
+    i, head = np.arange(n), e * (q + 1)
+    return np.where(i < head, i % (q + 1), (i - head) % q)
 
 
 def _vertical_system(curve: DiscreteCurve, h) -> tuple[np.ndarray, np.ndarray]:

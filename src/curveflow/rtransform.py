@@ -24,8 +24,8 @@ functionals.  This module is the one definition of the constraints: rows
 (constraints, and constraint_rows for the H(q) of closed M3/M4 grids),
 the closedness derivative (_closure_coeffs), the M3 products DH.X,
 DH^T.lam and Gram bands with coefficients cached per q (M3Jacobian; no
-dense DH is built), their derivative along a tangent of q
-(_m3_jacobian_tangent, for the tangent-linear RATTLE step).  The M4 rows
+dense DH is built), the derivative of DH^T.lam along a tangent of q
+(_m3_jacobian_tangent, for the tangent-linear shooting step).  The M4 rows
 are geometry only: no solver here differentiates them.  Each M3 point is
 built once (_M3Point, which holds g^-1 from pointwise_geometry._fiber, the
 one definition of the fiber metric, and its q1-derivatives; an RPoint
@@ -312,36 +312,27 @@ class M3Jacobian:
                          0.25 * (s + s_next) + (g2 + g2_next) / self.dth ** 2, upper])
 
 
-def _m3_jacobian_tangent(pt: "_M3Point", dq: np.ndarray):
-    """The derivative of DH(q) at the M3 point pt along the columns dq (n,
-    3, r) of q, as the products (k -> dDH k, lam -> dDH^T lam) for one k
-    (n, 3) or one lam (n+2,), giving (n+2, r) and (n, 3, r).  Only
-    M3Jacobian's coefficients move with q: gw1 = q3 dginv2 and gw3 = ginv2
-    (the partials of w = q1^-2 q3) and gc; the +-1/dtheta entries are
-    constant.  dDH^T lam is the Hessian of lam . H(q) applied to dq."""
+def _m3_jacobian_tangent(pt: "_M3Point", dq: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """dDH^T lam (n, 3, r): the derivative of DH(q)^T lam at the M3 point pt
+    along the columns dq (n, 3, r) of q, for one lam (n+2,), the Hessian of
+    lam . H(q) applied to dq.  Only M3Jacobian's coefficients move with q:
+    gw1 = q3 dginv2 and gw3 = ginv2 (the partials of w = q1^-2 q3) and gc;
+    the +-1/dtheta entries are constant.  With u = lam_c . (cos, sin) q2
+    dtheta and v = lam_c . (-sin, cos) q2 dtheta for the closedness
+    multipliers lam_c, lam_c . H_cl = sum q1^2 u has the Hessian ((2u,
+    2 q1 v), (2 q1 v, -q1^2 u)) in (q1, q2)."""
     n, dth = pt.q.shape[0], pt.dth
     x, a, q3 = pt.q[:, 0, None], pt.q[:, 1, None], pt.q[:, 2, None]
     dx, da, d3 = dq[:, 0], dq[:, 1], dq[:, 2]
-    dgw1 = q3 * pt.d2ginv[:, 1, None] * dx + pt.dginv[:, 1, None] * d3
-    dgw3 = pt.dginv[:, 1, None] * dx
+    avg = 0.5 * (lam[:n] + _shift(lam[:n], -1))[:, None]
     c, s = np.cos(a) * dth, np.sin(a) * dth
-    dgc = np.array([[2.0 * (c * dx - x * s * da), -(2.0 * x * s * dx + x ** 2 * c * da)],
-                    [2.0 * (s * dx + x * c * da), 2.0 * x * c * dx - x ** 2 * s * da]])
-
-    def apply(k):
-        half_y = 0.5 * (dgw1 * k[:, 0, None] + dgw3 * k[:, 2, None])
-        return np.concatenate([half_y + _shift(half_y, 1),
-                               np.einsum("ijkr,kj->ir", dgc, k[:, :2])])
-
-    def apply_t(lam):
-        mu = lam[:n]
-        avg = 0.5 * (mu + _shift(mu, -1))[:, None]
-        out = np.zeros_like(dq)
-        out[:, 0], out[:, 2] = dgw1 * avg, dgw3 * avg
-        out[:, :2] += np.einsum("ijkr,i->kjr", dgc, lam[n:])
-        return out
-
-    return apply, apply_t
+    u, v = lam[n] * c + lam[n + 1] * s, lam[n + 1] * c - lam[n] * s
+    out = np.empty_like(dq)
+    out[:, 0] = (q3 * pt.d2ginv[:, 1, None] * dx + pt.dginv[:, 1, None] * d3) * avg \
+        + 2.0 * (u * dx + x * v * da)
+    out[:, 1] = x * (2.0 * v * dx - x * u * da)
+    out[:, 2] = pt.dginv[:, 1, None] * dx * avg
+    return out
 
 
 def _winding_of(rpoint: RPoint) -> int:

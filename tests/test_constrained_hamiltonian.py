@@ -111,7 +111,7 @@ def exact_newton_step(state, dt, tol=1e-12, max_iter=50, lam_guess=None):
         lam = lam + factor(pt1, ph)[0].solve(-f3)
     else:
         raise NewtonDivergence("exact Newton reference did not converge", history)
-    p1 = ch._tangent_momentum(pt1, ph - 0.5 * dt * ch._grad_q(pt1, ph))[0]
+    p1 = ch._tangent_momentum(pt1, ph - 0.5 * dt * ch._grad_q(pt1, ph))
     return ch.HamiltonianState("M3", q1, p1, state.t + dt, state.winding), lam
 
 
@@ -150,25 +150,23 @@ def test_energy_gradients_fd():
 def test_point_algebra_matches_references():
     # at an on-image point, the derivatives built from the M3 point's g^-1
     # derivatives (_grad_q_tangent, _grad_p_tangent, _m3_jacobian_tangent) match
-    # central differences of _grad_q, _grad_p, DH . k and DH^T . lam along
-    # random (dq, dp)
+    # central differences of _grad_q, _grad_p and DH^T . lam along random
+    # (dq, dp)
     rng = np.random.default_rng(37)
     n = 64
     rp = ch.project_to_manifold(rt.r_forward("M3", wavy_curve(n, seed=2)))
     pt = rp._m3
     p = rng.standard_normal((n, 3))
     dq, dp = rng.standard_normal((2, n, 3, 3))
-    k, lam = rng.standard_normal((n, 3)), rng.standard_normal(n + 2)
+    lam = rng.standard_normal(n + 2)
     eq = ch._grad_q_tangent(pt, p, dq, dp)
     ep = ch._grad_p_tangent(pt, p, dq) + pt.dth * pt.ginv[..., None] * dp
-    d_apply, d_apply_t = rt._m3_jacobian_tangent(pt, dq)
-    dk, dlam = d_apply(k), d_apply_t(lam)
+    dlam = rt._m3_jacobian_tangent(pt, dq, lam)
     eps = 1e-6
     for j in range(3):
         (a, pa), (b, pb) = [(rt._M3Point(rp.q + s * dq[..., j]), p + s * dp[..., j])
                             for s in (eps, -eps)]
         for tangent, f in ((eq[..., j], ch._grad_q), (ep[..., j], ch._grad_p),
-                           (dk[:, j], lambda pt_, _: pt_.jac.apply(k)),
                            (dlam[..., j], lambda pt_, _: pt_.jac.apply_t(lam))):
             fd = (f(a, pa) - f(b, pb)) / (2 * eps)
             assert np.linalg.norm(tangent - fd) <= 1e-6 * np.linalg.norm(fd)
@@ -281,7 +279,7 @@ def test_m3_rattle_step_matches_dense():
             assert pairs
             for a, b in ((new.q, ref.q), (new.p, ref.p), (lam[:n], lam_ref[:n]), *pairs):
                 assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
-            pt1, ph = rt._M3Point(new.q), ch._rattle_step(state, pt0, 1e-2)[3]
+            pt1, ph = rt._M3Point(new.q), ch._rattle_step(state, pt0, 1e-2)[4]
             f = (rng.standard_normal((n, 3)), rng.standard_normal((n, 3)),
                  rng.standard_normal(n + 2))
             (dq, dph, dlam), (dq_ref, dph_ref, dlam_ref) = (
@@ -419,23 +417,87 @@ def test_m3_simulate_makes_no_dense_solve(monkeypatch):
     assert dq.shape == (32, 3, 6) and np.all(np.isfinite(dq))
 
 
+def shake_step(state, dt, lam_guess=None):
+    """The SHAKE step of ch._rattle_step from state: (end state, lambda_1,
+    ph), the end momentum unprojected."""
+    q1, p1, _, lam, ph = ch._rattle_step(state, rt._M3Point(state.q), dt, lam_guess=lam_guess)[:5]
+    return ch.HamiltonianState("M3", q1, p1, state.t + dt, state.winding), lam, ph
+
+
 def test_shooting_simulation_leaves_diagnostics_nan():
-    # a shooting simulation leaves its energy and hidden-constraint residual
-    # NaN, not uninitialized memory, until _diagnosed fills them with the
-    # plain simulation's figures, bit for bit
+    # a shooting simulation takes _rattle_step's SHAKE steps with simulate's
+    # warm start, bit for bit, and leaves its energy and hidden-constraint
+    # residual NaN, not uninitialized memory, until _diagnosed projects each
+    # momentum after the start by _tangent_momentum, bit for bit, and fills
+    # them in from the projected momentum
     st = circle_state(32)
-    plain = ch.simulate(st, 0.05, 1e-2)
     shot = ch.simulate(st, 0.05, 1e-2, _shooting=rt._M3Point(st.q))
     assert np.all(np.isnan(shot.energy)) and np.all(np.isnan(shot.hidden_norm))
+    cur, lams = st, []
+    for j in range(5):
+        guess = None if j == 0 else lams[0] if j == 1 else 2.0 * lams[-1] - lams[-2]
+        cur, lam, ph = shake_step(cur, 1e-2, guess)
+        lams.append(lam)
+        assert np.array_equal(shot.qs[j + 1], cur.q) and np.array_equal(shot.ps[j + 1], cur.p)
+        assert np.array_equal(shot._lam[j], lam) and np.array_equal(shot._ph[j], ph)
+    shake = shot.ps.copy()
     shot._diagnosed()
-    assert shot.energy.tobytes() == plain.energy.tobytes()
-    assert shot.hidden_norm.tobytes() == plain.hidden_norm.tobytes()
+    assert np.array_equal(shot.ps[0], st.p)
+    for j, pt in enumerate(shot._points):
+        p = ch._tangent_momentum(pt, shake[j]) if j else st.p
+        assert np.array_equal(shot.ps[j], p)
+        assert (shot.energy[j], shot.hidden_norm[j]) == (ch._energy(pt, p),
+                                                         ch._hidden_norm(pt, p))
+    assert shot.hidden_norm.max() < 1e-9
+
+
+def test_shooting_makes_no_hidden_constraint_projection(monkeypatch):
+    # a shooting simulation factors no Gram system and its tangent pass
+    # makes no Gram solve: only _diagnosed projects, one Gram system at each
+    # kept point after the start
+    st = circle_state(32)
+    start = rt._M3Point(st.q)
+    grams, solves, gram = [], [], rt._M3Point.__dict__["gram"].func
+
+    def counted(pt):
+        grams.append(pt)
+        solve = gram(pt)
+
+        def counted_solve(rhs):
+            solves.append(rhs.shape)
+            return solve(rhs)
+        return counted_solve
+    monkeypatch.setattr(rt._M3Point, "gram", property(counted))
+    shot = ch.simulate(st, 0.2, 1e-2, _shooting=start)
+    assert grams == []
+    dq = ch._position_tangent(shot, 1e-2, np.random.default_rng(3).standard_normal((32, 3, 6)))
+    assert grams == [] and solves == []
+    assert np.all(np.isfinite(dq))
+    shot._diagnosed()
+    assert grams == shot._points[1:] and len(solves) == 20
+
+
+@pytest.mark.parametrize("n", [64, 65])
+def test_shooting_positions_are_rattle_positions(n):
+    # the hidden-constraint projection moves only the multiplier the next
+    # step solves for: over 20 steps on the circle and a wavy curve, a
+    # shooting simulation's SHAKE positions are simulate's RATTLE positions
+    # to rounding, and its momenta, projected by _diagnosed, meet the
+    # hidden constraint
+    rng = np.random.default_rng(43)
+    rp = ch.project_to_manifold(rt.r_forward("M3", wavy_curve(n, seed=2)))
+    wavy = ch.project_consistent(rp, 0.3 * rng.standard_normal((n, 3)))
+    for state in (circle_state(n), wavy):
+        plain = ch.simulate(state, 0.2, 1e-2)
+        shot = ch.simulate(state, 0.2, 1e-2, _shooting=rt._M3Point(state.q))._diagnosed()
+        assert np.abs(shot.qs - plain.qs).max() <= 1e-13 * np.abs(plain.qs).max()
+        assert shot.hidden_norm.max() <= 1e-9
 
 
 def test_rattle_tangent_matches_central_differences():
-    # the tangent-linear step is the derivative of the computed step: its
-    # columns match central differences of rattle_step (q0, p0) -> (q1, p1),
-    # and it linearizes simulate's own step, bit for bit
+    # the tangent-linear step is the derivative of the computed SHAKE step:
+    # its columns match central differences of the step map (q0, p0) ->
+    # (q1, p~1), and it linearizes simulate's own shooting step, bit for bit
     rng = np.random.default_rng(29)
     eps = 1e-6
     for n in (64, 65):
@@ -444,15 +506,12 @@ def test_rattle_tangent_matches_central_differences():
         for state in (circle_state(n), wavy):
             dq0, dp0 = rng.standard_normal((2, n, 3, 3))
             sim = ch.simulate(state, 1e-2, 1e-2, _shooting=rt._M3Point(state.q))
-            dq1, dp1 = ch._rattle_tangent(sim, 0, 1e-2, dq0, dp0)[:2]
-            ref, lam_ref = ch.rattle_step(state, 1e-2)
-            assert np.array_equal(sim.qs[1], ref.q) and np.array_equal(sim._lam[0], lam_ref)
-            assert np.array_equal(sim.ps[1], ref.p)
-            pt1, ph = rt._M3Point(sim.qs[1]), sim._ph[0]
-            assert np.array_equal(sim._mu[0], ch._tangent_momentum(
-                pt1, ph - 0.5 * 1e-2 * ch._grad_q(pt1, ph))[1])
+            dq1, dp1 = ch._rattle_tangent(sim, 0, 1e-2, dq0, dp0)
+            ref, lam_ref, ph_ref = shake_step(state, 1e-2)
+            assert np.array_equal(sim.qs[1], ref.q) and np.array_equal(sim.ps[1], ref.p)
+            assert np.array_equal(sim._lam[0], lam_ref) and np.array_equal(sim._ph[0], ph_ref)
             for j in range(3):
-                moved = [ch.rattle_step(ch.HamiltonianState(
+                moved = [shake_step(ch.HamiltonianState(
                     "M3", state.q + s * dq0[..., j], state.p + s * dp0[..., j],
                     0.0, state.winding), 1e-2)[0] for s in (eps, -eps)]
                 for tangent, a, b in ((dq1, moved[0].q, moved[1].q),
@@ -706,10 +765,13 @@ def test_simulate_start_off_the_constraints():
 
 
 def test_step_left_domain_partial_keeps_step_arrays():
-    # the partial result carries each completed step's ph, lambda_1, mu
-    # and Newton record, one per step between its times; a shooting
+    # the partial result carries each completed step's ph, lambda_1 and
+    # Newton record, one per step between its times; a shooting
     # simulation's partial also its points (one per snapshot) and Newton
-    # factor slots (one per step), with the diagnostics it otherwise defers
+    # factor slots (one per step), with the projection and diagnostics it
+    # otherwise defers: its arrays are those of the shooting simulation of
+    # its steps, diagnosed, and its positions the plain partial's to the
+    # Newton tolerance, on this path to the domain's edge
     st = circle_state(48)
     bad = ch.HamiltonianState("M3", st.q, st.p - [160.0, 0.0, 0.0], 0.0, st.winding)
     with pytest.raises(StepLeftDomain) as exc:
@@ -718,12 +780,12 @@ def test_step_left_domain_partial_keeps_step_arrays():
     steps = len(part.times) - 1
     assert steps >= 2
     assert part._ph.shape == (steps, 48, 3)
-    assert part._lam.shape == part._mu.shape == (steps, 50)
+    assert part._lam.shape == (steps, 50)
     assert part.newton_iters.shape == part.newton_residual.shape == (steps,)
     assert part.factorizations.shape == (steps,)
     assert part._points is None and part._newton is None
     full = ch.simulate(bad, steps * 5e-2, 5e-2)
-    for name in ("_ph", "_lam", "_mu", "newton_iters", "newton_residual", "factorizations"):
+    for name in ("_ph", "_lam", "newton_iters", "newton_residual", "factorizations"):
         assert np.array_equal(getattr(part, name), getattr(full, name))
     assert np.all(part.newton_iters >= 1) and np.all(part.newton_residual < 1e-12)
     assert np.all(part.factorizations >= 1)
@@ -732,9 +794,11 @@ def test_step_left_domain_partial_keeps_step_arrays():
     shot = exc.value.partial
     assert len(shot._points) == steps + 1 and shot._newton == [None] * steps
     assert all(np.array_equal(pt.q, q) for pt, q in zip(shot._points, shot.qs))
-    for name in ("qs", "ps", "energy", "constraint_norm", "hidden_norm", "_ph", "_lam", "_mu",
+    whole = ch.simulate(bad, steps * 5e-2, 5e-2, _shooting=rt._M3Point(bad.q))._diagnosed()
+    for name in ("qs", "ps", "energy", "constraint_norm", "hidden_norm", "_ph", "_lam",
                  "newton_iters", "newton_residual", "factorizations"):
-        assert np.array_equal(getattr(shot, name), getattr(part, name))
+        assert np.array_equal(getattr(shot, name), getattr(whole, name))
+    assert np.abs(shot.qs - part.qs).max() <= 1e-11 * np.abs(part.qs).max()
 
 
 def test_newton_divergence_reports_history():

@@ -393,6 +393,34 @@ def test_shooting_returns_smallest_residual(monkeypatch, amp, dt, max_iter):
     assert (rejected > 0) == (amp is not None)
 
 
+def test_shooting_start_off_the_domain_restarts_from_rest(monkeypatch):
+    # the least-squares start toward a far target leaves the domain; the
+    # solve restarts once from xi = 0, the rest state, and ends in a stall
+    # with its best path, not in the start's StepLeftDomain
+    n = 32
+    starts, maps = [], ga._shooting_maps
+
+    def recorded(*args):
+        residual, jacobian = maps(*args)
+
+        def kept(xi, basis):
+            starts.append(xi.copy())
+            try:
+                return residual(xi, basis)
+            except StepLeftDomain:
+                starts.append("left")
+                raise
+        return kept, jacobian
+    monkeypatch.setattr(ga, "_shooting_maps", recorded)
+    with pytest.raises(ShootingStall) as exc:
+        ga.geodesic_bvp("M3", circle(n), far_target(n, 0.2), K=5, T=1.0, dt=0.1, modes=15,
+                        tol=5e-3, max_iter=15)
+    assert starts[1] == "left" and np.any(starts[0]) and not np.any(starts[2])
+    path = exc.value.best_path
+    assert path.diagnostics["modes"] == 15 and len(path.curves) == 5
+    assert exc.value.residual < path.diagnostics["trace"]["lm"][0]["residual"]
+
+
 @pytest.mark.parametrize("n, modes, max_iter", [(16, 10, 40), (32, 12, 8)])
 def test_shooting_basis_has_full_column_rank(monkeypatch, n, modes, max_iter):
     # a Fourier basis of more than (N - 1) / 2 modes holds aliased
@@ -960,14 +988,22 @@ def test_vertical_bands_are_the_dense_entries():
             assert np.array_equal(bands[4 + j], A[rows, (rows + j) % n])
 
 
+def split_colors(n):
+    """Each index's place in its block of np.array_split(range(n), n // 9):
+    the reference for the closed form of ga._probe_colors."""
+    return np.concatenate([np.arange(len(block)) for block in
+                           np.array_split(np.arange(n), n // 9)])
+
+
 def test_probe_colors_are_far_apart():
     # n // 9 blocks of at least 9 indices, a colour per place in a block:
     # ceil(n / (n // 9)) colours, the least a colouring with at most n // 9
     # indices per colour can use, and one colour's indices at least 9 apart
-    # cyclically
+    # cyclically; the closed form is the colouring of those blocks
     for n in [*range(9, 401), 799, 800, 801]:
         colors = ga._probe_colors(n)
         assert colors.shape == (n,) and colors.max() + 1 == -(-n // (n // 9)) <= 17, n
+        assert np.array_equal(colors, split_colors(n)), n
         for color in range(colors.max() + 1):
             at = np.flatnonzero(colors == color)
             assert np.diff(np.append(at, at[0] + n)).min() >= 9, (n, color)
@@ -1042,6 +1078,25 @@ def test_path_export(tmp_path):
     assert len(manifest["curves"]) == 5
     loaded = cc.load_curve(out / manifest["curves"][2])
     assert loaded.n_samples == 64
+
+
+def test_path_export_writes_the_trace(tmp_path):
+    # an M3 shooting path exports its Levenberg-Marquardt trace as
+    # trace.json beside the manifest, in plain JSON; an initial value path
+    # has no trace and writes none
+    n = 32
+    th = (2 * np.pi / n) * np.arange(n)
+    c1 = cc.DiscreteCurve(np.stack([1.15 * np.cos(th), 0.87 * np.sin(th)], 1), True)
+    path = ga.geodesic_bvp("M3", circle(n), c1, K=5, T=1.0, dt=0.05, modes=4, tol=5e-3,
+                           max_iter=25)
+    path.export(tmp_path / "bvp")
+    trace = json.loads((tmp_path / "bvp" / "trace.json").read_text())
+    assert trace["lm"] == path.diagnostics["trace"]["lm"] and trace["lm"]
+    ivp = ga.geodesic_ivp("M3", circle(n), np.stack([np.zeros(n), np.sin(th)], 1), 0.1,
+                          steps=10, snapshots=3)
+    ivp.export(tmp_path / "ivp")
+    assert (tmp_path / "ivp" / "manifest.json").exists()
+    assert not (tmp_path / "ivp" / "trace.json").exists()
 
 
 def test_grid_mismatch_rejected():
