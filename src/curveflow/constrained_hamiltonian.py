@@ -28,19 +28,22 @@ Newton on H(q^{j+1}(lambda_1)) = 0 alone (Hairer-Lubich-Wanner, Geometric
 Numerical Integration, VII.1).  Its matrix GW, cyclic tridiagonal (not
 symmetric) and bordered by the two closedness rows and columns, is one
 rtransform.CyclicFactor, O(N) (_m3_newton), factored at the first iterate
-and again only when the residual has not fallen tenfold.  simulate starts
-lambda_1 from 2 lambda_{j-1} - lambda_{j-2} and keeps each step's Newton
-iterations, final residual (of f1, f2 and H) and factorizations.  Each
-point is built once (rtransform._M3Point, which holds g^-1 and its
-q1-derivatives): a step's end point is the next one's start.
+and again only when the residual has not fallen tenfold.  simulate warm
+starts lambda_1 (_warm_start) and keeps each step's Newton iterations,
+final residual (of f1, f2 and H) and factorizations.  Each point is built
+once (rtransform._M3Point, which holds g^-1 and its q1-derivatives): a
+step's end point is the next one's start.
 
 _rattle_step is SHAKE's step: it ends with the explicit half-step's p~ =
 p^{1/2} - (dt/2) dE/dq(q^{j+1}, p^{1/2}), unprojected.  p^j enters a step
 only as p^j + (dt/2) DH^T(q^j) lambda_1, so RATTLE's projection p~ - DH^T
 mu moves only the next lambda_1, by mu/(dt/2), and not the positions (HLW
-VII.1.4; Leimkuhler-Skeel, J. Comput. Phys. 112, 1994).  rattle_step,
-simulate and SimulationResult._diagnosed project (_consistent_end); the
-shooting solver's simulations, which read only the final position, do not.
+VII.1.4; Leimkuhler-Skeel, J. Comput. Phys. 112, 1994).  So every
+simulate takes SHAKE steps: rattle_step projects its one end
+(_consistent_end), simulate the ends of steps 0 and 1 for the warm start
+and the rest after the loop, all kept momenta in one stacked Gram pass
+(SimulationResult._diagnosed); the shooting solver's simulations, which
+read only the final position, leave even that to the path returned.
 
 The tangent pass (_rattle_tangent, _position_tangent) differentiates the
 discrete SHAKE step, not the ODE, so it gives the exact derivative of the
@@ -64,7 +67,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curve_core import _check_samples, _finite, _shift
+from .curve_core import _STACK_BYTES, _check_samples, _finite, _shift
 from .errors import (
     BadInput,
     CurveflowError,
@@ -76,7 +79,6 @@ from .errors import (
     StepLeftDomain,
 )
 from .metric_suite import MetricId
-from .pointwise_geometry import _paired
 from .rtransform import (
     CyclicFactor,
     RPoint,
@@ -130,12 +132,13 @@ class HamiltonianState:
 
 def discrete_energy(state: HamiltonianState) -> float:
     """E = (1/2) sum_k g^{-1}_{q^k}(p^k, p^k) dtheta."""
-    return _energy(_M3Point(state.q), state.p)
+    return float(_energy(_M3Point(state.q), state.p))
 
 
-def _energy(pt: _M3Point, p: np.ndarray) -> float:
-    """discrete_energy at the M3 point pt, from its g^-1."""
-    return 0.5 * float(np.sum(_paired(pt.ginv * p, p))) * pt.dth
+def _energy(pt: _M3Point, p: np.ndarray):
+    """discrete_energy at the M3 point pt, or the (K,) energies of a stack
+    pt with p (n, 3, K), each with the bits it has alone."""
+    return 0.5 * np.sum(np.einsum("ki...,ki...->...k", pt.ginv * p, p), axis=-1) * pt.dth
 
 
 def _grad_p(pt: _M3Point, p: np.ndarray) -> np.ndarray:
@@ -205,16 +208,21 @@ def project_to_manifold(rpoint: RPoint) -> RPoint:
     raise NewtonDivergence("manifold projection did not converge", history)
 
 
-def _tangent_momentum(pt: _M3Point, p: np.ndarray) -> np.ndarray:
-    """p - DH^T mu with DH g^-1 (p - DH^T mu) = 0 at the M3 point
-    pt: the one definition of the hidden-constraint projection p -> g
-    P(g^-1 p), by pt's Gram solve (rtransform._M3Point.gram).  p is (n, 3), or
-    (n, 3, r) for r momenta at once.  Raises RankDeficiency."""
+def _hidden_multiplier(pt: _M3Point, p: np.ndarray) -> np.ndarray:
+    """mu with DH g^-1 (p - DH^T mu) = 0 at the M3 point pt by its Gram
+    solve (rtransform._M3Point.gram), for p (n, 3) or r momenta (n, 3, r),
+    or at a stack of K points p (n, 3, K).  Raises RankDeficiency."""
     try:
-        mu = pt.gram(pt.jac.apply(pt.ginv.reshape(pt.ginv.shape + (1,) * (p.ndim - 2)) * p))
+        return pt.gram(pt.jac.apply(pt.ginv.reshape(pt.ginv.shape + (1,) * (p.ndim - pt.ginv.ndim))
+                                    * p))
     except (np.linalg.LinAlgError, SingularSystem) as exc:
         raise RankDeficiency(f"constraint Gram system is singular: {exc}") from exc
-    return p - pt.jac.apply_t(mu)
+
+
+def _tangent_momentum(pt: _M3Point, p: np.ndarray) -> np.ndarray:
+    """p - DH^T mu (_hidden_multiplier): the one definition of the
+    hidden-constraint projection p -> g P(g^-1 p)."""
+    return p - pt.jac.apply_t(_hidden_multiplier(pt, p))
 
 
 def project_consistent(rpoint: RPoint, p_raw: np.ndarray) -> HamiltonianState:
@@ -226,9 +234,9 @@ def project_consistent(rpoint: RPoint, p_raw: np.ndarray) -> HamiltonianState:
     return HamiltonianState(mid, rpoint.q, p, 0.0, rpoint.winding or 0)
 
 
-def _hidden_norm(pt: _M3Point, p: np.ndarray) -> float:
-    """sup |DH(q) . dE/dp| at the M3 point pt."""
-    return float(np.max(np.abs(pt.jac.apply(_grad_p(pt, p)))))
+def _hidden_norm(pt: _M3Point, p: np.ndarray):
+    """sup |DH(q) . dE/dp| at the M3 point pt, or per point (K,) of a stack."""
+    return np.abs(pt.jac.apply(_grad_p(pt, p))).max(axis=0)
 
 
 # -- RATTLE -------------------------------------------------------------------
@@ -362,13 +370,15 @@ def _rattle_step(state: HamiltonianState, pt0: _M3Point, dt: float, tol: float =
     return q1, ph - half * _grad_q(pt1, ph), pt1, lam, ph, f3, history, factorizations
 
 
-def _consistent_end(pt1: _M3Point, p: np.ndarray, history) -> np.ndarray:
-    """_tangent_momentum's RATTLE momentum from SHAKE's p at a step's end
-    point pt1; a singular Gram system raises the step's NewtonDivergence."""
+def _consistent_end(pt1: _M3Point, p: np.ndarray, history):
+    """(RATTLE's momentum, mu) from SHAKE's p at a step's end point pt1, or
+    at a stack of them: p - DH^T mu with mu = _hidden_multiplier.  A
+    singular Gram system raises NewtonDivergence with the steps' history."""
     try:
-        return _tangent_momentum(pt1, p)
+        mu = _hidden_multiplier(pt1, p)
     except RankDeficiency as exc:
-        raise NewtonDivergence("hidden-constraint system is singular", history) from exc
+        raise NewtonDivergence("hidden-constraint system is singular", list(history)) from exc
+    return p - pt1.jac.apply_t(mu), mu
 
 
 def rattle_step(state: HamiltonianState, dt: float, tol: float = 1e-12,
@@ -377,8 +387,25 @@ def rattle_step(state: HamiltonianState, dt: float, tol: float = 1e-12,
     (new_state, lambda_1) so callers can warm start the next step's multiplier."""
     q1, p1, pt1, lam, _, _, history = _rattle_step(state, _M3Point(state.q), dt, tol,
                                                    max_iter, lam_guess)[:7]
-    return HamiltonianState(state.metric_id, q1, _consistent_end(pt1, p1, history),
+    return HamiltonianState(state.metric_id, q1, _consistent_end(pt1, p1, history)[0],
                             state.t + dt, state.winding), lam
+
+
+def _warm_start(lam: np.ndarray, mu: np.ndarray, j: int, dt: float):
+    """Step j's first lambda_1 from the earlier steps' lam (j, n+2) and the
+    hidden-constraint multipliers mu (3, n+2) of points 0-2, 0 where not
+    computed (the start is consistent; a shooting run computes none).  A
+    SHAKE step from point i >= 1 takes lambda_1 = RATTLE's - (2/dt) mu_i
+    (module docstring), so step 1 starts from RATTLE's lambda_0 and step 2
+    from 2 lambda_1 - lambda_0 in RATTLE's multipliers, each shifted by its
+    own jump; from there the multipliers are jump-free, and later steps
+    extrapolate them linearly (step 3) and then quadratically."""
+    c = 2.0 / dt
+    if j < 2:
+        return None if j == 0 else lam[0] - c * mu[1]
+    if j == 2:
+        return 2.0 * (lam[1] + c * mu[1]) - lam[0] - c * mu[2]
+    return 2.0 * lam[2] - lam[1] if j == 3 else 3.0 * (lam[j - 1] - lam[j - 2]) + lam[j - 3]
 
 
 def _rattle_tangent(sim: SimulationResult, j: int, dt: float, dq0: np.ndarray,
@@ -448,15 +475,23 @@ class SimulationResult:
                                 self._points[at] if kept else None,
                                 self._newton[of] if kept else None)
 
-    def _diagnosed(self) -> SimulationResult:
-        """self with what simulate's shooting path leaves out at each kept
-        point: the momentum after the start projected (_consistent_end),
-        then the energy and hidden-constraint residual.  Call it once."""
-        for j, pt in enumerate(self._points or ()):
-            if j:
-                self.ps[j] = _consistent_end(pt, self.ps[j], [self.newton_residual[j - 1]])
-            p = self.ps[j]
-            self.energy[j], self.hidden_norm[j] = _energy(pt, p), _hidden_norm(pt, p)
+    def _diagnosed(self, start: int = 1) -> SimulationResult:
+        """self with the SHAKE momenta from index `start` on projected (those
+        before are consistent), then every point's energy and hidden
+        residual, from points rebuilt from qs as stacks (n, 3, K): blocks
+        of one stacked Gram factorization each, whose largest arrays, K n
+        rows of 4 floats, stay below _STACK_BYTES.  Call it once."""
+        total, width = len(self.qs), max(1, (_STACK_BYTES - 1) // (32 * self.qs.shape[1]))
+        for a in [0, *range(start, total, width)]:
+            b = start if a < start else min(a + width, total)
+            if a < start and self._points:      # a shooting path's start point is kept
+                pt, p = self._points[0], self.ps[0]
+            else:
+                pt, p = _M3Point(self.qs[a:b].transpose(1, 2, 0)), self.ps[a:b].transpose(1, 2, 0)
+            if a >= start:
+                p = _consistent_end(pt, p, self.newton_residual[a - 1:b - 1])[0]
+                self.ps[a:b] = p.transpose(2, 0, 1)
+            self.energy[a:b], self.hidden_norm[a:b] = _energy(pt, p), _hidden_norm(pt, p)
         return self
 
     def write_trajectory_csv(self, path) -> None:
@@ -475,12 +510,17 @@ def simulate(state: HamiltonianState, T: float, dt: float, *,
              _shooting: _M3Point | None = None) -> SimulationResult:
     """Integrate for round(T/dt) RATTLE steps with per-step diagnostics;
     dt must be positive, round(T/dt) at least 1 and the start on the
-    constraints (of its winding) to 1e-9, OffImage if not.  Step j's Newton
-    starts from 2 lambda_{j-1} - lambda_{j-2} (lambda_0 at step 1, 0 at 0).
+    constraints (of its winding) to 1e-9, OffImage if not.  The steps are
+    _rattle_step's SHAKE steps, RATTLE's positions (module docstring); step
+    j's Newton starts from _warm_start.  The ends of steps 0 and 1 are
+    projected as the run goes, for their multipliers mu_1, mu_2; the
+    momenta after them are projected at the end in one stacked pass
+    (SimulationResult._diagnosed), which fills in every energy and
+    hidden-constraint residual.
 
-    _shooting, the point of state.q, is the shooting solver's private path
-    of SHAKE steps (module docstring): the result keeps their unprojected
-    end momenta and its tangent passes' tape, and leaves the projection,
+    _shooting, the point of state.q, is the shooting solver's private
+    path: it projects nothing (mu = 0 in _warm_start), keeps the SHAKE
+    momenta and its tangent passes' tape, and leaves the projection,
     energy and hidden-constraint residual (NaN) to _diagnosed."""
     if not (dt > 0 and np.isfinite(T / dt) and round(T / dt) >= 1):
         raise CurveflowError(f"simulate needs dt > 0 and at least one step, "
@@ -498,33 +538,26 @@ def simulate(state: HamiltonianState, T: float, dt: float, *,
                            state.winding, np.empty(steps, int), np.empty(steps),
                            np.empty(steps, int), np.empty((steps, n, d)),
                            np.empty((steps, n + 2)))
+    sim.qs[0], sim.ps[0], sim.constraint_norm[0] = state.q, state.p, resid
     if _shooting is not None:
-        sim._points, sim._newton = [], [None] * steps
-
-    def record(j, st, rows, pt):
-        """Snapshot j, with the state's constraint rows and point."""
-        sim.qs[j], sim.ps[j] = st.q, st.p
-        sim.constraint_norm[j] = float(np.max(np.abs(rows)))
-        if _shooting is None:
-            sim.energy[j], sim.hidden_norm[j] = _energy(pt, st.p), _hidden_norm(pt, st.p)
-        else:
-            sim._points.append(pt)
-
-    pt = _M3Point(state.q) if _shooting is None else _shooting
-    record(0, state, rows, pt)
-    cur = state
+        sim._points, sim._newton = [_shooting], [None] * steps
+    early, mu = (2 if _shooting is None else 0), np.zeros((3, n + 2))
+    pt, cur = _M3Point(state.q) if _shooting is None else _shooting, state
     for j in range(steps):
         try:
             q1, p1, pt, sim._lam[j], sim._ph[j], rows, history, sim.factorizations[j] = \
-                _rattle_step(cur, pt, dt, lam_guess=None if j == 0 else sim._lam[0] if j == 1
-                             else 2.0 * sim._lam[j - 1] - sim._lam[j - 2])
+                _rattle_step(cur, pt, dt, lam_guess=_warm_start(sim._lam, mu, j, dt))
         except StepLeftDomain as exc:
             raise StepLeftDomain(
                 f"simulation left the domain at t={sim.times[j]:.6g}",
-                exit_time=float(sim.times[j]), partial=sim._head(j)._diagnosed()) from exc
-        if _shooting is None:
-            p1 = _consistent_end(pt, p1, history)
-        cur = HamiltonianState(cur.metric_id, q1, p1, cur.t + dt, cur.winding)
+                exit_time=float(sim.times[j]),
+                partial=sim._head(j)._diagnosed(min(j, early) + 1)) from exc
         sim.newton_iters[j], sim.newton_residual[j] = len(history) - 1, history[-1]
-        record(j + 1, cur, rows, pt)
-    return sim
+        sim.qs[j + 1], sim.ps[j + 1] = q1, p1
+        sim.constraint_norm[j + 1] = float(np.max(np.abs(rows)))
+        if j < early:
+            sim.ps[j + 1], mu[j + 1] = _consistent_end(pt, p1, history)
+        if _shooting is not None:
+            sim._points.append(pt)
+        cur = HamiltonianState(cur.metric_id, q1, p1, cur.t + dt, cur.winding)
+    return sim if _shooting is not None else sim._diagnosed(min(steps, early) + 1)

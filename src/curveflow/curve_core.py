@@ -27,6 +27,11 @@ from .errors import BadInput, CurveflowError, DegenerateCurve, TurningTooFast
 
 EPS_REG = 1e-10  # smallest admissible discrete speed |c'|
 
+# a stacked pass keeps its temporaries below glibc's default mmap threshold:
+# there they stay on the heap, above it they are unmapped on free and
+# faulted in again by a later solve
+_STACK_BYTES = 1 << 17
+
 
 def rotate90(w):
     """Rotate an (N,2) array of vectors by +pi/2."""

@@ -38,6 +38,7 @@ from .constrained_hamiltonian import (
     simulate,
 )
 from .curve_core import (
+    _STACK_BYTES,
     DiscreteCurve,
     _centered,
     _check_samples,
@@ -575,11 +576,6 @@ def _vertical_pairing(curve: DiscreteCurve, u):
 # apply_L for M3 composes four central differences, so the vertical
 # operator zeta -> <L_c(zeta c'), v> is cyclic banded with half-width 4
 _VERTICAL_HALF_WIDTH = 4
-
-# apply_L's temporaries are the size of its stack: below glibc's default
-# mmap threshold they stay on the heap, above it they are unmapped on free
-# and faulted in again by a later solve
-_STACK_BYTES = 1 << 17
 
 
 def _vertical_field(curve: DiscreteCurve, zeta):

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs
@@ -249,8 +249,9 @@ def _closedness(weight: np.ndarray, angle: np.ndarray, dth: float) -> np.ndarray
 
 def _closure_coeffs(q1: np.ndarray, angle: np.ndarray, dth: float) -> np.ndarray:
     """gc[i, j, k]: d(closedness row i)/d(q1, angle)_j at sample k, for the
-    rows sum_k q1^2 (cos angle, sin angle) dtheta."""
-    gc = np.empty((2, 2, q1.shape[0]))
+    rows sum_k q1^2 (cos angle, sin angle) dtheta; gc[i, j, k, s] for the
+    grid s of a stack q1 (n, K)."""
+    gc = np.empty((2, 2) + q1.shape)
     c, s = np.cos(angle), np.sin(angle)
     gc[0, 0] = 2.0 * q1 * c * dth
     gc[0, 1] = -q1 ** 2 * s * dth
@@ -273,37 +274,58 @@ class M3Jacobian:
     apply_t(lam) = DH^T . lam for lam (n+2,) or (n+2, r).  The coefficients
     are computed once per q: gw1, gw3 = dw/dq1, dw/dq3 for w = q1^-2 q3
     (row k of J is (gw1/2, 1/dth, gw3/2) at sample k and (gw1/2, -1/dth,
-    gw3/2) at k+1) and gc = _closure_coeffs."""
+    gw3/2) at k+1) and gc = _closure_coeffs.  q may be a stack (n, 3, K) of
+    K grids, samples first as in _inverse_points: X (n, 3, K[, r]) and lam
+    (n+2, K[, r]), column s meeting grid s, with the bits it has alone."""
 
     def __init__(self, q: np.ndarray, dth: float):
         q1 = q[:, 0]
-        self.n, self.dth = q.shape[0], dth
+        self.n, self.dth, self.stacked = q.shape[0], dth, q.ndim == 3
         self.gw1, self.gw3 = -2.0 * q[:, 2] * q1 ** -3, q1 ** -2
         self.gc = _closure_coeffs(q1, q[:, 1], dth)
+        # C as (2, 2n), the samples of q1 then those of q2, or (K, 2, 2n)
+        self._c = np.ascontiguousarray(self.gc.transpose(3, 0, 1, 2) if self.stacked
+                                       else self.gc).reshape(q.shape[2:] + (2, 2 * self.n))
+
+    def _wide(self, x):
+        """(gw1, gw3) with unit axes for the columns of x (n, *stack, ...)."""
+        cols = (1,) * (x.ndim - self.gw1.ndim)
+        return self.gw1.reshape(self.gw1.shape + cols), self.gw3.reshape(self.gw3.shape + cols)
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        X = np.ascontiguousarray(X)      # the einsum's sum order follows the layout
-        sl = (slice(None),) + (None,) * (X.ndim - 2)
-        half_y = 0.5 * (self.gw1[sl] * X[:, 0] + self.gw3[sl] * X[:, 2])
-        d2 = X[:, 1] / self.dth
+        return self._rows(X[:, :2], X[:, 2])
+
+    def _rows(self, X12, x3):
+        """DH . X from X's components 1-2, X12 (n, 2, ...), and 3, x3 (n,
+        ...) or 0.0."""
+        x1, x2 = X12[:, 0], X12[:, 1]
+        gw1, gw3 = self._wide(x1)
+        half_y = 0.5 * (gw1 * x1 + gw3 * x3)
+        d2 = x2 / self.dth
+        # one product per grid, of X12 in C order: (2n, r) or (K, 2n, r)
+        if self.stacked:
+            X12 = np.ascontiguousarray(X12.transpose((2, 1, 0) + tuple(range(3, X12.ndim))))
+            closed = (self._c @ X12.reshape(X12.shape[0], 2 * self.n, -1)).swapaxes(0, 1)
+        else:
+            closed = self._c @ np.ascontiguousarray(X12.swapaxes(0, 1)).reshape(2 * self.n, -1)
         # row k = (half_y + d2)_k + (half_y - d2)_{k+1}: one cyclic shift
         return np.concatenate([half_y + d2 + _shift(half_y - d2, 1),
-                               np.einsum("ijk,kj...->i...", self.gc, X[:, :2])])
+                               closed.reshape((2,) + x1.shape[1:])])
 
     def apply_t(self, lam: np.ndarray) -> np.ndarray:
         mu = lam[:self.n]
-        sl = (slice(None),) + (None,) * (lam.ndim - 1)
+        gw1, gw3 = self._wide(mu)
+        gc = self.gc.reshape(self.gc.shape + (1,) * (mu.ndim - self.gw1.ndim))
         prev = _shift(mu, -1)
         avg = 0.5 * (mu + prev)
-        out = np.stack([self.gw1[sl] * avg, (mu - prev) / self.dth,
-                        self.gw3[sl] * avg], axis=1)
-        out[:, :2] += np.einsum("ijk,i...->kj...", self.gc, lam[self.n:])
+        out = np.stack([gw1 * avg, (mu - prev) / self.dth, gw3 * avg], axis=1)
+        out[:, :2] += np.einsum("ijk...,i...->kj...", gc, lam[self.n:])
         return out
 
     def gram_bands(self, ginv: np.ndarray) -> np.ndarray:
         """The (3, n) cyclic bands of S = J g^-1 J^T (CyclicFactor's
-        layout) for a diagonal g^-1 given as (n, 3): S[k, k] and S[k, k+1]
-        = S[k+1, k]."""
+        layout) for a diagonal g^-1 given as (n, 3), or (3, n, K) for a
+        stack: S[k, k] and S[k, k+1] = S[k+1, k]."""
         s = self.gw1 ** 2 * ginv[:, 0] + self.gw3 ** 2 * ginv[:, 2]
         g2 = ginv[:, 1]
         s_next, g2_next = _shift(s, 1), _shift(g2, 1)
@@ -439,6 +461,21 @@ def constraint_gradients(rpoint: RPoint) -> list[np.ndarray]:
 
 # -- cyclic banded solves -------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _wrap_layout(b: int, n: int):
+    """CyclicFactor's wrap corners for half-width b on n samples: the rows
+    of E (the first and last b), and the flat places in W E^T (2b x n), W =
+    [[0, R], [L, 0]], of the band entries that wrap, with theirs in bands
+    (2b+1, n): R[i, b - j + i] = bands[b - j, i] and L[b - j + i, i] =
+    bands[b + j, n - j + i] for i < j <= b."""
+    to, frm = [], []
+    for j in range(1, b + 1):
+        for i in range(j):
+            to += [i * n + n - j + i, (2 * b - j + i) * n + i]
+            frm += [(b - j) * n + i, (b + j) * n + n - j + i]
+    return np.r_[0:b, n - b:n], np.array(to, dtype=np.intp), np.array(frm, dtype=np.intp)
+
+
 class CyclicFactor:
     """The bordered cyclic banded system [[A, cols], [rows, corner]], factored
     once: A[i, (i + j) % n] = bands[b + j, i] for |j| <= b, bands (2b+1, n)
@@ -452,74 +489,96 @@ class CyclicFactor:
     substitution only, for (n + k,) or (n + k, r) right-hand sides, and
     each column must pass a residual check on the whole bordered system;
     a failed check or a singular band part raises SingularSystem, a partial
-    or misshapen border or right-hand side BadInput."""
+    or misshapen border or right-hand side BadInput.
+
+    A leading stack axis (K, ...) on all four factors K systems at once:
+    one block-diagonal gbtrf over K n rows (no pivot leaves its block),
+    one gbtrs for all wrap and border columns, one batched inverse; solve
+    takes (K, n + k[, r]), checks each block, and any singular block raises."""
 
     def __init__(self, bands, cols=None, rows=None, corner=None):
         bands = np.asarray(bands, dtype=float)
-        w, n = bands.shape if bands.ndim == 2 else (0, 0)
+        w, n = bands.shape[-2:] if bands.ndim in (2, 3) else (0, 0)
         b = w // 2
         if w != 2 * b + 1 or n <= 2 * b:
             raise BadInput(f"bands must be (2b+1, n) with n > 2b, got {bands.shape}")
-        self.bands, self.b, self.n = bands, b, n
+        stack = bands.shape[:-2]
+        self.bands, self.b, self.n, self.stack = bands, b, n, stack
         if cols is None and rows is None and corner is None:
-            cols, rows, corner = np.zeros((n, 0)), np.zeros((0, n)), np.zeros((0, 0))
+            cols, rows, corner = (np.zeros(stack + shape) for shape in ((n, 0), (0, n), (0, 0)))
         # a missing part becomes a 0-d NaN array, of the wrong shape
         self.cols, self.rows, self.corner = (np.asarray(x, dtype=float)
                                              for x in (cols, rows, corner))
         k = self.cols.shape[-1] if self.cols.ndim else -1
         shapes = (self.cols.shape, self.rows.shape, self.corner.shape)
-        if shapes != ((n, k), (k, n), (k, k)):
+        if shapes != (stack + (n, k), stack + (k, n), stack + (k, k)):
             raise BadInput(f"border must be cols (n, k), rows (k, n) and corner (k, k) together, "
                            f"n = {n}; got {shapes}")
-        self._ends = np.arange(2 * b)       # rows of E: the first and last b
-        self._ends[b:] += n - 2 * b
-        ab = np.zeros((3 * b + 1, n))       # gbtrf layout ab[2b + i - k, k] = A'[i, k]
-        self._W = np.zeros((2 * b, 2 * b))  # [[0, R], [L, 0]]
-        ab[2 * b] = bands[b]
+        m = bands.size // (w * n)           # the blocks
+        # views (blocks, ., .) of the system, read again by every residual check
+        bands = self._bands = bands.reshape(m, w, n)
+        self._cols, self._rows = self.cols.reshape(m, n, k), self.rows.reshape(m, k, n)
+        self._corner = self.corner.reshape(m, k, k)
+        self._ends, to, frm = _wrap_layout(b, n)
+        # gbtrf layout ab[2b + i - k, k] = A'[i, k], built in Fortran order
+        # through the (3b+1, blocks, n) view, so that LAPACK takes it as it is
+        ab = np.zeros((3 * b + 1, m * n), order="F")
+        band = ab.T.reshape(m, n, 3 * b + 1).transpose(2, 0, 1)
+        band[2 * b] = bands[:, b]
         for j in range(1, b + 1):
-            ab[2 * b - j, j:] = bands[b + j, :n - j]
-            ab[2 * b + j, :n - j] = bands[b - j, j:]
-            i = np.arange(j)
-            self._W[i, 2 * b - j + i] = bands[b - j, :j]
-            self._W[2 * b - j + i, i] = bands[b + j, n - j:]
+            band[2 * b - j, :, j:] = bands[:, b + j, :n - j]
+            band[2 * b + j, :, :n - j] = bands[:, b - j, j:]
         self._lu, self._piv, info = dgbtrf(ab, b, b, overwrite_ab=True)
         if info > 0:
             raise SingularSystem("cyclic banded solve: singular matrix")
-        E = np.zeros((n, 2 * b + self.cols.shape[1]))
-        E[self._ends, np.arange(2 * b)] = 1.0
-        E[:, 2 * b:] = self.cols
-        self._Z = dgbtrs(self._lu, b, b, E, self._piv, overwrite_b=True)[0]
-        K = self._border(self._Z)
-        K[:2 * b, :2 * b] += np.eye(2 * b)
-        K[2 * b:, 2 * b:] += self.corner
+        E = np.zeros((m * n, 2 * b + k), order="F")
+        ends = E.T.reshape(2 * b + k, m, n)
+        ends[np.arange(2 * b), :, self._ends] = 1.0
+        ends[2 * b:] = self._cols.transpose(2, 0, 1)
+        # P = [W E^T; -rows] as one matrix per block, and each block of every
+        # product in one memory order, so that BLAS sums a block's columns
+        # the same way whatever the stack
+        self._P = np.zeros((m, (2 * b + k) * n))
+        self._P[:, to] = bands.reshape(m, -1)[:, frm]
+        self._P[:, 2 * b * n:] = -self._rows.reshape(m, -1)
+        self._P = self._P.reshape(m, 2 * b + k, n)
+        self._Z = self._gbtrs(E, m, True)
+        K = self._P @ self._Z
+        K.reshape(m, -1)[:, :2 * b * (2 * b + k + 1):2 * b + k + 1] += 1.0   # diag(I, corner)
+        K[:, 2 * b:, 2 * b:] += self._corner
         try:
             self._kinv = np.linalg.inv(K)
         except np.linalg.LinAlgError as exc:
             raise SingularSystem(f"cyclic banded solve: {exc}") from exc
 
-    def _border(self, X):
-        """P X = [W E^T X; -rows X] for X (n, r)."""
-        return np.concatenate([self._W @ X[self._ends], -self.rows @ X])
+    def _gbtrs(self, f, m, overwrite=False):
+        """A'^-1 f for the m blocks of f (m n, r): (m, n, r), each block in
+        Fortran order whatever m."""
+        return dgbtrs(self._lu, self.b, self.b, f, self._piv, overwrite_b=overwrite)[0].reshape(
+            m, self.n, -1)
 
     def solve(self, rhs) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
-        n, b = self.n, self.b
-        if rhs.ndim not in (1, 2) or rhs.shape[0] != n + self.cols.shape[1]:
+        n, b, k, lead = self.n, self.b, self.cols.shape[-1], len(self.stack)
+        if (rhs.ndim - lead not in (1, 2) or rhs.shape[:lead] != self.stack
+                or rhs.shape[lead] != n + k):
             raise BadInput(f"right-hand side must be (n + k,) or (n + k, r) with n + k = "
-                           f"{n + self.cols.shape[1]}, got {rhs.shape}")
-        cols = rhs.reshape(rhs.shape[0], -1)
-        y = dgbtrs(self._lu, b, b, cols[:n], self._piv)[0]
-        small = self._border(y)
-        small[2 * b:] += cols[n:]
+                           f"{n + k}, after the stack {self.stack}, got {rhs.shape}")
+        m = self._P.shape[0]
+        cols = rhs.reshape(m, n + k, -1)
+        y = self._gbtrs(cols[:, :n].reshape(m * n, -1), m)
+        small = self._P @ y
+        small[:, 2 * b:] += cols[:, n:]
         s = self._kinv @ small
-        u = np.concatenate([y - self._Z @ s, s[2 * b:]])
-        x, bands = u[:n], self.bands
-        res = np.concatenate([bands[b][:, None] * x + self.cols @ u[n:],
-                              self.rows @ x + self.corner @ u[n:]]) - cols
-        for j in range(1, b + 1):
-            res[:n] += bands[b + j][:, None] * _shift(x, j) + bands[b - j][:, None] * _shift(x, -j)
-        if not np.all(np.abs(res).max(axis=0)
-                      <= 1e-8 * np.maximum(1.0, np.abs(cols).max(axis=0))):
+        u = np.concatenate([y - self._Z @ s, s[:, 2 * b:]], axis=1)
+        x, z, bands = u[:, :n], u[:, n:], self._bands[..., None]
+        res = np.concatenate([self._cols @ z, self._rows @ x + self._corner @ z], axis=1) - cols
+        wrapped = np.concatenate((x[:, n - b:], x, x[:, :b]), axis=1)   # x_{i-b}, ..., x_{i+b}
+        band = res[:, :n]
+        for j in range(2 * b + 1):
+            band += bands[:, j] * wrapped[:, j:j + n]
+        if not np.all(np.abs(res).max(axis=1)
+                      <= 1e-8 * np.maximum(1.0, np.abs(cols).max(axis=1))):
             raise SingularSystem("cyclic banded solve failed to converge")
         return u.reshape(rhs.shape)
 
@@ -530,7 +589,9 @@ class _M3Point:
     """One point q of a closed M3 grid, built once and handed along: the
     diagonal g^-1 (n, 3) and, made on first use, DH(q) (jac), the q1-
     derivatives dginv and d2ginv of g^-1 (d2ginv for the tangent pass only)
-    and the Gram solve (gram).  q1 > 0 is checked here, once, by _fiber."""
+    and the Gram solve (gram).  q1 > 0 is checked here, once, by _fiber.
+    q may also be a stack (n, 3, K) of K points (M3Jacobian's), for ginv,
+    jac and gram."""
 
     def __init__(self, q: np.ndarray):
         self.q, self.dth = q, 2.0 * np.pi / q.shape[0]
@@ -552,16 +613,24 @@ class _M3Point:
 
     @cached_property
     def gram(self):
-        """solve(rhs) = (A g^-1 A^T)^-1 rhs for rhs (n+2,) or (n+2, r), where
-        A is the trapezoid derivative rows J bordered by the closedness rows
-        C.  A g^-1 A^T is the cyclic tridiagonal J g^-1 J^T (gram_bands)
+        """solve(rhs) = (A g^-1 A^T)^-1 rhs for rhs (n+2, ...), where A is
+        the trapezoid derivative rows J bordered by the closedness rows C.
+        A g^-1 A^T is the cyclic tridiagonal J g^-1 J^T (gram_bands)
         bordered by J g^-1 C^T, its transpose and C g^-1 C^T: one
-        CyclicFactor for every solve at the point."""
+        CyclicFactor for every solve at the point, or at a stack of K
+        points one stacked CyclicFactor, rhs (n+2, K) or (n+2, K, r)."""
         n, jac, ginv = self.q.shape[0], self.jac, self.ginv
-        border = np.zeros(self.q.shape + (2,))                 # g^-1 C^T
-        border[:, :2] = ginv[:, :2, None] * jac.gc.transpose(2, 1, 0)
-        ab = jac.apply(border)
-        return CyclicFactor(jac.gram_bands(ginv), ab[:n], ab[:n].T, ab[n:]).solve
+        # g^-1 C^T, (n, 2, *stack, 2) in its components 1-2: it has no 3rd
+        gc = jac.gc.transpose((2, 1) + tuple(range(3, jac.gc.ndim)) + (0,))
+        ab = jac._rows(ginv[:, :2, ..., None] * gc, 0.0)
+        bands, cols, corner = jac.gram_bands(ginv), ab[:n], ab[n:]
+        if not jac.stacked:
+            return CyclicFactor(bands, cols, cols.T, corner).solve
+        # CyclicFactor's layout: the stack first
+        cols = cols.swapaxes(0, 1)
+        solve = CyclicFactor(bands.transpose(2, 0, 1), cols, cols.swapaxes(1, 2),
+                             corner.swapaxes(0, 1)).solve
+        return lambda rhs: solve(rhs.swapaxes(0, 1)).swapaxes(0, 1)
 
 
 def _remove_span(metric_id, q, closed, h, basis):

@@ -426,16 +426,17 @@ def shake_step(state, dt, lam_guess=None):
 
 def test_shooting_simulation_leaves_diagnostics_nan():
     # a shooting simulation takes _rattle_step's SHAKE steps with simulate's
-    # warm start, bit for bit, and leaves its energy and hidden-constraint
-    # residual NaN, not uninitialized memory, until _diagnosed projects each
-    # momentum after the start by _tangent_momentum, bit for bit, and fills
-    # them in from the projected momentum
+    # warm start (no multiplier jumps known: mu = 0), bit for bit, and
+    # leaves its energy and hidden-constraint residual NaN, not
+    # uninitialized memory, until _diagnosed projects the momenta after the
+    # start in one stacked pass, bit for bit _tangent_momentum at each point
+    # alone, and fills them in from the projected momenta
     st = circle_state(32)
     shot = ch.simulate(st, 0.05, 1e-2, _shooting=rt._M3Point(st.q))
     assert np.all(np.isnan(shot.energy)) and np.all(np.isnan(shot.hidden_norm))
     cur, lams = st, []
     for j in range(5):
-        guess = None if j == 0 else lams[0] if j == 1 else 2.0 * lams[-1] - lams[-2]
+        guess = ch._warm_start(lams, np.zeros((3, 34)), j, 1e-2)
         cur, lam, ph = shake_step(cur, 1e-2, guess)
         lams.append(lam)
         assert np.array_equal(shot.qs[j + 1], cur.q) and np.array_equal(shot.ps[j + 1], cur.p)
@@ -453,8 +454,8 @@ def test_shooting_simulation_leaves_diagnostics_nan():
 
 def test_shooting_makes_no_hidden_constraint_projection(monkeypatch):
     # a shooting simulation factors no Gram system and its tangent pass
-    # makes no Gram solve: only _diagnosed projects, one Gram system at each
-    # kept point after the start
+    # makes no Gram solve: only _diagnosed projects, one stacked Gram
+    # system over the kept points after the start, with one solve
     st = circle_state(32)
     start = rt._M3Point(st.q)
     grams, solves, gram = [], [], rt._M3Point.__dict__["gram"].func
@@ -474,7 +475,68 @@ def test_shooting_makes_no_hidden_constraint_projection(monkeypatch):
     assert grams == [] and solves == []
     assert np.all(np.isfinite(dq))
     shot._diagnosed()
-    assert grams == shot._points[1:] and len(solves) == 20
+    assert len(grams) == 1 and solves == [(34, 20)]
+    assert np.array_equal(grams[0].q, shot.qs[1:].transpose(1, 2, 0))
+
+
+def test_simulate_projects_in_one_stacked_pass(monkeypatch):
+    # plain simulate takes SHAKE steps too: over 10 steps at N = 400 it
+    # factors one Newton matrix per step, a Gram system at the ends of
+    # steps 0 and 1 (their multipliers shift the warm starts of steps 1
+    # and 2 by the known jump, which keeps RATTLE's Newton counts) and one
+    # stacked Gram system for the 8 momenta after them; every kept point
+    # meets the hidden constraint
+    made = []
+
+    def counted(kind, cls):
+        class Counted(cls):
+            def __init__(self, bands, *border):
+                made.append((kind, np.ndim(bands)))
+                super().__init__(bands, *border)
+        return Counted
+    wavy = wavy_curve(400, seed=2, amp=0.12)
+    for state, iters in ((circle_state(400), [2] + [1] * 9),
+                         (circle_state(400, curve=wavy), [3, 2] + [1] * 8)):
+        made.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rt, "CyclicFactor", counted("gram", rt.CyclicFactor))
+            mp.setattr(ch, "CyclicFactor", counted("newton", ch.CyclicFactor))
+            sim = ch.simulate(state, 0.1, 1e-2)
+        assert made == [("newton", 2), ("gram", 2)] * 2 + [("newton", 2)] * 8 + [("gram", 3)]
+        assert sim.newton_iters.tolist() == iters and np.all(sim.factorizations == 1)
+        assert sim.hidden_norm.max() <= 1e-9 and sim.constraint_norm.max() <= 1e-9
+
+
+def test_stacked_projection_keeps_its_blocks_small(monkeypatch):
+    # _diagnosed cuts its stacked pass into blocks whose largest arrays, K n
+    # rows of 4 floats, stay below _STACK_BYTES: with room for 3 points, 20
+    # points after the start take 7 factorizations, and every momentum,
+    # energy and hidden residual has the bits of the one-block pass
+    st = circle_state(64, velocity="lobe")
+    whole = ch.simulate(st, 0.2, 1e-2, _shooting=rt._M3Point(st.q))._diagnosed()
+    stacks = []
+
+    class Counted(rt.CyclicFactor):
+        def __init__(self, bands, *border):
+            stacks.append(np.shape(bands)[0])
+            super().__init__(bands, *border)
+    monkeypatch.setattr(rt, "CyclicFactor", Counted)
+    monkeypatch.setattr(ch, "_STACK_BYTES", 4 * 8 * 64 * 3 + 1)
+    blocks = ch.simulate(st, 0.2, 1e-2, _shooting=rt._M3Point(st.q))._diagnosed()
+    assert stacks == [3] * 6 + [2]
+    for name in ("ps", "energy", "hidden_norm"):
+        assert np.array_equal(getattr(blocks, name), getattr(whole, name))
+
+
+def test_warm_start_extrapolates_quadratically():
+    # from step 4 on, three jump-free multipliers extrapolate
+    # quadratically: on a wavy curve of amplitude 0.2 at N = 400, 30 steps
+    # take 34 Newton solves, every step from the 5th on one (the linear
+    # rule took 49: 2 at each of steps 8-23)
+    wavy = wavy_curve(400, seed=2, amp=0.2)
+    sim = ch.simulate(circle_state(400, curve=wavy), 0.3, 1e-2)
+    assert sim.newton_iters.sum() == 34 and np.all(sim.newton_iters[4:] == 1)
+    assert sim.hidden_norm.max() <= 1e-9
 
 
 @pytest.mark.parametrize("n", [64, 65])

@@ -402,6 +402,57 @@ def test_banded_solvers_name_bad_input(capfd):
     assert capfd.readouterr().err == ""
 
 
+@pytest.mark.parametrize("b, k", [(1, 2), (4, 0)])
+@pytest.mark.parametrize("n", [64, 65])
+def test_stacked_cyclic_factor_is_single_factors(b, k, n):
+    # K systems factored in one call, as one block-diagonal band
+    # factorization, solve as K single factorizations do, bit for bit, for
+    # one right-hand side per system and for r at once: half-width 1 with
+    # the 2-wide closedness border (the Gram systems) and half-width 4 with
+    # none (the horizontal projection's shape)
+    rng = np.random.default_rng(11)
+    systems = [_bordered_system(rng, n, b, k) for _ in range(5)]
+    bands = np.stack([bands for bands, _ in systems])
+    border = [np.stack([dense[rows, cols] for _, dense in systems])
+              for rows, cols in ((slice(n), slice(n, None)), (slice(n, None), slice(n)),
+                                 (slice(n, None), slice(n, None)))] if k else []
+    stacked = rt.CyclicFactor(bands, *border)
+    singles = [rt.CyclicFactor(bands[i], *(x[i] for x in border)) for i in range(5)]
+    for shape in ((5, n + k), (5, n + k, 3)):
+        f = rng.standard_normal(shape)
+        u = stacked.solve(f)
+        assert u.shape == shape
+        for i, single in enumerate(singles):
+            assert np.array_equal(u[i], single.solve(f[i]))
+            ref = np.linalg.solve(systems[i][1], f[i])
+            assert np.abs(u[i] - ref).max() < 1e-13 * np.abs(ref).max()
+    with pytest.raises(BadInput, match="right-hand side"):
+        stacked.solve(np.ones((4, n + k)))
+
+
+def test_stacked_cyclic_factor_fails_by_block():
+    # one singular block fails the stacked band factorization, and one
+    # block whose corner changed after it fails the residual check of the
+    # whole solve
+    rng = np.random.default_rng(12)
+    n = 64
+    systems = [_bordered_system(rng, n, 1, 2) for _ in range(3)]
+    bands = np.stack([bands for bands, _ in systems])
+    cols, rows, corner = (np.stack([dense[r, c] for _, dense in systems]) for r, c in
+                          ((slice(n), slice(n, None)), (slice(n, None), slice(n)),
+                           (slice(n, None), slice(n, None))))
+    singular = bands.copy()
+    singular[1] = 0.0
+    with pytest.raises(SingularSystem, match="singular matrix"):
+        rt.CyclicFactor(singular, cols, rows, corner)
+    factor = rt.CyclicFactor(bands, cols, rows, corner)
+    f = rng.standard_normal((3, n + 2))
+    factor.solve(f)
+    factor.corner[2, 0, 0] += 1.0
+    with pytest.raises(SingularSystem, match="failed to converge"):
+        factor.solve(f)
+
+
 def test_bordered_cyclic_solve():
     rng = np.random.default_rng(6)
     n = 65
