@@ -39,11 +39,12 @@ p^{1/2} - (dt/2) dE/dq(q^{j+1}, p^{1/2}), unprojected.  p^j enters a step
 only as p^j + (dt/2) DH^T(q^j) lambda_1, so RATTLE's projection p~ - DH^T
 mu moves only the next lambda_1, by mu/(dt/2), and not the positions (HLW
 VII.1.4; Leimkuhler-Skeel, J. Comput. Phys. 112, 1994).  So every
-simulate takes SHAKE steps: rattle_step projects its one end
-(_consistent_end), simulate the ends of steps 0 and 1 for the warm start
-and the rest after the loop, all kept momenta in one stacked Gram pass
-(SimulationResult._diagnosed); the shooting solver's simulations, which
-read only the final position, leave even that to the path returned.
+simulate takes SHAKE steps, and a shooting run takes the plain run's bit
+for bit.  rattle_step projects its one end (_consistent_end); simulate
+projects the momenta after the start once the loop is done, in one
+stacked Gram pass (SimulationResult._diagnosed); the shooting solver's
+simulations, which read only the final position, leave that to the path
+returned.
 
 The tangent pass (_rattle_tangent, _position_tangent) differentiates the
 discrete SHAKE step, not the ODE, so it gives the exact derivative of the
@@ -208,21 +209,18 @@ def project_to_manifold(rpoint: RPoint) -> RPoint:
     raise NewtonDivergence("manifold projection did not converge", history)
 
 
-def _hidden_multiplier(pt: _M3Point, p: np.ndarray) -> np.ndarray:
-    """mu with DH g^-1 (p - DH^T mu) = 0 at the M3 point pt by its Gram
-    solve (rtransform._M3Point.gram), for p (n, 3) or r momenta (n, 3, r),
-    or at a stack of K points p (n, 3, K).  Raises RankDeficiency."""
+def _tangent_momentum(pt: _M3Point, p: np.ndarray) -> np.ndarray:
+    """p - DH^T mu with DH g^-1 (p - DH^T mu) = 0 at the M3 point pt, mu by
+    its Gram solve (rtransform._M3Point.gram): the one definition of the
+    hidden-constraint projection p -> g P(g^-1 p), for p (n, 3) or r
+    momenta (n, 3, r), or at a stack of K points p (n, 3, K).  Raises
+    RankDeficiency."""
     try:
-        return pt.gram(pt.jac.apply(pt.ginv.reshape(pt.ginv.shape + (1,) * (p.ndim - pt.ginv.ndim))
-                                    * p))
+        mu = pt.gram(pt.jac.apply(pt.ginv.reshape(pt.ginv.shape + (1,) * (p.ndim - pt.ginv.ndim))
+                                  * p))
     except (np.linalg.LinAlgError, SingularSystem) as exc:
         raise RankDeficiency(f"constraint Gram system is singular: {exc}") from exc
-
-
-def _tangent_momentum(pt: _M3Point, p: np.ndarray) -> np.ndarray:
-    """p - DH^T mu (_hidden_multiplier): the one definition of the
-    hidden-constraint projection p -> g P(g^-1 p)."""
-    return p - pt.jac.apply_t(_hidden_multiplier(pt, p))
+    return p - pt.jac.apply_t(mu)
 
 
 def project_consistent(rpoint: RPoint, p_raw: np.ndarray) -> HamiltonianState:
@@ -370,15 +368,14 @@ def _rattle_step(state: HamiltonianState, pt0: _M3Point, dt: float, tol: float =
     return q1, ph - half * _grad_q(pt1, ph), pt1, lam, ph, f3, history, factorizations
 
 
-def _consistent_end(pt1: _M3Point, p: np.ndarray, history):
-    """(RATTLE's momentum, mu) from SHAKE's p at a step's end point pt1, or
-    at a stack of them: p - DH^T mu with mu = _hidden_multiplier.  A
-    singular Gram system raises NewtonDivergence with the steps' history."""
+def _consistent_end(pt1: _M3Point, p: np.ndarray, history) -> np.ndarray:
+    """RATTLE's momentum from SHAKE's p at a step's end point pt1, or at a
+    stack of them (_tangent_momentum).  A singular Gram system raises
+    NewtonDivergence with the steps' history."""
     try:
-        mu = _hidden_multiplier(pt1, p)
+        return _tangent_momentum(pt1, p)
     except RankDeficiency as exc:
         raise NewtonDivergence("hidden-constraint system is singular", list(history)) from exc
-    return p - pt1.jac.apply_t(mu), mu
 
 
 def rattle_step(state: HamiltonianState, dt: float, tol: float = 1e-12,
@@ -387,24 +384,18 @@ def rattle_step(state: HamiltonianState, dt: float, tol: float = 1e-12,
     (new_state, lambda_1) so callers can warm start the next step's multiplier."""
     q1, p1, pt1, lam, _, _, history = _rattle_step(state, _M3Point(state.q), dt, tol,
                                                    max_iter, lam_guess)[:7]
-    return HamiltonianState(state.metric_id, q1, _consistent_end(pt1, p1, history)[0],
+    return HamiltonianState(state.metric_id, q1, _consistent_end(pt1, p1, history),
                             state.t + dt, state.winding), lam
 
 
-def _warm_start(lam: np.ndarray, mu: np.ndarray, j: int, dt: float):
-    """Step j's first lambda_1 from the earlier steps' lam (j, n+2) and the
-    hidden-constraint multipliers mu (3, n+2) of points 0-2, 0 where not
-    computed (the start is consistent; a shooting run computes none).  A
-    SHAKE step from point i >= 1 takes lambda_1 = RATTLE's - (2/dt) mu_i
-    (module docstring), so step 1 starts from RATTLE's lambda_0 and step 2
-    from 2 lambda_1 - lambda_0 in RATTLE's multipliers, each shifted by its
-    own jump; from there the multipliers are jump-free, and later steps
-    extrapolate them linearly (step 3) and then quadratically."""
-    c = 2.0 / dt
-    if j < 2:
-        return None if j == 0 else lam[0] - c * mu[1]
-    if j == 2:
-        return 2.0 * (lam[1] + c * mu[1]) - lam[0] - c * mu[2]
+def _warm_start(lam: np.ndarray, j: int):
+    """Step j's first lambda_1 from the earlier steps' lam (j, n+2).  Only
+    the start is consistent, so the multipliers of steps 1 and 2 carry the
+    jump mu/(dt/2) of a SHAKE end (module docstring) that step 0's does
+    not: steps 1 and 2 start from lambda_{j-1}, step 3 extrapolates steps
+    1-2 linearly and later steps the last three quadratically."""
+    if j < 3:
+        return lam[j - 1] if j else None
     return 2.0 * lam[2] - lam[1] if j == 3 else 3.0 * (lam[j - 1] - lam[j - 2]) + lam[j - 3]
 
 
@@ -475,21 +466,21 @@ class SimulationResult:
                                 self._points[at] if kept else None,
                                 self._newton[of] if kept else None)
 
-    def _diagnosed(self, start: int = 1) -> SimulationResult:
-        """self with the SHAKE momenta from index `start` on projected (those
-        before are consistent), then every point's energy and hidden
-        residual, from points rebuilt from qs as stacks (n, 3, K): blocks
+    def _diagnosed(self) -> SimulationResult:
+        """self with the SHAKE momenta after the start projected, then every
+        point's energy and hidden residual, from points rebuilt from qs as
+        stacks (n, 3, K) (a shooting path's start point is kept): blocks
         of one stacked Gram factorization each, whose largest arrays, K n
         rows of 4 floats, stay below _STACK_BYTES.  Call it once."""
         total, width = len(self.qs), max(1, (_STACK_BYTES - 1) // (32 * self.qs.shape[1]))
-        for a in [0, *range(start, total, width)]:
-            b = start if a < start else min(a + width, total)
-            if a < start and self._points:      # a shooting path's start point is kept
+        for a in [0, *range(1, total, width)]:
+            b = min(a + width, total) if a else 1
+            if self._points and not a:
                 pt, p = self._points[0], self.ps[0]
             else:
                 pt, p = _M3Point(self.qs[a:b].transpose(1, 2, 0)), self.ps[a:b].transpose(1, 2, 0)
-            if a >= start:
-                p = _consistent_end(pt, p, self.newton_residual[a - 1:b - 1])[0]
+            if a:
+                p = _consistent_end(pt, p, self.newton_residual[a - 1:b - 1])
                 self.ps[a:b] = p.transpose(2, 0, 1)
             self.energy[a:b], self.hidden_norm[a:b] = _energy(pt, p), _hidden_norm(pt, p)
         return self
@@ -512,16 +503,15 @@ def simulate(state: HamiltonianState, T: float, dt: float, *,
     dt must be positive, round(T/dt) at least 1 and the start on the
     constraints (of its winding) to 1e-9, OffImage if not.  The steps are
     _rattle_step's SHAKE steps, RATTLE's positions (module docstring); step
-    j's Newton starts from _warm_start.  The ends of steps 0 and 1 are
-    projected as the run goes, for their multipliers mu_1, mu_2; the
-    momenta after them are projected at the end in one stacked pass
-    (SimulationResult._diagnosed), which fills in every energy and
+    j's Newton starts from _warm_start.  The loop factors no Gram system:
+    the momenta after the start are projected at the end in one stacked
+    pass (SimulationResult._diagnosed), which fills in every energy and
     hidden-constraint residual.
 
     _shooting, the point of state.q, is the shooting solver's private
-    path: it projects nothing (mu = 0 in _warm_start), keeps the SHAKE
-    momenta and its tangent passes' tape, and leaves the projection,
-    energy and hidden-constraint residual (NaN) to _diagnosed."""
+    path: the same steps, bit for bit, keeping its tangent passes' tape
+    and leaving the diagnosis (SHAKE momenta, NaN energy and
+    hidden-constraint residual) to _diagnosed of the path returned."""
     if not (dt > 0 and np.isfinite(T / dt) and round(T / dt) >= 1):
         raise CurveflowError(f"simulate needs dt > 0 and at least one step, "
                              f"got T={T}, dt={dt}")
@@ -541,23 +531,20 @@ def simulate(state: HamiltonianState, T: float, dt: float, *,
     sim.qs[0], sim.ps[0], sim.constraint_norm[0] = state.q, state.p, resid
     if _shooting is not None:
         sim._points, sim._newton = [_shooting], [None] * steps
-    early, mu = (2 if _shooting is None else 0), np.zeros((3, n + 2))
     pt, cur = _M3Point(state.q) if _shooting is None else _shooting, state
     for j in range(steps):
         try:
             q1, p1, pt, sim._lam[j], sim._ph[j], rows, history, sim.factorizations[j] = \
-                _rattle_step(cur, pt, dt, lam_guess=_warm_start(sim._lam, mu, j, dt))
+                _rattle_step(cur, pt, dt, lam_guess=_warm_start(sim._lam, j))
         except StepLeftDomain as exc:
             raise StepLeftDomain(
                 f"simulation left the domain at t={sim.times[j]:.6g}",
                 exit_time=float(sim.times[j]),
-                partial=sim._head(j)._diagnosed(min(j, early) + 1)) from exc
+                partial=sim._head(j)._diagnosed()) from exc
         sim.newton_iters[j], sim.newton_residual[j] = len(history) - 1, history[-1]
         sim.qs[j + 1], sim.ps[j + 1] = q1, p1
         sim.constraint_norm[j + 1] = float(np.max(np.abs(rows)))
-        if j < early:
-            sim.ps[j + 1], mu[j + 1] = _consistent_end(pt, p1, history)
         if _shooting is not None:
             sim._points.append(pt)
         cur = HamiltonianState(cur.metric_id, q1, p1, cur.t + dt, cur.winding)
-    return sim if _shooting is not None else sim._diagnosed(min(steps, early) + 1)
+    return sim if _shooting is not None else sim._diagnosed()

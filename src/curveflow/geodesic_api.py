@@ -349,8 +349,8 @@ def _bvp_shooting(c0, c1, K, T, dt, modes, tol, max_iter) -> GeodesicPath:
     domain or whose Newton solve fails is rejected like one that does not
     decrease the residual, so the current iterate is always the best one;
     a start that fails so is replaced, once, by xi = 0, the rest state.
-    While another iteration remains, the mode count grows by 4, up to 24 and
-    below N/2 (more modes alias on N samples), on a stall or, with no trial
+    While another iteration remains, the mode count grows by 4, up to below
+    N/2 (more modes alias on N samples), on a stall or, with no trial
     simulate, as soon as the basis is at its floor: no step in it can halve
     the residual, or reach the tolerance, to first order
     (_gauss_newton_floor).  The solve goes on
@@ -374,7 +374,7 @@ def _bvp_shooting(c0, c1, K, T, dt, modes, tol, max_iter) -> GeodesicPath:
     dq_full = target.q - q0.q
     scale = np.sqrt(weighted_inner(MetricId.M3, q0.q, dq_full, dq_full, True))
     residual, jacobian = _shooting_maps(q0, target, T, max(2, int(round(T / dt))))
-    top = min(24, (q0.n_samples - 1) // 2)
+    top = (q0.n_samples - 1) // 2
     modes = min(modes, top)
     basis = _fourier_basis(q0.n_samples, modes)
     delta = project_image(q0, dq_full) / T

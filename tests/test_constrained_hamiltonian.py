@@ -345,9 +345,10 @@ def test_simplified_newton_matches_exact_newton():
 
 def test_rattle_call_budget():
     # the RATTLE step's call budget at N = 400, dt = 1e-2 on the circle and
-    # a wavy curve: the warm start 2 lambda_{j-1} - lambda_{j-2} leaves every
-    # step from the third on one Newton iteration and one factorization,
-    # and two CyclicFactor solves (GW and the hidden-constraint Gram)
+    # a wavy curve: the warm start (_warm_start) leaves every step from the
+    # fourth on one Newton iteration and one factorization, and every step
+    # from the third on at most two CyclicFactor solves (GW, and after the
+    # last step the stacked hidden-constraint Gram)
     wavy = wavy_curve(400, seed=2, amp=0.12)
     for state in (circle_state(400), circle_state(400, curve=wavy)):
         counts, step = [], ch._rattle_step
@@ -365,7 +366,7 @@ def test_rattle_call_budget():
             mp.setattr(ch, "_rattle_step", counted_step)
             sim = ch.simulate(state, 0.1, 1e-2)
         assert len(counts) == 10
-        assert np.all(sim.newton_iters[2:] == 1)
+        assert np.all(sim.newton_iters[3:] == 1)
         assert np.all(sim.factorizations == 1)
         assert max(counts[2:]) <= 2
 
@@ -426,7 +427,7 @@ def shake_step(state, dt, lam_guess=None):
 
 def test_shooting_simulation_leaves_diagnostics_nan():
     # a shooting simulation takes _rattle_step's SHAKE steps with simulate's
-    # warm start (no multiplier jumps known: mu = 0), bit for bit, and
+    # warm start, bit for bit, and
     # leaves its energy and hidden-constraint residual NaN, not
     # uninitialized memory, until _diagnosed projects the momenta after the
     # start in one stacked pass, bit for bit _tangent_momentum at each point
@@ -436,7 +437,7 @@ def test_shooting_simulation_leaves_diagnostics_nan():
     assert np.all(np.isnan(shot.energy)) and np.all(np.isnan(shot.hidden_norm))
     cur, lams = st, []
     for j in range(5):
-        guess = ch._warm_start(lams, np.zeros((3, 34)), j, 1e-2)
+        guess = ch._warm_start(lams, j)
         cur, lam, ph = shake_step(cur, 1e-2, guess)
         lams.append(lam)
         assert np.array_equal(shot.qs[j + 1], cur.q) and np.array_equal(shot.ps[j + 1], cur.p)
@@ -481,10 +482,8 @@ def test_shooting_makes_no_hidden_constraint_projection(monkeypatch):
 
 def test_simulate_projects_in_one_stacked_pass(monkeypatch):
     # plain simulate takes SHAKE steps too: over 10 steps at N = 400 it
-    # factors one Newton matrix per step, a Gram system at the ends of
-    # steps 0 and 1 (their multipliers shift the warm starts of steps 1
-    # and 2 by the known jump, which keeps RATTLE's Newton counts) and one
-    # stacked Gram system for the 8 momenta after them; every kept point
+    # factors one Newton matrix per step and, after the loop, one stacked
+    # Gram system for the 10 momenta after the start; every kept point
     # meets the hidden constraint
     made = []
 
@@ -495,14 +494,14 @@ def test_simulate_projects_in_one_stacked_pass(monkeypatch):
                 super().__init__(bands, *border)
         return Counted
     wavy = wavy_curve(400, seed=2, amp=0.12)
-    for state, iters in ((circle_state(400), [2] + [1] * 9),
-                         (circle_state(400, curve=wavy), [3, 2] + [1] * 8)):
+    for state, iters in ((circle_state(400), [2, 2, 2] + [1] * 7),
+                         (circle_state(400, curve=wavy), [3, 3, 2] + [1] * 7)):
         made.clear()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(rt, "CyclicFactor", counted("gram", rt.CyclicFactor))
             mp.setattr(ch, "CyclicFactor", counted("newton", ch.CyclicFactor))
             sim = ch.simulate(state, 0.1, 1e-2)
-        assert made == [("newton", 2), ("gram", 2)] * 2 + [("newton", 2)] * 8 + [("gram", 3)]
+        assert made == [("newton", 2)] * 10 + [("gram", 3)]
         assert sim.newton_iters.tolist() == iters and np.all(sim.factorizations == 1)
         assert sim.hidden_norm.max() <= 1e-9 and sim.constraint_norm.max() <= 1e-9
 
@@ -529,30 +528,47 @@ def test_stacked_projection_keeps_its_blocks_small(monkeypatch):
 
 
 def test_warm_start_extrapolates_quadratically():
-    # from step 4 on, three jump-free multipliers extrapolate
-    # quadratically: on a wavy curve of amplitude 0.2 at N = 400, 30 steps
-    # take 34 Newton solves, every step from the 5th on one (the linear
-    # rule took 49: 2 at each of steps 8-23)
+    # from step 4 on, the multipliers of steps 1-3, which all carry a SHAKE
+    # jump, extrapolate quadratically: on a wavy curve of amplitude 0.2 at
+    # N = 400, 30 steps take 36 Newton solves, every step from the 5th on
+    # one (the linear rule takes 62: 2 at each step from the 4th on)
     wavy = wavy_curve(400, seed=2, amp=0.2)
     sim = ch.simulate(circle_state(400, curve=wavy), 0.3, 1e-2)
-    assert sim.newton_iters.sum() == 34 and np.all(sim.newton_iters[4:] == 1)
+    assert sim.newton_iters.sum() == 36 and np.all(sim.newton_iters[4:] == 1)
     assert sim.hidden_norm.max() <= 1e-9
+
+
+@pytest.mark.parametrize("n", [64, 400])
+def test_shooting_run_is_the_plain_run(n):
+    # from one consistent state, a shooting simulation takes the plain
+    # run's steps bit for bit, with the same warm start, Newton solves and
+    # factorizations, and after _diagnosed has the plain run's momenta and
+    # diagnostics bit for bit too
+    curve = wavy_curve(n, seed=2, amp=0.12)
+    for state in (circle_state(n), circle_state(n, curve=curve)):
+        plain = ch.simulate(state, 0.2, 1e-2)
+        shot = ch.simulate(state, 0.2, 1e-2, _shooting=rt._M3Point(state.q))
+        for name in ("qs", "_lam", "_ph", "newton_iters", "factorizations",
+                     "constraint_norm"):
+            assert np.array_equal(getattr(shot, name), getattr(plain, name)), name
+        shot._diagnosed()
+        for name in ("ps", "energy", "hidden_norm"):
+            assert np.array_equal(getattr(shot, name), getattr(plain, name)), name
 
 
 @pytest.mark.parametrize("n", [64, 65])
 def test_shooting_positions_are_rattle_positions(n):
     # the hidden-constraint projection moves only the multiplier the next
     # step solves for: over 20 steps on the circle and a wavy curve, a
-    # shooting simulation's SHAKE positions are simulate's RATTLE positions
-    # to rounding, and its momenta, projected by _diagnosed, meet the
-    # hidden constraint
+    # shooting simulation's SHAKE positions are simulate's, bit for bit,
+    # and its momenta, projected by _diagnosed, meet the hidden constraint
     rng = np.random.default_rng(43)
     rp = ch.project_to_manifold(rt.r_forward("M3", wavy_curve(n, seed=2)))
     wavy = ch.project_consistent(rp, 0.3 * rng.standard_normal((n, 3)))
     for state in (circle_state(n), wavy):
         plain = ch.simulate(state, 0.2, 1e-2)
         shot = ch.simulate(state, 0.2, 1e-2, _shooting=rt._M3Point(state.q))._diagnosed()
-        assert np.abs(shot.qs - plain.qs).max() <= 1e-13 * np.abs(plain.qs).max()
+        assert np.array_equal(shot.qs, plain.qs)
         assert shot.hidden_norm.max() <= 1e-9
 
 

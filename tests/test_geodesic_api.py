@@ -421,6 +421,22 @@ def test_shooting_start_off_the_domain_restarts_from_rest(monkeypatch):
     assert exc.value.residual < path.diagnostics["trace"]["lm"][0]["residual"]
 
 
+def test_default_distance_grows_the_basis_past_24_modes(monkeypatch):
+    # the default M3 distance from the circle to r = 1 + 0.1 cos 5 theta at
+    # N = 64 needs more than 24 modes: the basis grows to 31, the most
+    # below N/2, and the solve converges (a cap at 24 stalled at 0.140)
+    used, fourier = [], ga._fourier_basis
+
+    def kept(n, modes):
+        used.append(modes)
+        return fourier(n, modes)
+    monkeypatch.setattr(ga, "_fourier_basis", kept)
+    res = ga.distance("M3", circle(64), far_target(64, 0.1))
+    assert max(used) == 31
+    assert res.value == pytest.approx(3.6847, abs=1e-4)
+    assert res.details["endpoint_mismatch"] <= 1e-4 * 4.47
+
+
 @pytest.mark.parametrize("n, modes, max_iter", [(16, 10, 40), (32, 12, 8)])
 def test_shooting_basis_has_full_column_rank(monkeypatch, n, modes, max_iter):
     # a Fourier basis of more than (N - 1) / 2 modes holds aliased

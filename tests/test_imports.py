@@ -2,7 +2,8 @@
 function or class of the package, public or private, is left for the
 tests alone, no module spells the per-sample planar pairing or the fiber
 metric's sixth powers itself, shifts samples with np.roll or takes an
-FFT, no function builds or takes a curve's frame in place of
+FFT, only the two projections read an M3 point's Gram solve, no
+function builds or takes a curve's frame in place of
 DiscreteCurve.frame, no module imports scipy's splines, and importing the
 package, or running its M3, M2 and projection solvers, loads neither
 scipy's quadrature nor its splines.
@@ -207,6 +208,48 @@ def test_no_fft_in_the_library():
     found = [f"{path.relative_to(ROOT)}:{line} uses an FFT; solve cyclic systems "
              "with rtransform.CyclicFactor"
              for path in files for line in ffts(path.read_text())]
+    assert files and not found, "\n".join(found)
+
+
+# the hidden-constraint projection and the image projection: every other
+# solve with the Gram system J g^-1 J^T goes through one of them
+GRAM_READERS = {"src/curveflow/constrained_hamiltonian.py": "_tangent_momentum",
+                "src/curveflow/rtransform.py": "project_image"}
+
+
+def gram_reads(source: str, reader: str | None) -> list[tuple[int, str]]:
+    """(line, function) of every read of an attribute named gram (the M3
+    point's Gram solve, _M3Point.gram) outside the module-level function
+    named reader; function is the module-level definition it is in, or
+    "<module>"."""
+    found = []
+    for top in ast.parse(source).body:
+        name = getattr(top, "name", "<module>")
+        found += [(node.lineno, name) for node in ast.walk(top)
+                  if isinstance(node, ast.Attribute) and node.attr == "gram"
+                  and isinstance(node.ctx, ast.Load) and name != reader]
+    return sorted(found)
+
+
+def test_gram_reads_are_found():
+    source = ("def _tangent_momentum(pt, p):\n    return pt.gram(pt.jac.apply(p))\n"
+              "def _hidden_multiplier(pt, p):\n    return pt.gram(p)\n"
+              "class Point:\n    def solve(self, h):\n        solve = self.gram\n"
+              "        return solve(h)\n"
+              "gram = 1\nx = pt.gram_bands(g) + gram\n")
+    assert gram_reads(source, "_tangent_momentum") == [(4, "_hidden_multiplier"),
+                                                       (7, "Point")]
+    assert gram_reads(source, None) == [(2, "_tangent_momentum"), (4, "_hidden_multiplier"),
+                                        (7, "Point")]
+
+
+def test_only_the_projections_solve_the_gram_system():
+    files = sorted(ROOT.glob("src/curveflow/*.py"))
+    found = [f"{path.relative_to(ROOT)}:{line} reads the Gram solve in {name}; project "
+             "with constrained_hamiltonian._tangent_momentum or rtransform.project_image"
+             for path in files
+             for line, name in gram_reads(path.read_text(),
+                                          GRAM_READERS.get(str(path.relative_to(ROOT))))]
     assert files and not found, "\n".join(found)
 
 
